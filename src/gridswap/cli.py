@@ -281,7 +281,7 @@ def _cmd_run(args) -> int:
     _write_kv(out / "summary.txt", dict(sorted(report.system.items())))
 
     outputs = ["report.csv", "summary.txt", "baseline_notes.txt"]
-    rows, notes = sim.compare_baselines(scenario)
+    rows, notes = sim.compare_baselines(scenario, report)
     if rows:
         header = sorted(rows[0])
         _write_csv(out / "baselines.csv", header, [[r.get(k) for k in header] for r in rows])

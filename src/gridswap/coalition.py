@@ -34,6 +34,8 @@ class Customer:
     net_energy: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.net_energy):
+            raise InputError(f"customer {self.id!r} needs a finite net_energy")
         if self.role not in (SUPPLIER, USER):
             raise InputError(f"customer role must be 'supplier' or 'user', got {self.role!r}")
         if self.role == SUPPLIER and self.net_energy < 0:
@@ -186,6 +188,15 @@ def shapley_monte_carlo(
     else:
         phi = phi + residual / n
     return PayoffAllocation({c.id: float(phi[i]) for i, c in enumerate(instance.customers)})
+
+
+def shapley_allocation(
+    instance: CoalitionInstance, sample_count: int, seed: int
+) -> PayoffAllocation:
+    """Exact Shapley division up to _EXACT_LIMIT players, seeded sampling above."""
+    if instance.n <= _EXACT_LIMIT:
+        return shapley_exact(instance)
+    return shapley_monte_carlo(instance, sample_count, seed=seed)
 
 
 def in_core(
@@ -351,7 +362,7 @@ def supplier_count_sweep(
     """Average supplier payoff as the supplier population grows.
 
     Suppliers are added incrementally to a fixed seeded population so sweep
-    points share random draws; payoffs use seeded permutation sampling.
+    points share random draws; payoffs come from shapley_allocation.
     """
     counts = list(supplier_counts)
     if not counts:
@@ -371,11 +382,7 @@ def supplier_count_sweep(
             [Customer(f"s{j}", SUPPLIER, float(surpluses[j])) for j in range(k)]
             + [Customer(f"u{j}", USER, -float(demands[j])) for j in range(n_users)]
         )
-        inst = CoalitionInstance(customers, tariff)
-        if inst.n <= _EXACT_LIMIT:
-            alloc = shapley_exact(inst)
-        else:
-            alloc = shapley_monte_carlo(inst, samples, seed=seed + k)
+        alloc = shapley_allocation(CoalitionInstance(customers, tariff), samples, seed + k)
         supplier_total = math.fsum(alloc.payoffs[f"s{j}"] for j in range(k))
         supply = float(surpluses[:k].sum())
         rows.append(

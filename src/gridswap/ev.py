@@ -36,12 +36,14 @@ class ChargingEV:
     w: float
     c_min: float
     c_max: float = math.inf
-    bid_price: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w) and math.isfinite(self.c_min)):
+            raise InputError(f"charging EV {self.id!r} needs finite w and c_min")
         if self.w <= 0:
             raise InputError(f"charging EV {self.id!r} needs willingness w > 0")
-        if self.c_min < 0 or self.c_max < self.c_min:
+        # c_max may be inf (no cap); the negated test also rejects a NaN cap
+        if self.c_min < 0 or not self.c_max >= self.c_min:
             raise InputError(
                 f"charging EV {self.id!r} needs 0 <= c_min <= c_max, "
                 f"got [{self.c_min}, {self.c_max}]"
@@ -56,9 +58,10 @@ class DischargingEV:
     l1: float
     l2: float
     d_max: float
-    ask_price: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.l1, self.l2, self.d_max))):
+            raise InputError(f"discharging EV {self.id!r} needs finite l1, l2 and d_max")
         if self.l1 < 0 or self.l2 < 0:
             raise InputError(f"discharging EV {self.id!r} cost factors must be >= 0")
         if self.l1 == 0 and self.l2 == 0:
@@ -347,7 +350,6 @@ def _col_jac(nj, ni, i):
 class AuctionTrace:
     bid_history: list = field(default_factory=list)
     ask_history: list = field(default_factory=list)
-    allocation_history: list = field(default_factory=list)
     welfare_history: list = field(default_factory=list)
     price_change_history: list = field(default_factory=list)
     iterations: int = 0
@@ -440,7 +442,6 @@ def run_iterative_auction(
 
         trace.bid_history.append(bids.copy())
         trace.ask_history.append(asks.copy())
-        trace.allocation_history.append(d.copy())
         trace.welfare_history.append(welfare(d, chargers, dischargers, eta))
         if prev_prices is not None:
             change = float(np.max(np.abs(prices - prev_prices)))

@@ -1,10 +1,13 @@
 """Scenario engine: config ingestion, per-slot simulation, baselines, sweeps.
 
 A scenario names a tariff, a mechanism, a horizon of 15-minute slots, and a
-set of agents with load/generation series or mechanism parameters. The engine
-replays the configured market slot by slot, aggregates per-agent cash flows
-and system energy totals, and compares them against feed-in-tariff,
-equal-distribution, and grid-hybrid baselines where those apply.
+set of agents with load/generation series or mechanism parameters. One replay
+loop runs every mechanism slot by slot: the mechanism lists each slot's
+per-agent cash and energy deltas and system totals, and the loop sums them.
+EV and storage agents carry parameters, not series, so those auctions clear
+once per run and their deltas repeat in every slot. The report is then
+compared against feed-in-tariff, equal-distribution, and grid-hybrid
+baselines where those apply.
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ class Scenario:
     seed: int = 0
     options: dict = field(default_factory=dict)
 
-    def agent(self, aid: str) -> AgentProfile:
-        for a in self.agents:
-            if a.id == aid:
-                return a
-        raise InputError(f"unknown agent {aid!r}")
-
 
 @dataclass
 class MetricsReport:
@@ -71,9 +68,12 @@ class MetricsReport:
 
 def _parse_number(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 def _read_series(path: Path, horizon: int, agent_id: str):
@@ -115,6 +115,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     base = Path(data_dir) if data_dir is not None else config_path.parent
 
     keys: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     agent_specs: list[tuple[int, str]] = []
     for ln, raw in enumerate(config_path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,18 +128,23 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             agent_specs.append((ln, value))
         else:
             keys[key] = value
+            key_lines[key] = ln
 
     where = str(config_path)
+
+    def number(key: str, text: str) -> float:
+        return _parse_number(text, f"{where}:{key_lines[key]}" if key in key_lines else where)
+
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{where}: unknown mechanism {mechanism!r}")
-    horizon = int(_parse_number(keys.get("horizon", "1"), where))
+    horizon = int(number("horizon", keys.get("horizon", "1")))
     if horizon < 1:
         raise SchemaError(f"{where}: horizon must be >= 1")
-    slot_minutes = int(_parse_number(keys.get("slot_minutes", "15"), where))
-    seed = int(_parse_number(keys.get("seed", "0"), where))
-    p_wp = _parse_number(keys.get("p_wp", "0.05"), where)
-    p_rp = _parse_number(keys.get("p_rp", "0.30"), where)
+    slot_minutes = int(number("slot_minutes", keys.get("slot_minutes", "15")))
+    seed = int(number("seed", keys.get("seed", "0")))
+    p_wp = number("p_wp", keys.get("p_wp", "0.05"))
+    p_rp = number("p_rp", keys.get("p_rp", "0.30"))
     try:
         tariff = mk.Tariff(p_wp=p_wp, p_rp=p_rp)
     except InputError as exc:
@@ -147,7 +153,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     options: dict = {}
     for key in ("eta", "eps", "grid_sell_out", "grid_buy_back", "mc_samples"):
         if key in keys:
-            options[key] = _parse_number(keys[key], where)
+            options[key] = number(key, keys[key])
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
             raise SchemaError(f"{where}: rule must be proportional or equal")
@@ -155,10 +161,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     for key in ("buyer_margin", "seller_margin"):
         if key in keys:
             lo, _, hi = keys[key].partition(":")
-            options[key] = (
-                _parse_number(lo, where),
-                _parse_number(hi if hi else lo, where),
-            )
+            options[key] = (number(key, lo), number(key, hi if hi else lo))
 
     agents: list[AgentProfile] = []
     for ln, decl in agent_specs:
@@ -176,9 +179,11 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
                 raise SchemaError(f"{where}:{ln}: bad parameter token {token!r}")
             name, value = token.split("=", 1)
             try:
-                params[name] = float(value)
+                float(value)
             except ValueError:
-                params[name] = value
+                params[name] = value  # non-numeric parameters stay text
+            else:
+                params[name] = _parse_number(value, f"{where}:{ln}: {name}")
         if series == "-":
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
@@ -204,7 +209,15 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# mechanism adapters
+# slot replay
+#
+# Each mechanism below returns (extra, deltas, finish). `deltas(t)` lists slot
+# t's outcome as (agent id, column, amount) triples, agent id None naming a
+# system total; `extra` holds the starting values of the system totals the
+# mechanism adds beyond the summary columns, and `finish(per_agent, system)`
+# turns the sums into the summary. run_simulation applies the deltas in list
+# order, so each sum adds its terms in a fixed order and the outputs are
+# stable to the bit.
 
 
 def _draw_margins(scenario: Scenario):
@@ -234,16 +247,14 @@ def _blank_row(role: str) -> dict:
     }
 
 
-def _run_double_auction(scenario: Scenario) -> MetricsReport:
+def _double_auction(scenario: Scenario):
     tariff = scenario.tariff
     margins = _draw_margins(scenario)
-    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
-    matched = imported = exported = 0.0
-    buy_spend = buy_kwh = sell_earn = sell_kwh = 0.0
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
 
-    for t in range(scenario.horizon):
+    def deltas(t: int) -> list:
         buys, sells = [], []
-        for agent in sorted(scenario.agents, key=lambda a: a.id):
+        for agent in ordered:
             net = agent.net(t)
             bmar, smar = margins[agent.id]
             if net > 1e-12:
@@ -253,50 +264,41 @@ def _run_double_auction(scenario: Scenario) -> MetricsReport:
         clearing = mk.clear_double_auction(buys, sells)
         settle = mk.settle_slot(clearing, tariff)
 
+        out = []
         for m in clearing.matches:
-            matched += m.quantity
-            per_agent[m.buyer_id]["energy_bought_kwh"] += m.quantity
-            per_agent[m.seller_id]["energy_sold_kwh"] += m.quantity
-        imported += sum(clearing.residual_buys.values())
-        exported += sum(clearing.residual_sells.values())
-
+            out.append((None, "matched_kwh", m.quantity))
+            out.append((m.buyer_id, "energy_bought_kwh", m.quantity))
+            out.append((m.seller_id, "energy_sold_kwh", m.quantity))
+        out.append((None, "grid_import_kwh", sum(clearing.residual_buys.values())))
+        out.append((None, "grid_export_kwh", sum(clearing.residual_sells.values())))
         for aid, cash in settle.p2p_paid.items():
-            per_agent[aid]["bill"] += cash
-            buy_spend += cash
+            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
         for aid, cash in settle.p2p_received.items():
-            per_agent[aid]["revenue"] += cash
-            sell_earn += cash
+            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
         for aid, cash in settle.grid_charge.items():
-            per_agent[aid]["bill"] += cash
-            buy_spend += cash
-            per_agent[aid]["energy_bought_kwh"] += clearing.residual_buys[aid]
+            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
+            out.append((aid, "energy_bought_kwh", clearing.residual_buys[aid]))
         for aid, cash in settle.grid_credit.items():
-            per_agent[aid]["revenue"] += cash
-            sell_earn += cash
-            per_agent[aid]["energy_sold_kwh"] += clearing.residual_sells[aid]
-
+            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
+            out.append((aid, "energy_sold_kwh", clearing.residual_sells[aid]))
         for agent in scenario.agents:
             net = agent.net(t)
             if net < 0:
-                per_agent[agent.id]["fit_bill"] += -net * tariff.p_rp
+                out.append((agent.id, "fit_bill", -net * tariff.p_rp))
             elif net > 0:
-                per_agent[agent.id]["fit_revenue"] += net * tariff.p_wp
+                out.append((agent.id, "fit_revenue", net * tariff.p_wp))
+        return out
 
-    buy_kwh = matched + imported
-    sell_kwh = matched + exported
-    generation = float(sum(a.gen.sum() for a in scenario.agents))
-    consumption = float(sum(a.load.sum() for a in scenario.agents))
-    system = {
-        "matched_kwh": matched,
-        "grid_import_kwh": imported,
-        "grid_export_kwh": exported,
-        "loss_kwh": 0.0,
-        "generation_kwh": generation,
-        "consumption_kwh": consumption,
-        "avg_buy_price": buy_spend / buy_kwh if buy_kwh > 0 else None,
-        "avg_sell_price": sell_earn / sell_kwh if sell_kwh > 0 else None,
-    }
-    return MetricsReport(per_agent, system)
+    def finish(per_agent: dict, s: dict) -> None:
+        buy_kwh = s["matched_kwh"] + s["grid_import_kwh"]
+        sell_kwh = s["matched_kwh"] + s["grid_export_kwh"]
+        buy_spend, sell_earn = s.pop("buy_spend"), s.pop("sell_earn")
+        s["generation_kwh"] = float(sum(a.gen.sum() for a in scenario.agents))
+        s["consumption_kwh"] = float(sum(a.load.sum() for a in scenario.agents))
+        s["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
+        s["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
+
+    return {"buy_spend": 0.0, "sell_earn": 0.0}, deltas, finish
 
 
 def _ev_population(scenario: Scenario):
@@ -330,54 +332,42 @@ def _ev_population(scenario: Scenario):
     return chargers, dischargers
 
 
-def _run_ev_auction(scenario: Scenario) -> MetricsReport:
+def _ev_auction(scenario: Scenario):
+    # vehicles carry parameters, not series: every slot clears the same auction
     chargers, dischargers = _ev_population(scenario)
     eta = float(scenario.options.get("eta", evx.DEFAULT_ETA))
     eps = float(scenario.options.get("eps", 1e-4))
-    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
-    sent_total = delivered_total = 0.0
-    converged_slots = 0
+    tariff = scenario.tariff
+    alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
+    delivered = alloc.delivered_per_charger()
+    sent = alloc.sent_per_discharger()
 
-    for _ in range(scenario.horizon):
-        alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
-        converged_slots += result.trace.converged
-        delivered = alloc.delivered_per_charger()
-        sent = alloc.sent_per_discharger()
-        for i, c in enumerate(chargers):
-            row = per_agent[c.id]
-            row["bill"] += result.settlement.buyer_payments[c.id]
-            row["energy_bought_kwh"] += float(delivered[i])
-            row["utility"] += evx.satisfaction(c, alloc.sent[:, i], eta)
-            row["fit_bill"] += scenario.tariff.p_rp * float(delivered[i])
-        for j, s in enumerate(dischargers):
-            row = per_agent[s.id]
-            row["revenue"] += result.settlement.seller_receipts[s.id]
-            row["energy_sold_kwh"] += float(sent[j])
-            row["utility"] -= evx.discharge_cost(s, alloc.sent[j, :])
-            row["fit_revenue"] += scenario.tariff.p_wp * float(sent[j])
-        sent_total += float(sent.sum())
-        delivered_total += float(delivered.sum())
+    slot = [(None, "converged_slots", result.trace.converged)]
+    for i, c in enumerate(chargers):
+        slot.append((c.id, "bill", result.settlement.buyer_payments[c.id]))
+        slot.append((c.id, "energy_bought_kwh", float(delivered[i])))
+        slot.append((c.id, "utility", evx.satisfaction(c, alloc.sent[:, i], eta)))
+        slot.append((c.id, "fit_bill", tariff.p_rp * float(delivered[i])))
+    for j, s in enumerate(dischargers):
+        slot.append((s.id, "revenue", result.settlement.seller_receipts[s.id]))
+        slot.append((s.id, "energy_sold_kwh", float(sent[j])))
+        slot.append((s.id, "utility", -evx.discharge_cost(s, alloc.sent[j, :])))
+        slot.append((s.id, "fit_revenue", tariff.p_wp * float(sent[j])))
+    slot.append((None, "generation_kwh", float(sent.sum())))
+    slot.append((None, "consumption_kwh", float(delivered.sum())))
 
-    system = {
-        "matched_kwh": delivered_total,
-        "grid_import_kwh": 0.0,
-        "grid_export_kwh": 0.0,
-        "loss_kwh": sent_total - delivered_total,
-        "generation_kwh": sent_total,
-        "consumption_kwh": delivered_total,
-        "avg_buy_price": (
-            sum(per_agent[c.id]["bill"] for c in chargers) / delivered_total
-            if delivered_total > 0
-            else None
-        ),
-        "avg_sell_price": (
-            sum(per_agent[s.id]["revenue"] for s in dischargers) / sent_total
-            if sent_total > 0
-            else None
-        ),
-        "converged_slots": converged_slots,
-    }
-    return MetricsReport(per_agent, system)
+    def finish(per_agent: dict, s: dict) -> None:
+        sent_total, delivered_total = s["generation_kwh"], s["consumption_kwh"]
+        s["matched_kwh"] = delivered_total
+        s["loss_kwh"] = sent_total - delivered_total
+        if delivered_total > 0:
+            bills = sum(per_agent[c.id]["bill"] for c in chargers)
+            s["avg_buy_price"] = bills / delivered_total
+        if sent_total > 0:
+            revenues = sum(per_agent[d.id]["revenue"] for d in dischargers)
+            s["avg_sell_price"] = revenues / sent_total
+
+    return {"converged_slots": 0}, lambda t: slot, finish
 
 
 def _coalition_instance(scenario: Scenario, t: int):
@@ -393,52 +383,36 @@ def _coalition_instance(scenario: Scenario, t: int):
     return co.CoalitionInstance(tuple(customers), scenario.tariff)
 
 
-def _run_coalition(scenario: Scenario) -> MetricsReport:
-    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
+def _coalition(scenario: Scenario):
     samples = int(scenario.options.get("mc_samples", 20_000))
-    supply_total = demand_total = matched = 0.0
 
-    for t in range(scenario.horizon):
+    def deltas(t: int) -> list:
         inst = _coalition_instance(scenario, t)
         if inst is None:
-            continue
-        if inst.n <= 10:
-            alloc = co.shapley_exact(inst)
-        else:
-            alloc = co.shapley_monte_carlo(inst, samples, seed=scenario.seed + t)
+            return []
+        alloc = co.shapley_allocation(inst, samples, scenario.seed + t)
+        out = []
         for c in inst.customers:
-            row = per_agent[c.id]
             payoff = alloc.payoffs[c.id]
-            if payoff >= 0:
-                row["revenue"] += payoff
-            else:
-                row["bill"] += -payoff
+            out.append((c.id, "revenue", payoff) if payoff >= 0 else (c.id, "bill", -payoff))
             fit = co.fit_payoff(c, scenario.tariff)
-            if fit >= 0:
-                row["fit_revenue"] += fit
-            else:
-                row["fit_bill"] += -fit
+            out.append((c.id, "fit_revenue", fit) if fit >= 0 else (c.id, "fit_bill", -fit))
             if c.net_energy > 0:
-                row["energy_sold_kwh"] += c.net_energy
+                out.append((c.id, "energy_sold_kwh", c.net_energy))
             else:
-                row["energy_bought_kwh"] += -c.net_energy
+                out.append((c.id, "energy_bought_kwh", -c.net_energy))
         supply = sum(c.net_energy for c in inst.customers if c.net_energy > 0)
         demand = sum(-c.net_energy for c in inst.customers if c.net_energy < 0)
-        supply_total += supply
-        demand_total += demand
-        matched += min(supply, demand)
+        out.append((None, "generation_kwh", supply))
+        out.append((None, "consumption_kwh", demand))
+        out.append((None, "matched_kwh", min(supply, demand)))
+        return out
 
-    system = {
-        "matched_kwh": matched,
-        "grid_import_kwh": demand_total - matched,
-        "grid_export_kwh": supply_total - matched,
-        "loss_kwh": 0.0,
-        "generation_kwh": supply_total,
-        "consumption_kwh": demand_total,
-        "avg_buy_price": None,
-        "avg_sell_price": None,
-    }
-    return MetricsReport(per_agent, system)
+    def finish(per_agent: dict, s: dict) -> None:
+        s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
+        s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
+
+    return {}, deltas, finish
 
 
 def _storage_population(scenario: Scenario):
@@ -465,44 +439,45 @@ def _storage_population(scenario: Scenario):
     return rus, sfcs
 
 
-def _run_storage(scenario: Scenario) -> MetricsReport:
+def _storage(scenario: Scenario):
+    # units and SFCs carry parameters, not series: every slot clears the same auction
     rus, sfcs = _storage_population(scenario)
     if not rus or not sfcs:
         raise SchemaError("storage_auction needs residential_unit and sfc agents")
-    rule = scenario.options.get("rule", st.PROPORTIONAL)
-    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
-    shared_total = 0.0
+    out = st.run_storage_auction(rus, sfcs, scenario.options.get("rule", st.PROPORTIONAL))
 
-    for _ in range(scenario.horizon):
-        out = st.run_storage_auction(rus, sfcs, rule)
-        if out.empty:
-            continue
+    slot = []
+    if not out.empty:
         for r in rus:
-            row = per_agent[r.id]
             share = out.shares.get(r.id, 0.0)
             sold = max(share - out.burdens.get(r.id, 0.0), 0.0)
-            row["utility"] += out.ru_utilities.get(r.id, 0.0)
-            row["revenue"] += out.auction_price * sold
-            row["energy_sold_kwh"] += sold
+            slot.append((r.id, "utility", out.ru_utilities.get(r.id, 0.0)))
+            slot.append((r.id, "revenue", out.auction_price * sold))
+            slot.append((r.id, "energy_sold_kwh", sold))
         for s in sfcs:
-            row = per_agent[s.id]
             got = out.sfc_allocations.get(s.id, 0.0)
-            row["utility"] += out.sfc_utilities.get(s.id, 0.0)
-            row["bill"] += out.auction_price * got
-            row["energy_bought_kwh"] += got
-        shared_total += out.total_allocated()
+            slot.append((s.id, "utility", out.sfc_utilities.get(s.id, 0.0)))
+            slot.append((s.id, "bill", out.auction_price * got))
+            slot.append((s.id, "energy_bought_kwh", got))
+        slot.append((None, "matched_kwh", out.total_allocated()))
 
-    system = {
-        "matched_kwh": shared_total,
-        "grid_import_kwh": 0.0,
-        "grid_export_kwh": 0.0,
-        "loss_kwh": 0.0,
-        "generation_kwh": 0.0,
-        "consumption_kwh": 0.0,
-        "avg_buy_price": None,
-        "avg_sell_price": None,
-    }
-    return MetricsReport(per_agent, system)
+    return {}, lambda t: slot, lambda per_agent, s: None
+
+
+_REPLAYS = {
+    "double_auction": _double_auction,
+    "ev_auction": _ev_auction,
+    "coalition": _coalition,
+    "storage_auction": _storage,
+}
+_ENERGY_TOTALS = (
+    "matched_kwh",
+    "grid_import_kwh",
+    "grid_export_kwh",
+    "loss_kwh",
+    "generation_kwh",
+    "consumption_kwh",
+)
 
 
 def run_simulation(scenario: Scenario) -> MetricsReport:
@@ -512,15 +487,16 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     the feed-in-tariff baseline and checks the energy accounting identity
     generation + imports = consumption + exports + losses to 1e-6 kWh.
     """
-    runner = {
-        "double_auction": _run_double_auction,
-        "ev_auction": _run_ev_auction,
-        "coalition": _run_coalition,
-        "storage_auction": _run_storage,
-    }[scenario.mechanism]
-    report = runner(scenario)
+    extra, deltas, finish = _REPLAYS[scenario.mechanism](scenario)
+    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
+    system = dict.fromkeys(_ENERGY_TOTALS, 0.0)
+    system.update(avg_buy_price=None, avg_sell_price=None, **extra)
+    for t in range(scenario.horizon):
+        for aid, column, amount in deltas(t):
+            (system if aid is None else per_agent[aid])[column] += amount
+    finish(per_agent, system)
 
-    for row in report.per_agent.values():
+    for row in per_agent.values():
         p2p_cost = row["bill"] - row["revenue"]
         fit_cost = row["fit_bill"] - row["fit_revenue"]
         row["savings"] = fit_cost - p2p_cost
@@ -528,33 +504,32 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
             100.0 * (fit_cost - p2p_cost) / fit_cost if fit_cost > 1e-12 else None
         )
 
-    s = report.system
     residual = (
-        s["generation_kwh"]
-        + s["grid_import_kwh"]
-        - s["consumption_kwh"]
-        - s["grid_export_kwh"]
-        - s["loss_kwh"]
+        system["generation_kwh"]
+        + system["grid_import_kwh"]
+        - system["consumption_kwh"]
+        - system["grid_export_kwh"]
+        - system["loss_kwh"]
     )
-    s["energy_balance_residual_kwh"] = residual
-    if abs(residual) > 1e-6:
+    system["energy_balance_residual_kwh"] = residual
+    if not abs(residual) <= 1e-6:  # written so that a NaN residual fails too
         raise InputError(
             f"energy accounting identity violated by {residual:.3e} kWh"
         )
-    return report
+    return MetricsReport(per_agent, system)
 
 
 # ---------------------------------------------------------------------------
 # baselines
 
 
-def compare_baselines(scenario: Scenario):
-    """Per-agent comparison of the configured mechanism against baselines.
+def compare_baselines(scenario: Scenario, report: MetricsReport):
+    """Per-agent comparison of a simulated scenario against baselines.
 
-    Columns that make no sense for the mechanism are omitted and listed in
-    the returned notes. Returns (rows, notes).
+    `report` is run_simulation's result for `scenario`. Columns that make no
+    sense for the mechanism are omitted and listed in the returned notes.
+    Returns (rows, notes).
     """
-    report = run_simulation(scenario)
     notes: list[str] = []
     rows: list[dict] = []
 

@@ -1,9 +1,15 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import gridswap
+from gridswap import ev, scenario, storage
 from gridswap.cli import main
 
 
@@ -287,3 +293,81 @@ class TestDeterminism:
                 f.unlink()
             assert main(full) == 0, argv
             assert snapshot(out) == first, argv[0]
+
+
+class TestRunComputesOnce:
+    EV = """
+        mechanism = ev_auction
+        horizon = 4
+        agent = c1 ev - w=1.9 c_min=6 c_max=15
+        agent = d1 ev - l1=0.04 l2=0.02 d_max=16
+        """
+    STORAGE = """
+        mechanism = storage_auction
+        horizon = 4
+        agent = r1 residential_unit - capacity=60 reservation=0.26 reluctance=0.0005
+        agent = f1 sfc - requirement=100 bid=0.40
+        agent = f2 sfc - requirement=100 bid=0.28
+        """
+
+    @pytest.mark.parametrize(
+        "module, kernel, config",
+        [(ev, "run_iterative_auction", EV), (storage, "run_storage_auction", STORAGE)],
+        ids=["ev", "storage"],
+    )
+    def test_one_simulation_and_one_auction(self, tmp_path, monkeypatch, module, kernel, config):
+        calls = []
+
+        def count(mod, attr):
+            original = getattr(mod, attr)
+
+            def counted(*args, **kwargs):
+                calls.append(attr)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, attr, counted)
+
+        count(scenario, "run_simulation")
+        count(module, kernel)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(textwrap.dedent(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert sorted(calls) == sorted(["run_simulation", kernel])
+
+
+class TestNonFiniteRejected:
+    CHARGER = "c1,charging,1.9,,,6,15,"
+    DISCHARGER = "d1,discharging,,0.04,0.02,,,16"
+
+    def _cli(self, tmp_path, argv):
+        # a separate process under a timeout: a NaN that slipped through could spin the solver
+        env = dict(os.environ, PYTHONPATH=str(Path(gridswap.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "gridswap", *argv, "--out", str(tmp_path / "o"), "--quiet"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "c1,charging,nan,,,6,15,",
+            "c1,charging,1.9,,,inf,15,",
+            "d1,discharging,,nan,0.02,,,16",
+            "d1,discharging,,0.04,inf,,,16",
+            "d1,discharging,,0.04,0.02,,,inf",
+        ],
+    )
+    def test_ev_population(self, tmp_path, row):
+        other = self.DISCHARGER if row.startswith("c1") else self.CHARGER
+        pop = tmp_path / "pop.csv"
+        pop.write_text(f"id,role,w,l1,l2,c_min,c_max,d_max\n{row}\n{other}\n")
+        proc = self._cli(tmp_path, ["ev-auction", "--population", str(pop)])
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_coalition_instance(self, tmp_path):
+        inst = tmp_path / "instance.csv"
+        inst.write_text("id,role,net_kwh\ns1,supplier,nan\nu1,user,-8\n")
+        proc = self._cli(tmp_path, ["shapley", "--exact", "--instance", str(inst)])
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr

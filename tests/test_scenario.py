@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from gridswap.errors import InputError, SchemaError
+from gridswap.market import Tariff
 from gridswap.scenario import (
+    AgentProfile,
+    Scenario,
     compare_baselines,
     load_scenario,
     run_simulation,
@@ -110,6 +113,33 @@ class TestLoadScenario:
             load_scenario(cfg)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "config, series_row, location",
+        [
+            ("agent = h1 consumer s.csv", "nan,0.0", "s.csv:2"),
+            ("agent = h1 consumer s.csv", "1.0,inf", "s.csv:2"),
+            ("p_wp = nan\nagent = h1 consumer s.csv", "1.0,0.0", "bad.cfg:1"),
+            ("horizon = inf\nagent = h1 consumer s.csv", "1.0,0.0", "bad.cfg:1"),
+            ("buyer_margin = 0.02:nan\nagent = h1 consumer s.csv", "1.0,0.0", "bad.cfg:1"),
+            ("mechanism = ev_auction\nagent = c1 ev - w=nan c_min=1", "0,0", "bad.cfg:2"),
+            ("mechanism = storage_auction\nagent = f1 sfc - requirement=9 bid=inf",
+             "0,0", "bad.cfg:2"),
+        ],
+    )
+    def test_rejected_with_location(self, tmp_path, config, series_row, location):
+        (tmp_path / "s.csv").write_text(f"slot_index,load_kwh,gen_kwh\n0,{series_row}\n")
+        cfg = write_config(tmp_path / "bad.cfg", config + "\n")
+        with pytest.raises(SchemaError, match=f"{location}: .*finite"):
+            load_scenario(cfg)
+
+    def test_nan_residual_fails_identity_check(self):
+        agent = AgentProfile("h1", "consumer", np.array([np.nan]), np.array([0.0]))
+        sc = Scenario([agent], Tariff(p_wp=0.05, p_rp=0.30), "double_auction", 1)
+        with pytest.raises(InputError, match="identity"):
+            run_simulation(sc)
+
+
 class TestRunSimulation:
     def test_exact_balance_clears_peer_to_peer(self, minimal):
         report = run_simulation(load_scenario(minimal))
@@ -202,7 +232,7 @@ class TestEvScenario:
 
     def test_hybrid_baseline_column(self, ev_config):
         sc = load_scenario(ev_config)
-        rows, notes = compare_baselines(sc)
+        rows, notes = compare_baselines(sc, run_simulation(sc))
         assert any("ed baseline" in n for n in notes)
         assert all("hybrid_cost" in r for r in rows)
 
@@ -226,7 +256,8 @@ def coalition_config(tmp_path):
 
 class TestCoalitionScenario:
     def test_pooled_beats_fit_in_aggregate(self, coalition_config):
-        rows, _ = compare_baselines(load_scenario(coalition_config))
+        sc = load_scenario(coalition_config)
+        rows, _ = compare_baselines(sc, run_simulation(sc))
         p2p = sum(r["p2p_cost"] for r in rows)
         fit = sum(r["fit_cost"] for r in rows)
         assert p2p <= fit + 1e-9
@@ -250,7 +281,8 @@ def storage_config(tmp_path):
 
 class TestStorageScenario:
     def test_p2p_dominates_ed_and_fit(self, storage_config):
-        rows, notes = compare_baselines(load_scenario(storage_config))
+        sc = load_scenario(storage_config)
+        rows, notes = compare_baselines(sc, run_simulation(sc))
         assert rows, "expected residential unit rows"
         for r in rows:
             assert r["p2p_utility"] >= r["ed_utility"] - 1e-9
