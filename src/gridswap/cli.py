@@ -15,9 +15,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +24,12 @@ from . import __version__
 from . import coalition as co
 from . import ev as evx
 from . import games
+from . import ingest
 from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError
+from .ingest import finite
 
 
 def _fmt(value) -> str:
@@ -96,121 +96,60 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GRIDSWAP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # input readers
 
 
 def _read_orders(path: Path):
     buys, sells = [], []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"agent_id", "side", "quantity", "limit_price"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputError(f"{path}: orders need agent_id,side,quantity,limit_price")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                order = mk.Order(
-                    row["agent_id"].strip(),
-                    row["side"].strip(),
-                    float(row["quantity"]),
-                    float(row["limit_price"]),
-                    int(row.get("slot") or 0),
-                )
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{ln}: bad order ({exc})") from exc
+    needed = ("agent_id", "side", "quantity", "limit_price")
+    with ingest.table(path, needed) as table:
+        for agent, side, quantity, price, slot in table.rows(*needed, "slot"):
+            order = mk.Order(
+                agent.strip(), side.strip(), finite(quantity), finite(price), int(slot or 0)
+            )
             (buys if order.side == mk.BUY else sells).append(order)
     return buys, sells
 
 
 def _read_instance(path: Path, tariff: mk.Tariff) -> co.CoalitionInstance:
-    customers = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "role", "net_kwh"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputError(f"{path}: instance needs id,role,net_kwh")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                customers.append(
-                    co.Customer(row["id"].strip(), row["role"].strip(), float(row["net_kwh"]))
-                )
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{ln}: bad customer ({exc})") from exc
-    return co.CoalitionInstance(tuple(customers), tariff)
+    needed = ("id", "role", "net_kwh")
+    with ingest.table(path, needed) as table:
+        customers = tuple(
+            co.Customer(cid.strip(), role.strip(), finite(net))
+            for cid, role, net in table.rows(*needed)
+        )
+    return co.CoalitionInstance(customers, tariff)
 
 
 def _read_rus(path: Path):
-    rus = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "capacity", "reservation_price", "reluctance"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputError(
-                f"{path}: needs id,capacity,reservation_price,reluctance"
-            )
-        for ln, row in enumerate(reader, start=2):
-            try:
-                rus.append(
-                    st.ResidentialUnit(
-                        row["id"].strip(),
-                        float(row["capacity"]),
-                        float(row["reservation_price"]),
-                        float(row["reluctance"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{ln}: bad unit ({exc})") from exc
-    return rus
+    needed = ("id", "capacity", "reservation_price", "reluctance")
+    with ingest.table(path, needed) as table:
+        return [
+            st.ResidentialUnit(rid.strip(), finite(capacity), finite(reservation), finite(alpha))
+            for rid, capacity, reservation, alpha in table.rows(*needed)
+        ]
 
 
 def _read_sfcs(path: Path):
-    sfcs = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "requirement", "bid_price"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputError(f"{path}: needs id,requirement,bid_price")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                sfcs.append(
-                    st.SfcAgent(
-                        row["id"].strip(),
-                        float(row["requirement"]),
-                        float(row["bid_price"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{ln}: bad SFC ({exc})") from exc
-    return sfcs
+    needed = ("id", "requirement", "bid_price")
+    with ingest.table(path, needed) as table:
+        return [
+            st.SfcAgent(sid.strip(), finite(requirement), finite(bid))
+            for sid, requirement, bid in table.rows(*needed)
+        ]
 
 
 def _read_game(path: Path) -> games.FiniteGame:
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty game file")
-        strategy_cols = [c for c in reader.fieldnames if c.startswith("s")]
-        if "player" not in reader.fieldnames or "utility" not in reader.fieldnames:
-            raise InputError(f"{path}: game needs player,s0..sN,utility columns")
+    entries = {}
+    with ingest.table(path, ("player", "utility")) as table:
+        strategy_cols = [c for c in table.header if c.startswith("s")]
         n = len(strategy_cols)
-        entries = {}
-        for ln, row in enumerate(reader, start=2):
-            try:
-                key = (int(row["player"]),) + tuple(int(row[c]) for c in strategy_cols)
-                entries[key] = float(row["utility"])
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{ln}: bad row ({exc})") from exc
+        for player, utility, *profile in table.rows("player", "utility", *strategy_cols):
+            key = (int(player), *map(int, profile))
+            if min(key) < 0:
+                raise InputError(f"player and strategy indices must be >= 0, got {key}")
+            entries[key] = finite(utility)
     if not entries:
         raise InputError(f"{path}: no utility rows")
     dims = tuple(max(k[i + 1] for k in entries) + 1 for i in range(n))
@@ -504,19 +443,11 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [finite(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"bad sweep values {args.values!r}") from exc
-
-    cap = _thread_cap()
-    if cap > 1 and len(values) > 1:
-        _progress(args, f"sweeping {len(values)} points on {cap} threads")
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            chunks = list(pool.map(lambda v: sim.sweep(scenario, args.param, [v]), values))
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        _progress(args, f"sweeping {len(values)} points")
-        rows = sim.sweep(scenario, args.param, values)
+        raise InputError(f"bad sweep values {args.values!r} ({exc})") from exc
+    _progress(args, f"sweeping {len(values)} points")
+    rows = sim.sweep(scenario, args.param, values)
 
     if rows:
         header = list(rows[0])
@@ -557,8 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ev-auction", help="iterative EV double auction from a population CSV")
     p.add_argument("--population", required=True)
-    p.add_argument("--eta", type=float, default=evx.DEFAULT_ETA)
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--eta", type=finite, default=evx.DEFAULT_ETA)
+    p.add_argument("--eps", type=finite, default=1e-4)
     p.add_argument("--max-iter", type=int, default=500)
     common(p)
     p.set_defaults(handler=_cmd_ev_auction)
@@ -567,8 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, default=50_000)
-    p.add_argument("--p-wp", type=float, default=0.05)
-    p.add_argument("--p-rp", type=float, default=0.30)
+    p.add_argument("--p-wp", type=finite, default=0.05)
+    p.add_argument("--p-rp", type=finite, default=0.30)
     common(p, seed_default=0)
     p.set_defaults(handler=_cmd_shapley)
 

@@ -369,7 +369,7 @@ def supplier_count_sweep(
         return []
     max_n = max(counts)
     # one seeded stream per member, so draws do not depend on how many
-    # sweep points run together (points may be dispatched in parallel)
+    # sweep points run together
     surpluses = np.array(
         [np.random.default_rng((seed, 1, j)).uniform(0.0, 20.0) for j in range(max_n)]
     )

@@ -14,15 +14,15 @@ one quote per counterparty flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import ingest
 from .errors import DomainError, InfeasibleError, InputError
+from .ingest import finite
 
 DEFAULT_ETA = 0.9
 DEFAULT_ETA_HYBRID = 0.7
@@ -675,39 +675,23 @@ def read_ev_population_csv(path) -> tuple[list[ChargingEV], list[DischargingEV]]
     """
     chargers: list[ChargingEV] = []
     dischargers: list[DischargingEV] = []
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "role"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise InputError(f"{path}: population file needs at least id,role columns")
-        for ln, row in enumerate(reader, start=2):
-            role = (row.get("role") or "").strip()
-            rid = (row.get("id") or "").strip()
-            try:
-                if role == "charging":
-                    cmax = (row.get("c_max") or "").strip()
-                    chargers.append(
-                        ChargingEV(
-                            rid,
-                            w=float(row["w"]),
-                            c_min=float(row["c_min"]),
-                            c_max=float(cmax) if cmax else math.inf,
-                        )
+    columns = ("id", "role", "w", "l1", "l2", "c_min", "c_max", "d_max")
+    with ingest.table(path, ("id", "role")) as table:
+        for rid, role, w, l1, l2, c_min, c_max, d_max in table.rows(*columns):
+            role = role.strip()
+            if role == "charging":
+                chargers.append(
+                    ChargingEV(
+                        rid.strip(),
+                        w=finite(w),
+                        c_min=finite(c_min),
+                        c_max=finite(c_max) if c_max.strip() else math.inf,
                     )
-                elif role == "discharging":
-                    dischargers.append(
-                        DischargingEV(
-                            rid,
-                            l1=float(row["l1"]),
-                            l2=float(row["l2"]),
-                            d_max=float(row["d_max"]),
-                        )
-                    )
-                else:
-                    raise InputError(
-                        f"{path}:{ln}: role must be charging or discharging, got {role!r}"
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{ln}: bad population row ({exc})") from exc
+                )
+            elif role == "discharging":
+                dischargers.append(
+                    DischargingEV(rid.strip(), l1=finite(l1), l2=finite(l2), d_max=finite(d_max))
+                )
+            else:
+                raise InputError(f"role must be charging or discharging, got {role!r}")
     return chargers, dischargers

@@ -12,7 +12,6 @@ baselines where those apply.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,9 +20,11 @@ import numpy as np
 
 from . import coalition as co
 from . import ev as evx
+from . import ingest
 from . import market as mk
 from . import storage as st
 from .errors import InputError, SchemaError
+from .ingest import finite
 
 MECHANISMS = ("double_auction", "ev_auction", "coalition", "storage_auction")
 ROLES = ("consumer", "prosumer", "ev", "residential_unit", "sfc")
@@ -66,32 +67,15 @@ class MetricsReport:
 # config ingestion
 
 
-def _parse_number(text: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise SchemaError(f"{where}: expected a finite number, got {text!r}")
-    return value
-
-
 def _read_series(path: Path, horizon: int, agent_id: str):
     if not path.exists():
         raise SchemaError(f"agent {agent_id!r}: series file {path} not found")
     loads, gens = [], []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"slot_index", "load_kwh", "gen_kwh"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SchemaError(
-                f"{path}: header must contain slot_index,load_kwh,gen_kwh"
-            )
-        for ln, row in enumerate(reader, start=2):
-            load = _parse_number(row["load_kwh"], f"{path}:{ln}")
-            gen = _parse_number(row["gen_kwh"], f"{path}:{ln}")
+    with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh")) as table:
+        for load, gen in table.rows("load_kwh", "gen_kwh"):
+            load, gen = finite(load), finite(gen)
             if load < 0 or gen < 0:
-                raise SchemaError(f"{path}:{ln}: series values must be >= 0")
+                raise InputError("series values must be >= 0")
             loads.append(load)
             gens.append(gen)
     if len(loads) != horizon:
@@ -132,19 +116,25 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
 
     where = str(config_path)
 
-    def number(key: str, text: str) -> float:
-        return _parse_number(text, f"{where}:{key_lines[key]}" if key in key_lines else where)
+    def number(text: str, at: str) -> float:
+        try:
+            return finite(text)
+        except ValueError as exc:
+            raise SchemaError(f"{at}: {exc}") from exc
+
+    def line(key: str) -> str:
+        return f"{where}:{key_lines[key]}" if key in key_lines else where
 
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{where}: unknown mechanism {mechanism!r}")
-    horizon = int(number("horizon", keys.get("horizon", "1")))
+    horizon = int(number(keys.get("horizon", "1"), line("horizon")))
     if horizon < 1:
         raise SchemaError(f"{where}: horizon must be >= 1")
-    slot_minutes = int(number("slot_minutes", keys.get("slot_minutes", "15")))
-    seed = int(number("seed", keys.get("seed", "0")))
-    p_wp = number("p_wp", keys.get("p_wp", "0.05"))
-    p_rp = number("p_rp", keys.get("p_rp", "0.30"))
+    slot_minutes = int(number(keys.get("slot_minutes", "15"), line("slot_minutes")))
+    seed = int(number(keys.get("seed", "0"), line("seed")))
+    p_wp = number(keys.get("p_wp", "0.05"), line("p_wp"))
+    p_rp = number(keys.get("p_rp", "0.30"), line("p_rp"))
     try:
         tariff = mk.Tariff(p_wp=p_wp, p_rp=p_rp)
     except InputError as exc:
@@ -153,7 +143,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     options: dict = {}
     for key in ("eta", "eps", "grid_sell_out", "grid_buy_back", "mc_samples"):
         if key in keys:
-            options[key] = number(key, keys[key])
+            options[key] = number(keys[key], line(key))
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
             raise SchemaError(f"{where}: rule must be proportional or equal")
@@ -161,7 +151,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     for key in ("buyer_margin", "seller_margin"):
         if key in keys:
             lo, _, hi = keys[key].partition(":")
-            options[key] = (number(key, lo), number(key, hi if hi else lo))
+            options[key] = (number(lo, line(key)), number(hi if hi else lo, line(key)))
 
     agents: list[AgentProfile] = []
     for ln, decl in agent_specs:
@@ -178,18 +168,20 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             if "=" not in token:
                 raise SchemaError(f"{where}:{ln}: bad parameter token {token!r}")
             name, value = token.split("=", 1)
-            try:
-                float(value)
-            except ValueError:
-                params[name] = value  # non-numeric parameters stay text
-            else:
-                params[name] = _parse_number(value, f"{where}:{ln}: {name}")
+            params[name] = number(value, f"{where}:{ln}: agent {aid!r} {name}")
         if series == "-":
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
         else:
             load, gen = _read_series(base / series, horizon, aid)
-        agents.append(AgentProfile(aid, role, load, gen, params))
+        agent = AgentProfile(aid, role, load, gen, params)
+        try:
+            _mechanism_agent(agent)
+        except KeyError as exc:
+            raise SchemaError(f"{where}:{ln}: agent {aid!r} needs parameter {exc}") from exc
+        except InputError as exc:
+            raise SchemaError(f"{where}:{ln}: {exc}") from exc
+        agents.append(agent)
 
     if not agents:
         raise SchemaError(f"{where}: no agents declared")
@@ -301,40 +293,42 @@ def _double_auction(scenario: Scenario):
     return {"buy_spend": 0.0, "sell_earn": 0.0}, deltas, finish
 
 
-def _ev_population(scenario: Scenario):
-    chargers, dischargers = [], []
-    for agent in sorted(scenario.agents, key=lambda a: a.id):
-        if agent.role != "ev":
-            continue
-        p = agent.params
-        if "w" in p:
-            chargers.append(
-                evx.ChargingEV(
-                    agent.id,
-                    w=float(p["w"]),
-                    c_min=float(p.get("c_min", 0.0)),
-                    c_max=float(p.get("c_max", math.inf)),
-                )
-            )
-        elif "l1" in p or "l2" in p:
-            dischargers.append(
-                evx.DischargingEV(
-                    agent.id,
-                    l1=float(p.get("l1", 0.0)),
-                    l2=float(p.get("l2", 0.0)),
-                    d_max=float(p.get("d_max", 0.0)),
-                )
-            )
-        else:
-            raise SchemaError(
-                f"ev agent {agent.id!r} needs either w (charging) or l1/l2 (discharging)"
-            )
-    return chargers, dischargers
+def _mechanism_agent(agent: AgentProfile):
+    """The vehicle, residential unit or SFC an agent's parameters declare, else None."""
+    p = agent.params
+    if agent.role == "residential_unit":
+        return st.ResidentialUnit(
+            agent.id,
+            capacity=p["capacity"],
+            reservation_price=p["reservation"],
+            reluctance=p["reluctance"],
+        )
+    if agent.role == "sfc":
+        return st.SfcAgent(agent.id, requirement=p["requirement"], bid_price=p["bid"])
+    if agent.role != "ev":
+        return None
+    if "w" in p:
+        return evx.ChargingEV(
+            agent.id, w=p["w"], c_min=p.get("c_min", 0.0), c_max=p.get("c_max", math.inf)
+        )
+    if "l1" in p or "l2" in p:
+        return evx.DischargingEV(
+            agent.id, l1=p.get("l1", 0.0), l2=p.get("l2", 0.0), d_max=p.get("d_max", 0.0)
+        )
+    raise SchemaError(
+        f"ev agent {agent.id!r} needs either w (charging) or l1/l2 (discharging)"
+    )
+
+
+def _population(scenario: Scenario, *kinds):
+    """One list per kind of the scenario's mechanism agents, each sorted by id."""
+    found = [_mechanism_agent(a) for a in sorted(scenario.agents, key=lambda a: a.id)]
+    return tuple([x for x in found if isinstance(x, kind)] for kind in kinds)
 
 
 def _ev_auction(scenario: Scenario):
     # vehicles carry parameters, not series: every slot clears the same auction
-    chargers, dischargers = _ev_population(scenario)
+    chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
     eta = float(scenario.options.get("eta", evx.DEFAULT_ETA))
     eps = float(scenario.options.get("eps", 1e-4))
     tariff = scenario.tariff
@@ -415,33 +409,9 @@ def _coalition(scenario: Scenario):
     return {}, deltas, finish
 
 
-def _storage_population(scenario: Scenario):
-    rus, sfcs = [], []
-    for agent in sorted(scenario.agents, key=lambda a: a.id):
-        p = agent.params
-        if agent.role == "residential_unit":
-            rus.append(
-                st.ResidentialUnit(
-                    agent.id,
-                    capacity=float(p["capacity"]),
-                    reservation_price=float(p["reservation"]),
-                    reluctance=float(p["reluctance"]),
-                )
-            )
-        elif agent.role == "sfc":
-            sfcs.append(
-                st.SfcAgent(
-                    agent.id,
-                    requirement=float(p["requirement"]),
-                    bid_price=float(p["bid"]),
-                )
-            )
-    return rus, sfcs
-
-
 def _storage(scenario: Scenario):
     # units and SFCs carry parameters, not series: every slot clears the same auction
-    rus, sfcs = _storage_population(scenario)
+    rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
     if not rus or not sfcs:
         raise SchemaError("storage_auction needs residential_unit and sfc agents")
     out = st.run_storage_auction(rus, sfcs, scenario.options.get("rule", st.PROPORTIONAL))
@@ -583,7 +553,7 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
 
     # storage_auction: equal-distribution and feed-in-tariff baselines
     notes.append("hybrid baseline applies to ev_auction scenarios only")
-    rus, sfcs = _storage_population(scenario)
+    rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
     v = st.vickrey_price(sfcs)
     total_q = math.fsum(s.requirement for s in sfcs)
     per_slot_ed = {}
@@ -647,7 +617,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         )
 
     if parameter == "sfc_requirement":
-        rus, sfcs = _storage_population(scenario)
+        rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
         if not rus or not sfcs:
             raise InputError("sfc_requirement sweep needs a storage_auction scenario")
         return st.requirement_sweep(
@@ -656,7 +626,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         )
 
     if parameter == "grid_price":
-        chargers, dischargers = _ev_population(scenario)
+        chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
         if not chargers or not dischargers:
             raise InputError("grid_price sweep needs an ev_auction scenario")
         eta = float(scenario.options.get("eta", evx.DEFAULT_ETA))

@@ -38,6 +38,10 @@ class ResidentialUnit:
     reluctance: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.capacity, self.reservation_price, self.reluctance))):
+            raise InputError(
+                f"RU {self.id!r} needs finite capacity, reservation price and reluctance"
+            )
         if self.capacity < 0:
             raise InputError(f"RU {self.id!r} capacity must be >= 0")
         if self.reluctance <= 0:
@@ -55,6 +59,8 @@ class SfcAgent:
     bid_price: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.requirement) and math.isfinite(self.bid_price)):
+            raise InputError(f"SFC {self.id!r} needs finite requirement and bid")
         if self.requirement <= 0:
             raise InputError(f"SFC {self.id!r} requirement must be > 0")
         if self.bid_price < 0:
@@ -251,7 +257,6 @@ def run_storage_auction(
     rus: list[ResidentialUnit],
     sfcs: list[SfcAgent],
     rule: str = PROPORTIONAL,
-    resolution: float = _PRICE_RESOLUTION,
 ) -> StorageAuctionOutcome:
     """Full auction: determination, leader-follower pricing, allocation.
 
@@ -270,7 +275,7 @@ def run_storage_auction(
 
     cap = max(s.bid_price for s in sfcs_in)
     demand = [(s.requirement, s.bid_price) for s in sfcs_in]
-    price = stackelberg_price(rus_in, demand, v, cap, resolution)
+    price = stackelberg_price(rus_in, demand, v, cap)
 
     shares = {r.id: follower_best_response(r, price) for r in rus_in}
 

@@ -1,12 +1,17 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import gridswap
 from gridswap import ev, scenario, storage
@@ -240,18 +245,6 @@ class TestEvAuctionCmd:
             assert "np." not in text, name
 
 
-class TestThreadCap:
-    def test_parallel_sweep_matches_sequential(self, scenario_cfg, tmp_path, monkeypatch):
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        argv = ["sweep", "--config", str(scenario_cfg), "--param", "supplier_count",
-                "--values", "2,3,4,5"]
-        monkeypatch.delenv("GRIDSWAP_THREADS", raising=False)
-        assert main(argv + ["--out", str(seq), "--quiet"]) == 0
-        monkeypatch.setenv("GRIDSWAP_THREADS", "3")
-        assert main(argv + ["--out", str(par), "--quiet"]) == 0
-        assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
-
-
 class TestDeterminism:
     def test_every_subcommand_byte_identical(self, tmp_path, scenario_cfg,
                                              orders_csv, instance_csv):
@@ -350,6 +343,7 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize(
         "row",
         [
+            "c1,charging,1.9,,,6,inf,",
             "c1,charging,nan,,,6,15,",
             "c1,charging,1.9,,,inf,15,",
             "d1,discharging,,nan,0.02,,,16",
@@ -371,3 +365,178 @@ class TestNonFiniteRejected:
         proc = self._cli(tmp_path, ["shapley", "--exact", "--instance", str(inst)])
         assert proc.returncode == 1
         assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    # the probes below stop before any solver loop a NaN could spin, so they run in-process
+    def _main(self, tmp_path, capsys, argv):
+        try:
+            code = main([*argv, "--out", str(tmp_path / "o"), "--quiet"])
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, location",
+        [
+            ("rus.csv", "id,capacity,reservation_price,reluctance\nr1,nan,0.1,0.002\n",
+             "rus.csv:2"),
+            ("sfcs.csv", "id,requirement,bid_price\na,120,inf\nb,80,0.28\n", "sfcs.csv:2"),
+            ("orders.csv", "agent_id,side,quantity,limit_price\nB1,buy,nan,0.2\n",
+             "orders.csv:2"),
+            # a short row after a blank line: the message names the file's own line
+            ("orders.csv", "agent_id,side,quantity,limit_price\nB1,buy,5,0.2\n\nS1\n",
+             "orders.csv:4"),
+            ("game.csv", "player,s0,utility\n0,0,nan\n0,1,1\n", "game.csv:2"),
+            ("game.csv", "player,s0,utility\n0,1,1\n0,-1,2\n", "game.csv:3"),
+        ],
+    )
+    def test_data_file(self, tmp_path, capsys, name, text, location):
+        rus = tmp_path / "rus.csv"
+        rus.write_text("id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n")
+        sfcs = tmp_path / "sfcs.csv"
+        sfcs.write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")
+        (tmp_path / name).write_text(text)
+        argv = {
+            "rus.csv": ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
+            "sfcs.csv": ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
+            "orders.csv": ["clear", "--orders", str(tmp_path / name)],
+            "game.csv": ["nash", "--game", str(tmp_path / name)],
+        }[name]
+        code, err = self._main(tmp_path, capsys, argv)
+        assert code == 1
+        assert f"{location}: " in err
+
+    @pytest.mark.parametrize("values", ["nan,100", "inf"])
+    def test_sweep_values(self, tmp_path, capsys, values):
+        cfg = tmp_path / "st.cfg"
+        cfg.write_text(
+            "mechanism = storage_auction\n"
+            "agent = r1 residential_unit - capacity=60 reservation=0.26 reluctance=0.0005\n"
+            "agent = f1 sfc - requirement=100 bid=0.40\n"
+        )
+        argv = ["sweep", "--config", str(cfg), "--param", "sfc_requirement", "--values", values]
+        code, err = self._main(tmp_path, capsys, argv)
+        assert code == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eps", "inf"), ("--eps", "nan"), ("--eta", "nan"), ("--p-wp", "nan"),
+         ("--p-rp", "inf")],
+    )
+    def test_float_flag(self, tmp_path, capsys, flag, value):
+        if flag in ("--eps", "--eta"):
+            pop = tmp_path / "pop.csv"
+            pop.write_text(
+                f"id,role,w,l1,l2,c_min,c_max,d_max\n{self.CHARGER}\n{self.DISCHARGER}\n"
+            )
+            argv = ["ev-auction", "--population", str(pop)]
+        else:
+            inst = tmp_path / "instance.csv"
+            inst.write_text("id,role,net_kwh\ns1,supplier,10\nu1,user,-8\n")
+            argv = ["shapley", "--exact", "--instance", str(inst)]
+        code, err = self._main(tmp_path, capsys, [*argv, flag, value])
+        assert code == 2
+        assert f"{flag}: invalid finite value" in err
+
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            ("r1 residential_unit - reservation=0.26 reluctance=0.0005",
+             "bad.cfg:1: agent 'r1' needs parameter 'capacity'"),
+            ("c1 ev - w=abc c_min=1", "bad.cfg:1: agent 'c1' w: expected a number"),
+        ],
+    )
+    def test_agent_parameter(self, tmp_path, capsys, decl, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"agent = {decl}\n")
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert message in err
+
+
+# (well-formed, malformed) cell texts
+_NUM = (["1", "2.5", " 0.5 ", "0.25"], ["0", "-1", "nan", "inf", "-inf", "", "x"])
+_SIGNED = (["1", "-2.5", " 0.5 ", "-0.25"], ["0", "nan", "inf", "-inf", "", "x"])
+_INT = (["0", "1"], ["-1", "1.5", "", "x"])
+_ID = (["a", "b", "c"], [""])
+# every input table the CLI reads: its columns and the cells each may hold
+_TABLES = {
+    "orders.csv": [("agent_id", _ID), ("side", (["buy", "sell"], ["x"])), ("quantity", _NUM),
+                   ("limit_price", _NUM), ("slot", _INT)],
+    "instance.csv": [("id", _ID), ("role", (["supplier", "user"], ["x"])), ("net_kwh", _SIGNED)],
+    "rus.csv": [("id", _ID), ("capacity", _NUM), ("reservation_price", _NUM),
+                ("reluctance", _NUM)],
+    "sfcs.csv": [("id", _ID), ("requirement", _NUM), ("bid_price", _NUM)],
+    "game.csv": [("player", (["0"], ["1", *_INT[1]])), ("s0", _INT), ("utility", _NUM)],
+    "pop.csv": [("id", _ID), ("role", (["charging", "discharging"], ["x"])), ("w", _NUM),
+                ("l1", _NUM), ("l2", _NUM), ("c_min", (["0"], _NUM[1])), ("c_max", _NUM),
+                ("d_max", _NUM)],
+    "series.csv": [("slot_index", _INT), ("load_kwh", _NUM), ("gen_kwh", _NUM)],
+}
+
+
+@hst.composite
+def _table(draw, name):
+    """The text of one input table.
+
+    A noisy table may hold malformed cells and short rows, and may lack a column.
+    """
+    columns = _TABLES[name]
+    noisy = draw(hst.booleans())
+    if noisy and draw(hst.booleans()):
+        dropped = draw(hst.sampled_from(columns))
+        columns = [c for c in columns if c != dropped]
+    lines = [",".join(column for column, _ in columns)]
+    for k in range(draw(hst.integers(2, 4))):
+        # rotated by row, so rows differ (ids, roles, signs) even where the draws repeat
+        cells = [
+            draw(hst.sampled_from(good[k % len(good):] + good[: k % len(good)]
+                                  + (bad if noisy else [])))
+            for _, (good, bad) in columns
+        ]
+        if noisy and draw(hst.booleans()):
+            cells = cells[: draw(hst.integers(0, len(cells) - 1))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestReadersNeverCrash:
+    @pytest.mark.parametrize("name", sorted(_TABLES))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_exit_0_or_1_and_finite_outputs(self, name, data):
+        text = data.draw(_table(name))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / name).write_text(text)
+            (tmp / "rus_ok.csv").write_text(
+                "id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n")
+            (tmp / "sfcs_ok.csv").write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")
+            horizon = text.count("\n") - 1
+            (tmp / "con.csv").write_text(
+                "slot_index,load_kwh,gen_kwh\n" + "".join(f"{t},1.2,0\n" for t in range(horizon)))
+            (tmp / "scenario.cfg").write_text(
+                f"horizon = {horizon}\n"
+                "agent = p1 prosumer series.csv\nagent = c1 consumer con.csv\n"
+            )
+            path = str(tmp / name)
+            argv = {
+                "orders.csv": ["clear", "--orders", path],
+                "instance.csv": ["shapley", "--exact", "--instance", path],
+                "rus.csv": ["storage-auction", "--rus", path, "--sfcs", str(tmp / "sfcs_ok.csv")],
+                "sfcs.csv": ["storage-auction", "--rus", str(tmp / "rus_ok.csv"), "--sfcs", path],
+                "game.csv": ["nash", "--game", path],
+                "pop.csv": ["ev-auction", "--population", path],
+                "series.csv": ["run", "--config", str(tmp / "scenario.cfg")],
+            }[name]
+            out = tmp / "out"
+            assert main([*argv, "--out", str(out), "--quiet"]) in (0, 1)
+            for written in out.iterdir():
+                if written.name == "manifest.json":
+                    continue
+                for token in re.split(r"[\s,=]+", written.read_text()):
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (written.name, token)

@@ -133,6 +133,26 @@ class TestNonFiniteInputs:
         with pytest.raises(SchemaError, match=f"{location}: .*finite"):
             load_scenario(cfg)
 
+    @pytest.mark.parametrize(
+        "config, series_row, message",
+        [
+            ("agent = h1 consumer s.csv", "1.0", "s.csv:2: expected a number, got ''"),
+            ("mechanism = storage_auction\nagent = r1 residential_unit - reservation=0.2 "
+             "reluctance=0.001", "0,0", "bad.cfg:2: agent 'r1' needs parameter 'capacity'"),
+            ("mechanism = ev_auction\nagent = c1 ev - w=abc c_min=1", "0,0",
+             "bad.cfg:2: agent 'c1' w: expected a number, got 'abc'"),
+            ("agent = c1 ev - c_min=1", "0,0", "bad.cfg:1: ev agent 'c1' needs either w"),
+            ("agent = f1 sfc - requirement=-5 bid=0.3", "0,0",
+             "bad.cfg:1: SFC 'f1' requirement must be > 0"),
+        ],
+    )
+    def test_malformed_rejected_with_location(self, tmp_path, config, series_row, message):
+        (tmp_path / "s.csv").write_text(f"slot_index,load_kwh,gen_kwh\n0,{series_row}\n")
+        cfg = write_config(tmp_path / "bad.cfg", config + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_scenario(cfg)
+        assert message in str(info.value)
+
     def test_nan_residual_fails_identity_check(self):
         agent = AgentProfile("h1", "consumer", np.array([np.nan]), np.array([0.0]))
         sc = Scenario([agent], Tariff(p_wp=0.05, p_rp=0.30), "double_auction", 1)
