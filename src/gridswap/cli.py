@@ -29,7 +29,7 @@ from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError
-from .ingest import finite
+from .ingest import finite, positive
 
 
 def _fmt(value) -> str:
@@ -490,14 +490,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--eta", type=finite, default=evx.DEFAULT_ETA)
     p.add_argument("--eps", type=finite, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=positive, default=500)
     common(p)
     p.set_defaults(handler=_cmd_ev_auction)
 
     p = sub.add_parser("shapley", help="coalition payoff division from an instance CSV")
     p.add_argument("--instance", required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--samples", type=int, default=50_000)
+    p.add_argument("--samples", type=positive, default=50_000)
     p.add_argument("--p-wp", type=finite, default=0.05)
     p.add_argument("--p-rp", type=finite, default=0.30)
     common(p, seed_default=0)
@@ -511,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_storage_auction)
 
     p = sub.add_parser("ic-check", help="search storage-auction misreports for profit")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive, default=100)
     p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
     common(p, seed_default=0)
     p.set_defaults(handler=_cmd_ic_check)

@@ -5,7 +5,8 @@ SFCs, games, EV populations, agent series) is opened with `table`. It checks
 the header, skips blank lines as csv.DictReader does, hands the caller the
 cells it names, and turns a bad-input error raised while the caller builds a
 row into one SchemaError naming file:line. `finite` is the one parser for
-numeric text, in files, configs and command-line flags alike.
+numeric text, in files, configs and command-line flags alike; `positive` parses
+the counts command-line flags take.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ def finite(text: str) -> float:
         raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def positive(text: str) -> int:
+    """The integer >= 1 `text` spells; ValueError for anything else."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
 
 

@@ -15,6 +15,7 @@ inconvenience are sunk on the full commitment.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -144,34 +145,178 @@ def stackelberg_price(
     price_cap: float,
     resolution: float = _PRICE_RESOLUTION,
 ) -> float:
-    """Leader's price choice on [price_floor, price_cap].
+    """Leader's price choice: the lowest maximizing price on a grid over [price_floor, price_cap].
 
     `demand` holds (requirement, bid) pairs for the participating SFCs. At a
     candidate price p the offered space S(p) is assigned to SFCs whose bid
     covers p, best bid first, and the leader's objective is the buyers' total
-    cost saving sum((bid_m - p) * allocated_m). The lowest maximizing grid
-    price is returned; S is continuous and nondecreasing, so the tie-break
-    makes the result unique and deterministic.
+    cost saving sum((bid_m - p) * allocated_m).
+
+    Grid contract: the candidates are numpy.linspace(price_floor, price_cap, n)
+    with n = round((price_cap - price_floor) / resolution) + 1, and the result
+    is the lowest of them whose objective, computed in float64 as an array over
+    the whole grid would compute it, is largest. S is continuous and
+    nondecreasing, so the tie-break makes the result unique and deterministic.
+
+    The grid is never built. S is piecewise linear, so between its kinks, the
+    bids and the prices where S crosses a cumulative requirement the objective
+    is one concave quadratic (linear where S is flat). Pieces are visited best
+    continuous maximum first; each is snapped to the grid points around its
+    maximizer, and the search stops once no remaining piece can beat the best
+    grid value found. For R units and M SFCs, building and sorting the pieces
+    costs O((R+M) log(R+M)) and each grid point evaluated O(R+M); usually one
+    or two pieces, a handful of grid points, are evaluated. No cost depends on
+    the bids or on the resolution.
     """
     if not rus:
         raise InputError("no participating residential units")
     if not demand or all(q <= 0 for q, _ in demand):
         raise InputError("total requirement must be > 0")
+    if any(q < 0 for q, _ in demand):
+        raise InputError("requirements must be >= 0")
     if price_cap < price_floor:
         raise InputError(f"invalid price bounds [{price_floor}, {price_cap}]")
     n = max(1, int(round((price_cap - price_floor) / resolution)) + 1)
-    grid = np.linspace(price_floor, price_cap, n)
-    supply = supply_at(rus, grid)
+    delta = price_cap - price_floor
+    step = delta / (n - 1) if n > 1 else delta
 
-    order = sorted(range(len(demand)), key=lambda m: (-demand[m][1], m))
-    req = np.array([demand[m][0] for m in order], dtype=float)
-    bid = np.array([demand[m][1] for m in order], dtype=float)
-    eligible = bid[None, :] >= grid[:, None] - 1e-12
-    wanted = req[None, :] * eligible
-    before = np.cumsum(wanted, axis=1) - wanted
-    filled = np.clip(supply[:, None] - before, 0.0, wanted)
-    objective = ((bid[None, :] - grid[:, None]) * filled).sum(axis=1)
-    return float(grid[int(np.argmax(objective))])
+    def price(i: int) -> float:
+        """The i-th point of numpy.linspace(price_floor, price_cap, n)."""
+        return price_cap if 0 < i == n - 1 else i * step + price_floor
+
+    if n == 1:
+        return price(0)
+    units = [(u.reservation_price, u.reluctance, u.capacity) for u in rus]
+    ranked = sorted(demand, key=lambda d: -d[1])  # stable: equal bids keep their order
+    reqs = [float(q) for q, _ in ranked]
+    bids = [float(b) for _, b in ranked]
+    pieces = sorted(_pieces(units, reqs, bids, price_floor, price_cap), key=lambda t: -t[0])
+    # covers rounding in the float objective and in the pieces' maxima
+    slack = 1e-9 * (abs(price_floor) + abs(price_cap) + max(map(abs, bids))) * (
+        math.fsum(reqs) + math.fsum(cap for *_, cap in units)
+    )
+    best_i, best = -1, -math.inf
+    seen = set()
+    for top, x in pieces:
+        if top < best - slack:
+            break
+        # the grid points either side of x, and one more each way for rounding in x
+        below = int((x - price_floor) / step)
+        for i in range(max(below - 1, 0), min(below + 3, n)):
+            if i not in seen:
+                seen.add(i)
+                value = _saving(price(i), units, reqs, bids)
+                if value > best or (value == best and i < best_i):
+                    best_i, best = i, value
+    return price(best_i)
+
+
+def _saving(p: float, units, reqs: list[float], bids: list[float]) -> float:
+    """The leader's objective at price p, with the float64 operations of its array form.
+
+    `units` holds (reservation, reluctance, capacity) per unit in input
+    order; `reqs` and `bids` are in descending bid order.
+    """
+    shares = []
+    for r, a, cap in units:
+        x = (p - r) / a
+        x = x if x > 0.0 else 0.0
+        shares.append(x if x < cap else cap)
+    space = _array_sum(shares)
+    cutoff = p - 1e-12
+    cum = 0.0
+    terms = []
+    for q, b in zip(reqs, bids):
+        wanted = q if b >= cutoff else 0.0
+        cum += wanted
+        x = space - (cum - wanted)
+        x = x if x > 0.0 else 0.0
+        terms.append((b - p) * (x if x < wanted else wanted))
+    return _array_sum(terms)
+
+
+def _pieces(units, reqs: list[float], bids: list[float], lo: float, hi: float):
+    """Yield (maximum, maximizer) of the objective on each piece of [lo, hi].
+
+    A piece is an interval on which the supply S(p) = s0 + s1*p is linear, the
+    eligible SFCs (the first m in bid order) are fixed, and so is the SFC j
+    being partly filled. There the objective is
+    sum_{i<j} (b_i - p)*q_i + (b_j - p)*(S(p) - Q_j), with Q_j the requirement
+    of the first j SFCs: concave, with its vertex at (b_j - s0/s1) / 2.
+    """
+    filled, paid = [0.0], [0.0]  # Q_j and sum_{i<j} b_i*q_i
+    for q, b in zip(reqs, bids):
+        filled.append(filled[-1] + q)
+        paid.append(paid[-1] + b * q)
+    # an SFC stays eligible up to its bid plus the 1e-12 slack of `_saving`
+    leave = sorted(b + 1e-12 for b in bids)
+    # (price, +1 where a unit starts sharing or -1 where it is full,
+    #  reluctance, reservation, capacity it adds from there on)
+    kinks = sorted(
+        [(r, 1, a, r, 0.0) for r, a, cap in units if cap > 0]
+        + [(r + a * cap, -1, a, r, cap) for r, a, cap in units if cap > 0]
+    )
+    inner = [x for x in leave if lo < x < hi] + [x for x, *_ in kinks if lo < x < hi]
+    cuts = sorted({lo, hi, *inner})
+    # S(p) = sat + lin1*p - lin0, with `active` units in their linear part
+    sat = lin0 = lin1 = 0.0
+    active = k = 0
+    for u, v in zip(cuts, cuts[1:]):
+        while k < len(kinks) and kinks[k][0] <= u:
+            _, sign, a, r, cap = kinks[k]
+            active += sign
+            lin1 += sign / a
+            lin0 += sign * r / a
+            sat += cap
+            k += 1
+        if not active:
+            lin0 = lin1 = 0.0
+        s0, s1 = sat - lin0, lin1
+        m = len(bids) - bisect.bisect_right(leave, u)
+        # split [u, v] where S crosses a cumulative requirement
+        j = bisect.bisect_right(filled, s0 + s1 * u, 0, m + 1) - 1
+        last = bisect.bisect_right(filled, s0 + s1 * v, 0, m + 1) - 1 if s1 > 0 else j
+        start = u
+        while True:
+            end = min(max((filled[j + 1] - s0) / s1, start), v) if j < last else v
+            if j < m:
+                b, q = bids[j], filled[j]
+                x = min(max((b - s0 / s1) / 2, start), end) if s1 > 0 else start
+                yield paid[j] - x * q + (b - x) * (s0 + s1 * x - q), x
+            else:  # every eligible SFC is full: linear, decreasing
+                yield paid[m] - start * filled[m], start
+            if j == last:
+                break
+            start = end
+            j += 1
+
+
+def _array_sum(values: list[float]) -> float:
+    """Sum floats in the order numpy's float64 sum along a contiguous axis uses.
+
+    That is pairwise summation: fewer than 8 values are added left to right,
+    up to 128 through eight interleaved partial sums, and longer runs are
+    split in two at a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _array_sum(values[:half]) + _array_sum(values[half:])
 
 
 def allocate_shares(

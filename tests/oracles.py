@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, optimal EV
-welfare from exhaustive grid search, Shapley values from direct enumeration.
+welfare from exhaustive grid search, Shapley values from direct enumeration,
+and the storage leader's price from a search over the whole price grid (it
+shares only the vectorized supply curve `supply_at` with the package).
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from gridswap.errors import InputError
+from gridswap.storage import supply_at
 
 
 def _units(orders, unit):
@@ -173,3 +178,34 @@ def shapley_enumeration(ids, value_of):
             prev = v
     total = math.factorial(n)
     return {i: phi[i] / total for i in ids}
+
+
+def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4):
+    """Leader's price choice on [price_floor, price_cap].
+
+    `demand` holds (requirement, bid) pairs for the participating SFCs. At a
+    candidate price p the offered space S(p) is assigned to SFCs whose bid
+    covers p, best bid first, and the leader's objective is the buyers' total
+    cost saving sum((bid_m - p) * allocated_m). The lowest maximizing grid
+    price is returned; S is continuous and nondecreasing, so the tie-break
+    makes the result unique and deterministic.
+    """
+    if not rus:
+        raise InputError("no participating residential units")
+    if not demand or all(q <= 0 for q, _ in demand):
+        raise InputError("total requirement must be > 0")
+    if price_cap < price_floor:
+        raise InputError(f"invalid price bounds [{price_floor}, {price_cap}]")
+    n = max(1, int(round((price_cap - price_floor) / resolution)) + 1)
+    grid = np.linspace(price_floor, price_cap, n)
+    supply = supply_at(rus, grid)
+
+    order = sorted(range(len(demand)), key=lambda m: (-demand[m][1], m))
+    req = np.array([demand[m][0] for m in order], dtype=float)
+    bid = np.array([demand[m][1] for m in order], dtype=float)
+    eligible = bid[None, :] >= grid[:, None] - 1e-12
+    wanted = req[None, :] * eligible
+    before = np.cumsum(wanted, axis=1) - wanted
+    filled = np.clip(supply[:, None] - before, 0.0, wanted)
+    objective = ((bid[None, :] - grid[:, None]) * filled).sum(axis=1)
+    return float(grid[int(np.argmax(objective))])

@@ -438,6 +438,26 @@ class TestNonFiniteRejected:
         assert code == 2
         assert f"{flag}: invalid finite value" in err
 
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    @pytest.mark.parametrize("flag", ["--trials", "--max-iter", "--samples"])
+    def test_count_flag(self, tmp_path, capsys, flag, value):
+        if flag == "--trials":
+            argv = ["ic-check"]
+        elif flag == "--max-iter":
+            pop = tmp_path / "pop.csv"
+            pop.write_text(
+                f"id,role,w,l1,l2,c_min,c_max,d_max\n{self.CHARGER}\n{self.DISCHARGER}\n"
+            )
+            argv = ["ev-auction", "--population", str(pop)]
+        else:
+            inst = tmp_path / "instance.csv"
+            inst.write_text("id,role,net_kwh\ns1,supplier,10\nu1,user,-8\n")
+            argv = ["shapley", "--instance", str(inst)]
+        code, err = self._main(tmp_path, capsys, [*argv, flag, value])
+        assert code == 2
+        assert f"{flag}: invalid positive value" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "decl, message",
         [

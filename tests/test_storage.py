@@ -1,8 +1,14 @@
 """Storage-sharing auction: determination, pricing, allocation, incentives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from oracles import stackelberg_price_grid
 
+from gridswap import storage
 from gridswap.errors import InputError
 from gridswap.storage import (
     EQUAL,
@@ -119,6 +125,113 @@ class TestStackelbergPrice:
     def test_price_bounds_validated(self):
         with pytest.raises(InputError):
             stackelberg_price([ru("a", 10, 0.1, 0.01)], [(10.0, 0.3)], 0.4, 0.2)
+        with pytest.raises(InputError):
+            stackelberg_price([ru("a", 10, 0.1, 0.01)], [(10.0, 0.3), (-5.0, 0.2)], 0.2, 0.3)
+
+
+def _pricing_case(rng):
+    """One random pricing instance.
+
+    About a third draw reservations, bids and requirements from two-value
+    pools, so they repeat; some units have no capacity or never share, and
+    some price ranges are a single point.
+    """
+    units, sfcs = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    res = rng.uniform(0.0, 0.4, units)
+    alpha = np.where(rng.random(units) < 0.1, 1e9, 10 ** rng.uniform(-4, 0, units))
+    cap = np.where(rng.random(units) < 0.15, 0.0, rng.uniform(1, 100, units))
+    bids = rng.uniform(0.05, 0.5, sfcs)
+    reqs = rng.uniform(1, 200, sfcs)
+    if rng.random() < 0.35:
+        res = rng.choice(res[:2], units)
+        bids = rng.choice(bids[:2], sfcs)
+        reqs = rng.choice(reqs[:2], sfcs)
+    rus = [ru(f"r{k}", float(cap[k]), float(res[k]), float(alpha[k])) for k in range(units)]
+    demand = [(float(q), float(b)) for q, b in zip(reqs, bids)]
+    ranked = sorted(bids)
+    if sfcs > 1 and rng.random() < 0.7:
+        floor = float(ranked[-2])
+    else:
+        floor = float(rng.uniform(0.0, ranked[-1]))
+    return rus, demand, floor, floor if rng.random() < 0.05 else float(ranked[-1])
+
+
+class TestGridFreePrice:
+    """stackelberg_price returns exactly the full-grid search's price."""
+
+    def test_equals_grid_oracle_random(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            args = _pricing_case(rng)
+            assert stackelberg_price(*args) == stackelberg_price_grid(*args), args
+
+    def test_equals_grid_oracle_on_ic_check_calls(self, monkeypatch):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return stackelberg_price(*args)
+
+        monkeypatch.setattr(storage, "stackelberg_price", record)
+        assert check_incentive_compatibility(make_ic_scenarios(20, 1)).clean
+        assert len(calls) > 3000
+        for args in calls:
+            assert stackelberg_price(*args) == stackelberg_price_grid(*args), args
+
+    def test_midpoint_ties_follow_the_array_rounding(self):
+        # units sharing one reservation r put the vertex at (bid + r) / 2; here
+        # it lies halfway between two grid points, so they tie in exact
+        # arithmetic and only float64 rounding, in numpy's order of summation
+        # over 8 or more units, picks the returned one
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            r = 2 * (0.2 + (int(rng.integers(10, 900)) + 0.5) * 1e-4) - 0.4
+            alphas = rng.choice([0.0007, 0.001, 0.002, 0.003], int(rng.integers(8, 20)))
+            rus = [ru(f"r{k}", 1e4, r, float(a)) for k, a in enumerate(alphas)]
+            args = (rus, [(1e7, 0.4), (10.0, 0.2)], 0.2, 0.4)
+            assert stackelberg_price(*args) == stackelberg_price_grid(*args), args
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        units=hst.lists(
+            hst.tuples(
+                hst.sampled_from([0.0, 10.0, 40.0]) | hst.floats(0.0, 100.0),
+                hst.sampled_from([0.0, 0.1, 0.2, 0.25]) | hst.floats(0.0, 0.4),
+                hst.sampled_from([1e-4, 1e-3, 1e9]) | hst.floats(1e-4, 1.0),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        demand=hst.lists(
+            hst.tuples(
+                hst.sampled_from([50.0, 100.0]) | hst.floats(1.0, 200.0),
+                hst.sampled_from([0.2, 0.25, 0.3]) | hst.floats(0.0, 0.5),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        lift=hst.floats(0.0, 1.0),
+    )
+    def test_equals_grid_oracle_hypothesis(self, units, demand, lift):
+        rus = [ru(f"r{k}", *unit) for k, unit in enumerate(units)]
+        bids = sorted(b for _, b in demand)
+        floor = bids[-2] if len(bids) > 1 else bids[-1] * lift
+        args = (rus, demand, floor, bids[-1])
+        assert stackelberg_price(*args) == stackelberg_price_grid(*args)
+
+    def test_work_does_not_grow_with_the_bid(self):
+        # a top bid of 100 spans about 1e6 grid points; the grid search
+        # allocates tens of MB here. The unit fills up at 0.80, inside the range.
+        rus = [ru("a", 60, 0.20, 0.01)]
+        demand = [(80.0, 100.0), (50.0, 0.25)]
+        tracemalloc.start()
+        try:
+            p = stackelberg_price(rus, demand, 0.25, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert p == stackelberg_price_grid(rus, demand, 0.25, 100.0)
 
 
 class TestAllocateShares:
