@@ -605,6 +605,9 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         return []
 
     if parameter == "supplier_count":
+        for v in values:
+            if not (float(v).is_integer() and v >= 1):
+                raise InputError(f"supplier_count must be an integer >= 1, got {v:g}")
         n_users = max(
             sum(1 for a in scenario.agents if a.role == "consumer"), 3
         )
@@ -667,6 +670,9 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
     supplier_ids = {a.id for a in suppliers}
     if not suppliers:
         raise InputError("solar_fraction sweep needs generating agents")
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise InputError(f"solar_fraction must lie in [0, 1], got {v:g}")
     for v in values:
         frac = float(v)
         rng = np.random.default_rng(scenario.seed)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, optimal EV
-welfare from exhaustive grid search, Shapley values from direct enumeration,
+welfare from exhaustive grid search, Shapley values from direct enumeration
+or a per-player subset loop, superadditivity from all 3^N disjoint pairs,
 and the storage leader's price from a search over the whole price grid (it
 shares only the vectorized supply curve `supply_at` with the package).
 """
@@ -178,6 +179,57 @@ def shapley_enumeration(ids, value_of):
             prev = v
     total = math.factorial(n)
     return {i: phi[i] / total for i in ids}
+
+
+def _subset_values_loop(instance):
+    """v of every bitmask subset, built one mask at a time from its lowest bit."""
+    energies = [c.net_energy for c in instance.customers]
+    n = len(energies)
+    sums = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + energies[low.bit_length() - 1]
+    pwp, prp = instance.tariff.p_wp, instance.tariff.p_rp
+    return pwp * np.maximum(sums, 0.0) - prp * np.maximum(-sums, 0.0)
+
+
+def is_superadditive_enumeration(instance):
+    """Check v(S u T) >= v(S) + v(T) - 1e-12 over every disjoint nonempty pair.
+
+    Returns (True, None) or (False, (ids_S, ids_T)) for the first violation in
+    mask order.
+    """
+    n = instance.n
+    values = _subset_values_loop(instance)
+    full = (1 << n) - 1
+    ids = [c.id for c in instance.customers]
+    for s_mask in range(1, full + 1):
+        rest = full ^ s_mask
+        t_mask = rest
+        # enumerate nonempty submasks of the complement
+        while t_mask:
+            if values[s_mask | t_mask] < values[s_mask] + values[t_mask] - 1e-12:
+                pick = lambda m: tuple(ids[k] for k in range(n) if m >> k & 1)
+                return False, (pick(s_mask), pick(t_mask))
+            t_mask = (t_mask - 1) & rest
+    return True, None
+
+
+def shapley_exact_loop(instance):
+    """Exact Shapley payoffs by id, one player and one subset at a time."""
+    n = instance.n
+    values = _subset_values_loop(instance)
+    fact = [math.factorial(k) for k in range(n + 1)]
+    phi = np.zeros(n)
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            s = bin(mask).count("1")
+            weight = fact[s] * fact[n - s - 1] / fact[n]
+            phi[i] += weight * (values[mask | bit] - values[mask])
+    return {c.id: float(phi[i]) for i, c in enumerate(instance.customers)}
 
 
 def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4):

@@ -18,7 +18,7 @@ from gridswap import market as mk
 from gridswap import storage as st
 from gridswap.cli import main as cli_main
 
-from oracles import ev_grid_oracle_2x2, max_crossing_volume
+from oracles import ev_grid_oracle_2x2, is_superadditive_enumeration, max_crossing_volume
 
 TARIFF = mk.Tariff(p_wp=0.05, p_rp=0.10)
 
@@ -208,14 +208,16 @@ def test_criterion_4_shapley_axioms_and_core():
         ok, worst = co.in_core(co.shapley_exact(inst), inst)
         assert ok, worst
 
-    # superadditivity, exhaustively, N <= 8
+    # superadditivity, exhaustively over all disjoint pairs, N <= 8; the
+    # closed form must agree
     rng = np.random.default_rng(47)
     for _ in range(200):
         inst = co.random_instance(
             rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), TARIFF
         )
-        ok, pair = co.is_superadditive(inst)
+        ok, pair = is_superadditive_enumeration(inst)
         assert ok, pair
+        assert co.is_superadditive(inst) == (True, None)
 
     elapsed = time.time() - started
     report(4, "Shapley axioms, MC accuracy, core on balanced instances,"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gridswap
-from gridswap import ev, scenario, storage
+from gridswap import ev, scenario, storage, synth
 from gridswap.cli import main
 
 
@@ -472,6 +472,33 @@ class TestNonFiniteRejected:
         code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
         assert code == 1
         assert message in err
+
+
+
+class TestSweepValueRange:
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("supplier_count", "0,2", "supplier_count must be an integer >= 1, got 0"),
+            ("supplier_count", "2,-3", "supplier_count must be an integer >= 1, got -3"),
+            ("supplier_count", "2.5", "supplier_count must be an integer >= 1, got 2.5"),
+            ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1"),
+            ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2"),
+        ],
+    )
+    def test_rejected_before_any_draw(self, tmp_path, capsys, scenario_cfg, param, values,
+                                      message, monkeypatch):
+        # a draw before the check would call one of these and fail
+        for module, name in ((scenario.co, "supplier_count_sweep"),
+                             (synth, "solar_series"), (synth, "wind_series")):
+            monkeypatch.setattr(module, name, None)
+        argv = ["sweep", "--config", str(scenario_cfg), "--param", param, "--values", values]
+        code, err = self._main(tmp_path, capsys, argv)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 # (well-formed, malformed) cell texts

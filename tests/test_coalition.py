@@ -23,7 +23,7 @@ from gridswap.coalition import (
 from gridswap.errors import InputError, SizeError
 from gridswap.market import Tariff
 
-from oracles import shapley_enumeration
+from oracles import is_superadditive_enumeration, shapley_enumeration, shapley_exact_loop
 
 T = Tariff(p_wp=0.05, p_rp=0.10)
 
@@ -34,6 +34,14 @@ def supplier(cid, kwh):
 
 def user(cid, kwh):
     return Customer(cid, "user", -abs(kwh))
+
+
+def from_nets(nets, tariff=T):
+    return CoalitionInstance(
+        tuple(Customer(f"c{k}", "supplier" if e >= 0 else "user", float(e))
+              for k, e in enumerate(nets)),
+        tariff,
+    )
 
 
 def unsafe_tariff(p_wp, p_rp):
@@ -105,10 +113,38 @@ class TestSuperadditivity:
         ok, pair = is_superadditive(CoalitionInstance((supplier("s", 3),), T))
         assert ok and pair is None
 
-    def test_size_guard(self):
-        inst = CoalitionInstance(tuple(supplier(f"s{k}", 1.0) for k in range(13)), T)
-        with pytest.raises(SizeError):
-            is_superadditive(inst)
+    def test_closed_form_at_n_200(self):
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng, 100, 100, T)
+        assert is_superadditive(inst) == (True, None)
+        inverted = CoalitionInstance(inst.customers, unsafe_tariff(0.10, 0.05))
+        assert is_superadditive(inverted) == (False, (("s0",), ("u0",)))
+
+    def test_closed_form_at_large_nets(self):
+        # absolute 1e-12 rounding at thousands of kWh once read as a violation
+        inst = from_nets([7038.9, 3082.6, 3718.8, -7653.1, -4952.0, -7839.2], Tariff(0.05, 0.30))
+        assert is_superadditive(inst) == (True, None)
+
+    @pytest.mark.parametrize(
+        "tariff",
+        [T, Tariff(0.05, 0.30), Tariff(0.0, 0.01), unsafe_tariff(0.10, 0.05),
+         unsafe_tariff(0.30, 0.0)],
+    )
+    def test_closed_form_agrees_with_enumeration(self, tariff):
+        rng = np.random.default_rng(31)
+        instances = [from_nets([5.0, 0.0, -2.0], tariff), from_nets([0.0, 0.0], tariff)]
+        while len(instances) < 80:
+            n_s, n_u = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            if n_s + n_u:
+                instances.append(random_instance(rng, n_s, n_u, tariff))
+        for inst in instances:
+            ok, pair = is_superadditive(inst)
+            assert ok == is_superadditive_enumeration(inst)[0]
+            if not ok:
+                by_id = {c.id: c for c in inst.customers}
+                left, right = ([by_id[i] for i in ids] for ids in pair)
+                merged = coalition_value(left + right, tariff)
+                assert merged < coalition_value(left, tariff) + coalition_value(right, tariff)
 
 
 class TestShapleyExact:
@@ -154,6 +190,33 @@ class TestShapleyExact:
         inst = CoalitionInstance(tuple(supplier(f"s{k}", 1.0) for k in range(11)), T)
         with pytest.raises(SizeError):
             shapley_exact(inst)
+
+    def test_equals_subset_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        for k in range(1000):
+            nets = rng.uniform(-15.0, 20.0, int(rng.integers(1, 11)))
+            kind = k % 5
+            if kind == 1:
+                nets[rng.random(len(nets)) < 0.4] = 0.0
+            elif kind == 2:
+                nets[:] = nets[0]
+            elif kind == 3:
+                nets = np.abs(nets)
+            elif kind == 4:
+                nets = -np.abs(nets)
+            inst = from_nets(nets)
+            assert shapley_exact(inst).payoffs == shapley_exact_loop(inst)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        nets=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-1e4, max_value=1e4)),
+            min_size=1, max_size=10,
+        )
+    )
+    def test_equals_subset_loop_oracle_hypothesis(self, nets):
+        inst = from_nets(nets)
+        assert shapley_exact(inst).payoffs == shapley_exact_loop(inst)
 
 
 class TestShapleyMonteCarlo:
