@@ -173,6 +173,12 @@ def _read_game(path: Path) -> games.FiniteGame:
 # subcommands
 
 
+_REPORT_COLUMNS = (
+    "id", "role", "bill", "revenue", "fit_bill", "fit_revenue", "savings", "savings_pct",
+    "energy_bought_kwh", "energy_sold_kwh", "utility",
+)
+
+
 def _cmd_run(args) -> int:
     config = _require(args.config, "config file")
     out = _out_dir(args)
@@ -182,41 +188,9 @@ def _cmd_run(args) -> int:
     _progress(args, f"running {scenario.mechanism} scenario over {scenario.horizon} slots")
     report = sim.run_simulation(scenario)
 
-    agent_rows = []
-    for aid in report.agent_ids():
-        r = report.per_agent[aid]
-        agent_rows.append(
-            [
-                aid,
-                r["role"],
-                r["bill"],
-                r["revenue"],
-                r["fit_bill"],
-                r["fit_revenue"],
-                r["savings"],
-                r["savings_pct"],
-                r["energy_bought_kwh"],
-                r["energy_sold_kwh"],
-                r["utility"],
-            ]
-        )
-    _write_csv(
-        out / "report.csv",
-        [
-            "id",
-            "role",
-            "bill",
-            "revenue",
-            "fit_bill",
-            "fit_revenue",
-            "savings",
-            "savings_pct",
-            "energy_bought_kwh",
-            "energy_sold_kwh",
-            "utility",
-        ],
-        agent_rows,
-    )
+    agent_rows = [[aid, *(report.per_agent[aid][k] for k in _REPORT_COLUMNS[1:])]
+                  for aid in report.agent_ids()]
+    _write_csv(out / "report.csv", list(_REPORT_COLUMNS), agent_rows)
     _write_kv(out / "summary.txt", dict(sorted(report.system.items())))
 
     outputs = ["report.csv", "summary.txt", "baseline_notes.txt"]

@@ -131,38 +131,50 @@ def welfare(
 # feasible-set projection
 
 
-def _project_capped_sum(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Euclidean projection of y onto {x >= 0, lo <= sum(x) <= hi}."""
+_DYKSTRA_TOL = 1e-12  # stop once x and both corrections move less than this
+_DYKSTRA_CYCLES = 3000
+
+
+def _project_rows(y: np.ndarray, lo, hi) -> np.ndarray:
+    """Euclidean projection of each row y[k] onto {x >= 0, lo[k] <= sum(x) <= hi[k]}.
+
+    Rows are summed contiguously, in the pairwise order of a 1-D numpy sum,
+    whatever the layout of y.
+    """
+    y = np.ascontiguousarray(y, dtype=float)
     x = np.maximum(y, 0.0)
-    total = x.sum()
-    if lo - 1e-15 <= total <= hi + 1e-15:
-        return x
-    target = lo if total < lo else hi
-    if target <= 0:
-        return np.zeros_like(y)
-    # x(tau) = max(y + tau, 0); actives are the largest entries
-    order = np.sort(y)[::-1]
-    prefix = np.cumsum(order)
-    n = len(y)
-    for k in range(1, n + 1):
-        tau = (target - prefix[k - 1]) / k
-        upper_ok = order[k - 1] + tau > 0
-        lower_ok = k == n or order[k] + tau <= 1e-15
-        if upper_ok and lower_ok:
-            candidate = np.maximum(y + tau, 0.0)
-            if abs(candidate.sum() - target) <= 1e-9 * max(1.0, target):
-                return candidate
-            break
+    total = x.sum(axis=1)
+    inside = (lo - 1e-15 <= total) & (total <= hi + 1e-15)
+    target = np.where(total < lo, lo, hi)
+    out = np.where(inside[:, None], x, 0.0)
+    rows = np.flatnonzero(~inside & (target > 0))
+    if not rows.size:
+        return out
+    y, target = y[rows], target[rows]
+    # x(tau) = max(y + tau, 0); with k actives they are the k largest entries
+    order = np.sort(y, axis=1)[:, ::-1]
+    prefix = np.cumsum(order, axis=1)
+    tau = (target[:, None] - prefix) / np.arange(1, y.shape[1] + 1)
+    fits = order + tau > 0
+    fits[:, :-1] &= order[:, 1:] + tau[:, :-1] <= 1e-15
+    k = np.argmax(fits, axis=1)
+    candidate = np.maximum(y + tau[np.arange(rows.size), k][:, None], 0.0)
+    ok = fits.any(axis=1) & (
+        np.abs(candidate.sum(axis=1) - target) <= 1e-9 * np.maximum(1.0, target)
+    )
+    out[rows[ok]] = candidate[ok]
     # the active-set scan can stall when target is tiny against the entries
-    # (float absorption); fall back to bisection on the shift
-    lo_tau, hi_tau = -float(np.max(y)) - 1.0, float(target)
-    for _ in range(200):
-        tau = 0.5 * (lo_tau + hi_tau)
-        if np.maximum(y + tau, 0.0).sum() < target:
-            lo_tau = tau
-        else:
-            hi_tau = tau
-    return np.maximum(y + hi_tau, 0.0)
+    # (float absorption); those rows fall back to bisection on the shift
+    for r in np.flatnonzero(~ok):
+        lo_tau, hi_tau = -float(np.max(y[r])) - 1.0, float(target[r])
+        for _ in range(200):
+            t = 0.5 * (lo_tau + hi_tau)
+            if np.maximum(y[r] + t, 0.0).sum() < target[r]:
+                lo_tau = t
+            else:
+                hi_tau = t
+        out[rows[r]] = np.maximum(y[r] + hi_tau, 0.0)
+    return out
 
 
 def _project_feasible(
@@ -170,42 +182,36 @@ def _project_feasible(
     row_caps: np.ndarray,
     col_lo: np.ndarray,
     col_hi: np.ndarray,
-    tol: float = 1e-12,
-    max_cycles: int = 3000,
 ) -> np.ndarray:
     """Dykstra projection onto the transfer polytope.
 
     Rows satisfy 0 <= sum <= row_cap (discharger capacity in sent kWh),
     columns satisfy col_lo <= sum <= col_hi (demand window in sent kWh).
+    Rows touch disjoint entries, and so do columns, so each half-cycle
+    projects all of them in one pass.
     """
-    x = np.asarray(y, dtype=float).copy()
-    nj, ni = x.shape
+    x = np.asarray(y, dtype=float)
     e_rows = np.zeros_like(x)
     e_cols = np.zeros_like(x)
-    for _ in range(max_cycles):
-        before = x.copy()
-        before_er = e_rows.copy()
-        before_ec = e_cols.copy()
-        for j in range(nj):
-            v = x[j] + e_rows[j]
-            proj = _project_capped_sum(v, 0.0, row_caps[j])
-            e_rows[j] = v - proj
-            x[j] = proj
-        for i in range(ni):
-            v = x[:, i] + e_cols[:, i]
-            proj = _project_capped_sum(v, col_lo[i], col_hi[i])
-            e_cols[:, i] = v - proj
-            x[:, i] = proj
+    for _ in range(_DYKSTRA_CYCLES):
+        v = x + e_rows
+        by_rows = _project_rows(v, 0.0, row_caps)
+        new_e_rows = v - by_rows
+        v = by_rows + e_cols
+        new_x = _project_rows(v.T, col_lo, col_hi).T
+        new_e_cols = v - new_x
         # the iterate alone can stall while corrections still move, so the
         # stop test must cover all of the algorithm's state
         moved = max(
-            np.max(np.abs(x - before)),
-            np.max(np.abs(e_rows - before_er)),
-            np.max(np.abs(e_cols - before_ec)),
+            np.max(np.abs(new_x - x)),
+            np.max(np.abs(new_e_rows - e_rows)),
+            np.max(np.abs(new_e_cols - e_cols)),
         )
-        if moved < tol:
+        x, e_rows, e_cols = new_x, new_e_rows, new_e_cols
+        if moved < _DYKSTRA_TOL:
             break
-    return x
+    # callers sum the result along both axes; row-major keeps those sums' order
+    return np.ascontiguousarray(x)
 
 
 def _check_feasible(chargers, dischargers, eta) -> None:
@@ -226,10 +232,7 @@ def _check_feasible(chargers, dischargers, eta) -> None:
 def _polytope(chargers, dischargers, eta):
     row_caps = np.array([d.d_max for d in dischargers], dtype=float)
     col_lo = np.array([c.c_min / eta for c in chargers], dtype=float)
-    col_hi = np.array(
-        [c.c_max / eta if math.isfinite(c.c_max) else math.inf for c in chargers],
-        dtype=float,
-    )
+    col_hi = np.array([c.c_max / eta for c in chargers], dtype=float)
     return row_caps, col_lo, col_hi
 
 
@@ -348,8 +351,6 @@ def _col_jac(nj, ni, i):
 
 @dataclass
 class AuctionTrace:
-    bid_history: list = field(default_factory=list)
-    ask_history: list = field(default_factory=list)
     welfare_history: list = field(default_factory=list)
     price_change_history: list = field(default_factory=list)
     iterations: int = 0
@@ -440,8 +441,6 @@ def run_iterative_auction(
         asks = _marginal_asks(dischargers, d)
         prices = np.concatenate([bids, asks.ravel()])
 
-        trace.bid_history.append(bids.copy())
-        trace.ask_history.append(asks.copy())
         trace.welfare_history.append(welfare(d, chargers, dischargers, eta))
         if prev_prices is not None:
             change = float(np.max(np.abs(prices - prev_prices)))

@@ -29,6 +29,9 @@ from .ingest import finite
 MECHANISMS = ("double_auction", "ev_auction", "coalition", "storage_auction")
 ROLES = ("consumer", "prosumer", "ev", "residential_unit", "sfc")
 SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price")
+# a supplier_count sweep draws one series per supplier and samples Shapley
+# values over all of them, so its work grows with the count
+_MAX_SUPPLIERS = 200
 
 
 @dataclass(eq=False)
@@ -592,9 +595,9 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
 def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
     """One simulation per value with a common seed, emitted as table rows.
 
-    Sweepable parameters: supplier_count (coalition population growth),
-    solar_fraction (solar vs wind generation mix), sfc_requirement (storage
-    demand), grid_price (hybrid grid sell-out price).
+    Sweepable parameters: supplier_count (coalition population growth, at
+    most _MAX_SUPPLIERS), solar_fraction (solar vs wind generation mix),
+    sfc_requirement (storage demand), grid_price (hybrid grid sell-out price).
     """
     if parameter not in SWEEPABLE:
         raise InputError(
@@ -608,6 +611,8 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         for v in values:
             if not (float(v).is_integer() and v >= 1):
                 raise InputError(f"supplier_count must be an integer >= 1, got {v:g}")
+            if v > _MAX_SUPPLIERS:
+                raise InputError(f"supplier_count must be <= {_MAX_SUPPLIERS}, got {v:g}")
         n_users = max(
             sum(1 for a in scenario.agents if a.role == "consumer"), 3
         )

@@ -4,8 +4,10 @@ These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, optimal EV
 welfare from exhaustive grid search, Shapley values from direct enumeration
 or a per-player subset loop, superadditivity from all 3^N disjoint pairs,
-and the storage leader's price from a search over the whole price grid (it
-shares only the vectorized supply curve `supply_at` with the package).
+the storage leader's price from a search over the whole price grid (it
+shares only the vectorized supply curve `supply_at` with the package), and
+the EV transfer-polytope projection from one capped-sum projection per row
+and per column in each Dykstra cycle.
 """
 
 from __future__ import annotations
@@ -261,3 +263,80 @@ def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4)
     filled = np.clip(supply[:, None] - before, 0.0, wanted)
     objective = ((bid[None, :] - grid[:, None]) * filled).sum(axis=1)
     return float(grid[int(np.argmax(objective))])
+
+
+def project_capped_sum_loop(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Euclidean projection of y onto {x >= 0, lo <= sum(x) <= hi}."""
+    x = np.maximum(y, 0.0)
+    total = x.sum()
+    if lo - 1e-15 <= total <= hi + 1e-15:
+        return x
+    target = lo if total < lo else hi
+    if target <= 0:
+        return np.zeros_like(y)
+    # x(tau) = max(y + tau, 0); actives are the largest entries
+    order = np.sort(y)[::-1]
+    prefix = np.cumsum(order)
+    n = len(y)
+    for k in range(1, n + 1):
+        tau = (target - prefix[k - 1]) / k
+        upper_ok = order[k - 1] + tau > 0
+        lower_ok = k == n or order[k] + tau <= 1e-15
+        if upper_ok and lower_ok:
+            candidate = np.maximum(y + tau, 0.0)
+            if abs(candidate.sum() - target) <= 1e-9 * max(1.0, target):
+                return candidate
+            break
+    # the active-set scan can stall when target is tiny against the entries
+    # (float absorption); fall back to bisection on the shift
+    lo_tau, hi_tau = -float(np.max(y)) - 1.0, float(target)
+    for _ in range(200):
+        tau = 0.5 * (lo_tau + hi_tau)
+        if np.maximum(y + tau, 0.0).sum() < target:
+            lo_tau = tau
+        else:
+            hi_tau = tau
+    return np.maximum(y + hi_tau, 0.0)
+
+
+def project_feasible_loop(
+    y: np.ndarray,
+    row_caps: np.ndarray,
+    col_lo: np.ndarray,
+    col_hi: np.ndarray,
+    tol: float = 1e-12,
+    max_cycles: int = 3000,
+) -> np.ndarray:
+    """Dykstra projection onto the transfer polytope.
+
+    Rows satisfy 0 <= sum <= row_cap (discharger capacity in sent kWh),
+    columns satisfy col_lo <= sum <= col_hi (demand window in sent kWh).
+    """
+    x = np.asarray(y, dtype=float).copy()
+    nj, ni = x.shape
+    e_rows = np.zeros_like(x)
+    e_cols = np.zeros_like(x)
+    for _ in range(max_cycles):
+        before = x.copy()
+        before_er = e_rows.copy()
+        before_ec = e_cols.copy()
+        for j in range(nj):
+            v = x[j] + e_rows[j]
+            proj = project_capped_sum_loop(v, 0.0, row_caps[j])
+            e_rows[j] = v - proj
+            x[j] = proj
+        for i in range(ni):
+            v = x[:, i] + e_cols[:, i]
+            proj = project_capped_sum_loop(v, col_lo[i], col_hi[i])
+            e_cols[:, i] = v - proj
+            x[:, i] = proj
+        # the iterate alone can stall while corrections still move, so the
+        # stop test must cover all of the algorithm's state
+        moved = max(
+            np.max(np.abs(x - before)),
+            np.max(np.abs(e_rows - before_er)),
+            np.max(np.abs(e_cols - before_ec)),
+        )
+        if moved < tol:
+            break
+    return x

@@ -484,6 +484,8 @@ class TestSweepValueRange:
             ("supplier_count", "0,2", "supplier_count must be an integer >= 1, got 0"),
             ("supplier_count", "2,-3", "supplier_count must be an integer >= 1, got -3"),
             ("supplier_count", "2.5", "supplier_count must be an integer >= 1, got 2.5"),
+            ("supplier_count", "2,201", "supplier_count must be <= 200, got 201"),
+            ("supplier_count", "1e6", "supplier_count must be <= 200, got 1e+06"),
             ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1"),
             ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2"),
         ],

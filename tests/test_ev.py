@@ -14,8 +14,9 @@ from gridswap.ev import (
     HybridBuyer,
     HybridScenario,
     HybridSeller,
-    _project_capped_sum,
+    _marginal_bids,
     _project_feasible,
+    _project_rows,
     apply_disconnection,
     compare_hybrid,
     discharge_cost,
@@ -27,7 +28,12 @@ from gridswap.ev import (
     welfare,
 )
 
-from oracles import bisect_scalar_root, ev_welfare_of
+from oracles import (
+    bisect_scalar_root,
+    ev_welfare_of,
+    project_capped_sum_loop,
+    project_feasible_loop,
+)
 
 
 def charger(cid="c", w=1.0, c_min=0.0, c_max=math.inf):
@@ -74,18 +80,22 @@ class TestObjectives:
             DischargingEV("x", l1=0.0, l2=0.0, d_max=5.0)
 
 
+def _project_one(y, lo, hi):
+    return _project_rows(np.array([y]), lo, hi)[0]
+
+
 class TestProjection:
     def test_capped_sum_simple(self):
-        x = _project_capped_sum(np.array([2.0, -1.0]), 0.0, 10.0)
+        x = _project_one(np.array([2.0, -1.0]), 0.0, 10.0)
         assert x == pytest.approx([2.0, 0.0])
 
     def test_capped_sum_hits_upper(self):
-        x = _project_capped_sum(np.array([3.0, 3.0]), 0.0, 4.0)
+        x = _project_one(np.array([3.0, 3.0]), 0.0, 4.0)
         assert x.sum() == pytest.approx(4.0)
         assert x == pytest.approx([2.0, 2.0])
 
     def test_capped_sum_raises_to_lower(self):
-        x = _project_capped_sum(np.array([0.0, 1.0]), 3.0, 10.0)
+        x = _project_one(np.array([0.0, 1.0]), 3.0, 10.0)
         assert x.sum() == pytest.approx(3.0)
         assert x == pytest.approx([1.0, 2.0])
 
@@ -96,10 +106,10 @@ class TestProjection:
     )
     def test_capped_sum_feasible_and_idempotent(self, y, bounds):
         lo, hi = sorted(bounds)
-        x = _project_capped_sum(np.array(y), lo, hi)
+        x = _project_one(np.array(y), lo, hi)
         assert np.all(x >= -1e-12)
         assert lo - 1e-9 <= x.sum() <= hi + 1e-9
-        again = _project_capped_sum(x, lo, hi)
+        again = _project_one(x, lo, hi)
         assert np.allclose(x, again, atol=1e-9)
 
     def test_capped_sum_optimality_against_samples(self):
@@ -107,7 +117,7 @@ class TestProjection:
         for _ in range(100):
             y = rng.normal(0, 3, size=4)
             lo, hi = sorted(rng.uniform(0, 6, size=2))
-            x = _project_capped_sum(y, lo, hi)
+            x = _project_one(y, lo, hi)
             assert np.all(x >= -1e-12)
             assert lo - 1e-9 <= x.sum() <= hi + 1e-9
             dist = np.sum((x - y) ** 2)
@@ -130,6 +140,95 @@ class TestProjection:
             assert np.all(x.sum(axis=1) <= row_caps + 1e-9)
             assert np.all(x.sum(axis=0) >= col_lo - 1e-8)
             assert np.all(x.sum(axis=0) <= col_hi + 1e-8)
+
+
+# rows that drive the per-row scan into its bisection fallback: the first
+# fails the sum check, on the second the scan finds no active-set size
+_FALLBACK_ROWS = [
+    ([546712986612446.94, -736454087001666.9, -162909947993052.78, -482119312679978.25],
+     2.0155649322356464, 3.0328411356163945),
+    ([-4.667496168798021e16, 2.355056117302252e16, 7.595195224783792e16,
+      -1.6487873663509485e17, 2.543881165176173e16, 1.2246469675357323e17],
+     0.0, 0.122453387466816),
+]
+
+
+def _random_population(rng, n):
+    chargers = [charger(f"c{i}", rng.uniform(1, 3), rng.uniform(1, 5), rng.uniform(10, 20))
+                for i in range(n)]
+    dischargers = [discharger(f"d{j}", rng.uniform(0.01, 0.05), rng.uniform(0.01, 0.05),
+                              rng.uniform(10, 20)) for j in range(n)]
+    return chargers, dischargers
+
+
+class TestProjectionMatchesLoop:
+    """The batched projections reproduce the per-row loop bit for bit."""
+
+    def test_rows_equal_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            m, n = rng.integers(1, 9), rng.integers(1, 25)
+            y = rng.normal(0, 1, size=(m, n)) * 10.0 ** rng.uniform(-3, 17)
+            lo = rng.uniform(0, 5, size=m) * (rng.random(m) < 0.7)
+            hi = lo + rng.uniform(0, 5, size=m)
+            hi[rng.random(m) < 0.2] = np.inf
+            expected = [project_capped_sum_loop(y[k], lo[k], hi[k]) for k in range(m)]
+            assert np.array_equal(_project_rows(y, lo, hi), np.array(expected))
+
+    def test_rows_sum_in_1d_order_whatever_the_layout(self):
+        # rows whose 1-D numpy sum is exactly hi while a left-to-right sum
+        # exceeds it stay as they are, also when passed in column-major order
+        rng = np.random.default_rng(4)
+        rows = []
+        while len(rows) < 5:
+            y = rng.uniform(0, 1, size=16)
+            if sum(y) > y.sum():
+                rows.append(y)
+        y = np.asfortranarray(rows)
+        hi = np.array([row.sum() for row in rows])
+        expected = [project_capped_sum_loop(row, 0.0, cap) for row, cap in zip(rows, hi)]
+        assert np.array_equal(expected, rows)
+        assert np.array_equal(_project_rows(y, 0.0, hi), expected)
+
+    @pytest.mark.parametrize("row, lo, hi", _FALLBACK_ROWS)
+    def test_fallback_row_alone(self, row, lo, hi):
+        y = np.array(row)
+        assert np.array_equal(_project_one(y, lo, hi), project_capped_sum_loop(y, lo, hi))
+
+    @pytest.mark.parametrize("row, lo, hi", _FALLBACK_ROWS)
+    def test_fallback_row_in_batch(self, row, lo, hi):
+        rng = np.random.default_rng(5)
+        y = rng.normal(0, 3, size=(7, len(row)))
+        y[4] = row
+        lo_all = rng.uniform(0, 2, size=7)
+        hi_all = lo_all + rng.uniform(0, 4, size=7)
+        lo_all[4], hi_all[4] = lo, hi
+        expected = [project_capped_sum_loop(y[k], lo_all[k], hi_all[k]) for k in range(7)]
+        assert np.array_equal(_project_rows(y, lo_all, hi_all), np.array(expected))
+
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_feasible_equals_loop(self, capped):
+        rng = np.random.default_rng(11 if capped else 12)
+        shapes = [(n, n) for n in range(1, 21)] + [tuple(rng.integers(1, 21, size=2))
+                                                    for _ in range(20)]
+        for n, m in shapes:
+            y = rng.normal(0, 5, size=(n, m))
+            row_caps = rng.uniform(5, 20, size=n)
+            col_lo = rng.uniform(0, 5, size=m) * min(1.0, row_caps.sum() / (5 * m))
+            col_hi = col_lo + rng.uniform(0, 10, size=m) if capped else np.full(m, np.inf)
+            got = _project_feasible(y, row_caps, col_lo, col_hi)
+            assert np.array_equal(got, project_feasible_loop(y, row_caps, col_lo, col_hi))
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_auction_equals_loop(self, n, monkeypatch):
+        chargers, dischargers = _random_population(np.random.default_rng(n), n)
+        alloc, result = run_iterative_auction(chargers, dischargers, eta=0.9)
+        monkeypatch.setattr("gridswap.ev._project_feasible", project_feasible_loop)
+        ref_alloc, ref = run_iterative_auction(chargers, dischargers, eta=0.9)
+        assert np.array_equal(alloc.sent, ref_alloc.sent)
+        assert result.trace.welfare_history == ref.trace.welfare_history
+        assert result.trace.price_change_history == ref.trace.price_change_history
 
 
 class TestSocialWelfare:
@@ -203,7 +302,7 @@ class TestIterativeAuction:
         dischargers = [discharger("d1", 0.04, 0.02, 15.0), discharger("d2", 0.04, 0.02, 15.0)]
         _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
         assert result.trace.converged
-        final_bids = result.trace.bid_history[-1]
+        final_bids = _marginal_bids(chargers, result.allocation.delivered_per_charger())
         assert final_bids[0] == pytest.approx(final_bids[1], abs=1e-6)
 
     def test_converges_to_solver_welfare(self):
@@ -221,19 +320,6 @@ class TestIterativeAuction:
                                           eps=1e-4, max_iter=1)
         assert not result.trace.converged
         assert result.trace.iterations == 1
-
-    def test_fixed_point_prices_match_marginals(self):
-        chargers, dischargers = self._instance()
-        eps = 1e-5
-        alloc, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=eps)
-        assert result.trace.converged
-        from gridswap.ev import _marginal_asks, _marginal_bids
-
-        delivered = 0.9 * alloc.sent.sum(axis=0)
-        assert np.max(np.abs(
-            result.trace.bid_history[-1] - _marginal_bids(chargers, delivered))) < eps
-        assert np.max(np.abs(
-            result.trace.ask_history[-1] - _marginal_asks(dischargers, alloc.sent))) < eps
 
     def test_weak_budget_balance_and_ir(self):
         chargers, dischargers = self._instance()
