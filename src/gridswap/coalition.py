@@ -4,8 +4,11 @@ A coalition first nets out internally; whatever surplus remains is exported
 at the wholesale price and any remaining deficiency is imported at the retail
 price. Because retail exceeds wholesale, pooling is superadditive and trading
 inside the community beats feeding the grid. Payoffs are divided by Shapley
-value, exactly for small groups and by seeded permutation sampling for large
-ones.
+value, exactly up to _EXACT_LIMIT members and by seeded permutation sampling
+above. The exact division enumerates all 2^N subsets whole up to
+_ENUMERATION_LIMIT members; larger coalitions split the members into two
+halves and meet in the middle (Horowitz & Sahni, JACM 1974), so memory stays
+O(2^(N/2)).
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from .market import Tariff
 SUPPLIER = "supplier"
 USER = "user"
 
-_EXACT_LIMIT = 10
+# the largest N whose 2^N subset arrays are built whole (512 kB each at 16)
+_ENUMERATION_LIMIT = 16
+# the largest N whose exact Shapley call stays under 8 MB of allocations
+# (7.4 MB and 0.11 s at 32 on a 2-CPU container, Python 3.11, numpy 2.4);
+# sampling takes over above it
+_EXACT_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class PayoffAllocation:
     """Per-customer payoffs in $; positive means money received."""
 
     payoffs: dict[str, float]
+    # permutations sampled to estimate the payoffs; 0 when they are exact
+    samples: int = 0
 
     def total(self) -> float:
         return math.fsum(self.payoffs.values())
@@ -116,26 +126,86 @@ def is_superadditive(instance: CoalitionInstance):
     return False, ((seller,), (buyer,))
 
 
-def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
-    """Exact Shapley allocation by subset-weighted enumeration, up to _EXACT_LIMIT players.
-
-    Each player's marginal terms over all subsets without it are weighted by
-    |S|! (N - |S| - 1)! / N! and summed in increasing mask order.
-    """
-    n = instance.n
-    if n > _EXACT_LIMIT:
-        raise SizeError(f"exact Shapley is limited to N <= {_EXACT_LIMIT}, got {n}")
-    energies = np.array([c.net_energy for c in instance.customers])
-    values = _net_value(_subset_sums(energies), instance.tariff)
-    sizes = _subset_sums(np.ones(n)).astype(int)
+def _size_weights(n: int) -> np.ndarray:
+    """Shapley weight |S|! (n - |S| - 1)! / n! of a subset S without the player, by |S|."""
     fact = math.factorial
-    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+    return np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+
+
+def _shapley_enumerated(energies: np.ndarray, tariff: Tariff) -> list[float]:
+    """Each player's weighted marginal terms over all 2^N masks, summed in mask order."""
+    n = len(energies)
+    values = _net_value(_subset_sums(energies), tariff)
+    sizes = _subset_sums(np.ones(n)).astype(int)
+    weights = _size_weights(n)
     phi = []
     for i in range(n):
         # masks split as (higher bits, bit i, lower bits); [:, 0] lacks player i
         v = values.reshape(-1, 2, 1 << i)
         w = weights[sizes.reshape(-1, 2, 1 << i)[:, 0]]
         phi.append(float(np.add.accumulate((w * (v[:, 1] - v[:, 0])).ravel())[-1]))
+    return phi
+
+
+def _shapley_split(energies: np.ndarray, tariff: Tariff) -> list[float]:
+    """Exact Shapley values from the two halves' subset sums, in O(2^(N/2)) memory.
+
+    v(S) = p_rp * x_S + (p_wp - p_rp) * max(x_S, 0) on the pooled net x_S, and
+    the p_rp terms sum to p_rp * e_i over the weights, so
+    phi_i = p_rp * e_i + (p_wp - p_rp) * sum_S w_|S| [max(x_S + e_i, 0) - max(x_S, 0)]
+    over S without i. S joins a subset A of player i's half, without i, to a
+    subset B of the other half, and x_A + e_i is the sum of A + i, another
+    subset of the same half. So each half needs, for each of its subsets M
+    and each size a, g_a(M) = sum_B w_{a+|B|} max(x_M + y_B, 0). With the y_B
+    sorted from the largest down and prefix sums of w_{a+|B|} and
+    w_{a+|B|} * y_B, one searchsorted of all the x_M resolves every g_a.
+    Player i adds g_{|M|-1}(M) over the M holding it and subtracts g_{|M|}(M)
+    over the M without it.
+    """
+    n = len(energies)
+    weights = _size_weights(n)
+    gain = np.zeros(n)
+    half = n // 2
+    for mine, theirs in ((range(half), range(half, n)), (range(half, n), range(half))):
+        z = -_subset_sums(energies[list(theirs)])
+        order = np.argsort(z, kind="stable")
+        z = z[order]
+        their_sizes = _subset_sums(np.ones(len(theirs))).astype(int)[order]
+        x = _subset_sums(energies[list(mine)])
+        sizes = _subset_sums(np.ones(len(mine))).astype(int)
+        # x_M + y_B > 0 for exactly the first r[M] of the sorted y_B
+        r = np.searchsorted(z, x)
+        lacking = np.zeros_like(x)  # g_|M|(M), read for the players outside M
+        holding = np.zeros_like(x)  # g_{|M|-1}(M), read for the players in M
+        for a in range(len(mine)):
+            w = weights[a + their_sizes]
+            count = np.concatenate(([0.0], np.cumsum(w)))
+            pooled = np.concatenate(([0.0], np.cumsum(w * -z)))
+            for g, size in ((lacking, a), (holding, a + 1)):
+                m = sizes == size
+                g[m] = pooled[r[m]] + x[m] * count[r[m]]
+        for bit, i in enumerate(mine):
+            # masks split as (higher bits, this bit, lower bits)
+            pairs = (-1, 2, 1 << bit)
+            gain[i] = np.sum(holding.reshape(pairs)[:, 1] - lacking.reshape(pairs)[:, 0])
+    phi = tariff.p_rp * energies + (tariff.p_wp - tariff.p_rp) * gain
+    return [float(p) for p in phi]
+
+
+def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
+    """Exact Shapley allocation, up to _EXACT_LIMIT players.
+
+    Up to _ENUMERATION_LIMIT players, each player's marginal terms over all
+    2^N subsets are weighted by |S|! (N - |S| - 1)! / N! and summed in mask
+    order. Above it the players split into two halves that meet in the
+    middle: time O(N 2^(N/2)), memory O(2^(N/2)).
+    """
+    n = instance.n
+    if n > _EXACT_LIMIT:
+        raise SizeError(f"exact Shapley is limited to N <= {_EXACT_LIMIT}, got {n}")
+    energies = np.array([c.net_energy for c in instance.customers])
+    kernel = _shapley_enumerated if n <= _ENUMERATION_LIMIT else _shapley_split
+    phi = kernel(energies, instance.tariff)
     return PayoffAllocation({c.id: p for c, p in zip(instance.customers, phi)})
 
 
@@ -174,13 +244,19 @@ def shapley_monte_carlo(
         phi = phi + residual * weight / weight.sum()
     else:
         phi = phi + residual / n
-    return PayoffAllocation({c.id: float(phi[i]) for i, c in enumerate(instance.customers)})
+    return PayoffAllocation(
+        {c.id: float(phi[i]) for i, c in enumerate(instance.customers)}, sample_count
+    )
 
 
 def shapley_allocation(
     instance: CoalitionInstance, sample_count: int, seed: int
 ) -> PayoffAllocation:
-    """Exact Shapley division up to _EXACT_LIMIT players, seeded sampling above."""
+    """Shapley division by the one exact-vs-sampled policy.
+
+    shapley_exact up to _EXACT_LIMIT players; above it, a seeded estimate from
+    `sample_count` sampled join orders.
+    """
     if instance.n <= _EXACT_LIMIT:
         return shapley_exact(instance)
     return shapley_monte_carlo(instance, sample_count, seed=seed)
@@ -190,11 +266,12 @@ def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
     """Check that no coalition can block the allocation.
 
     Returns (True, None) or (False, (ids, shortfall)) for the coalition with
-    the largest violation. The allocation must be efficient.
+    the largest violation. The allocation must be efficient. All 2^N
+    coalitions are enumerated, so N is limited to _ENUMERATION_LIMIT.
     """
     n = instance.n
-    if n > _EXACT_LIMIT:
-        raise SizeError(f"core check is limited to N <= {_EXACT_LIMIT}, got {n}")
+    if n > _ENUMERATION_LIMIT:
+        raise SizeError(f"core check is limited to N <= {_ENUMERATION_LIMIT}, got {n}")
     energies = np.array([c.net_energy for c in instance.customers])
     values = _net_value(_subset_sums(energies), instance.tariff)
     x = np.array([allocation.payoffs[c.id] for c in instance.customers])

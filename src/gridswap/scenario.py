@@ -32,6 +32,8 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
 _MAX_SUPPLIERS = 200
+# Monte-Carlo Shapley work grows with the permutations sampled per coalition
+_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(eq=False)
@@ -144,9 +146,17 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
         raise SchemaError(f"{where}: {exc}") from exc
 
     options: dict = {}
-    for key in ("eta", "eps", "grid_sell_out", "grid_buy_back", "mc_samples"):
+    for key in ("eta", "eps", "grid_sell_out", "grid_buy_back"):
         if key in keys:
             options[key] = number(keys[key], line(key))
+    if "mc_samples" in keys:
+        samples = number(keys["mc_samples"], line("mc_samples"))
+        if not (samples.is_integer() and 1 <= samples <= _MAX_SAMPLES):
+            raise SchemaError(
+                f"{line('mc_samples')}: mc_samples must be an integer from 1 to "
+                f"{_MAX_SAMPLES}, got {keys['mc_samples']}"
+            )
+        options["mc_samples"] = int(samples)
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
             raise SchemaError(f"{where}: rule must be proportional or equal")
@@ -381,14 +391,14 @@ def _coalition_instance(scenario: Scenario, t: int):
 
 
 def _coalition(scenario: Scenario):
-    samples = int(scenario.options.get("mc_samples", 20_000))
+    samples = scenario.options.get("mc_samples", 20_000)
 
     def deltas(t: int) -> list:
         inst = _coalition_instance(scenario, t)
         if inst is None:
             return []
         alloc = co.shapley_allocation(inst, samples, scenario.seed + t)
-        out = []
+        out = [(None, "shapley_sampled_slots" if alloc.samples else "shapley_exact_slots", 1)]
         for c in inst.customers:
             payoff = alloc.payoffs[c.id]
             out.append((c.id, "revenue", payoff) if payoff >= 0 else (c.id, "bill", -payoff))
@@ -409,7 +419,7 @@ def _coalition(scenario: Scenario):
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
         s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
 
-    return {}, deltas, finish
+    return {"shapley_exact_slots": 0, "shapley_sampled_slots": 0}, deltas, finish
 
 
 def _storage(scenario: Scenario):
@@ -621,7 +631,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             [int(v) for v in values],
             n_users=n_users,
             tariff=scenario.tariff,
-            samples=int(scenario.options.get("mc_samples", 40_000)),
+            samples=scenario.options.get("mc_samples", 40_000),
         )
 
     if parameter == "sfc_requirement":

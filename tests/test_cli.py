@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gridswap
-from gridswap import ev, scenario, storage, synth
+from gridswap import coalition, ev, scenario, storage, synth
 from gridswap.cli import main
 
 
@@ -327,6 +327,23 @@ class TestRunComputesOnce:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert sorted(calls) == sorted(["run_simulation", kernel])
 
+    def test_fourteen_member_coalition_is_never_sampled(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coalition, "shapley_monte_carlo", None)
+        agents = []
+        for k in range(14):
+            load, gen = (0.5, 1.5 + 0.25 * k) if k < 8 else (1.0 + 0.5 * k, 0.0)
+            (tmp_path / f"a{k}.csv").write_text(
+                "slot_index,load_kwh,gen_kwh\n" + "".join(f"{t},{load},{gen}\n" for t in range(4))
+            )
+            agents.append(f"agent = a{k} {'prosumer' if k < 8 else 'consumer'} a{k}.csv\n")
+        cfg = tmp_path / "co.cfg"
+        cfg.write_text("mechanism = coalition\nhorizon = 4\n" + "".join(agents))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "shapley_exact_slots = 4\n" in summary
+        assert "shapley_sampled_slots = 0\n" in summary
+
 
 class TestNonFiniteRejected:
     CHARGER = "c1,charging,1.9,,,6,15,"
@@ -473,6 +490,30 @@ class TestNonFiniteRejected:
         assert code == 1
         assert message in err
 
+
+
+class TestMcSamples:
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize("value", ["2.5", "0", "-5", "1e12", "1000001"])
+    def test_rejected_at_load(self, tmp_path, capsys, value):
+        cfg = tmp_path / "co.cfg"
+        cfg.write_text(
+            "mechanism = coalition\n"
+            f"mc_samples = {value}\n"
+            "agent = s1 prosumer -\n"
+        )
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert f"co.cfg:2: mc_samples must be an integer from 1 to 1000000, got {value}" in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    @pytest.mark.parametrize("value, parsed", [("1", 1), ("5e3", 5000), ("1000000", 1_000_000)])
+    def test_accepted_as_an_integer(self, tmp_path, value, parsed):
+        cfg = tmp_path / "co.cfg"
+        cfg.write_text(f"mechanism = coalition\nmc_samples = {value}\nagent = s1 prosumer -\n")
+        samples = scenario.load_scenario(cfg).options["mc_samples"]
+        assert samples == parsed and type(samples) is int
 
 
 class TestSweepValueRange:

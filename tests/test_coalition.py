@@ -1,10 +1,13 @@
 """Coalition game: value function, Shapley division, core membership."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridswap import coalition
 from gridswap.coalition import (
     Customer,
     CoalitionInstance,
@@ -187,7 +190,8 @@ class TestShapleyExact:
         assert alloc.payoffs["z"] == pytest.approx(0.0, abs=1e-9)
 
     def test_size_guard(self):
-        inst = CoalitionInstance(tuple(supplier(f"s{k}", 1.0) for k in range(11)), T)
+        n = coalition._EXACT_LIMIT + 1
+        inst = CoalitionInstance(tuple(supplier(f"s{k}", 1.0) for k in range(n)), T)
         with pytest.raises(SizeError):
             shapley_exact(inst)
 
@@ -217,6 +221,88 @@ class TestShapleyExact:
     def test_equals_subset_loop_oracle_hypothesis(self, nets):
         inst = from_nets(nets)
         assert shapley_exact(inst).payoffs == shapley_exact_loop(inst)
+
+
+def split(inst):
+    """Payoffs by id from the meet-in-the-middle kernel, whatever the size."""
+    energies = np.array([c.net_energy for c in inst.customers])
+    phi = coalition._shapley_split(energies, inst.tariff)
+    return {c.id: p for c, p in zip(inst.customers, phi)}
+
+
+def assert_payoffs_close(got, want):
+    """Equal to 1e-12 of the largest payoff."""
+    tol = 1e-12 * max(abs(v) for v in want.values())
+    assert got.keys() == want.keys()
+    for cid, v in want.items():
+        assert abs(got[cid] - v) <= tol, (cid, got[cid], v)
+
+
+def seeded_nets(rng, n, kind):
+    nets = rng.uniform(-15.0, 20.0, n)
+    if kind == 1:
+        nets[rng.random(n) < 0.4] = 0.0
+    elif kind == 2:
+        nets[:] = nets[0]
+    elif kind == 3:
+        nets = np.abs(nets)
+    return nets
+
+
+class TestShapleySplit:
+    """The meet-in-the-middle kernel against the 2^N enumerations it replaces above 16."""
+
+    @pytest.mark.parametrize("n", range(11, coalition._ENUMERATION_LIMIT + 1))
+    def test_equals_enumerations(self, n):
+        rng = np.random.default_rng(40 + n)
+        for k in range(12):
+            inst = from_nets(seeded_nets(rng, n, k % 4))
+            assert_payoffs_close(split(inst), shapley_exact(inst).payoffs)
+            if k < 3:  # random, zero-net members, equal nets
+                assert_payoffs_close(split(inst), shapley_exact_loop(inst))
+
+    # magnitudes stay clear of the subnormal range, where payoffs carry
+    # fewer than 53 bits and no relative tolerance holds
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        nets=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e4), st.floats(-1e4, -1e-6)),
+            min_size=11, max_size=16,
+        )
+    )
+    def test_equals_enumeration_hypothesis(self, nets):
+        inst = from_nets(nets)
+        assert_payoffs_close(split(inst), shapley_exact(inst).payoffs)
+
+    @pytest.mark.parametrize(
+        "n", range(coalition._ENUMERATION_LIMIT + 1, coalition._EXACT_LIMIT + 1)
+    )
+    def test_axioms_above_enumeration(self, n):
+        rng = np.random.default_rng(n)
+        nets = rng.uniform(-15.0, 20.0, n)
+        # a null player, and equal members in the first and the second half
+        nets[n // 2 - 1] = 0.0
+        nets[0] = nets[-1] = 6.25
+        nets[1] = nets[n // 2] = -4.75
+        inst = from_nets(nets, Tariff(0.05, 0.30))
+        alloc = shapley_exact(inst)
+        phi = [alloc.payoffs[f"c{k}"] for k in range(n)]
+        assert alloc.total() == pytest.approx(coalition_value(inst.customers, inst.tariff), abs=1e-9)
+        assert phi[n // 2 - 1] == 0.0
+        assert phi[0] == pytest.approx(phi[-1], abs=1e-9)
+        assert phi[1] == pytest.approx(phi[n // 2], abs=1e-9)
+
+    def test_memory_at_the_cap(self):
+        rng = np.random.default_rng(4)
+        inst = random_instance(rng, coalition._EXACT_LIMIT // 2, (coalition._EXACT_LIMIT + 1) // 2, T)
+        assert inst.n == coalition._EXACT_LIMIT
+        tracemalloc.start()
+        try:
+            shapley_exact(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestShapleyMonteCarlo:
@@ -309,6 +395,15 @@ class TestCore:
         assert not ok
         assert ids == ("s",)
         assert gap == pytest.approx(0.3)
+
+    def test_size_guard_is_the_enumeration_limit(self):
+        rng = np.random.default_rng(16)
+        inst = random_instance(rng, 8, 8, T)
+        ok, _ = in_core(competitive_allocation(inst), inst)
+        assert ok
+        bigger = random_instance(rng, 9, 8, T)
+        with pytest.raises(SizeError):
+            in_core(competitive_allocation(bigger), bigger)
 
     def test_inefficient_allocation_rejected(self):
         from gridswap.coalition import PayoffAllocation
