@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -140,13 +141,38 @@ def _read_sfcs(path: Path):
         ]
 
 
+def _game_tensor(cols, index) -> np.ndarray | None:
+    """The utility tensor from parsed columns, or None unless they fill it exactly once.
+
+    The row count must equal players * prod(dims) before anything is
+    allocated, so a huge index cannot ask for a huge tensor.
+    """
+    keys = np.stack([cols[name] for name in index])
+    if keys.min() < 0:
+        return None
+    shape = tuple(int(m) + 1 for m in keys.max(axis=1))
+    if shape[0] != len(index) - 1 or keys.shape[1] != math.prod(shape):
+        return None
+    flat = np.ravel_multi_index(keys, shape)
+    if not (np.bincount(flat, minlength=keys.shape[1]) == 1).all():
+        return None
+    u = np.empty(shape)
+    u.flat[flat] = cols["utility"]
+    return u
+
+
 def _read_game(path: Path) -> games.FiniteGame:
-    entries = {}
     with ingest.table(path, ("player", "utility")) as table:
-        strategy_cols = [c for c in table.header if c.startswith("s")]
-        n = len(strategy_cols)
-        for player, utility, *profile in table.rows("player", "utility", *strategy_cols):
-            key = (int(player), *map(int, profile))
+        # the strategy columns are s0, s1, ... by name; any other column is ignored
+        n = next(k for k in itertools.count() if f"s{k}" not in table.header)
+        index = ("player", *(f"s{k}" for k in range(n)))
+        cols = ingest.columns(path, ints=index, floats=("utility",))
+        u = None if cols is None else _game_tensor(cols, index)
+        if u is not None:
+            return games.FiniteGame(u)
+        entries = {}
+        for utility, *key in table.rows("utility", *index):
+            key = tuple(map(int, key))
             if min(key) < 0:
                 raise InputError(f"player and strategy indices must be >= 0, got {key}")
             entries[key] = finite(utility)

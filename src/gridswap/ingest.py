@@ -4,18 +4,24 @@ Every CSV the package reads (orders, coalition instances, residential units,
 SFCs, games, EV populations, agent series) is opened with `table`. It checks
 the header, skips blank lines as csv.DictReader does, hands the caller the
 cells it names, and turns a bad-input error raised while the caller builds a
-row into one SchemaError naming file:line. `finite` is the one parser for
-numeric text, in files, configs and command-line flags alike; `positive` parses
-the counts command-line flags take.
+row into one SchemaError naming file:line. `columns` is the fast path for
+large numeric tables: numpy's C parser reads the named columns, and any file
+it cannot read exactly as `table` would goes back to `table`, whose rows and
+error messages stay the reference. `finite` is the one parser for numeric
+text, in files, configs and command-line flags alike; `positive` parses the
+counts command-line flags take.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError, SchemaError
 
@@ -86,3 +92,44 @@ def table(path, required):
             yield Table(header, reader)
         except _BAD_INPUT as exc:
             raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+
+
+def columns(path, ints=(), floats=()):
+    """The named columns of the CSV at `path` as int64 (`ints`) and float64
+    (`floats`) arrays keyed by name, or None when only `table` can read them.
+
+    numpy's C parser converts a float cell with the routine `float` uses,
+    and an integer cell by a stricter rule than `int` (no `1_000`, no `1.0`),
+    so a value it returns is the value the row reader would build. None
+    means: a named column is missing; the file holds a quote, which `csv`
+    would interpret, or a NUL; numpy raised or warned (a malformed or short
+    row, no data rows); or a float is not finite. The caller then reads the
+    file with `table`, whose error and file:line are the ones reported.
+    """
+    path = Path(path)
+    try:
+        with path.open() as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    header = next(csv.reader([text.partition("\n")[0]]), [])
+    del text
+    column = {name: i for i, name in enumerate(header)}
+    names = (*ints, *floats)
+    if not all(name in column for name in names):
+        return None
+    dtype = [(name, np.int64) for name in ints] + [(name, np.float64) for name in floats]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                usecols=[column[name] for name in names], ndmin=1,
+            )
+    except Exception:  # any failure at all: the row reader then reports what went wrong
+        return None
+    if not all(np.isfinite(data[name]).all() for name in floats):
+        return None
+    return {name: np.ascontiguousarray(data[name]) for name in names}

@@ -75,9 +75,19 @@ class MetricsReport:
 def _read_series(path: Path, horizon: int, agent_id: str):
     if not path.exists():
         raise SchemaError(f"agent {agent_id!r}: series file {path} not found")
+    cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"))
+    if (
+        cols is not None
+        and np.array_equal(cols["slot_index"], np.arange(horizon))
+        and (cols["load_kwh"] >= 0).all()
+        and (cols["gen_kwh"] >= 0).all()
+    ):
+        return cols["load_kwh"], cols["gen_kwh"]
     loads, gens = [], []
     with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh")) as table:
-        for load, gen in table.rows("load_kwh", "gen_kwh"):
+        for t, (slot, load, gen) in enumerate(table.rows("slot_index", "load_kwh", "gen_kwh")):
+            if int(slot) != t:
+                raise InputError(f"slot_index must count 0, 1, 2, ...; expected {t}, got {slot!r}")
             load, gen = finite(load), finite(gen)
             if load < 0 or gen < 0:
                 raise InputError("series values must be >= 0")

@@ -125,7 +125,8 @@ def follower_best_response(ru: ResidentialUnit, price: float) -> float:
     """Space the unit shares at a posted price: clamp((p - r)/alpha, 0, A)."""
     if price < 0:
         raise InputError("price must be >= 0")
-    return float(np.clip((price - ru.reservation_price) / ru.reluctance, 0.0, ru.capacity))
+    # min/max, not np.clip: the same value and signed zero without numpy's per-call cost
+    return float(min(max((price - ru.reservation_price) / ru.reluctance, 0.0), ru.capacity))
 
 
 def supply_at(rus: list[ResidentialUnit], prices) -> np.ndarray:

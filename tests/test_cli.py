@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gridswap
-from gridswap import coalition, ev, scenario, storage, synth
+from gridswap import coalition, ev, ingest, scenario, storage, synth
 from gridswap.cli import main
 
 
@@ -191,6 +191,60 @@ class TestNash:
         assert rc == 0
         body = (out / "equilibria.csv").read_text().splitlines()
         assert body[1:] == ["0,0", "1,1"]
+
+    # only (s0=1, s1=0) is an equilibrium: payoff[player][s0, s1]
+    # (read with s0 and s1 swapped, (0, 1) would be one too)
+    ONE_EQUILIBRIUM = {0: {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0},
+                       1: {(0, 0): 1, (0, 1): 0, (1, 0): 2, (1, 1): 0}}
+
+    @pytest.mark.parametrize("path", ["columns", "rows"])
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            # strategy columns are read by name, not by header position
+            ("player,s1,s0,utility", "{p},{b},{a},{u}"),
+            # columns other than player, s0..sN and utility are ignored
+            ("source,player,s0,s1,utility", "grid,{p},{a},{b},{u}"),
+            ("player,s0,s1,utility,s3", "{p},{a},{b},{u},9"),
+        ],
+    )
+    def test_strategy_columns_by_name(self, tmp_path, monkeypatch, path, header, row):
+        if path == "rows":
+            monkeypatch.setattr(ingest, "columns", lambda *args, **kwargs: None)
+        lines = [header] + [
+            row.format(p=p, a=a, b=b, u=u)
+            for p, payoff in self.ONE_EQUILIBRIUM.items() for (a, b), u in payoff.items()
+        ]
+        game = tmp_path / "game.csv"
+        game.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["nash", "--game", str(game), "--out", str(out), "--quiet"]) == 0
+        assert (out / "equilibria.csv").read_text().splitlines() == ["s0,s1", "1,0"]
+
+
+class TestSeriesSlotIndex:
+    @pytest.mark.parametrize("path", ["columns", "rows"])
+    @pytest.mark.parametrize(
+        "slots, line",
+        [
+            (["0", "x", "2"], 3),
+            (["x", "7", "2"], 2),
+            (["-1", "1", "2"], 2),
+            (["0", "1.5", "2"], 3),
+            (["0", "2", "1"], 3),
+        ],
+    )
+    def test_must_count_from_zero(self, tmp_path, capsys, monkeypatch, path, slots, line):
+        if path == "rows":
+            monkeypatch.setattr(ingest, "columns", lambda *args, **kwargs: None)
+        header = "slot_index,load_kwh,gen_kwh\n"
+        (tmp_path / "pro.csv").write_text(header + "".join(f"{t},0.5,1.5\n" for t in slots))
+        (tmp_path / "con.csv").write_text(header + "".join(f"{t},1.2,0\n" for t in range(3)))
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("horizon = 3\nagent = p1 prosumer pro.csv\nagent = c1 consumer con.csv\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert f"pro.csv:{line}: " in capsys.readouterr().err
 
 
 class TestSweep:
@@ -567,9 +621,10 @@ _TABLES = {
 
 @hst.composite
 def _table(draw, name):
-    """The text of one input table.
+    """The text of one input table, and whether it is noisy.
 
     A noisy table may hold malformed cells and short rows, and may lack a column.
+    A clean series counts its slots 0, 1, 2, ...
     """
     columns = _TABLES[name]
     noisy = draw(hst.booleans())
@@ -580,14 +635,22 @@ def _table(draw, name):
     for k in range(draw(hst.integers(2, 4))):
         # rotated by row, so rows differ (ids, roles, signs) even where the draws repeat
         cells = [
+            str(k) if column == "slot_index" and not noisy else
             draw(hst.sampled_from(good[k % len(good):] + good[: k % len(good)]
                                   + (bad if noisy else [])))
-            for _, (good, bad) in columns
+            for column, (good, bad) in columns
         ]
         if noisy and draw(hst.booleans()):
             cells = cells[: draw(hst.integers(0, len(cells) - 1))]
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", noisy
+
+
+# the numeric columns the columnar fast path reads, as (ints, floats)
+_COLUMNAR = {
+    "game.csv": (("player", "s0"), ("utility",)),
+    "series.csv": (("slot_index",), ("load_kwh", "gen_kwh")),
+}
 
 
 class TestReadersNeverCrash:
@@ -595,10 +658,14 @@ class TestReadersNeverCrash:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=hst.data())
     def test_exit_0_or_1_and_finite_outputs(self, name, data):
-        text = data.draw(_table(name))
+        text, noisy = data.draw(_table(name))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / name).write_text(text)
+            if name in _COLUMNAR and not noisy:
+                # a clean table takes the fast path; a malformed cell sends a noisy one back
+                ints, floats = _COLUMNAR[name]
+                assert ingest.columns(tmp / name, ints=ints, floats=floats) is not None
             (tmp / "rus_ok.csv").write_text(
                 "id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n")
             (tmp / "sfcs_ok.csv").write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")

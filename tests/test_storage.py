@@ -1,5 +1,6 @@
 """Storage-sharing auction: determination, pricing, allocation, incentives."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,16 @@ class TestFollowerBestResponse:
     def test_zero_margin_shares_nothing(self):
         unit = ru("r", 40, 0.20, 0.01)
         assert follower_best_response(unit, 0.20) == 0.0
+
+    @pytest.mark.parametrize("reservation, price", [(0.20, 0.20), (0.0, -0.0)])
+    def test_at_the_reservation_price_keeps_the_sign_of_zero(self, reservation, price):
+        # np.clip's signed zero: +0.0 from p - r == 0, -0.0 from a price of -0.0 at r == 0
+        unit = ru("r", 40, reservation, 0.01)
+        share = follower_best_response(unit, price)
+        reference = float(np.clip((price - reservation) / 0.01, 0.0, 40))
+        assert share == reference == 0.0
+        sign = math.copysign(1.0, price)
+        assert math.copysign(1.0, share) == math.copysign(1.0, reference) == sign
 
     def test_large_price_clamps_at_capacity(self):
         unit = ru("r", 40, 0.20, 0.01)
