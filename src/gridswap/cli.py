@@ -30,7 +30,10 @@ from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError
-from .ingest import finite, positive
+from .ingest import finite, positive, positive_up_to
+
+# ic-check prices about 170 misreported auctions per trial
+_MAX_TRIALS = 10_000
 
 
 def _fmt(value) -> str:
@@ -175,6 +178,8 @@ def _read_game(path: Path) -> games.FiniteGame:
             key = tuple(map(int, key))
             if min(key) < 0:
                 raise InputError(f"player and strategy indices must be >= 0, got {key}")
+            if key in entries:
+                raise InputError(f"repeated row for player {key[0]}, profile {key[1:]}")
             entries[key] = finite(utility)
     if not entries:
         raise InputError(f"{path}: no utility rows")
@@ -406,6 +411,7 @@ def _cmd_ic_check(args) -> int:
             "scenarios": report.scenarios_checked,
             "deviations_checked": report.deviations_checked,
             "profitable_deviations": len(report.profitable_deviations),
+            "largest_gain": report.largest_gain,
             "ir_violations": len(report.ir_violations),
             "clean": report.clean,
         },
@@ -497,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shapley", help="coalition payoff division from an instance CSV")
     p.add_argument("--instance", required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--samples", type=positive, default=50_000)
+    p.add_argument("--samples", type=positive_up_to(co.MAX_SAMPLES), default=50_000)
     p.add_argument("--p-wp", type=finite, default=0.05)
     p.add_argument("--p-rp", type=finite, default=0.30)
     common(p, seed_default=0)
@@ -511,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_storage_auction)
 
     p = sub.add_parser("ic-check", help="search storage-auction misreports for profit")
-    p.add_argument("--trials", type=positive, default=100)
+    p.add_argument("--trials", type=positive_up_to(_MAX_TRIALS), default=100)
     p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
     common(p, seed_default=0)
     p.set_defaults(handler=_cmd_ic_check)

@@ -30,6 +30,9 @@ _ENUMERATION_LIMIT = 16
 # (7.4 MB and 0.11 s at 32 on a 2-CPU container, Python 3.11, numpy 2.4);
 # sampling takes over above it
 _EXACT_LIMIT = 32
+# Monte-Carlo Shapley work grows with the permutations sampled; the config's
+# mc_samples and the shapley --samples flag both stop here
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)

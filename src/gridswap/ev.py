@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import ingest
 from .errors import DomainError, InfeasibleError, InputError
@@ -266,6 +265,10 @@ def solve_social_welfare(
     returned welfare is reliable to well under 1e-6 on desk-scale instances.
     Raises InfeasibleError when capacity cannot cover minimum demand.
     """
+    # imported here: scipy more than doubles the package's import time and
+    # memory, and no CLI subcommand solves this program
+    from scipy.optimize import minimize
+
     _check_feasible(chargers, dischargers, eta)
     nj, ni = len(dischargers), len(chargers)
     row_caps, col_lo, col_hi = _polytope(chargers, dischargers, eta)

@@ -9,12 +9,13 @@ large numeric tables: numpy's C parser reads the named columns, and any file
 it cannot read exactly as `table` would goes back to `table`, whose rows and
 error messages stay the reference. `finite` is the one parser for numeric
 text, in files, configs and command-line flags alike; `positive` parses the
-counts command-line flags take.
+counts command-line flags take, and `positive_up_to` those it caps.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from contextlib import contextmanager
@@ -40,12 +41,23 @@ def finite(text: str) -> float:
     return value
 
 
-def positive(text: str) -> int:
-    """The integer >= 1 `text` spells; ValueError for anything else."""
+def positive(text: str, limit: int | None = None) -> int:
+    """The integer >= 1, and <= `limit` when one is given, that `text` spells;
+    ValueError for anything else."""
     value = int(text)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    if value < 1 or (limit is not None and value > limit):
+        bound = "" if limit is None else f" and <= {limit}"
+        raise ValueError(f"expected an integer >= 1{bound}, got {text!r}")
     return value
+
+
+def positive_up_to(limit: int):
+    """`positive` capped at `limit`, for a flag whose count sets the work done.
+
+    The parser keeps the name `positive`, so argparse reports an out-of-range
+    value as it reports one below 1.
+    """
+    return functools.wraps(positive)(functools.partial(positive, limit=limit))
 
 
 class Table:

@@ -32,8 +32,6 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
 _MAX_SUPPLIERS = 200
-# Monte-Carlo Shapley work grows with the permutations sampled per coalition
-_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(eq=False)
@@ -161,10 +159,10 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             options[key] = number(keys[key], line(key))
     if "mc_samples" in keys:
         samples = number(keys["mc_samples"], line("mc_samples"))
-        if not (samples.is_integer() and 1 <= samples <= _MAX_SAMPLES):
+        if not (samples.is_integer() and 1 <= samples <= co.MAX_SAMPLES):
             raise SchemaError(
                 f"{line('mc_samples')}: mc_samples must be an integer from 1 to "
-                f"{_MAX_SAMPLES}, got {keys['mc_samples']}"
+                f"{co.MAX_SAMPLES}, got {keys['mc_samples']}"
             )
         options["mc_samples"] = int(samples)
     if "rule" in keys:

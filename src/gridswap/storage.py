@@ -11,11 +11,16 @@ A residential unit that commits space `a` and sells `a - burden` of it
 realizes utility p*(a - burden) - r*a - (alpha/2)*a^2: revenue accrues only
 on space actually taken, while the reservation value and the quadratic
 inconvenience are sunk on the full commitment.
+
+One whole-array kernel, `_stackelberg_rows`, prices a batch of auctions of
+one shape without building their price grids, in O((R+M) log(R+M)) per
+auction for R units and M SFCs. `stackelberg_price` is one row of it; the
+incentive-compatibility search builds every misreport of a scenario,
+screens them as arrays, and prices all those of one shape in one call.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +32,11 @@ PROPORTIONAL = "proportional"
 EQUAL = "equal"
 
 _PRICE_RESOLUTION = 1e-4
+# grid indices stay exact in float64
+_MAX_GRID_POINTS = 2**53
+# about the largest temporary array, in elements, that the incentive
+# search builds per chunk of misreports (1 MB of float64)
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,28 @@ def determine_participants(rus: list[ResidentialUnit], sfcs: list[SfcAgent]):
     """
     if not rus:
         raise InputError("at least one residential unit is required")
-    v = vickrey_price(sfcs)
-    rus_in = [r for r in rus if r.reservation_price <= v]
-    if not rus_in:
-        return [], [], v
-    floor = min(r.reservation_price for r in rus_in)
-    sfcs_in = [s for s in sfcs if s.bid_price >= floor]
-    return rus_in, sfcs_in, v
+    if not sfcs:
+        raise InputError("at least one SFC bid is required")
+    v, rus_in, sfcs_in = _screen(
+        np.array([[r.reservation_price for r in rus]]), np.array([[s.bid_price for s in sfcs]])
+    )
+    return (
+        [r for r, k in zip(rus, rus_in[0]) if k],
+        [s for s, k in zip(sfcs, sfcs_in[0]) if k],
+        float(v[0]),
+    )
+
+
+def _screen(reservations: np.ndarray, bids: np.ndarray):
+    """`determine_participants` of each row: (Vickrey prices, unit mask, SFC mask).
+
+    `reservations` is (D, R) and `bids` is (D, M), both in input order.
+    """
+    ranked = np.sort(bids, axis=1)
+    v = ranked[:, -2] if bids.shape[1] > 1 else ranked[:, -1]
+    rus_in = reservations <= v[:, None]
+    floor = np.where(rus_in, reservations, np.inf).min(axis=1)
+    return v, rus_in, bids >= floor[:, None]
 
 
 def follower_best_response(ru: ResidentialUnit, price: float) -> float:
@@ -159,15 +184,9 @@ def stackelberg_price(
     the whole grid would compute it, is largest. S is continuous and
     nondecreasing, so the tie-break makes the result unique and deterministic.
 
-    The grid is never built. S is piecewise linear, so between its kinks, the
-    bids and the prices where S crosses a cumulative requirement the objective
-    is one concave quadratic (linear where S is flat). Pieces are visited best
-    continuous maximum first; each is snapped to the grid points around its
-    maximizer, and the search stops once no remaining piece can beat the best
-    grid value found. For R units and M SFCs, building and sorting the pieces
-    costs O((R+M) log(R+M)) and each grid point evaluated O(R+M); usually one
-    or two pieces, a handful of grid points, are evaluated. No cost depends on
-    the bids or on the resolution.
+    The inputs are validated here and priced as one row of the whole-array
+    kernel `_stackelberg_rows`, which never builds the grid: for R units and M
+    SFCs it costs O((R+M) log(R+M)), whatever the bids and the resolution.
     """
     if not rus:
         raise InputError("no participating residential units")
@@ -177,147 +196,200 @@ def stackelberg_price(
         raise InputError("requirements must be >= 0")
     if price_cap < price_floor:
         raise InputError(f"invalid price bounds [{price_floor}, {price_cap}]")
-    n = max(1, int(round((price_cap - price_floor) / resolution)) + 1)
-    delta = price_cap - price_floor
-    step = delta / (n - 1) if n > 1 else delta
+    if (price_cap - price_floor) / resolution >= _MAX_GRID_POINTS:
+        raise InputError(f"bounds [{price_floor}, {price_cap}] span too many grid points")
+    units = np.array([[u.reservation_price, u.reluctance, u.capacity] for u in rus]).T[:, None]
+    sfcs = np.array(demand, dtype=float).T[:, None]
+    bounds = np.array([[price_floor], [price_cap]], dtype=float)
+    return float(_stackelberg_rows(*units, *sfcs, *bounds, resolution)[0])
 
-    def price(i: int) -> float:
-        """The i-th point of numpy.linspace(price_floor, price_cap, n)."""
-        return price_cap if 0 < i == n - 1 else i * step + price_floor
 
-    if n == 1:
-        return price(0)
-    units = [(u.reservation_price, u.reluctance, u.capacity) for u in rus]
-    ranked = sorted(demand, key=lambda d: -d[1])  # stable: equal bids keep their order
-    reqs = [float(q) for q, _ in ranked]
-    bids = [float(b) for _, b in ranked]
-    pieces = sorted(_pieces(units, reqs, bids, price_floor, price_cap), key=lambda t: -t[0])
-    # covers rounding in the float objective and in the pieces' maxima
-    slack = 1e-9 * (abs(price_floor) + abs(price_cap) + max(map(abs, bids))) * (
-        math.fsum(reqs) + math.fsum(cap for *_, cap in units)
+def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOLUTION):
+    """`stackelberg_price` of each row of a batch of auctions that share one shape.
+
+    `res`, `rel` and `cap` are (B, R) arrays of the participating units'
+    reservation prices, reluctances and capacities in input order; `reqs` and
+    `bids` are (B, M) arrays of the SFCs' requirements and bids; `lo` and `hi`
+    hold each row's price bounds. Nothing is validated. The temporaries grow
+    with B*(R+M), so callers bound B.
+
+    The grid is never built. S is piecewise linear, so between its kinks, the
+    bid exits and the prices where S crosses a cumulative requirement the
+    objective is one concave quadratic (linear where S is flat). The pieces of
+    all rows are listed as flat ragged arrays, each with its continuous
+    maximum. The grid points around each row's best piece are evaluated
+    first; then, in one more call, those around every piece whose maximum can
+    still reach that row's best grid value. Listing and sorting the pieces
+    costs O((R+M) log(R+M)) per row and each grid point evaluated O(R+M); no
+    temporary is sized by units or SFCs times pieces.
+    """
+    n = np.round((hi - lo) / resolution).astype(np.int64) + 1
+    step = (hi - lo) / np.maximum(n - 1, 1)
+    prices = 0 * step + lo  # a single-point grid holds its floor
+    live = np.flatnonzero(n > 1)
+    if len(live):
+        batch = (res, rel, cap, reqs, bids, lo, hi, n, step)
+        if len(live) < len(lo):
+            batch = [x[live] for x in batch]
+        prices[live] = _grid_maximizers(*batch)
+    return prices
+
+
+def _grid_maximizers(res, rel, cap, reqs, bids, lo, hi, n, step):
+    """`_stackelberg_rows` for rows whose grid has n > 1 points."""
+    B, R = res.shape
+    M = bids.shape[1]
+    rows = np.arange(B)[:, None]
+    # best bid first; equal bids keep their order
+    rank = np.argsort(-bids, axis=1, kind="stable")
+    reqs, bids = reqs[rows, rank], bids[rows, rank]
+    # Q_j, the requirement of the first j SFCs, and sum_{i<j} b_i*q_i
+    sums = np.zeros((2, B, M + 1))
+    np.cumsum(np.array([reqs, bids * reqs]), axis=2, out=sums[:, :, 1:])
+    filled, paid = sums
+    # an SFC stays eligible up to its bid plus the 1e-12 slack of the objective
+    leave = bids[:, ::-1] + 1e-12
+
+    # S(p) = sat + lin1*p - lin0. Its kinks, sorted as the tuples (price, sign,
+    # reluctance, reservation, capacity added): sign +1 where a unit starts
+    # sharing, -1 where it is full. Units without capacity have none.
+    ones, zeros = np.ones((B, R)), np.zeros((B, R))
+    keys = np.concatenate(
+        [np.array([zeros, res, rel, ones, res]),
+         np.array([cap, res, rel, -ones, res + rel * cap])],
+        axis=2,
     )
-    best_i, best = -1, -math.inf
-    seen = set()
-    for top, x in pieces:
-        if top < best - slack:
-            break
-        # the grid points either side of x, and one more each way for rounding in x
-        below = int((x - price_floor) / step)
-        for i in range(max(below - 1, 0), min(below + 3, n)):
-            if i not in seen:
-                seen.add(i)
-                value = _saving(price(i), units, reqs, bids)
-                if value > best or (value == best and i < best_i):
-                    best_i, best = i, value
-    return price(best_i)
+    keys[4][np.concatenate([cap, cap], axis=1) <= 0] = np.inf
+    added, r, a, sign, at = keys[:, rows, np.lexsort(keys, axis=-1)]
+    # (active units, lin1, lin0, sat) after the first k kinks, summed in that order
+    running = np.zeros((4, B, 2 * R + 1))
+    np.cumsum(np.array([sign, sign / a, sign * r / a, added]), axis=2, out=running[:, :, 1:])
 
+    # the cuts are the bounds and the kinks and bid exits between them. Each
+    # item is sorted twice, once to be counted and once as a cut; the stable
+    # sort puts the counted copy of an equal value first, so a cut's cumsum
+    # counts the kinks and the exits at or below it
+    items = np.concatenate([at, leave, lo[:, None], hi[:, None]], axis=1)
+    W = items.shape[1]
+    order = np.argsort(np.concatenate([items, items], axis=1), axis=1, kind="stable")
+    is_cut = order >= W
+    counted = np.array([order < 2 * R, (order >= 2 * R) & (order < 2 * R + M)])
+    counted = np.cumsum(counted, axis=2)[:, is_cut].reshape(2, B, W)
+    cuts = items[rows, order[is_cut].reshape(B, W) - W]
+    keep = (cuts >= lo[:, None]) & (cuts <= hi[:, None])
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    row, col = np.nonzero(keep)
+    seg = np.flatnonzero(row[:-1] == row[1:])  # a segment [u, v] per two consecutive cuts
+    row, u, v = row[seg], cuts[row[seg], col[seg]], cuts[row[seg + 1], col[seg + 1]]
+    k, exits = counted[:, row, col[seg]]
+    m = M - exits  # SFCs past the m-th are priced out
+    active, lin1, lin0, sat = running[:, row, k]
+    # S(p) = s0 + s1*p on the segment, exactly flat where no unit is in its linear part
+    s1 = np.where(active == 0, 0.0, lin1)
+    s0 = np.where(active == 0, sat, sat - lin0)
 
-def _saving(p: float, units, reqs: list[float], bids: list[float]) -> float:
-    """The leader's objective at price p, with the float64 operations of its array form.
-
-    `units` holds (reservation, reluctance, capacity) per unit in input
-    order; `reqs` and `bids` are in descending bid order.
-    """
-    shares = []
-    for r, a, cap in units:
-        x = (p - r) / a
-        x = x if x > 0.0 else 0.0
-        shares.append(x if x < cap else cap)
-    space = _array_sum(shares)
-    cutoff = p - 1e-12
-    cum = 0.0
-    terms = []
-    for q, b in zip(reqs, bids):
-        wanted = q if b >= cutoff else 0.0
-        cum += wanted
-        x = space - (cum - wanted)
-        x = x if x > 0.0 else 0.0
-        terms.append((b - p) * (x if x < wanted else wanted))
-    return _array_sum(terms)
-
-
-def _pieces(units, reqs: list[float], bids: list[float], lo: float, hi: float):
-    """Yield (maximum, maximizer) of the objective on each piece of [lo, hi].
-
-    A piece is an interval on which the supply S(p) = s0 + s1*p is linear, the
-    eligible SFCs (the first m in bid order) are fixed, and so is the SFC j
-    being partly filled. There the objective is
-    sum_{i<j} (b_i - p)*q_i + (b_j - p)*(S(p) - Q_j), with Q_j the requirement
-    of the first j SFCs: concave, with its vertex at (b_j - s0/s1) / 2.
-    """
-    filled, paid = [0.0], [0.0]  # Q_j and sum_{i<j} b_i*q_i
-    for q, b in zip(reqs, bids):
-        filled.append(filled[-1] + q)
-        paid.append(paid[-1] + b * q)
-    # an SFC stays eligible up to its bid plus the 1e-12 slack of `_saving`
-    leave = sorted(b + 1e-12 for b in bids)
-    # (price, +1 where a unit starts sharing or -1 where it is full,
-    #  reluctance, reservation, capacity it adds from there on)
-    kinks = sorted(
-        [(r, 1, a, r, 0.0) for r, a, cap in units if cap > 0]
-        + [(r + a * cap, -1, a, r, cap) for r, a, cap in units if cap > 0]
+    # split each segment where S crosses a cumulative requirement: on piece j
+    # the first j SFCs are full and SFC j is partly filled (none is, at j = m)
+    reach = _count_at_most(
+        filled, np.concatenate([row, row]), np.concatenate([s0 + s1 * u, s0 + s1 * v])
     )
-    inner = [x for x in leave if lo < x < hi] + [x for x, *_ in kinks if lo < x < hi]
-    cuts = sorted({lo, hi, *inner})
-    # S(p) = sat + lin1*p - lin0, with `active` units in their linear part
-    sat = lin0 = lin1 = 0.0
-    active = k = 0
-    for u, v in zip(cuts, cuts[1:]):
-        while k < len(kinks) and kinks[k][0] <= u:
-            _, sign, a, r, cap = kinks[k]
-            active += sign
-            lin1 += sign / a
-            lin0 += sign * r / a
-            sat += cap
-            k += 1
-        if not active:
-            lin0 = lin1 = 0.0
-        s0, s1 = sat - lin0, lin1
-        m = len(bids) - bisect.bisect_right(leave, u)
-        # split [u, v] where S crosses a cumulative requirement
-        j = bisect.bisect_right(filled, s0 + s1 * u, 0, m + 1) - 1
-        last = bisect.bisect_right(filled, s0 + s1 * v, 0, m + 1) - 1 if s1 > 0 else j
-        start = u
-        while True:
-            end = min(max((filled[j + 1] - s0) / s1, start), v) if j < last else v
-            if j < m:
-                b, q = bids[j], filled[j]
-                x = min(max((b - s0 / s1) / 2, start), end) if s1 > 0 else start
-                yield paid[j] - x * q + (b - x) * (s0 + s1 * x - q), x
-            else:  # every eligible SFC is full: linear, decreasing
-                yield paid[m] - start * filled[m], start
-            if j == last:
-                break
-            start = end
-            j += 1
+    slope = s1 > 0
+    j0 = np.maximum(np.minimum(reach[:len(row)], m + 1), 1) - 1
+    last = np.where(slope, np.maximum(np.minimum(reach[len(row):], m + 1) - 1, j0), j0)
+    count = last - j0 + 1
+    piece = np.repeat(np.arange(len(row)), count)
+    j = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count - j0, count)
+    row, u, v, s0, s1, m, slope, j0, last = (
+        x[piece] for x in (row, u, v, s0, s1, m, slope, j0, last)
+    )
+    rise = np.where(slope, s1, 1.0)
+
+    def crossing(i):
+        """Where S reaches Q_{i+1} on the segment, clamped to it."""
+        return np.minimum(np.maximum((filled[row, np.minimum(i + 1, M)] - s0) / rise, u), v)
+
+    start = np.where(j > j0, crossing(np.maximum(j - 1, 0)), u)
+    end = np.where(j < last, crossing(j), v)
+    # on piece j the objective is sum_{i<j} (b_i - p)*q_i + (b_j - p)*(S(p) - Q_j),
+    # with its vertex at (b_j - s0/s1) / 2; at j = m it is linear and decreasing
+    partial = j < m
+    b, q, base = bids[row, np.minimum(j, M - 1)], filled[row, j], paid[row, j]
+    x = np.where(partial & slope, np.minimum(np.maximum((b - s0 / rise) / 2, start), end), start)
+    top = np.where(partial, base - x * q + (b - x) * (s0 + s1 * x - q), base - x * q)
+
+    # the grid points around each row's best piece; per row, the lowest of
+    # largest value
+    units, sfcs = np.array([res, rel, cap]), np.array([reqs, bids])
+    grid = np.array([lo, hi, step, n - 1])
+    below = ((x - lo[row]) / step[row]).astype(np.int64)  # the grid point at or below x
+    best = np.lexsort((-top, row))[np.searchsorted(row, np.arange(B))]
+    at_i = _window(below[best], n)
+    value = _objective(np.arange(B), at_i, units, sfcs, grid)
+    first = np.argmax(value, axis=1)
+    at_i, value = at_i[np.arange(B), first], value[np.arange(B), first]
+    # then around every other piece that can still reach that value; the
+    # slack covers rounding in the float objective and in the pieces' maxima
+    slack = 1e-9 * (np.abs(lo) + np.abs(hi) + np.abs(bids).max(axis=1)) * (
+        reqs.sum(axis=1) + cap.sum(axis=1)
+    )
+    others = np.flatnonzero((top >= (value - slack)[row]) & (below != below[best][row]))
+    if len(others):
+        more_i = _window(below[others], n[row[others]])
+        more = _objective(row[others], more_i, units, sfcs, grid)
+        at_row = np.concatenate([np.arange(B), np.repeat(row[others], 4)])
+        at_i, value = np.concatenate([at_i, more_i.ravel()]), np.concatenate([value, more.ravel()])
+        order = np.lexsort((at_i, -value, at_row))
+        at_i = at_i[order][np.searchsorted(at_row[order], np.arange(B))]
+    return _grid_price(at_i, *grid)
 
 
-def _array_sum(values: list[float]) -> float:
-    """Sum floats in the order numpy's float64 sum along a contiguous axis uses.
+def _count_at_most(table, row, x):
+    """Per query q, how many entries of the sorted row table[row[q]] are <= x[q]."""
+    B, W = table.shape
+    # the stable sort puts table entries before queries of equal row and value
+    order = np.lexsort((np.concatenate([table.ravel(), x]),
+                        np.concatenate([np.repeat(np.arange(B), W), row])))
+    query = np.flatnonzero(order >= B * W)
+    count = np.empty(len(x), dtype=np.int64)
+    count[order[query] - B * W] = query - np.arange(len(x)) - row[order[query] - B * W] * W
+    return count
 
-    That is pairwise summation: fewer than 8 values are added left to right,
-    up to 128 through eight interleaved partial sums, and longer runs are
-    split in two at a multiple of 8.
+
+def _window(below, n):
+    """The grid points either side of a point x, from the one at or below it,
+    and one more each way for rounding in x, clipped to the n points of the
+    grid: one row of four per x."""
+    return np.minimum(np.maximum(below[:, None] + np.arange(-1, 3), 0), n[:, None] - 1)
+
+
+def _objective(row, i, units, sfcs, grid):
+    """The leader's objective at grid points i[k, :] of row[k], as over the whole grid.
+
+    `units` stacks the rows' reservations, reluctances and capacities in
+    input order, `sfcs` their requirements and bids in bid order, and `grid`
+    their floors, caps, steps and last grid indices. Units and SFCs lie
+    along a contiguous last axis, so every sum takes numpy's own pairwise
+    order; np.minimum(np.maximum(x, lo), hi) is np.clip(x, lo, hi), signed
+    zeros included.
     """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        acc = values[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for v in values[tail:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _array_sum(values[:half]) + _array_sum(values[half:])
+    out = np.empty(i.shape)
+    size = max(1, _CHUNK_ELEMENTS // (i.shape[1] * (units.shape[2] + sfcs.shape[2])))
+    for k in range(0, len(i), size):
+        rk = np.repeat(row[k:k + size], i.shape[1])
+        p = _grid_price(i[k:k + size].ravel(), *grid[:, rk])[:, None]
+        res, rel, cap = units[:, rk]
+        reqs, bids = sfcs[:, rk]
+        space = np.minimum(np.maximum((p - res) / rel, 0.0), cap).sum(axis=1)
+        wanted = np.where(bids >= p - 1e-12, reqs, 0.0)
+        before = np.cumsum(wanted, axis=1) - wanted
+        filled = np.minimum(np.maximum(space[:, None] - before, 0.0), wanted)
+        out[k:k + size] = ((bids - p) * filled).sum(axis=1).reshape(-1, i.shape[1])
+    return out
+
+
+def _grid_price(i, lo, hi, step, last):
+    """The i-th point of numpy.linspace(lo, hi, last + 1), for last >= 1."""
+    return np.where(i == last, hi, i * step + lo)
 
 
 def allocate_shares(
@@ -345,46 +417,87 @@ def allocate_shares(
             raise InputError("proportional allocation needs reservation prices")
         if len(reservations) != len(shares):
             raise InputError("one reservation price per share is required")
+    taken, burdens = _allocate(
+        np.array(shares).reshape(1, -1),
+        np.array(requirements).reshape(1, -1),
+        rule,
+        None if reservations is None else [list(reservations)],
+    )
+    return taken[0].tolist(), burdens[0].tolist()
 
-    total_supply = math.fsum(shares)
-    allocations = []
-    left = total_supply
-    for q in requirements:
-        take = min(q, left)
-        allocations.append(take)
-        left -= take
 
-    unsold = max(total_supply - math.fsum(allocations), 0.0)
-    burdens = [0.0] * len(shares)
-    if unsold > 1e-12:
-        if rule == EQUAL:
+def _allocate(shares: np.ndarray, wanted: np.ndarray, rule: str, reservations):
+    """`allocate_shares` of each row of `shares` and `wanted`, on valid inputs.
+
+    A row of `wanted` holds the requirements in fill order. Each row's sums
+    are math.fsum, and each element's min, max and arithmetic are those of
+    the scalar loop: np.minimum(y, x) is min(x, y), ties and signed zeros
+    included.
+    """
+    total = np.array([math.fsum(row) for row in shares.tolist()])
+    taken = np.empty_like(wanted)
+    left = total
+    for k in range(wanted.shape[1]):
+        taken[:, k] = np.minimum(left, wanted[:, k])
+        left = left - taken[:, k]
+    unsold = np.maximum(0.0, total - np.array([math.fsum(row) for row in taken.tolist()]))
+    burdens = np.zeros_like(shares)
+    for g in np.flatnonzero(unsold > 1e-12).tolist():
+        weights = None if reservations is None else reservations[g]
+        burdens[g] = _waterfall(shares[g].tolist(), float(unsold[g]), rule, weights)
+    return taken, burdens
+
+
+def _waterfall(shares: list[float], unsold: float, rule: str, reservations) -> list[float]:
+    """Each unit's oversupply burden: `unsold` split by weight, capped at the unit's share."""
+    if rule == EQUAL:
+        weights = [1.0] * len(shares)
+    else:
+        weights = [float(w) for w in reservations]
+        if math.fsum(weights) <= 0:
             weights = [1.0] * len(shares)
+    burdens = [0.0] * len(shares)
+    remaining = unsold
+    open_units = [k for k in range(len(shares)) if shares[k] > 0]
+    # assign by weight, cap at the unit's own share, repeat
+    while remaining > 1e-12 and open_units:
+        wsum = math.fsum(weights[k] for k in open_units)
+        if wsum <= 0:
+            share_each = remaining / len(open_units)
+            step = {k: share_each for k in open_units}
         else:
-            weights = list(reservations)
-            if math.fsum(weights) <= 0:
-                weights = [1.0] * len(shares)
-        remaining = unsold
-        open_units = [k for k in range(len(shares)) if shares[k] > 0]
-        # waterfall: assign by weight, cap at the unit's own share, repeat
-        while remaining > 1e-12 and open_units:
-            wsum = math.fsum(weights[k] for k in open_units)
-            if wsum <= 0:
-                share_each = remaining / len(open_units)
-                step = {k: share_each for k in open_units}
-            else:
-                step = {k: remaining * weights[k] / wsum for k in open_units}
-            next_open = []
-            for k in open_units:
-                room = shares[k] - burdens[k]
-                add = min(step[k], room)
-                burdens[k] += add
-                remaining -= add
-                if burdens[k] < shares[k] - 1e-12:
-                    next_open.append(k)
-            if next_open == open_units:
-                break
-            open_units = next_open
-    return allocations, burdens
+            step = {k: remaining * weights[k] / wsum for k in open_units}
+        next_open = []
+        for k in open_units:
+            room = shares[k] - burdens[k]
+            add = min(step[k], room)
+            burdens[k] += add
+            remaining -= add
+            if burdens[k] < shares[k] - 1e-12:
+                next_open.append(k)
+        if next_open == open_units:
+            break
+        open_units = next_open
+    return burdens
+
+
+def _settle(price, res, rel, cap, reqs, bids, tie):
+    """Each row's shares at its price, and what its SFCs want in fill order.
+
+    `res`, `rel` and `cap` are (G, R) arrays of the participating units and
+    `reqs`, `bids` and `tie` (G, M) arrays of the participating SFCs, both in
+    input order; `price` is (G,). Returns (shares, fill, wanted): each unit
+    shares its best response, equal to follower_best_response bit for bit;
+    SFCs are filled best bid first, equal bids by `tie`, so fill[:, k] is the
+    column of the k-th, and wanted[:, k] its requirement, or 0.0 when its bid
+    is below the price. Allocating `wanted` in that order (`allocate_shares`,
+    or `_allocate` for many rows) completes the settlement.
+    """
+    rows = np.arange(len(price))[:, None]
+    p = price[:, None]
+    shares = np.minimum(cap, np.maximum(0.0, (p - res) / rel))
+    fill = np.lexsort((tie, -bids), axis=1)
+    return shares, fill, np.where(bids[rows, fill] >= p - 1e-12, reqs[rows, fill], 0.0)
 
 
 def ru_realized_utility(
@@ -422,43 +535,30 @@ def run_storage_auction(
     cap = max(s.bid_price for s in sfcs_in)
     demand = [(s.requirement, s.bid_price) for s in sfcs_in]
     price = stackelberg_price(rus_in, demand, v, cap)
-
-    shares = {r.id: follower_best_response(r, price) for r in rus_in}
-
-    eligible = sorted(
-        (s for s in sfcs_in if s.bid_price >= price - 1e-12),
-        key=lambda s: (-s.bid_price, s.id),
+    units = np.array([[r.reservation_price, r.reluctance, r.capacity] for r in rus_in]).T[:, None]
+    tie = np.unique([s.id for s in sfcs_in], return_inverse=True)[1][None]
+    sfcs_arrays = np.array(demand).T[:, None]
+    shares, fill, wanted = (
+        x[0].tolist() for x in _settle(np.array([price]), *units, *sfcs_arrays, tie)
     )
-    share_list = [shares[r.id] for r in rus_in]
-    allocations, burdens = allocate_shares(
-        share_list,
-        [s.requirement for s in eligible],
-        rule,
-        reservations=[r.reservation_price for r in rus_in],
+    taken, burdens = allocate_shares(
+        shares, wanted, rule, reservations=[r.reservation_price for r in rus_in]
     )
-
-    sfc_allocations = {s.id: 0.0 for s in sfcs_in}
-    sfc_allocations.update({s.id: a for s, a in zip(eligible, allocations)})
-    burden_map = {r.id: b for r, b in zip(rus_in, burdens)}
-
-    ru_utils = {
-        r.id: ru_realized_utility(r, price, shares[r.id], burden_map[r.id])
-        for r in rus_in
-    }
-    sfc_utils = {
-        s.id: (s.bid_price - price) * sfc_allocations[s.id] for s in sfcs_in
-    }
-
+    allocations = [0.0] * len(sfcs_in)
+    for k, amount in zip(fill, taken):
+        allocations[k] = amount
     return StorageAuctionOutcome(
         vickrey_price=v,
         auction_price=price,
         participating_rus=tuple(r.id for r in rus_in),
         participating_sfcs=tuple(s.id for s in sfcs_in),
-        shares=shares,
-        sfc_allocations=sfc_allocations,
-        burdens=burden_map,
-        ru_utilities=ru_utils,
-        sfc_utilities=sfc_utils,
+        shares={r.id: x for r, x in zip(rus_in, shares)},
+        sfc_allocations={s.id: a for s, a in zip(sfcs_in, allocations)},
+        burdens={r.id: b for r, b in zip(rus_in, burdens)},
+        ru_utilities={
+            r.id: ru_realized_utility(r, price, x, b) for r, x, b in zip(rus_in, shares, burdens)
+        },
+        sfc_utilities={s.id: (s.bid_price - price) * a for s, a in zip(sfcs_in, allocations)},
     )
 
 
@@ -505,30 +605,83 @@ class IcReport:
     deviations_checked: int
     profitable_deviations: list
     ir_violations: list
+    # the largest gain over all deviations, also below the tolerance; None when none was checked
+    largest_gain: float | None
 
     @property
     def clean(self) -> bool:
         return not self.profitable_deviations and not self.ir_violations
 
 
-def _ru_deviation_utility(
-    scenario: StorageScenario, ru: ResidentialUnit, reported: ResidentialUnit, rule: str
-) -> float:
-    """Realized utility of `ru` when the auction sees `reported` instead."""
-    rus = [reported if r.id == ru.id else r for r in scenario.rus]
-    out = run_storage_auction(rus, list(scenario.sfcs), rule)
-    if out.empty or ru.id not in out.shares:
-        return 0.0
-    committed = out.shares[ru.id]
-    burden = out.burdens.get(ru.id, 0.0)
-    # phantom capacity cannot be locked or delivered
-    locked = min(committed, ru.capacity)
-    sold = min(max(committed - burden, 0.0), locked)
-    return (
-        out.auction_price * sold
-        - ru.reservation_price * locked
-        - 0.5 * ru.reluctance * locked**2
-    )
+def _misreport_utilities(sc: StorageScenario, factors: list[float]) -> np.ndarray:
+    """The realized utility of each unilateral misreport in one scenario.
+
+    Rows run unit by unit, factor by factor, over the reservation price and
+    then the capacity; then SFC by SFC over the bid. Every row is screened as
+    arrays first; a unit its own report screens out realizes nothing, and no
+    auction runs for it. The other nonempty rows are priced with one
+    `_stackelberg_rows` call and settled with one `_settle` call per (units,
+    SFCs) shape, in chunks that keep each temporary array under about
+    `_CHUNK_ELEMENTS` elements.
+    """
+    units = np.array([[r.reservation_price, r.reluctance, r.capacity] for r in sc.rus])
+    sfcs = np.array([[s.requirement, s.bid_price] for s in sc.sfcs])
+    tie = np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]  # fill order of equal bids
+    R, M, F = len(units), len(sfcs), len(factors)
+    ru_rows = 2 * R * F
+    who = np.concatenate([np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
+    scale = np.concatenate([np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
+    rows = np.arange(len(who))
+    res, cap, bids = (np.tile(x, (len(rows), 1)) for x in (units[:, 0], units[:, 2], sfcs[:, 1]))
+    reports = (res, rows[:ru_rows:2]), (cap, rows[1:ru_rows:2]), (bids, rows[ru_rows:])
+    for reported, sel in reports:
+        reported[sel, who[sel]] *= scale[sel]
+    rel, reqs, tie = (np.broadcast_to(x, y.shape) for x, y in
+                      ((units[:, 1], res), (sfcs[:, 0], bids), (tie, bids)))
+
+    v, rus_in, sfcs_in = _screen(res, bids)
+    ru_row = rows < ru_rows
+    priced = rus_in.any(axis=1) & sfcs_in.any(axis=1)
+    priced[ru_row] &= rus_in[rows[ru_row], who[ru_row]]
+    # the deviator's place among the participants
+    place = np.where(
+        ru_row,
+        np.cumsum(rus_in, axis=1)[rows, np.minimum(who, R - 1)],
+        np.cumsum(sfcs_in, axis=1)[rows, np.minimum(who, M - 1)],
+    ) - 1
+    utilities = np.zeros(len(rows))
+    shape = rus_in.sum(axis=1) * (M + 1) + sfcs_in.sum(axis=1)
+    for key in np.unique(shape[priced]).tolist():
+        n_ru, n_sfc = divmod(key, M + 1)
+        same = np.flatnonzero(priced & (shape == key))
+        # the widest temporaries per row: five sort keys per kink, and two
+        # counts per item (kinks, exits, bounds) sorted twice
+        size = max(1, _CHUNK_ELEMENTS // (10 * n_ru + 4 * n_sfc + 8))
+        for g in (same[k:k + size] for k in range(0, len(same), size)):
+            unit_in = [x[g][rus_in[g]].reshape(len(g), n_ru) for x in (res, rel, cap)]
+            sfc_in = [x[g][sfcs_in[g]].reshape(len(g), n_sfc) for x in (reqs, bids, tie)]
+            price = _stackelberg_rows(*unit_in, *sfc_in[:2], v[g], sfc_in[1].max(axis=1))
+            shares, fill, wanted = _settle(price, *unit_in, *sfc_in)
+            taken, burdens = _allocate(shares, wanted, sc.rule, unit_in[0])
+            allocations = np.empty_like(taken)
+            allocations[np.arange(len(g))[:, None], fill] = taken
+            mine = ru_row[g]
+            unit = np.flatnonzero(mine), place[g[mine]]
+            # a unit realizes its true costs on what it can deliver: phantom
+            # capacity cannot be locked
+            committed, true = shares[unit], units[who[g[mine]]]
+            locked = np.minimum(true[:, 2], committed)
+            sold = np.minimum(locked, np.maximum(0.0, committed - burdens[unit]))
+            # Python's pow, as in the scalar formula
+            squared = np.array([x**2 for x in locked.tolist()])
+            utilities[g[mine]] = (
+                price[mine] * sold - true[:, 0] * locked - 0.5 * true[:, 1] * squared
+            )
+            buyer, sfc = g[~mine], who[g[~mine]]
+            bought = allocations[np.flatnonzero(~mine), place[buyer]]
+            bought = np.where(sfcs_in[buyer, sfc], bought, 0.0)
+            utilities[buyer] = (sfcs[sfc, 1] - price[~mine]) * bought
+    return utilities
 
 
 def check_incentive_compatibility(
@@ -542,12 +695,21 @@ def check_incentive_compatibility(
     through the multiplicative factor grid (default 0.5..1.5 step 0.05); the
     auction is re-run and realized utilities are compared against truthful
     play. Individual rationality of the truthful outcome is checked as well.
+    The report also keeps the largest gain found, even below the tolerance.
+
+    Each scenario's misreports are screened, priced and settled as arrays
+    (`_misreport_utilities`); the report equals that of one full
+    `run_storage_auction` per misreport, bit for bit.
     """
     if factors is None:
         factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
+    if not all(math.isfinite(f) and f >= 0 for f in factors):
+        raise InputError("misreport factors must be finite and >= 0")
+    factors = [f for f in factors if f != 1.0]
     profitable = []
     ir_violations = []
     checked = 0
+    largest = None
     for idx, sc in enumerate(scenarios):
         truthful = run_storage_auction(list(sc.rus), list(sc.sfcs), sc.rule)
         base_ru = {
@@ -565,49 +727,30 @@ def check_incentive_compatibility(
             if u < -gain_tolerance:
                 ir_violations.append((idx, aid, u))
 
-        for r in sc.rus:
-            for f in factors:
-                for param in ("reservation_price", "capacity"):
-                    if f == 1.0:
-                        continue
-                    kwargs = {
-                        "id": r.id,
-                        "capacity": r.capacity,
-                        "reservation_price": r.reservation_price,
-                        "reluctance": r.reluctance,
-                    }
-                    kwargs[param] = kwargs[param] * f
-                    u = _ru_deviation_utility(sc, r, ResidentialUnit(**kwargs), sc.rule)
-                    checked += 1
-                    gain = u - base_ru[r.id]
-                    if gain > gain_tolerance:
-                        profitable.append((idx, r.id, param, f, gain))
-
-        for s in sc.sfcs:
-            for f in factors:
-                if f == 1.0:
-                    continue
-                sfcs = [
-                    SfcAgent(x.id, x.requirement, x.bid_price * f)
-                    if x.id == s.id
-                    else x
-                    for x in sc.sfcs
-                ]
-                out = run_storage_auction(list(sc.rus), sfcs, sc.rule)
-                checked += 1
-                u = (
-                    (s.bid_price - out.auction_price) * out.sfc_allocations.get(s.id, 0.0)
-                    if not out.empty
-                    else 0.0
-                )
-                gain = u - truthful.sfc_utilities.get(s.id, 0.0)
-                if gain > gain_tolerance:
-                    profitable.append((idx, s.id, "bid_price", f, gain))
+        deviations = [
+            (r.id, param, f, base_ru[r.id])
+            for r in sc.rus
+            for f in factors
+            for param in ("reservation_price", "capacity")
+        ] + [
+            (s.id, "bid_price", f, truthful.sfc_utilities.get(s.id, 0.0))
+            for s in sc.sfcs
+            for f in factors
+        ]
+        utilities = _misreport_utilities(sc, factors).tolist()
+        for (aid, param, f, base), u in zip(deviations, utilities):
+            gain = u - base
+            checked += 1
+            if largest is None or gain > largest:
+                largest = gain
+            if gain > gain_tolerance:
+                profitable.append((idx, aid, param, f, gain))
     return IcReport(
         scenarios_checked=len(scenarios),
         deviations_checked=checked,
         profitable_deviations=profitable,
         ir_violations=ir_violations,
+        largest_gain=largest,
     )
 
 

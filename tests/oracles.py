@@ -5,9 +5,10 @@ max-flow over half-kWh units, welfare from an assignment solver, optimal EV
 welfare from exhaustive grid search, Shapley values from direct enumeration
 or a per-player subset loop, superadditivity from all 3^N disjoint pairs,
 the storage leader's price from a search over the whole price grid (it
-shares only the vectorized supply curve `supply_at` with the package), and
-the EV transfer-polytope projection from one capped-sum projection per row
-and per column in each Dykstra cycle.
+shares only the vectorized supply curve `supply_at` with the package), the
+incentive-compatibility report from one full `run_storage_auction` per
+misreport, and the EV transfer-polytope projection from one capped-sum
+projection per row and per column in each Dykstra cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from gridswap.errors import InputError
-from gridswap.storage import supply_at
+from gridswap.storage import (
+    IcReport,
+    ResidentialUnit,
+    SfcAgent,
+    ru_realized_utility,
+    run_storage_auction,
+    supply_at,
+)
 
 
 def _units(orders, unit):
@@ -263,6 +271,93 @@ def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4)
     filled = np.clip(supply[:, None] - before, 0.0, wanted)
     objective = ((bid[None, :] - grid[:, None]) * filled).sum(axis=1)
     return float(grid[int(np.argmax(objective))])
+
+
+def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1e-9):
+    """`check_incentive_compatibility` with one full auction run per misreport."""
+    if factors is None:
+        factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
+    profitable = []
+    ir_violations = []
+    checked = 0
+    largest = None
+
+    def record(idx, aid, param, f, gain):
+        nonlocal checked, largest
+        checked += 1
+        if largest is None or gain > largest:
+            largest = gain
+        if gain > gain_tolerance:
+            profitable.append((idx, aid, param, f, gain))
+
+    for idx, sc in enumerate(scenarios):
+        truthful = run_storage_auction(list(sc.rus), list(sc.sfcs), sc.rule)
+        base_ru = {
+            r.id: ru_realized_utility(
+                r,
+                truthful.auction_price if not truthful.empty else 0.0,
+                truthful.shares.get(r.id, 0.0),
+                truthful.burdens.get(r.id, 0.0),
+            )
+            if not truthful.empty
+            else 0.0
+            for r in sc.rus
+        }
+        for aid, u in {**base_ru, **truthful.sfc_utilities}.items():
+            if u < -gain_tolerance:
+                ir_violations.append((idx, aid, u))
+
+        for r in sc.rus:
+            for f in factors:
+                for param in ("reservation_price", "capacity"):
+                    if f == 1.0:
+                        continue
+                    kwargs = {
+                        "id": r.id,
+                        "capacity": r.capacity,
+                        "reservation_price": r.reservation_price,
+                        "reluctance": r.reluctance,
+                    }
+                    kwargs[param] = kwargs[param] * f
+                    reported = ResidentialUnit(**kwargs)
+                    rus = [reported if x.id == r.id else x for x in sc.rus]
+                    out = run_storage_auction(rus, list(sc.sfcs), sc.rule)
+                    u = 0.0
+                    if not out.empty and r.id in out.shares:
+                        committed = out.shares[r.id]
+                        burden = out.burdens.get(r.id, 0.0)
+                        # phantom capacity cannot be locked or delivered
+                        locked = min(committed, r.capacity)
+                        sold = min(max(committed - burden, 0.0), locked)
+                        u = (
+                            out.auction_price * sold
+                            - r.reservation_price * locked
+                            - 0.5 * r.reluctance * locked**2
+                        )
+                    record(idx, r.id, param, f, u - base_ru[r.id])
+
+        for s in sc.sfcs:
+            for f in factors:
+                if f == 1.0:
+                    continue
+                sfcs = [
+                    SfcAgent(x.id, x.requirement, x.bid_price * f) if x.id == s.id else x
+                    for x in sc.sfcs
+                ]
+                out = run_storage_auction(list(sc.rus), sfcs, sc.rule)
+                u = (
+                    (s.bid_price - out.auction_price) * out.sfc_allocations.get(s.id, 0.0)
+                    if not out.empty
+                    else 0.0
+                )
+                record(idx, s.id, "bid_price", f, u - truthful.sfc_utilities.get(s.id, 0.0))
+    return IcReport(
+        scenarios_checked=len(scenarios),
+        deviations_checked=checked,
+        profitable_deviations=profitable,
+        ir_violations=ir_violations,
+        largest_gain=largest,
+    )
 
 
 def project_capped_sum_loop(y: np.ndarray, lo: float, hi: float) -> np.ndarray:

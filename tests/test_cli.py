@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 
 import gridswap
 from gridswap import coalition, ev, ingest, scenario, storage, synth
-from gridswap.cli import main
+from gridswap.cli import _build_parser, main
 
 
 def snapshot(out_dir):
@@ -222,6 +222,28 @@ class TestNash:
         assert (out / "equilibria.csv").read_text().splitlines() == ["s0,s1", "1,0"]
 
 
+class TestGameRepeatedRow:
+    COMPLETE = ["player,s0,s1,utility"] + [
+        f"{p},{a},{b},{1 if a == b else 0}" for p in (0, 1) for a in (0, 1) for b in (0, 1)
+    ]
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            # a complete 2x2 game plus a repeat of its first row, on line 10
+            (COMPLETE + ["0,0,0,9"], 10),
+            # the last row missing as well: the repeat, on line 9, is what is reported
+            (COMPLETE[:-1] + ["0,0,0,9"], 9),
+        ],
+    )
+    def test_rejected_with_its_line(self, tmp_path, capsys, lines, line):
+        game = tmp_path / "game.csv"
+        game.write_text("\n".join(lines) + "\n")
+        assert main(["nash", "--game", str(game), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"game.csv:{line}: repeated row for player 0, profile (0, 0)" in err
+
+
 class TestSeriesSlotIndex:
     @pytest.mark.parametrize("path", ["columns", "rows"])
     @pytest.mark.parametrize(
@@ -280,7 +302,9 @@ class TestIcCheck:
         rc = main(["ic-check", "--trials", "4", "--seed", "5",
                    "--out", str(out), "--quiet"])
         assert rc == 0
-        assert "clean = True" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "clean = True" in summary
+        assert "largest_gain = 0.0" in summary
 
 
 class TestEvAuctionCmd:
@@ -530,6 +554,21 @@ class TestNonFiniteRejected:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "argv, flag, cap",
+        [
+            (["ic-check"], "--trials", 10_000),
+            (["shapley", "--instance", "i.csv"], "--samples", coalition.MAX_SAMPLES),
+        ],
+    )
+    def test_count_flag_cap(self, capsys, argv, flag, cap):
+        # parsing only: the capped sizes themselves never run
+        assert getattr(_build_parser().parse_args([*argv, flag, str(cap)]), flag[2:]) == cap
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([*argv, flag, str(cap + 1)])
+        assert exc.value.code == 2
+        assert f"{flag}: invalid positive value: '{cap + 1}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "decl, message",
         [
             ("r1 residential_unit - reservation=0.26 reluctance=0.0005",
@@ -697,3 +736,14 @@ class TestReadersNeverCrash:
                     except ValueError:
                         continue
                     assert math.isfinite(value), (written.name, token)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy runs only in the welfare reference solver, which no subcommand calls
+    env = dict(os.environ, PYTHONPATH=str(Path(gridswap.__file__).parents[1]))
+    probe = ("import sys, gridswap.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

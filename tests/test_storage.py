@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from oracles import stackelberg_price_grid
+from oracles import check_incentive_compatibility_loop, stackelberg_price_grid
 
 from gridswap import storage
 from gridswap.errors import InputError
@@ -167,6 +167,23 @@ def _pricing_case(rng):
     return rus, demand, floor, floor if rng.random() < 0.05 else float(ranked[-1])
 
 
+def _record_priced_rows(monkeypatch):
+    """Record each row the pricing kernel prices, as stackelberg_price arguments and price."""
+    rows = []
+    kernel = storage._stackelberg_rows
+
+    def record(res, rel, cap, reqs, bids, lo, hi, *rest):
+        prices = kernel(res, rel, cap, reqs, bids, lo, hi, *rest)
+        for b, price in enumerate(prices.tolist()):
+            units = [ru(f"r{k}", *unit) for k, unit in enumerate(zip(cap[b], res[b], rel[b]))]
+            demand = list(zip(reqs[b].tolist(), bids[b].tolist()))
+            rows.append(((units, demand, float(lo[b]), float(hi[b])), price))
+        return prices
+
+    monkeypatch.setattr(storage, "_stackelberg_rows", record)
+    return rows
+
+
 class TestGridFreePrice:
     """stackelberg_price returns exactly the full-grid search's price."""
 
@@ -177,17 +194,11 @@ class TestGridFreePrice:
             assert stackelberg_price(*args) == stackelberg_price_grid(*args), args
 
     def test_equals_grid_oracle_on_ic_check_calls(self, monkeypatch):
-        calls = []
-
-        def record(*args):
-            calls.append(args)
-            return stackelberg_price(*args)
-
-        monkeypatch.setattr(storage, "stackelberg_price", record)
+        rows = _record_priced_rows(monkeypatch)
         assert check_incentive_compatibility(make_ic_scenarios(20, 1)).clean
-        assert len(calls) > 3000
-        for args in calls:
-            assert stackelberg_price(*args) == stackelberg_price_grid(*args), args
+        assert len(rows) > 3000
+        for args, price in rows:
+            assert price == stackelberg_price_grid(*args), args
 
     def test_midpoint_ties_follow_the_array_rounding(self):
         # units sharing one reservation r put the vertex at (bid + r) / 2; here
@@ -399,6 +410,15 @@ class TestIncentiveCompatibility:
         assert any(param == "reservation_price" for _, _, param, _, _ in
                    report.profitable_deviations)
 
+    def test_reports_the_largest_gain(self):
+        # the pinned family's best misreport gains nothing; the search still says how close it came
+        report = check_incentive_compatibility(make_ic_scenarios(3, seed=4))
+        assert report.clean and report.largest_gain == 0.0
+        rus = [ru("r1", 500, 0.10, 0.002), ru("r2", 500, 0.10, 0.002)]
+        sfcs = [sfc("a", 90, 0.50), sfc("b", 30, 0.45)]
+        report = check_incentive_compatibility([StorageScenario(tuple(rus), tuple(sfcs), EQUAL)])
+        assert report.largest_gain == max(gain for *_, gain in report.profitable_deviations)
+
     def test_sfc_bid_inflation_weakly_hurts(self):
         scenarios = make_ic_scenarios(6, seed=21)
         for sc in scenarios:
@@ -412,3 +432,99 @@ class TestIncentiveCompatibility:
                 assert out.auction_price >= truthful.auction_price - 1e-9
                 u = (s.bid_price - out.auction_price) * out.sfc_allocations.get(s.id, 0.0)
                 assert u <= truthful.sfc_utilities[s.id] + 1e-9
+
+
+def _price_sensitive(count, seed, rule, units=(2, 10)):
+    """Scenarios whose supply is interior and price-sensitive, so misreports can pay."""
+    rng = np.random.default_rng(seed)
+    scenarios = []
+    for _ in range(count):
+        bids = np.sort(rng.uniform(0.25, 0.45, int(rng.integers(2, 5))))[::-1]
+        rus = [
+            ru(f"ru{j}", float(rng.uniform(5, 80)), float(rng.uniform(0.02, bids[1] * 1.05)),
+               float(rng.uniform(0.0005, 0.01)))
+            for j in range(int(rng.integers(*units)))
+        ]
+        total = sum(r.capacity for r in rus)
+        sfcs = [sfc(f"sfc{m}", float(rng.uniform(0.1, 0.8)) * total, float(b))
+                for m, b in enumerate(bids)]
+        scenarios.append(StorageScenario(tuple(rus), tuple(sfcs), rule))
+    return scenarios
+
+
+class TestIcSearchEqualsLoop:
+    """The whole-array search reports what one full auction per misreport reports, bit for bit."""
+
+    def test_pinned_family(self):
+        scenarios = make_ic_scenarios(100, 1)
+        report = check_incentive_compatibility(scenarios)
+        assert report == check_incentive_compatibility_loop(scenarios)
+        assert report.clean and report.deviations_checked == 16_860
+
+    @pytest.mark.parametrize("rule", [PROPORTIONAL, EQUAL])
+    def test_price_sensitive_family(self, rule):
+        scenarios = _price_sensitive(60, 3, rule)
+        report = check_incentive_compatibility(scenarios)
+        assert report == check_incentive_compatibility_loop(scenarios)
+        assert len(report.profitable_deviations) > 1000
+        assert report.ir_violations
+
+    def test_eight_or_more_units(self, monkeypatch):
+        # numpy's pairwise summation order matters from 8 units on
+        rows = _record_priced_rows(monkeypatch)
+        scenarios = _price_sensitive(3, 9, EQUAL, units=(8, 14))
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        assert report == check_incentive_compatibility_loop(scenarios)
+        assert report.profitable_deviations
+        assert sum(len(units) >= 8 for (units, *_), _ in rows) > 500
+
+    def test_misreport_that_screens_the_deviator_out(self, monkeypatch):
+        # r1 asks just under the Vickrey price of 0.30: each factor from 1.05
+        # up screens it out, and no auction is priced for those ten reports
+        rus = (ru("r1", 40, 0.29, 0.002), ru("r2", 60, 0.10, 0.002))
+        sfcs = (sfc("a", 80, 0.35), sfc("b", 50, 0.30))
+        scenarios = [StorageScenario(rus, sfcs, PROPORTIONAL)]
+        rows = _record_priced_rows(monkeypatch)
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        assert report == check_incentive_compatibility_loop(scenarios)
+        assert len(rows) == 1 + report.deviations_checked - 10
+        screened = ResidentialUnit("r1", 40, 0.29 * 1.05, 0.002)
+        assert run_storage_auction([screened, rus[1]], list(sfcs)).shares.keys() == {"r2"}
+
+    def test_misreport_that_moves_the_reservation_floor(self):
+        # r1 holds the lowest reservation, 0.20; reporting 0.23 or more lifts
+        # the floor above c's bid of 0.22, and c drops out of the auction
+        rus = (ru("r1", 40, 0.20, 0.002), ru("r2", 60, 0.25, 0.002))
+        sfcs = (sfc("a", 80, 0.35), sfc("b", 50, 0.30), sfc("c", 30, 0.22))
+        for rule in (PROPORTIONAL, EQUAL):
+            scenarios = [StorageScenario(rus, sfcs, rule)]
+            assert check_incentive_compatibility(scenarios) == check_incentive_compatibility_loop(
+                scenarios
+            )
+        lifted = ResidentialUnit("r1", 40, 0.20 * 1.15, 0.002)
+        assert [s.id for s in determine_participants(list(rus), list(sfcs))[1]] == ["a", "b", "c"]
+        _, sfcs_in, _ = determine_participants([lifted, rus[1]], list(sfcs))
+        assert [s.id for s in sfcs_in] == ["a", "b"]
+
+    def test_memory_on_a_large_scenario(self):
+        # 50 units and 20 SFCs: 2,400 misreports, each priced over 140 kinks and exits
+        rng = np.random.default_rng(2)
+        rus = tuple(
+            ru(f"u{k}", float(rng.uniform(30, 60)), float(rng.uniform(0.02, 0.12)),
+               float(rng.uniform(0.001, 0.003)))
+            for k in range(50)
+        )
+        bids = [0.37, 0.32] + list(rng.uniform(0.15, 0.32, 18))
+        sfcs = tuple(
+            sfc(f"f{m}", float(rng.uniform(50, 150)), float(b)) for m, b in enumerate(bids)
+        )
+        tracemalloc.start()
+        try:
+            report = check_incentive_compatibility([StorageScenario(rus, sfcs)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.deviations_checked == 2_400
+        assert peak < 16_000_000
