@@ -121,7 +121,7 @@ def _read_instance(path: Path, tariff: mk.Tariff) -> co.CoalitionInstance:
     with ingest.table(path, needed) as table:
         customers = tuple(
             co.Customer(cid.strip(), role.strip(), finite(net))
-            for cid, role, net in table.rows(*needed)
+            for cid, role, net in ingest.distinct_ids(table.rows(*needed))
         )
     return co.CoalitionInstance(customers, tariff)
 
@@ -131,7 +131,7 @@ def _read_rus(path: Path):
     with ingest.table(path, needed) as table:
         return [
             st.ResidentialUnit(rid.strip(), finite(capacity), finite(reservation), finite(alpha))
-            for rid, capacity, reservation, alpha in table.rows(*needed)
+            for rid, capacity, reservation, alpha in ingest.distinct_ids(table.rows(*needed))
         ]
 
 
@@ -140,7 +140,7 @@ def _read_sfcs(path: Path):
     with ingest.table(path, needed) as table:
         return [
             st.SfcAgent(sid.strip(), finite(requirement), finite(bid))
-            for sid, requirement, bid in table.rows(*needed)
+            for sid, requirement, bid in ingest.distinct_ids(table.rows(*needed))
         ]
 
 

@@ -5,10 +5,9 @@ at the wholesale price and any remaining deficiency is imported at the retail
 price. Because retail exceeds wholesale, pooling is superadditive and trading
 inside the community beats feeding the grid. Payoffs are divided by Shapley
 value, exactly up to _EXACT_LIMIT members and by seeded permutation sampling
-above. The exact division enumerates all 2^N subsets whole up to
-_ENUMERATION_LIMIT members; larger coalitions split the members into two
-halves and meet in the middle (Horowitz & Sahni, JACM 1974), so memory stays
-O(2^(N/2)).
+above. The exact division splits the members into two halves that meet in
+the middle (Horowitz & Sahni, JACM 1974) at every size: time O(N 2^(N/2)),
+memory O(2^(N/2)).
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from .market import Tariff
 SUPPLIER = "supplier"
 USER = "user"
 
-# the largest N whose 2^N subset arrays are built whole (512 kB each at 16)
+# the largest N whose core check builds its 2^N subset arrays whole
+# (512 kB each at 16)
 _ENUMERATION_LIMIT = 16
 # the largest N whose exact Shapley call stays under 8 MB of allocations
 # (7.4 MB and 0.11 s at 32 on a 2-CPU container, Python 3.11, numpy 2.4);
@@ -129,44 +129,29 @@ def is_superadditive(instance: CoalitionInstance):
     return False, ((seller,), (buyer,))
 
 
-def _size_weights(n: int) -> np.ndarray:
-    """Shapley weight |S|! (n - |S| - 1)! / n! of a subset S without the player, by |S|."""
-    fact = math.factorial
-    return np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
-
-
-def _shapley_enumerated(energies: np.ndarray, tariff: Tariff) -> list[float]:
-    """Each player's weighted marginal terms over all 2^N masks, summed in mask order."""
-    n = len(energies)
-    values = _net_value(_subset_sums(energies), tariff)
-    sizes = _subset_sums(np.ones(n)).astype(int)
-    weights = _size_weights(n)
-    phi = []
-    for i in range(n):
-        # masks split as (higher bits, bit i, lower bits); [:, 0] lacks player i
-        v = values.reshape(-1, 2, 1 << i)
-        w = weights[sizes.reshape(-1, 2, 1 << i)[:, 0]]
-        phi.append(float(np.add.accumulate((w * (v[:, 1] - v[:, 0])).ravel())[-1]))
-    return phi
-
-
-def _shapley_split(energies: np.ndarray, tariff: Tariff) -> list[float]:
-    """Exact Shapley values from the two halves' subset sums, in O(2^(N/2)) memory.
+def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
+    """Exact Shapley allocation, up to _EXACT_LIMIT players, in O(2^(N/2)) memory.
 
     v(S) = p_rp * x_S + (p_wp - p_rp) * max(x_S, 0) on the pooled net x_S, and
-    the p_rp terms sum to p_rp * e_i over the weights, so
+    the p_rp terms sum to p_rp * e_i over the Shapley weights
+    w_|S| = |S|! (N - |S| - 1)! / N!, so
     phi_i = p_rp * e_i + (p_wp - p_rp) * sum_S w_|S| [max(x_S + e_i, 0) - max(x_S, 0)]
-    over S without i. S joins a subset A of player i's half, without i, to a
-    subset B of the other half, and x_A + e_i is the sum of A + i, another
-    subset of the same half. So each half needs, for each of its subsets M
-    and each size a, g_a(M) = sum_B w_{a+|B|} max(x_M + y_B, 0). With the y_B
-    sorted from the largest down and prefix sums of w_{a+|B|} and
-    w_{a+|B|} * y_B, one searchsorted of all the x_M resolves every g_a.
-    Player i adds g_{|M|-1}(M) over the M holding it and subtracts g_{|M|}(M)
-    over the M without it.
+    over S without i. The players split into two halves that meet in the
+    middle. S joins a subset A of player i's half, without i, to a subset B of
+    the other half, and x_A + e_i is the sum of A + i, another subset of the
+    same half. So each half needs, for each of its subsets M and each size a,
+    g_a(M) = sum_B w_{a+|B|} max(x_M + y_B, 0). With the y_B sorted from the
+    largest down and prefix sums of w_{a+|B|} and w_{a+|B|} * y_B, one
+    searchsorted of all the x_M resolves every g_a. Player i adds
+    g_{|M|-1}(M) over the M holding it and subtracts g_{|M|}(M) over the M
+    without it. Time O(N 2^(N/2)).
     """
-    n = len(energies)
-    weights = _size_weights(n)
+    n = instance.n
+    if n > _EXACT_LIMIT:
+        raise SizeError(f"exact Shapley is limited to N <= {_EXACT_LIMIT}, got {n}")
+    energies = np.array([c.net_energy for c in instance.customers])
+    fact = math.factorial
+    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
     gain = np.zeros(n)
     half = n // 2
     for mine, theirs in ((range(half), range(half, n)), (range(half, n), range(half))):
@@ -191,25 +176,9 @@ def _shapley_split(energies: np.ndarray, tariff: Tariff) -> list[float]:
             # masks split as (higher bits, this bit, lower bits)
             pairs = (-1, 2, 1 << bit)
             gain[i] = np.sum(holding.reshape(pairs)[:, 1] - lacking.reshape(pairs)[:, 0])
+    tariff = instance.tariff
     phi = tariff.p_rp * energies + (tariff.p_wp - tariff.p_rp) * gain
-    return [float(p) for p in phi]
-
-
-def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
-    """Exact Shapley allocation, up to _EXACT_LIMIT players.
-
-    Up to _ENUMERATION_LIMIT players, each player's marginal terms over all
-    2^N subsets are weighted by |S|! (N - |S| - 1)! / N! and summed in mask
-    order. Above it the players split into two halves that meet in the
-    middle: time O(N 2^(N/2)), memory O(2^(N/2)).
-    """
-    n = instance.n
-    if n > _EXACT_LIMIT:
-        raise SizeError(f"exact Shapley is limited to N <= {_EXACT_LIMIT}, got {n}")
-    energies = np.array([c.net_energy for c in instance.customers])
-    kernel = _shapley_enumerated if n <= _ENUMERATION_LIMIT else _shapley_split
-    phi = kernel(energies, instance.tariff)
-    return PayoffAllocation({c.id: p for c, p in zip(instance.customers, phi)})
+    return PayoffAllocation({c.id: float(p) for c, p in zip(instance.customers, phi)})
 
 
 def shapley_monte_carlo(

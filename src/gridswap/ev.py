@@ -679,7 +679,8 @@ def read_ev_population_csv(path) -> tuple[list[ChargingEV], list[DischargingEV]]
     dischargers: list[DischargingEV] = []
     columns = ("id", "role", "w", "l1", "l2", "c_min", "c_max", "d_max")
     with ingest.table(path, ("id", "role")) as table:
-        for rid, role, w, l1, l2, c_min, c_max, d_max in table.rows(*columns):
+        rows = ingest.distinct_ids(table.rows(*columns))
+        for rid, role, w, l1, l2, c_min, c_max, d_max in rows:
             role = role.strip()
             if role == "charging":
                 chargers.append(

@@ -7,9 +7,11 @@ cells it names, and turns a bad-input error raised while the caller builds a
 row into one SchemaError naming file:line. `columns` is the fast path for
 large numeric tables: numpy's C parser reads the named columns, and any file
 it cannot read exactly as `table` would goes back to `table`, whose rows and
-error messages stay the reference. `finite` is the one parser for numeric
-text, in files, configs and command-line flags alike; `positive` parses the
-counts command-line flags take, and `positive_up_to` those it caps.
+error messages stay the reference. `distinct_ids` rejects the first row of an
+agent table whose id repeats an earlier one. `finite` is the one parser for
+numeric text, in files, configs and command-line flags alike; `positive`
+parses the counts command-line flags take, and `positive_up_to` those it
+caps.
 """
 
 from __future__ import annotations
@@ -84,6 +86,19 @@ class Table:
                     continue
                 row += pad[len(row):]
             yield pick(row)
+
+
+def distinct_ids(rows):
+    """Pass `rows` through, raising InputError at the first whose first cell,
+    stripped, repeats an earlier row's; read inside `table`, the error names
+    the repeat's line."""
+    seen = set()
+    for row in rows:
+        rid = row[0].strip()
+        if rid in seen:
+            raise InputError(f"repeated id {rid!r}")
+        seen.add(rid)
+        yield row
 
 
 @contextmanager

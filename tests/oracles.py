@@ -2,19 +2,21 @@
 
 These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, optimal EV
-welfare from exhaustive grid search, Shapley values from direct enumeration
-or a per-player subset loop, superadditivity from all 3^N disjoint pairs,
-the storage leader's price from a search over the whole price grid (it
-shares only the vectorized supply curve `supply_at` with the package), the
-incentive-compatibility report from one full `run_storage_auction` per
-misreport, and the EV transfer-polytope projection from one capped-sum
-projection per row and per column in each Dykstra cycle.
+welfare from exhaustive grid search, Shapley values from direct enumeration,
+a per-player subset loop or one in exact rational arithmetic,
+superadditivity from all 3^N disjoint pairs, the storage leader's price from
+a search over the whole price grid (it shares only the vectorized supply
+curve `supply_at` with the package), the incentive-compatibility report from
+one full `run_storage_auction` per misreport, and the EV transfer-polytope
+projection from one capped-sum projection per row and per column in each
+Dykstra cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -228,18 +230,54 @@ def is_superadditive_enumeration(instance):
 def shapley_exact_loop(instance):
     """Exact Shapley payoffs by id, one player and one subset at a time."""
     n = instance.n
-    values = _subset_values_loop(instance)
+    # plain floats: the same IEEE arithmetic as numpy scalars, without their overhead
+    values = _subset_values_loop(instance).tolist()
     fact = [math.factorial(k) for k in range(n + 1)]
-    phi = np.zeros(n)
+    weights = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    sizes = [bin(mask).count("1") for mask in range(1 << n)]
+    phi = [0.0] * n
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
                 continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[n - s - 1] / fact[n]
-            phi[i] += weight * (values[mask | bit] - values[mask])
-    return {c.id: float(phi[i]) for i, c in enumerate(instance.customers)}
+            phi[i] += weights[sizes[mask]] * (values[mask | bit] - values[mask])
+    return {c.id: phi[i] for i, c in enumerate(instance.customers)}
+
+
+def shapley_exact_fraction(instance):
+    """Exact Shapley payoffs by id as Fractions, over all 2^N masks.
+
+    Every float is a dyadic rational, so the nets are integers over one
+    common denominator and each subset sum, and each weighted marginal term
+    scaled by N!, is an exact Python int; the tariff prices enter as the exact
+    Fractions of their floats.
+    """
+    n = instance.n
+    nets = [Fraction(c.net_energy) for c in instance.customers]
+    scale = math.lcm(*(x.denominator for x in nets))
+    units = [int(x * scale) for x in nets]
+    sums = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + units[low.bit_length() - 1]
+    sizes = [bin(mask).count("1") for mask in range(1 << n)]
+    # |S|! (N - |S| - 1)! = N! times the Shapley weight of a subset S without the player
+    weight = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)]
+    wholesale, retail = Fraction(instance.tariff.p_wp), Fraction(instance.tariff.p_rp)
+    payoffs = {}
+    for i, c in enumerate(instance.customers):
+        bit = 1 << i
+        exported = imported = 0
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            before, after = sums[mask], sums[mask | bit]
+            w = weight[sizes[mask]]
+            exported += w * (max(after, 0) - max(before, 0))
+            imported += w * (max(-after, 0) - max(-before, 0))
+        payoffs[c.id] = (wholesale * exported - retail * imported) / (math.factorial(n) * scale)
+    return payoffs
 
 
 def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4):

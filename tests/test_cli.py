@@ -244,6 +244,36 @@ class TestGameRepeatedRow:
         assert f"game.csv:{line}: repeated row for player 0, profile (0, 0)" in err
 
 
+class TestRepeatedIdRejected:
+    RUS = "id,capacity,reservation_price,reluctance\na,60,0.10,0.002\nb,50,0.12,0.003\n"
+    SFCS = "id,requirement,bid_price\nx,500,0.35\ny,300,0.28\n"
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("rus.csv", RUS + "a,40,0.05,0.004\n", 4),
+            ("sfcs.csv", SFCS + "\nx,100,0.30\n", 5),
+            ("pop.csv", "id,role,w,l1,l2,c_min,c_max,d_max\nc1,charging,1.9,,,6,15,\n"
+             "c1,charging,2.0,,,5,14,\nd1,discharging,,0.04,0.02,,,16\n", 3),
+            ("instance.csv", "id,role,net_kwh\ns1,supplier,10\nu1,user,-8\n s1 ,supplier,4\n", 4),
+        ],
+    )
+    def test_rejected_with_its_line(self, tmp_path, capsys, name, text, line):
+        (tmp_path / "rus.csv").write_text(self.RUS)
+        (tmp_path / "sfcs.csv").write_text(self.SFCS)
+        (tmp_path / name).write_text(text)
+        storage = ["storage-auction", "--rus", str(tmp_path / "rus.csv"),
+                   "--sfcs", str(tmp_path / "sfcs.csv")]
+        argv = {
+            "rus.csv": storage,
+            "sfcs.csv": storage,
+            "pop.csv": ["ev-auction", "--population", str(tmp_path / name)],
+            "instance.csv": ["shapley", "--exact", "--instance", str(tmp_path / name)],
+        }[name]
+        assert main([*argv, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert f"{name}:{line}: repeated id " in capsys.readouterr().err
+
+
 class TestSeriesSlotIndex:
     @pytest.mark.parametrize("path", ["columns", "rows"])
     @pytest.mark.parametrize(
