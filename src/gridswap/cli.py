@@ -30,7 +30,7 @@ from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError
-from .ingest import finite, positive, positive_up_to
+from .ingest import finite, nonnegative, positive, positive_up_to
 
 # ic-check prices about 170 misreported auctions per trial
 _MAX_TRIALS = 10_000
@@ -478,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed_default=None):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=seed_default, help="random seed")
+        p.add_argument("--seed", type=nonnegative, default=seed_default, help="random seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
     p = sub.add_parser("run", help="run a full scenario simulation")

@@ -43,6 +43,14 @@ def finite(text: str) -> float:
     return value
 
 
+def nonnegative(text: str) -> int:
+    """The integer >= 0 that `text` spells; ValueError for anything else."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def positive(text: str, limit: int | None = None) -> int:
     """The integer >= 1, and <= `limit` when one is given, that `text` spells;
     ValueError for anything else."""

@@ -138,14 +138,20 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     def line(key: str) -> str:
         return f"{where}:{key_lines[key]}" if key in key_lines else where
 
+    def integer(key: str, default: str, low: int, high: int | None = None) -> int:
+        text = keys.get(key, default)
+        value = number(text, line(key))
+        if not (value.is_integer() and low <= value and (high is None or value <= high)):
+            bound = f">= {low}" if high is None else f"from {low} to {high}"
+            raise SchemaError(f"{line(key)}: {key} must be an integer {bound}, got {text}")
+        return int(value)
+
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{where}: unknown mechanism {mechanism!r}")
-    horizon = int(number(keys.get("horizon", "1"), line("horizon")))
-    if horizon < 1:
-        raise SchemaError(f"{where}: horizon must be >= 1")
-    slot_minutes = int(number(keys.get("slot_minutes", "15"), line("slot_minutes")))
-    seed = int(number(keys.get("seed", "0"), line("seed")))
+    horizon = integer("horizon", "1", 1)
+    slot_minutes = integer("slot_minutes", "15", 1)
+    seed = integer("seed", "0", 0)
     p_wp = number(keys.get("p_wp", "0.05"), line("p_wp"))
     p_rp = number(keys.get("p_rp", "0.30"), line("p_rp"))
     try:
@@ -158,13 +164,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
         if key in keys:
             options[key] = number(keys[key], line(key))
     if "mc_samples" in keys:
-        samples = number(keys["mc_samples"], line("mc_samples"))
-        if not (samples.is_integer() and 1 <= samples <= co.MAX_SAMPLES):
-            raise SchemaError(
-                f"{line('mc_samples')}: mc_samples must be an integer from 1 to "
-                f"{co.MAX_SAMPLES}, got {keys['mc_samples']}"
-            )
-        options["mc_samples"] = int(samples)
+        options["mc_samples"] = integer("mc_samples", "", 1, co.MAX_SAMPLES)
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
             raise SchemaError(f"{where}: rule must be proportional or equal")

@@ -15,8 +15,9 @@ inconvenience are sunk on the full commitment.
 One whole-array kernel, `_stackelberg_rows`, prices a batch of auctions of
 one shape without building their price grids, in O((R+M) log(R+M)) per
 auction for R units and M SFCs. `stackelberg_price` is one row of it; the
-incentive-compatibility search builds every misreport of a scenario,
-screens them as arrays, and prices all those of one shape in one call.
+incentive-compatibility search builds one batch per scenario, the truthful
+report and then every misreport, screens it as arrays, and prices all its
+rows of one shape in one call.
 """
 
 from __future__ import annotations
@@ -613,42 +614,49 @@ class IcReport:
         return not self.profitable_deviations and not self.ir_violations
 
 
-def _misreport_utilities(sc: StorageScenario, factors: list[float]) -> np.ndarray:
-    """The realized utility of each unilateral misreport in one scenario.
+def _report_utilities(sc: StorageScenario, factors: list[float]):
+    """Each agent's utility under truthful reports, and the deviator's under each misreport.
 
-    Rows run unit by unit, factor by factor, over the reservation price and
-    then the capacity; then SFC by SFC over the bid. Every row is screened as
-    arrays first; a unit its own report screens out realizes nothing, and no
-    auction runs for it. The other nonempty rows are priced with one
-    `_stackelberg_rows` call and settled with one `_settle` call per (units,
-    SFCs) shape, in chunks that keep each temporary array under about
-    `_CHUNK_ELEMENTS` elements.
+    Row 0 of the batch is the truthful report. The misreport rows follow unit
+    by unit, factor by factor, over the reservation price and then the
+    capacity; then SFC by SFC over the bid. Every row is screened as arrays
+    first; a unit its own report screens out realizes nothing, and no auction
+    runs for it. The other nonempty rows, the truthful one included, are
+    priced with one `_stackelberg_rows` call and settled with one `_settle`
+    call per (units, SFCs) shape, in chunks that keep each temporary array
+    under about `_CHUNK_ELEMENTS` elements. Each chunk's shares, burdens and
+    allocations go back to the agents' input positions, where every agent's
+    utility is taken at its true costs.
+
+    Returns (truthful, misreports): the units' and then the SFCs' truthful
+    utilities in input order, and the deviator's utility per misreport row.
     """
     units = np.array([[r.reservation_price, r.reluctance, r.capacity] for r in sc.rus])
     sfcs = np.array([[s.requirement, s.bid_price] for s in sc.sfcs])
     tie = np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]  # fill order of equal bids
     R, M, F = len(units), len(sfcs), len(factors)
     ru_rows = 2 * R * F
-    who = np.concatenate([np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
-    scale = np.concatenate([np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
+    # per row, the deviating unit or SFC and its factor; row 0 scales nothing
+    who = np.concatenate([[0], np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
+    scale = np.concatenate([[1.0], np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
     rows = np.arange(len(who))
     res, cap, bids = (np.tile(x, (len(rows), 1)) for x in (units[:, 0], units[:, 2], sfcs[:, 1]))
-    reports = (res, rows[:ru_rows:2]), (cap, rows[1:ru_rows:2]), (bids, rows[ru_rows:])
+    reports = (res, rows[1:ru_rows + 1:2]), (cap, rows[2:ru_rows + 1:2]), (bids, rows[ru_rows + 1:])
     for reported, sel in reports:
         reported[sel, who[sel]] *= scale[sel]
     rel, reqs, tie = (np.broadcast_to(x, y.shape) for x, y in
                       ((units[:, 1], res), (sfcs[:, 0], bids), (tie, bids)))
 
     v, rus_in, sfcs_in = _screen(res, bids)
-    ru_row = rows < ru_rows
+    ru_row = (rows > 0) & (rows <= ru_rows)
     priced = rus_in.any(axis=1) & sfcs_in.any(axis=1)
     priced[ru_row] &= rus_in[rows[ru_row], who[ru_row]]
-    # the deviator's place among the participants
-    place = np.where(
-        ru_row,
-        np.cumsum(rus_in, axis=1)[rows, np.minimum(who, R - 1)],
-        np.cumsum(sfcs_in, axis=1)[rows, np.minimum(who, M - 1)],
-    ) - 1
+    top = np.where(sfcs_in, bids, -np.inf).max(axis=1)  # each row's price cap
+    wide = np.flatnonzero(priced & ((top - v) / _PRICE_RESOLUTION >= _MAX_GRID_POINTS))
+    if len(wide):
+        raise InputError(f"bounds [{v[wide[0]]}, {top[wide[0]]}] span too many grid points")
+    column = np.where(rows > ru_rows, R + who, who)  # the deviator's, among units then SFCs
+    truthful = np.zeros(R + M)
     utilities = np.zeros(len(rows))
     shape = rus_in.sum(axis=1) * (M + 1) + sfcs_in.sum(axis=1)
     for key in np.unique(shape[priced]).tolist():
@@ -660,28 +668,32 @@ def _misreport_utilities(sc: StorageScenario, factors: list[float]) -> np.ndarra
         for g in (same[k:k + size] for k in range(0, len(same), size)):
             unit_in = [x[g][rus_in[g]].reshape(len(g), n_ru) for x in (res, rel, cap)]
             sfc_in = [x[g][sfcs_in[g]].reshape(len(g), n_sfc) for x in (reqs, bids, tie)]
-            price = _stackelberg_rows(*unit_in, *sfc_in[:2], v[g], sfc_in[1].max(axis=1))
+            price = _stackelberg_rows(*unit_in, *sfc_in[:2], v[g], top[g])
             shares, fill, wanted = _settle(price, *unit_in, *sfc_in)
             taken, burdens = _allocate(shares, wanted, sc.rule, unit_in[0])
             allocations = np.empty_like(taken)
             allocations[np.arange(len(g))[:, None], fill] = taken
-            mine = ru_row[g]
-            unit = np.flatnonzero(mine), place[g[mine]]
+            committed, burden = np.zeros((2, len(g), R))
+            committed[rus_in[g]], burden[rus_in[g]] = shares.ravel(), burdens.ravel()
+            bought = np.zeros((len(g), M))
+            bought[sfcs_in[g]] = allocations.ravel()
             # a unit realizes its true costs on what it can deliver: phantom
             # capacity cannot be locked
-            committed, true = shares[unit], units[who[g[mine]]]
-            locked = np.minimum(true[:, 2], committed)
-            sold = np.minimum(locked, np.maximum(0.0, committed - burdens[unit]))
+            locked = np.minimum(units[:, 2], committed)
+            sold = np.minimum(locked, np.maximum(0.0, committed - burden))
             # Python's pow, as in the scalar formula
-            squared = np.array([x**2 for x in locked.tolist()])
-            utilities[g[mine]] = (
-                price[mine] * sold - true[:, 0] * locked - 0.5 * true[:, 1] * squared
-            )
-            buyer, sfc = g[~mine], who[g[~mine]]
-            bought = allocations[np.flatnonzero(~mine), place[buyer]]
-            bought = np.where(sfcs_in[buyer, sfc], bought, 0.0)
-            utilities[buyer] = (sfcs[sfc, 1] - price[~mine]) * bought
-    return utilities
+            squared = np.array([x**2 for x in locked.ravel().tolist()]).reshape(locked.shape)
+            p = price[:, None]
+            agents = np.concatenate([
+                p * sold - units[:, 0] * locked - 0.5 * units[:, 1] * squared,
+                (sfcs[:, 1] - p) * bought,
+            ], axis=1)
+            utilities[g] = agents[np.arange(len(g)), column[g]]
+            if g[0] == 0:
+                truthful = agents[0]
+    # an SFC the truthful report screens out realizes 0.0, not (bid - price) * 0.0 = -0.0
+    truthful[R:][~sfcs_in[0]] = 0.0
+    return truthful, utilities[1:]
 
 
 def check_incentive_compatibility(
@@ -697,9 +709,9 @@ def check_incentive_compatibility(
     play. Individual rationality of the truthful outcome is checked as well.
     The report also keeps the largest gain found, even below the tolerance.
 
-    Each scenario's misreports are screened, priced and settled as arrays
-    (`_misreport_utilities`); the report equals that of one full
-    `run_storage_auction` per misreport, bit for bit.
+    Each scenario's truthful report and misreports are screened, priced and
+    settled as one batch (`_report_utilities`); the report equals that of one
+    full `run_storage_auction` per report, bit for bit.
     """
     if factors is None:
         factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
@@ -711,40 +723,21 @@ def check_incentive_compatibility(
     checked = 0
     largest = None
     for idx, sc in enumerate(scenarios):
-        truthful = run_storage_auction(list(sc.rus), list(sc.sfcs), sc.rule)
-        base_ru = {
-            r.id: ru_realized_utility(
-                r,
-                truthful.auction_price if not truthful.empty else 0.0,
-                truthful.shares.get(r.id, 0.0),
-                truthful.burdens.get(r.id, 0.0),
-            )
-            if not truthful.empty
-            else 0.0
-            for r in sc.rus
-        }
-        for aid, u in {**base_ru, **truthful.sfc_utilities}.items():
-            if u < -gain_tolerance:
-                ir_violations.append((idx, aid, u))
-
-        deviations = [
-            (r.id, param, f, base_ru[r.id])
-            for r in sc.rus
-            for f in factors
-            for param in ("reservation_price", "capacity")
-        ] + [
-            (s.id, "bid_price", f, truthful.sfc_utilities.get(s.id, 0.0))
-            for s in sc.sfcs
-            for f in factors
-        ]
-        utilities = _misreport_utilities(sc, factors).tolist()
-        for (aid, param, f, base), u in zip(deviations, utilities):
-            gain = u - base
-            checked += 1
-            if largest is None or gain > largest:
-                largest = gain
-            if gain > gain_tolerance:
-                profitable.append((idx, aid, param, f, gain))
+        truthful, misreports = _report_utilities(sc, factors)
+        agents = [(r.id, ("reservation_price", "capacity")) for r in sc.rus]
+        agents += [(s.id, ("bid_price",)) for s in sc.sfcs]
+        utilities = iter(misreports.tolist())  # in the batch's row order
+        for (aid, params), base in zip(agents, truthful.tolist()):
+            if base < -gain_tolerance:
+                ir_violations.append((idx, aid, base))
+            for f in factors:
+                for param in params:
+                    gain = next(utilities) - base
+                    checked += 1
+                    if largest is None or gain > largest:
+                        largest = gain
+                    if gain > gain_tolerance:
+                        profitable.append((idx, aid, param, f, gain))
     return IcReport(
         scenarios_checked=len(scenarios),
         deviations_checked=checked,

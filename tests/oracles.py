@@ -228,21 +228,21 @@ def is_superadditive_enumeration(instance):
 
 
 def shapley_exact_loop(instance):
-    """Exact Shapley payoffs by id, one player and one subset at a time."""
+    """Exact Shapley payoffs by id, one player at a time, its subsets added in mask order."""
     n = instance.n
-    # plain floats: the same IEEE arithmetic as numpy scalars, without their overhead
-    values = _subset_values_loop(instance).tolist()
+    values = _subset_values_loop(instance)
     fact = [math.factorial(k) for k in range(n + 1)]
-    weights = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    sizes = [bin(mask).count("1") for mask in range(1 << n)]
-    phi = [0.0] * n
-    for i in range(n):
+    weights = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    masks = np.arange(1 << n)
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    payoffs = {}
+    for i, c in enumerate(instance.customers):
         bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            phi[i] += weights[sizes[mask]] * (values[mask | bit] - values[mask])
-    return {c.id: phi[i] for i, c in enumerate(instance.customers)}
+        without = masks[masks & bit == 0]
+        terms = weights[sizes[without]] * (values[without | bit] - values[without])
+        # cumsum adds one term at a time, as `phi += term` from 0.0 would
+        payoffs[c.id] = float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+    return payoffs
 
 
 def shapley_exact_fraction(instance):

@@ -639,6 +639,58 @@ class TestMcSamples:
         assert samples == parsed and type(samples) is int
 
 
+class TestSeedAndSlotIntegers:
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize("command", ["run", "shapley", "ic-check", "sweep"])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, scenario_cfg,
+                                                 instance_csv, command):
+        argv = {
+            "run": ["run", "--config", str(scenario_cfg)],
+            "shapley": ["shapley", "--instance", str(instance_csv), "--samples", "10"],
+            "ic-check": ["ic-check", "--trials", "1"],
+            "sweep": ["sweep", "--config", str(scenario_cfg), "--param", "solar_fraction",
+                      "--values", "0.5"],
+        }[command]
+        code, err = self._main(tmp_path, capsys, [*argv, "--seed", "-1"])
+        assert code == 2
+        assert "--seed: invalid nonnegative value: '-1'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, bound",
+        [
+            ("horizon", "1.7", ">= 1"),
+            ("horizon", "0", ">= 1"),
+            ("slot_minutes", "-15", ">= 1"),
+            ("slot_minutes", "7.5", ">= 1"),
+            ("slot_minutes", "0", ">= 1"),
+            ("seed", "-3", ">= 0"),
+            ("seed", "0.5", ">= 0"),
+        ],
+    )
+    def test_config_value_rejected_at_load(self, tmp_path, capsys, key, value, bound):
+        cfg = tmp_path / "da.cfg"
+        cfg.write_text(
+            f"mechanism = double_auction\n{key} = {value}\n"
+            "agent = p1 prosumer -\nagent = c1 consumer -\n"
+        )
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert f"da.cfg:2: {key} must be an integer {bound}, got {value}" in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, parsed",
+        [("horizon", "96.0", 96), ("slot_minutes", "1", 1), ("seed", "0", 0), ("seed", "12", 12)],
+    )
+    def test_config_value_accepted_as_an_integer(self, tmp_path, key, value, parsed):
+        cfg = tmp_path / "da.cfg"
+        cfg.write_text(f"{key} = {value}\nagent = p1 prosumer -\n")
+        read = getattr(scenario.load_scenario(cfg), key)
+        assert read == parsed and type(read) is int
+
+
 class TestSweepValueRange:
     _main = TestNonFiniteRejected._main
 

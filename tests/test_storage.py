@@ -419,6 +419,14 @@ class TestIncentiveCompatibility:
         report = check_incentive_compatibility([StorageScenario(tuple(rus), tuple(sfcs), EQUAL)])
         assert report.largest_gain == max(gain for *_, gain in report.profitable_deviations)
 
+    @pytest.mark.parametrize("top", [1e12, 7e11])
+    def test_grid_span_checked_on_every_priced_report(self, top):
+        # 7e11 spans 7e15 grid points truthfully, under 2**53; its 1.5x misreport does not
+        rus = (ru("r1", 40, 0.20, 0.002), ru("r2", 60, 0.10, 0.002))
+        sfcs = (sfc("a", 80, top), sfc("b", 50, 0.30))
+        with pytest.raises(InputError, match="span too many grid points"):
+            check_incentive_compatibility([StorageScenario(rus, sfcs)])
+
     def test_sfc_bid_inflation_weakly_hurts(self):
         scenarios = make_ic_scenarios(6, seed=21)
         for sc in scenarios:
@@ -452,20 +460,38 @@ def _price_sensitive(count, seed, rule, units=(2, 10)):
     return scenarios
 
 
+def _assert_equals_loop(report, scenarios):
+    """`report` is the per-misreport loop's, signed zeros included."""
+    loop = check_incentive_compatibility_loop(scenarios)
+    assert report == loop
+    assert repr(report) == repr(loop)
+
+
 class TestIcSearchEqualsLoop:
     """The whole-array search reports what one full auction per misreport reports, bit for bit."""
 
     def test_pinned_family(self):
         scenarios = make_ic_scenarios(100, 1)
         report = check_incentive_compatibility(scenarios)
-        assert report == check_incentive_compatibility_loop(scenarios)
+        _assert_equals_loop(report, scenarios)
         assert report.clean and report.deviations_checked == 16_860
+
+    def test_truthful_reports_are_priced_in_the_batch(self, monkeypatch):
+        def separate(*args):
+            raise AssertionError("the truthful outcome must come from the misreports' batch")
+
+        monkeypatch.setattr(storage, "run_storage_auction", separate)
+        monkeypatch.setattr(storage, "ru_realized_utility", separate)
+        scenarios = make_ic_scenarios(5, 1)
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        _assert_equals_loop(report, scenarios)
 
     @pytest.mark.parametrize("rule", [PROPORTIONAL, EQUAL])
     def test_price_sensitive_family(self, rule):
         scenarios = _price_sensitive(60, 3, rule)
         report = check_incentive_compatibility(scenarios)
-        assert report == check_incentive_compatibility_loop(scenarios)
+        _assert_equals_loop(report, scenarios)
         assert len(report.profitable_deviations) > 1000
         assert report.ir_violations
 
@@ -475,7 +501,7 @@ class TestIcSearchEqualsLoop:
         scenarios = _price_sensitive(3, 9, EQUAL, units=(8, 14))
         report = check_incentive_compatibility(scenarios)
         monkeypatch.undo()
-        assert report == check_incentive_compatibility_loop(scenarios)
+        _assert_equals_loop(report, scenarios)
         assert report.profitable_deviations
         assert sum(len(units) >= 8 for (units, *_), _ in rows) > 500
 
@@ -488,7 +514,7 @@ class TestIcSearchEqualsLoop:
         rows = _record_priced_rows(monkeypatch)
         report = check_incentive_compatibility(scenarios)
         monkeypatch.undo()
-        assert report == check_incentive_compatibility_loop(scenarios)
+        _assert_equals_loop(report, scenarios)
         assert len(rows) == 1 + report.deviations_checked - 10
         screened = ResidentialUnit("r1", 40, 0.29 * 1.05, 0.002)
         assert run_storage_auction([screened, rus[1]], list(sfcs)).shares.keys() == {"r2"}
@@ -500,9 +526,7 @@ class TestIcSearchEqualsLoop:
         sfcs = (sfc("a", 80, 0.35), sfc("b", 50, 0.30), sfc("c", 30, 0.22))
         for rule in (PROPORTIONAL, EQUAL):
             scenarios = [StorageScenario(rus, sfcs, rule)]
-            assert check_incentive_compatibility(scenarios) == check_incentive_compatibility_loop(
-                scenarios
-            )
+            _assert_equals_loop(check_incentive_compatibility(scenarios), scenarios)
         lifted = ResidentialUnit("r1", 40, 0.20 * 1.15, 0.002)
         assert [s.id for s in determine_participants(list(rus), list(sfcs))[1]] == ["a", "b", "c"]
         _, sfcs_in, _ = determine_participants([lifted, rus[1]], list(sfcs))
