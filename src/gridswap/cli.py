@@ -34,6 +34,8 @@ from .ingest import finite, nonnegative, positive, positive_up_to
 
 # ic-check prices about 170 misreported auctions per trial
 _MAX_TRIALS = 10_000
+# 20x the default; an auction that never meets --eps runs every iteration
+_MAX_ITER = 10_000
 
 
 def _fmt(value) -> str:
@@ -496,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--eta", type=finite, default=evx.DEFAULT_ETA)
     p.add_argument("--eps", type=finite, default=1e-4)
-    p.add_argument("--max-iter", type=positive, default=500)
+    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=500)
     common(p)
     p.set_defaults(handler=_cmd_ev_auction)
 

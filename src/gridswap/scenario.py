@@ -32,6 +32,8 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
 _MAX_SUPPLIERS = 200
+# 366 days of 5-minute slots; the replay loop runs once per slot
+_MAX_HORIZON = 105_408
 
 
 @dataclass(eq=False)
@@ -149,7 +151,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{where}: unknown mechanism {mechanism!r}")
-    horizon = integer("horizon", "1", 1)
+    horizon = integer("horizon", "1", 1, _MAX_HORIZON)
     slot_minutes = integer("slot_minutes", "15", 1)
     seed = integer("seed", "0", 0)
     p_wp = number(keys.get("p_wp", "0.05"), line("p_wp"))

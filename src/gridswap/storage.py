@@ -14,10 +14,11 @@ inconvenience are sunk on the full commitment.
 
 One whole-array kernel, `_stackelberg_rows`, prices a batch of auctions of
 one shape without building their price grids, in O((R+M) log(R+M)) per
-auction for R units and M SFCs. `stackelberg_price` is one row of it; the
-incentive-compatibility search builds one batch per scenario, the truthful
-report and then every misreport, screens it as arrays, and prices all its
-rows of one shape in one call.
+auction for R units and M SFCs. `run_storage_auction` chains the one-row
+steps (`stackelberg_price` is one row of that kernel); `_auctions` screens,
+prices and settles a batch of whole auctions, one row per total for
+`requirement_sweep` and, for the incentive-compatibility search, the
+truthful report and every misreport of a scenario.
 """
 
 from __future__ import annotations
@@ -121,10 +122,6 @@ def determine_participants(rus: list[ResidentialUnit], sfcs: list[SfcAgent]):
     (participating_rus, participating_sfcs, vickrey_price); both lists are
     empty when no unit qualifies.
     """
-    if not rus:
-        raise InputError("at least one residential unit is required")
-    if not sfcs:
-        raise InputError("at least one SFC bid is required")
     v, rus_in, sfcs_in = _screen(
         np.array([[r.reservation_price for r in rus]]), np.array([[s.bid_price for s in sfcs]])
     )
@@ -140,6 +137,10 @@ def _screen(reservations: np.ndarray, bids: np.ndarray):
 
     `reservations` is (D, R) and `bids` is (D, M), both in input order.
     """
+    if not reservations.shape[1]:
+        raise InputError("at least one residential unit is required")
+    if not bids.shape[1]:
+        raise InputError("at least one SFC bid is required")
     ranked = np.sort(bids, axis=1)
     v = ranked[:, -2] if bids.shape[1] > 1 else ranked[:, -1]
     rus_in = reservations <= v[:, None]
@@ -153,16 +154,6 @@ def follower_best_response(ru: ResidentialUnit, price: float) -> float:
         raise InputError("price must be >= 0")
     # min/max, not np.clip: the same value and signed zero without numpy's per-call cost
     return float(min(max((price - ru.reservation_price) / ru.reluctance, 0.0), ru.capacity))
-
-
-def supply_at(rus: list[ResidentialUnit], prices) -> np.ndarray:
-    """Total shared space offered at each price (vectorized best responses)."""
-    p = np.atleast_1d(np.asarray(prices, dtype=float))
-    r = np.array([u.reservation_price for u in rus])
-    a = np.array([u.reluctance for u in rus])
-    cap = np.array([u.capacity for u in rus])
-    shares = np.clip((p[:, None] - r[None, :]) / a[None, :], 0.0, cap[None, :])
-    return shares.sum(axis=1)
 
 
 def stackelberg_price(
@@ -407,8 +398,7 @@ def allocate_shares(
     both cap a unit's burden at its own share and redistribute any excess
     until feasible.
     """
-    if rule not in (PROPORTIONAL, EQUAL):
-        raise InputError(f"allocation rule must be 'proportional' or 'equal', got {rule!r}")
+    _check_rule(rule)
     shares = [float(s) for s in shares]
     requirements = [float(q) for q in requirements]
     if any(s < 0 for s in shares) or any(q < 0 for q in requirements):
@@ -425,6 +415,11 @@ def allocate_shares(
         None if reservations is None else [list(reservations)],
     )
     return taken[0].tolist(), burdens[0].tolist()
+
+
+def _check_rule(rule: str) -> None:
+    if rule not in (PROPORTIONAL, EQUAL):
+        raise InputError(f"allocation rule must be 'proportional' or 'equal', got {rule!r}")
 
 
 def _allocate(shares: np.ndarray, wanted: np.ndarray, rule: str, reservations):
@@ -482,23 +477,57 @@ def _waterfall(shares: list[float], unsold: float, rule: str, reservations) -> l
     return burdens
 
 
-def _settle(price, res, rel, cap, reqs, bids, tie):
-    """Each row's shares at its price, and what its SFCs want in fill order.
+def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
+    """Screen, price and settle each row of a batch of whole auctions.
 
-    `res`, `rel` and `cap` are (G, R) arrays of the participating units and
-    `reqs`, `bids` and `tie` (G, M) arrays of the participating SFCs, both in
-    input order; `price` is (G,). Returns (shares, fill, wanted): each unit
-    shares its best response, equal to follower_best_response bit for bit;
-    SFCs are filled best bid first, equal bids by `tie`, so fill[:, k] is the
-    column of the k-th, and wanted[:, k] its requirement, or 0.0 when its bid
-    is below the price. Allocating `wanted` in that order (`allocate_shares`,
-    or `_allocate` for many rows) completes the settlement.
+    `res`, `rel` and `cap` are (D, R) arrays of the units' reservation prices,
+    reluctances and capacities, and `reqs`, `bids` and `tie` (D, M) arrays of
+    the SFCs' requirements, bids and ranks among equal bids, all in input
+    order. Rows where some unit passes `_screen` are priced with one
+    `_stackelberg_rows` call per (units, SFCs) shape, in chunks that keep each
+    temporary array under about `_CHUNK_ELEMENTS` elements, and settled as
+    `run_storage_auction` settles them, bit for bit.
+
+    Returns (rus_in, sfcs_in, price, committed, burden, bought): each row's
+    participation masks and price (NaN where no unit qualifies), and each
+    unit's committed space and burden and each SFC's allocation at input
+    positions, 0.0 for nonparticipants.
     """
-    rows = np.arange(len(price))[:, None]
-    p = price[:, None]
-    shares = np.minimum(cap, np.maximum(0.0, (p - res) / rel))
-    fill = np.lexsort((tie, -bids), axis=1)
-    return shares, fill, np.where(bids[rows, fill] >= p - 1e-12, reqs[rows, fill], 0.0)
+    _check_rule(rule)
+    v, rus_in, sfcs_in = _screen(res, bids)
+    top = np.where(sfcs_in, bids, -np.inf).max(axis=1)  # each row's price cap
+    # the top bid covers the cheapest qualifying reservation, so an SFC
+    # participates wherever a unit does
+    priced = rus_in.any(axis=1)
+    wide = np.flatnonzero(priced & ((top - v) / _PRICE_RESOLUTION >= _MAX_GRID_POINTS))
+    if len(wide):
+        raise InputError(f"bounds [{v[wide[0]]}, {top[wide[0]]}] span too many grid points")
+    price = np.full(len(v), np.nan)
+    committed, burden = np.zeros((2, *res.shape))
+    bought = np.zeros(bids.shape)
+    M = bids.shape[1]
+    shape = rus_in.sum(axis=1) * (M + 1) + sfcs_in.sum(axis=1)
+    for key in np.unique(shape[priced]).tolist():
+        n_ru, n_sfc = divmod(key, M + 1)
+        same = np.flatnonzero(priced & (shape == key))
+        # the widest temporaries per row: five sort keys per kink, and two
+        # counts per item (kinks, exits, bounds) sorted twice
+        size = max(1, _CHUNK_ELEMENTS // (10 * n_ru + 4 * n_sfc + 8))
+        for g in (same[k:k + size] for k in range(0, len(same), size)):
+            ru_at, sfc_at = np.nonzero(rus_in[g]), np.nonzero(sfcs_in[g])
+            r, a, c = (x[g][ru_at].reshape(len(g), n_ru) for x in (res, rel, cap))
+            q, b, t = (x[g][sfc_at].reshape(len(g), n_sfc) for x in (reqs, bids, tie))
+            p = _stackelberg_rows(r, a, c, q, b, v[g], top[g])[:, None]
+            shares = np.minimum(c, np.maximum(0.0, (p - r) / a))
+            rows = np.arange(len(g))[:, None]
+            fill = np.lexsort((t, -b), axis=1)
+            wanted = np.where(b[rows, fill] >= p - 1e-12, q[rows, fill], 0.0)
+            taken, burdens = _allocate(shares, wanted, rule, r)
+            price[g] = p[:, 0]
+            unit_col = ru_at[1].reshape(len(g), n_ru)
+            committed[g[:, None], unit_col], burden[g[:, None], unit_col] = shares, burdens
+            bought[g[:, None], sfc_at[1].reshape(len(g), n_sfc)[rows, fill]] = taken
+    return rus_in, sfcs_in, price, committed, burden, bought
 
 
 def ru_realized_utility(
@@ -522,32 +551,19 @@ def run_storage_auction(
 
     SFCs whose bid falls below the auction price take nothing (no buyer is
     ever forced to trade at a loss); the rest are filled in descending bid
-    order.
+    order, equal bids by id.
     """
+    _check_rule(rule)
     rus_in, sfcs_in, v = determine_participants(rus, sfcs)
-    if not rus_in or not sfcs_in:
-        return StorageAuctionOutcome(
-            vickrey_price=v,
-            auction_price=None,
-            participating_rus=tuple(r.id for r in rus_in),
-            participating_sfcs=tuple(s.id for s in sfcs_in),
-        )
-
-    cap = max(s.bid_price for s in sfcs_in)
+    if not rus_in:
+        return StorageAuctionOutcome(v, None, (), ())
     demand = [(s.requirement, s.bid_price) for s in sfcs_in]
-    price = stackelberg_price(rus_in, demand, v, cap)
-    units = np.array([[r.reservation_price, r.reluctance, r.capacity] for r in rus_in]).T[:, None]
-    tie = np.unique([s.id for s in sfcs_in], return_inverse=True)[1][None]
-    sfcs_arrays = np.array(demand).T[:, None]
-    shares, fill, wanted = (
-        x[0].tolist() for x in _settle(np.array([price]), *units, *sfcs_arrays, tie)
-    )
-    taken, burdens = allocate_shares(
-        shares, wanted, rule, reservations=[r.reservation_price for r in rus_in]
-    )
-    allocations = [0.0] * len(sfcs_in)
-    for k, amount in zip(fill, taken):
-        allocations[k] = amount
+    price = stackelberg_price(rus_in, demand, v, max(b for _, b in demand))
+    shares = [follower_best_response(r, price) for r in rus_in]
+    fill = sorted(range(len(sfcs_in)), key=lambda m: (-sfcs_in[m].bid_price, sfcs_in[m].id))
+    wanted = [demand[m][0] if demand[m][1] >= price - 1e-12 else 0.0 for m in fill]
+    taken, burdens = allocate_shares(shares, wanted, rule, [r.reservation_price for r in rus_in])
+    allocations = [a for _, a in sorted(zip(fill, taken))]  # back in input order
     return StorageAuctionOutcome(
         vickrey_price=v,
         auction_price=price,
@@ -569,27 +585,29 @@ def requirement_sweep(
     totals,
     rule: str = PROPORTIONAL,
 ):
-    """Re-run the auction with SFC requirements scaled to each total."""
+    """Re-run the auction with SFC requirements scaled to each total, one `_auctions` row each."""
     base = math.fsum(s.requirement for s in sfcs)
+    totals = [float(total) for total in totals]
+    reqs = [[SfcAgent(s.id, s.requirement * total / base, s.bid_price).requirement for s in sfcs]
+            for total in totals]
+    units = np.reshape([[r.reservation_price, r.reluctance, r.capacity] for r in rus], (-1, 3)).T
+    tie = np.unique([s.id for s in sfcs], return_inverse=True)[1]
+    res, rel, cap, bids, tie = (np.broadcast_to(x, (len(totals), len(x)))
+                                for x in (*units, [s.bid_price for s in sfcs], tie))
+    rus_in, _, price, committed, burden, _ = _auctions(
+        res, rel, cap, np.reshape(reqs, bids.shape), bids, tie, rule
+    )
     rows = []
-    for total in totals:
-        scaled = [
-            SfcAgent(s.id, s.requirement * total / base, s.bid_price) for s in sfcs
-        ]
-        out = run_storage_auction(rus, scaled, rule)
-        avg = (
-            math.fsum(out.ru_utilities.values()) / len(out.ru_utilities)
-            if out.ru_utilities
-            else 0.0
-        )
-        rows.append(
-            {
-                "total_requirement": float(total),
-                "auction_price": out.auction_price,
-                "total_shared": out.total_shared(),
-                "avg_ru_utility": avg,
-            }
-        )
+    for d, (total, p) in enumerate(zip(totals, price.tolist())):
+        units_in = [(r, x, b) for r, x, b, k in zip(
+            rus, committed[d].tolist(), burden[d].tolist(), rus_in[d].tolist()) if k]
+        utilities = [ru_realized_utility(r, p, x, b) for r, x, b in units_in]
+        rows.append({
+            "total_requirement": total,
+            "auction_price": p if units_in else None,
+            "total_shared": math.fsum(x for _, x, _ in units_in),
+            "avg_ru_utility": math.fsum(utilities) / len(utilities) if utilities else 0.0,
+        })
     return rows
 
 
@@ -619,14 +637,10 @@ def _report_utilities(sc: StorageScenario, factors: list[float]):
 
     Row 0 of the batch is the truthful report. The misreport rows follow unit
     by unit, factor by factor, over the reservation price and then the
-    capacity; then SFC by SFC over the bid. Every row is screened as arrays
-    first; a unit its own report screens out realizes nothing, and no auction
-    runs for it. The other nonempty rows, the truthful one included, are
-    priced with one `_stackelberg_rows` call and settled with one `_settle`
-    call per (units, SFCs) shape, in chunks that keep each temporary array
-    under about `_CHUNK_ELEMENTS` elements. Each chunk's shares, burdens and
-    allocations go back to the agents' input positions, where every agent's
-    utility is taken at its true costs.
+    capacity; then SFC by SFC over the bid. A unit that its own report
+    screens out realizes nothing, and no auction runs for that row; every
+    other row is one auction of one `_auctions` batch. Every agent's utility
+    is taken at its true costs.
 
     Returns (truthful, misreports): the units' and then the SFCs' truthful
     utilities in input order, and the deviator's utility per misreport row.
@@ -635,65 +649,48 @@ def _report_utilities(sc: StorageScenario, factors: list[float]):
     sfcs = np.array([[s.requirement, s.bid_price] for s in sc.sfcs])
     tie = np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]  # fill order of equal bids
     R, M, F = len(units), len(sfcs), len(factors)
-    ru_rows = 2 * R * F
-    # per row, the deviating unit or SFC and its factor; row 0 scales nothing
+    # per row, what is misreported (0 nothing, 1 a reservation price, 2 a
+    # capacity, 3 a bid), by which unit or SFC, and by which factor
+    kind = np.concatenate([[0], np.tile([1, 2], R * F), np.full(M * F, 3)])
     who = np.concatenate([[0], np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
     scale = np.concatenate([[1.0], np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
-    rows = np.arange(len(who))
-    res, cap, bids = (np.tile(x, (len(rows), 1)) for x in (units[:, 0], units[:, 2], sfcs[:, 1]))
-    reports = (res, rows[1:ru_rows + 1:2]), (cap, rows[2:ru_rows + 1:2]), (bids, rows[ru_rows + 1:])
-    for reported, sel in reports:
+    # a unit's reports keep the truthful bids, so its screen is at the truthful Vickrey price
+    unit_row = (kind == 1) | (kind == 2)
+    asked = units[np.where(unit_row, who, 0), 0] * np.where(kind == 1, scale, 1.0)
+    kept = np.flatnonzero(~unit_row | (asked <= vickrey_price(sc.sfcs)))
+    kind, who, scale = kind[kept], who[kept], scale[kept]
+    res, cap, bids = (np.tile(x, (len(kept), 1)) for x in (units[:, 0], units[:, 2], sfcs[:, 1]))
+    for reported, k in ((res, 1), (cap, 2), (bids, 3)):
+        sel = kind == k
         reported[sel, who[sel]] *= scale[sel]
-    rel, reqs, tie = (np.broadcast_to(x, y.shape) for x, y in
-                      ((units[:, 1], res), (sfcs[:, 0], bids), (tie, bids)))
+    rel, reqs, tie = (np.broadcast_to(x, (len(kept), len(x)))
+                      for x in (units[:, 1], sfcs[:, 0], tie))
+    _, sfcs_in, price, committed, burden, bought = _auctions(
+        res, rel, cap, reqs, bids, tie, sc.rule
+    )
 
-    v, rus_in, sfcs_in = _screen(res, bids)
-    ru_row = (rows > 0) & (rows <= ru_rows)
-    priced = rus_in.any(axis=1) & sfcs_in.any(axis=1)
-    priced[ru_row] &= rus_in[rows[ru_row], who[ru_row]]
-    top = np.where(sfcs_in, bids, -np.inf).max(axis=1)  # each row's price cap
-    wide = np.flatnonzero(priced & ((top - v) / _PRICE_RESOLUTION >= _MAX_GRID_POINTS))
-    if len(wide):
-        raise InputError(f"bounds [{v[wide[0]]}, {top[wide[0]]}] span too many grid points")
-    column = np.where(rows > ru_rows, R + who, who)  # the deviator's, among units then SFCs
-    truthful = np.zeros(R + M)
-    utilities = np.zeros(len(rows))
-    shape = rus_in.sum(axis=1) * (M + 1) + sfcs_in.sum(axis=1)
-    for key in np.unique(shape[priced]).tolist():
-        n_ru, n_sfc = divmod(key, M + 1)
-        same = np.flatnonzero(priced & (shape == key))
-        # the widest temporaries per row: five sort keys per kink, and two
-        # counts per item (kinks, exits, bounds) sorted twice
-        size = max(1, _CHUNK_ELEMENTS // (10 * n_ru + 4 * n_sfc + 8))
-        for g in (same[k:k + size] for k in range(0, len(same), size)):
-            unit_in = [x[g][rus_in[g]].reshape(len(g), n_ru) for x in (res, rel, cap)]
-            sfc_in = [x[g][sfcs_in[g]].reshape(len(g), n_sfc) for x in (reqs, bids, tie)]
-            price = _stackelberg_rows(*unit_in, *sfc_in[:2], v[g], top[g])
-            shares, fill, wanted = _settle(price, *unit_in, *sfc_in)
-            taken, burdens = _allocate(shares, wanted, sc.rule, unit_in[0])
-            allocations = np.empty_like(taken)
-            allocations[np.arange(len(g))[:, None], fill] = taken
-            committed, burden = np.zeros((2, len(g), R))
-            committed[rus_in[g]], burden[rus_in[g]] = shares.ravel(), burdens.ravel()
-            bought = np.zeros((len(g), M))
-            bought[sfcs_in[g]] = allocations.ravel()
-            # a unit realizes its true costs on what it can deliver: phantom
-            # capacity cannot be locked
-            locked = np.minimum(units[:, 2], committed)
-            sold = np.minimum(locked, np.maximum(0.0, committed - burden))
-            # Python's pow, as in the scalar formula
-            squared = np.array([x**2 for x in locked.ravel().tolist()]).reshape(locked.shape)
-            p = price[:, None]
-            agents = np.concatenate([
-                p * sold - units[:, 0] * locked - 0.5 * units[:, 1] * squared,
-                (sfcs[:, 1] - p) * bought,
-            ], axis=1)
-            utilities[g] = agents[np.arange(len(g)), column[g]]
-            if g[0] == 0:
-                truthful = agents[0]
+    # (batch row, agent) pairs: every agent in row 0, the deviator in each
+    # other row, with agents counted over units and then SFCs
+    at = np.concatenate([np.zeros(R + M, dtype=np.int64), np.arange(1, len(kept))])
+    col = np.concatenate([np.arange(R + M), np.where(kind == 3, R + who, who)[1:]])
+    p, unit = price[at], col < R
+    i, c = at[unit], col[unit]
+    # a unit realizes its true costs on what it can deliver: phantom capacity
+    # cannot be locked
+    locked = np.minimum(units[c, 2], committed[i, c])
+    sold = np.minimum(locked, np.maximum(0.0, committed[i, c] - burden[i, c]))
+    squared = np.array([x**2 for x in locked.tolist()])  # Python's pow, as in the scalar formula
+    utility = np.empty(len(at))
+    utility[unit] = p[unit] * sold - units[c, 0] * locked - 0.5 * units[c, 1] * squared
+    i, c = at[~unit], col[~unit] - R
+    utility[~unit] = (sfcs[c, 1] - p[~unit]) * bought[i, c]
+    utility[np.isnan(p)] = 0.0  # no unit qualified, so no auction ran
+    truthful = utility[:R + M]
     # an SFC the truthful report screens out realizes 0.0, not (bid - price) * 0.0 = -0.0
     truthful[R:][~sfcs_in[0]] = 0.0
-    return truthful, utilities[1:]
+    misreports = np.zeros(len(unit_row) - 1)
+    misreports[kept[1:] - 1] = utility[R + M:]
+    return truthful, misreports
 
 
 def check_incentive_compatibility(
@@ -710,8 +707,8 @@ def check_incentive_compatibility(
     The report also keeps the largest gain found, even below the tolerance.
 
     Each scenario's truthful report and misreports are screened, priced and
-    settled as one batch (`_report_utilities`); the report equals that of one
-    full `run_storage_auction` per report, bit for bit.
+    settled as one `_auctions` batch (`_report_utilities`); the report equals
+    that of one full auction per report, bit for bit.
     """
     if factors is None:
         factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]

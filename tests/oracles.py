@@ -5,9 +5,12 @@ max-flow over half-kWh units, welfare from an assignment solver, optimal EV
 welfare from exhaustive grid search, Shapley values from direct enumeration,
 a per-player subset loop or one in exact rational arithmetic,
 superadditivity from all 3^N disjoint pairs, the storage leader's price from
-a search over the whole price grid (it shares only the vectorized supply
-curve `supply_at` with the package), the incentive-compatibility report from
-one full `run_storage_auction` per misreport, and the EV transfer-polytope
+a search over the whole price grid (it shares no code with the package), a
+storage auction from the scalar steps priced by that grid search (it shares
+the screen, the best response and the oversupply split with
+`run_storage_auction`, but neither the pricing kernel nor the batch
+settlement), the incentive-compatibility report and the requirement sweep
+from one such auction per report or total, and the EV transfer-polytope
 projection from one capped-sum projection per row and per column in each
 Dykstra cycle.
 """
@@ -26,9 +29,11 @@ from gridswap.storage import (
     IcReport,
     ResidentialUnit,
     SfcAgent,
+    StorageAuctionOutcome,
+    allocate_shares,
+    determine_participants,
+    follower_best_response,
     ru_realized_utility,
-    run_storage_auction,
-    supply_at,
 )
 
 
@@ -280,6 +285,16 @@ def shapley_exact_fraction(instance):
     return payoffs
 
 
+def supply_at(rus, prices) -> np.ndarray:
+    """Total shared space offered at each price (vectorized best responses)."""
+    p = np.atleast_1d(np.asarray(prices, dtype=float))
+    r = np.array([u.reservation_price for u in rus])
+    a = np.array([u.reluctance for u in rus])
+    cap = np.array([u.capacity for u in rus])
+    shares = np.clip((p[:, None] - r[None, :]) / a[None, :], 0.0, cap[None, :])
+    return shares.sum(axis=1)
+
+
 def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4):
     """Leader's price choice on [price_floor, price_cap].
 
@@ -311,8 +326,62 @@ def stackelberg_price_grid(rus, demand, price_floor, price_cap, resolution=1e-4)
     return float(grid[int(np.argmax(objective))])
 
 
+def storage_auction_reference(rus, sfcs, rule):
+    """`run_storage_auction` with the leader's price from the whole-grid search.
+
+    The participants come from `determine_participants`, the price from the
+    whole-grid search, each unit's share from `follower_best_response`; SFCs
+    whose bid covers the price are filled best bid first, equal bids by id,
+    and `allocate_shares` splits the oversupply.
+    """
+    rus_in, sfcs_in, v = determine_participants(rus, sfcs)
+    if not rus_in:
+        return StorageAuctionOutcome(v, None, (), ())
+    demand = [(s.requirement, s.bid_price) for s in sfcs_in]
+    price = stackelberg_price_grid(rus_in, demand, v, max(b for _, b in demand))
+    shares = [follower_best_response(r, price) for r in rus_in]
+    fill = sorted(range(len(sfcs_in)), key=lambda m: (-sfcs_in[m].bid_price, sfcs_in[m].id))
+    wanted = [
+        sfcs_in[m].requirement if sfcs_in[m].bid_price >= price - 1e-12 else 0.0 for m in fill
+    ]
+    taken, burdens = allocate_shares(shares, wanted, rule, [r.reservation_price for r in rus_in])
+    allocations = [0.0] * len(sfcs_in)
+    for m, amount in zip(fill, taken):
+        allocations[m] = amount
+    return StorageAuctionOutcome(
+        vickrey_price=v,
+        auction_price=price,
+        participating_rus=tuple(r.id for r in rus_in),
+        participating_sfcs=tuple(s.id for s in sfcs_in),
+        shares={r.id: x for r, x in zip(rus_in, shares)},
+        sfc_allocations={s.id: a for s, a in zip(sfcs_in, allocations)},
+        burdens={r.id: b for r, b in zip(rus_in, burdens)},
+        ru_utilities={
+            r.id: ru_realized_utility(r, price, x, b) for r, x, b in zip(rus_in, shares, burdens)
+        },
+        sfc_utilities={s.id: (s.bid_price - price) * a for s, a in zip(sfcs_in, allocations)},
+    )
+
+
+def requirement_sweep_loop(rus, sfcs, totals, rule):
+    """`requirement_sweep` with one reference auction per total."""
+    base = math.fsum(s.requirement for s in sfcs)
+    rows = []
+    for total in totals:
+        scaled = [SfcAgent(s.id, s.requirement * total / base, s.bid_price) for s in sfcs]
+        out = storage_auction_reference(rus, scaled, rule)
+        utilities = list(out.ru_utilities.values())
+        rows.append({
+            "total_requirement": float(total),
+            "auction_price": out.auction_price,
+            "total_shared": out.total_shared(),
+            "avg_ru_utility": math.fsum(utilities) / len(utilities) if utilities else 0.0,
+        })
+    return rows
+
+
 def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1e-9):
-    """`check_incentive_compatibility` with one full auction run per misreport."""
+    """`check_incentive_compatibility` with one scalar reference auction per report."""
     if factors is None:
         factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
     profitable = []
@@ -329,7 +398,7 @@ def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1
             profitable.append((idx, aid, param, f, gain))
 
     for idx, sc in enumerate(scenarios):
-        truthful = run_storage_auction(list(sc.rus), list(sc.sfcs), sc.rule)
+        truthful = storage_auction_reference(list(sc.rus), list(sc.sfcs), sc.rule)
         base_ru = {
             r.id: ru_realized_utility(
                 r,
@@ -359,7 +428,7 @@ def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1
                     kwargs[param] = kwargs[param] * f
                     reported = ResidentialUnit(**kwargs)
                     rus = [reported if x.id == r.id else x for x in sc.rus]
-                    out = run_storage_auction(rus, list(sc.sfcs), sc.rule)
+                    out = storage_auction_reference(rus, list(sc.sfcs), sc.rule)
                     u = 0.0
                     if not out.empty and r.id in out.shares:
                         committed = out.shares[r.id]
@@ -382,7 +451,7 @@ def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1
                     SfcAgent(x.id, x.requirement, x.bid_price * f) if x.id == s.id else x
                     for x in sc.sfcs
                 ]
-                out = run_storage_auction(list(sc.rus), sfcs, sc.rule)
+                out = storage_auction_reference(list(sc.rus), sfcs, sc.rule)
                 u = (
                     (s.bid_price - out.auction_price) * out.sfc_allocations.get(s.id, 0.0)
                     if not out.empty

@@ -588,11 +588,13 @@ class TestNonFiniteRejected:
         [
             (["ic-check"], "--trials", 10_000),
             (["shapley", "--instance", "i.csv"], "--samples", coalition.MAX_SAMPLES),
+            (["ev-auction", "--population", "p.csv"], "--max-iter", 10_000),
         ],
     )
     def test_count_flag_cap(self, capsys, argv, flag, cap):
         # parsing only: the capped sizes themselves never run
-        assert getattr(_build_parser().parse_args([*argv, flag, str(cap)]), flag[2:]) == cap
+        parsed = _build_parser().parse_args([*argv, flag, str(cap)])
+        assert getattr(parsed, flag[2:].replace("-", "_")) == cap
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args([*argv, flag, str(cap + 1)])
         assert exc.value.code == 2
@@ -660,8 +662,10 @@ class TestSeedAndSlotIntegers:
     @pytest.mark.parametrize(
         "key, value, bound",
         [
-            ("horizon", "1.7", ">= 1"),
-            ("horizon", "0", ">= 1"),
+            ("horizon", "1.7", "from 1 to 105408"),
+            ("horizon", "0", "from 1 to 105408"),
+            ("horizon", "105409", "from 1 to 105408"),
+            ("horizon", "1000000000000", "from 1 to 105408"),
             ("slot_minutes", "-15", ">= 1"),
             ("slot_minutes", "7.5", ">= 1"),
             ("slot_minutes", "0", ">= 1"),
@@ -682,7 +686,8 @@ class TestSeedAndSlotIntegers:
 
     @pytest.mark.parametrize(
         "key, value, parsed",
-        [("horizon", "96.0", 96), ("slot_minutes", "1", 1), ("seed", "0", 0), ("seed", "12", 12)],
+        [("horizon", "96.0", 96), ("horizon", "105408", 105_408), ("slot_minutes", "1", 1),
+         ("seed", "0", 0), ("seed", "12", 12)],
     )
     def test_config_value_accepted_as_an_integer(self, tmp_path, key, value, parsed):
         cfg = tmp_path / "da.cfg"

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from oracles import check_incentive_compatibility_loop, stackelberg_price_grid
+from oracles import (
+    check_incentive_compatibility_loop,
+    requirement_sweep_loop,
+    stackelberg_price_grid,
+    storage_auction_reference,
+    supply_at,
+)
 
 from gridswap import storage
 from gridswap.errors import InputError
@@ -25,7 +31,6 @@ from gridswap.storage import (
     requirement_sweep,
     run_storage_auction,
     stackelberg_price,
-    supply_at,
     vickrey_price,
 )
 
@@ -368,6 +373,122 @@ class TestRunStorageAuction:
             assert min(out.sfc_utilities.values(), default=0.0) >= -1e-9
 
 
+def _auction_case(rng):
+    """One random auction: 1-5 units, 1-4 SFCs, half of them with repeated values.
+
+    Some units have no capacity or no reservation price, some ask above every
+    bid, so no unit qualifies and the auction is empty, and some SFC ids repeat.
+    """
+    units, sfcs = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    pooled = rng.random() < 0.5
+
+    def draw(pool, lo, hi, n):
+        return rng.choice(pool, n) if pooled else rng.uniform(lo, hi, n)
+
+    cap = np.where(rng.random(units) < 0.15, 0.0, draw([10.0, 40.0], 1, 100, units))
+    res = np.where(rng.random(units) < 0.15, 0.0, draw([0.1, 0.2, 0.3], 0.0, 0.5, units))
+    alpha = 10 ** rng.uniform(-4, 0, units)
+    bids = draw([0.2, 0.25, 0.3], 0.0, 0.45, sfcs)
+    reqs = draw([50.0, 100.0], 1, 200, sfcs)
+    ids = rng.integers(0, 3, sfcs) if rng.random() < 0.3 else range(sfcs)
+    rus = [ru(f"r{k}", float(cap[k]), float(res[k]), float(alpha[k])) for k in range(units)]
+    return rus, [sfc(f"s{m}", float(q), float(b)) for m, q, b in zip(ids, reqs, bids)]
+
+
+def _large_population():
+    """50 units and 20 SFCs; the top two bids are 0.05 apart."""
+    rng = np.random.default_rng(2)
+    rus = [
+        ru(f"u{k}", float(rng.uniform(30, 60)), float(rng.uniform(0.02, 0.12)),
+           float(rng.uniform(0.001, 0.003)))
+        for k in range(50)
+    ]
+    bids = [0.37, 0.32] + list(rng.uniform(0.15, 0.32, 18))
+    return rus, [sfc(f"f{m}", float(rng.uniform(50, 150)), float(b)) for m, b in enumerate(bids)]
+
+
+class TestAuctionEqualsReference:
+    """An auction, a row of an auction batch and a sweep row report what the scalar
+    reference reports, one auction at a time, bit for bit."""
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(17)
+        empty = 0
+        for _ in range(600):
+            rus, sfcs = _auction_case(rng)
+            for rule in (PROPORTIONAL, EQUAL):
+                out = run_storage_auction(rus, sfcs, rule)
+                assert repr(out) == repr(storage_auction_reference(rus, sfcs, rule)), (rus, sfcs)
+                empty += out.empty
+        assert empty > 50
+
+    @pytest.mark.parametrize("rule", [PROPORTIONAL, EQUAL])
+    def test_large_population(self, rule):
+        rus, sfcs = _large_population()
+        out = run_storage_auction(rus, sfcs, rule)
+        assert repr(out) == repr(storage_auction_reference(rus, sfcs, rule))
+        assert len(out.participating_rus) == 50
+
+    def test_batch_rows(self):
+        rng = np.random.default_rng(29)
+        shapes = {}  # (units, SFCs) -> auctions with distinct SFC ids
+        for _ in range(600):
+            rus, sfcs = _auction_case(rng)
+            if len({s.id for s in sfcs}) == len(sfcs):
+                shapes.setdefault((len(rus), len(sfcs)), []).append((rus, sfcs))
+        for rule in (PROPORTIONAL, EQUAL):
+            for cases in shapes.values():
+                res, rel, cap = (np.array([[getattr(r, f) for r in rus] for rus, _ in cases])
+                                 for f in ("reservation_price", "reluctance", "capacity"))
+                reqs, bids = (np.array([[getattr(s, f) for s in sfcs] for _, sfcs in cases])
+                              for f in ("requirement", "bid_price"))
+                tie = np.array([np.unique([s.id for s in sfcs], return_inverse=True)[1]
+                                for _, sfcs in cases])
+                rus_in, sfcs_in, price, committed, burden, bought = (
+                    x.tolist() for x in storage._auctions(res, rel, cap, reqs, bids, tie, rule)
+                )
+                for d, (rus, sfcs) in enumerate(cases):
+                    out = run_storage_auction(rus, sfcs, rule)
+                    units = [(r.id, k) for k, r in enumerate(rus) if rus_in[d][k]]
+                    row = (
+                        price[d] if units else None,
+                        {i: committed[d][k] for i, k in units},
+                        {i: burden[d][k] for i, k in units},
+                        {s.id: a for s, a, k in zip(sfcs, bought[d], sfcs_in[d]) if k},
+                    )
+                    assert repr(row) == repr(
+                        (out.auction_price, out.shares, out.burdens, out.sfc_allocations)
+                    ), (rus, sfcs)
+
+    def test_requirement_sweep_rows(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            rus, sfcs = _auction_case(rng)
+            totals = rng.uniform(10, 500, int(rng.integers(1, 6))).tolist()
+            rule = EQUAL if rng.random() < 0.5 else PROPORTIONAL
+            rows = requirement_sweep(rus, sfcs, totals, rule)
+            assert repr(rows) == repr(requirement_sweep_loop(rus, sfcs, totals, rule))
+
+
+class TestRuleChecked:
+    """An unknown allocation rule is refused before any auction runs."""
+
+    # the unit asks more than the Vickrey price, so no auction is priced
+    RUS = [ru("r1", 50, 0.50, 0.01)]
+    SFCS = [sfc("a", 100, 0.30), sfc("b", 100, 0.25)]
+
+    @pytest.mark.parametrize("entry", [
+        lambda rus, sfcs: run_storage_auction(rus, sfcs, rule="bogus"),
+        lambda rus, sfcs: requirement_sweep(rus, sfcs, [100, 200], rule="bogus"),
+        lambda rus, sfcs: check_incentive_compatibility([
+            StorageScenario(sc.rus, sc.sfcs, "bogus") for sc in make_ic_scenarios(3, 1)
+        ]),
+    ], ids=["run_storage_auction", "requirement_sweep", "check_incentive_compatibility"])
+    def test_unknown_rule(self, entry):
+        with pytest.raises(InputError, match="allocation rule must be 'proportional' or 'equal'"):
+            entry(self.RUS, self.SFCS)
+
+
 class TestRequirementSweep:
     def test_rows_cover_requested_totals(self):
         rus = [ru("r1", 100, 0.26, 0.0005), ru("r2", 100, 0.265, 0.0004)]
@@ -377,6 +498,17 @@ class TestRequirementSweep:
         prices = [r["auction_price"] for r in rows]
         assert all(p is not None for p in prices)
         assert prices == sorted(prices)
+
+    @pytest.mark.parametrize("totals, message", [
+        ([0], "SFC 'a' requirement must be > 0"),
+        ([100, -5], "SFC 'a' requirement must be > 0"),
+        ([1e308, 100], "SFC 'a' needs finite requirement and bid"),
+    ])
+    def test_scaled_requirements_validated(self, totals, message):
+        rus = [ru("r1", 100, 0.26, 0.0005)]
+        sfcs = [sfc("a", 100, 0.40), sfc("b", 100, 0.28)]
+        with pytest.raises(InputError, match=message):
+            requirement_sweep(rus, sfcs, totals)
 
 
 class TestIncentiveCompatibility:
@@ -534,19 +666,10 @@ class TestIcSearchEqualsLoop:
 
     def test_memory_on_a_large_scenario(self):
         # 50 units and 20 SFCs: 2,400 misreports, each priced over 140 kinks and exits
-        rng = np.random.default_rng(2)
-        rus = tuple(
-            ru(f"u{k}", float(rng.uniform(30, 60)), float(rng.uniform(0.02, 0.12)),
-               float(rng.uniform(0.001, 0.003)))
-            for k in range(50)
-        )
-        bids = [0.37, 0.32] + list(rng.uniform(0.15, 0.32, 18))
-        sfcs = tuple(
-            sfc(f"f{m}", float(rng.uniform(50, 150)), float(b)) for m, b in enumerate(bids)
-        )
+        rus, sfcs = _large_population()
         tracemalloc.start()
         try:
-            report = check_incentive_compatibility([StorageScenario(rus, sfcs)])
+            report = check_incentive_compatibility([StorageScenario(tuple(rus), tuple(sfcs))])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
