@@ -280,16 +280,8 @@ def _cmd_ev_auction(args) -> int:
     _write_csv(out / "allocation.csv", ["from", "to", "sent_kwh", "delivered_kwh"], rows)
     _write_csv(
         out / "trace.csv",
-        ["iteration", "welfare", "max_price_change"],
-        [
-            [k, w, change]
-            for k, (w, change) in enumerate(
-                zip(
-                    result.trace.welfare_history,
-                    [None] + result.trace.price_change_history,
-                )
-            )
-        ],
+        ["iteration", "welfare", "gap", "max_price_change"],
+        [list(row) for row in result.trace.checks],
     )
     settle_rows = [
         ["buyer", cid, cash] for cid, cash in sorted(result.settlement.buyer_payments.items())
@@ -303,7 +295,9 @@ def _cmd_ev_auction(args) -> int:
             "converged": result.trace.converged,
             "iterations": result.trace.iterations,
             "price": result.settlement.price,
-            "welfare": result.trace.welfare_history[-1] if result.trace.welfare_history else None,
+            "welfare": result.trace.checks[-1][1],
+            "gap": result.trace.checks[-1][2],
+            "feasibility_residual": result.trace.residual,
         },
     )
     _manifest(
@@ -494,11 +488,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=_cmd_clear)
 
-    p = sub.add_parser("ev-auction", help="iterative EV double auction from a population CSV")
+    p = sub.add_parser("ev-auction", help="EV price auction from a population CSV")
     p.add_argument("--population", required=True)
     p.add_argument("--eta", type=finite, default=evx.DEFAULT_ETA)
-    p.add_argument("--eps", type=finite, default=1e-4)
-    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=500)
+    p.add_argument("--eps", type=finite, default=1e-4,
+                   help="stop once the certified welfare gap is at most this ($)")
+    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=500,
+                   help="at most this many price steps; a stop here is reported unconverged")
     common(p)
     p.set_defaults(handler=_cmd_ev_auction)
 

@@ -4,12 +4,12 @@ Charging vehicles earn log-shaped satisfaction above their minimum demand,
 discharging vehicles carry quadratic-plus-linear supply costs, and energy
 loses a factor eta in transit. The social optimum maximizes total
 satisfaction minus cost over the bipartite flow matrix; the iterative double
-auction reaches the same point through price messages alone: vehicles quote
-their marginal values and costs, the auctioneer nudges the allocation toward
-the reported surplus gradient, and the loop stops once quotes settle.
+auction reaches the same point through price messages alone: the auctioneer
+posts one price per charger, each vehicle answers with its best response,
+prices move against the excess supply, and the loop stops once a duality gap
+certifies the allocation.
 
-Prices per delivered kWh are used on the buyer side; asks are per sent kWh,
-one quote per counterparty flow.
+Auction prices are per sent kWh; settlement prices are per delivered kWh.
 """
 
 from __future__ import annotations
@@ -349,15 +349,16 @@ def _col_jac(nj, ni, i):
 
 
 # ---------------------------------------------------------------------------
-# iterative double auction
+# iterative price auction
 
 
 @dataclass
 class AuctionTrace:
-    welfare_history: list = field(default_factory=list)
-    price_change_history: list = field(default_factory=list)
+    # one (iteration, welfare, gap, max_price_change) row per certificate check
+    checks: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    residual: float = math.inf  # feasibility residual of the returned allocation
 
 
 @dataclass
@@ -391,11 +392,81 @@ def _marginal_bids(chargers, delivered) -> np.ndarray:
     return w / np.maximum(delivered - cmin + 1.0, 1e-9)
 
 
-def _marginal_asks(dischargers, sent) -> np.ndarray:
-    """Seller marginal cost per sent kWh, one quote per counterparty flow."""
-    l1 = np.array([d.l1 for d in dischargers])
-    l2 = np.array([d.l2 for d in dischargers])
-    return 2.0 * l1[:, None] * sent + l2[:, None]
+_PRICE_FLOOR = 1e-9  # $/sent kWh; keeps every buyer's answer finite
+_CHECK_EVERY = 10  # price steps between certificates
+_FEASIBILITY_TOL = 1e-9  # kWh a certified allocation may miss a constraint by
+# nonmonotone line search (Grippo, Lampariello & Lucidi 1986): a step must
+# lower the dual below the largest of its last _MEMORY values, and is halved
+# at most _BACKTRACKS times until it does
+_MEMORY = 10
+_BACKTRACKS = 30
+# a linear seller's proximal weight, as a share of the curvature the rest of
+# the market shows it; smaller weights move the centre further per round but
+# leave the inner dual steeper
+_PROX_SHARE = 0.3
+# the centre moves once the proximal problem's own gap is below this share of
+# the certified gap: solving it further could not shrink the certified gap much
+_RECENTRE = 0.1
+
+
+class _Market:
+    """The vehicles' parameters as arrays and their answers to posted prices.
+
+    Prices p are per sent kWh, one per charger. Dualizing each charger's
+    column sum splits the welfare program into one closed-form problem per
+    vehicle, so g(p), the sum of their optima, bounds the welfare optimum from
+    above at any p > 0.
+    """
+
+    def __init__(self, chargers, dischargers, eta):
+        self.eta = eta
+        self.w = np.array([c.w for c in chargers])
+        self.c_min = np.array([c.c_min for c in chargers])
+        self.l1 = np.array([d.l1 for d in dischargers])
+        self.l2 = np.array([d.l2 for d in dischargers])
+        self.row_caps, self.col_lo, self.col_hi = _polytope(chargers, dischargers, eta)
+        # opening prices: each buyer's bid at an even split of the fleet's capacity
+        even = np.clip(self.row_caps.sum() / len(chargers), self.col_lo, self.col_hi)
+        self.opening = np.maximum(eta * _marginal_bids(chargers, eta * even), _PRICE_FLOOR)
+        # a seller with l1 = 0 answers with a vertex, so the dual has kinks that
+        # stall the price steps; a proximal term (rho/2)|x - centre|^2 smooths
+        # its answer (Rockafellar 1976). The curvature the market shows such a
+        # seller: the quadratic sellers' and buyers' supply and demand slopes
+        linear = self.l1 == 0
+        slopes = np.sum(1.0 / (2.0 * self.l1[~linear])) + np.mean(self.w / self.opening**2)
+        self.rho = np.where(linear, _PROX_SHARE / slopes, 0.0)
+
+    def demand(self, p):
+        """Each charger's best response in sent kWh: its log value minus p*s, maximized."""
+        return np.clip((self.w * self.eta / p - 1.0 + self.c_min) / self.eta,
+                       self.col_lo, self.col_hi)
+
+    def supply(self, p, centre):
+        """Each discharger's best response row: (p - l2).x - l1|x|^2 - rho/2 |x - centre|^2."""
+        target = (p[None, :] - self.l2[:, None] + self.rho[:, None] * centre) / (
+            2.0 * self.l1 + self.rho
+        )[:, None]
+        return _project_rows(target, 0.0, self.row_caps)
+
+    def surplus(self, p, s, x):
+        """The buyers' summed surplus at demands s, and each seller's profit on rows x."""
+        buyers = float(np.sum(self.w * np.log(self.eta * s - self.c_min + 1.0) - p * s))
+        sellers = ((p[None, :] - self.l2[:, None]) * x).sum(axis=1) - self.l1 * (x * x).sum(axis=1)
+        return buyers, sellers
+
+    def dual(self, p) -> float:
+        """g(p) >= the welfare optimum; equal to it at the optimal prices."""
+        s, x = self.demand(p), self.supply(p, 0.0)
+        buyers, sellers = self.surplus(p, s, x)
+        # a linear seller sends all it has to the best price above its cost
+        vertex = self.row_caps * np.maximum(0.0, np.max(p[None, :] - self.l2[:, None], axis=1))
+        return buyers + float(np.where(self.l1 > 0, sellers, vertex).sum())
+
+    def residual(self, sent) -> float:
+        """Largest violation of the transfer polytope's bounds, in kWh."""
+        rows, cols = sent.sum(axis=1), sent.sum(axis=0)
+        return float(max(0.0, -sent.min(), np.max(rows - self.row_caps),
+                         np.max(self.col_lo - cols), np.max(cols - self.col_hi)))
 
 
 def run_iterative_auction(
@@ -405,16 +476,25 @@ def run_iterative_auction(
     eps: float = 1e-4,
     max_iter: int = 500,
 ) -> tuple[EvAllocation, EvAuctionResult]:
-    """Price-quote auction that converges to the welfare optimum.
+    """Per-charger price auction that stops on a certified welfare gap.
 
-    Each round the vehicles report marginal values/costs at the standing
-    allocation and the auctioneer maximizes the quoted surplus under a
-    proximal step (a damped projected-gradient update; an undamped
-    linear-surplus argmax jumps between polytope vertices and never settles).
-    A fixed point of the loop satisfies the welfare program's optimality
-    conditions exactly. Stops when quotes move less than eps in the max norm;
-    hitting max_iter first flags the trace as non-converged instead of
-    raising.
+    The auctioneer posts one price per charger (per sent kWh). Each charger
+    answers with the energy that maximizes its satisfaction minus its bill,
+    each discharger with the flows that maximize its revenue minus its cost,
+    and the prices move against the excess supply by Barzilai-Borwein steps
+    (IMA JNA 1988) under a nonmonotone line search: the message pattern of
+    Kang et al.'s iterative double auction (IEEE TII 2017). Sellers with
+    l1 = 0 get a proximal term whose centre moves to the latest allocation
+    between rounds; with every l1 > 0 there is one round.
+
+    Every _CHECK_EVERY steps, and at max_iter, the sellers' answers are
+    projected onto the transfer polytope. That allocation's welfare W is
+    certified by gap = g(p) - W, where g is the closed-form dual and so bounds
+    the optimum from above. `converged` means gap <= eps (in $) and a
+    feasibility residual <= 1e-9 kWh. Hitting max_iter first, or a state in
+    which neither the prices nor the centre can move any more (a gap at
+    rounding level, above eps), returns the last allocation with `converged`
+    False instead of raising.
 
     Settlement applies one uniform price per delivered kWh to both sides: the
     midpoint of the mean final bid and the mean final ask. Budget balance is
@@ -424,43 +504,68 @@ def run_iterative_auction(
     """
     if eps <= 0:
         raise InputError("eps must be > 0")
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
     _check_feasible(chargers, dischargers, eta)
-    nj, ni = len(dischargers), len(chargers)
-    row_caps, col_lo, col_hi = _polytope(chargers, dischargers, eta)
+    market = _Market(chargers, dischargers, eta)
+    centre = np.zeros((len(dischargers), len(chargers)))
 
-    w_max = max(c.w for c in chargers)
-    l1_max = max(d.l1 for d in dischargers)
-    lipschitz = nj * eta * eta * w_max + 2.0 * l1_max
-    step = 1.0 / max(lipschitz, 1e-9)
+    def answer(p):
+        """The sellers' rows, the excess supply and the proximal dual's value at p."""
+        s, x = market.demand(p), market.supply(p, centre)
+        buyers, sellers = market.surplus(p, s, x)
+        value = buyers + float(np.sum(sellers - 0.5 * market.rho * ((x - centre) ** 2).sum(axis=1)))
+        return x, x.sum(axis=0) - s, value
 
-    d = _project_feasible(np.zeros((nj, ni)), row_caps, col_lo, col_hi)
+    p = market.opening
+    x, excess, value = answer(p)
+    # first step: the inverse of a bound on the dual's curvature at p
+    step = 1.0 / (np.sum(1.0 / (2.0 * market.l1 + market.rho)) + np.max(market.w / p**2))
+    recent = [value]
+    checked = None  # the prices at the last certificate
     trace = AuctionTrace()
-    prev_prices = None
-    converged = False
-
-    for it in range(max_iter):
-        delivered = eta * d.sum(axis=0)
-        bids = _marginal_bids(chargers, delivered)
-        asks = _marginal_asks(dischargers, d)
-        prices = np.concatenate([bids, asks.ravel()])
-
-        trace.welfare_history.append(welfare(d, chargers, dischargers, eta))
-        if prev_prices is not None:
-            change = float(np.max(np.abs(prices - prev_prices)))
-            trace.price_change_history.append(change)
-            if change < eps:
-                trace.iterations = it + 1
-                converged = True
+    for it in range(1, max_iter + 1):
+        direction = np.maximum(p - step * excess, _PRICE_FLOOR) - p
+        descent = float(np.sum(excess * direction))
+        shrink = 1.0
+        for _ in range(_BACKTRACKS):
+            new_p = p + shrink * direction
+            x, new_excess, value = answer(new_p)
+            if value <= max(recent) + 1e-4 * shrink * descent:
                 break
-        prev_prices = prices
+            shrink *= 0.5
+        recent = (recent + [value])[-_MEMORY:]
+        moved, turned = new_p - p, new_excess - excess
+        curvature = float(np.sum(moved * turned))
+        if curvature > 0:
+            step = float(np.sum(moved * moved)) / curvature
+        p, excess = new_p, new_excess
+        if it % _CHECK_EVERY and it < max_iter:
+            continue
 
-        gradient = eta * bids[None, :] - asks
-        d = _project_feasible(d + step * gradient, row_caps, col_lo, col_hi)
-    else:
-        trace.iterations = max_iter
-    trace.converged = converged
+        sent = _project_feasible(x, market.row_caps, market.col_lo, market.col_hi)
+        # looked up at call time, so a wrapper installed on the module sees it
+        achieved = welfare(sent, chargers, dischargers, eta)
+        gap = market.dual(p) - achieved
+        trace.residual = market.residual(sent)
+        trace.checks.append((it, achieved, gap, float(np.max(np.abs(moved)))))
+        if gap <= eps and trace.residual <= _FEASIBILITY_TOL:
+            trace.converged = True
+            break
+        # prices that no step could move since the last certificate have
+        # solved the proximal problem as far as rounding allows
+        frozen = np.array_equal(p, checked)
+        if frozen and np.array_equal(sent, centre):
+            break  # nothing left to change: the gap stays where rounding put it
+        prox = 0.5 * float(np.sum(market.rho * ((sent - centre) ** 2).sum(axis=1)))
+        if frozen or value - (achieved - prox) <= _RECENTRE * gap:
+            centre = sent
+            x, excess, value = answer(p)
+            recent = [value]
+        checked = p
+    trace.iterations = it
 
-    allocation = EvAllocation(sent=d, eta=eta)
+    allocation = EvAllocation(sent=sent, eta=eta)
     settlement = _settle(chargers, dischargers, allocation)
     result = EvAuctionResult(
         allocation=allocation,
@@ -495,54 +600,6 @@ def _settle(chargers, dischargers, allocation: EvAllocation) -> EvSettlement:
     payments = {c.id: price * float(delivered[i]) for i, c in enumerate(chargers)}
     receipts = {s.id: price * eta * float(sent[j]) for j, s in enumerate(dischargers)}
     return EvSettlement(price, payments, receipts)
-
-
-def is_individually_rational(result: EvAuctionResult, tol: float = 1e-9) -> bool:
-    """Needs-adjusted buyer surplus and seller profit both nonnegative."""
-    price = result.settlement.price
-    if price is None:
-        return True
-    d = result.allocation.sent
-    eta = result.eta
-    delivered = eta * d.sum(axis=0)
-    for i, c in enumerate(result.chargers):
-        value = satisfaction(c, d[:, i], eta)
-        discretionary = max(delivered[i] - c.c_min, 0.0)
-        if value < price * discretionary - tol:
-            return False
-    for j, s in enumerate(result.dischargers):
-        if result.settlement.seller_receipts[s.id] < discharge_cost(s, d[j, :]) - tol:
-            return False
-    return True
-
-
-def apply_disconnection(
-    result: EvAuctionResult, departing_id: str, penalty_rate: float = 0.02
-) -> tuple[EvAuctionResult, float]:
-    """Restart the auction without a departed vehicle.
-
-    The deserter owes penalty_rate $/kWh on its previously allocated energy
-    (delivered for chargers, sent for dischargers).
-    """
-    charger_ids = [c.id for c in result.chargers]
-    discharger_ids = [s.id for s in result.dischargers]
-    if departing_id in charger_ids:
-        i = charger_ids.index(departing_id)
-        prior = float(result.allocation.delivered_per_charger()[i])
-        chargers = [c for c in result.chargers if c.id != departing_id]
-        dischargers = result.dischargers
-    elif departing_id in discharger_ids:
-        j = discharger_ids.index(departing_id)
-        prior = float(result.allocation.sent_per_discharger()[j])
-        chargers = result.chargers
-        dischargers = [s for s in result.dischargers if s.id != departing_id]
-    else:
-        raise InputError(f"agent {departing_id!r} did not participate")
-    penalty = penalty_rate * prior
-    _, rerun = run_iterative_auction(
-        chargers, dischargers, result.eta, result.eps, result.max_iter
-    )
-    return rerun, penalty
 
 
 # ---------------------------------------------------------------------------

@@ -349,11 +349,16 @@ def _population(scenario: Scenario, *kinds):
     return tuple([x for x in found if isinstance(x, kind)] for kind in kinds)
 
 
+def _ev_options(scenario: Scenario) -> tuple[float, float]:
+    """The EV auction's transmission efficiency and certified-gap target."""
+    return (float(scenario.options.get("eta", evx.DEFAULT_ETA)),
+            float(scenario.options.get("eps", 1e-4)))
+
+
 def _ev_auction(scenario: Scenario):
     # vehicles carry parameters, not series: every slot clears the same auction
     chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
-    eta = float(scenario.options.get("eta", evx.DEFAULT_ETA))
-    eps = float(scenario.options.get("eps", 1e-4))
+    eta, eps = _ev_options(scenario)
     tariff = scenario.tariff
     alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
     delivered = alloc.delivered_per_charger()
@@ -657,8 +662,8 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
         if not chargers or not dischargers:
             raise InputError("grid_price sweep needs an ev_auction scenario")
-        eta = float(scenario.options.get("eta", evx.DEFAULT_ETA))
-        alloc, result = evx.run_iterative_auction(chargers, dischargers, eta)
+        eta, eps = _ev_options(scenario)
+        alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
         sent = alloc.sent_per_discharger()
         delivered = alloc.delivered_per_charger()
         buyers = tuple(

@@ -353,6 +353,28 @@ class TestEvAuctionCmd:
             assert "np." not in text, name
 
 
+    def test_linear_seller_converges(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(
+            "id,role,w,l1,l2,c_min,c_max,d_max\n"
+            "c1,charging,1.9,,,6,15,\n"
+            "c2,charging,1.4,,,5,14,\n"
+            "d1,discharging,,0.04,0.02,,,16\n"
+            "d2,discharging,,0,0.03,,,13\n"
+        )
+        out = tmp_path / "out"
+        assert main(["ev-auction", "--population", str(pop),
+                     "--out", str(out), "--quiet"]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "converged = True" in summary
+        values = dict(line.split(" = ") for line in summary)
+        assert float(values["gap"]) <= 1e-4
+        assert float(values["feasibility_residual"]) <= 1e-9
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "iteration,welfare,gap,max_price_change"
+        assert trace[-1].split(",")[:3] == [values["iterations"], values["welfare"], values["gap"]]
+
+
 class TestDeterminism:
     def test_every_subcommand_byte_identical(self, tmp_path, scenario_cfg,
                                              orders_csv, instance_csv):

@@ -4,23 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridswap.errors import DomainError, InfeasibleError, InputError
 from gridswap.ev import (
     ChargingEV,
     DischargingEV,
+    EvAuctionResult,
     HybridBuyer,
     HybridScenario,
     HybridSeller,
+    _Market,
     _marginal_bids,
     _project_feasible,
     _project_rows,
-    apply_disconnection,
     compare_hybrid,
     discharge_cost,
-    is_individually_rational,
     run_iterative_auction,
     satisfaction,
     simulate_trading,
@@ -227,8 +227,8 @@ class TestProjectionMatchesLoop:
         monkeypatch.setattr("gridswap.ev._project_feasible", project_feasible_loop)
         ref_alloc, ref = run_iterative_auction(chargers, dischargers, eta=0.9)
         assert np.array_equal(alloc.sent, ref_alloc.sent)
-        assert result.trace.welfare_history == ref.trace.welfare_history
-        assert result.trace.price_change_history == ref.trace.price_change_history
+        assert result.trace.checks == ref.trace.checks
+        assert result.trace.residual == ref.trace.residual
 
 
 class TestSocialWelfare:
@@ -291,6 +291,54 @@ class TestSocialWelfare:
         assert ev_welfare_of(alloc.sent, chargers, dischargers, 0.9) == pytest.approx(best)
 
 
+def is_individually_rational(result: EvAuctionResult, tol: float = 1e-9) -> bool:
+    """Needs-adjusted buyer surplus and seller profit both nonnegative."""
+    price = result.settlement.price
+    if price is None:
+        return True
+    d = result.allocation.sent
+    eta = result.eta
+    delivered = eta * d.sum(axis=0)
+    for i, c in enumerate(result.chargers):
+        value = satisfaction(c, d[:, i], eta)
+        discretionary = max(delivered[i] - c.c_min, 0.0)
+        if value < price * discretionary - tol:
+            return False
+    for j, s in enumerate(result.dischargers):
+        if result.settlement.seller_receipts[s.id] < discharge_cost(s, d[j, :]) - tol:
+            return False
+    return True
+
+
+def apply_disconnection(
+    result: EvAuctionResult, departing_id: str, penalty_rate: float = 0.02
+) -> tuple[EvAuctionResult, float]:
+    """Restart the auction without a departed vehicle.
+
+    The deserter owes penalty_rate $/kWh on its previously allocated energy
+    (delivered for chargers, sent for dischargers).
+    """
+    charger_ids = [c.id for c in result.chargers]
+    discharger_ids = [s.id for s in result.dischargers]
+    if departing_id in charger_ids:
+        i = charger_ids.index(departing_id)
+        prior = float(result.allocation.delivered_per_charger()[i])
+        chargers = [c for c in result.chargers if c.id != departing_id]
+        dischargers = result.dischargers
+    elif departing_id in discharger_ids:
+        j = discharger_ids.index(departing_id)
+        prior = float(result.allocation.sent_per_discharger()[j])
+        chargers = result.chargers
+        dischargers = [s for s in result.dischargers if s.id != departing_id]
+    else:
+        raise InputError(f"agent {departing_id!r} did not participate")
+    penalty = penalty_rate * prior
+    _, rerun = run_iterative_auction(
+        chargers, dischargers, result.eta, result.eps, result.max_iter
+    )
+    return rerun, penalty
+
+
 class TestIterativeAuction:
     def _instance(self):
         chargers = [charger("c1", 1.9, 6.0, 15.0), charger("c2", 1.4, 5.0, 14.0)]
@@ -320,6 +368,11 @@ class TestIterativeAuction:
                                           eps=1e-4, max_iter=1)
         assert not result.trace.converged
         assert result.trace.iterations == 1
+        assert [row[0] for row in result.trace.checks] == [1]
+
+    def test_no_price_step_rejected(self):
+        with pytest.raises(InputError, match="max_iter"):
+            run_iterative_auction(*self._instance(), eta=0.9, max_iter=0)
 
     def test_weak_budget_balance_and_ir(self):
         chargers, dischargers = self._instance()
@@ -329,8 +382,83 @@ class TestIterativeAuction:
 
     def test_welfare_history_recorded(self):
         chargers, dischargers = self._instance()
-        _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
-        assert len(result.trace.welfare_history) == result.trace.iterations
+        eps = 1e-4
+        _, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=eps)
+        checks = result.trace.checks
+        # one row per certificate: every tenth step, and the last
+        assert [row[0] for row in checks] == list(
+            range(10, result.trace.iterations + 1, 10))
+        assert all(gap >= -1e-9 for _, _, gap, _ in checks)
+        assert result.trace.converged and checks[-1][2] <= eps
+
+
+class TestCertifiedGap:
+    """The auction's certificate holds against SLSQP at scale, l1 = 0 sellers included."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n, linear", [(10, 0), (20, 0), (5, 2), (20, 10)])
+    def test_gap_within_eps_of_solver(self, n, linear, seed):
+        chargers, dischargers = _random_population(np.random.default_rng(seed), n)
+        for j in range(linear):
+            d = dischargers[j]
+            dischargers[j] = DischargingEV(d.id, 0.0, d.l2, d.d_max)
+        eps = 1e-6
+        alloc, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=eps)
+        assert result.trace.converged
+        _, reached, gap, _ = result.trace.checks[-1]
+        assert -1e-9 <= gap <= eps and result.trace.residual <= 1e-9
+        assert reached == welfare(alloc.sent, chargers, dischargers, 0.9)
+        _, best = solve_social_welfare(chargers, dischargers, eta=0.9)
+        assert abs(best - reached) <= 10 * eps
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        chargers=st.lists(st.tuples(st.floats(0.5, 3), st.floats(0, 5), st.floats(0, 15),
+                                    st.booleans()), min_size=1, max_size=3),
+        sellers=st.lists(st.tuples(st.sampled_from([0.0, 0.005, 0.05]), st.floats(0.001, 0.1),
+                                   st.floats(5, 20)), min_size=1, max_size=3),
+        prices=st.lists(st.floats(1e-6, 5), min_size=3, max_size=3),
+    )
+    def test_dual_bounds_the_optimum(self, chargers, sellers, prices):
+        chargers = [charger(f"c{i}", w, c_min, math.inf if open_ended else c_min + width)
+                    for i, (w, c_min, width, open_ended) in enumerate(chargers)]
+        dischargers = [discharger(f"d{j}", l1, l2, d_max)
+                       for j, (l1, l2, d_max) in enumerate(sellers)]
+        assume(0.9 * sum(d.d_max for d in dischargers)
+                          >= sum(c.c_min for c in chargers) + 1e-6)
+        _, best = solve_social_welfare(chargers, dischargers, eta=0.9)
+        p = np.array(prices[:len(chargers)])
+        assert _Market(chargers, dischargers, 0.9).dual(p) >= best - 1e-9
+
+    def test_frozen_prices_move_the_centre(self):
+        # here the prices stop moving at a proximal gap of 7.7e-10 while the
+        # certified gap is 2.5e-9; moving the centre there lets the auction finish
+        chargers, dischargers = _random_population(np.random.default_rng([1, 20, 20]), 20)
+        for j in range(10):
+            d = dischargers[j]
+            dischargers[j] = DischargingEV(d.id, 0.0, d.l2, d.d_max)
+        _, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=1e-9)
+        assert result.trace.converged and result.trace.checks[-1][2] <= 1e-9
+
+    def test_unreachable_eps_stops_once_nothing_moves(self):
+        chargers, dischargers = _random_population(np.random.default_rng(2), 2)
+        _, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=1e-300)
+        assert not result.trace.converged
+        assert result.trace.iterations < 500
+        assert 1e-300 < result.trace.checks[-1][2] < 1e-12
+
+    def test_converged_needs_a_feasible_allocation(self, monkeypatch):
+        # demand pushes the small seller past its d_max until Dykstra finishes
+        chargers = [charger("c1", 1.0, 8.0, 20.0), charger("c2", 1.0, 8.0, 20.0)]
+        dischargers = [discharger("d1", 0.5, 0.02, 16.0), discharger("d2", 0.5, 0.02, 4.2)]
+        # so loose an eps that the first certificate passes on its gap alone
+        _, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=1e3, max_iter=1)
+        assert result.trace.converged and result.trace.residual <= 1e-9
+        # _project_feasible stops silently at _DYKSTRA_CYCLES; the certificate
+        # must see the residual and withhold `converged`
+        monkeypatch.setattr("gridswap.ev._DYKSTRA_CYCLES", 1)
+        _, result = run_iterative_auction(chargers, dischargers, eta=0.9, eps=1e3, max_iter=1)
+        assert result.trace.residual > 1.0 and not result.trace.converged
 
 
 class TestDisconnection:

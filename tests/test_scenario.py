@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from gridswap import ev as evx
 from gridswap.errors import InputError, SchemaError
 from gridswap.market import Tariff
 from gridswap.scenario import (
@@ -328,6 +329,31 @@ class TestSweep:
         rows = sweep(sc, "grid_price", [0.05, 0.50])
         assert len(rows) == 2
         assert rows[0]["hybrid_avg_buying_price"] == pytest.approx(0.05)
+
+    def test_run_and_grid_price_sweep_share_the_auction_options(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path / "ev.cfg",
+            """
+            mechanism = ev_auction
+            horizon = 1
+            eta = 0.85
+            eps = 1e-7
+            agent = c1 ev - w=1.9 c_min=6 c_max=15
+            agent = d1 ev - l1=0.04 l2=0.02 d_max=16
+            """,
+        )
+        seen = []
+        auction = evx.run_iterative_auction
+
+        def recorded(chargers, dischargers, eta, eps):
+            seen.append((eta, eps))
+            return auction(chargers, dischargers, eta, eps)
+
+        monkeypatch.setattr(evx, "run_iterative_auction", recorded)
+        sc = load_scenario(cfg)
+        run_simulation(sc)
+        sweep(sc, "grid_price", [0.5])
+        assert seen == [(0.85, 1e-7), (0.85, 1e-7)]
 
     def test_solar_fraction_rows(self, coalition_config):
         sc = load_scenario(coalition_config)
