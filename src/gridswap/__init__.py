@@ -1,11 +1,11 @@
 """gridswap: game-theoretic peer-to-peer energy trading simulations."""
 
-from .market import Order, SlotClearing, Tariff, clear_double_auction, settle_slot
+from .market import Book, SlotClearing, Tariff, clear_double_auction, settle_slot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Order",
+    "Book",
     "SlotClearing",
     "Tariff",
     "clear_double_auction",

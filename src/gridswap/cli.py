@@ -50,12 +50,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """Write a CSV whose cells are already text."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def _write_kv(path: Path, pairs: dict) -> None:
@@ -106,16 +110,42 @@ def _out_dir(args) -> Path:
 # input readers
 
 
-def _read_orders(path: Path):
-    buys, sells = [], []
+def _order_books(cols) -> tuple[mk.Book, mk.Book] | None:
+    """The bids and asks in parsed order columns, or None unless the row
+    reader would accept every row and find one slot."""
+    side, quantity, price = cols["side"], cols["quantity"], cols["limit_price"]
+    buy, sell = side == "buy", side == "sell"
+    slot = cols.get("slot")
+    if not ((buy | sell).all() and (quantity > 0).all() and (price >= 0).all()
+            and (slot is None or (slot == slot[0]).all())):
+        return None
+    ids = np.array([aid.strip() for aid in cols["agent_id"].tolist()], dtype=object)
+    return (mk.Book(ids[buy], quantity[buy], price[buy]),
+            mk.Book(ids[sell], quantity[sell], price[sell]))
+
+
+def _read_orders(path: Path) -> tuple[mk.Book, mk.Book]:
+    """The file's bids and asks; every order must name the same slot."""
     needed = ("agent_id", "side", "quantity", "limit_price")
     with ingest.table(path, needed) as table:
+        slot = ("slot",) if "slot" in table.header else ()
+        cols = ingest.columns(path, ints=slot, floats=needed[2:], strings=needed[:2])
+        books = None if cols is None else _order_books(cols)
+        if books is not None:
+            return books
+        orders = {"buy": ([], [], []), "sell": ([], [], [])}
+        slots = set()
         for agent, side, quantity, price, slot in table.rows(*needed, "slot"):
-            order = mk.Order(
-                agent.strip(), side.strip(), finite(quantity), finite(price), int(slot or 0)
-            )
-            (buys if order.side == mk.BUY else sells).append(order)
-    return buys, sells
+            side, quantity, price = side.strip(), finite(quantity), finite(price)
+            slots.add(int(slot or 0))
+            if side not in orders:
+                raise InputError(f"order side must be 'buy' or 'sell', got {side!r}")
+            mk.check_order(quantity, price)
+            for column, value in zip(orders[side], (agent.strip(), quantity, price)):
+                column.append(value)
+    if len(slots) > 1:
+        raise InputError(f"orders span multiple slots: {sorted(slots)}")
+    return mk.Book(*orders["buy"]), mk.Book(*orders["sell"])
 
 
 def _read_instance(path: Path, tariff: mk.Tariff) -> co.CoalitionInstance:
@@ -243,15 +273,19 @@ def _cmd_clear(args) -> int:
     out = _out_dir(args)
     buys, sells = _read_orders(orders_path)
     clearing = mk.clear_double_auction(buys, sells, pricing=args.pricing)
-    _write_csv(
+    buyers, sellers, quantities = zip(*clearing.matches) if clearing.matches else ((), (), ())
+    _write_rows(
         out / "matches.csv",
         ["buyer_id", "seller_id", "quantity", "price"],
-        [[m.buyer_id, m.seller_id, m.quantity, clearing.clearing_price] for m in clearing.matches],
+        zip(buyers, sellers, map(repr, quantities),
+            itertools.repeat(_fmt(clearing.clearing_price))),
     )
     residuals = [
-        [aid, "buy", qty] for aid, qty in sorted(clearing.residual_buys.items())
-    ] + [[aid, "sell", qty] for aid, qty in sorted(clearing.residual_sells.items())]
-    _write_csv(out / "residuals.csv", ["agent_id", "side", "quantity"], residuals)
+        (aid, side, repr(qty))
+        for side, residual in (("buy", clearing.residual_buys), ("sell", clearing.residual_sells))
+        for aid, qty in sorted(residual.items())
+    ]
+    _write_rows(out / "residuals.csv", ["agent_id", "side", "quantity"], residuals)
     _write_kv(
         out / "clearing.txt",
         {

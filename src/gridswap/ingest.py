@@ -129,17 +129,20 @@ def table(path, required):
             raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
 
 
-def columns(path, ints=(), floats=()):
-    """The named columns of the CSV at `path` as int64 (`ints`) and float64
-    (`floats`) arrays keyed by name, or None when only `table` can read them.
+def columns(path, ints=(), floats=(), strings=()):
+    """The named columns of the CSV at `path` as int64 (`ints`), float64
+    (`floats`) and object arrays of str (`strings`) keyed by name, or None
+    when only `table` can read them.
 
     numpy's C parser converts a float cell with the routine `float` uses,
     and an integer cell by a stricter rule than `int` (no `1_000`, no `1.0`),
-    so a value it returns is the value the row reader would build. None
-    means: a named column is missing; the file holds a quote, which `csv`
-    would interpret, or a NUL; numpy raised or warned (a malformed or short
-    row, no data rows); or a float is not finite. The caller then reads the
-    file with `table`, whose error and file:line are the ones reported.
+    so a value it returns is the value the row reader would build. A string
+    cell is the cell's text as `table` yields it, unstripped. None means: a
+    named column is missing; the file holds a quote, which `csv` would
+    interpret, or a NUL; numpy raised or warned (a malformed or short row, a
+    line of only blanks, no data rows); or a float is not finite. The caller
+    then reads the file with `table`, whose error and file:line are the ones
+    reported.
     """
     path = Path(path)
     try:
@@ -152,10 +155,11 @@ def columns(path, ints=(), floats=()):
     header = next(csv.reader([text.partition("\n")[0]]), [])
     del text
     column = {name: i for i, name in enumerate(header)}
-    names = (*ints, *floats)
+    names = (*ints, *floats, *strings)
     if not all(name in column for name in names):
         return None
-    dtype = [(name, np.int64) for name in ints] + [(name, np.float64) for name in floats]
+    dtype = ([(name, np.int64) for name in ints] + [(name, np.float64) for name in floats]
+             + [(name, object) for name in strings])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

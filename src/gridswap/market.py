@@ -4,17 +4,22 @@ Buy and sell limit orders for the same 15-minute slot are matched by merit
 order: highest bids are served first from the cheapest asks, quantities may
 split. All matched energy trades at one clearing price; whatever does not
 clear falls back to the grid tariff at settlement.
+
+A slot's book is two `Book`s, bids and asks, each a set of columns (agent
+ids, quantities, limit prices) in submission order. Each side is sorted once
+by price, then agent id, then submission index; the matching itself walks
+the two sorted sides one order at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InputError
-
-BUY = "buy"
-SELL = "sell"
 
 
 @dataclass(frozen=True)
@@ -35,27 +40,45 @@ class Tariff:
             )
 
 
-@dataclass(frozen=True)
-class Order:
-    """A limit order: `quantity` kWh at up to / at least `limit_price` $/kWh."""
-
-    agent_id: str
-    side: str
-    quantity: float
-    limit_price: float
-    slot: int = 0
-
-    def __post_init__(self) -> None:
-        if self.side not in (BUY, SELL):
-            raise InputError(f"order side must be 'buy' or 'sell', got {self.side!r}")
-        if not (math.isfinite(self.quantity) and self.quantity > 0):
-            raise InputError(f"order quantity must be > 0, got {self.quantity}")
-        if not (math.isfinite(self.limit_price) and self.limit_price >= 0):
-            raise InputError(f"limit price must be finite and >= 0, got {self.limit_price}")
+def check_order(quantity: float, limit_price: float) -> None:
+    """Raise InputError unless the order's quantity is finite and > 0 and its
+    limit price finite and >= 0."""
+    if not (math.isfinite(quantity) and quantity > 0):
+        raise InputError(f"order quantity must be > 0, got {quantity}")
+    if not (math.isfinite(limit_price) and limit_price >= 0):
+        raise InputError(f"limit price must be finite and >= 0, got {limit_price}")
 
 
-@dataclass(frozen=True)
-class Match:
+class Book:
+    """One side of a slot's order book, held as columns.
+
+    Order k asks for `quantity[k]` kWh at up to (a bid) or at least (an ask)
+    `limit_price[k]` $/kWh on behalf of `agent_ids[k]`; k is its submission
+    index. Which side a book is follows from the argument it is passed as.
+    The constructor raises `check_order`'s error for the first order that
+    fails it.
+    """
+
+    __slots__ = ("agent_ids", "quantity", "limit_price")
+
+    def __init__(self, agent_ids, quantity, limit_price) -> None:
+        self.agent_ids = np.asarray(agent_ids, dtype=object)
+        self.quantity = np.asarray(quantity, dtype=np.float64)
+        self.limit_price = np.asarray(limit_price, dtype=np.float64)
+        if not len(self.agent_ids) == len(self.quantity) == len(self.limit_price):
+            raise InputError("order book columns differ in length")
+        # written so that NaN fails too
+        bad = ~((self.quantity > 0) & (self.quantity < math.inf)
+                & (self.limit_price >= 0) & (self.limit_price < math.inf))
+        if bad.any():
+            k = int(bad.argmax())
+            check_order(float(self.quantity[k]), float(self.limit_price[k]))
+
+    def __len__(self) -> int:
+        return len(self.quantity)
+
+
+class Match(NamedTuple):
     buyer_id: str
     seller_id: str
     quantity: float
@@ -91,21 +114,9 @@ class Settlement:
         return sum(self.p2p_received.values())
 
 
-def _check_book(buys: list[Order], sells: list[Order]) -> None:
-    slots = {o.slot for o in buys} | {o.slot for o in sells}
-    if len(slots) > 1:
-        raise InputError(f"orders span multiple slots: {sorted(slots)}")
-    for o in buys:
-        if o.side != BUY:
-            raise InputError(f"sell order {o.agent_id!r} passed in the buy list")
-    for o in sells:
-        if o.side != SELL:
-            raise InputError(f"buy order {o.agent_id!r} passed in the sell list")
-
-
 def clear_double_auction(
-    buys: list[Order],
-    sells: list[Order],
+    buys: Book,
+    sells: Book,
     pricing: str = "marginal_bid",
 ) -> SlotClearing:
     """Clear one slot's closed order book by merit-order dispatch.
@@ -117,43 +128,41 @@ def clear_double_auction(
     instead averages the marginal allocated bid and ask (sensitivity runs).
 
     Ties on price break by agent id, then submission index, so the result is
-    invariant to shuffling the input lists.
+    invariant to shuffling the input books.
     """
     if pricing not in ("marginal_bid", "midpoint"):
         raise InputError(f"unknown pricing rule {pricing!r}")
-    _check_book(buys, sells)
 
-    bids = sorted(
-        ((o, k) for k, o in enumerate(buys)),
-        key=lambda ok: (-ok[0].limit_price, ok[0].agent_id, ok[1]),
-    )
-    asks = sorted(
-        ((o, k) for k, o in enumerate(sells)),
-        key=lambda ok: (ok[0].limit_price, ok[0].agent_id, ok[1]),
-    )
-
-    remaining_bid = [o.quantity for o, _ in bids]
-    remaining_ask = [o.quantity for o, _ in asks]
+    # lexsort is stable, so orders equal on (price, id) keep submission order
+    bids = np.lexsort((buys.agent_ids, -buys.limit_price))
+    asks = np.lexsort((sells.agent_ids, sells.limit_price))
+    bid_ids = buys.agent_ids[bids].tolist()
+    ask_ids = sells.agent_ids[asks].tolist()
+    bid_prices = buys.limit_price[bids].tolist()
+    ask_prices = sells.limit_price[asks].tolist()
+    # the merge subtracts one fill at a time from Python floats; a merge on
+    # cumulative sums would move fills by ulps
+    remaining_bid = buys.quantity[bids].tolist()
+    remaining_ask = sells.quantity[asks].tolist()
     matches: list[Match] = []
     marginal_bid: float | None = None
     marginal_ask: float | None = None
     volume = 0.0
 
     i = j = 0
-    while i < len(bids) and j < len(asks):
-        buy, ask = bids[i][0], asks[j][0]
-        if buy.limit_price < ask.limit_price:
-            break
-        qty = min(remaining_bid[i], remaining_ask[j])
-        matches.append(Match(buy.agent_id, ask.agent_id, qty))
-        marginal_bid = buy.limit_price
-        marginal_ask = ask.limit_price
+    n_bids, n_asks = len(bid_ids), len(ask_ids)
+    while i < n_bids and j < n_asks and bid_prices[i] >= ask_prices[j]:
+        bid, ask = remaining_bid[i], remaining_ask[j]
+        qty = min(bid, ask)
+        matches.append(Match(bid_ids[i], ask_ids[j], qty))
+        marginal_bid = bid_prices[i]
+        marginal_ask = ask_prices[j]
         volume += qty
-        remaining_bid[i] -= qty
-        remaining_ask[j] -= qty
-        if remaining_bid[i] <= 0:
+        remaining_bid[i] = bid = bid - qty
+        remaining_ask[j] = ask = ask - qty
+        if bid <= 0:
             i += 1
-        if remaining_ask[j] <= 0:
+        if ask <= 0:
             j += 1
 
     if not matches:
@@ -163,24 +172,24 @@ def clear_double_auction(
     else:
         price = (marginal_bid + marginal_ask) / 2.0
 
-    residual_buys: dict[str, float] = {}
-    residual_sells: dict[str, float] = {}
-    for (o, _), rem in zip(bids, remaining_bid):
-        if rem > 0:
-            residual_buys[o.agent_id] = residual_buys.get(o.agent_id, 0.0) + rem
-    for (o, _), rem in zip(asks, remaining_ask):
-        if rem > 0:
-            residual_sells[o.agent_id] = residual_sells.get(o.agent_id, 0.0) + rem
-
     return SlotClearing(
         clearing_price=price,
         matches=matches,
-        residual_buys=residual_buys,
-        residual_sells=residual_sells,
+        residual_buys=_residuals(bid_ids, remaining_bid),
+        residual_sells=_residuals(ask_ids, remaining_ask),
         matched_volume=volume,
         marginal_bid=marginal_bid,
         marginal_ask=marginal_ask,
     )
+
+
+def _residuals(ids: list[str], remaining: list[float]) -> dict[str, float]:
+    """Each agent's unmatched kWh, summed in merit order."""
+    out: dict[str, float] = {}
+    for aid, rem in zip(ids, remaining):
+        if rem > 0:
+            out[aid] = out.get(aid, 0.0) + rem
+    return out
 
 
 def settle_slot(clearing: SlotClearing, tariff: Tariff) -> Settlement:

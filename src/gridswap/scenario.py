@@ -165,16 +165,25 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
     for key in ("eta", "eps", "grid_sell_out", "grid_buy_back"):
         if key in keys:
             options[key] = number(keys[key], line(key))
+    if not 0 < options.get("eta", 1.0) <= 1:
+        raise SchemaError(f"{line('eta')}: eta must be in (0, 1], got {keys['eta']}")
+    if not options.get("eps", 1.0) > 0:
+        raise SchemaError(f"{line('eps')}: eps must be > 0, got {keys['eps']}")
     if "mc_samples" in keys:
         options["mc_samples"] = integer("mc_samples", "", 1, co.MAX_SAMPLES)
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
             raise SchemaError(f"{where}: rule must be proportional or equal")
         options["rule"] = keys["rule"]
-    for key in ("buyer_margin", "seller_margin"):
+    # a bid's limit is p_rp minus the buyer's margin, an ask's p_wp plus the seller's
+    for key, cap in (("buyer_margin", p_rp), ("seller_margin", math.inf)):
         if key in keys:
             lo, _, hi = keys[key].partition(":")
-            options[key] = (number(lo, line(key)), number(hi if hi else lo, line(key)))
+            lo, hi = number(lo, line(key)), number(hi if hi else lo, line(key))
+            if not 0 <= lo <= hi <= cap:
+                bound = "0 <= lo <= hi" + (f" <= p_rp = {cap}" if cap < math.inf else "")
+                raise SchemaError(f"{line(key)}: {key} lo:hi must satisfy {bound}, got {keys[key]}")
+            options[key] = (lo, hi)
 
     agents: list[AgentProfile] = []
     for ln, decl in agent_specs:
@@ -226,13 +235,56 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
 # ---------------------------------------------------------------------------
 # slot replay
 #
-# Each mechanism below returns (extra, deltas, finish). `deltas(t)` lists slot
-# t's outcome as (agent id, column, amount) triples, agent id None naming a
-# system total; `extra` holds the starting values of the system totals the
-# mechanism adds beyond the summary columns, and `finish(per_agent, system)`
-# turns the sums into the summary. run_simulation applies the deltas in list
-# order, so each sum adds its terms in a fixed order and the outputs are
-# stable to the bit.
+# Each mechanism below is called with the scenario and its _Cells and returns
+# (deltas, finish). `deltas(t)` lists slot t's outcome as two sequences of
+# equal length: the cells it adds to and the amounts. run_simulation adds the
+# whole horizon's stream with one np.add.at, which adds the terms of a
+# repeated cell in stream order, so each sum adds its terms in a fixed order
+# and the outputs are stable to the bit. `finish(per_agent, system)` turns the
+# sums into the summary.
+
+_AGENT_COLUMNS = (
+    "bill",
+    "revenue",
+    "fit_bill",
+    "fit_revenue",
+    "energy_bought_kwh",
+    "energy_sold_kwh",
+    "utility",
+)
+
+
+class _Cells:
+    """Where each agent's columns and each system total sit in the replay's
+    array of sums: agent k's columns in scenario order, then the totals."""
+
+    def __init__(self, agents: list[AgentProfile], totals) -> None:
+        width = len(_AGENT_COLUMNS)
+        self._row = {a.id: k * width for k, a in enumerate(agents)}
+        self.total = {name: len(agents) * width + k for k, name in enumerate(totals)}
+        self.size = len(agents) * width + len(totals)
+
+    def column(self, column: str) -> dict[str, int]:
+        """Agent id -> the cell of that agent's `column`."""
+        offset = _AGENT_COLUMNS.index(column)
+        return {aid: row + offset for aid, row in self._row.items()}
+
+    def pack(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """(agent id, column, amount) triples, agent id None naming a system
+        total, as the cells and amounts they add."""
+        cells = [
+            self.total[column] if aid is None else self._row[aid] + _AGENT_COLUMNS.index(column)
+            for aid, column, _ in deltas
+        ]
+        return np.array(cells, dtype=np.intp), np.array([d[2] for d in deltas], dtype=float)
+
+    def read(self, sums: np.ndarray) -> tuple[dict, dict]:
+        """The sums as {agent id: {column: sum}} and {total: sum}."""
+        sums = sums.tolist()
+        width = len(_AGENT_COLUMNS)
+        agents = {aid: dict(zip(_AGENT_COLUMNS, sums[row:row + width]))
+                  for aid, row in self._row.items()}
+        return agents, {name: sums[k] for name, k in self.total.items()}
 
 
 def _draw_margins(scenario: Scenario):
@@ -249,60 +301,60 @@ def _draw_margins(scenario: Scenario):
     return margins
 
 
-def _blank_row(role: str) -> dict:
-    return {
-        "role": role,
-        "bill": 0.0,
-        "revenue": 0.0,
-        "fit_bill": 0.0,
-        "fit_revenue": 0.0,
-        "energy_bought_kwh": 0.0,
-        "energy_sold_kwh": 0.0,
-        "utility": 0.0,
-    }
-
-
-def _double_auction(scenario: Scenario):
+def _double_auction(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
     margins = _draw_margins(scenario)
     ordered = sorted(scenario.agents, key=lambda a: a.id)
+    ids = np.array([a.id for a in ordered], dtype=object)
+    bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
+    ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
+    # slots x agents in id order
+    net = np.stack([a.gen - a.load for a in ordered], axis=1)
 
-    def deltas(t: int) -> list:
-        buys, sells = [], []
-        for agent in ordered:
-            net = agent.net(t)
-            bmar, smar = margins[agent.id]
-            if net > 1e-12:
-                sells.append(mk.Order(agent.id, mk.SELL, net, tariff.p_wp + smar, t))
-            elif net < -1e-12:
-                buys.append(mk.Order(agent.id, mk.BUY, -net, tariff.p_rp - bmar, t))
-        clearing = mk.clear_double_auction(buys, sells)
+    bill, revenue = cells.column("bill"), cells.column("revenue")
+    bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
+    matched, buy_spend, sell_earn = (
+        cells.total[name] for name in ("matched_kwh", "buy_spend", "sell_earn")
+    )
+    grid = [cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]]
+    # every slot adds each agent's feed-in-tariff bill or revenue; a zero
+    # net adds +0.0 to a sum of terms >= 0, which leaves it as it is
+    fit_bill, fit_revenue = cells.column("fit_bill"), cells.column("fit_revenue")
+    fit_cell = np.where(
+        net < 0,
+        np.array([fit_bill[a.id] for a in ordered]),
+        np.array([fit_revenue[a.id] for a in ordered]),
+    )
+    fit_amount = np.where(net < 0, -net * tariff.p_rp, np.where(net > 0, net * tariff.p_wp, 0.0))
+
+    def deltas(t: int):
+        row = net[t]
+        buy, sell = row < -1e-12, row > 1e-12
+        clearing = mk.clear_double_auction(
+            mk.Book(ids[buy], -row[buy], bid_limit[buy]),
+            mk.Book(ids[sell], row[sell], ask_limit[sell]),
+        )
         settle = mk.settle_slot(clearing, tariff)
 
-        out = []
-        for m in clearing.matches:
-            out.append((None, "matched_kwh", m.quantity))
-            out.append((m.buyer_id, "energy_bought_kwh", m.quantity))
-            out.append((m.seller_id, "energy_sold_kwh", m.quantity))
-        out.append((None, "grid_import_kwh", sum(clearing.residual_buys.values())))
-        out.append((None, "grid_export_kwh", sum(clearing.residual_sells.values())))
+        at, amount = [], []
+        for buyer, seller, qty in clearing.matches:
+            at += (matched, bought[buyer], sold[seller])
+            amount += (qty, qty, qty)
+        at += grid
+        amount += (sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values()))
         for aid, cash in settle.p2p_paid.items():
-            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
+            at += (bill[aid], buy_spend)
+            amount += (cash, cash)
         for aid, cash in settle.p2p_received.items():
-            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
+            at += (revenue[aid], sell_earn)
+            amount += (cash, cash)
         for aid, cash in settle.grid_charge.items():
-            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
-            out.append((aid, "energy_bought_kwh", clearing.residual_buys[aid]))
+            at += (bill[aid], buy_spend, bought[aid])
+            amount += (cash, cash, clearing.residual_buys[aid])
         for aid, cash in settle.grid_credit.items():
-            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
-            out.append((aid, "energy_sold_kwh", clearing.residual_sells[aid]))
-        for agent in scenario.agents:
-            net = agent.net(t)
-            if net < 0:
-                out.append((agent.id, "fit_bill", -net * tariff.p_rp))
-            elif net > 0:
-                out.append((agent.id, "fit_revenue", net * tariff.p_wp))
-        return out
+            at += (revenue[aid], sell_earn, sold[aid])
+            amount += (cash, cash, clearing.residual_sells[aid])
+        return np.concatenate((at, fit_cell[t])), np.concatenate((amount, fit_amount[t]))
 
     def finish(per_agent: dict, s: dict) -> None:
         buy_kwh = s["matched_kwh"] + s["grid_import_kwh"]
@@ -313,7 +365,7 @@ def _double_auction(scenario: Scenario):
         s["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
         s["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
 
-    return {"buy_spend": 0.0, "sell_earn": 0.0}, deltas, finish
+    return deltas, finish
 
 
 def _mechanism_agent(agent: AgentProfile):
@@ -355,7 +407,7 @@ def _ev_options(scenario: Scenario) -> tuple[float, float]:
             float(scenario.options.get("eps", 1e-4)))
 
 
-def _ev_auction(scenario: Scenario):
+def _ev_auction(scenario: Scenario, cells: _Cells):
     # vehicles carry parameters, not series: every slot clears the same auction
     chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
     eta, eps = _ev_options(scenario)
@@ -377,6 +429,7 @@ def _ev_auction(scenario: Scenario):
         slot.append((s.id, "fit_revenue", tariff.p_wp * float(sent[j])))
     slot.append((None, "generation_kwh", float(sent.sum())))
     slot.append((None, "consumption_kwh", float(delivered.sum())))
+    slot = cells.pack(slot)
 
     def finish(per_agent: dict, s: dict) -> None:
         sent_total, delivered_total = s["generation_kwh"], s["consumption_kwh"]
@@ -389,7 +442,7 @@ def _ev_auction(scenario: Scenario):
             revenues = sum(per_agent[d.id]["revenue"] for d in dischargers)
             s["avg_sell_price"] = revenues / sent_total
 
-    return {"converged_slots": 0}, lambda t: slot, finish
+    return lambda t: slot, finish
 
 
 def _coalition_instance(scenario: Scenario, t: int):
@@ -405,13 +458,13 @@ def _coalition_instance(scenario: Scenario, t: int):
     return co.CoalitionInstance(tuple(customers), scenario.tariff)
 
 
-def _coalition(scenario: Scenario):
+def _coalition(scenario: Scenario, cells: _Cells):
     samples = scenario.options.get("mc_samples", 20_000)
 
     def deltas(t: int) -> list:
         inst = _coalition_instance(scenario, t)
         if inst is None:
-            return []
+            return cells.pack([])
         alloc = co.shapley_allocation(inst, samples, scenario.seed + t)
         out = [(None, "shapley_sampled_slots" if alloc.samples else "shapley_exact_slots", 1)]
         for c in inst.customers:
@@ -428,16 +481,16 @@ def _coalition(scenario: Scenario):
         out.append((None, "generation_kwh", supply))
         out.append((None, "consumption_kwh", demand))
         out.append((None, "matched_kwh", min(supply, demand)))
-        return out
+        return cells.pack(out)
 
     def finish(per_agent: dict, s: dict) -> None:
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
         s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
 
-    return {"shapley_exact_slots": 0, "shapley_sampled_slots": 0}, deltas, finish
+    return deltas, finish
 
 
-def _storage(scenario: Scenario):
+def _storage(scenario: Scenario, cells: _Cells):
     # units and SFCs carry parameters, not series: every slot clears the same auction
     rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
     if not rus or not sfcs:
@@ -458,15 +511,18 @@ def _storage(scenario: Scenario):
             slot.append((s.id, "bill", out.auction_price * got))
             slot.append((s.id, "energy_bought_kwh", got))
         slot.append((None, "matched_kwh", out.total_allocated()))
+    slot = cells.pack(slot)
 
-    return {}, lambda t: slot, lambda per_agent, s: None
+    return lambda t: slot, lambda per_agent, s: None
 
 
+# mechanism -> (replay, the system totals it adds beyond the summary columns
+# and their types)
 _REPLAYS = {
-    "double_auction": _double_auction,
-    "ev_auction": _ev_auction,
-    "coalition": _coalition,
-    "storage_auction": _storage,
+    "double_auction": (_double_auction, {"buy_spend": float, "sell_earn": float}),
+    "ev_auction": (_ev_auction, {"converged_slots": int}),
+    "coalition": (_coalition, {"shapley_exact_slots": int, "shapley_sampled_slots": int}),
+    "storage_auction": (_storage, {}),
 }
 _ENERGY_TOTALS = (
     "matched_kwh",
@@ -485,13 +541,22 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     the feed-in-tariff baseline and checks the energy accounting identity
     generation + imports = consumption + exports + losses to 1e-6 kWh.
     """
-    extra, deltas, finish = _REPLAYS[scenario.mechanism](scenario)
-    per_agent = {a.id: _blank_row(a.role) for a in scenario.agents}
-    system = dict.fromkeys(_ENERGY_TOTALS, 0.0)
-    system.update(avg_buy_price=None, avg_sell_price=None, **extra)
-    for t in range(scenario.horizon):
-        for aid, column, amount in deltas(t):
-            (system if aid is None else per_agent[aid])[column] += amount
+    replay, extra = _REPLAYS[scenario.mechanism]
+    totals = {**dict.fromkeys(_ENERGY_TOTALS, float), **extra}
+    cells = _Cells(scenario.agents, totals)
+    deltas, finish = replay(scenario, cells)
+    stream = [deltas(t) for t in range(scenario.horizon)]
+    sums = np.zeros(cells.size)
+    np.add.at(
+        sums,
+        np.concatenate([at for at, _ in stream]),
+        np.concatenate([amount for _, amount in stream]),
+    )
+
+    agent_sums, total_sums = cells.read(sums)
+    per_agent = {a.id: {"role": a.role, **agent_sums[a.id]} for a in scenario.agents}
+    system = {name: kind(total_sums[name]) for name, kind in totals.items()}
+    system.update(avg_buy_price=None, avg_sell_price=None)
     finish(per_agent, system)
 
     for row in per_agent.values():

@@ -1,24 +1,27 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the package's own algorithms: volumes come from a
-max-flow over half-kWh units, welfare from an assignment solver, optimal EV
-welfare from exhaustive grid search, Shapley values from direct enumeration,
-a per-player subset loop or one in exact rational arithmetic,
-superadditivity from all 3^N disjoint pairs, the storage leader's price from
-a search over the whole price grid (it shares no code with the package), a
-storage auction from the scalar steps priced by that grid search (it shares
-the screen, the best response and the oversupply split with
-`run_storage_auction`, but neither the pricing kernel nor the batch
-settlement), the incentive-compatibility report and the requirement sweep
-from one such auction per report or total, and the EV transfer-polytope
-projection from one capped-sum projection per row and per column in each
-Dykstra cycle.
+max-flow over half-kWh units, welfare from an assignment solver, a slot's
+double-auction clearing from one row object per order and key-sorted lists,
+a double-auction scenario from that clearing replayed slot by slot into
+dicts, optimal EV welfare from exhaustive grid search, Shapley values from
+direct enumeration, a per-player subset loop or one in exact rational
+arithmetic, superadditivity from all 3^N disjoint pairs, the storage
+leader's price from a search over the whole price grid (it shares no code
+with the package), a storage auction from the scalar steps priced by that
+grid search (it shares the screen, the best response and the oversupply
+split with `run_storage_auction`, but neither the pricing kernel nor the
+batch settlement), the incentive-compatibility report and the requirement
+sweep from one such auction per report or total, and the EV
+transfer-polytope projection from one capped-sum projection per row and per
+column in each Dykstra cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +84,169 @@ def max_crossing_welfare(buys, sells, unit=0.5):
                 w[i, j] = bp - ap
     r, c = linear_sum_assignment(w, maximize=True)
     return float(w[r, c].sum()) * unit
+
+
+@dataclass(frozen=True)
+class OrderRow:
+    """One limit order as its own object, as the clearing loop reads it."""
+
+    agent_id: str
+    quantity: float
+    limit_price: float
+
+
+@dataclass
+class LoopClearing:
+    clearing_price: float | None
+    matches: list  # (buyer id, seller id, quantity)
+    residual_buys: dict
+    residual_sells: dict
+    matched_volume: float
+    marginal_bid: float | None
+    marginal_ask: float | None
+
+
+def clear_double_auction_loop(buys, sells, pricing="marginal_bid"):
+    """Merit-order clearing of (agent_id, quantity, limit_price) orders, one
+    row object per order.
+
+    Each side is a list sorted by a key of (price, agent id, submission
+    index); the merge then walks both lists one order at a time, and the
+    residuals are summed per agent in merit order.
+    """
+    bids = sorted(
+        ((OrderRow(*o), k) for k, o in enumerate(buys)),
+        key=lambda ok: (-ok[0].limit_price, ok[0].agent_id, ok[1]),
+    )
+    asks = sorted(
+        ((OrderRow(*o), k) for k, o in enumerate(sells)),
+        key=lambda ok: (ok[0].limit_price, ok[0].agent_id, ok[1]),
+    )
+    remaining_bid = [float(o.quantity) for o, _ in bids]
+    remaining_ask = [float(o.quantity) for o, _ in asks]
+    matches = []
+    marginal_bid = marginal_ask = None
+    volume = 0.0
+    i = j = 0
+    while i < len(bids) and j < len(asks):
+        buy, ask = bids[i][0], asks[j][0]
+        if buy.limit_price < ask.limit_price:
+            break
+        qty = min(remaining_bid[i], remaining_ask[j])
+        matches.append((buy.agent_id, ask.agent_id, qty))
+        marginal_bid = buy.limit_price
+        marginal_ask = ask.limit_price
+        volume += qty
+        remaining_bid[i] -= qty
+        remaining_ask[j] -= qty
+        if remaining_bid[i] <= 0:
+            i += 1
+        if remaining_ask[j] <= 0:
+            j += 1
+
+    if not matches:
+        price = None
+    elif pricing == "marginal_bid":
+        price = marginal_bid
+    else:
+        price = (marginal_bid + marginal_ask) / 2.0
+
+    residual_buys, residual_sells = {}, {}
+    for (o, _), rem in zip(bids, remaining_bid):
+        if rem > 0:
+            residual_buys[o.agent_id] = residual_buys.get(o.agent_id, 0.0) + rem
+    for (o, _), rem in zip(asks, remaining_ask):
+        if rem > 0:
+            residual_sells[o.agent_id] = residual_sells.get(o.agent_id, 0.0) + rem
+    return LoopClearing(price, matches, residual_buys, residual_sells, volume,
+                        marginal_bid, marginal_ask)
+
+
+def double_auction_replay_loop(scenario):
+    """A double-auction scenario replayed one slot at a time into dicts.
+
+    Each slot lists its outcome as (agent id or None, column, amount) triples
+    and adds them to the per-agent rows or the system totals in list order.
+    Orders come from the agents' scalar nets, clearing from
+    `clear_double_auction_loop` and settlement from a loop over its matches
+    and residuals. Returns (per_agent, system) as run_simulation reports them.
+    """
+    tariff = scenario.tariff
+    blo, bhi = scenario.options.get("buyer_margin", (0.02, 0.10))
+    slo, shi = scenario.options.get("seller_margin", (0.02, 0.10))
+    rng = np.random.default_rng(scenario.seed)
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    margins = {a.id: (float(rng.uniform(blo, bhi)), float(rng.uniform(slo, shi)))
+               for a in ordered}
+
+    columns = ("bill", "revenue", "fit_bill", "fit_revenue", "energy_bought_kwh",
+               "energy_sold_kwh", "utility")
+    per_agent = {a.id: {"role": a.role, **dict.fromkeys(columns, 0.0)} for a in scenario.agents}
+    system = dict.fromkeys(("matched_kwh", "grid_import_kwh", "grid_export_kwh", "loss_kwh",
+                            "generation_kwh", "consumption_kwh", "buy_spend", "sell_earn"), 0.0)
+    for t in range(scenario.horizon):
+        buys, sells = [], []
+        for agent in ordered:
+            net = float(agent.gen[t] - agent.load[t])
+            bmar, smar = margins[agent.id]
+            if net > 1e-12:
+                sells.append((agent.id, net, tariff.p_wp + smar))
+            elif net < -1e-12:
+                buys.append((agent.id, -net, tariff.p_rp - bmar))
+        c = clear_double_auction_loop(buys, sells)
+        paid, received, charge, credit = {}, {}, {}, {}
+        for buyer, seller, qty in c.matches:
+            cash = qty * c.clearing_price
+            paid[buyer] = paid.get(buyer, 0.0) + cash
+            received[seller] = received.get(seller, 0.0) + cash
+        for aid, qty in c.residual_buys.items():
+            charge[aid] = charge.get(aid, 0.0) + qty * tariff.p_rp
+        for aid, qty in c.residual_sells.items():
+            credit[aid] = credit.get(aid, 0.0) + qty * tariff.p_wp
+
+        out = []
+        for buyer, seller, qty in c.matches:
+            out.append((None, "matched_kwh", qty))
+            out.append((buyer, "energy_bought_kwh", qty))
+            out.append((seller, "energy_sold_kwh", qty))
+        out.append((None, "grid_import_kwh", sum(c.residual_buys.values())))
+        out.append((None, "grid_export_kwh", sum(c.residual_sells.values())))
+        for aid, cash in paid.items():
+            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
+        for aid, cash in received.items():
+            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
+        for aid, cash in charge.items():
+            out += [(aid, "bill", cash), (None, "buy_spend", cash)]
+            out.append((aid, "energy_bought_kwh", c.residual_buys[aid]))
+        for aid, cash in credit.items():
+            out += [(aid, "revenue", cash), (None, "sell_earn", cash)]
+            out.append((aid, "energy_sold_kwh", c.residual_sells[aid]))
+        for agent in scenario.agents:
+            net = float(agent.gen[t] - agent.load[t])
+            if net < 0:
+                out.append((agent.id, "fit_bill", -net * tariff.p_rp))
+            elif net > 0:
+                out.append((agent.id, "fit_revenue", net * tariff.p_wp))
+        for aid, column, amount in out:
+            (system if aid is None else per_agent[aid])[column] += amount
+
+    buy_kwh = system["matched_kwh"] + system["grid_import_kwh"]
+    sell_kwh = system["matched_kwh"] + system["grid_export_kwh"]
+    buy_spend, sell_earn = system.pop("buy_spend"), system.pop("sell_earn")
+    system["generation_kwh"] = float(sum(a.gen.sum() for a in scenario.agents))
+    system["consumption_kwh"] = float(sum(a.load.sum() for a in scenario.agents))
+    system["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
+    system["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
+    for row in per_agent.values():
+        p2p_cost = row["bill"] - row["revenue"]
+        fit_cost = row["fit_bill"] - row["fit_revenue"]
+        row["savings"] = fit_cost - p2p_cost
+        row["savings_pct"] = 100.0 * (fit_cost - p2p_cost) / fit_cost if fit_cost > 1e-12 else None
+    system["energy_balance_residual_kwh"] = (
+        system["generation_kwh"] + system["grid_import_kwh"] - system["consumption_kwh"]
+        - system["grid_export_kwh"] - system["loss_kwh"]
+    )
+    return per_agent, system
 
 
 def bisect_scalar_root(f, lo, hi, iters=200):

@@ -33,19 +33,25 @@ def report(number, label, ok, detail=""):
 
 
 def random_book(rng):
-    """Half-kWh quantities and dyadic prices keep all cash flows exact."""
+    """Half-kWh quantities and dyadic prices keep all cash flows exact.
+
+    Returns each side as (agent_id, quantity, limit_price) orders.
+    """
     nb, ns = int(rng.integers(0, 4)), int(rng.integers(0, 4))
     buys = [
-        mk.Order(f"B{k}", mk.BUY, int(rng.integers(1, 11)) * 0.5,
-                 int(rng.integers(1, 65)) / 128.0)
+        (f"B{k}", int(rng.integers(1, 11)) * 0.5, int(rng.integers(1, 65)) / 128.0)
         for k in range(nb)
     ]
     sells = [
-        mk.Order(f"S{k}", mk.SELL, int(rng.integers(1, 11)) * 0.5,
-                 int(rng.integers(1, 65)) / 128.0)
+        (f"S{k}", int(rng.integers(1, 11)) * 0.5, int(rng.integers(1, 65)) / 128.0)
         for k in range(ns)
     ]
     return buys, sells
+
+
+def column_book(orders):
+    ids, quantities, prices = zip(*orders) if orders else ((), (), ())
+    return mk.Book(ids, quantities, prices)
 
 
 def test_criterion_1_double_auction_correctness():
@@ -53,17 +59,13 @@ def test_criterion_1_double_auction_correctness():
     rng = np.random.default_rng(1001)
     for _ in range(1000):
         buys, sells = random_book(rng)
-        clearing = mk.clear_double_auction(buys, sells)
+        clearing = mk.clear_double_auction(column_book(buys), column_book(sells))
 
-        oracle = max_crossing_volume(
-            [(o.agent_id, o.quantity, o.limit_price) for o in buys],
-            [(o.agent_id, o.quantity, o.limit_price) for o in sells],
-            unit=0.5,
-        )
+        oracle = max_crossing_volume(buys, sells, unit=0.5)
         assert clearing.matched_volume == pytest.approx(oracle, abs=1e-12)
 
-        bid_of = {o.agent_id: o.limit_price for o in buys}
-        ask_of = {o.agent_id: o.limit_price for o in sells}
+        bid_of = {aid: price for aid, _, price in buys}
+        ask_of = {aid: price for aid, _, price in sells}
         for m in clearing.matches:
             assert bid_of[m.buyer_id] >= clearing.clearing_price >= ask_of[m.seller_id]
 

@@ -93,6 +93,52 @@ class TestClear:
         rc = main(["clear", "--orders", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            ("B1,buy,5,0.2\nB2,buy,-2,0.2\n", 3, "order quantity must be > 0, got -2.0"),
+            ("B1,buy,nan,0.2\n", 2, "expected a finite number, got 'nan'"),
+            ("S1,sell,1,0.1\nB1,bid,5,0.2\n", 3, "order side must be 'buy' or 'sell', got 'bid'"),
+            ("B1,buy,5,-0.5\n", 2, "limit price must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_bad_order_named_at_its_line(self, tmp_path, capsys, rows, line, message):
+        orders = tmp_path / "orders.csv"
+        orders.write_text("agent_id,side,quantity,limit_price\n" + rows)
+        rc = main(["clear", "--orders", str(orders), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"gridswap: {orders}:{line}: {message}\n"
+        assert not (tmp_path / "o" / "matches.csv").exists()
+
+    def test_orders_of_two_slots_rejected(self, tmp_path, capsys):
+        orders = tmp_path / "orders.csv"
+        orders.write_text("agent_id,side,quantity,limit_price,slot\nB1,buy,1,0.2,3\n"
+                          "S1,sell,1,0.1,4\n")
+        rc = main(["clear", "--orders", str(orders), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert "orders span multiple slots: [3, 4]" in capsys.readouterr().err
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        # the quotes send the file to the row reader; csv quotes the ids again on output
+        orders = tmp_path / "orders.csv"
+        orders.write_text(
+            'agent_id,side,quantity,limit_price,slot\n'
+            '"Smith, J",buy,2.5,0.25,7\n'
+            '"the ""north"" roof",sell,1.5,0.1,7\n'
+            ' plain ,sell,4,0.3,7\n'
+        )
+        out = tmp_path / "o"
+        assert main(["clear", "--orders", str(orders), "--out", str(out), "--quiet"]) == 0
+        assert (out / "matches.csv").read_text() == (
+            "buyer_id,seller_id,quantity,price\n"
+            '"Smith, J","the ""north"" roof",1.5,0.25\n'
+        )
+        assert (out / "residuals.csv").read_text() == (
+            "agent_id,side,quantity\n"
+            '"Smith, J",buy,1.0\n'
+            "plain,sell,4.0\n"
+        )
+
 
 class TestRun:
     def test_writes_report_and_manifest(self, scenario_cfg, tmp_path):
@@ -716,6 +762,41 @@ class TestSeedAndSlotIntegers:
         cfg.write_text(f"{key} = {value}\nagent = p1 prosumer -\n")
         read = getattr(scenario.load_scenario(cfg), key)
         assert read == parsed and type(read) is int
+
+
+class TestOptionRange:
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("eps = -1", "eps must be > 0, got -1"),
+            ("eps = 0", "eps must be > 0, got 0"),
+            ("eta = 1.5", "eta must be in (0, 1], got 1.5"),
+            ("eta = 0", "eta must be in (0, 1], got 0"),
+            ("seller_margin = 0.1:0.02", "seller_margin lo:hi must satisfy 0 <= lo <= hi, got 0.1:0.02"),
+            ("seller_margin = -0.01", "seller_margin lo:hi must satisfy 0 <= lo <= hi, got -0.01"),
+            ("buyer_margin = 0.5:0.6",
+             "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got 0.5:0.6"),
+            ("buyer_margin = -0.05:0.01",
+             "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got -0.05:0.01"),
+        ],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"p_rp = 0.3\n{line}\nagent = p1 prosumer -\nagent = c1 consumer -\n")
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert f"opt.cfg:2: {message}" in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    @pytest.mark.parametrize("line", ["eta = 1", "eps = 1e-9", "buyer_margin = 0.3",
+                                      "seller_margin = 0:0", "buyer_margin = 0.02:0.1"])
+    def test_accepted_at_the_bounds(self, tmp_path, line):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"p_rp = 0.3\n{line}\nagent = p1 prosumer -\nagent = c1 consumer -\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
 
 
 class TestSweepValueRange:

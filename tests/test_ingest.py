@@ -1,4 +1,5 @@
-"""The columnar fast path reads game and series tables exactly as the row reader does."""
+"""The columnar fast path reads order books, game and series tables exactly as the
+row reader does."""
 
 import itertools
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from gridswap import cli, ingest, scenario
+from gridswap import cli, ingest, market, scenario
 from gridswap.errors import GridswapError
 
 
@@ -40,6 +41,10 @@ def _assert_paths_agree(read, path):
         assert fast[1] == rows[1]
     else:
         for got, want in zip(fast[1], rows[1], strict=True):
+            if isinstance(got, market.Book):
+                assert got.agent_ids.tolist() == want.agent_ids.tolist()
+                got = np.stack([got.quantity, got.limit_price])
+                want = np.stack([want.quantity, want.limit_price])
             assert got.shape == want.shape and got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     return fast[0], "row" if rows_read.called else "columnar"
@@ -57,6 +62,8 @@ _FLOAT_SPELLINGS = [
     "{}", " {} ", "+{}", '"{}"', "{}\x85", "1_000", "1e500", "nan", "-inf", "-0", "-1", "1e-400",
     "x", "",
 ]
+_ID_SPELLINGS = ["{}", " {} ", '"{}"', '"{}, jr"', '"{}""s"', "", "{}\t"]
+_SIDE_SPELLINGS = ["{}", " {} ", '"{}"', "bid", "", "BUY"]
 _DECIMAL = hst.from_regex(r"[0-9]{1,20}(\.[0-9]{0,20})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
 _FLOAT = hst.one_of(
     _DECIMAL,
@@ -70,7 +77,8 @@ _EXTRA = [("source", ["grid", "pv", '"a,b"', ""]), ("note", ["x", "1", "#"]), ("
 def _text(draw, names, rows):
     """The file text for `rows` (each a dict of column -> (kind, value)) under a
     header of `names` and drawn extra columns in drawn order, spelled cleanly or noisily."""
-    spellings = {"int": _INT_SPELLINGS, "float": _FLOAT_SPELLINGS}
+    spellings = {"int": _INT_SPELLINGS, "float": _FLOAT_SPELLINGS, "id": _ID_SPELLINGS,
+                 "side": _SIDE_SPELLINGS}
     extras = draw(hst.lists(hst.sampled_from(_EXTRA), max_size=2, unique_by=lambda e: e[0]))
     header = draw(hst.permutations(names + [name for name, _ in extras]))
     noisy = draw(hst.booleans())
@@ -129,6 +137,23 @@ def _series(draw):
     return draw(_text(names, rows)), horizon + draw(hst.sampled_from([0, 0, 0, 1, -1]))
 
 
+@hst.composite
+def _orders(draw):
+    names = ["agent_id", "side", "quantity", "limit_price"]
+    slots = draw(hst.sampled_from([None, [3], [0, 0, 1]]))
+    if slots is not None:
+        names.append("slot")
+    rows = []
+    for k in range(draw(hst.integers(0, 5))):
+        row = {"agent_id": ("id", draw(hst.sampled_from(["a", "b7", "c-1"]))),
+               "side": ("side", draw(hst.sampled_from(["buy", "sell"]))),
+               "quantity": ("float", draw(_FLOAT)), "limit_price": ("float", draw(_FLOAT))}
+        if slots is not None:
+            row["slot"] = ("int", slots[k % len(slots)])
+        rows.append(row)
+    return draw(_text(names, rows))
+
+
 def _write(tmp, text):
     path = Path(tmp) / "table.csv"
     path.write_text(text, newline="")
@@ -149,6 +174,33 @@ class TestFastPathMatchesRows:
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(tmp, text)
             event("%s by the %s path" % _assert_paths_agree(_series_reader(max(horizon, 0)), path))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=_orders())
+    def test_orders(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            event("%s by the %s path" % _assert_paths_agree(cli._read_orders, _write(tmp, text)))
+
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("agent_id,side,quantity,limit_price\nB1,buy,5,0.2\nS1,sell,1.5,0.1\n", True),
+            ("side,limit_price,quantity,agent_id,slot\r\nbuy,0.2,5, B1 ,4\r\n\r\nsell,0,1,S1,4\r\n",
+             True),
+            ("agent_id,side,quantity,limit_price\nB1,buy,5,0.2\nS1, sell,1.5,0.1\n", False),
+            ('agent_id,side,quantity,limit_price\n"B,1",buy,5,0.2\n', False),
+            ("agent_id,side,quantity,limit_price\nB1,buy,0,0.2\n", False),
+            ("agent_id,side,quantity,limit_price\nB1,buy,1,-0.2\n", False),
+            ("agent_id,side,quantity,limit_price,slot\nB1,buy,1,0.2,3\nS1,sell,1,0.1,4\n", False),
+            ("agent_id,side,quantity,limit_price,slot\nB1,buy,1,0.2,\n", False),
+            ("agent_id,side,quantity,limit_price\nB1,buy,1,0.2\n  \n", False),
+            ("agent_id,side,quantity,limit_price\n", False),
+        ],
+    )
+    def test_orders_corpus(self, text, fast):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, path_taken = _assert_paths_agree(cli._read_orders, _write(tmp, text))
+            assert path_taken == ("columnar" if fast else "row")
 
     @pytest.mark.parametrize(
         "text, fast",

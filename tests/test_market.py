@@ -1,21 +1,25 @@
 """Double-auction clearing and settlement tests."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridswap.errors import InputError
-from gridswap.market import BUY, SELL, Order, Tariff, clear_double_auction, settle_slot
+from gridswap.market import Book, Tariff, clear_double_auction, settle_slot
 
-from oracles import max_crossing_volume, max_crossing_welfare
-
-
-def buy(agent, qty, price, slot=0):
-    return Order(agent, BUY, qty, price, slot)
+from oracles import clear_double_auction_loop, max_crossing_volume, max_crossing_welfare
 
 
-def sell(agent, qty, price, slot=0):
-    return Order(agent, SELL, qty, price, slot)
+def book(orders):
+    """A Book of (agent_id, quantity, limit_price) orders in submission order."""
+    ids, quantities, prices = zip(*orders) if orders else ((), (), ())
+    return Book(ids, quantities, prices)
+
+
+def clear(buys, sells, pricing="marginal_bid"):
+    return clear_double_auction(book(buys), book(sells), pricing)
 
 
 class TestTariff:
@@ -35,7 +39,7 @@ class TestTariff:
 class TestClearing:
     def test_single_crossing_pair(self):
         # one bid above one ask: everything trades at the only allocated bid
-        c = clear_double_auction([buy("B1", 5, 0.20)], [sell("S1", 5, 0.10)])
+        c = clear([("B1", 5, 0.20)], [("S1", 5, 0.10)])
         assert c.clearing_price == 0.20
         assert len(c.matches) == 1
         assert c.matches[0].quantity == 5
@@ -43,8 +47,8 @@ class TestClearing:
 
     def test_merit_order_split(self):
         # B1 takes 3, B2 takes the leftover 1; B2 is the marginal allocated bid
-        c = clear_double_auction(
-            [buy("B1", 3, 0.25), buy("B2", 3, 0.15)], [sell("S1", 4, 0.10)]
+        c = clear(
+            [("B1", 3, 0.25), ("B2", 3, 0.15)], [("S1", 4, 0.10)]
         )
         assert c.clearing_price == 0.15
         got = {(m.buyer_id, m.quantity) for m in c.matches}
@@ -54,9 +58,7 @@ class TestClearing:
     def test_merit_order_split_against_welfare_oracle(self):
         buys = [("B1", 3.0, 0.25), ("B2", 3.0, 0.15)]
         sells = [("S1", 4.0, 0.10)]
-        c = clear_double_auction(
-            [buy(*b) for b in buys], [sell(*s) for s in sells]
-        )
+        c = clear(buys, sells)
         assert c.matched_volume == max_crossing_volume(buys, sells, unit=0.5)
         welfare = sum(
             (dict((b[0], b[2]) for b in buys)[m.buyer_id] - 0.10) * m.quantity
@@ -65,38 +67,30 @@ class TestClearing:
         assert welfare == pytest.approx(max_crossing_welfare(buys, sells, unit=0.5))
 
     def test_no_crossing(self):
-        c = clear_double_auction([buy("B1", 5, 0.08)], [sell("S1", 5, 0.10)])
+        c = clear([("B1", 5, 0.08)], [("S1", 5, 0.10)])
         assert c.clearing_price is None
         assert c.matches == []
         assert c.residual_buys == {"B1": 5}
         assert c.residual_sells == {"S1": 5}
 
     def test_empty_book_is_valid(self):
-        c = clear_double_auction([], [])
+        c = clear([], [])
         assert c.clearing_price is None and c.matches == []
 
     def test_one_sided_book(self):
-        c = clear_double_auction([], [sell("S1", 2, 0.10)])
+        c = clear([], [("S1", 2, 0.10)])
         assert c.matches == [] and c.residual_sells == {"S1": 2}
 
-    def test_mixed_slots_rejected(self):
-        with pytest.raises(InputError):
-            clear_double_auction([buy("B1", 1, 0.2, slot=3)], [sell("S1", 1, 0.1, slot=4)])
-
-    def test_side_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            clear_double_auction([sell("S1", 1, 0.1)], [])
-
     def test_midpoint_pricing(self):
-        c = clear_double_auction(
-            [buy("B1", 5, 0.20)], [sell("S1", 5, 0.10)], pricing="midpoint"
+        c = clear(
+            [("B1", 5, 0.20)], [("S1", 5, 0.10)], pricing="midpoint"
         )
         assert c.clearing_price == pytest.approx(0.15)
 
     def test_no_crossing_left_after_clearing(self):
-        c = clear_double_auction(
-            [buy("B1", 2, 0.30), buy("B2", 2, 0.18), buy("B3", 2, 0.12)],
-            [sell("S1", 3, 0.10), sell("S2", 3, 0.16)],
+        c = clear(
+            [("B1", 2, 0.30), ("B2", 2, 0.18), ("B3", 2, 0.12)],
+            [("S1", 3, 0.10), ("S2", 3, 0.16)],
         )
         ask_prices = {"S1": 0.10, "S2": 0.16}
         bid_prices = {"B1": 0.30, "B2": 0.18, "B3": 0.12}
@@ -105,9 +99,9 @@ class TestClearing:
                 assert bid_prices[b] < ask_prices[s]
 
     def test_individual_rationality(self):
-        buys = [buy("B1", 2, 0.30), buy("B2", 4, 0.22)]
-        sells = [sell("S1", 3, 0.05), sell("S2", 3, 0.20)]
-        c = clear_double_auction(buys, sells)
+        buys = [("B1", 2, 0.30), ("B2", 4, 0.22)]
+        sells = [("S1", 3, 0.05), ("S2", 3, 0.20)]
+        c = clear(buys, sells)
         bid_prices = {"B1": 0.30, "B2": 0.22}
         ask_prices = {"S1": 0.05, "S2": 0.20}
         for m in c.matches:
@@ -131,15 +125,15 @@ def test_permutation_invariance(buys, sells, shuffle_seed):
     """Shuffling order submission changes nothing observable."""
     import random
 
-    b = [buy(f"B{a}", q, p / 100.0) for a, q, p in buys]
-    s = [sell(f"S{a}", q, p / 100.0) for a, q, p in sells]
-    base = clear_double_auction(b, s)
+    b = [(f"B{a}", q, p / 100.0) for a, q, p in buys]
+    s = [(f"S{a}", q, p / 100.0) for a, q, p in sells]
+    base = clear(b, s)
 
     rng = random.Random(shuffle_seed)
     b2, s2 = list(b), list(s)
     rng.shuffle(b2)
     rng.shuffle(s2)
-    other = clear_double_auction(b2, s2)
+    other = clear(b2, s2)
 
     assert base.clearing_price == other.clearing_price
     assert base.matched_volume == pytest.approx(other.matched_volume)
@@ -156,28 +150,82 @@ def test_permutation_invariance(buys, sells, shuffle_seed):
     assert pair_totals(base) == pytest.approx(pair_totals(other))
 
 
+class TestBook:
+    @pytest.mark.parametrize(
+        "quantity, price, message",
+        [
+            (0.0, 0.1, "order quantity must be > 0, got 0.0"),
+            (-2.0, -1.0, "order quantity must be > 0, got -2.0"),
+            (math.nan, 0.1, "order quantity must be > 0, got nan"),
+            (math.inf, 0.1, "order quantity must be > 0, got inf"),
+            (1.0, -0.1, "limit price must be finite and >= 0, got -0.1"),
+            (1.0, math.nan, "limit price must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_first_bad_order_reported(self, quantity, price, message):
+        orders = [("ok", 1.0, 0.2), ("bad", quantity, price), ("late", -5.0, -5.0)]
+        with pytest.raises(InputError) as exc:
+            book(orders)
+        assert str(exc.value) == message
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(InputError):
+            Book(["a", "b"], [1.0], [0.1, 0.2])
+
+    def test_length_counts_orders(self):
+        assert len(book([("a", 1.0, 0.1), ("a", 2.0, 0.1)])) == 2 and len(book([])) == 0
+
+
+# a small id alphabet and a coarse price grid, so ids repeat and prices tie
+_ORDERS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "ab", "B", ""]),
+        st.sampled_from([0.5, 1.0, 2.5]) | st.floats(1e-3, 10.0),
+        st.sampled_from([-0.0, 0.0, 0.05, 0.1, 0.15, 0.2]) | st.floats(0.0, 1.0),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(buys=_ORDERS, sells=_ORDERS, pricing=st.sampled_from(["marginal_bid", "midpoint"]))
+@example(buys=[], sells=[], pricing="marginal_bid")
+@example(buys=[("a", 1.0, 0.2)], sells=[], pricing="midpoint")
+@example(buys=[], sells=[("a", 1.0, 0.2)], pricing="marginal_bid")
+@example(buys=[("b", 1.0, 0.2), ("a", 1.0, 0.2), ("b", 0.5, 0.2)],
+         sells=[("a", 0.7, 0.1), ("a", 2.0, 0.1)], pricing="midpoint")
+def test_columns_equal_the_row_loop(buys, sells, pricing):
+    """The column kernel clears every book bit for bit as the per-order loop does."""
+    got = clear(buys, sells, pricing)
+    want = clear_double_auction_loop(buys, sells, pricing)
+    assert repr([tuple(m) for m in got.matches]) == repr(want.matches)
+    for name in ("clearing_price", "matched_volume", "marginal_bid", "marginal_ask",
+                 "residual_buys", "residual_sells"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
 class TestSettlement:
     def test_matched_energy_at_clearing_price(self):
-        c = clear_double_auction([buy("B1", 4, 0.15)], [sell("S1", 4, 0.10)])
+        c = clear([("B1", 4, 0.15)], [("S1", 4, 0.10)])
         assert c.clearing_price == 0.15
         s = settle_slot(c, Tariff(0.05, 0.30))
         assert s.p2p_paid["B1"] == pytest.approx(0.60)
         assert s.p2p_received["S1"] == pytest.approx(0.60)
 
     def test_residual_buy_charged_at_retail(self):
-        c = clear_double_auction([buy("B1", 2, 0.08)], [])
+        c = clear([("B1", 2, 0.08)], [])
         s = settle_slot(c, Tariff(0.05, 0.30))
         assert s.grid_charge["B1"] == pytest.approx(0.60)
 
     def test_residual_sell_credited_at_wholesale(self):
-        c = clear_double_auction([], [sell("S1", 3, 0.10)])
+        c = clear([], [("S1", 3, 0.10)])
         s = settle_slot(c, Tariff(0.05, 0.30))
         assert s.grid_credit["S1"] == pytest.approx(0.15)
 
     def test_budget_balance(self):
-        c = clear_double_auction(
-            [buy("B1", 2.5, 0.30), buy("B2", 4, 0.22), buy("B3", 1, 0.02)],
-            [sell("S1", 3, 0.05), sell("S2", 3.5, 0.20)],
+        c = clear(
+            [("B1", 2.5, 0.30), ("B2", 4, 0.22), ("B3", 1, 0.02)],
+            [("S1", 3, 0.05), ("S2", 3.5, 0.20)],
         )
         s = settle_slot(c, Tariff(0.01, 0.40))
         assert s.total_paid() == pytest.approx(s.total_received(), abs=1e-12)
@@ -192,7 +240,5 @@ def test_oracle_equivalence_small_books():
         nb, ns = rng.randint(0, 3), rng.randint(0, 3)
         buys = [(f"B{k}", rng.randint(1, 8) * 0.5, rng.randint(1, 64) / 128.0) for k in range(nb)]
         sells = [(f"S{k}", rng.randint(1, 8) * 0.5, rng.randint(1, 64) / 128.0) for k in range(ns)]
-        c = clear_double_auction(
-            [buy(*b) for b in buys], [sell(*s) for s in sells]
-        )
+        c = clear(buys, sells)
         assert c.matched_volume == pytest.approx(max_crossing_volume(buys, sells, unit=0.5))

@@ -17,6 +17,8 @@ from gridswap.scenario import (
     sweep,
 )
 
+from oracles import double_auction_replay_loop
+
 
 def write_series(path, rows):
     lines = ["slot_index,load_kwh,gen_kwh"]
@@ -226,6 +228,43 @@ class TestRunSimulation:
         b = run_simulation(load_scenario(minimal))
         assert a.per_agent == b.per_agent
         assert a.system == b.system
+
+
+def _double_auction_scenario(seed, options):
+    """Twelve agents listed out of id order over 24 slots, drawn so that some
+    slots hold no orders, only bids, only asks, or nets within 1e-12 of zero."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for k in range(12):
+        load = rng.uniform(0.0, 2.0, 24) * (rng.random(24) < 0.7)
+        gen = rng.uniform(0.0, 3.0, 24) * (rng.random(24) < 0.5)
+        load[0] = gen[0] = 0.0  # no orders
+        load[1], gen[1] = 0.0, 1.0 + k  # asks only
+        load[2], gen[2] = 1.0 + k, 0.0  # bids only
+        load[3], gen[3] = 0.0, 5e-13 * (k % 3)  # nets too small to post
+        agents.append(AgentProfile(f"a{(5 * k) % 12:02d}", "prosumer", load, gen))
+    return Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), "double_auction", 24,
+                    seed=seed, options=options)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)},
+        # every bid at most 0.10, every ask at least 0.25: no slot crosses
+        {"buyer_margin": (0.2, 0.3), "seller_margin": (0.2, 0.25)},
+    ],
+)
+def test_double_auction_equals_the_loop_replay(seed, options):
+    """run_simulation adds every double-auction sum in the order the per-slot
+    dict replay does, so both report the same floats bit for bit."""
+    report = run_simulation(_double_auction_scenario(seed, options))
+    per_agent, system = double_auction_replay_loop(_double_auction_scenario(seed, options))
+    assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
+        {aid: sorted(row.items()) for aid, row in per_agent.items()})
+    assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
 
 
 @pytest.fixture
