@@ -7,7 +7,9 @@ inside the community beats feeding the grid. Payoffs are divided by Shapley
 value, exactly up to _EXACT_LIMIT members and by seeded permutation sampling
 above. The exact division splits the members into two halves that meet in
 the middle (Horowitz & Sahni, JACM 1974) at every size: time O(N 2^(N/2)),
-memory O(2^(N/2)).
+memory O(2^(N/2)). One kernel, _shapley_rows, divides a whole batch of
+instances of one size at once, as a scenario's slots of one member count;
+shapley_exact is one row of it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ USER = "user"
 # (512 kB each at 16)
 _ENUMERATION_LIMIT = 16
 # the largest N whose exact Shapley call stays under 8 MB of allocations
-# (7.4 MB and 0.11 s at 32 on a 2-CPU container, Python 3.11, numpy 2.4);
-# sampling takes over above it
+# (6.5 MB and 0.07 s for one row at 32 on a 2-CPU container, Python 3.11,
+# numpy 2.4); sampling takes over above it, and a batch of smaller instances
+# is priced in chunks no larger than one row at 32
 _EXACT_LIMIT = 32
 # Monte-Carlo Shapley work grows with the permutations sampled; the config's
 # mc_samples and the shapley --samples flag both stop here
@@ -98,15 +101,27 @@ def coalition_value(subset, tariff: Tariff) -> float:
 
 
 def _subset_sums(energies: np.ndarray) -> np.ndarray:
-    """Net energy of every bitmask subset, sums[0] = 0.
+    """Net energy of every bitmask subset of each row, sums[..., 0] = 0.
 
     Doubling from the last member to the first puts member k on bit k and adds
     each subset's members from its highest bit down.
     """
-    sums = np.zeros(1)
-    for e in energies[::-1]:
-        sums = np.stack([sums, sums + e], -1).ravel()
+    lead = energies.shape[:-1]
+    sums = np.zeros((*lead, 1))
+    for k in range(energies.shape[-1] - 1, -1, -1):
+        pairs = np.empty((*lead, sums.shape[-1], 2))
+        pairs[..., 0] = sums
+        np.add(sums, energies[..., k, None], out=pairs[..., 1])
+        sums = pairs.reshape(*lead, -1)
     return sums
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """Members in each bitmask subset of `bits` players, in mask order."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
 
 
 def is_superadditive(instance: CoalitionInstance):
@@ -129,55 +144,129 @@ def is_superadditive(instance: CoalitionInstance):
     return False, ((seller,), (buyer,))
 
 
-def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
-    """Exact Shapley allocation, up to _EXACT_LIMIT players, in O(2^(N/2)) memory.
+def _shapley_rows(energies: np.ndarray, tariff: Tariff) -> np.ndarray:
+    """Exact Shapley payoffs of every row of a rows x N matrix of net energies.
 
     v(S) = p_rp * x_S + (p_wp - p_rp) * max(x_S, 0) on the pooled net x_S, and
     the p_rp terms sum to p_rp * e_i over the Shapley weights
     w_|S| = |S|! (N - |S| - 1)! / N!, so
     phi_i = p_rp * e_i + (p_wp - p_rp) * sum_S w_|S| [max(x_S + e_i, 0) - max(x_S, 0)]
     over S without i. The players split into two halves that meet in the
-    middle. S joins a subset A of player i's half, without i, to a subset B of
-    the other half, and x_A + e_i is the sum of A + i, another subset of the
-    same half. So each half needs, for each of its subsets M and each size a,
-    g_a(M) = sum_B w_{a+|B|} max(x_M + y_B, 0). With the y_B sorted from the
-    largest down and prefix sums of w_{a+|B|} and w_{a+|B|} * y_B, one
-    searchsorted of all the x_M resolves every g_a. Player i adds
-    g_{|M|-1}(M) over the M holding it and subtracts g_{|M|}(M) over the M
-    without it. Time O(N 2^(N/2)).
+    middle (Horowitz & Sahni, JACM 1974). S joins a subset A of player i's
+    half, without i, to a subset B of the other half, and x_A + e_i is the sum
+    of A + i, another subset of the same half. So each half needs, for each of
+    its subsets M and each size a, g_a(M) = sum_B w_{a+|B|} max(x_M + y_B, 0).
+    With the y_B sorted from the largest down, r(M) of them have x_M + y_B > 0,
+    and prefix sums of w_{a+|B|} and w_{a+|B|} * y_B resolve every g_a. Player
+    i adds g_{|M|-1}(M) over the M holding it and subtracts g_{|M|}(M) over the
+    M without it. Time O(N 2^(N/2)) per row, memory O(2^(N/2)) per row.
+
+    Every step runs once for all rows along the last axis, so each row's
+    floats are those of a one-row call.
     """
+    rows, n = energies.shape
+    fact = math.factorial
+    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+    half = n // 2
+    low, high = _subset_sums(energies[:, :half]), _subset_sums(energies[:, half:])
+    n_low, n_high = low.shape[1], high.shape[1]
+    # One stable sort per row ranks the high sums, in reverse mask order,
+    # against the negated low sums; a tie puts the high sum first. A low sum's
+    # high sums after it are those y with x + y > 0, and a high sum's low sums
+    # before it those x with x + y > 0, so one sort ranks both halves. Among
+    # the high sums it reads largest first with ties in mask order, and among
+    # the negated low sums the low sums largest first, ties in mask order.
+    perm = np.argsort(np.concatenate([high[:, ::-1], -low], axis=1), axis=1, kind="stable")
+    is_low = perm >= n_high
+    lows_before = np.cumsum(is_low, axis=1, dtype=np.int32)
+    highs_after = np.arange(n_high - 1, -n_low - 1, -1, dtype=np.int32) + lows_before
+    low_order = perm[is_low].reshape(rows, n_low) - n_high
+    high_rising = n_high - 1 - perm[~is_low].reshape(rows, n_high)
+    # each array goes as soon as it is read, so one row at 32 members stays under 8 MB
+    del perm
+    low_rank = _scatter(low_order, highs_after[is_low].reshape(rows, n_low))
+    high_rank = _scatter(high_rising, lows_before[~is_low].reshape(rows, n_high))
+    del is_low, lows_before, highs_after
+    high_order = high_rising[:, ::-1]
+    low_sizes, high_sizes = _popcounts(half), _popcounts(n - half)
+    high_down, high_down_sizes = _take(high, high_order), high_sizes[high_order]
+    low_down, low_down_sizes = _take(low, low_order), low_sizes[low_order]
+    del low_order, high_rising, high_order
+    gain = np.empty((rows, n))
+    gain[:, :half] = _half_gains(low, low_sizes, low_rank, high_down, high_down_sizes, weights)
+    del low, low_rank, high_down
+    gain[:, half:] = _half_gains(high, high_sizes, high_rank, low_down, low_down_sizes, weights)
+    return tariff.p_rp * energies + (tariff.p_wp - tariff.p_rp) * gain
+
+
+def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[r, index[r, k]] for every row r, by flat index."""
+    offsets = np.arange(0, values.size, values.shape[1])[:, None]
+    return values.ravel()[index + offsets]
+
+
+def _scatter(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """out[r, index[r, k]] = values[r, k] for every row r, by flat index."""
+    out = np.empty(values.shape, dtype=values.dtype)
+    offsets = np.arange(0, out.size, out.shape[1])[:, None]
+    out.ravel()[index + offsets] = values
+    return out
+
+
+def _half_gains(x, sizes, rank, y, their_sizes, weights) -> np.ndarray:
+    """Each player of one half's sum over S of w_|S| [max(x_S + e_i, 0) - max(x_S, 0)].
+
+    x holds the half's subset sums in mask order and sizes their member
+    counts; rank counts the other half's sums y (sorted from the largest down,
+    with member counts their_sizes) that give x + y > 0. The masks of size a
+    and a + 1 read size a's prefix sums in one gather: g_a for the first,
+    g_{|M|-1} for the second.
+    """
+    rows, width = x.shape
+    bits = width.bit_length() - 1
+    by_size = np.argsort(sizes, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(sizes, minlength=bits + 1))])
+    span = y.shape[1] + 1
+    # prefix sums of w_{a+|B|} and of w_{a+|B|} y_B, each from a leading 0,
+    # read by flat index: row r's count at r * 2 * span + rank, its pooled
+    # sum span further on
+    prefix = np.zeros((rows, 2, span))
+    flat, both = prefix.ravel(), prefix[:, :, 1:]
+    weight, pooled = both[:, 0], both[:, 1]
+    offsets = np.arange(0, rows * 2 * span, 2 * span)[:, None]
+    lacking = np.zeros((rows, width))  # g_|M|(M), read for the players outside M
+    holding = np.zeros((rows, width))  # g_{|M|-1}(M), read for the players in M
+    for a in range(bits):
+        # every index is in range; "clip" writes straight into the buffer
+        np.take(weights, a + their_sizes, out=weight, mode="clip")
+        np.multiply(weight, y, out=pooled)
+        np.cumsum(both, axis=2, out=both)
+        cols = by_size[start[a]:start[a + 2]]
+        index = np.take(rank, cols, axis=1) + offsets
+        g = flat[index + span] + np.take(x, cols, axis=1) * flat[index]
+        split = start[a + 1] - start[a]
+        lacking[:, cols[:split]] = g[:, :split]
+        holding[:, cols[split:]] = g[:, split:]
+        del index, g
+    del prefix, flat, weight, pooled, both
+    gains = np.empty((rows, bits))
+    for bit in range(bits):
+        # masks split as (higher bits, this bit, lower bits); the difference is
+        # C-contiguous, so each row sums in the order a one-row call sums it
+        pairs = (rows, -1, 2, 1 << bit)
+        diff = holding.reshape(pairs)[:, :, 1] - lacking.reshape(pairs)[:, :, 0]
+        gains[:, bit] = diff.reshape(rows, -1).sum(axis=1)
+    return gains
+
+
+def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
+    """Exact Shapley allocation, up to _EXACT_LIMIT players, in O(2^(N/2)) memory:
+    one row of _shapley_rows."""
     n = instance.n
     if n > _EXACT_LIMIT:
         raise SizeError(f"exact Shapley is limited to N <= {_EXACT_LIMIT}, got {n}")
-    energies = np.array([c.net_energy for c in instance.customers])
-    fact = math.factorial
-    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
-    gain = np.zeros(n)
-    half = n // 2
-    for mine, theirs in ((range(half), range(half, n)), (range(half, n), range(half))):
-        z = -_subset_sums(energies[list(theirs)])
-        order = np.argsort(z, kind="stable")
-        z = z[order]
-        their_sizes = _subset_sums(np.ones(len(theirs))).astype(int)[order]
-        x = _subset_sums(energies[list(mine)])
-        sizes = _subset_sums(np.ones(len(mine))).astype(int)
-        # x_M + y_B > 0 for exactly the first r[M] of the sorted y_B
-        r = np.searchsorted(z, x)
-        lacking = np.zeros_like(x)  # g_|M|(M), read for the players outside M
-        holding = np.zeros_like(x)  # g_{|M|-1}(M), read for the players in M
-        for a in range(len(mine)):
-            w = weights[a + their_sizes]
-            count = np.concatenate(([0.0], np.cumsum(w)))
-            pooled = np.concatenate(([0.0], np.cumsum(w * -z)))
-            for g, size in ((lacking, a), (holding, a + 1)):
-                m = sizes == size
-                g[m] = pooled[r[m]] + x[m] * count[r[m]]
-        for bit, i in enumerate(mine):
-            # masks split as (higher bits, this bit, lower bits)
-            pairs = (-1, 2, 1 << bit)
-            gain[i] = np.sum(holding.reshape(pairs)[:, 1] - lacking.reshape(pairs)[:, 0])
-    tariff = instance.tariff
-    phi = tariff.p_rp * energies + (tariff.p_wp - tariff.p_rp) * gain
+    energies = np.array([[c.net_energy for c in instance.customers]])
+    phi = _shapley_rows(energies, instance.tariff)[0]
     return PayoffAllocation({c.id: float(p) for c, p in zip(instance.customers, phi)})
 
 
@@ -232,6 +321,31 @@ def shapley_allocation(
     if instance.n <= _EXACT_LIMIT:
         return shapley_exact(instance)
     return shapley_monte_carlo(instance, sample_count, seed=seed)
+
+
+def shapley_payoff_rows(
+    energies: np.ndarray, tariff: Tariff, sample_count: int, seeds
+) -> tuple[np.ndarray, bool]:
+    """Shapley payoffs of every row of a rows x N matrix of net energies, by
+    shapley_allocation's policy, and whether they were sampled.
+
+    Up to _EXACT_LIMIT members the rows go through _shapley_rows in chunks of
+    at most 2^16 / 2^ceil(N/2) rows, so no temporary outgrows a one-row call
+    at _EXACT_LIMIT members. Above it, row r is estimated from `sample_count`
+    join orders seeded by seeds[r].
+    """
+    rows, n = energies.shape
+    if n <= _EXACT_LIMIT:
+        chunk = 1 << (16 - (n + 1) // 2)
+        parts = [_shapley_rows(energies[i:i + chunk], tariff) for i in range(0, rows, chunk)]
+        return np.concatenate(parts), False
+    ids = [f"m{k}" for k in range(n)]
+    payoffs = []
+    for row, seed in zip(energies.tolist(), seeds):
+        customers = tuple(Customer(i, SUPPLIER if e > 0 else USER, e) for i, e in zip(ids, row))
+        alloc = shapley_monte_carlo(CoalitionInstance(customers, tariff), sample_count, seed)
+        payoffs.append([alloc.payoffs[i] for i in ids])
+    return np.array(payoffs).reshape(rows, n), True
 
 
 def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
@@ -294,23 +408,6 @@ def implied_p2p_prices(
     return out
 
 
-def competitive_allocation(instance: CoalitionInstance) -> PayoffAllocation:
-    """Core witness: the scarce market side captures the full trading margin.
-
-    With long supply, internal trades settle at p_wp and users keep the whole
-    retail-wholesale margin on their demand; with long demand the roles flip.
-    The resulting payoff vector is efficient and blocks no coalition, so it
-    witnesses that the core is nonempty whenever p_rp > p_wp. Unlike the exact
-    Shapley point, which can leave the core on unbalanced markets, this holds
-    on every instance.
-    """
-    supply = math.fsum(c.net_energy for c in instance.customers if c.net_energy > 0)
-    demand = math.fsum(-c.net_energy for c in instance.customers if c.net_energy < 0)
-    # long supply drives the internal price down to p_wp, long demand up to p_rp
-    price = instance.tariff.p_wp if supply >= demand else instance.tariff.p_rp
-    return PayoffAllocation({c.id: price * c.net_energy for c in instance.customers})
-
-
 def fit_payoff(customer: Customer, tariff: Tariff) -> float:
     """Feed-in-tariff payoff: sell all surplus at p_wp, buy all demand at p_rp."""
     return float(_net_value(customer.net_energy, tariff))
@@ -343,48 +440,6 @@ def revenue_vs_fit(instance: CoalitionInstance, allocation: PayoffAllocation | N
         "fit_total": math.fsum(r["fit_payoff"] for r in rows),
     }
     return rows, totals
-
-
-def random_instance(
-    rng: np.random.Generator,
-    n_suppliers: int,
-    n_users: int,
-    tariff: Tariff,
-    supply_max: float = 20.0,
-    demand_max: float = 15.0,
-) -> CoalitionInstance:
-    """Seeded desk-scale instance: supply ~ U[0, 20] kWh, demand ~ U[0, 15]."""
-    customers = [
-        Customer(f"s{k}", SUPPLIER, float(rng.uniform(0.0, supply_max)))
-        for k in range(n_suppliers)
-    ] + [
-        Customer(f"u{k}", USER, -float(rng.uniform(0.0, demand_max)))
-        for k in range(n_users)
-    ]
-    return CoalitionInstance(tuple(customers), tariff)
-
-
-def balanced_instance(
-    rng: np.random.Generator,
-    n_suppliers: int,
-    n_users: int,
-    tariff: Tariff,
-    supply_max: float = 20.0,
-    demand_max: float = 15.0,
-) -> CoalitionInstance:
-    """Seeded instance with total demand scaled to equal total supply.
-
-    Balanced markets are the regime where the exact Shapley division also sits
-    in the core; unbalanced ones generally leave only the competitive
-    allocation as a core witness.
-    """
-    supply = rng.uniform(0.5, supply_max, size=n_suppliers)
-    demand = rng.uniform(0.5, demand_max, size=n_users)
-    demand = demand * (supply.sum() / demand.sum())
-    customers = [
-        Customer(f"s{k}", SUPPLIER, float(x)) for k, x in enumerate(supply)
-    ] + [Customer(f"u{k}", USER, -float(x)) for k, x in enumerate(demand)]
-    return CoalitionInstance(tuple(customers), tariff)
 
 
 def supplier_count_sweep(

@@ -9,9 +9,9 @@ large numeric tables: numpy's C parser reads the named columns, and any file
 it cannot read exactly as `table` would goes back to `table`, whose rows and
 error messages stay the reference. `distinct_ids` rejects the first row of an
 agent table whose id repeats an earlier one. `finite` is the one parser for
-numeric text, in files, configs and command-line flags alike; `positive`
-parses the counts command-line flags take, and `positive_up_to` those it
-caps.
+numeric text, in files, configs and command-line flags alike, and
+`finite_over` adds a flag's range to it; `positive` parses the counts
+command-line flags take, and `positive_up_to` those it caps.
 """
 
 from __future__ import annotations
@@ -68,6 +68,21 @@ def positive_up_to(limit: int):
     value as it reports one below 1.
     """
     return functools.wraps(positive)(functools.partial(positive, limit=limit))
+
+
+def finite_over(low: float, high: float = math.inf):
+    """`finite`, also requiring low < value <= high, for a flag with a range.
+
+    The parser keeps the name `finite`, so argparse reports a value out of
+    range as it reports a non-finite one.
+    """
+    def parse(text: str) -> float:
+        value = finite(text)
+        if not low < value <= high:
+            raise ValueError(f"expected a number in ({low:g}, {high:g}], got {text!r}")
+        return value
+
+    return functools.wraps(finite)(parse)
 
 
 class Table:

@@ -1,13 +1,14 @@
 """Scenario engine: config ingestion, per-slot simulation, baselines, sweeps.
 
 A scenario names a tariff, a mechanism, a horizon of 15-minute slots, and a
-set of agents with load/generation series or mechanism parameters. One replay
-loop runs every mechanism slot by slot: the mechanism lists each slot's
-per-agent cash and energy deltas and system totals, and the loop sums them.
-EV and storage agents carry parameters, not series, so those auctions clear
-once per run and their deltas repeat in every slot. The report is then
-compared against feed-in-tariff, equal-distribution, and grid-hybrid
-baselines where those apply.
+set of agents with load/generation series or mechanism parameters. Each
+mechanism lists the horizon's per-agent cash and energy deltas and system
+totals slot by slot, and one replay sums them. The double auction clears one
+slot at a time; the coalition divides all slots of one member count in one
+Shapley batch. EV and storage agents carry parameters, not series, so those
+auctions clear once per run and their deltas repeat in every slot. The
+report is then compared against feed-in-tariff, equal-distribution, and
+grid-hybrid baselines where those apply.
 """
 
 from __future__ import annotations
@@ -236,12 +237,12 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
 # slot replay
 #
 # Each mechanism below is called with the scenario and its _Cells and returns
-# (deltas, finish). `deltas(t)` lists slot t's outcome as two sequences of
-# equal length: the cells it adds to and the amounts. run_simulation adds the
-# whole horizon's stream with one np.add.at, which adds the terms of a
-# repeated cell in stream order, so each sum adds its terms in a fixed order
-# and the outputs are stable to the bit. `finish(per_agent, system)` turns the
-# sums into the summary.
+# (stream, finish). The stream is a list of (cells, amounts) pairs of equal
+# length, which list the horizon's outcome slot by slot: each cell's terms
+# appear in slot order. run_simulation adds the whole stream with one
+# np.add.at, which adds the terms of a repeated cell in stream order, so each
+# sum adds its terms in a fixed order and the outputs are stable to the bit.
+# `finish(per_agent, system)` turns the sums into the summary.
 
 _AGENT_COLUMNS = (
     "bill",
@@ -301,15 +302,19 @@ def _draw_margins(scenario: Scenario):
     return margins
 
 
+def _net_matrix(agents) -> tuple[list[AgentProfile], np.ndarray]:
+    """The agents in id order and their slots x agents net positions, generation - load."""
+    ordered = sorted(agents, key=lambda a: a.id)
+    return ordered, np.stack([a.gen - a.load for a in ordered], axis=1)
+
+
 def _double_auction(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
     margins = _draw_margins(scenario)
-    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    ordered, net = _net_matrix(scenario.agents)
     ids = np.array([a.id for a in ordered], dtype=object)
     bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
-    # slots x agents in id order
-    net = np.stack([a.gen - a.load for a in ordered], axis=1)
 
     bill, revenue = cells.column("bill"), cells.column("revenue")
     bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
@@ -365,7 +370,7 @@ def _double_auction(scenario: Scenario, cells: _Cells):
         s["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
         s["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
 
-    return deltas, finish
+    return [deltas(t) for t in range(scenario.horizon)], finish
 
 
 def _mechanism_agent(agent: AgentProfile):
@@ -442,52 +447,66 @@ def _ev_auction(scenario: Scenario, cells: _Cells):
             revenues = sum(per_agent[d.id]["revenue"] for d in dischargers)
             s["avg_sell_price"] = revenues / sent_total
 
-    return lambda t: slot, finish
+    return [slot] * scenario.horizon, finish
 
 
-def _coalition_instance(scenario: Scenario, t: int):
-    customers = []
-    for agent in sorted(scenario.agents, key=lambda a: a.id):
-        net = agent.net(t)
-        if abs(net) < 1e-12:
-            continue
-        role = co.SUPPLIER if net > 0 else co.USER
-        customers.append(co.Customer(agent.id, role, net))
-    if not customers:
-        return None
-    return co.CoalitionInstance(tuple(customers), scenario.tariff)
+def _members(net: np.ndarray) -> np.ndarray:
+    """Which agents join each slot's coalition: those with |net| >= 1e-12."""
+    return ~(np.abs(net) < 1e-12)
 
 
 def _coalition(scenario: Scenario, cells: _Cells):
+    tariff = scenario.tariff
     samples = scenario.options.get("mc_samples", 20_000)
+    ordered, net = _net_matrix(scenario.agents)
+    member = _members(net)
+    size = member.sum(axis=1)
+    payoff = np.zeros(net.shape)
+    sampled = np.zeros(len(net), dtype=bool)
+    # slots of one member count share one batch, their members in id order
+    for n in np.unique(size[size > 0]).tolist():
+        slots = np.flatnonzero(size == n)
+        group = member & (size == n)[:, None]
+        phi, sampled[slots] = co.shapley_payoff_rows(
+            net[group].reshape(-1, n), tariff, samples, (scenario.seed + slots).tolist()
+        )
+        payoff[group] = phi.ravel()
 
-    def deltas(t: int) -> list:
-        inst = _coalition_instance(scenario, t)
-        if inst is None:
-            return cells.pack([])
-        alloc = co.shapley_allocation(inst, samples, scenario.seed + t)
-        out = [(None, "shapley_sampled_slots" if alloc.samples else "shapley_exact_slots", 1)]
-        for c in inst.customers:
-            payoff = alloc.payoffs[c.id]
-            out.append((c.id, "revenue", payoff) if payoff >= 0 else (c.id, "bill", -payoff))
-            fit = co.fit_payoff(c, scenario.tariff)
-            out.append((c.id, "fit_revenue", fit) if fit >= 0 else (c.id, "fit_bill", -fit))
-            if c.net_energy > 0:
-                out.append((c.id, "energy_sold_kwh", c.net_energy))
-            else:
-                out.append((c.id, "energy_bought_kwh", -c.net_energy))
-        supply = sum(c.net_energy for c in inst.customers if c.net_energy > 0)
-        demand = sum(-c.net_energy for c in inst.customers if c.net_energy < 0)
-        out.append((None, "generation_kwh", supply))
-        out.append((None, "consumption_kwh", demand))
-        out.append((None, "matched_kwh", min(supply, demand)))
-        return cells.pack(out)
+    # one entry per member and slot, slot by slot and in id order within a slot
+    _, agent = np.nonzero(member)
+    e, pay = net[member], payoff[member]
+    fit = co._net_value(e, tariff)
+
+    def cell(column: str) -> np.ndarray:
+        return np.array([cells.column(column)[a.id] for a in ordered])[agent]
+
+    # a slot's totals add its members' nets in id order with Python's sum
+    slots = np.flatnonzero(size > 0)
+    supply = [sum(row) for row in np.where(member & (net > 0), net, 0.0)[slots].tolist()]
+    demand = [sum(row) for row in np.where(member & (net < 0), -net, 0.0)[slots].tolist()]
+    counted = np.where(sampled[slots], cells.total["shapley_sampled_slots"],
+                       cells.total["shapley_exact_slots"])
+    at = np.concatenate([
+        np.where(pay >= 0, cell("revenue"), cell("bill")),
+        np.where(fit >= 0, cell("fit_revenue"), cell("fit_bill")),
+        np.where(e > 0, cell("energy_sold_kwh"), cell("energy_bought_kwh")),
+        counted,
+        np.repeat([cells.total[name] for name in ("generation_kwh", "consumption_kwh",
+                                                  "matched_kwh")], len(slots)),
+    ])
+    amount = np.concatenate([
+        np.where(pay >= 0, pay, -pay),
+        np.where(fit >= 0, fit, -fit),
+        np.where(e > 0, e, -e),
+        np.ones(len(slots)),
+        supply, demand, np.minimum(supply, demand),
+    ])
 
     def finish(per_agent: dict, s: dict) -> None:
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
         s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
 
-    return deltas, finish
+    return [(at.astype(np.intp), amount)], finish
 
 
 def _storage(scenario: Scenario, cells: _Cells):
@@ -513,7 +532,7 @@ def _storage(scenario: Scenario, cells: _Cells):
         slot.append((None, "matched_kwh", out.total_allocated()))
     slot = cells.pack(slot)
 
-    return lambda t: slot, lambda per_agent, s: None
+    return [slot] * scenario.horizon, lambda per_agent, s: None
 
 
 # mechanism -> (replay, the system totals it adds beyond the summary columns
@@ -544,8 +563,7 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     replay, extra = _REPLAYS[scenario.mechanism]
     totals = {**dict.fromkeys(_ENERGY_TOTALS, float), **extra}
     cells = _Cells(scenario.agents, totals)
-    deltas, finish = replay(scenario, cells)
-    stream = [deltas(t) for t in range(scenario.horizon)]
+    stream, finish = replay(scenario, cells)
     sums = np.zeros(cells.size)
     np.add.at(
         sums,
@@ -762,37 +780,27 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
 
     rows = []
     suppliers = [a for a in scenario.agents if a.gen.sum() > 0]
-    supplier_ids = {a.id for a in suppliers}
     if not suppliers:
         raise InputError("solar_fraction sweep needs generating agents")
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise InputError(f"solar_fraction must lie in [0, 1], got {v:g}")
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
     for v in values:
         frac = float(v)
         rng = np.random.default_rng(scenario.seed)
-        agents = []
         n_solar = int(round(frac * len(suppliers)))
         solar_ids = {a.id for a in suppliers[:n_solar]}
-        for a in scenario.agents:
-            if a.id in supplier_ids:
-                scale = float(a.gen.sum()) / max(scenario.horizon, 1) * 4.0
-                gen = (
-                    synth.solar_series(rng, scenario.horizon, scenario.slot_minutes, scale)
-                    if a.id in solar_ids
-                    else synth.wind_series(rng, scenario.horizon, scenario.slot_minutes, scale)
-                )
-                agents.append(AgentProfile(a.id, a.role, a.load.copy(), gen, dict(a.params)))
-            else:
-                agents.append(a)
-        variant = Scenario(
-            agents, scenario.tariff, scenario.mechanism, scenario.horizon,
-            scenario.slot_minutes, scenario.seed, dict(scenario.options),
-        )
+        gens = {}
+        for a in suppliers:
+            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * 4.0
+            series = synth.solar_series if a.id in solar_ids else synth.wind_series
+            gens[a.id] = series(rng, scenario.horizon, scenario.slot_minutes, scale)
+        net = np.stack([gens.get(a.id, a.gen) - a.load for a in ordered], axis=1)
+        # each slot's coalition as the replay forms it, valued on its pooled net
+        pooled = [math.fsum(row[keep]) for row, keep in zip(net, _members(net)) if keep.any()]
         total_value = 0.0
-        for t in range(variant.horizon):
-            inst = _coalition_instance(variant, t)
-            if inst is not None:
-                total_value += co.coalition_value(inst.customers, variant.tariff)
+        for value in co._net_value(np.array(pooled), scenario.tariff).tolist():
+            total_value += value
         rows.append({"solar_fraction": frac, "community_value": total_value})
     return rows

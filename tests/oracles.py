@@ -4,17 +4,19 @@ These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, a slot's
 double-auction clearing from one row object per order and key-sorted lists,
 a double-auction scenario from that clearing replayed slot by slot into
-dicts, optimal EV welfare from exhaustive grid search, Shapley values from
-direct enumeration, a per-player subset loop or one in exact rational
-arithmetic, superadditivity from all 3^N disjoint pairs, the storage
-leader's price from a search over the whole price grid (it shares no code
-with the package), a storage auction from the scalar steps priced by that
-grid search (it shares the screen, the best response and the oversupply
-split with `run_storage_auction`, but neither the pricing kernel nor the
-batch settlement), the incentive-compatibility report and the requirement
-sweep from one such auction per report or total, and the EV
-transfer-polytope projection from one capped-sum projection per row and per
-column in each Dykstra cycle.
+dicts, a coalition scenario from one Shapley division per slot replayed
+into dicts, optimal EV welfare from exhaustive grid search, Shapley values
+from direct enumeration, a per-player subset loop, one in exact rational
+arithmetic or the two-halves split run one instance at a time,
+superadditivity from all 3^N disjoint pairs, the storage leader's price
+from a search over the whole price grid (it shares no code with the
+package), a storage auction from the scalar steps priced by that grid
+search (it shares the screen, the best response and the oversupply split
+with `run_storage_auction`, but neither the pricing kernel nor the batch
+settlement), the incentive-compatibility report and the requirement sweep
+from one such auction per report or total, and the EV transfer-polytope
+projection from one capped-sum projection per row and per column in each
+Dykstra cycle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from gridswap import coalition as co
+from gridswap import synth
 from gridswap.errors import InputError
 from gridswap.storage import (
     IcReport,
@@ -249,6 +253,105 @@ def double_auction_replay_loop(scenario):
     return per_agent, system
 
 
+def coalition_replay_loop(scenario):
+    """A coalition scenario replayed one slot at a time into dicts.
+
+    Each slot's coalition holds the agents with |net| >= 1e-12 in id order.
+    Its payoffs come from `shapley_split_reference` up to the exact limit and
+    from one seeded `shapley_monte_carlo` above it; the slot lists its outcome
+    as (agent id or None, column, amount) triples added in list order.
+    Returns (per_agent, system) as run_simulation reports them.
+    """
+    tariff = scenario.tariff
+    samples = scenario.options.get("mc_samples", 20_000)
+    columns = ("bill", "revenue", "fit_bill", "fit_revenue", "energy_bought_kwh",
+               "energy_sold_kwh", "utility")
+    per_agent = {a.id: {"role": a.role, **dict.fromkeys(columns, 0.0)} for a in scenario.agents}
+    system = dict.fromkeys(("matched_kwh", "grid_import_kwh", "grid_export_kwh", "loss_kwh",
+                            "generation_kwh", "consumption_kwh"), 0.0)
+    system.update(shapley_exact_slots=0.0, shapley_sampled_slots=0.0)
+    for t in range(scenario.horizon):
+        customers = []
+        for agent in sorted(scenario.agents, key=lambda a: a.id):
+            net = float(agent.gen[t] - agent.load[t])
+            if abs(net) < 1e-12:
+                continue
+            customers.append(co.Customer(agent.id, co.SUPPLIER if net > 0 else co.USER, net))
+        if not customers:
+            continue
+        inst = co.CoalitionInstance(tuple(customers), tariff)
+        if inst.n <= co._EXACT_LIMIT:
+            payoffs = shapley_split_reference(inst)
+            out = [(None, "shapley_exact_slots", 1)]
+        else:
+            payoffs = co.shapley_monte_carlo(inst, samples, scenario.seed + t).payoffs
+            out = [(None, "shapley_sampled_slots", 1)]
+        for c in inst.customers:
+            payoff = payoffs[c.id]
+            out.append((c.id, "revenue", payoff) if payoff >= 0 else (c.id, "bill", -payoff))
+            fit = co.fit_payoff(c, tariff)
+            out.append((c.id, "fit_revenue", fit) if fit >= 0 else (c.id, "fit_bill", -fit))
+            if c.net_energy > 0:
+                out.append((c.id, "energy_sold_kwh", c.net_energy))
+            else:
+                out.append((c.id, "energy_bought_kwh", -c.net_energy))
+        supply = sum(c.net_energy for c in inst.customers if c.net_energy > 0)
+        demand = sum(-c.net_energy for c in inst.customers if c.net_energy < 0)
+        out.append((None, "generation_kwh", supply))
+        out.append((None, "consumption_kwh", demand))
+        out.append((None, "matched_kwh", min(supply, demand)))
+        for aid, column, amount in out:
+            (system if aid is None else per_agent[aid])[column] += amount
+
+    system["shapley_exact_slots"] = int(system["shapley_exact_slots"])
+    system["shapley_sampled_slots"] = int(system["shapley_sampled_slots"])
+    system["avg_buy_price"] = None
+    system["avg_sell_price"] = None
+    system["grid_import_kwh"] = system["consumption_kwh"] - system["matched_kwh"]
+    system["grid_export_kwh"] = system["generation_kwh"] - system["matched_kwh"]
+    for row in per_agent.values():
+        p2p_cost = row["bill"] - row["revenue"]
+        fit_cost = row["fit_bill"] - row["fit_revenue"]
+        row["savings"] = fit_cost - p2p_cost
+        row["savings_pct"] = 100.0 * (fit_cost - p2p_cost) / fit_cost if fit_cost > 1e-12 else None
+    system["energy_balance_residual_kwh"] = (
+        system["generation_kwh"] + system["grid_import_kwh"] - system["consumption_kwh"]
+        - system["grid_export_kwh"] - system["loss_kwh"]
+    )
+    return per_agent, system
+
+
+def solar_fraction_loop(scenario, fractions):
+    """The solar_fraction sweep's rows, each slot's coalition built from
+    Customers and valued by `coalition_value`, the values added slot by slot.
+
+    Each fraction redraws the generating agents' series from the scenario
+    seed: solar for the first round(fraction * suppliers), wind for the rest.
+    """
+    rows = []
+    suppliers = [a for a in scenario.agents if a.gen.sum() > 0]
+    for frac in fractions:
+        rng = np.random.default_rng(scenario.seed)
+        solar_ids = {a.id for a in suppliers[:int(round(frac * len(suppliers)))]}
+        gens = {}
+        for a in suppliers:
+            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * 4.0
+            draw = synth.solar_series if a.id in solar_ids else synth.wind_series
+            gens[a.id] = draw(rng, scenario.horizon, scenario.slot_minutes, scale)
+        total_value = 0.0
+        for t in range(scenario.horizon):
+            customers = []
+            for agent in sorted(scenario.agents, key=lambda a: a.id):
+                net = float(gens.get(agent.id, agent.gen)[t] - agent.load[t])
+                if abs(net) >= 1e-12:
+                    customers.append(
+                        co.Customer(agent.id, co.SUPPLIER if net > 0 else co.USER, net))
+            if customers:
+                total_value += co.coalition_value(customers, scenario.tariff)
+        rows.append({"solar_fraction": float(frac), "community_value": total_value})
+    return rows
+
+
 def bisect_scalar_root(f, lo, hi, iters=200):
     """Root of a monotone scalar function by plain bisection."""
     flo = f(lo)
@@ -414,6 +517,54 @@ def shapley_exact_loop(instance):
         # cumsum adds one term at a time, as `phi += term` from 0.0 would
         payoffs[c.id] = float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
     return payoffs
+
+
+def _subset_sums_1d(energies):
+    """Net energy of every bitmask subset, sums[0] = 0, doubled from the last member."""
+    sums = np.zeros(1)
+    for e in energies[::-1]:
+        sums = np.stack([sums, sums + e], -1).ravel()
+    return sums
+
+
+def shapley_split_reference(instance):
+    """Exact Shapley payoffs by id from the two-halves split, one instance at a time.
+
+    The players split into two halves that meet in the middle (Horowitz &
+    Sahni, JACM 1974); each half sorts the other half's subset sums, searches
+    them once per subset and reads per-size prefix sums of the Shapley weights.
+    """
+    n = instance.n
+    energies = np.array([c.net_energy for c in instance.customers])
+    fact = math.factorial
+    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+    gain = np.zeros(n)
+    half = n // 2
+    for mine, theirs in ((range(half), range(half, n)), (range(half, n), range(half))):
+        z = -_subset_sums_1d(energies[list(theirs)])
+        order = np.argsort(z, kind="stable")
+        z = z[order]
+        their_sizes = _subset_sums_1d(np.ones(len(theirs))).astype(int)[order]
+        x = _subset_sums_1d(energies[list(mine)])
+        sizes = _subset_sums_1d(np.ones(len(mine))).astype(int)
+        # x_M + y_B > 0 for exactly the first r[M] of the sorted y_B
+        r = np.searchsorted(z, x)
+        lacking = np.zeros_like(x)  # g_|M|(M), read for the players outside M
+        holding = np.zeros_like(x)  # g_{|M|-1}(M), read for the players in M
+        for a in range(len(mine)):
+            w = weights[a + their_sizes]
+            count = np.concatenate(([0.0], np.cumsum(w)))
+            pooled = np.concatenate(([0.0], np.cumsum(w * -z)))
+            for g, size in ((lacking, a), (holding, a + 1)):
+                m = sizes == size
+                g[m] = pooled[r[m]] + x[m] * count[r[m]]
+        for bit, i in enumerate(mine):
+            # masks split as (higher bits, this bit, lower bits)
+            pairs = (-1, 2, 1 << bit)
+            gain[i] = np.sum(holding.reshape(pairs)[:, 1] - lacking.reshape(pairs)[:, 0])
+    tariff = instance.tariff
+    phi = tariff.p_rp * energies + (tariff.p_wp - tariff.p_rp) * gain
+    return {c.id: float(p) for c, p in zip(instance.customers, phi)}
 
 
 def shapley_exact_fraction(instance):

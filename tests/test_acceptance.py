@@ -18,6 +18,7 @@ from gridswap import market as mk
 from gridswap import storage as st
 from gridswap.cli import main as cli_main
 
+from instances import balanced_instance, random_instance
 from oracles import ev_grid_oracle_2x2, is_superadditive_enumeration, max_crossing_volume
 
 TARIFF = mk.Tariff(p_wp=0.05, p_rp=0.10)
@@ -193,7 +194,7 @@ def test_criterion_4_shapley_axioms_and_core():
     rng = np.random.default_rng(45)
     mc_worst = 0.0
     for trial in range(3):
-        inst = co.balanced_instance(rng, 4, 4, TARIFF)
+        inst = balanced_instance(rng, 4, 4, TARIFF)
         exact = co.shapley_exact(inst)
         estimate = co.shapley_monte_carlo(inst, 50_000, seed=500 + trial)
         for cid, value in exact.payoffs.items():
@@ -204,7 +205,7 @@ def test_criterion_4_shapley_axioms_and_core():
     # exact Shapley sits in the core on 500 balanced seeded instances
     rng = np.random.default_rng(46)
     for _ in range(500):
-        inst = co.balanced_instance(
+        inst = balanced_instance(
             rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), TARIFF
         )
         ok, worst = co.in_core(co.shapley_exact(inst), inst)
@@ -214,7 +215,7 @@ def test_criterion_4_shapley_axioms_and_core():
     # closed form must agree
     rng = np.random.default_rng(47)
     for _ in range(200):
-        inst = co.random_instance(
+        inst = random_instance(
             rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), TARIFF
         )
         ok, pair = is_superadditive_enumeration(inst)
@@ -233,7 +234,7 @@ def test_criterion_4_shapley_axioms_and_core():
 def test_criterion_5_coalition_price_band_and_supplier_sweep():
     rng = np.random.default_rng(55)
     for _ in range(300):
-        inst = co.random_instance(
+        inst = random_instance(
             rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), TARIFF
         )
         alloc = co.shapley_exact(inst)

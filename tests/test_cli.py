@@ -631,6 +631,25 @@ class TestNonFiniteRejected:
         assert code == 2
         assert f"{flag}: invalid finite value" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta", "0"), ("--eta", "-0.5"), ("--eta", "1.5"), ("--eps", "0"), ("--eps", "-1")],
+    )
+    def test_ev_auction_range_flag(self, tmp_path, capsys, flag, value):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(f"id,role,w,l1,l2,c_min,c_max,d_max\n{self.CHARGER}\n{self.DISCHARGER}\n")
+        code, err = self._main(tmp_path, capsys, ["ev-auction", "--population", str(pop),
+                                                  flag, value])
+        assert code == 2
+        assert f"argument {flag}: invalid finite value: '{value}'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_ev_auction_range_ends(self):
+        # parsing only: eta may be exactly 1 and eps any positive number
+        parsed = _build_parser().parse_args(
+            ["ev-auction", "--population", "p.csv", "--eta", "1", "--eps", "1e-300"])
+        assert (parsed.eta, parsed.eps) == (1.0, 1e-300)
+
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     @pytest.mark.parametrize("flag", ["--trials", "--max-iter", "--samples"])
     def test_count_flag(self, tmp_path, capsys, flag, value):

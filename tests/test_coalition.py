@@ -12,14 +12,11 @@ from gridswap import coalition
 from gridswap.coalition import (
     Customer,
     CoalitionInstance,
-    balanced_instance,
     coalition_value,
-    competitive_allocation,
     fit_payoff,
     implied_p2p_prices,
     in_core,
     is_superadditive,
-    random_instance,
     revenue_vs_fit,
     shapley_exact,
     shapley_monte_carlo,
@@ -27,11 +24,13 @@ from gridswap.coalition import (
 from gridswap.errors import InputError, SizeError
 from gridswap.market import Tariff
 
+from instances import balanced_instance, competitive_allocation, random_instance
 from oracles import (
     is_superadditive_enumeration,
     shapley_enumeration,
     shapley_exact_fraction,
     shapley_exact_loop,
+    shapley_split_reference,
 )
 
 T = Tariff(p_wp=0.05, p_rp=0.10)
@@ -306,6 +305,45 @@ class TestShapleySplit:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def split_reference_row(nets, tariff=T):
+    return np.array(list(shapley_split_reference(from_nets(nets, tariff)).values()))
+
+
+class TestShapleyRows:
+    """Every row of the batch kernel is the one-instance split, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        batch=st.integers(1, 20).flatmap(lambda n: st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e4, 1e4)),
+                min_size=n, max_size=n,
+            ),
+            min_size=1, max_size=4,
+        ))
+    )
+    def test_rows_equal_the_split_reference(self, batch):
+        energies = np.array(batch, dtype=float).reshape(len(batch), -1)
+        got = coalition._shapley_rows(energies, Tariff(0.05, 0.30))
+        for row, nets in zip(got, energies):
+            assert row.tobytes() == split_reference_row(nets, Tariff(0.05, 0.30)).tobytes()
+
+    @pytest.mark.parametrize("n", [26, 31, 32])
+    def test_rows_equal_the_split_reference_large(self, n):
+        rng = np.random.default_rng(n)
+        energies = rng.uniform(-15.0, 20.0, (2, n))
+        energies[1, rng.random(n) < 0.3] = 0.0
+        energies[1, 0] = -0.0
+        got = coalition._shapley_rows(energies, T)
+        for row, nets in zip(got, energies):
+            assert row.tobytes() == split_reference_row(nets).tobytes()
+
+    def test_shapley_exact_is_one_row(self):
+        nets = np.random.default_rng(9).uniform(-15.0, 20.0, 12)
+        got = np.array(list(shapley_exact(from_nets(nets)).payoffs.values()))
+        assert got.tobytes() == split_reference_row(nets).tobytes()
 
 
 class TestShapleyMonteCarlo:

@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from gridswap import coalition
 from gridswap import ev as evx
 from gridswap.errors import InputError, SchemaError
 from gridswap.market import Tariff
@@ -17,7 +18,7 @@ from gridswap.scenario import (
     sweep,
 )
 
-from oracles import double_auction_replay_loop
+from oracles import coalition_replay_loop, double_auction_replay_loop, solar_fraction_loop
 
 
 def write_series(path, rows):
@@ -321,6 +322,85 @@ class TestCoalitionScenario:
         p2p = sum(r["p2p_cost"] for r in rows)
         fit = sum(r["fit_cost"] for r in rows)
         assert p2p <= fit + 1e-9
+
+
+def _coalition_scenario(seed, n_agents, horizon, options=None, quiet=0.0):
+    """Agents listed out of id order whose nets fall within 1e-12 of zero in
+    some slots, so the member count varies from slot to slot; `quiet` is the
+    share of (slot, agent) nets that are zero."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for k in range(n_agents):
+        # magnitudes spread over four decades, so the order of a sum shows in its last bits
+        load = rng.uniform(0.0, 3.0, horizon) * 10.0 ** rng.uniform(-2, 2, horizon)
+        gen = rng.uniform(0.0, 4.0, horizon) * 10.0 ** rng.uniform(-2, 2, horizon)
+        gen *= rng.random(horizon) < 0.6
+        still = rng.random(horizon) < quiet
+        load[still], gen[still] = 0.0, 5e-13 * (k % 2)
+        agents.append(AgentProfile(f"a{(11 * k) % n_agents:02d}", "prosumer", load, gen))
+    return Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), "coalition", horizon,
+                    seed=seed, options=options or {})
+
+
+def _same_report(report, per_agent, system):
+    assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
+        {aid: sorted(row.items()) for aid, row in per_agent.items()})
+    assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
+
+
+class TestCoalitionReplay:
+    """run_simulation divides each member count's slots in one Shapley batch
+    and sums every term in the order the per-slot dict replay does."""
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_member_count_varies(self, seed):
+        make = lambda: _coalition_scenario(seed, 16, 12, quiet=0.2)  # noqa: E731
+        report = run_simulation(make())
+        assert len({s for s in _member_counts(make())}) > 3
+        _same_report(report, *coalition_replay_loop(make()))
+
+    def test_sampled_slots_above_the_exact_limit(self):
+        make = lambda: _coalition_scenario(  # noqa: E731
+            3, coalition._EXACT_LIMIT + 3, 6, {"mc_samples": 25}, quiet=0.05)
+        counts = _member_counts(make())
+        assert max(counts) > coalition._EXACT_LIMIT >= min(counts)
+        report = run_simulation(make())
+        assert report.system["shapley_sampled_slots"] > 0
+        assert report.system["shapley_exact_slots"] > 0
+        _same_report(report, *coalition_replay_loop(make()))
+
+    def test_no_slot_has_members(self):
+        make = lambda: _coalition_scenario(4, 5, 8, quiet=1.0)  # noqa: E731
+        report = run_simulation(make())
+        assert report.system["shapley_exact_slots"] == 0
+        _same_report(report, *coalition_replay_loop(make()))
+
+    def test_one_kernel_call_per_member_count(self, monkeypatch):
+        calls = []
+        kernel = coalition._shapley_rows
+
+        def counted(energies, tariff):
+            calls.append(energies.shape)
+            return kernel(energies, tariff)
+
+        monkeypatch.setattr(coalition, "_shapley_rows", counted)
+        sc = _coalition_scenario(5, 14, 96, quiet=0.15)
+        run_simulation(sc)
+        counts = _member_counts(sc)
+        assert sorted(n for _, n in calls) == sorted(set(counts) - {0})
+        assert sum(rows for rows, _ in calls) == sum(1 for n in counts if n)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solar_fraction_equals_the_slot_loop(self, seed):
+        sc = _coalition_scenario(seed, 7, 48, quiet=0.2)
+        fractions = [0.0, 0.25, 0.5, 1.0]
+        assert repr(sweep(sc, "solar_fraction", fractions)) == repr(
+            solar_fraction_loop(sc, fractions))
+
+
+def _member_counts(scenario):
+    nets = np.stack([a.gen - a.load for a in scenario.agents], axis=1)
+    return (np.abs(nets) >= 1e-12).sum(axis=1).tolist()
 
 
 @pytest.fixture
