@@ -371,12 +371,22 @@ def _cmd_shapley(args) -> int:
         ["id", "role", "net_kwh", "payoff", "implied_price", "within_band"],
         rows,
     )
+    # the core check runs at every exact size; above it both keys stay blank
+    shortfall = blocking = None
+    if instance.n <= co._EXACT_LIMIT:
+        energies = np.array([c.net_energy for c in instance.customers])
+        x = np.array([alloc.payoffs[c.id] for c in instance.customers])
+        shortfall, mask = co._core_gap(x, energies, tariff)
+        if shortfall > co._core_tolerance(instance):
+            blocking = ";".join(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
     _write_kv(
         out / "summary.txt",
         {
             "method": method,
             "grand_value": co.coalition_value(instance.customers, tariff),
             "total_payoff": alloc.total(),
+            "core_shortfall": shortfall,
+            "blocking_coalition": blocking,
         },
     )
     _manifest(out, args, [inst_path], ["allocation.csv", "summary.txt"])

@@ -5,11 +5,11 @@ at the wholesale price and any remaining deficiency is imported at the retail
 price. Because retail exceeds wholesale, pooling is superadditive and trading
 inside the community beats feeding the grid. Payoffs are divided by Shapley
 value, exactly up to _EXACT_LIMIT members and by seeded permutation sampling
-above. The exact division splits the members into two halves that meet in
-the middle (Horowitz & Sahni, JACM 1974) at every size: time O(N 2^(N/2)),
-memory O(2^(N/2)). One kernel, _shapley_rows, divides a whole batch of
-instances of one size at once, as a scenario's slots of one member count;
-shapley_exact is one row of it.
+above. The exact division and the core check split the members into two
+halves that meet in the middle (Horowitz & Sahni, JACM 1974) at every size:
+time O(N 2^(N/2)), memory O(2^(N/2)). One kernel, _shapley_rows, divides a
+whole batch of instances of one size at once, as a scenario's slots of one
+member count; shapley_exact is one row of it.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from .market import Tariff
 SUPPLIER = "supplier"
 USER = "user"
 
-# the largest N whose core check builds its 2^N subset arrays whole
-# (512 kB each at 16)
-_ENUMERATION_LIMIT = 16
 # the largest N whose exact Shapley call stays under 8 MB of allocations
 # (6.5 MB and 0.07 s for one row at 32 on a 2-CPU container, Python 3.11,
 # numpy 2.4); sampling takes over above it, and a batch of smaller instances
-# is priced in chunks no larger than one row at 32
+# is priced in chunks no larger than one row at 32. The core check shares it.
 _EXACT_LIMIT = 32
 # Monte-Carlo Shapley work grows with the permutations sampled; the config's
 # mc_samples and the shapley --samples flag both stop here
@@ -79,8 +76,6 @@ class PayoffAllocation:
     """Per-customer payoffs in $; positive means money received."""
 
     payoffs: dict[str, float]
-    # permutations sampled to estimate the payoffs; 0 when they are exact
-    samples: int = 0
 
     def total(self) -> float:
         return math.fsum(self.payoffs.values())
@@ -305,29 +300,14 @@ def shapley_monte_carlo(
         phi = phi + residual * weight / weight.sum()
     else:
         phi = phi + residual / n
-    return PayoffAllocation(
-        {c.id: float(phi[i]) for i, c in enumerate(instance.customers)}, sample_count
-    )
-
-
-def shapley_allocation(
-    instance: CoalitionInstance, sample_count: int, seed: int
-) -> PayoffAllocation:
-    """Shapley division by the one exact-vs-sampled policy.
-
-    shapley_exact up to _EXACT_LIMIT players; above it, a seeded estimate from
-    `sample_count` sampled join orders.
-    """
-    if instance.n <= _EXACT_LIMIT:
-        return shapley_exact(instance)
-    return shapley_monte_carlo(instance, sample_count, seed=seed)
+    return PayoffAllocation({c.id: float(phi[i]) for i, c in enumerate(instance.customers)})
 
 
 def shapley_payoff_rows(
     energies: np.ndarray, tariff: Tariff, sample_count: int, seeds
 ) -> tuple[np.ndarray, bool]:
-    """Shapley payoffs of every row of a rows x N matrix of net energies, by
-    shapley_allocation's policy, and whether they were sampled.
+    """Shapley payoffs of every row of a rows x N matrix of net energies, and
+    whether they were sampled: the one exact-vs-sampled policy.
 
     Up to _EXACT_LIMIT members the rows go through _shapley_rows in chunks of
     at most 2^16 / 2^ceil(N/2) rows, so no temporary outgrows a one-row call
@@ -348,34 +328,59 @@ def shapley_payoff_rows(
     return np.array(payoffs).reshape(rows, n), True
 
 
+def _core_gap(x: np.ndarray, energies: np.ndarray, tariff: Tariff) -> tuple[float, int]:
+    """The largest v(S) - x(S) over nonempty S, and the mask of one S attaining it.
+
+    As p_rp > p_wp, v(S) - x(S) = min(alpha_S, beta_S) with the additive
+    alpha = p_wp * e - x and beta = p_rp * e - x. S joins subsets A and B of
+    the two halves of _shapley_rows; A's best B is on the Pareto frontier of
+    the (alpha_B, beta_B), where alpha_B - beta_B rises, next to beta_A - alpha_A.
+    """
+    half = len(x) // 2
+    terms = np.stack([tariff.p_wp * energies - x, tariff.p_rp * energies - x])
+    alpha_a, beta_a = _subset_sums(terms[:, :half])
+    alpha_b, beta_b = _subset_sums(terms[:, half:])
+    # by alpha falling (beta falling on ties), each frontier beta tops all before it
+    order = np.lexsort((-beta_b, -alpha_b))
+    beta = beta_b[order]
+    front = order[np.concatenate([[True], beta[1:] > np.maximum.accumulate(beta)[:-1]])][::-1]
+    at = np.searchsorted(alpha_b[front] - beta_b[front], beta_a[1:] - alpha_a[1:])
+    partner = front[np.clip([at - 1, at], 0, len(front) - 1)]
+    gaps = np.minimum(alpha_a[1:] + alpha_b[partner], beta_a[1:] + beta_b[partner])
+    masks = np.arange(1, len(alpha_a)) | partner << half
+    # the empty A pairs with every nonempty B
+    gaps = np.append(gaps, np.minimum(alpha_b, beta_b)[1:])
+    masks = np.append(masks, np.arange(1, len(alpha_b)) << half)
+    worst = int(np.argmax(gaps))
+    return float(gaps[worst]), int(masks[worst])
+
+
+def _core_tolerance(instance: CoalitionInstance) -> float:
+    """1e-9, or 64 N ulps of p_rp * sum |e| when the nets make that larger."""
+    scale = instance.tariff.p_rp * math.fsum(abs(c.net_energy) for c in instance.customers)
+    return max(1e-9, 64 * instance.n * np.finfo(float).eps * scale)
+
+
 def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
     """Check that no coalition can block the allocation.
 
     Returns (True, None) or (False, (ids, shortfall)) for the coalition with
-    the largest violation. The allocation must be efficient. All 2^N
-    coalitions are enumerated, so N is limited to _ENUMERATION_LIMIT.
+    the largest violation, by _core_gap. The allocation must be efficient.
+    Both checks allow _core_tolerance, and N is limited to _EXACT_LIMIT.
     """
-    n = instance.n
-    if n > _ENUMERATION_LIMIT:
-        raise SizeError(f"core check is limited to N <= {_ENUMERATION_LIMIT}, got {n}")
+    if instance.n > _EXACT_LIMIT:
+        raise SizeError(f"core check is limited to N <= {_EXACT_LIMIT}, got {instance.n}")
     energies = np.array([c.net_energy for c in instance.customers])
-    values = _net_value(_subset_sums(energies), instance.tariff)
     x = np.array([allocation.payoffs[c.id] for c in instance.customers])
-    full = (1 << n) - 1
-    if abs(x.sum() - values[full]) > 1e-9:
-        raise InputError(
-            f"allocation is not efficient: sum={x.sum():.12g} vs v(N)={values[full]:.12g}"
-        )
-    coalition_payoff = _subset_sums(x)
-    gaps = values - coalition_payoff
-    gaps[0] = -np.inf
-    worst = int(np.argmax(gaps))
-    if gaps[worst] > 1e-9:
-        ids = tuple(
-            instance.customers[k].id for k in range(n) if worst >> k & 1
-        )
-        return False, (ids, float(gaps[worst]))
-    return True, None
+    tol = _core_tolerance(instance)
+    total, grand = math.fsum(x), coalition_value(instance.customers, instance.tariff)
+    if abs(total - grand) > tol:
+        raise InputError(f"allocation is not efficient: sum={total:.12g} vs v(N)={grand:.12g}")
+    shortfall, mask = _core_gap(x, energies, instance.tariff)
+    if shortfall <= tol:
+        return True, None
+    ids = tuple(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
+    return False, (ids, shortfall)
 
 
 @dataclass
@@ -452,7 +457,7 @@ def supplier_count_sweep(
     """Average supplier payoff as the supplier population grows.
 
     Suppliers are added incrementally to a fixed seeded population so sweep
-    points share random draws; payoffs come from shapley_allocation.
+    points share random draws; payoffs come from shapley_payoff_rows.
     """
     counts = list(supplier_counts)
     if not counts:
@@ -468,12 +473,9 @@ def supplier_count_sweep(
     )
     rows = []
     for k in counts:
-        customers = tuple(
-            [Customer(f"s{j}", SUPPLIER, float(surpluses[j])) for j in range(k)]
-            + [Customer(f"u{j}", USER, -float(demands[j])) for j in range(n_users)]
-        )
-        alloc = shapley_allocation(CoalitionInstance(customers, tariff), samples, seed + k)
-        supplier_total = math.fsum(alloc.payoffs[f"s{j}"] for j in range(k))
+        energies = np.concatenate([surpluses[:k], -demands])[None]
+        phi = shapley_payoff_rows(energies, tariff, samples, [seed + k])[0][0].tolist()
+        supplier_total = math.fsum(phi[:k])
         supply = float(surpluses[:k].sum())
         rows.append(
             {
@@ -481,7 +483,7 @@ def supplier_count_sweep(
                 "avg_supplier_payoff": supplier_total / k,
                 # the first supplier's payoff tracks one member's revenue as
                 # the market crowds; it is free of composition noise
-                "witness_supplier_payoff": alloc.payoffs["s0"],
+                "witness_supplier_payoff": phi[0],
                 "supplier_price_per_kwh": supplier_total / supply if supply > 0 else 0.0,
                 "total_supply": supply,
                 "total_demand": float(demands.sum()),

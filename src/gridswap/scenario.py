@@ -45,9 +45,6 @@ class AgentProfile:
     gen: np.ndarray
     params: dict = field(default_factory=dict)
 
-    def net(self, t: int) -> float:
-        return float(self.gen[t] - self.load[t])
-
 
 @dataclass
 class Scenario:

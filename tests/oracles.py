@@ -8,15 +8,15 @@ dicts, a coalition scenario from one Shapley division per slot replayed
 into dicts, optimal EV welfare from exhaustive grid search, Shapley values
 from direct enumeration, a per-player subset loop, one in exact rational
 arithmetic or the two-halves split run one instance at a time,
-superadditivity from all 3^N disjoint pairs, the storage leader's price
-from a search over the whole price grid (it shares no code with the
-package), a storage auction from the scalar steps priced by that grid
-search (it shares the screen, the best response and the oversupply split
-with `run_storage_auction`, but neither the pricing kernel nor the batch
-settlement), the incentive-compatibility report and the requirement sweep
-from one such auction per report or total, and the EV transfer-polytope
-projection from one capped-sum projection per row and per column in each
-Dykstra cycle.
+superadditivity from all 3^N disjoint pairs, the core check from all 2^N
+coalitions, the storage leader's price from a search over the whole price
+grid (it shares no code with the package), a storage auction from the
+scalar steps priced by that grid search (it shares the screen, the best
+response and the oversupply split with `run_storage_auction`, but neither
+the pricing kernel nor the batch settlement), the incentive-compatibility
+report and the requirement sweep from one such auction per report or total,
+and the EV transfer-polytope projection from one capped-sum projection per
+row and per column in each Dykstra cycle.
 """
 
 from __future__ import annotations
@@ -499,6 +499,24 @@ def is_superadditive_enumeration(instance):
                 return False, (pick(s_mask), pick(t_mask))
             t_mask = (t_mask - 1) & rest
     return True, None
+
+
+def in_core_enumeration(allocation, instance):
+    """The largest v(S) - x(S) over all 2^N - 1 nonempty coalitions, and the ids
+    of the first coalition in mask order attaining it. Each x(S) is built one
+    mask at a time from its lowest bit, as the values are.
+    """
+    n = instance.n
+    values = _subset_values_loop(instance)
+    x = [allocation.payoffs[c.id] for c in instance.customers]
+    paid = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        paid[mask] = paid[mask ^ low] + x[low.bit_length() - 1]
+    gaps = values[1:] - paid[1:]
+    worst = int(np.argmax(gaps)) + 1
+    ids = tuple(c.id for k, c in enumerate(instance.customers) if worst >> k & 1)
+    return float(gaps[worst - 1]), ids
 
 
 def shapley_exact_loop(instance):

@@ -204,6 +204,35 @@ class TestShapley:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [["--exact"], ["--samples", "500"]])
+    def test_core_keys(self, tmp_path, flags):
+        def summary(name, rows):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("id,role,net_kwh\n" + "".join(f"{r}\n" for r in rows))
+            out = tmp_path / name
+            argv = ["shapley", "--instance", str(path), *flags, "--out", str(out), "--quiet"]
+            assert main(argv) == 0
+            lines = (out / "summary.txt").read_text().splitlines()
+            return dict(line.split(" = ") for line in lines)
+
+        # two members: the Shapley split halves the pooling gain, so no one blocks
+        paired = summary("paired", ["s,supplier,5", "u,user,-5"])
+        assert float(paired["core_shortfall"]) <= 1e-9
+        assert paired["blocking_coalition"] == ""
+        # long supply: the big supplier and both users do better alone
+        unbalanced = summary("unbalanced", [
+            "s0,supplier,11.37", "s1,supplier,18.16", "s2,supplier,5.09",
+            "u0,user,-8.83", "u1,user,-5.39",
+        ])
+        assert float(unbalanced["core_shortfall"]) > 0.5
+        assert unbalanced["blocking_coalition"] == "s1;u0;u1"
+        if flags == ["--exact"]:
+            assert unbalanced["core_shortfall"] == "0.6255833333333333"
+        else:
+            # above the exact limit both keys stay blank
+            large = summary("large", [f"m{k},supplier,{k + 1}" for k in range(33)])
+            assert large["core_shortfall"] == large["blocking_coalition"] == ""
+
 
 class TestStorageAuctionCmd:
     def test_outcome_files(self, tmp_path):

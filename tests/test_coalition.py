@@ -12,6 +12,7 @@ from gridswap import coalition
 from gridswap.coalition import (
     Customer,
     CoalitionInstance,
+    PayoffAllocation,
     coalition_value,
     fit_payoff,
     implied_p2p_prices,
@@ -26,6 +27,7 @@ from gridswap.market import Tariff
 
 from instances import balanced_instance, competitive_allocation, random_instance
 from oracles import (
+    in_core_enumeration,
     is_superadditive_enumeration,
     shapley_enumeration,
     shapley_exact_fraction,
@@ -437,14 +439,55 @@ class TestCore:
         assert ids == ("s",)
         assert gap == pytest.approx(0.3)
 
-    def test_size_guard_is_the_enumeration_limit(self):
+    def test_size_guard_is_the_exact_limit(self):
         rng = np.random.default_rng(16)
-        inst = random_instance(rng, 8, 8, T)
+        half = coalition._EXACT_LIMIT // 2
+        inst = random_instance(rng, half, coalition._EXACT_LIMIT - half, T)
         ok, _ = in_core(competitive_allocation(inst), inst)
         assert ok
-        bigger = random_instance(rng, 9, 8, T)
+        bigger = random_instance(rng, half + 1, coalition._EXACT_LIMIT - half, T)
         with pytest.raises(SizeError):
             in_core(competitive_allocation(bigger), bigger)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_split_equals_enumeration(self, n):
+        rng = np.random.default_rng(n)
+        for tariff in (T, Tariff(p_wp=0.05, p_rp=0.30), Tariff(p_wp=0.0, p_rp=1.0)):
+            inst = from_nets(rng.uniform(-15.0, 20.0, n), tariff)
+            exact = shapley_exact(inst).payoffs
+            # an efficient allocation off the Shapley point: zero-sum noise
+            noise = rng.normal(0.0, 0.5, n)
+            noise -= noise.mean()
+            perturbed = {c.id: exact[c.id] + d for c, d in zip(inst.customers, noise)}
+            energies = np.array([c.net_energy for c in inst.customers])
+            scale = tariff.p_rp * np.abs(energies).sum()
+            for payoffs in (exact, perturbed):
+                expected, _ = in_core_enumeration(PayoffAllocation(payoffs), inst)
+                x = np.array([payoffs[c.id] for c in inst.customers])
+                shortfall, mask = coalition._core_gap(x, energies, tariff)
+                assert shortfall == pytest.approx(expected, abs=1e-12 * scale)
+                # ties may pick another coalition than the oracle's; it must attain the maximum
+                members = [c for k, c in enumerate(inst.customers) if mask >> k & 1]
+                assert members
+                attained = coalition_value(members, tariff) - sum(payoffs[c.id] for c in members)
+                assert attained == pytest.approx(expected, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_large_nets_keep_exact_payoffs_efficient(self, scale):
+        # an absolute 1e-9 tolerance called these payoffs inefficient; v and
+        # the Shapley division scale with the nets, so the verdict must not
+        for seed in range(20):
+            nets = np.random.default_rng(seed).uniform(-15.0, 20.0, 12)
+            small, large = from_nets(nets), from_nets(nets * scale)
+            ok, worst = in_core(shapley_exact(large), large)
+            expected, expected_worst = in_core(shapley_exact(small), small)
+            assert ok == expected
+            assert ok or worst[0] == expected_worst[0]
+            in_core(shapley_monte_carlo(large, 200, seed), large)
+
+    def test_tolerance_stays_absolute_at_desk_scale(self):
+        inst = random_instance(np.random.default_rng(3), 10, 10, Tariff(p_wp=0.05, p_rp=0.30))
+        assert coalition._core_tolerance(inst) == 1e-9
 
     def test_inefficient_allocation_rejected(self):
         from gridswap.coalition import PayoffAllocation
