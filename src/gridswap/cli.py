@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -29,7 +30,7 @@ from . import ingest
 from . import market as mk
 from . import scenario as sim
 from . import storage as st
-from .errors import GridswapError, InputError
+from .errors import GridswapError, InputError, SizeError
 from .ingest import finite, finite_over, nonnegative, positive, positive_up_to
 
 # ic-check prices about 170 misreported auctions per trial
@@ -39,14 +40,17 @@ _MAX_ITER = 10_000
 
 
 def _fmt(value) -> str:
+    # floats and strings are most cells, so they are tested first
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, str):
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, np.bool_):
         return str(bool(value))
     if isinstance(value, np.integer):
         return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))
     return str(value)
 
 
@@ -306,11 +310,10 @@ def _cmd_ev_auction(args) -> int:
     alloc, result = evx.run_iterative_auction(
         chargers, dischargers, eta=args.eta, eps=args.eps, max_iter=args.max_iter
     )
-    rows = []
-    for j, s in enumerate(dischargers):
-        for i, c in enumerate(chargers):
-            if alloc.sent[j, i] > 1e-12:
-                rows.append([s.id, c.id, alloc.sent[j, i], alloc.eta * alloc.sent[j, i]])
+    j, i = np.nonzero(alloc.sent > 1e-12)
+    sent = alloc.sent[j, i]
+    rows = zip([dischargers[k].id for k in j.tolist()], [chargers[k].id for k in i.tolist()],
+               sent.tolist(), (alloc.eta * sent).tolist())
     _write_csv(out / "allocation.csv", ["from", "to", "sent_kwh", "delivered_kwh"], rows)
     _write_csv(
         out / "trace.csv",
@@ -350,7 +353,7 @@ def _cmd_shapley(args) -> int:
         alloc = co.shapley_exact(instance)
         method = "exact"
     else:
-        alloc = co.shapley_monte_carlo(instance, args.samples, seed=args.seed or 0)
+        alloc = co.shapley_monte_carlo(instance, args.samples, seed=args.seed)
         method = f"monte_carlo[{args.samples}]"
     prices = {p.customer_id: p for p in co.implied_p2p_prices(instance, alloc)}
     rows = []
@@ -372,13 +375,11 @@ def _cmd_shapley(args) -> int:
         rows,
     )
     # the core check runs at every exact size; above it both keys stay blank
-    shortfall = blocking = None
-    if instance.n <= co._EXACT_LIMIT:
-        energies = np.array([c.net_energy for c in instance.customers])
-        x = np.array([alloc.payoffs[c.id] for c in instance.customers])
-        shortfall, mask = co._core_gap(x, energies, tariff)
-        if shortfall > co._core_tolerance(instance):
-            blocking = ";".join(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
+    try:
+        shortfall, ids = co.core_shortfall(alloc, instance)
+    except SizeError:
+        shortfall = ids = None
+    blocking = None if ids is None else ";".join(ids)
     _write_kv(
         out / "summary.txt",
         {
@@ -432,7 +433,7 @@ def _cmd_storage_auction(args) -> int:
 
 def _cmd_ic_check(args) -> int:
     out = _out_dir(args)
-    scenarios = st.make_ic_scenarios(args.trials, seed=args.seed or 0, rule=args.rule)
+    scenarios = st.make_ic_scenarios(args.trials, seed=args.seed, rule=args.rule)
     _progress(args, f"searching misreports across {args.trials} scenarios")
     report = st.check_incentive_compatibility(scenarios)
     _write_csv(
@@ -508,7 +509,14 @@ def _cmd_sweep(args) -> int:
 # argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later one.
+
+    It holds only fixed configuration, and each parse_args returns a fresh
+    Namespace, so no state carries from one main() call to the next. Callers
+    must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="gridswap",
         description="Peer-to-peer energy trading simulations",

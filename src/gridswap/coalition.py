@@ -361,25 +361,35 @@ def _core_tolerance(instance: CoalitionInstance) -> float:
     return max(1e-9, 64 * instance.n * np.finfo(float).eps * scale)
 
 
-def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
-    """Check that no coalition can block the allocation.
-
-    Returns (True, None) or (False, (ids, shortfall)) for the coalition with
-    the largest violation, by _core_gap. The allocation must be efficient.
-    Both checks allow _core_tolerance, and N is limited to _EXACT_LIMIT.
+def core_shortfall(allocation: PayoffAllocation, instance: CoalitionInstance):
+    """The largest v(S) - x(S) over nonempty coalitions S, by _core_gap, and the
+    ids of one S attaining it, or None when that shortfall is within
+    _core_tolerance. It may be negative. N is limited to _EXACT_LIMIT.
     """
     if instance.n > _EXACT_LIMIT:
         raise SizeError(f"core check is limited to N <= {_EXACT_LIMIT}, got {instance.n}")
     energies = np.array([c.net_energy for c in instance.customers])
     x = np.array([allocation.payoffs[c.id] for c in instance.customers])
-    tol = _core_tolerance(instance)
-    total, grand = math.fsum(x), coalition_value(instance.customers, instance.tariff)
-    if abs(total - grand) > tol:
-        raise InputError(f"allocation is not efficient: sum={total:.12g} vs v(N)={grand:.12g}")
     shortfall, mask = _core_gap(x, energies, instance.tariff)
-    if shortfall <= tol:
+    if shortfall <= _core_tolerance(instance):
+        return shortfall, None
+    return shortfall, tuple(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
+
+
+def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
+    """Check that no coalition can block the allocation.
+
+    Returns (True, None) or (False, (ids, shortfall)) for the coalition with
+    the largest violation, by core_shortfall. The allocation must be efficient
+    within _core_tolerance, and N is limited to _EXACT_LIMIT.
+    """
+    shortfall, ids = core_shortfall(allocation, instance)
+    total = math.fsum(allocation.payoffs[c.id] for c in instance.customers)
+    grand = coalition_value(instance.customers, instance.tariff)
+    if abs(total - grand) > _core_tolerance(instance):
+        raise InputError(f"allocation is not efficient: sum={total:.12g} vs v(N)={grand:.12g}")
+    if ids is None:
         return True, None
-    ids = tuple(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
     return False, (ids, shortfall)
 
 

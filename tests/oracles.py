@@ -15,8 +15,9 @@ scalar steps priced by that grid search (it shares the screen, the best
 response and the oversupply split with `run_storage_auction`, but neither
 the pricing kernel nor the batch settlement), the incentive-compatibility
 report and the requirement sweep from one such auction per report or total,
-and the EV transfer-polytope projection from one capped-sum projection per
-row and per column in each Dykstra cycle.
+the EV transfer-polytope projection from one capped-sum projection per
+row and per column in each Dykstra cycle, and a CSV cell's text from an
+isinstance chain alone.
 """
 
 from __future__ import annotations
@@ -877,3 +878,16 @@ def project_feasible_loop(
         if moved < tol:
             break
     return x
+
+
+def fmt_reference(value) -> str:
+    """A CSV or summary cell's text, by isinstance checks alone."""
+    if value is None:
+        return ""
+    if isinstance(value, np.bool_):
+        return str(bool(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)

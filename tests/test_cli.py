@@ -9,13 +9,16 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import gridswap
 from gridswap import coalition, ev, ingest, scenario, storage, synth
-from gridswap.cli import _build_parser, main
+from gridswap.cli import _build_parser, _fmt, main
+
+from oracles import fmt_reference
 
 
 def snapshot(out_dir):
@@ -427,6 +430,31 @@ class TestEvAuctionCmd:
             text = (out / name).read_text()
             assert "np." not in text, name
 
+    def test_allocation_rows_equal_the_pair_loop(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(
+            "id,role,w,l1,l2,c_min,c_max,d_max\n"
+            "c1,charging,1.9,,,6,15,\n"
+            "c2,charging,1.4,,,5,14,\n"
+            "c3,charging,0.6,,,0,3,\n"
+            "d1,discharging,,0.04,0.02,,,16\n"
+            "d2,discharging,,0,0.03,,,13\n"
+            "d3,discharging,,0.2,0.5,,,2\n"
+        )
+        # the costly d3 sends nothing and d2 nothing to c3, so the threshold drops cells
+        out = tmp_path / "out"
+        assert main(["ev-auction", "--population", str(pop), "--out", str(out), "--quiet"]) == 0
+        chargers, dischargers = ev.read_ev_population_csv(pop)
+        alloc, _ = ev.run_iterative_auction(chargers, dischargers, eta=ev.DEFAULT_ETA,
+                                            eps=1e-4, max_iter=500)
+        expected = ["from,to,sent_kwh,delivered_kwh"]
+        for j, s in enumerate(dischargers):
+            for i, c in enumerate(chargers):
+                if alloc.sent[j, i] > 1e-12:
+                    cells = [s.id, c.id, alloc.sent[j, i], alloc.eta * alloc.sent[j, i]]
+                    expected.append(",".join(fmt_reference(v) for v in cells))
+        assert (out / "allocation.csv").read_text().splitlines() == expected
+
 
     def test_linear_seller_converges(self, tmp_path):
         pop = tmp_path / "pop.csv"
@@ -491,6 +519,66 @@ class TestDeterminism:
                 f.unlink()
             assert main(full) == 0, argv
             assert snapshot(out) == first, argv[0]
+
+
+def _fresh_cli(argv):
+    """`gridswap <argv>` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gridswap.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "gridswap", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_equal_fresh_processes(self, tmp_path, instance_csv, capsys):
+        calls = [
+            ["ic-check", "--trials", "3", "--rule", "equal", "--seed", "3"],
+            ["ic-check", "--trials", "3"],
+            ["ic-check", "--trials", "0"],  # a usage error: exit 2 through SystemExit
+            ["shapley", "--instance", str(instance_csv), "--samples", "500", "--seed", "7"],
+            ["--version"],
+            ["shapley", "--instance", str(instance_csv), "--samples", "500"],
+        ]
+        def with_out(argv, name):
+            if argv == ["--version"]:
+                return argv
+            return [*argv, "--out", str(tmp_path / name), "--quiet"]
+
+        _build_parser.cache_clear()
+        for k, argv in enumerate(calls):
+            try:
+                code = main(with_out(argv, f"in{k}"))
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            fresh = _fresh_cli(with_out(argv, f"fresh{k}"))
+            assert (code, printed.out, printed.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            if code == 0 and argv != ["--version"]:
+                ours, theirs = snapshot(tmp_path / f"in{k}"), snapshot(tmp_path / f"fresh{k}")
+                del ours["manifest.json"], theirs["manifest.json"]
+                assert ours == theirs, argv
+        assert _build_parser.cache_info().misses == 1
+        assert _build_parser.cache_info().hits == len(calls) - 1
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gridswap.__file__).parents[1]))
+        probe = "import gridswap.cli as c; print(c._build_parser.cache_info().misses)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+
+class TestFmt:
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1, 1 / 3,
+         np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+         0, -7, 2**70, np.int64(-3), True, False, np.bool_(True), np.bool_(False),
+         None, "", "s1", np.str_("u1")],
+    )
+    def test_equals_the_isinstance_chain(self, value):
+        assert _fmt(value) == fmt_reference(value)
 
 
 class TestRunComputesOnce:

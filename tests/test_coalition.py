@@ -14,6 +14,7 @@ from gridswap.coalition import (
     CoalitionInstance,
     PayoffAllocation,
     coalition_value,
+    core_shortfall,
     fit_payoff,
     implied_p2p_prices,
     in_core,
@@ -457,18 +458,22 @@ class TestCore:
             exact = shapley_exact(inst).payoffs
             # an efficient allocation off the Shapley point: zero-sum noise
             noise = rng.normal(0.0, 0.5, n)
-            noise -= noise.mean()
-            perturbed = {c.id: exact[c.id] + d for c, d in zip(inst.customers, noise)}
-            energies = np.array([c.net_energy for c in inst.customers])
-            scale = tariff.p_rp * np.abs(energies).sum()
-            for payoffs in (exact, perturbed):
-                expected, _ = in_core_enumeration(PayoffAllocation(payoffs), inst)
-                x = np.array([payoffs[c.id] for c in inst.customers])
-                shortfall, mask = coalition._core_gap(x, energies, tariff)
+            centred = noise - noise.mean()
+            perturbed = {c.id: exact[c.id] + d for c, d in zip(inst.customers, centred)}
+            # and an inefficient one: core_shortfall does not ask for efficiency
+            shifted = {c.id: exact[c.id] + d for c, d in zip(inst.customers, noise)}
+            scale = tariff.p_rp * sum(abs(c.net_energy) for c in inst.customers)
+            for payoffs in (exact, perturbed, shifted):
+                allocation = PayoffAllocation(payoffs)
+                expected, _ = in_core_enumeration(allocation, inst)
+                shortfall, ids = core_shortfall(allocation, inst)
                 assert shortfall == pytest.approx(expected, abs=1e-12 * scale)
+                if shortfall <= coalition._core_tolerance(inst):
+                    assert ids is None
+                    continue
                 # ties may pick another coalition than the oracle's; it must attain the maximum
-                members = [c for k, c in enumerate(inst.customers) if mask >> k & 1]
-                assert members
+                members = [c for c in inst.customers if c.id in ids]
+                assert [c.id for c in members] == list(ids)
                 attained = coalition_value(members, tariff) - sum(payoffs[c.id] for c in members)
                 assert attained == pytest.approx(expected, abs=1e-12 * scale)
 
