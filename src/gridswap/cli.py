@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Every subcommand reads its inputs, writes deterministic files into the output
-directory, and drops a manifest.json recording the command, the seed, and
-sha256 digests of every input so a run can be reproduced byte for byte.
+main checks that every input path is a regular file before it creates the
+output directory. Each subcommand then writes deterministic files there
+through one _Out, and main drops a manifest.json recording the command, the
+seed, sha256 digests of every input and the names of the files the call
+wrote, so a run can be reproduced byte for byte.
 
 Exit codes: 0 success, 1 domain error (bad data, infeasible instance),
-2 usage error (unknown flags, missing input paths).
+2 usage error (unknown flags, input paths that are not regular files, an
+--out that cannot be a directory).
 """
 
 from __future__ import annotations
@@ -54,21 +57,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    """Write a CSV whose cells are already text."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+class _Out:
+    """One call's output directory and the names written into it.
 
+    Every output goes through these methods, so the manifest lists exactly
+    what the call wrote.
+    """
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
+    def __init__(self, directory: Path):
+        self.dir = directory
+        self.written: set[str] = set()
 
+    def _path(self, name: str) -> Path:
+        self.written.add(name)
+        return self.dir / name
 
-def _write_kv(path: Path, pairs: dict) -> None:
-    lines = [f"{k} = {_fmt(v)}" for k, v in pairs.items()]
-    path.write_text("\n".join(lines) + "\n")
+    def text(self, name: str, text: str) -> None:
+        self._path(name).write_text(text)
+
+    def rows(self, name: str, header: list[str], rows) -> None:
+        """Write a CSV whose cells are already text."""
+        with self._path(name).open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        self.rows(name, header, ([_fmt(v) for v in row] for row in rows))
+
+    def kv(self, name: str, pairs: dict) -> None:
+        self.text(name, "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs.items()) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -77,37 +95,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(out_dir: Path, args, inputs: list[Path], outputs: list[str]) -> None:
+def _manifest(out: _Out, args, argv: list[str]) -> None:
     doc = {
         "command": args.command,
-        "argv": sys.argv[1:] if args.from_argv else args.raw_argv,
-        "inputs": {str(p): _sha256(p) for p in sorted(set(inputs))},
-        "outputs": sorted(outputs),
+        "argv": argv,
+        "inputs": {str(p): _sha256(p) for p in sorted({getattr(args, f) for f in args.inputs})},
+        "outputs": sorted(out.written),
         "package": "gridswap",
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    (out.dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _progress(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _require(path_text: str, what: str) -> Path:
-    path = Path(path_text)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} {path} not found")
-    return path
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +249,8 @@ _REPORT_COLUMNS = (
 )
 
 
-def _cmd_run(args) -> int:
-    config = _require(args.config, "config file")
-    out = _out_dir(args)
-    scenario = sim.load_scenario(config)
+def _cmd_run(args, out: _Out) -> None:
+    scenario = sim.load_scenario(args.config)
     if args.seed is not None:
         scenario.seed = args.seed
     _progress(args, f"running {scenario.mechanism} scenario over {scenario.horizon} slots")
@@ -257,29 +258,22 @@ def _cmd_run(args) -> int:
 
     agent_rows = [[aid, *(report.per_agent[aid][k] for k in _REPORT_COLUMNS[1:])]
                   for aid in report.agent_ids()]
-    _write_csv(out / "report.csv", list(_REPORT_COLUMNS), agent_rows)
-    _write_kv(out / "summary.txt", dict(sorted(report.system.items())))
+    out.csv("report.csv", list(_REPORT_COLUMNS), agent_rows)
+    out.kv("summary.txt", dict(sorted(report.system.items())))
 
-    outputs = ["report.csv", "summary.txt", "baseline_notes.txt"]
     rows, notes = sim.compare_baselines(scenario, report)
     if rows:
         header = sorted(rows[0])
-        _write_csv(out / "baselines.csv", header, [[r.get(k) for k in header] for r in rows])
-        outputs.append("baselines.csv")
-    (out / "baseline_notes.txt").write_text("".join(n + "\n" for n in notes))
-
-    _manifest(out, args, [config], outputs)
-    return 0
+        out.csv("baselines.csv", header, [[r.get(k) for k in header] for r in rows])
+    out.text("baseline_notes.txt", "".join(n + "\n" for n in notes))
 
 
-def _cmd_clear(args) -> int:
-    orders_path = _require(args.orders, "orders file")
-    out = _out_dir(args)
-    buys, sells = _read_orders(orders_path)
+def _cmd_clear(args, out: _Out) -> None:
+    buys, sells = _read_orders(args.orders)
     clearing = mk.clear_double_auction(buys, sells, pricing=args.pricing)
     buyers, sellers, quantities = zip(*clearing.matches) if clearing.matches else ((), (), ())
-    _write_rows(
-        out / "matches.csv",
+    out.rows(
+        "matches.csv",
         ["buyer_id", "seller_id", "quantity", "price"],
         zip(buyers, sellers, map(repr, quantities),
             itertools.repeat(_fmt(clearing.clearing_price))),
@@ -289,23 +283,19 @@ def _cmd_clear(args) -> int:
         for side, residual in (("buy", clearing.residual_buys), ("sell", clearing.residual_sells))
         for aid, qty in sorted(residual.items())
     ]
-    _write_rows(out / "residuals.csv", ["agent_id", "side", "quantity"], residuals)
-    _write_kv(
-        out / "clearing.txt",
+    out.rows("residuals.csv", ["agent_id", "side", "quantity"], residuals)
+    out.kv(
+        "clearing.txt",
         {
             "clearing_price": clearing.clearing_price,
             "matched_volume": clearing.matched_volume,
             "matches": len(clearing.matches),
         },
     )
-    _manifest(out, args, [orders_path], ["matches.csv", "residuals.csv", "clearing.txt"])
-    return 0
 
 
-def _cmd_ev_auction(args) -> int:
-    pop_path = _require(args.population, "population file")
-    out = _out_dir(args)
-    chargers, dischargers = evx.read_ev_population_csv(pop_path)
+def _cmd_ev_auction(args, out: _Out) -> None:
+    chargers, dischargers = evx.read_ev_population_csv(args.population)
     _progress(args, f"{len(chargers)} charging / {len(dischargers)} discharging vehicles")
     alloc, result = evx.run_iterative_auction(
         chargers, dischargers, eta=args.eta, eps=args.eps, max_iter=args.max_iter
@@ -314,9 +304,9 @@ def _cmd_ev_auction(args) -> int:
     sent = alloc.sent[j, i]
     rows = zip([dischargers[k].id for k in j.tolist()], [chargers[k].id for k in i.tolist()],
                sent.tolist(), (alloc.eta * sent).tolist())
-    _write_csv(out / "allocation.csv", ["from", "to", "sent_kwh", "delivered_kwh"], rows)
-    _write_csv(
-        out / "trace.csv",
+    out.csv("allocation.csv", ["from", "to", "sent_kwh", "delivered_kwh"], rows)
+    out.csv(
+        "trace.csv",
         ["iteration", "welfare", "gap", "max_price_change"],
         [list(row) for row in result.trace.checks],
     )
@@ -325,9 +315,9 @@ def _cmd_ev_auction(args) -> int:
     ] + [
         ["seller", sid, cash] for sid, cash in sorted(result.settlement.seller_receipts.items())
     ]
-    _write_csv(out / "settlement.csv", ["side", "agent_id", "cash"], settle_rows)
-    _write_kv(
-        out / "summary.txt",
+    out.csv("settlement.csv", ["side", "agent_id", "cash"], settle_rows)
+    out.kv(
+        "summary.txt",
         {
             "converged": result.trace.converged,
             "iterations": result.trace.iterations,
@@ -337,18 +327,11 @@ def _cmd_ev_auction(args) -> int:
             "feasibility_residual": result.trace.residual,
         },
     )
-    _manifest(
-        out, args, [pop_path],
-        ["allocation.csv", "trace.csv", "settlement.csv", "summary.txt"],
-    )
-    return 0
 
 
-def _cmd_shapley(args) -> int:
-    inst_path = _require(args.instance, "instance file")
-    out = _out_dir(args)
+def _cmd_shapley(args, out: _Out) -> None:
     tariff = mk.Tariff(p_wp=args.p_wp, p_rp=args.p_rp)
-    instance = _read_instance(inst_path, tariff)
+    instance = _read_instance(args.instance, tariff)
     if args.exact:
         alloc = co.shapley_exact(instance)
         method = "exact"
@@ -369,19 +352,16 @@ def _cmd_shapley(args) -> int:
                 p.within_band if p else None,
             ]
         )
-    _write_csv(
-        out / "allocation.csv",
-        ["id", "role", "net_kwh", "payoff", "implied_price", "within_band"],
-        rows,
-    )
+    out.csv("allocation.csv", ["id", "role", "net_kwh", "payoff", "implied_price", "within_band"],
+            rows)
     # the core check runs at every exact size; above it both keys stay blank
     try:
         shortfall, ids = co.core_shortfall(alloc, instance)
     except SizeError:
         shortfall = ids = None
     blocking = None if ids is None else ";".join(ids)
-    _write_kv(
-        out / "summary.txt",
+    out.kv(
+        "summary.txt",
         {
             "method": method,
             "grand_value": co.coalition_value(instance.customers, tariff),
@@ -390,16 +370,11 @@ def _cmd_shapley(args) -> int:
             "blocking_coalition": blocking,
         },
     )
-    _manifest(out, args, [inst_path], ["allocation.csv", "summary.txt"])
-    return 0
 
 
-def _cmd_storage_auction(args) -> int:
-    rus_path = _require(args.rus, "residential-units file")
-    sfcs_path = _require(args.sfcs, "SFC file")
-    out = _out_dir(args)
-    rus = _read_rus(rus_path)
-    sfcs = _read_sfcs(sfcs_path)
+def _cmd_storage_auction(args, out: _Out) -> None:
+    rus = _read_rus(args.rus)
+    sfcs = _read_sfcs(args.sfcs)
     outcome = st.run_storage_auction(rus, sfcs, rule=args.rule)
     ru_rows = [
         [
@@ -410,14 +385,14 @@ def _cmd_storage_auction(args) -> int:
         ]
         for rid in sorted(outcome.participating_rus)
     ]
-    _write_csv(out / "units.csv", ["id", "share_kwh", "burden_kwh", "utility"], ru_rows)
+    out.csv("units.csv", ["id", "share_kwh", "burden_kwh", "utility"], ru_rows)
     sfc_rows = [
         [sid, outcome.sfc_allocations.get(sid), outcome.sfc_utilities.get(sid)]
         for sid in sorted(outcome.participating_sfcs)
     ]
-    _write_csv(out / "sfcs.csv", ["id", "allocated_kwh", "utility"], sfc_rows)
-    _write_kv(
-        out / "summary.txt",
+    out.csv("sfcs.csv", ["id", "allocated_kwh", "utility"], sfc_rows)
+    out.kv(
+        "summary.txt",
         {
             "vickrey_price": outcome.vickrey_price,
             "auction_price": outcome.auction_price,
@@ -427,27 +402,20 @@ def _cmd_storage_auction(args) -> int:
             "rule": args.rule,
         },
     )
-    _manifest(out, args, [rus_path, sfcs_path], ["units.csv", "sfcs.csv", "summary.txt"])
-    return 0
 
 
-def _cmd_ic_check(args) -> int:
-    out = _out_dir(args)
+def _cmd_ic_check(args, out: _Out) -> None:
     scenarios = st.make_ic_scenarios(args.trials, seed=args.seed, rule=args.rule)
     _progress(args, f"searching misreports across {args.trials} scenarios")
     report = st.check_incentive_compatibility(scenarios)
-    _write_csv(
-        out / "ic_violations.csv",
+    out.csv(
+        "ic_violations.csv",
         ["scenario", "agent_id", "parameter", "factor", "gain"],
         report.profitable_deviations,
     )
-    _write_csv(
-        out / "ir_violations.csv",
-        ["scenario", "agent_id", "utility"],
-        report.ir_violations,
-    )
-    _write_kv(
-        out / "summary.txt",
+    out.csv("ir_violations.csv", ["scenario", "agent_id", "utility"], report.ir_violations)
+    out.kv(
+        "summary.txt",
         {
             "scenarios": report.scenarios_checked,
             "deviations_checked": report.deviations_checked,
@@ -457,36 +425,28 @@ def _cmd_ic_check(args) -> int:
             "clean": report.clean,
         },
     )
-    _manifest(out, args, [], ["ic_violations.csv", "ir_violations.csv", "summary.txt"])
-    return 0
 
 
-def _cmd_nash(args) -> int:
-    game_path = _require(args.game, "game file")
-    out = _out_dir(args)
-    game = _read_game(game_path)
+def _cmd_nash(args, out: _Out) -> None:
+    game = _read_game(args.game)
     equilibria = games.find_pure_nash(game)
-    _write_csv(
-        out / "equilibria.csv",
+    out.csv(
+        "equilibria.csv",
         [f"s{k}" for k in range(game.n_players)],
         [list(profile) for profile in equilibria],
     )
-    _write_kv(
-        out / "summary.txt",
+    out.kv(
+        "summary.txt",
         {
             "players": game.n_players,
             "strategies": "x".join(str(k) for k in game.strategy_counts),
             "pure_equilibria": len(equilibria),
         },
     )
-    _manifest(out, args, [game_path], ["equilibria.csv", "summary.txt"])
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _require(args.config, "config file")
-    out = _out_dir(args)
-    scenario = sim.load_scenario(config)
+def _cmd_sweep(args, out: _Out) -> None:
+    scenario = sim.load_scenario(args.config)
     if args.seed is not None:
         scenario.seed = args.seed
     try:
@@ -495,14 +455,8 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"bad sweep values {args.values!r} ({exc})") from exc
     _progress(args, f"sweeping {len(values)} points")
     rows = sim.sweep(scenario, args.param, values)
-
-    if rows:
-        header = list(rows[0])
-        _write_csv(out / "sweep.csv", header, [[r.get(k) for k in header] for r in rows])
-    else:
-        _write_csv(out / "sweep.csv", ["value"], [])
-    _manifest(out, args, [config], ["sweep.csv"])
-    return 0
+    header = list(rows[0]) if rows else ["value"]
+    out.csv("sweep.csv", header, [[r.get(k) for k in header] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -524,82 +478,94 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gridswap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help, **inputs):
+        """A subparser whose required path flags, named by keyword, map to their labels."""
+        p = sub.add_parser(name, help=help)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
+        p.set_defaults(handler=handler, inputs=inputs)
+        return p
+
     def common(p, seed_default=None):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=nonnegative, default=seed_default, help="random seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
-    p = sub.add_parser("run", help="run a full scenario simulation")
-    p.add_argument("--config", required=True)
+    p = command("run", _cmd_run, "run a full scenario simulation", config="config file")
     common(p)
-    p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("clear", help="clear one slot's double auction from an orders CSV")
-    p.add_argument("--orders", required=True)
+    p = command("clear", _cmd_clear, "clear one slot's double auction from an orders CSV",
+                orders="orders file")
     p.add_argument("--pricing", choices=["marginal_bid", "midpoint"], default="marginal_bid")
     common(p)
-    p.set_defaults(handler=_cmd_clear)
 
-    p = sub.add_parser("ev-auction", help="EV price auction from a population CSV")
-    p.add_argument("--population", required=True)
+    p = command("ev-auction", _cmd_ev_auction, "EV price auction from a population CSV",
+                population="population file")
     p.add_argument("--eta", type=finite_over(0.0, 1.0), default=evx.DEFAULT_ETA)
     p.add_argument("--eps", type=finite_over(0.0), default=1e-4,
                    help="stop once the certified welfare gap is at most this ($)")
     p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=500,
                    help="at most this many price steps; a stop here is reported unconverged")
     common(p)
-    p.set_defaults(handler=_cmd_ev_auction)
 
-    p = sub.add_parser("shapley", help="coalition payoff division from an instance CSV")
-    p.add_argument("--instance", required=True)
+    p = command("shapley", _cmd_shapley, "coalition payoff division from an instance CSV",
+                instance="instance file")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=positive_up_to(co.MAX_SAMPLES), default=50_000)
     p.add_argument("--p-wp", type=finite, default=0.05)
     p.add_argument("--p-rp", type=finite, default=0.30)
     common(p, seed_default=0)
-    p.set_defaults(handler=_cmd_shapley)
 
-    p = sub.add_parser("storage-auction", help="storage-sharing auction from RU/SFC CSVs")
-    p.add_argument("--rus", required=True)
-    p.add_argument("--sfcs", required=True)
+    p = command("storage-auction", _cmd_storage_auction,
+                "storage-sharing auction from RU/SFC CSVs",
+                rus="residential-units file", sfcs="SFC file")
     p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
     common(p)
-    p.set_defaults(handler=_cmd_storage_auction)
 
-    p = sub.add_parser("ic-check", help="search storage-auction misreports for profit")
+    p = command("ic-check", _cmd_ic_check, "search storage-auction misreports for profit")
     p.add_argument("--trials", type=positive_up_to(_MAX_TRIALS), default=100)
     p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
     common(p, seed_default=0)
-    p.set_defaults(handler=_cmd_ic_check)
 
-    p = sub.add_parser("nash", help="enumerate pure equilibria of a small game CSV")
-    p.add_argument("--game", required=True)
+    p = command("nash", _cmd_nash, "enumerate pure equilibria of a small game CSV",
+                game="game file")
     common(p)
-    p.set_defaults(handler=_cmd_nash)
 
-    p = sub.add_parser("sweep", help="run a parameter sweep over a scenario")
-    p.add_argument("--config", required=True)
+    p = command("sweep", _cmd_sweep, "run a parameter sweep over a scenario",
+                config="config file")
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     return parser
 
 
+def _error(message: str, code: int) -> int:
+    print(f"gridswap: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.from_argv = argv is None
-    args.raw_argv = list(argv) if argv is not None else []
+    """Check the inputs, make --out, run the subcommand and write its manifest."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    for flag, label in args.inputs.items():
+        path = Path(getattr(args, flag))
+        if not path.is_file():
+            return _error(f"{label} {path} "
+                          + ("is not a regular file" if path.exists() else "not found"), 2)
+        setattr(args, flag, path)
+    out = _Out(Path(args.out))
     try:
-        return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"gridswap: {exc}", file=sys.stderr)
-        return 2
+        out.dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _error(f"--out {out.dir} cannot be made a directory ({exc.strerror})", 2)
+    try:
+        args.handler(args, out)
     except GridswapError as exc:
-        print(f"gridswap: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc), 1)
+    _manifest(out, args, argv)
+    return 0
 
 
 if __name__ == "__main__":

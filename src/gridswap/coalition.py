@@ -122,21 +122,11 @@ def _popcounts(bits: int) -> np.ndarray:
 def is_superadditive(instance: CoalitionInstance):
     """Decide v(S u T) >= v(S) + v(T) for all disjoint pairs in closed form.
 
-    On the pooled net x, v = min(p_wp * x, p_rp * x) when p_rp >= p_wp:
-    concave and positively homogeneous, hence superadditive at any N. When
-    p_rp < p_wp, v = max(p_wp * x, p_rp * x) is additive on same-sign nets and
-    strictly loses when a surplus merges with a deficiency.
-
-    Returns (True, None) or (False, ((supplier_id,), (user_id,))) naming the
-    first customer with net > 0 and the first with net < 0.
+    Tariff holds p_rp > p_wp, so on the pooled net x, v = min(p_wp * x, p_rp * x)
+    is concave and positively homogeneous, hence superadditive at any N.
+    Returns (True, None): superadditive, with no violating pair to name.
     """
-    if instance.tariff.p_rp >= instance.tariff.p_wp:
-        return True, None
-    seller = next((c.id for c in instance.customers if c.net_energy > 0), None)
-    buyer = next((c.id for c in instance.customers if c.net_energy < 0), None)
-    if seller is None or buyer is None:
-        return True, None
-    return False, ((seller,), (buyer,))
+    return True, None
 
 
 def _shapley_rows(energies: np.ndarray, tariff: Tariff) -> np.ndarray:

@@ -71,8 +71,9 @@ class MetricsReport:
 
 
 def _read_series(path: Path, horizon: int, agent_id: str):
-    if not path.exists():
-        raise SchemaError(f"agent {agent_id!r}: series file {path} not found")
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise SchemaError(f"agent {agent_id!r}: series file {path} {problem}")
     cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"))
     if (
         cols is not None

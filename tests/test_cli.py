@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import json
 import math
 import os
 import re
@@ -150,13 +151,6 @@ class TestRun:
         assert rc == 0
         for name in ("report.csv", "summary.txt", "baselines.csv", "manifest.json"):
             assert (out / name).exists(), name
-
-    def test_missing_config_exits_2_writes_nothing(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["run", "--config", str(tmp_path / "none.cfg"),
-                   "--out", str(out), "--quiet"])
-        assert rc == 2
-        assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -478,39 +472,43 @@ class TestEvAuctionCmd:
         assert trace[-1].split(",")[:3] == [values["iterations"], values["welfare"], values["gap"]]
 
 
+@pytest.fixture
+def every_call(tmp_path, scenario_cfg, orders_csv, instance_csv):
+    """One argv per subcommand (two for shapley) that exits 0, without --out."""
+    rus = tmp_path / "rus.csv"
+    rus.write_text(
+        "id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n"
+    )
+    sfcs = tmp_path / "sfcs.csv"
+    sfcs.write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")
+    pop = tmp_path / "pop.csv"
+    pop.write_text(
+        "id,role,w,l1,l2,c_min,c_max,d_max\n"
+        "c1,charging,1.9,,,6,15,\n"
+        "d1,discharging,,0.04,0.02,,,16\n"
+    )
+    game = tmp_path / "game.csv"
+    game.write_text(
+        "player,s0,s1,utility\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,1\n"
+        "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,1\n"
+    )
+    return [
+        ["run", "--config", str(scenario_cfg)],
+        ["clear", "--orders", str(orders_csv)],
+        ["ev-auction", "--population", str(pop)],
+        ["shapley", "--exact", "--instance", str(instance_csv)],
+        ["shapley", "--instance", str(instance_csv), "--samples", "200", "--seed", "4"],
+        ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
+        ["ic-check", "--trials", "2", "--seed", "1"],
+        ["nash", "--game", str(game)],
+        ["sweep", "--config", str(scenario_cfg), "--param", "supplier_count",
+         "--values", "2,3"],
+    ]
+
+
 class TestDeterminism:
-    def test_every_subcommand_byte_identical(self, tmp_path, scenario_cfg,
-                                             orders_csv, instance_csv):
-        rus = tmp_path / "rus.csv"
-        rus.write_text(
-            "id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n"
-        )
-        sfcs = tmp_path / "sfcs.csv"
-        sfcs.write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")
-        pop = tmp_path / "pop.csv"
-        pop.write_text(
-            "id,role,w,l1,l2,c_min,c_max,d_max\n"
-            "c1,charging,1.9,,,6,15,\n"
-            "d1,discharging,,0.04,0.02,,,16\n"
-        )
-        game = tmp_path / "game.csv"
-        game.write_text(
-            "player,s0,s1,utility\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,1\n"
-            "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,1\n"
-        )
-        invocations = [
-            ["run", "--config", str(scenario_cfg)],
-            ["clear", "--orders", str(orders_csv)],
-            ["ev-auction", "--population", str(pop)],
-            ["shapley", "--exact", "--instance", str(instance_csv)],
-            ["shapley", "--instance", str(instance_csv), "--samples", "200", "--seed", "4"],
-            ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
-            ["ic-check", "--trials", "2", "--seed", "1"],
-            ["nash", "--game", str(game)],
-            ["sweep", "--config", str(scenario_cfg), "--param", "supplier_count",
-             "--values", "2,3"],
-        ]
-        for k, argv in enumerate(invocations):
+    def test_every_subcommand_byte_identical(self, tmp_path, every_call):
+        for k, argv in enumerate(every_call):
             out = tmp_path / f"det{k}"
             full = argv + ["--out", str(out), "--quiet"]
             assert main(full) == 0, argv
@@ -519,6 +517,63 @@ class TestDeterminism:
                 f.unlink()
             assert main(full) == 0, argv
             assert snapshot(out) == first, argv[0]
+
+
+# each input flag, with the argv that gives every other input a regular file
+_INPUT_FLAGS = [
+    (["run"], "config", "config file"),
+    (["clear"], "orders", "orders file"),
+    (["ev-auction"], "population", "population file"),
+    (["shapley"], "instance", "instance file"),
+    (["storage-auction", "--sfcs", "ok.csv"], "rus", "residential-units file"),
+    (["storage-auction", "--rus", "ok.csv"], "sfcs", "SFC file"),
+    (["nash"], "game", "game file"),
+    (["sweep", "--param", "supplier_count", "--values", "2"], "config", "config file"),
+]
+
+
+class TestFileProtocol:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("argv, flag, label", _INPUT_FLAGS,
+                             ids=[f"{a[0]}-{f}" for a, f, _ in _INPUT_FLAGS])
+    def test_input_not_a_file_exits_2_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                     argv, flag, label, kind):
+        monkeypatch.chdir(tmp_path)
+        Path("ok.csv").write_text("id\n")
+        if kind == "directory":
+            Path("given").mkdir()
+        rc = main([*argv, f"--{flag}", "given", "--out", "out", "--quiet"])
+        assert rc == 2
+        problem = "not found" if kind == "missing" else "is not a regular file"
+        assert capsys.readouterr().err == f"gridswap: {label} given {problem}\n"
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_exits_2_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      out):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        rc = main(["ic-check", "--trials", "1", "--out", out, "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridswap: --out {out} ") and err.count("\n") == 1
+        assert os.listdir() == ["afile"] and Path("afile").read_text() == "kept\n"
+
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, every_call):
+        for k, argv in enumerate(every_call):
+            out = tmp_path / f"fresh{k}"
+            assert main([*argv, "--out", str(out), "--quiet"]) == 0, argv
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert sorted(outputs + ["manifest.json"]) == sorted(os.listdir(out)), argv
+
+    def test_stale_file_in_out_is_not_listed(self, tmp_path, scenario_cfg):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stale.csv").write_text("old\n")
+        assert main(["run", "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "stale.csv" not in outputs
+        assert sorted(outputs + ["manifest.json", "stale.csv"]) == sorted(os.listdir(out))
 
 
 def _fresh_cli(argv):

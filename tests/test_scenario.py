@@ -97,6 +97,12 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match="ghost.csv"):
             load_scenario(cfg)
 
+    def test_series_naming_a_directory(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        cfg = write_config(tmp_path / "bad.cfg", "agent = h1 consumer adir\n")
+        with pytest.raises(SchemaError, match="adir is not a regular file"):
+            load_scenario(cfg)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "none.cfg")
