@@ -3,8 +3,9 @@
 main checks that every input path is a regular file before it creates the
 output directory. Each subcommand then writes deterministic files there
 through one _Out, and main drops a manifest.json recording the command, the
-seed, sha256 digests of every input and the names of the files the call
-wrote, so a run can be reproduced byte for byte.
+seed, sha256 digests of every file the call read (the series files a
+scenario config names included) and the names of the files it wrote, so a
+run can be reproduced byte for byte.
 
 Exit codes: 0 success, 1 domain error (bad data, infeasible instance),
 2 usage error (unknown flags, input paths that are not regular files, an
@@ -61,12 +62,14 @@ class _Out:
     """One call's output directory and the names written into it.
 
     Every output goes through these methods, so the manifest lists exactly
-    what the call wrote.
+    what the call wrote. `sources` holds the files a call read besides its
+    input flags.
     """
 
     def __init__(self, directory: Path):
         self.dir = directory
         self.written: set[str] = set()
+        self.sources: set[Path] = set()
 
     def _path(self, name: str) -> Path:
         self.written.add(name)
@@ -99,7 +102,8 @@ def _manifest(out: _Out, args, argv: list[str]) -> None:
     doc = {
         "command": args.command,
         "argv": argv,
-        "inputs": {str(p): _sha256(p) for p in sorted({getattr(args, f) for f in args.inputs})},
+        "inputs": {str(p): _sha256(p)
+                   for p in sorted({*(getattr(args, f) for f in args.inputs), *out.sources})},
         "outputs": sorted(out.written),
         "package": "gridswap",
         "seed": getattr(args, "seed", None),
@@ -249,10 +253,17 @@ _REPORT_COLUMNS = (
 )
 
 
-def _cmd_run(args, out: _Out) -> None:
+def _scenario(args, out: _Out) -> sim.Scenario:
+    """The --config scenario under --seed, its series files recorded for the manifest."""
     scenario = sim.load_scenario(args.config)
+    out.sources.update(scenario.sources)
     if args.seed is not None:
         scenario.seed = args.seed
+    return scenario
+
+
+def _cmd_run(args, out: _Out) -> None:
+    scenario = _scenario(args, out)
     _progress(args, f"running {scenario.mechanism} scenario over {scenario.horizon} slots")
     report = sim.run_simulation(scenario)
 
@@ -446,9 +457,7 @@ def _cmd_nash(args, out: _Out) -> None:
 
 
 def _cmd_sweep(args, out: _Out) -> None:
-    scenario = sim.load_scenario(args.config)
-    if args.seed is not None:
-        scenario.seed = args.seed
+    scenario = _scenario(args, out)
     try:
         values = [finite(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

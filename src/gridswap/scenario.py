@@ -55,6 +55,8 @@ class Scenario:
     slot_minutes: int = 15
     seed: int = 0
     options: dict = field(default_factory=dict)
+    # the series files the config names, in declaration order
+    sources: tuple[Path, ...] = ()
 
 
 @dataclass
@@ -185,6 +187,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             options[key] = (lo, hi)
 
     agents: list[AgentProfile] = []
+    sources: list[Path] = []
     for ln, decl in agent_specs:
         parts = decl.split()
         if len(parts) < 3:
@@ -204,7 +207,8 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
         else:
-            load, gen = _read_series(base / series, horizon, aid)
+            sources.append(base / series)
+            load, gen = _read_series(sources[-1], horizon, aid)
         agent = AgentProfile(aid, role, load, gen, params)
         try:
             _mechanism_agent(agent)
@@ -228,6 +232,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
         slot_minutes=slot_minutes,
         seed=seed,
         options=options,
+        sources=tuple(sources),
     )
 
 

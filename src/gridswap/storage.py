@@ -18,7 +18,9 @@ auction for R units and M SFCs. `run_storage_auction` chains the one-row
 steps (`stackelberg_price` is one row of that kernel); `_auctions` screens,
 prices and settles a batch of whole auctions, one row per total for
 `requirement_sweep` and, for the incentive-compatibility search, the
-truthful report and every misreport of a scenario.
+truthful report and every misreport of every scenario of one (units, SFCs,
+rule) group. `_auctions` prices in chunks of rows whose memory `_CHUNK_BYTES`
+bounds, and the search splits a group whose arrays would pass it.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ EQUAL = "equal"
 _PRICE_RESOLUTION = 1e-4
 # grid indices stay exact in float64
 _MAX_GRID_POINTS = 2**53
-# about the largest temporary array, in elements, that the incentive
-# search builds per chunk of misreports (1 MB of float64)
-_CHUNK_ELEMENTS = 1 << 17
+# about the most memory, in bytes, that one pricing chunk of `_auctions`,
+# one chunk of `_objective` grid points or the arrays of one incentive-search
+# batch take; each sizes its rows from a footprint measured with tracemalloc
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -229,12 +232,49 @@ def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOL
 
 def _grid_maximizers(res, rel, cap, reqs, bids, lo, hi, n, step):
     """`_stackelberg_rows` for rows whose grid has n > 1 points."""
-    B, R = res.shape
-    M = bids.shape[1]
+    B = len(lo)
     rows = np.arange(B)[:, None]
     # best bid first; equal bids keep their order
     rank = np.argsort(-bids, axis=1, kind="stable")
     reqs, bids = reqs[rows, rank], bids[rows, rank]
+    # the pieces' temporaries are gone before any grid point is evaluated
+    row, x, top = _pieces(res, rel, cap, reqs, bids, lo, hi)
+
+    # the grid points around each row's best piece; per row, the lowest of
+    # largest value
+    units, sfcs = np.array([res, rel, cap]), np.array([reqs, bids])
+    grid = np.array([lo, hi, step, n - 1])
+    below = ((x - lo[row]) / step[row]).astype(np.int64)  # the grid point at or below x
+    best = np.lexsort((-top, row))[np.searchsorted(row, np.arange(B))]
+    at_i = _window(below[best], n)
+    value = _objective(np.arange(B), at_i, units, sfcs, grid)
+    first = np.argmax(value, axis=1)
+    at_i, value = at_i[np.arange(B), first], value[np.arange(B), first]
+    # then around every other piece that can still reach that value; the
+    # slack covers rounding in the float objective and in the pieces' maxima
+    slack = 1e-9 * (np.abs(lo) + np.abs(hi) + np.abs(bids).max(axis=1)) * (
+        reqs.sum(axis=1) + cap.sum(axis=1)
+    )
+    others = np.flatnonzero((top >= (value - slack)[row]) & (below != below[best][row]))
+    if len(others):
+        more_i = _window(below[others], n[row[others]])
+        more = _objective(row[others], more_i, units, sfcs, grid)
+        at_row = np.concatenate([np.arange(B), np.repeat(row[others], 4)])
+        at_i, value = np.concatenate([at_i, more_i.ravel()]), np.concatenate([value, more.ravel()])
+        order = np.lexsort((at_i, -value, at_row))
+        at_i = at_i[order][np.searchsorted(at_row[order], np.arange(B))]
+    return _grid_price(at_i, *grid)
+
+
+def _pieces(res, rel, cap, reqs, bids, lo, hi):
+    """Every row's pieces, as flat arrays (row, x, top): each piece's row, and
+    the continuous maximizer x of the objective on it and its value there.
+
+    `reqs` and `bids` are in bid order, best first.
+    """
+    B, R = res.shape
+    M = bids.shape[1]
+    rows = np.arange(B)[:, None]
     # Q_j, the requirement of the first j SFCs, and sum_{i<j} b_i*q_i
     sums = np.zeros((2, B, M + 1))
     np.cumsum(np.array([reqs, bids * reqs]), axis=2, out=sums[:, :, 1:])
@@ -308,31 +348,7 @@ def _grid_maximizers(res, rel, cap, reqs, bids, lo, hi, n, step):
     b, q, base = bids[row, np.minimum(j, M - 1)], filled[row, j], paid[row, j]
     x = np.where(partial & slope, np.minimum(np.maximum((b - s0 / rise) / 2, start), end), start)
     top = np.where(partial, base - x * q + (b - x) * (s0 + s1 * x - q), base - x * q)
-
-    # the grid points around each row's best piece; per row, the lowest of
-    # largest value
-    units, sfcs = np.array([res, rel, cap]), np.array([reqs, bids])
-    grid = np.array([lo, hi, step, n - 1])
-    below = ((x - lo[row]) / step[row]).astype(np.int64)  # the grid point at or below x
-    best = np.lexsort((-top, row))[np.searchsorted(row, np.arange(B))]
-    at_i = _window(below[best], n)
-    value = _objective(np.arange(B), at_i, units, sfcs, grid)
-    first = np.argmax(value, axis=1)
-    at_i, value = at_i[np.arange(B), first], value[np.arange(B), first]
-    # then around every other piece that can still reach that value; the
-    # slack covers rounding in the float objective and in the pieces' maxima
-    slack = 1e-9 * (np.abs(lo) + np.abs(hi) + np.abs(bids).max(axis=1)) * (
-        reqs.sum(axis=1) + cap.sum(axis=1)
-    )
-    others = np.flatnonzero((top >= (value - slack)[row]) & (below != below[best][row]))
-    if len(others):
-        more_i = _window(below[others], n[row[others]])
-        more = _objective(row[others], more_i, units, sfcs, grid)
-        at_row = np.concatenate([np.arange(B), np.repeat(row[others], 4)])
-        at_i, value = np.concatenate([at_i, more_i.ravel()]), np.concatenate([value, more.ravel()])
-        order = np.lexsort((at_i, -value, at_row))
-        at_i = at_i[order][np.searchsorted(at_row[order], np.arange(B))]
-    return _grid_price(at_i, *grid)
+    return row, x, top
 
 
 def _count_at_most(table, row, x):
@@ -365,7 +381,9 @@ def _objective(row, i, units, sfcs, grid):
     zeros included.
     """
     out = np.empty(i.shape)
-    size = max(1, _CHUNK_ELEMENTS // (i.shape[1] * (units.shape[2] + sfcs.shape[2])))
+    # a grid point's temporaries take about six floats per unit and nine per SFC
+    point = 8 * (6 * units.shape[2] + 9 * sfcs.shape[2] + 4)
+    size = max(1, _CHUNK_BYTES // (point * i.shape[1]))
     for k in range(0, len(i), size):
         rk = np.repeat(row[k:k + size], i.shape[1])
         p = _grid_price(i[k:k + size].ravel(), *grid[:, rk])[:, None]
@@ -484,9 +502,9 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     reluctances and capacities, and `reqs`, `bids` and `tie` (D, M) arrays of
     the SFCs' requirements, bids and ranks among equal bids, all in input
     order. Rows where some unit passes `_screen` are priced with one
-    `_stackelberg_rows` call per (units, SFCs) shape, in chunks that keep each
-    temporary array under about `_CHUNK_ELEMENTS` elements, and settled as
-    `run_storage_auction` settles them, bit for bit.
+    `_stackelberg_rows` call per chunk of rows of one participating (units,
+    SFCs) shape, each chunk's temporaries under about `_CHUNK_BYTES`, and
+    settled as `run_storage_auction` settles them, bit for bit.
 
     Returns (rus_in, sfcs_in, price, committed, burden, bought): each row's
     participation masks and price (NaN where no unit qualifies), and each
@@ -510,9 +528,9 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     for key in np.unique(shape[priced]).tolist():
         n_ru, n_sfc = divmod(key, M + 1)
         same = np.flatnonzero(priced & (shape == key))
-        # the widest temporaries per row: five sort keys per kink, and two
-        # counts per item (kinks, exits, bounds) sorted twice
-        size = max(1, _CHUNK_ELEMENTS // (10 * n_ru + 4 * n_sfc + 8))
+        # the kernel's temporaries peak at under 8 * (88 + 64 R + 30 M) bytes
+        # per row, measured on rows of 1 to 50 units and 1 to 20 SFCs
+        size = max(1, _CHUNK_BYTES // (8 * (88 + 64 * n_ru + 30 * n_sfc)))
         for g in (same[k:k + size] for k in range(0, len(same), size)):
             ru_at, sfc_at = np.nonzero(rus_in[g]), np.nonzero(sfcs_in[g])
             r, a, c = (x[g][ru_at].reshape(len(g), n_ru) for x in (res, rel, cap))
@@ -632,64 +650,72 @@ class IcReport:
         return not self.profitable_deviations and not self.ir_violations
 
 
-def _report_utilities(sc: StorageScenario, factors: list[float]):
+def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: str):
     """Each agent's utility under truthful reports, and the deviator's under each misreport.
 
-    Row 0 of the batch is the truthful report. The misreport rows follow unit
-    by unit, factor by factor, over the reservation price and then the
-    capacity; then SFC by SFC over the bid. A unit that its own report
-    screens out realizes nothing, and no auction runs for that row; every
-    other row is one auction of one `_auctions` batch. Every agent's utility
-    is taken at its true costs.
+    The scenarios of `batch` share one (units, SFCs) shape and `rule`. Each
+    has a truthful row and then its misreport rows: unit by unit, factor by
+    factor, over the reservation price and then the capacity; then SFC by SFC
+    over the bid. A unit that its own report screens out realizes nothing,
+    and no auction runs for that row; every other row of every scenario is
+    one auction of one `_auctions` batch. Every agent's utility is taken at
+    its true costs.
 
-    Returns (truthful, misreports): the units' and then the SFCs' truthful
-    utilities in input order, and the deviator's utility per misreport row.
+    Returns (truthful, misreports): per scenario, the units' and then the
+    SFCs' truthful utilities in input order, and the deviator's utility per
+    misreport row.
     """
-    units = np.array([[r.reservation_price, r.reluctance, r.capacity] for r in sc.rus])
-    sfcs = np.array([[s.requirement, s.bid_price] for s in sc.sfcs])
-    tie = np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]  # fill order of equal bids
-    R, M, F = len(units), len(sfcs), len(factors)
-    # per row, what is misreported (0 nothing, 1 a reservation price, 2 a
-    # capacity, 3 a bid), by which unit or SFC, and by which factor
+    S, R, M, F = len(batch), len(batch[0].rus), len(batch[0].sfcs), len(factors)
+    units = np.array([[(r.reservation_price, r.reluctance, r.capacity) for r in sc.rus]
+                      for sc in batch]).reshape(S, R, 3)
+    sfcs = np.array([[(s.requirement, s.bid_price) for s in sc.sfcs]
+                     for sc in batch]).reshape(S, M, 2)
+    # fill order of equal bids
+    tie = np.array([np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]
+                    for sc in batch]).reshape(S, M)
+    # per row of a scenario, what is misreported (0 nothing, 1 a reservation
+    # price, 2 a capacity, 3 a bid), by which unit or SFC, and by which factor
     kind = np.concatenate([[0], np.tile([1, 2], R * F), np.full(M * F, 3)])
     who = np.concatenate([[0], np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
     scale = np.concatenate([[1.0], np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
     # a unit's reports keep the truthful bids, so its screen is at the truthful Vickrey price
     unit_row = (kind == 1) | (kind == 2)
-    asked = units[np.where(unit_row, who, 0), 0] * np.where(kind == 1, scale, 1.0)
-    kept = np.flatnonzero(~unit_row | (asked <= vickrey_price(sc.sfcs)))
-    kind, who, scale = kind[kept], who[kept], scale[kept]
-    res, cap, bids = (np.tile(x, (len(kept), 1)) for x in (units[:, 0], units[:, 2], sfcs[:, 1]))
+    asked = units[:, np.where(unit_row, who, 0), 0] * np.where(kind == 1, scale, 1.0)
+    v = np.array([vickrey_price(sc.sfcs) for sc in batch])
+    # the priced rows: each one's scenario and its row within the scenario
+    sc_of, d = np.nonzero(~unit_row | (asked <= v[:, None]))
+    kind, who, scale = kind[d], who[d], scale[d]
+    res, cap, bids = units[sc_of, :, 0], units[sc_of, :, 2], sfcs[sc_of, :, 1]
     for reported, k in ((res, 1), (cap, 2), (bids, 3)):
         sel = kind == k
         reported[sel, who[sel]] *= scale[sel]
-    rel, reqs, tie = (np.broadcast_to(x, (len(kept), len(x)))
-                      for x in (units[:, 1], sfcs[:, 0], tie))
-    _, sfcs_in, price, committed, burden, bought = _auctions(
-        res, rel, cap, reqs, bids, tie, sc.rule
-    )
 
-    # (batch row, agent) pairs: every agent in row 0, the deviator in each
-    # other row, with agents counted over units and then SFCs
-    at = np.concatenate([np.zeros(R + M, dtype=np.int64), np.arange(1, len(kept))])
-    col = np.concatenate([np.arange(R + M), np.where(kind == 3, R + who, who)[1:]])
+    # (batch row, agent) pairs: every agent in each truthful row, the deviator
+    # in every other row, with agents counted over units and then SFCs
+    first, dev = np.flatnonzero(d == 0), np.flatnonzero(d > 0)
+    at = np.concatenate([np.repeat(first, R + M), dev])
+    col = np.concatenate([np.tile(np.arange(R + M), S), np.where(kind == 3, R + who, who)[dev]])
+    _, sfcs_in, price, committed, burden, bought = _auctions(
+        res, units[sc_of, :, 1], cap, sfcs[sc_of, :, 0], bids, tie[sc_of], rule
+    )
     p, unit = price[at], col < R
     i, c = at[unit], col[unit]
+    true = units[sc_of[i], c]
     # a unit realizes its true costs on what it can deliver: phantom capacity
     # cannot be locked
-    locked = np.minimum(units[c, 2], committed[i, c])
+    locked = np.minimum(true[:, 2], committed[i, c])
     sold = np.minimum(locked, np.maximum(0.0, committed[i, c] - burden[i, c]))
     squared = np.array([x**2 for x in locked.tolist()])  # Python's pow, as in the scalar formula
     utility = np.empty(len(at))
-    utility[unit] = p[unit] * sold - units[c, 0] * locked - 0.5 * units[c, 1] * squared
+    utility[unit] = p[unit] * sold - true[:, 0] * locked - 0.5 * true[:, 1] * squared
     i, c = at[~unit], col[~unit] - R
-    utility[~unit] = (sfcs[c, 1] - p[~unit]) * bought[i, c]
+    utility[~unit] = (sfcs[sc_of[i], c, 1] - p[~unit]) * bought[i, c]
     utility[np.isnan(p)] = 0.0  # no unit qualified, so no auction ran
-    truthful = utility[:R + M]
+    truthful = utility[:S * (R + M)].reshape(S, R + M)
     # an SFC the truthful report screens out realizes 0.0, not (bid - price) * 0.0 = -0.0
-    truthful[R:][~sfcs_in[0]] = 0.0
-    misreports = np.zeros(len(unit_row) - 1)
-    misreports[kept[1:] - 1] = utility[R + M:]
+    truthful[:, R:][~sfcs_in[first]] = 0.0
+    misreports = np.zeros((S, len(unit_row) - 1))
+    misreports[sc_of[dev], d[dev] - 1] = utility[S * (R + M):]
     return truthful, misreports
 
 
@@ -706,25 +732,43 @@ def check_incentive_compatibility(
     play. Individual rationality of the truthful outcome is checked as well.
     The report also keeps the largest gain found, even below the tolerance.
 
-    Each scenario's truthful report and misreports are screened, priced and
-    settled as one `_auctions` batch (`_report_utilities`); the report equals
-    that of one full auction per report, bit for bit.
+    Every scenario's rule is checked before any auction is priced. The
+    scenarios are then grouped by (units, SFCs, rule), and the truthful
+    reports and misreports of a whole group are screened, priced and settled
+    as one `_auctions` batch (`_report_utilities`), or of a run of its
+    scenarios where the group's arrays would pass `_CHUNK_BYTES`. The report
+    is read back in scenario order and equals that of one full auction per
+    report, bit for bit.
     """
     if factors is None:
         factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
     if not all(math.isfinite(f) and f >= 0 for f in factors):
         raise InputError("misreport factors must be finite and >= 0")
     factors = [f for f in factors if f != 1.0]
+    groups: dict[tuple, list[int]] = {}
+    for idx, sc in enumerate(scenarios):
+        _check_rule(sc.rule)
+        groups.setdefault((len(sc.rus), len(sc.sfcs), sc.rule), []).append(idx)
+    # each scenario's (truthful, misreports) utilities: rows of its batch's arrays
+    reports = [None] * len(scenarios)
+    for (R, M, rule), members in groups.items():
+        # a batch's own arrays take under 8 * (40 + 5 (R + M)) bytes per report
+        # row, measured on scenarios of 2 to 80 units and 2 to 20 SFCs
+        rows = 1 + (2 * R + M) * len(factors)
+        size = max(1, _CHUNK_BYTES // (8 * rows * (40 + 5 * (R + M))))
+        for batch in (members[k:k + size] for k in range(0, len(members), size)):
+            truthful, misreports = _report_utilities([scenarios[i] for i in batch], factors, rule)
+            for idx, base, deviated in zip(batch, truthful, misreports):
+                reports[idx] = base, deviated
     profitable = []
     ir_violations = []
     checked = 0
     largest = None
-    for idx, sc in enumerate(scenarios):
-        truthful, misreports = _report_utilities(sc, factors)
+    for idx, (sc, (bases, deviated)) in enumerate(zip(scenarios, reports)):
         agents = [(r.id, ("reservation_price", "capacity")) for r in sc.rus]
         agents += [(s.id, ("bid_price",)) for s in sc.sfcs]
-        utilities = iter(misreports.tolist())  # in the batch's row order
-        for (aid, params), base in zip(agents, truthful.tolist()):
+        utilities = iter(deviated.tolist())  # in the batch's row order
+        for (aid, params), base in zip(agents, bases.tolist()):
             if base < -gain_tolerance:
                 ir_violations.append((idx, aid, base))
             for f in factors:

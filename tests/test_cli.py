@@ -566,6 +566,22 @@ class TestFileProtocol:
             outputs = json.loads((out / "manifest.json").read_text())["outputs"]
             assert sorted(outputs + ["manifest.json"]) == sorted(os.listdir(out)), argv
 
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "supplier_count",
+                                                 "--values", "2"]], ids=["run", "sweep"])
+    def test_manifest_hashes_the_series_files(self, tmp_path, scenario_cfg, argv):
+        def inputs(out):
+            assert main([*argv, "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
+            return json.loads((out / "manifest.json").read_text())["inputs"]
+
+        first = inputs(tmp_path / "first")
+        assert sorted(first) == sorted(str(tmp_path / f) for f in ("scenario.cfg", "pro.csv",
+                                                                   "con.csv"))
+        series = tmp_path / "con.csv"
+        series.write_text(series.read_text().replace("1.2", "1.3"))
+        second = inputs(tmp_path / "second")
+        assert second[str(scenario_cfg)] == first[str(scenario_cfg)]
+        assert second[str(series)] != first[str(series)]
+
     def test_stale_file_in_out_is_not_listed(self, tmp_path, scenario_cfg):
         out = tmp_path / "out"
         out.mkdir()

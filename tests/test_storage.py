@@ -488,6 +488,17 @@ class TestRuleChecked:
         with pytest.raises(InputError, match="allocation rule must be 'proportional' or 'equal'"):
             entry(self.RUS, self.SFCS)
 
+    def test_unknown_rule_last_in_the_search(self, monkeypatch):
+        def priced(*args):
+            raise AssertionError("an auction was priced before every rule was checked")
+
+        monkeypatch.setattr(storage, "_auctions", priced)
+        monkeypatch.setattr(storage, "_stackelberg_rows", priced)
+        scenarios = make_ic_scenarios(4, 1) + make_ic_scenarios(4, 2, EQUAL)
+        scenarios.append(StorageScenario(scenarios[0].rus, scenarios[0].sfcs, "bogus"))
+        with pytest.raises(InputError, match="allocation rule must be 'proportional' or 'equal'"):
+            check_incentive_compatibility(scenarios)
+
 
 class TestRequirementSweep:
     def test_rows_cover_requested_totals(self):
@@ -664,6 +675,42 @@ class TestIcSearchEqualsLoop:
         _, sfcs_in, _ = determine_participants([lifted, rus[1]], list(sfcs))
         assert [s.id for s in sfcs_in] == ["a", "b"]
 
+    def test_mixed_shapes_and_rules(self, monkeypatch):
+        # scenarios of both families and both rules, interleaved: each (units,
+        # SFCs, rule) group is priced as one batch and read back in input order
+        scenarios = [*make_ic_scenarios(8, 5), *make_ic_scenarios(8, 5, EQUAL),
+                     *_price_sensitive(5, 6, PROPORTIONAL, units=(2, 5)),
+                     *_price_sensitive(5, 7, EQUAL, units=(2, 5))]
+        scenarios = [scenarios[k] for k in np.random.default_rng(13).permutation(len(scenarios))]
+        calls = []
+        batch = storage._auctions
+
+        def count(res, rel, cap, reqs, bids, tie, rule):
+            calls.append((res.shape[1], bids.shape[1], rule))
+            return batch(res, rel, cap, reqs, bids, tie, rule)
+
+        monkeypatch.setattr(storage, "_auctions", count)
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        _assert_equals_loop(report, scenarios)
+        groups = [(len(sc.rus), len(sc.sfcs), sc.rule) for sc in scenarios]
+        assert sorted(calls) == sorted(set(groups))
+        assert max(groups.count(g) for g in groups) >= 3
+        assert report.profitable_deviations and report.ir_violations
+
+    def test_group_split_into_batches(self, monkeypatch):
+        # a bound this small leaves one scenario per batch and a few rows per pricing chunk
+        monkeypatch.setattr(storage, "_CHUNK_BYTES", 1 << 16)
+        calls = []
+        batch = storage._auctions
+        monkeypatch.setattr(storage, "_auctions", lambda *args: calls.append(1) or batch(*args))
+        scenarios = _price_sensitive(4, 8, PROPORTIONAL, units=(3, 4))
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        _assert_equals_loop(report, scenarios)
+        groups = {(len(sc.rus), len(sc.sfcs)) for sc in scenarios}
+        assert len(calls) == len(scenarios) > len(groups)
+
     def test_memory_on_a_large_scenario(self):
         # 50 units and 20 SFCs: 2,400 misreports, each priced over 140 kinks and exits
         rus, sfcs = _large_population()
@@ -675,3 +722,21 @@ class TestIcSearchEqualsLoop:
             tracemalloc.stop()
         assert report.deviations_checked == 2_400
         assert peak < 16_000_000
+
+    def test_memory_of_one_batch(self):
+        # 5,000 auctions of 4 units and 3 SFCs, every agent participating:
+        # priced in chunks whose temporaries stay near `_CHUNK_BYTES`
+        rng = np.random.default_rng(19)
+        bids = np.sort(rng.uniform(0.25, 0.45, (5000, 3)), axis=1)[:, ::-1].copy()
+        res, rel, cap = (rng.uniform(lo, hi, (5000, 4))
+                         for lo, hi in ((0.02, 0.2), (0.0005, 0.01), (5, 80)))
+        reqs = rng.uniform(0.1, 0.8, (5000, 3)) * cap.sum(axis=1, keepdims=True)
+        tie = np.broadcast_to(np.arange(3), (5000, 3))
+        tracemalloc.start()
+        try:
+            rus_in, _, price, *_ = storage._auctions(res, rel, cap, reqs, bids, tie, EQUAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rus_in.all() and np.isfinite(price).all()
+        assert peak < 4_000_000
