@@ -35,7 +35,7 @@ from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError, SizeError
-from .ingest import finite, finite_over, nonnegative, positive, positive_up_to
+from .ingest import finite, finite_over, nonnegative, positive_up_to
 
 # ic-check prices about 170 misreported auctions per trial
 _MAX_TRIALS = 10_000
@@ -511,9 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("ev-auction", _cmd_ev_auction, "EV price auction from a population CSV",
                 population="population file")
     p.add_argument("--eta", type=finite_over(0.0, 1.0), default=evx.DEFAULT_ETA)
-    p.add_argument("--eps", type=finite_over(0.0), default=1e-4,
+    p.add_argument("--eps", type=finite_over(0.0), default=evx.DEFAULT_EPS,
                    help="stop once the certified welfare gap is at most this ($)")
-    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=500,
+    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=evx.DEFAULT_MAX_ITER,
                    help="at most this many price steps; a stop here is reported unconverged")
     common(p)
 

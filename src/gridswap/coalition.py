@@ -452,7 +452,7 @@ def supplier_count_sweep(
     supplier_counts,
     n_users: int,
     tariff: Tariff,
-    samples: int = 40_000,
+    samples: int,
 ):
     """Average supplier payoff as the supplier population grows.
 

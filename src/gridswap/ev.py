@@ -24,6 +24,8 @@ from .errors import DomainError, InfeasibleError, InputError
 from .ingest import finite
 
 DEFAULT_ETA = 0.9
+DEFAULT_EPS = 1e-4
+DEFAULT_MAX_ITER = 500
 DEFAULT_ETA_HYBRID = 0.7
 
 
@@ -473,8 +475,8 @@ def run_iterative_auction(
     chargers: list[ChargingEV],
     dischargers: list[DischargingEV],
     eta: float = DEFAULT_ETA,
-    eps: float = 1e-4,
-    max_iter: int = 500,
+    eps: float = DEFAULT_EPS,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[EvAllocation, EvAuctionResult]:
     """Per-charger price auction that stops on a certified welfare gap.
 

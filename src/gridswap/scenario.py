@@ -102,17 +102,16 @@ def _read_series(path: Path, horizon: int, agent_id: str):
     return np.array(loads), np.array(gens)
 
 
-def load_scenario(config_path, data_dir=None) -> Scenario:
+def load_scenario(config_path) -> Scenario:
     """Read a key-value scenario config.
 
     Lines look like `key = value`; `#` starts a comment. Agents are declared
     as `agent = <id> <role> <series.csv|-> [name=value ...]`; series files are
-    resolved against data_dir (default: the config's directory).
+    resolved against the config's directory.
     """
     config_path = Path(config_path)
     if not config_path.exists():
         raise FileNotFoundError(f"config file {config_path} not found")
-    base = Path(data_dir) if data_dir is not None else config_path.parent
 
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
@@ -207,7 +206,7 @@ def load_scenario(config_path, data_dir=None) -> Scenario:
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
         else:
-            sources.append(base / series)
+            sources.append(config_path.parent / series)
             load, gen = _read_series(sources[-1], horizon, aid)
         agent = AgentProfile(aid, role, load, gen, params)
         try:
@@ -412,7 +411,7 @@ def _population(scenario: Scenario, *kinds):
 def _ev_options(scenario: Scenario) -> tuple[float, float]:
     """The EV auction's transmission efficiency and certified-gap target."""
     return (float(scenario.options.get("eta", evx.DEFAULT_ETA)),
-            float(scenario.options.get("eps", 1e-4)))
+            float(scenario.options.get("eps", evx.DEFAULT_EPS)))
 
 
 def _ev_auction(scenario: Scenario, cells: _Cells):

@@ -20,7 +20,8 @@ prices and settles a batch of whole auctions, one row per total for
 `requirement_sweep` and, for the incentive-compatibility search, the
 truthful report and every misreport of every scenario of one (units, SFCs,
 rule) group. `_auctions` prices in chunks of rows whose memory `_CHUNK_BYTES`
-bounds, and the search splits a group whose arrays would pass it.
+bounds, and the search splits a group whose arrays would pass it. The search
+scales reports by the fixed grid `_FACTORS` and reads gains back as arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ _MAX_GRID_POINTS = 2**53
 # one chunk of `_objective` grid points or the arrays of one incentive-search
 # batch take; each sizes its rows from a footprint measured with tracemalloc
 _CHUNK_BYTES = 1 << 20
+# the incentive search's misreport factors, 0.5 to 1.5 in steps of 0.05 without
+# 1.0, and the gain or individual-rationality shortfall it counts
+_FACTORS = tuple(round(0.5 + 0.05 * k, 10) for k in range(21) if k != 10)
+_GAIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -650,8 +655,8 @@ class IcReport:
         return not self.profitable_deviations and not self.ir_violations
 
 
-def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: str):
-    """Each agent's utility under truthful reports, and the deviator's under each misreport.
+def _report_utilities(batch: list[StorageScenario], rule: str):
+    """Each agent's utility under truthful reports, and each misreport's gain.
 
     The scenarios of `batch` share one (units, SFCs) shape and `rule`. Each
     has a truthful row and then its misreport rows: unit by unit, factor by
@@ -661,15 +666,19 @@ def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: 
     one auction of one `_auctions` batch. Every agent's utility is taken at
     its true costs.
 
-    Returns (truthful, misreports): per scenario, the units' and then the
-    SFCs' truthful utilities in input order, and the deviator's utility per
-    misreport row.
+    Returns (truthful, gains, labels): per scenario, the units' and then the
+    SFCs' truthful utilities in input order, and per misreport row the
+    deviator's utility less its truthful one; `labels` holds each row's
+    deviator, counted over the units and then the SFCs, its parameter and its
+    factor.
     """
-    S, R, M, F = len(batch), len(batch[0].rus), len(batch[0].sfcs), len(factors)
+    S, R, M, F = len(batch), len(batch[0].rus), len(batch[0].sfcs), len(_FACTORS)
     units = np.array([[(r.reservation_price, r.reluctance, r.capacity) for r in sc.rus]
                       for sc in batch]).reshape(S, R, 3)
     sfcs = np.array([[(s.requirement, s.bid_price) for s in sc.sfcs]
                      for sc in batch]).reshape(S, M, 2)
+    # a unit's reports keep the truthful bids, so its screen is at the truthful Vickrey price
+    v, _, _ = _screen(units[:, :, 0], sfcs[:, :, 1])
     # fill order of equal bids
     tie = np.array([np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]
                     for sc in batch]).reshape(S, M)
@@ -677,11 +686,12 @@ def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: 
     # price, 2 a capacity, 3 a bid), by which unit or SFC, and by which factor
     kind = np.concatenate([[0], np.tile([1, 2], R * F), np.full(M * F, 3)])
     who = np.concatenate([[0], np.repeat(np.arange(R), 2 * F), np.repeat(np.arange(M), F)])
-    scale = np.concatenate([[1.0], np.tile(np.repeat(factors, 2), R), np.tile(factors, M)])
-    # a unit's reports keep the truthful bids, so its screen is at the truthful Vickrey price
+    scale = np.concatenate([[1.0], np.tile(np.repeat(_FACTORS, 2), R), np.tile(_FACTORS, M)])
+    agent = np.where(kind == 3, R + who, who)
+    labels = (agent[1:], np.array(["reservation_price", "capacity", "bid_price"])[kind[1:] - 1],
+              scale[1:])
     unit_row = (kind == 1) | (kind == 2)
     asked = units[:, np.where(unit_row, who, 0), 0] * np.where(kind == 1, scale, 1.0)
-    v = np.array([vickrey_price(sc.sfcs) for sc in batch])
     # the priced rows: each one's scenario and its row within the scenario
     sc_of, d = np.nonzero(~unit_row | (asked <= v[:, None]))
     kind, who, scale = kind[d], who[d], scale[d]
@@ -691,10 +701,10 @@ def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: 
         reported[sel, who[sel]] *= scale[sel]
 
     # (batch row, agent) pairs: every agent in each truthful row, the deviator
-    # in every other row, with agents counted over units and then SFCs
+    # in every other row
     first, dev = np.flatnonzero(d == 0), np.flatnonzero(d > 0)
     at = np.concatenate([np.repeat(first, R + M), dev])
-    col = np.concatenate([np.tile(np.arange(R + M), S), np.where(kind == 3, R + who, who)[dev]])
+    col = np.concatenate([np.tile(np.arange(R + M), S), agent[d[dev]]])
     _, sfcs_in, price, committed, burden, bought = _auctions(
         res, units[sc_of, :, 1], cap, sfcs[sc_of, :, 0], bids, tie[sc_of], rule
     )
@@ -716,21 +726,19 @@ def _report_utilities(batch: list[StorageScenario], factors: list[float], rule: 
     truthful[:, R:][~sfcs_in[first]] = 0.0
     misreports = np.zeros((S, len(unit_row) - 1))
     misreports[sc_of[dev], d[dev] - 1] = utility[S * (R + M):]
-    return truthful, misreports
+    return truthful, misreports - truthful[:, agent[1:]], labels
 
 
-def check_incentive_compatibility(
-    scenarios: list[StorageScenario],
-    factors=None,
-    gain_tolerance: float = 1e-9,
-) -> IcReport:
+def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
     """Search unilateral misreports for profitable deviations.
 
     Every RU's reservation price and capacity, and every SFC's bid, is scaled
-    through the multiplicative factor grid (default 0.5..1.5 step 0.05); the
-    auction is re-run and realized utilities are compared against truthful
-    play. Individual rationality of the truthful outcome is checked as well.
-    The report also keeps the largest gain found, even below the tolerance.
+    by each factor of the fixed grid `_FACTORS`; the auction is re-run and
+    realized utilities are compared against truthful play. A gain above
+    `_GAIN_TOLERANCE` is a profitable deviation, and a truthful utility below
+    minus that tolerance breaks individual rationality. The report also keeps
+    the largest gain found, even below the tolerance: the first of equal
+    maxima in scenario and row order.
 
     Every scenario's rule is checked before any auction is priced. The
     scenarios are then grouped by (units, SFCs, rule), and the truthful
@@ -740,51 +748,37 @@ def check_incentive_compatibility(
     is read back in scenario order and equals that of one full auction per
     report, bit for bit.
     """
-    if factors is None:
-        factors = [round(0.5 + 0.05 * k, 10) for k in range(21)]
-    if not all(math.isfinite(f) and f >= 0 for f in factors):
-        raise InputError("misreport factors must be finite and >= 0")
-    factors = [f for f in factors if f != 1.0]
     groups: dict[tuple, list[int]] = {}
     for idx, sc in enumerate(scenarios):
         _check_rule(sc.rule)
         groups.setdefault((len(sc.rus), len(sc.sfcs), sc.rule), []).append(idx)
-    # each scenario's (truthful, misreports) utilities: rows of its batch's arrays
+    # each scenario's (truthful, gains, labels): rows of its batch's arrays
     reports = [None] * len(scenarios)
     for (R, M, rule), members in groups.items():
         # a batch's own arrays take under 8 * (40 + 5 (R + M)) bytes per report
         # row, measured on scenarios of 2 to 80 units and 2 to 20 SFCs
-        rows = 1 + (2 * R + M) * len(factors)
+        rows = 1 + (2 * R + M) * len(_FACTORS)
         size = max(1, _CHUNK_BYTES // (8 * rows * (40 + 5 * (R + M))))
         for batch in (members[k:k + size] for k in range(0, len(members), size)):
-            truthful, misreports = _report_utilities([scenarios[i] for i in batch], factors, rule)
-            for idx, base, deviated in zip(batch, truthful, misreports):
-                reports[idx] = base, deviated
-    profitable = []
-    ir_violations = []
-    checked = 0
-    largest = None
-    for idx, (sc, (bases, deviated)) in enumerate(zip(scenarios, reports)):
-        agents = [(r.id, ("reservation_price", "capacity")) for r in sc.rus]
-        agents += [(s.id, ("bid_price",)) for s in sc.sfcs]
-        utilities = iter(deviated.tolist())  # in the batch's row order
-        for (aid, params), base in zip(agents, bases.tolist()):
-            if base < -gain_tolerance:
-                ir_violations.append((idx, aid, base))
-            for f in factors:
-                for param in params:
-                    gain = next(utilities) - base
-                    checked += 1
-                    if largest is None or gain > largest:
-                        largest = gain
-                    if gain > gain_tolerance:
-                        profitable.append((idx, aid, param, f, gain))
+            truthful, gains, labels = _report_utilities([scenarios[i] for i in batch], rule)
+            for idx, base, gain in zip(batch, truthful, gains):
+                reports[idx] = base, gain, labels
+    profitable, ir_violations = [], []
+    for idx, (sc, (base, gain, labels)) in enumerate(zip(scenarios, reports)):
+        ids = [a.id for a in (*sc.rus, *sc.sfcs)]
+        low = np.flatnonzero(base < -_GAIN_TOLERANCE)
+        ir_violations += [(idx, ids[a], u) for a, u in zip(low.tolist(), base[low].tolist())]
+        hit = np.flatnonzero(gain > _GAIN_TOLERANCE)
+        agent, param, factor = (x[hit].tolist() for x in labels)
+        profitable += [(idx, ids[a], p, f, g) for a, p, f, g in
+                       zip(agent, param, factor, gain[hit].tolist())]
+    gains = np.concatenate([np.empty(0), *(gain for _, gain, _ in reports)])
     return IcReport(
         scenarios_checked=len(scenarios),
-        deviations_checked=checked,
+        deviations_checked=gains.size,
         profitable_deviations=profitable,
         ir_violations=ir_violations,
-        largest_gain=largest,
+        largest_gain=float(gains[gains.argmax()]) if gains.size else None,
     )
 
 

@@ -562,6 +562,15 @@ class TestIncentiveCompatibility:
         report = check_incentive_compatibility([StorageScenario(tuple(rus), tuple(sfcs), EQUAL)])
         assert report.largest_gain == max(gain for *_, gain in report.profitable_deviations)
 
+    @pytest.mark.parametrize("units, bidders, message", [
+        ((), (sfc("a", 80, 0.35), sfc("b", 50, 0.30)),
+         "at least one residential unit is required"),
+        ((ru("r1", 40, 0.20, 0.002),), (), "at least one SFC bid is required"),
+    ], ids=["no units", "no SFCs"])
+    def test_empty_side_is_input_error(self, units, bidders, message):
+        with pytest.raises(InputError, match=message):
+            check_incentive_compatibility([StorageScenario(units, bidders)])
+
     @pytest.mark.parametrize("top", [1e12, 7e11])
     def test_grid_span_checked_on_every_priced_report(self, top):
         # 7e11 spans 7e15 grid points truthfully, under 2**53; its 1.5x misreport does not
