@@ -269,7 +269,7 @@ def solve_social_welfare(
     """
     # imported here: scipy more than doubles the package's import time and
     # memory, and no CLI subcommand solves this program
-    from scipy.optimize import minimize
+    from scipy.optimize import LinearConstraint, minimize
 
     _check_feasible(chargers, dischargers, eta)
     nj, ni = len(dischargers), len(chargers)
@@ -296,30 +296,15 @@ def solve_social_welfare(
     start = np.full((nj, ni), max(col_lo.sum(), 1.0) * 1.1 / (nj * ni))
     x0 = _project_feasible(start, row_caps, col_lo, col_hi)
 
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda f, j=j: row_caps[j] - f.reshape(nj, ni)[j].sum(),
-            "jac": lambda f, j=j: _row_jac(nj, ni, j),
-        }
-        for j in range(nj)
-    ]
-    for i in range(ni):
-        constraints.append(
-            {
-                "type": "ineq",
-                "fun": lambda f, i=i: f.reshape(nj, ni)[:, i].sum() - col_lo[i],
-                "jac": lambda f, i=i: _col_jac(nj, ni, i),
-            }
-        )
-        if math.isfinite(col_hi[i]):
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda f, i=i: col_hi[i] - f.reshape(nj, ni)[:, i].sum(),
-                    "jac": lambda f, i=i: -_col_jac(nj, ni, i),
-                }
-            )
+    # each constraint one-sided: scipy warns on a side pair that meets
+    # (c_min == c_max), and an empty constraint fails inside it
+    rows = np.kron(np.eye(nj), np.ones(ni))  # row j sums flat[j*ni:(j+1)*ni]
+    cols = np.tile(np.eye(ni), nj)  # column i sums flat[i::ni]
+    capped = np.isfinite(col_hi)
+    constraints = [LinearConstraint(rows, -np.inf, row_caps),
+                   LinearConstraint(cols, col_lo, np.inf)]
+    if capped.any():
+        constraints.append(LinearConstraint(cols[capped], -np.inf, col_hi[capped]))
 
     res = minimize(
         neg_welfare,
@@ -336,18 +321,6 @@ def solve_social_welfare(
     if x0_w > best:
         d, best = x0, x0_w
     return EvAllocation(sent=d, eta=eta), float(best)
-
-
-def _row_jac(nj, ni, j):
-    g = np.zeros((nj, ni))
-    g[j, :] = -1.0
-    return g.ravel()
-
-
-def _col_jac(nj, ni, i):
-    g = np.zeros((nj, ni))
-    g[:, i] = 1.0
-    return g.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +598,6 @@ class HybridSeller:
 class HybridScenario:
     buyers: tuple[HybridBuyer, ...]
     sellers: tuple[HybridSeller, ...]
-    eta_p2p: float = DEFAULT_ETA
-    eta_hybrid: float = DEFAULT_ETA_HYBRID
 
 
 def simulate_trading(
@@ -701,28 +672,19 @@ def compare_hybrid(
     grid_sell_out_price: float,
     grid_buy_back_price: float,
 ) -> dict:
-    """Direct trading at eta_p2p versus grid-assisted trading at eta_hybrid."""
-    p2p = simulate_trading(scenario.buyers, scenario.sellers, scenario.eta_p2p)
-    hybrid = simulate_trading(
-        scenario.buyers,
-        scenario.sellers,
-        scenario.eta_hybrid,
-        grid_sell_price=grid_sell_out_price,
-        grid_buy_price=grid_buy_back_price,
-    )
+    """Direct trading at DEFAULT_ETA versus grid-assisted trading at DEFAULT_ETA_HYBRID."""
     return {
         "grid_sell_out_price": grid_sell_out_price,
         "grid_buy_back_price": grid_buy_back_price,
-        "p2p": p2p,
-        "hybrid": hybrid,
+        "p2p": simulate_trading(scenario.buyers, scenario.sellers, DEFAULT_ETA),
+        "hybrid": simulate_trading(
+            scenario.buyers,
+            scenario.sellers,
+            DEFAULT_ETA_HYBRID,
+            grid_sell_price=grid_sell_out_price,
+            grid_buy_price=grid_buy_back_price,
+        ),
     }
-
-
-def hybrid_price_sweep(scenario: HybridScenario, sell_out_prices, buy_back_price: float):
-    """Comparison table: one row per grid sell-out price point."""
-    return [
-        compare_hybrid(scenario, float(p), buy_back_price) for p in sell_out_prices
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,18 @@ from .ingest import finite
 
 MECHANISMS = ("double_auction", "ev_auction", "coalition", "storage_auction")
 ROLES = ("consumer", "prosumer", "ev", "residential_unit", "sfc")
+# the config keys load_scenario reads, besides `agent`; any other is refused
+_KEYS = (
+    "mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp", "eta", "eps",
+    "grid_sell_out", "grid_buy_back", "mc_samples", "rule", "buyer_margin", "seller_margin",
+)
+# the parameters each kind of agent reads; an ev agent that names w is
+# charging, one that names l1 or l2 discharging
+_PARAMS = {
+    "consumer": (), "prosumer": (), "sfc": ("requirement", "bid"),
+    "residential_unit": ("capacity", "reservation", "reluctance"),
+    "charging ev": ("w", "c_min", "c_max"), "discharging ev": ("l1", "l2", "d_max"),
+}
 SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price")
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
@@ -125,6 +137,11 @@ def load_scenario(config_path) -> Scenario:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "agent":
             agent_specs.append((ln, value))
+        elif key not in _KEYS:
+            raise SchemaError(f"{config_path}:{ln}: unknown key {key!r}")
+        elif key in keys:
+            raise SchemaError(f"{config_path}:{ln}: key {key!r} given twice "
+                              f"(first on line {key_lines[key]})")
         else:
             keys[key] = value
             key_lines[key] = ln
@@ -150,7 +167,7 @@ def load_scenario(config_path) -> Scenario:
 
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
-        raise SchemaError(f"{where}: unknown mechanism {mechanism!r}")
+        raise SchemaError(f"{line('mechanism')}: unknown mechanism {mechanism!r}")
     horizon = integer("horizon", "1", 1, _MAX_HORIZON)
     slot_minutes = integer("slot_minutes", "15", 1)
     seed = integer("seed", "0", 0)
@@ -169,11 +186,16 @@ def load_scenario(config_path) -> Scenario:
         raise SchemaError(f"{line('eta')}: eta must be in (0, 1], got {keys['eta']}")
     if not options.get("eps", 1.0) > 0:
         raise SchemaError(f"{line('eps')}: eps must be > 0, got {keys['eps']}")
+    for key in ("grid_sell_out", "grid_buy_back"):
+        if options.get(key, 0.0) < 0:
+            raise SchemaError(f"{line(key)}: {key} must be >= 0, got {keys[key]}")
     if "mc_samples" in keys:
         options["mc_samples"] = integer("mc_samples", "", 1, co.MAX_SAMPLES)
     if "rule" in keys:
         if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
-            raise SchemaError(f"{where}: rule must be proportional or equal")
+            raise SchemaError(
+                f"{line('rule')}: rule must be proportional or equal, got {keys['rule']!r}"
+            )
         options["rule"] = keys["rule"]
     # a bid's limit is p_rp minus the buyer's margin, an ask's p_wp plus the seller's
     for key, cap in (("buyer_margin", p_rp), ("seller_margin", math.inf)):
@@ -201,6 +223,8 @@ def load_scenario(config_path) -> Scenario:
             if "=" not in token:
                 raise SchemaError(f"{where}:{ln}: bad parameter token {token!r}")
             name, value = token.split("=", 1)
+            if name in params:
+                raise SchemaError(f"{where}:{ln}: agent {aid!r} parameter {name!r} given twice")
             params[name] = number(value, f"{where}:{ln}: agent {aid!r} {name}")
         if series == "-":
             load = np.zeros(horizon)
@@ -378,28 +402,35 @@ def _double_auction(scenario: Scenario, cells: _Cells):
 def _mechanism_agent(agent: AgentProfile):
     """The vehicle, residential unit or SFC an agent's parameters declare, else None."""
     p = agent.params
-    if agent.role == "residential_unit":
+    kind = agent.role
+    if kind == "ev":
+        kind = "charging ev" if "w" in p else "discharging ev" if "l1" in p or "l2" in p else ""
+        if not kind:
+            raise SchemaError(
+                f"ev agent {agent.id!r} needs either w (charging) or l1/l2 (discharging)"
+            )
+    unread = [name for name in p if name not in _PARAMS[kind]]
+    if unread:
+        raise SchemaError(f"{kind} agent {agent.id!r} does not read parameter {unread[0]!r} "
+                          f"(it reads: {', '.join(_PARAMS[kind]) or 'none'})")
+    if kind == "residential_unit":
         return st.ResidentialUnit(
             agent.id,
             capacity=p["capacity"],
             reservation_price=p["reservation"],
             reluctance=p["reluctance"],
         )
-    if agent.role == "sfc":
+    if kind == "sfc":
         return st.SfcAgent(agent.id, requirement=p["requirement"], bid_price=p["bid"])
-    if agent.role != "ev":
-        return None
-    if "w" in p:
+    if kind == "charging ev":
         return evx.ChargingEV(
             agent.id, w=p["w"], c_min=p.get("c_min", 0.0), c_max=p.get("c_max", math.inf)
         )
-    if "l1" in p or "l2" in p:
+    if kind == "discharging ev":
         return evx.DischargingEV(
             agent.id, l1=p.get("l1", 0.0), l2=p.get("l2", 0.0), d_max=p.get("d_max", 0.0)
         )
-    raise SchemaError(
-        f"ev agent {agent.id!r} needs either w (charging) or l1/l2 (discharging)"
-    )
+    return None
 
 
 def _population(scenario: Scenario, *kinds):
@@ -703,7 +734,7 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
 
 
 def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
-    """One simulation per value with a common seed, emitted as table rows.
+    """One table row per value, every value under the scenario's seed.
 
     Sweepable parameters: supplier_count (coalition population growth, at
     most _MAX_SUPPLIERS), solar_fraction (solar vs wind generation mix),
@@ -744,6 +775,10 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         )
 
     if parameter == "grid_price":
+        values = [float(v) for v in values]
+        for v in values:
+            if not v >= 0:
+                raise InputError(f"grid_price must be >= 0, got {v:g}")
         chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
         if not chargers or not dischargers:
             raise InputError("grid_price sweep needs an ev_auction scenario")
@@ -762,20 +797,22 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             for j, s in enumerate(dischargers)
             if sent[j] > 1e-9
         )
-        sc = evx.HybridScenario(buyers, sellers)
         buy_back = float(scenario.options.get("grid_buy_back", scenario.tariff.p_wp))
-        rows = []
-        for row in evx.hybrid_price_sweep(sc, [float(v) for v in values], buy_back):
-            rows.append(
-                {
-                    "grid_sell_out_price": row["grid_sell_out_price"],
-                    "p2p_avg_buying_price": row["p2p"]["avg_buying_price"],
-                    "hybrid_avg_buying_price": row["hybrid"]["avg_buying_price"],
-                    "p2p_transmitted_kwh": row["p2p"]["transmitted_kwh"],
-                    "hybrid_transmitted_kwh": row["hybrid"]["transmitted_kwh"],
-                }
-            )
-        return rows
+        # the direct trade moves the auction's energy at the auction's eta
+        p2p = evx.simulate_trading(buyers, sellers, eta)
+        hybrid = [evx.simulate_trading(buyers, sellers, evx.DEFAULT_ETA_HYBRID,
+                                       grid_sell_price=v, grid_buy_price=buy_back)
+                  for v in values]
+        return [
+            {
+                "grid_sell_out_price": v,
+                "p2p_avg_buying_price": p2p["avg_buying_price"],
+                "hybrid_avg_buying_price": h["avg_buying_price"],
+                "p2p_transmitted_kwh": p2p["transmitted_kwh"],
+                "hybrid_transmitted_kwh": h["transmitted_kwh"],
+            }
+            for v, h in zip(values, hybrid)
+        ]
 
     # solar_fraction: vary the share of supplying agents on a solar profile
     from . import synth

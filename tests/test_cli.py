@@ -987,6 +987,8 @@ class TestOptionRange:
              "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got 0.5:0.6"),
             ("buyer_margin = -0.05:0.01",
              "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got -0.05:0.01"),
+            ("grid_sell_out = -0.1", "grid_sell_out must be >= 0, got -0.1"),
+            ("grid_buy_back = -1e-3", "grid_buy_back must be >= 0, got -1e-3"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, line, message):
@@ -998,7 +1000,8 @@ class TestOptionRange:
         assert not (tmp_path / "o" / "report.csv").exists()
 
     @pytest.mark.parametrize("line", ["eta = 1", "eps = 1e-9", "buyer_margin = 0.3",
-                                      "seller_margin = 0:0", "buyer_margin = 0.02:0.1"])
+                                      "seller_margin = 0:0", "buyer_margin = 0.02:0.1",
+                                      "grid_sell_out = 0", "grid_buy_back = 0"])
     def test_accepted_at_the_bounds(self, tmp_path, line):
         cfg = tmp_path / "opt.cfg"
         cfg.write_text(f"p_rp = 0.3\n{line}\nagent = p1 prosumer -\nagent = c1 consumer -\n")
@@ -1019,6 +1022,8 @@ class TestSweepValueRange:
             ("supplier_count", "1e6", "supplier_count must be <= 200, got 1e+06"),
             ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1"),
             ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2"),
+            ("grid_price", "-1", "grid_price must be >= 0, got -1"),
+            ("grid_price", "0.5,-0.01", "grid_price must be >= 0, got -0.01"),
         ],
     )
     def test_rejected_before_any_draw(self, tmp_path, capsys, scenario_cfg, param, values,
@@ -1144,3 +1149,76 @@ def test_cli_import_leaves_scipy_out():
                           timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+class TestConfigInputNothingReads:
+    """Config input that no part of the run reads is refused, named at its line."""
+
+    _main = TestNonFiniteRejected._main
+    EV = ("mechanism = ev_auction\nhorizon = 1\n"
+          "agent = c1 ev - w=1.9 c_min=6 c_max=15\nagent = d1 ev - l1=0.04 l2=0.02 d_max=16\n")
+
+    def _refused(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    @pytest.mark.parametrize("key", ["horizn", "agents", "Horizon"])
+    def test_unknown_key(self, tmp_path, capsys, key):
+        self._refused(tmp_path, capsys, self.EV + f"{key} = 5\n",
+                      f"bad.cfg:5: unknown key {key!r}")
+
+    @pytest.mark.parametrize("key, value", [("horizon", "2"), ("horizon", "1"),
+                                            ("mechanism", "ev_auction")])
+    def test_key_given_twice(self, tmp_path, capsys, key, value):
+        self._refused(tmp_path, capsys, self.EV + f"{key} = {value}\n",
+                      f"bad.cfg:5: key {key!r} given twice (first on line ")
+
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            ("c2 ev - w=1.0 cmin=5", "charging ev agent 'c2' does not read parameter 'cmin'"),
+            ("c2 ev - w=1.0 l1=0.1", "charging ev agent 'c2' does not read parameter 'l1'"),
+            ("d2 ev - l2=0.05 d_max=4 c_max=3",
+             "discharging ev agent 'd2' does not read parameter 'c_max'"),
+            ("h1 consumer - foo=1", "consumer agent 'h1' does not read parameter 'foo'"),
+            ("p1 prosumer - w=1", "prosumer agent 'p1' does not read parameter 'w'"),
+            ("f1 sfc - requirement=9 bid=0.3 capacity=1",
+             "sfc agent 'f1' does not read parameter 'capacity'"),
+            ("r1 residential_unit - capacity=60 reservation=0.2 reluctance=0.001 bid=0.3",
+             "residential_unit agent 'r1' does not read parameter 'bid'"),
+        ],
+    )
+    def test_parameter_its_kind_never_reads(self, tmp_path, capsys, decl, message):
+        self._refused(tmp_path, capsys, self.EV + f"agent = {decl}\n", f"bad.cfg:5: {message}")
+
+    @pytest.mark.parametrize("decl", ["c2 ev - w=1 w=2", "d2 ev - l1=0.1 d_max=3 d_max=4"])
+    def test_parameter_given_twice(self, tmp_path, capsys, decl):
+        name = decl.split()[-1].split("=")[0]
+        self._refused(tmp_path, capsys, self.EV + f"agent = {decl}\n",
+                      f"bad.cfg:5: agent {decl.split()[0]!r} parameter {name!r} given twice")
+
+
+class TestRunFlags:
+    def test_seed_flag_equals_the_config_seed(self, tmp_path, scenario_cfg):
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(scenario_cfg.read_text().replace("seed = 3", "seed = 11"))
+        outputs = {}
+        for name, argv in (("flag", [str(scenario_cfg), "--seed", "11"]),
+                           ("config", [str(seeded)]), ("own", [str(scenario_cfg)])):
+            out = tmp_path / name
+            assert main(["run", "--config", *argv, "--out", str(out), "--quiet"]) == 0
+            outputs[name] = snapshot(out)
+            del outputs[name]["manifest.json"]
+        assert outputs["flag"] == outputs["config"]
+        assert outputs["flag"]["report.csv"] != outputs["own"]["report.csv"]
+
+    def test_progress_line_unless_quiet(self, tmp_path, scenario_cfg, capsys):
+        argv = ["run", "--config", str(scenario_cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "running double_auction scenario over 4 slots\n"
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""

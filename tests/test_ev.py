@@ -263,6 +263,15 @@ class TestSocialWelfare:
             d = _project_feasible(rng.uniform(0, 10, size=(2, 2)), row_caps, col_lo, col_hi)
             assert welfare(d, chargers, dischargers, 0.9) <= best + 1e-6
 
+    def test_fixed_demand_splits_by_marginal_cost(self):
+        # c_min == c_max pins column 0's sum at 9 / 0.9 = 10 sent kWh; costs
+        # are separable per entry, so the sellers split it where 2 * l1 * d
+        # meet, 0.2 * a = 0.4 * b, whatever the open column 1 takes
+        chargers = [charger("c", 1.0, 9.0, 9.0), charger("c2", 1.0, 0.0, 5.0)]
+        dischargers = [discharger("d1", 0.1, 0.0, 20.0), discharger("d2", 0.2, 0.0, 20.0)]
+        alloc, _ = solve_social_welfare(chargers, dischargers, eta=0.9)
+        assert alloc.sent[:, 0] == pytest.approx([20 / 3, 10 / 3], abs=1e-6)
+
     def test_monotone_in_willingness(self):
         chargers = [charger("c1", 1.0, 5.0, 16.0), charger("c2", 1.0, 5.0, 16.0)]
         dischargers = [discharger("d1", 0.02, 0.02, 15.0), discharger("d2", 0.03, 0.03, 15.0)]

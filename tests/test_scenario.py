@@ -480,6 +480,27 @@ class TestSweep:
         sweep(sc, "grid_price", [0.5])
         assert seen == [(0.85, 1e-7), (0.85, 1e-7)]
 
+    def test_grid_price_sweep_sends_what_the_auction_sent(self, tmp_path):
+        # the direct trade dispatches at the config's eta, so its wire flow is
+        # the auction's sent energy, not the energy a 0.9 link would need
+        cfg = write_config(
+            tmp_path / "ev.cfg",
+            """
+            mechanism = ev_auction
+            horizon = 1
+            eta = 0.85
+            eps = 1e-7
+            agent = c1 ev - w=1.9 c_min=6 c_max=15
+            agent = d1 ev - l1=0.04 l2=0.02 d_max=16
+            """,
+        )
+        sc = load_scenario(cfg)
+        sent = run_simulation(sc).system["generation_kwh"]
+        rows = sweep(sc, "grid_price", [0.2, 0.5])
+        assert sent == pytest.approx(8.574, abs=1e-3)
+        for row in rows:
+            assert abs(row["p2p_transmitted_kwh"] - sent) <= 1e-9
+
     def test_solar_fraction_rows(self, coalition_config):
         sc = load_scenario(coalition_config)
         rows = sweep(sc, "solar_fraction", [0.0, 0.5, 1.0])
