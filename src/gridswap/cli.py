@@ -62,14 +62,14 @@ class _Out:
     """One call's output directory and the names written into it.
 
     Every output goes through these methods, so the manifest lists exactly
-    what the call wrote. `sources` holds the files a call read besides its
-    input flags.
+    what the call wrote. `sources` maps the files a call read besides its
+    input flags to the sha256 of the bytes it read.
     """
 
     def __init__(self, directory: Path):
         self.dir = directory
         self.written: set[str] = set()
-        self.sources: set[Path] = set()
+        self.sources: dict[Path, str] = {}
 
     def _path(self, name: str) -> Path:
         self.written.add(name)
@@ -99,11 +99,12 @@ def _sha256(path: Path) -> str:
 
 
 def _manifest(out: _Out, args, argv: list[str]) -> None:
+    flags = [getattr(args, f) for f in args.inputs]
+    digests = {**out.sources, **{p: _sha256(p) for p in flags}}
     doc = {
         "command": args.command,
         "argv": argv,
-        "inputs": {str(p): _sha256(p)
-                   for p in sorted({*(getattr(args, f) for f in args.inputs), *out.sources})},
+        "inputs": {str(p): digests[p] for p in sorted(digests)},
         "outputs": sorted(out.written),
         "package": "gridswap",
         "seed": getattr(args, "seed", None),

@@ -594,12 +594,6 @@ class HybridSeller:
     ask_price: float  # $/kWh sent
 
 
-@dataclass(frozen=True)
-class HybridScenario:
-    buyers: tuple[HybridBuyer, ...]
-    sellers: tuple[HybridSeller, ...]
-
-
 def simulate_trading(
     buyers,
     sellers,
@@ -664,26 +658,6 @@ def simulate_trading(
         "buyer_payments": payments,
         "seller_receipts": dict(receipts),
         "unserved_kwh": max(to_deliver, 0.0),
-    }
-
-
-def compare_hybrid(
-    scenario: HybridScenario,
-    grid_sell_out_price: float,
-    grid_buy_back_price: float,
-) -> dict:
-    """Direct trading at DEFAULT_ETA versus grid-assisted trading at DEFAULT_ETA_HYBRID."""
-    return {
-        "grid_sell_out_price": grid_sell_out_price,
-        "grid_buy_back_price": grid_buy_back_price,
-        "p2p": simulate_trading(scenario.buyers, scenario.sellers, DEFAULT_ETA),
-        "hybrid": simulate_trading(
-            scenario.buyers,
-            scenario.sellers,
-            DEFAULT_ETA_HYBRID,
-            grid_sell_price=grid_sell_out_price,
-            grid_buy_price=grid_buy_back_price,
-        ),
     }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import warnings
 from contextlib import contextmanager
@@ -144,10 +145,11 @@ def table(path, required):
             raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
 
 
-def columns(path, ints=(), floats=(), strings=()):
+def columns(path, ints=(), floats=(), strings=(), digest=None):
     """The named columns of the CSV at `path` as int64 (`ints`), float64
     (`floats`) and object arrays of str (`strings`) keyed by name, or None
-    when only `table` can read them.
+    when only `table` can read them. A hashlib object passed as `digest` is
+    fed the file's bytes as they are read.
 
     numpy's C parser converts a float cell with the routine `float` uses,
     and an integer cell by a stricter rule than `int` (no `1_000`, no `1.0`),
@@ -161,8 +163,7 @@ def columns(path, ints=(), floats=(), strings=()):
     """
     path = Path(path)
     try:
-        with path.open() as fh:
-            text = fh.read()
+        text = _text(path, digest)
     except (OSError, ValueError):
         return None
     if '"' in text or "\0" in text:
@@ -187,3 +188,11 @@ def columns(path, ints=(), floats=(), strings=()):
     if not all(np.isfinite(data[name]).all() for name in floats):
         return None
     return {name: np.ascontiguousarray(data[name]) for name in names}
+
+
+def _text(path: Path, digest) -> str:
+    """The file's text as `open` reads it, its bytes fed to `digest` unless that is None."""
+    raw = path.read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    return io.TextIOWrapper(io.BytesIO(raw)).read()

@@ -6,15 +6,19 @@ split. All matched energy trades at one clearing price; whatever does not
 clear falls back to the grid tariff at settlement.
 
 A slot's book is two `Book`s, bids and asks, each a set of columns (agent
-ids, quantities, limit prices) in submission order. Each side is sorted once
-by price, then agent id, then submission index; the matching itself walks
-the two sorted sides one order at a time.
+ids, quantities, limit prices) in submission order. One merge clears every
+book: `_clear_rows` takes many books as rows over shared order columns,
+sorts each side once by price, then agent id, then column, and steps all
+crossing books together, one match per book per step, until one book is
+left, which it finishes one order at a time. `clear_double_auction` is one
+row of it; a double-auction scenario clears its slots as the rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -132,55 +136,156 @@ def clear_double_auction(
     """
     if pricing not in ("marginal_bid", "midpoint"):
         raise InputError(f"unknown pricing rule {pricing!r}")
+    rows = _clear_rows(buys.agent_ids, buys.quantity[None], buys.limit_price,
+                       sells.agent_ids, sells.quantity[None], sells.limit_price)
+    return next(rows.clearings(pricing))
 
-    # lexsort is stable, so orders equal on (price, id) keep submission order
-    bids = np.lexsort((buys.agent_ids, -buys.limit_price))
-    asks = np.lexsort((sells.agent_ids, sells.limit_price))
-    bid_ids = buys.agent_ids[bids].tolist()
-    ask_ids = sells.agent_ids[asks].tolist()
-    bid_prices = buys.limit_price[bids].tolist()
-    ask_prices = sells.limit_price[asks].tolist()
-    # the merge subtracts one fill at a time from Python floats; a merge on
-    # cumulative sums would move fills by ulps
-    remaining_bid = buys.quantity[bids].tolist()
-    remaining_ask = sells.quantity[asks].tolist()
-    matches: list[Match] = []
-    marginal_bid: float | None = None
-    marginal_ask: float | None = None
-    volume = 0.0
 
-    i = j = 0
-    n_bids, n_asks = len(bid_ids), len(ask_ids)
-    while i < n_bids and j < n_asks and bid_prices[i] >= ask_prices[j]:
-        bid, ask = remaining_bid[i], remaining_ask[j]
-        qty = min(bid, ask)
-        matches.append(Match(bid_ids[i], ask_ids[j], qty))
-        marginal_bid = bid_prices[i]
-        marginal_ask = ask_prices[j]
-        volume += qty
-        remaining_bid[i] = bid = bid - qty
-        remaining_ask[j] = ask = ask - qty
+def _clear_rows(bid_ids, bid_qty, bid_limit, ask_ids, ask_qty, ask_limit) -> _Rows:
+    """Clear many books at once, one per row.
+
+    Each column is an order with a fixed agent id (`*_ids`) and limit price
+    (`*_limit`); row r of `*_qty` gives each column's kWh in book r, 0 for
+    "no order in this book". Each side is sorted once by price, then id,
+    then column. All books that still cross step together, one match per
+    book per step, with the IEEE operations of a one-book merge in the same
+    order per book, so no fill differs by an ulp from clearing each book
+    alone. Once one book is left it is finished one order at a time.
+    """
+    # lexsort is stable, so orders equal on (price, id) keep column order
+    bids = _pack(bid_qty, bid_limit, np.lexsort((bid_ids, -bid_limit)), -math.inf)
+    asks = _pack(ask_qty, ask_limit, np.lexsort((ask_ids, ask_limit)), math.inf)
+    (_, bid_rest, bid_price), (_, ask_rest, ask_price) = bids, asks
+    i = np.zeros(len(bid_rest), dtype=np.intp)
+    j = np.zeros(len(bid_rest), dtype=np.intp)
+    volume = np.zeros(len(bid_rest))
+    # each step's (books, bid positions, ask positions, kWh)
+    steps = [(i[:0], i[:0], i[:0], volume[:0])]
+    live = np.flatnonzero(bid_price[:, 0] >= ask_price[:, 0])
+    while len(live) > 1:
+        at_bid, at_ask = i[live], j[live]
+        bid, ask = bid_rest[live, at_bid], ask_rest[live, at_ask]
+        qty = np.minimum(bid, ask)
+        steps.append((live, at_bid, at_ask, qty))
+        volume[live] += qty
+        bid_rest[live, at_bid] = bid = bid - qty
+        ask_rest[live, at_ask] = ask = ask - qty
+        i[live] = at_bid = at_bid + (bid <= 0)
+        j[live] = at_ask = at_ask + (ask <= 0)
+        live = live[bid_price[live, at_bid] >= ask_price[live, at_ask]]
+    for r in live.tolist():
+        steps.append(_merge(r, i, j, bids, asks, volume))
+    return _Rows(bids, asks, steps, volume, (bid_ids, ask_ids), (bid_limit, ask_limit))
+
+
+def _pack(qty: np.ndarray, limit: np.ndarray, order: np.ndarray, pad: float):
+    """One side of a batch of books, each row's live orders (kWh > 0) packed
+    to the left in merit `order`.
+
+    Returns (column, rest, price): each packed order's column, kWh and limit
+    price. Every row ends in at least one dead slot, of 0 kWh and price
+    `pad`, an infinity no order on the other side crosses, so a merge stops
+    there without a bounds check.
+    """
+    rows, cols = qty.shape
+    ranked = np.zeros((rows, cols + 1))
+    ranked[:, :cols] = qty[:, order]
+    live = ranked > 0
+    width = int(live.sum(axis=1).max(initial=0)) + 1
+    at = np.argsort(~live, axis=1, kind="stable")[:, :width]
+    price = np.where(np.take_along_axis(live, at, axis=1), np.append(limit[order], pad)[at], pad)
+    return np.append(order, 0)[at], np.take_along_axis(ranked, at, axis=1), price
+
+
+def _merge(r: int, i, j, bids, asks, volume):
+    """Finish book r one order at a time from the positions `i[r]`, `j[r]`
+    and the kWh left where the lockstep stopped; returns its matches as one
+    more step."""
+    (_, bid_rest, bid_price), (_, ask_rest, ask_price) = bids, asks
+    remaining_bid, remaining_ask = bid_rest[r].tolist(), ask_rest[r].tolist()
+    bid_prices, ask_prices = bid_price[r].tolist(), ask_price[r].tolist()
+    b, a, v = int(i[r]), int(j[r]), float(volume[r])
+    at_bid: list[int] = []
+    at_ask: list[int] = []
+    fills: list[float] = []
+    add_bid, add_ask, add_fill = at_bid.append, at_ask.append, fills.append
+    while bid_prices[b] >= ask_prices[a]:
+        bid, ask = remaining_bid[b], remaining_ask[a]
+        qty = ask if ask < bid else bid  # min(bid, ask)
+        add_bid(b)
+        add_ask(a)
+        add_fill(qty)
+        v += qty
+        remaining_bid[b] = bid = bid - qty
+        remaining_ask[a] = ask = ask - qty
         if bid <= 0:
-            i += 1
+            b += 1
         if ask <= 0:
-            j += 1
+            a += 1
+    bid_rest[r], ask_rest[r], volume[r] = remaining_bid, remaining_ask, v
+    return (np.full(len(fills), r), np.array(at_bid, dtype=np.intp),
+            np.array(at_ask, dtype=np.intp), np.array(fills))
 
-    if not matches:
-        price: float | None = None
-    elif pricing == "marginal_bid":
-        price = marginal_bid
-    else:
-        price = (marginal_bid + marginal_ask) / 2.0
 
-    return SlotClearing(
-        clearing_price=price,
-        matches=matches,
-        residual_buys=_residuals(bid_ids, remaining_bid),
-        residual_sells=_residuals(ask_ids, remaining_ask),
-        matched_volume=volume,
-        marginal_bid=marginal_bid,
-        marginal_ask=marginal_ask,
-    )
+class _Rows:
+    """Books cleared together by `_clear_rows`.
+
+    Book r's matches are `buyer`, `seller` and `quantity` over
+    [bounds[r], bounds[r + 1]), in the order the merge made them; `buyer`
+    and `seller` name order columns. `volume` is each book's matched kWh,
+    added in that order.
+    """
+
+    def __init__(self, bids, asks, steps, volume, ids, limits) -> None:
+        book, at_bid, at_ask, qty = (np.concatenate(x) for x in zip(*steps))
+        # stable, so each book's matches keep their step order
+        order = np.argsort(book, kind="stable")
+        book = book[order]
+        self.bounds = np.searchsorted(book, np.arange(len(volume) + 1))
+        self.buyer = bids[0][book, at_bid[order]]
+        self.seller = asks[0][book, at_ask[order]]
+        self.quantity = qty[order]
+        self.volume = volume
+        self._left = [_left(column, rest) for column, rest, _ in (bids, asks)]
+        self._ids, self._limits = ids, limits
+
+    def clearings(self, pricing: str):
+        """Yield each book's SlotClearing, in row order."""
+        (bid_ids, ask_ids), (bid_limit, ask_limit) = self._ids, self._limits
+        buyer, seller = self.buyer.tolist(), self.seller.tolist()
+        buyers, sellers = bid_ids[self.buyer].tolist(), ask_ids[self.seller].tolist()
+        quantity, bid_limit, ask_limit = (x.tolist() for x in (self.quantity, bid_limit, ask_limit))
+        bounds = self.bounds.tolist()
+        # each side's orders with kWh left: (bounds, ids, kWh) as lists
+        (bid_at, *bids_left), (ask_at, *asks_left) = [
+            (at.tolist(), ids[column].tolist(), rest.tolist())
+            for ids, (at, column, rest) in zip(self._ids, self._left)
+        ]
+        for r, volume in enumerate(self.volume.tolist()):
+            start, end = bounds[r], bounds[r + 1]
+            marginal_bid = marginal_ask = price = None
+            if end > start:
+                marginal_bid, marginal_ask = bid_limit[buyer[end - 1]], ask_limit[seller[end - 1]]
+                price = (marginal_bid if pricing == "marginal_bid"
+                         else (marginal_bid + marginal_ask) / 2.0)
+            yield SlotClearing(
+                clearing_price=price,
+                # what Match._make does, called from C
+                matches=list(map(tuple.__new__, repeat(Match),
+                                 zip(buyers[start:end], sellers[start:end], quantity[start:end]))),
+                residual_buys=_residuals(*(x[bid_at[r]:bid_at[r + 1]] for x in bids_left)),
+                residual_sells=_residuals(*(x[ask_at[r]:ask_at[r + 1]] for x in asks_left)),
+                matched_volume=volume,
+                marginal_bid=marginal_bid,
+                marginal_ask=marginal_ask,
+            )
+
+
+def _left(column: np.ndarray, rest: np.ndarray):
+    """The orders of one packed side with kWh left, in merit order book by
+    book: (bounds, column, kWh), book r's over [bounds[r], bounds[r + 1])."""
+    book, at = np.nonzero(rest > 0)
+    return np.searchsorted(book, np.arange(len(rest) + 1)), column[book, at], rest[book, at]
 
 
 def _residuals(ids: list[str], remaining: list[float]) -> dict[str, float]:

@@ -3,16 +3,18 @@
 A scenario names a tariff, a mechanism, a horizon of 15-minute slots, and a
 set of agents with load/generation series or mechanism parameters. Each
 mechanism lists the horizon's per-agent cash and energy deltas and system
-totals slot by slot, and one replay sums them. The double auction clears one
-slot at a time; the coalition divides all slots of one member count in one
-Shapley batch. EV and storage agents carry parameters, not series, so those
-auctions clear once per run and their deltas repeat in every slot. The
-report is then compared against feed-in-tariff, equal-distribution, and
-grid-hybrid baselines where those apply.
+totals slot by slot, and one replay sums them. The double auction clears a
+chunk of slots in one merge and settles it before the next; the coalition
+divides all slots of one member count in one Shapley batch. EV and storage
+agents carry parameters, not series, so those auctions clear once per run
+and their deltas repeat in every slot. The report is then compared against
+feed-in-tariff, equal-distribution, and grid-hybrid baselines where those
+apply.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +47,13 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
 _MAX_SUPPLIERS = 200
-# 366 days of 5-minute slots; the replay loop runs once per slot
+# 366 days of 5-minute slots
 _MAX_HORIZON = 105_408
+# about the most memory, in bytes, that one chunk of slots of a double-auction
+# replay takes: its merge, SlotClearings and stream peak at under 300 bytes
+# per agent and slot, measured with tracemalloc on 20 to 200 agents
+_CHUNK_BYTES = 1 << 25
+_SLOT_ORDER_BYTES = 300
 
 
 @dataclass(eq=False)
@@ -67,8 +74,9 @@ class Scenario:
     slot_minutes: int = 15
     seed: int = 0
     options: dict = field(default_factory=dict)
-    # the series files the config names, in declaration order
-    sources: tuple[Path, ...] = ()
+    # each series file the config names, in declaration order, and the
+    # sha256 of the bytes read from it
+    sources: dict[Path, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -84,11 +92,14 @@ class MetricsReport:
 # config ingestion
 
 
-def _read_series(path: Path, horizon: int, agent_id: str):
+def _read_series(path: Path, horizon: int, agent_id: str, digest=None):
+    """The series' load and gen columns; a hashlib object passed as `digest`
+    is fed the file's bytes."""
     if not path.is_file():
         problem = "is not a regular file" if path.exists() else "not found"
         raise SchemaError(f"agent {agent_id!r}: series file {path} {problem}")
-    cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"))
+    cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"),
+                          digest=digest)
     if (
         cols is not None
         and np.array_equal(cols["slot_index"], np.arange(horizon))
@@ -208,7 +219,7 @@ def load_scenario(config_path) -> Scenario:
             options[key] = (lo, hi)
 
     agents: list[AgentProfile] = []
-    sources: list[Path] = []
+    sources: dict[Path, str] = {}
     for ln, decl in agent_specs:
         parts = decl.split()
         if len(parts) < 3:
@@ -230,8 +241,9 @@ def load_scenario(config_path) -> Scenario:
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
         else:
-            sources.append(config_path.parent / series)
-            load, gen = _read_series(sources[-1], horizon, aid)
+            path, digest = config_path.parent / series, hashlib.sha256()
+            load, gen = _read_series(path, horizon, aid, digest)
+            sources[path] = digest.hexdigest()
         agent = AgentProfile(aid, role, load, gen, params)
         try:
             _mechanism_agent(agent)
@@ -255,7 +267,7 @@ def load_scenario(config_path) -> Scenario:
         slot_minutes=slot_minutes,
         seed=seed,
         options=options,
-        sources=tuple(sources),
+        sources=sources,
     )
 
 
@@ -342,50 +354,60 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
 
+    def at(column: str) -> np.ndarray:
+        """Each agent's cell of `column`, in id order."""
+        cell = cells.column(column)
+        return np.array([cell[a.id] for a in ordered], dtype=np.intp)
+
     bill, revenue = cells.column("bill"), cells.column("revenue")
     bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
+    bought_at, sold_at = at("energy_bought_kwh"), at("energy_sold_kwh")
+    fit_bill_at, fit_revenue_at = at("fit_bill"), at("fit_revenue")
     matched, buy_spend, sell_earn = (
         cells.total[name] for name in ("matched_kwh", "buy_spend", "sell_earn")
     )
     grid = [cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]]
-    # every slot adds each agent's feed-in-tariff bill or revenue; a zero
-    # net adds +0.0 to a sum of terms >= 0, which leaves it as it is
-    fit_bill, fit_revenue = cells.column("fit_bill"), cells.column("fit_revenue")
-    fit_cell = np.where(
-        net < 0,
-        np.array([fit_bill[a.id] for a in ordered]),
-        np.array([fit_revenue[a.id] for a in ordered]),
-    )
-    fit_amount = np.where(net < 0, -net * tariff.p_rp, np.where(net > 0, net * tariff.p_wp, 0.0))
 
-    def deltas(t: int):
-        row = net[t]
-        buy, sell = row < -1e-12, row > 1e-12
-        clearing = mk.clear_double_auction(
-            mk.Book(ids[buy], -row[buy], bid_limit[buy]),
-            mk.Book(ids[sell], row[sell], ask_limit[sell]),
-        )
-        settle = mk.settle_slot(clearing, tariff)
+    def chunk(nets: np.ndarray):
+        """The stream of a run of slots, slot by slot: each slot's matches,
+        its grid residuals, P2P cash paid and received in first-match order,
+        grid charges and credits in merit order, then every agent's feed-in
+        term."""
+        books = mk._clear_rows(ids, np.where(nets < -1e-12, -nets, 0.0), bid_limit,
+                               ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
+        match_at = np.stack((np.full(len(books.quantity), matched), bought_at[books.buyer],
+                             sold_at[books.seller]), axis=1).ravel()
+        match_amount = np.repeat(books.quantity, 3)
+        # a zero net adds +0.0 to a sum of terms >= 0, which leaves it as it is
+        fit_at = np.where(nets < 0, fit_bill_at, fit_revenue_at)
+        fit_amount = np.where(nets < 0, -nets * tariff.p_rp,
+                              np.where(nets > 0, nets * tariff.p_wp, 0.0))
+        bounds = (3 * books.bounds).tolist()
+        parts_at, parts_amount = [], []
+        for t, clearing in enumerate(books.clearings("marginal_bid")):
+            settle = mk.settle_slot(clearing, tariff)
+            slot_at = list(grid)
+            amount = [sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values())]
+            for aid, cash in settle.p2p_paid.items():
+                slot_at += (bill[aid], buy_spend)
+                amount += (cash, cash)
+            for aid, cash in settle.p2p_received.items():
+                slot_at += (revenue[aid], sell_earn)
+                amount += (cash, cash)
+            for aid, cash in settle.grid_charge.items():
+                slot_at += (bill[aid], buy_spend, bought[aid])
+                amount += (cash, cash, clearing.residual_buys[aid])
+            for aid, cash in settle.grid_credit.items():
+                slot_at += (revenue[aid], sell_earn, sold[aid])
+                amount += (cash, cash, clearing.residual_sells[aid])
+            start, end = bounds[t], bounds[t + 1]
+            parts_at += (match_at[start:end], slot_at, fit_at[t])
+            parts_amount += (match_amount[start:end], amount, fit_amount[t])
+        return np.concatenate(parts_at), np.concatenate(parts_amount)
 
-        at, amount = [], []
-        for buyer, seller, qty in clearing.matches:
-            at += (matched, bought[buyer], sold[seller])
-            amount += (qty, qty, qty)
-        at += grid
-        amount += (sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values()))
-        for aid, cash in settle.p2p_paid.items():
-            at += (bill[aid], buy_spend)
-            amount += (cash, cash)
-        for aid, cash in settle.p2p_received.items():
-            at += (revenue[aid], sell_earn)
-            amount += (cash, cash)
-        for aid, cash in settle.grid_charge.items():
-            at += (bill[aid], buy_spend, bought[aid])
-            amount += (cash, cash, clearing.residual_buys[aid])
-        for aid, cash in settle.grid_credit.items():
-            at += (revenue[aid], sell_earn, sold[aid])
-            amount += (cash, cash, clearing.residual_sells[aid])
-        return np.concatenate((at, fit_cell[t])), np.concatenate((amount, fit_amount[t]))
+    # a chunk's merge, clearings and stream stay within about _CHUNK_BYTES
+    size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(ordered)))
+    stream = [chunk(net[k:k + size]) for k in range(0, scenario.horizon, size)]
 
     def finish(per_agent: dict, s: dict) -> None:
         buy_kwh = s["matched_kwh"] + s["grid_import_kwh"]
@@ -396,7 +418,7 @@ def _double_auction(scenario: Scenario, cells: _Cells):
         s["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
         s["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
 
-    return [deltas(t) for t in range(scenario.horizon)], finish
+    return stream, finish
 
 
 def _mechanism_agent(agent: AgentProfile):

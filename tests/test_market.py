@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridswap.errors import InputError
+from gridswap import market
 from gridswap.market import Book, Tariff, clear_double_auction, settle_slot
 
 from oracles import clear_double_auction_loop, max_crossing_volume, max_crossing_welfare
@@ -196,12 +198,93 @@ _ORDERS = st.lists(
          sells=[("a", 0.7, 0.1), ("a", 2.0, 0.1)], pricing="midpoint")
 def test_columns_equal_the_row_loop(buys, sells, pricing):
     """The column kernel clears every book bit for bit as the per-order loop does."""
-    got = clear(buys, sells, pricing)
-    want = clear_double_auction_loop(buys, sells, pricing)
+    assert_same_clearing(clear(buys, sells, pricing),
+                         clear_double_auction_loop(buys, sells, pricing))
+
+
+def assert_same_clearing(got, want):
     assert repr([tuple(m) for m in got.matches]) == repr(want.matches)
     for name in ("clearing_price", "matched_volume", "marginal_bid", "marginal_ask",
                  "residual_buys", "residual_sells"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+def clear_rows(bids, asks, bid_qty, ask_qty, pricing="marginal_bid"):
+    """Every row's SlotClearing from one `_clear_rows` call; `bids` and `asks`
+    are the (agent id, limit price) columns, `*_qty` one list per book."""
+    def side(columns, qty):
+        ids = np.array([aid for aid, _ in columns], dtype=object)
+        limit = np.array([price for _, price in columns], dtype=float)
+        return ids, np.array(qty, dtype=float).reshape(len(qty), len(columns)), limit
+
+    return list(market._clear_rows(*side(bids, bid_qty), *side(asks, ask_qty)).clearings(pricing))
+
+
+def row_orders(columns, qty):
+    """A book row's orders as (agent id, kWh, limit price) in column order."""
+    return [(aid, q, price) for (aid, price), q in zip(columns, qty) if q > 0]
+
+
+# a small id alphabet and a coarse price grid, so ids repeat and prices tie;
+# a kWh of 0 leaves the column out of that book
+_COLUMNS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "ab", "B", ""]),
+              st.sampled_from([-0.0, 0.0, 0.05, 0.1, 0.15, 0.2]) | st.floats(0.0, 1.0)),
+    max_size=6,
+)
+_KWH = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(1e-3, 10.0)
+
+
+@st.composite
+def _books(draw):
+    bids, asks = draw(_COLUMNS), draw(_COLUMNS)
+    rows = draw(st.integers(1, 8))
+    bid_qty = draw(st.lists(st.lists(_KWH, min_size=len(bids), max_size=len(bids)),
+                            min_size=rows, max_size=rows))
+    ask_qty = draw(st.lists(st.lists(_KWH, min_size=len(asks), max_size=len(asks)),
+                            min_size=rows, max_size=rows))
+    return bids, asks, bid_qty, ask_qty
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(books=_books(), pricing=st.sampled_from(["marginal_bid", "midpoint"]))
+@example(books=([], [], [[]], [[]]), pricing="marginal_bid")
+@example(books=([("a", 0.2)], [("b", 0.3)], [[1.0], [0.0]], [[1.0], [2.0]]), pricing="midpoint")
+@example(books=([("b", 0.2), ("a", -0.0), ("b", 0.2)], [("a", 0.0), ("a", 0.1)],
+                [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                [[0.7, 2.0], [0.7, 2.0], [0.0, 0.0]]),
+         pricing="midpoint")
+def test_rows_equal_the_row_loop(books, pricing):
+    """Many books cleared in one kernel call equal the per-order loop book by book."""
+    bids, asks, bid_qty, ask_qty = books
+    got = clear_rows(bids, asks, bid_qty, ask_qty, pricing)
+    assert len(got) == len(bid_qty)
+    for clearing, bq, aq in zip(got, bid_qty, ask_qty):
+        want = clear_double_auction_loop(row_orders(bids, bq), row_orders(asks, aq), pricing)
+        assert_same_clearing(clearing, want)
+
+
+def test_scalar_tail_takes_over_mid_book(monkeypatch):
+    """Book 0 clears in one step; book 1 has made one lockstep match when it is
+    left alone, and the one-order-at-a-time merge finishes it from there."""
+    bids = [("b1", 0.30), ("b2", 0.25), ("b3", 0.20)]
+    asks = [("s1", 0.05), ("s2", 0.10), ("s3", 0.15)]
+    bid_qty = [[1.0, 0.0, 0.0], [0.3, 1.1, 2.0]]
+    ask_qty = [[0.0, 1.0, 0.0], [0.7, 0.9, 1.6]]
+    tails = []
+    merge = market._merge
+
+    def recorded(r, i, j, *args):
+        tails.append((r, int(i[r]), int(j[r])))
+        return merge(r, i, j, *args)
+
+    monkeypatch.setattr(market, "_merge", recorded)
+    got = clear_rows(bids, asks, bid_qty, ask_qty)
+    assert tails == [(1, 1, 0)]
+    assert len(got[0].matches) == 1 and len(got[1].matches) == 5
+    for clearing, bq, aq in zip(got, bid_qty, ask_qty):
+        assert_same_clearing(clearing, clear_double_auction_loop(row_orders(bids, bq),
+                                                                 row_orders(asks, aq)))
 
 
 class TestSettlement:

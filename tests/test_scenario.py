@@ -5,7 +5,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from gridswap import coalition
+from gridswap import coalition, market
+from gridswap import scenario as sim
 from gridswap import ev as evx
 from gridswap.errors import InputError, SchemaError
 from gridswap.market import Tariff
@@ -269,6 +270,27 @@ def test_double_auction_equals_the_loop_replay(seed, options):
     dict replay does, so both report the same floats bit for bit."""
     report = run_simulation(_double_auction_scenario(seed, options))
     per_agent, system = double_auction_replay_loop(_double_auction_scenario(seed, options))
+    assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
+        {aid: sorted(row.items()) for aid, row in per_agent.items()})
+    assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
+
+
+def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
+    """With a chunk budget of five slots of twelve agents, the 24 slots clear
+    in five merges and still add every sum as the per-slot replay does."""
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 12 * sim._SLOT_ORDER_BYTES)
+    merges = []
+    clear_rows = market._clear_rows
+
+    def counted(*args):
+        merges.append(len(args[1]))
+        return clear_rows(*args)
+
+    monkeypatch.setattr(market, "_clear_rows", counted)
+    options = {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)}
+    report = run_simulation(_double_auction_scenario(2, options))
+    assert merges == [5, 5, 5, 5, 4]
+    per_agent, system = double_auction_replay_loop(_double_auction_scenario(2, options))
     assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
         {aid: sorted(row.items()) for aid, row in per_agent.items()})
     assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
