@@ -372,6 +372,8 @@ def _cmd_shapley(args, out: _Out) -> None:
     except SizeError:
         shortfall = ids = None
     blocking = None if ids is None else ";".join(ids)
+    # the largest member's standard error; blank when exact or from one sample
+    error = None if alloc.standard_error is None else max(alloc.standard_error.values())
     out.kv(
         "summary.txt",
         {
@@ -380,6 +382,7 @@ def _cmd_shapley(args, out: _Out) -> None:
             "total_payoff": alloc.total(),
             "core_shortfall": shortfall,
             "blocking_coalition": blocking,
+            "standard_error": error,
         },
     )
 

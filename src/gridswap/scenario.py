@@ -15,6 +15,7 @@ apply.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +52,8 @@ _MAX_SUPPLIERS = 200
 _MAX_HORIZON = 105_408
 # about the most memory, in bytes, that one chunk of slots of a double-auction
 # replay takes: its merge, SlotClearings and stream peak at under 300 bytes
-# per agent and slot, measured with tracemalloc on 20 to 200 agents
+# per agent and slot, measured with tracemalloc on 20 to 200 agents. A
+# replay's stream is also summed in runs of pieces about this size.
 _CHUNK_BYTES = 1 << 25
 _SLOT_ORDER_BYTES = 300
 
@@ -275,11 +277,13 @@ def load_scenario(config_path) -> Scenario:
 # slot replay
 #
 # Each mechanism below is called with the scenario and its _Cells and returns
-# (stream, finish). The stream is a list of (cells, amounts) pairs of equal
-# length, which list the horizon's outcome slot by slot: each cell's terms
-# appear in slot order. run_simulation adds the whole stream with one
-# np.add.at, which adds the terms of a repeated cell in stream order, so each
-# sum adds its terms in a fixed order and the outputs are stable to the bit.
+# (stream, finish). The stream is an iterable of (cells, amounts) pairs of
+# equal length, made as it is read, which list the horizon's outcome slot by
+# slot: each cell's terms appear in slot order. run_simulation adds the
+# pieces with np.add.at, one call per run of pieces that passes _CHUNK_BYTES
+# and one for the rest, in stream order. np.add.at adds the terms of a
+# repeated cell in index order, so each sum adds its terms in a fixed order
+# and the outputs are stable to the bit.
 # `finish(per_agent, system)` turns the sums into the summary.
 
 _AGENT_COLUMNS = (
@@ -349,7 +353,7 @@ def _net_matrix(agents) -> tuple[list[AgentProfile], np.ndarray]:
 def _double_auction(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
     margins = _draw_margins(scenario)
-    ordered, net = _net_matrix(scenario.agents)
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
     ids = np.array([a.id for a in ordered], dtype=object)
     bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
@@ -368,11 +372,12 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     )
     grid = [cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]]
 
-    def chunk(nets: np.ndarray):
-        """The stream of a run of slots, slot by slot: each slot's matches,
-        its grid residuals, P2P cash paid and received in first-match order,
-        grid charges and credits in merit order, then every agent's feed-in
-        term."""
+    def chunk(first: int, stop: int):
+        """The stream of slots first to stop - 1, slot by slot: each slot's
+        matches, its grid residuals, P2P cash paid and received in
+        first-match order, grid charges and credits in merit order, then every
+        agent's feed-in term."""
+        nets = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)
         books = mk._clear_rows(ids, np.where(nets < -1e-12, -nets, 0.0), bid_limit,
                                ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
         match_at = np.stack((np.full(len(books.quantity), matched), bought_at[books.buyer],
@@ -405,9 +410,9 @@ def _double_auction(scenario: Scenario, cells: _Cells):
             parts_amount += (match_amount[start:end], amount, fit_amount[t])
         return np.concatenate(parts_at), np.concatenate(parts_amount)
 
-    # a chunk's merge, clearings and stream stay within about _CHUNK_BYTES
+    # a chunk's nets, merge, clearings and stream stay within about _CHUNK_BYTES
     size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(ordered)))
-    stream = [chunk(net[k:k + size]) for k in range(0, scenario.horizon, size)]
+    stream = (chunk(k, k + size) for k in range(0, scenario.horizon, size))
 
     def finish(per_agent: dict, s: dict) -> None:
         buy_kwh = s["matched_kwh"] + s["grid_import_kwh"]
@@ -502,7 +507,7 @@ def _ev_auction(scenario: Scenario, cells: _Cells):
             revenues = sum(per_agent[d.id]["revenue"] for d in dischargers)
             s["avg_sell_price"] = revenues / sent_total
 
-    return [slot] * scenario.horizon, finish
+    return itertools.repeat(slot, scenario.horizon), finish
 
 
 def _members(net: np.ndarray) -> np.ndarray:
@@ -512,20 +517,24 @@ def _members(net: np.ndarray) -> np.ndarray:
 
 def _coalition(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
-    samples = scenario.options.get("mc_samples", 20_000)
+    samples = scenario.options.get("mc_samples", co.DEFAULT_SAMPLES)
     ordered, net = _net_matrix(scenario.agents)
     member = _members(net)
     size = member.sum(axis=1)
     payoff = np.zeros(net.shape)
     sampled = np.zeros(len(net), dtype=bool)
+    errors = []  # each sampled member count's largest standard error
     # slots of one member count share one batch, their members in id order
     for n in np.unique(size[size > 0]).tolist():
         slots = np.flatnonzero(size == n)
         group = member & (size == n)[:, None]
-        phi, sampled[slots] = co.shapley_payoff_rows(
+        phi, error = co.shapley_payoff_rows(
             net[group].reshape(-1, n), tariff, samples, (scenario.seed + slots).tolist()
         )
         payoff[group] = phi.ravel()
+        if error is not None:
+            sampled[slots] = True
+            errors.append(float(error.max()))
 
     # one entry per member and slot, slot by slot and in id order within a slot
     _, agent = np.nonzero(member)
@@ -560,6 +569,8 @@ def _coalition(scenario: Scenario, cells: _Cells):
     def finish(per_agent: dict, s: dict) -> None:
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
         s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
+        # blank when no slot was sampled, or one sample left no spread
+        s["shapley_standard_error"] = max(errors) if errors and samples > 1 else None
 
     return [(at.astype(np.intp), amount)], finish
 
@@ -587,7 +598,7 @@ def _storage(scenario: Scenario, cells: _Cells):
         slot.append((None, "matched_kwh", out.total_allocated()))
     slot = cells.pack(slot)
 
-    return [slot] * scenario.horizon, lambda per_agent, s: None
+    return itertools.repeat(slot, scenario.horizon), lambda per_agent, s: None
 
 
 # mechanism -> (replay, the system totals it adds beyond the summary columns
@@ -608,6 +619,20 @@ _ENERGY_TOTALS = (
 )
 
 
+def _batches(stream):
+    """The stream's pieces in runs, in stream order: a run ends once its
+    pieces hold _CHUNK_BYTES, so the pieces held at once stay near that size."""
+    batch, held = [], 0
+    for piece in stream:
+        batch.append(piece)
+        held += piece[0].nbytes + piece[1].nbytes
+        if held >= _CHUNK_BYTES:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
+
+
 def run_simulation(scenario: Scenario) -> MetricsReport:
     """Replay the scenario's mechanism over its horizon.
 
@@ -620,11 +645,9 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     cells = _Cells(scenario.agents, totals)
     stream, finish = replay(scenario, cells)
     sums = np.zeros(cells.size)
-    np.add.at(
-        sums,
-        np.concatenate([at for at, _ in stream]),
-        np.concatenate([amount for _, amount in stream]),
-    )
+    for batch in _batches(stream):
+        np.add.at(sums, np.concatenate([at for at, _ in batch]),
+                  np.concatenate([amount for _, amount in batch]))
 
     agent_sums, total_sums = cells.read(sums)
     per_agent = {a.id: {"role": a.role, **agent_sums[a.id]} for a in scenario.agents}
@@ -784,7 +807,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             [int(v) for v in values],
             n_users=n_users,
             tariff=scenario.tariff,
-            samples=scenario.options.get("mc_samples", 40_000),
+            samples=scenario.options.get("mc_samples", co.DEFAULT_SAMPLES),
         )
 
     if parameter == "sfc_requirement":

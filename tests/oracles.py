@@ -8,6 +8,7 @@ dicts, a coalition scenario from one Shapley division per slot replayed
 into dicts, optimal EV welfare from exhaustive grid search, Shapley values
 from direct enumeration, a per-player subset loop, one in exact rational
 arithmetic or the two-halves split run one instance at a time,
+a sampled Shapley estimate from whole batches of join orders,
 superadditivity from all 3^N disjoint pairs, the core check from all 2^N
 coalitions, the storage leader's price from a search over the whole price
 grid (it shares no code with the package), a storage auction from the
@@ -262,8 +263,10 @@ def coalition_replay_loop(scenario):
     Each slot's coalition holds the agents with |net| >= 1e-12 in id order.
     Its payoffs come from `shapley_split_reference` up to the exact limit and
     from one seeded `shapley_monte_carlo` above it; the slot lists its outcome
-    as (agent id or None, column, amount) triples added in list order.
-    Returns (per_agent, system) as run_simulation reports them.
+    as (agent id or None, column, amount) triples added in list order. The
+    largest standard error of a sampled slot is the system's
+    `shapley_standard_error`. Returns (per_agent, system) as run_simulation
+    reports them.
     """
     tariff = scenario.tariff
     samples = scenario.options.get("mc_samples", 20_000)
@@ -273,6 +276,7 @@ def coalition_replay_loop(scenario):
     system = dict.fromkeys(("matched_kwh", "grid_import_kwh", "grid_export_kwh", "loss_kwh",
                             "generation_kwh", "consumption_kwh"), 0.0)
     system.update(shapley_exact_slots=0.0, shapley_sampled_slots=0.0)
+    errors = []  # each sampled slot's largest standard error
     for t in range(scenario.horizon):
         customers = []
         for agent in sorted(scenario.agents, key=lambda a: a.id):
@@ -287,7 +291,10 @@ def coalition_replay_loop(scenario):
             payoffs = shapley_split_reference(inst)
             out = [(None, "shapley_exact_slots", 1)]
         else:
-            payoffs = co.shapley_monte_carlo(inst, samples, scenario.seed + t).payoffs
+            alloc = co.shapley_monte_carlo(inst, samples, scenario.seed + t)
+            payoffs = alloc.payoffs
+            if alloc.standard_error is not None:
+                errors.append(max(alloc.standard_error.values()))
             out = [(None, "shapley_sampled_slots", 1)]
         for c in inst.customers:
             payoff = payoffs[c.id]
@@ -308,6 +315,7 @@ def coalition_replay_loop(scenario):
 
     system["shapley_exact_slots"] = int(system["shapley_exact_slots"])
     system["shapley_sampled_slots"] = int(system["shapley_sampled_slots"])
+    system["shapley_standard_error"] = max(errors, default=None)
     system["avg_buy_price"] = None
     system["avg_sell_price"] = None
     system["grid_import_kwh"] = system["consumption_kwh"] - system["matched_kwh"]
@@ -546,6 +554,46 @@ def _subset_sums_1d(energies):
     for e in energies[::-1]:
         sums = np.stack([sums, sums + e], -1).ravel()
     return sums
+
+
+def shapley_monte_carlo_batch(instance, sample_count: int, seed: int):
+    """Permutation-sampling Shapley estimate, reproducible for a given seed.
+
+    Each sampled join order contributes the full marginal-contribution vector,
+    which telescopes to v(grand coalition), so the estimate is efficient up to
+    float accumulation; the residual is spread proportionally to |phi|.
+
+    The package's former kernel, kept as the reference for the blocked one: it
+    draws batches of 200,000 // N join orders and builds each batch's gather,
+    prefix sums, values and marginals as whole arrays.
+    """
+    if sample_count < 1:
+        raise InputError("sample_count must be >= 1")
+    n = instance.n
+    energies = np.array([c.net_energy for c in instance.customers])
+    rng = np.random.default_rng(seed)
+
+    acc = np.zeros(n)
+    done = 0
+    batch = max(1, min(sample_count, 200_000 // max(n, 1)))
+    while done < sample_count:
+        b = min(batch, sample_count - done)
+        perms = np.argsort(rng.random((b, n)), axis=1)
+        # a named prefix keeps its buffer for the batch; a temporary measured ~12% slower
+        prefix = np.cumsum(energies[perms], axis=1)
+        vals = co._net_value(prefix, instance.tariff)
+        marg = np.diff(np.concatenate([np.zeros((b, 1)), vals], axis=1), axis=1)
+        np.add.at(acc, perms.ravel(), marg.ravel())
+        done += b
+    phi = acc / sample_count
+
+    residual = co._net_value(energies.sum(), instance.tariff) - phi.sum()
+    weight = np.abs(phi)
+    if weight.sum() > 0:
+        phi = phi + residual * weight / weight.sum()
+    else:
+        phi = phi + residual / n
+    return co.PayoffAllocation({c.id: float(phi[i]) for i, c in enumerate(instance.customers)})
 
 
 def shapley_split_reference(instance):

@@ -19,6 +19,7 @@ from hypothesis import strategies as hst
 import gridswap
 from gridswap import coalition, ev, ingest, scenario, storage, synth
 from gridswap.cli import _build_parser, _fmt, main
+from gridswap.market import Tariff
 
 from oracles import fmt_reference
 
@@ -230,6 +231,30 @@ class TestShapley:
             # above the exact limit both keys stay blank
             large = summary("large", [f"m{k},supplier,{k + 1}" for k in range(33)])
             assert large["core_shortfall"] == large["blocking_coalition"] == ""
+
+    @pytest.mark.parametrize("flags, blank", [
+        (["--exact"], True), (["--samples", "1"], True), (["--samples", "400"], False),
+    ])
+    def test_standard_error_key(self, tmp_path, flags, blank):
+        path = tmp_path / "inst.csv"
+        path.write_text("id,role,net_kwh\ns0,supplier,11.37\ns1,supplier,5.09\n"
+                        "u0,user,-8.83\nu1,user,-5.39\n")
+        out = tmp_path / "o"
+        argv = ["shapley", "--instance", str(path), *flags, "--seed", "2", "--out", str(out)]
+        assert main([*argv, "--quiet"]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        error = dict(line.split(" = ") for line in lines)["standard_error"]
+        if blank:
+            assert error == ""
+        else:
+            assert 0 < float(error) < 0.1
+            inst = coalition.CoalitionInstance(
+                tuple(coalition.Customer(i, r, e) for i, r, e in [
+                    ("s0", "supplier", 11.37), ("s1", "supplier", 5.09),
+                    ("u0", "user", -8.83), ("u1", "user", -5.39)]),
+                Tariff(p_wp=0.05, p_rp=0.30))
+            alloc = coalition.shapley_monte_carlo(inst, 400, 2)
+            assert error == repr(max(alloc.standard_error.values()))
 
 
 class TestStorageAuctionCmd:
@@ -721,6 +746,7 @@ class TestRunComputesOnce:
         summary = (out / "summary.txt").read_text()
         assert "shapley_exact_slots = 4\n" in summary
         assert "shapley_sampled_slots = 0\n" in summary
+        assert "shapley_standard_error = \n" in summary
 
 
 class TestNonFiniteRejected:

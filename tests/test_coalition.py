@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gridswap.coalition import (
     revenue_vs_fit,
     shapley_exact,
     shapley_monte_carlo,
+    shapley_payoff_rows,
 )
 from gridswap.errors import InputError, SizeError
 from gridswap.market import Tariff
@@ -33,6 +35,7 @@ from oracles import (
     shapley_enumeration,
     shapley_exact_fraction,
     shapley_exact_loop,
+    shapley_monte_carlo_batch,
     shapley_split_reference,
 )
 
@@ -358,6 +361,90 @@ class TestShapleyMonteCarlo:
         inst = random_instance(rng, 4, 2, T)
         est = shapley_monte_carlo(inst, 100, seed=0)
         assert est.total() == pytest.approx(coalition_value(inst.customers, T), abs=1e-9)
+
+
+def _net(kind: str):
+    """One member's net: a float, an integer, a signed zero, or a tiny float."""
+    return {
+        "float": st.floats(-20.0, 20.0),
+        "integer": st.integers(-10, 10),
+        "zero": st.sampled_from([0.0, -0.0]),
+        "tiny": st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310]),
+    }[kind]
+
+
+class TestSampledKernel:
+    """shapley_monte_carlo works its join orders in cache-sized blocks and
+    returns the payoffs of the former whole-batch kernel bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           p_wp=st.sampled_from([0.0, 0.05]), p_rp=st.sampled_from([0.1, 0.3]),
+           block=st.sampled_from([None, 1, 7, 64]))
+    def test_equals_the_batch_kernel(self, data, n, seed, p_wp, p_rp, block):
+        # sample counts cross one or two blocks of the real size, or many
+        # blocks of a small one
+        rows = max(1, (block or coalition._BLOCK_ELEMENTS) // n)
+        samples = data.draw(st.one_of(st.just(1), st.integers(1, 2 * rows + 1)))
+        kinds = data.draw(st.lists(st.sampled_from(["float", "integer", "zero", "tiny"]),
+                                   min_size=n, max_size=n))
+        nets = [data.draw(_net(kind)) for kind in kinds]
+        inst = CoalitionInstance(
+            tuple(Customer(f"c{k}", "supplier" if e > 0 else "user", e)
+                  for k, e in enumerate(nets)),
+            Tariff(p_wp=p_wp, p_rp=p_rp),
+        )
+        with mock.patch.object(coalition, "_BLOCK_ELEMENTS", block or coalition._BLOCK_ELEMENTS):
+            got = shapley_monte_carlo(inst, samples, seed)
+        assert repr(got.payoffs) == repr(shapley_monte_carlo_batch(inst, samples, seed).payoffs)
+
+    def test_rows_above_the_limit_are_per_row_estimates(self):
+        n = coalition._EXACT_LIMIT + 3
+        energies = np.random.default_rng(5).uniform(-15.0, 20.0, (3, n))
+        energies[1, :4] = [0.0, -0.0, 3.0, -3.0]
+        payoffs, errors = shapley_payoff_rows(energies, T, 300, [11, 12, 13])
+        for row, seed, phi, error in zip(energies, [11, 12, 13], payoffs, errors):
+            alloc = shapley_monte_carlo(from_nets(row), 300, seed)
+            assert phi.tobytes() == np.array(list(alloc.payoffs.values())).tobytes()
+            assert error.tobytes() == np.array(list(alloc.standard_error.values())).tobytes()
+
+    def test_exact_rows_have_no_standard_error(self):
+        energies = np.random.default_rng(6).uniform(-15.0, 20.0, (2, 5))
+        assert shapley_payoff_rows(energies, T, 300, [1, 2])[1] is None
+        assert shapley_exact(from_nets(energies[0])).standard_error is None
+
+    def test_standard_error_is_that_of_the_drawn_marginals(self):
+        nets, samples, seed = [6.0, -4.0, 2.5, -7.0, 1.0], 400, 8
+        inst = from_nets(nets)
+        # the same join orders, each member's marginal from coalition_value
+        orders = np.argsort(np.random.default_rng(seed).random((samples, len(nets))), axis=1)
+        marginals = np.zeros((samples, len(nets)))
+        for row, order in zip(marginals, orders):
+            for k, member in enumerate(order):
+                joined = [inst.customers[j] for j in order[:k + 1]]
+                row[member] = coalition_value(joined, T) - coalition_value(joined[:-1], T)
+        expected = marginals.std(axis=0, ddof=1) / np.sqrt(samples)
+        got = shapley_monte_carlo(inst, samples, seed).standard_error
+        assert list(got) == [c.id for c in inst.customers]
+        np.testing.assert_allclose(list(got.values()), expected, rtol=1e-9, atol=1e-15)
+
+    def test_one_sample_has_no_standard_error(self):
+        inst = from_nets([6.0, -4.0, 2.5])
+        assert shapley_monte_carlo(inst, 1, 3).standard_error is None
+        errors = shapley_payoff_rows(np.full((1, 33), 2.0), T, 1, [3])[1]
+        assert np.isnan(errors).all()
+
+    def test_memory_stays_in_blocks(self):
+        """One estimate at N = 100 from 40,000 join orders holds a few blocks,
+        not whole batches of 200,000 floats."""
+        inst = from_nets(np.random.default_rng(7).uniform(-15.0, 20.0, 100))
+        tracemalloc.start()
+        try:
+            shapley_monte_carlo(inst, 40_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCore:

@@ -1,6 +1,8 @@
 """Scenario engine: config ingestion, simulation, baselines, sweeps."""
 
+import gc
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +298,50 @@ def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
     assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
 
 
+def _repeating_scenario(mechanism, horizon):
+    """Six agents whose every slot repeats slot 0: a double auction whose
+    books cross, or a storage auction, cleared once and added in every slot."""
+    if mechanism == "double_auction":
+        agents = [AgentProfile(f"a{k}", "prosumer", np.full(horizon, 1.0 + k % 3),
+                               np.full(horizon, 3.0 * (k % 2))) for k in range(6)]
+    else:
+        zero = np.zeros(horizon)
+        agents = [AgentProfile(f"r{k}", "residential_unit", zero, zero,
+                               {"capacity": 100.0, "reservation": 0.26, "reluctance": 5e-4})
+                  for k in range(3)]
+        agents += [AgentProfile(f"f{k}", "sfc", zero, zero, {"requirement": 150.0, "bid": 0.4})
+                   for k in range(3)]
+    return Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), mechanism, horizon, seed=1)
+
+
+@pytest.mark.parametrize("mechanism", ["double_auction", "storage_auction"])
+def test_replay_memory_does_not_grow_with_the_horizon(monkeypatch, mechanism):
+    """With a budget of eight slots of six agents, the stream is summed in
+    runs of pieces of about that size, so four times the horizon peaks at
+    about the same memory."""
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 6 * sim._SLOT_ORDER_BYTES)
+    # A first run at the longer horizon fills the caches and the tuple free
+    # lists the replay meets. A full collection would empty those lists, and
+    # tracemalloc would count their refilling as growth, so none runs while
+    # tracing.
+    run_simulation(_repeating_scenario(mechanism, 800))
+    peaks = []
+    gc.disable()
+    try:
+        for horizon in (200, 800):
+            scenario = _repeating_scenario(mechanism, horizon)
+            tracemalloc.start()
+            try:
+                report = run_simulation(scenario)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.system["matched_kwh"] > 0
+    finally:
+        gc.enable()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
 @pytest.fixture
 def ev_config(tmp_path):
     return write_config(
@@ -532,3 +578,19 @@ class TestSweep:
         sc = load_scenario(minimal)
         rows = sweep(sc, "supplier_count", [2, 4])
         assert [r["supplier_count"] for r in rows] == [2, 4]
+
+    def test_supplier_count_samples_the_run_default(self, minimal, monkeypatch):
+        """Above the exact limit a sweep with no mc_samples draws as many join
+        orders as a coalition run does."""
+        drawn = []
+        sampled_row = coalition._sampled_row
+
+        def counted(energies, tariff, sample_count, seed):
+            drawn.append(sample_count)
+            return sampled_row(energies, tariff, sample_count, seed)
+
+        monkeypatch.setattr(coalition, "_sampled_row", counted)
+        # 30 suppliers and the 3 users the sweep adds at least
+        rows = sweep(load_scenario(minimal), "supplier_count", [30])
+        assert drawn == [coalition.DEFAULT_SAMPLES] == [20_000]
+        assert rows[0]["supplier_count"] == 30
