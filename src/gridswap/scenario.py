@@ -30,13 +30,18 @@ from . import storage as st
 from .errors import InputError, SchemaError
 from .ingest import finite
 
-MECHANISMS = ("double_auction", "ev_auction", "coalition", "storage_auction")
 ROLES = ("consumer", "prosumer", "ev", "residential_unit", "sfc")
+# the options each mechanism reads; a config that sets another mechanism's is refused
+_OPTIONS = {
+    "double_auction": ("buyer_margin", "seller_margin"),
+    "ev_auction": ("eta", "eps", "grid_sell_out", "grid_buy_back"),
+    "coalition": ("mc_samples",),
+    "storage_auction": ("rule",),
+}
+MECHANISMS = tuple(_OPTIONS)
 # the config keys load_scenario reads, besides `agent`; any other is refused
-_KEYS = (
-    "mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp", "eta", "eps",
-    "grid_sell_out", "grid_buy_back", "mc_samples", "rule", "buyer_margin", "seller_margin",
-)
+_KEYS = ("mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp",
+         *(key for keys in _OPTIONS.values() for key in keys))
 # the parameters each kind of agent reads; an ev agent that names w is
 # charging, one that names l1 or l2 discharging
 _PARAMS = {
@@ -132,7 +137,8 @@ def load_scenario(config_path) -> Scenario:
 
     Lines look like `key = value`; `#` starts a comment. Agents are declared
     as `agent = <id> <role> <series.csv|-> [name=value ...]`; series files are
-    resolved against the config's directory.
+    resolved against the config's directory. A mechanism option that the
+    config's mechanism does not read (`_OPTIONS`) is refused.
     """
     config_path = Path(config_path)
     if not config_path.exists():
@@ -181,6 +187,11 @@ def load_scenario(config_path) -> Scenario:
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{line('mechanism')}: unknown mechanism {mechanism!r}")
+    for key in keys:
+        owner = next((m for m, read in _OPTIONS.items() if key in read), mechanism)
+        if owner != mechanism:
+            raise SchemaError(f"{line(key)}: {key} is read by the {owner} mechanism only, "
+                              f"not by {mechanism}")
     horizon = integer("horizon", "1", 1, _MAX_HORIZON)
     slot_minutes = integer("slot_minutes", "15", 1)
     seed = integer("seed", "0", 0)

@@ -14,8 +14,13 @@ inconvenience are sunk on the full commitment.
 
 One whole-array kernel, `_stackelberg_rows`, prices a batch of auctions of
 one shape without building their price grids, in O((R+M) log(R+M)) per
-auction for R units and M SFCs. `run_storage_auction` chains the one-row
-steps (`stackelberg_price` is one row of that kernel); `_auctions` screens,
+auction for R units and M SFCs. A closed-form screen comes first: where
+every unit already shares its whole capacity at the lowest grid price p0
+and no SFC filled there bids below p0, supply is flat above p0 and each
+buyer's saving only falls as the price rises, so p0 is the price and no
+search runs; every auction of the `make_ic_scenarios` family but a few is
+of that kind. `run_storage_auction` chains the one-row steps
+(`stackelberg_price` is one row of that kernel); `_auctions` screens,
 prices and settles a batch of whole auctions, one row per total for
 `requirement_sweep` and, for the incentive-compatibility search, the
 truthful report and every misreport of every scenario of one (units, SFCs,
@@ -213,20 +218,43 @@ def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOL
     hold each row's price bounds. Nothing is validated. The temporaries grow
     with B*(R+M), so callers bound B.
 
-    The grid is never built. S is piecewise linear, so between its kinks, the
-    bid exits and the prices where S crosses a cumulative requirement the
-    objective is one concave quadratic (linear where S is flat). The pieces of
-    all rows are listed as flat ragged arrays, each with its continuous
-    maximum. The grid points around each row's best piece are evaluated
-    first; then, in one more call, those around every piece whose maximum can
-    still reach that row's best grid value. Listing and sorting the pieces
-    costs O((R+M) log(R+M)) per row and each grid point evaluated O(R+M); no
-    temporary is sized by units or SFCs times pieces.
+    The grid is never built. First a closed-form screen prices a row at its
+    grid point 0, p0, when (a) every unit has (p0 - r)/alpha >= A, and (b) no
+    SFC with a nonzero fill at p0 (as `_objective` fills them) bids below p0.
+    At every grid point p >= p0 then:
+    - each unit's clamp is monotone, so by (a) it gives A (a zero of either
+      sign where A is zero), and S(p) is the same float sum;
+    - the eligible SFCs are a prefix of the bid order that only shrinks, so
+      the fills of those still eligible are the same floats, each term
+      (b - p)*f can only fall as p rises, and by (b) no term that drops out
+      (to a zero) was negative;
+    - numpy's pairwise sum is monotone in each term.
+    So p0, the lowest grid point, is the lowest maximizer.
+
+    The other rows are searched (`_grid_maximizers`). S is piecewise linear,
+    so between its kinks, the bid exits and the prices where S crosses a
+    cumulative requirement the objective is one concave quadratic (linear
+    where S is flat). The pieces of all rows are listed as flat ragged arrays,
+    each with its continuous maximum. The grid points around each row's best
+    piece are evaluated first; then, in one more call, those around every
+    piece whose maximum can still reach that row's best grid value. Listing
+    and sorting the pieces costs O((R+M) log(R+M)) per row and each grid point
+    evaluated O(R+M); no temporary is sized by units or SFCs times pieces.
     """
     n = np.round((hi - lo) / resolution).astype(np.int64) + 1
     step = (hi - lo) / np.maximum(n - 1, 1)
-    prices = 0 * step + lo  # a single-point grid holds its floor
-    live = np.flatnonzero(n > 1)
+    # grid point 0, as `_objective` evaluates it: the price of a one-point grid
+    # and of a row that passes the screen
+    prices = 0 * step + lo
+    # best bid first; equal bids keep their order
+    rank = np.argsort(-bids, axis=1, kind="stable")
+    rows = np.arange(len(lo))[:, None]
+    reqs, bids = reqs[rows, rank], bids[rows, rank]
+    # the screen: (a), then (b)
+    p0 = prices[:, None]
+    flat = ((p0 - res) / rel >= cap).all(axis=1)
+    flat &= ~((bids < p0) & (_fills(p0, res, rel, cap, reqs, bids) != 0)).any(axis=1)
+    live = np.flatnonzero((n > 1) & ~flat)
     if len(live):
         batch = (res, rel, cap, reqs, bids, lo, hi, n, step)
         if len(live) < len(lo):
@@ -236,12 +264,8 @@ def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOL
 
 
 def _grid_maximizers(res, rel, cap, reqs, bids, lo, hi, n, step):
-    """`_stackelberg_rows` for rows whose grid has n > 1 points."""
+    """`_stackelberg_rows` for rows whose grid has n > 1 points, SFCs in bid order."""
     B = len(lo)
-    rows = np.arange(B)[:, None]
-    # best bid first; equal bids keep their order
-    rank = np.argsort(-bids, axis=1, kind="stable")
-    reqs, bids = reqs[rows, rank], bids[rows, rank]
     # the pieces' temporaries are gone before any grid point is evaluated
     row, x, top = _pieces(res, rel, cap, reqs, bids, lo, hi)
 
@@ -394,12 +418,18 @@ def _objective(row, i, units, sfcs, grid):
         p = _grid_price(i[k:k + size].ravel(), *grid[:, rk])[:, None]
         res, rel, cap = units[:, rk]
         reqs, bids = sfcs[:, rk]
-        space = np.minimum(np.maximum((p - res) / rel, 0.0), cap).sum(axis=1)
-        wanted = np.where(bids >= p - 1e-12, reqs, 0.0)
-        before = np.cumsum(wanted, axis=1) - wanted
-        filled = np.minimum(np.maximum(space[:, None] - before, 0.0), wanted)
+        filled = _fills(p, res, rel, cap, reqs, bids)
         out[k:k + size] = ((bids - p) * filled).sum(axis=1).reshape(-1, i.shape[1])
     return out
+
+
+def _fills(p, res, rel, cap, reqs, bids):
+    """Each SFC's fill at its row's price p[:, 0]: the units' offers, summed,
+    fill the SFCs whose bid covers p, in bid order."""
+    space = np.minimum(np.maximum((p - res) / rel, 0.0), cap).sum(axis=1)
+    wanted = np.where(bids >= p - 1e-12, reqs, 0.0)
+    before = np.cumsum(wanted, axis=1) - wanted
+    return np.minimum(np.maximum(space[:, None] - before, 0.0), wanted)
 
 
 def _grid_price(i, lo, hi, step, last):

@@ -19,6 +19,7 @@ from hypothesis import strategies as hst
 import gridswap
 from gridswap import coalition, ev, ingest, scenario, storage, synth
 from gridswap.cli import _build_parser, _fmt, main
+from gridswap.errors import SchemaError
 from gridswap.market import Tariff
 
 from oracles import fmt_reference
@@ -1011,6 +1012,23 @@ class TestSeedAndSlotIntegers:
         assert read == parsed and type(read) is int
 
 
+# agents for a config of each mechanism, one line each
+_AGENTS = {
+    "double_auction": "agent = p1 prosumer -\nagent = c1 consumer -\n",
+    "ev_auction": "agent = c1 ev - w=1.9 c_min=6\nagent = d1 ev - l1=0.04 d_max=16\n",
+    "coalition": "agent = s1 prosumer -\n",
+    "storage_auction": ("agent = r1 residential_unit - capacity=60 reservation=0.26 "
+                        "reluctance=0.0005\nagent = f1 sfc - requirement=100 bid=0.40\n"),
+}
+
+
+def _option_config(line, mechanism=None):
+    """`line` second in a config of `mechanism`, by default the one that reads its option."""
+    key = line.split("=")[0].strip()
+    mechanism = mechanism or next(m for m, keys in scenario._OPTIONS.items() if key in keys)
+    return f"p_rp = 0.3\n{line}\nmechanism = {mechanism}\n{_AGENTS[mechanism]}"
+
+
 class TestOptionRange:
     _main = TestNonFiniteRejected._main
 
@@ -1033,7 +1051,7 @@ class TestOptionRange:
     )
     def test_rejected_at_load(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "opt.cfg"
-        cfg.write_text(f"p_rp = 0.3\n{line}\nagent = p1 prosumer -\nagent = c1 consumer -\n")
+        cfg.write_text(_option_config(line))
         code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
         assert code == 1
         assert f"opt.cfg:2: {message}" in err
@@ -1044,9 +1062,38 @@ class TestOptionRange:
                                       "grid_sell_out = 0", "grid_buy_back = 0"])
     def test_accepted_at_the_bounds(self, tmp_path, line):
         cfg = tmp_path / "opt.cfg"
-        cfg.write_text(f"p_rp = 0.3\n{line}\nagent = p1 prosumer -\nagent = c1 consumer -\n")
+        cfg.write_text(_option_config(line))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
+class TestOptionOfAnotherMechanism:
+    _main = TestNonFiniteRejected._main
+    _VALUES = {"eta": "0.9", "eps": "1e-4", "grid_sell_out": "0.3", "grid_buy_back": "0.05",
+               "mc_samples": "100", "rule": "equal", "buyer_margin": "0.02:0.1",
+               "seller_margin": "0.02:0.1"}
+
+    @pytest.mark.parametrize("key, owner, mechanism", [
+        (key, owner, mechanism) for owner, keys in scenario._OPTIONS.items() for key in keys
+        for mechanism in scenario.MECHANISMS if mechanism != owner
+    ])
+    def test_refused_at_load(self, tmp_path, key, owner, mechanism):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(_option_config(f"{key} = {self._VALUES[key]}", mechanism))
+        with pytest.raises(SchemaError) as exc:
+            scenario.load_scenario(cfg)
+        assert str(exc.value) == (f"{cfg}:2: {key} is read by the {owner} mechanism only, "
+                                  f"not by {mechanism}")
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        # the double auction ignored a storage rule, a sample count and an efficiency
+        cfg = tmp_path / "da.cfg"
+        cfg.write_text(f"rule = equal\nmc_samples = 5\neta = 0.5\n{_AGENTS['double_auction']}")
+        code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+        assert code == 1
+        assert "da.cfg:1: rule is read by the storage_auction mechanism only, not by " \
+               "double_auction" in err
+        assert "Traceback" not in err and not (tmp_path / "o" / "report.csv").exists()
 
 
 class TestSweepValueRange:

@@ -261,6 +261,117 @@ class TestGridFreePrice:
         assert p == stackelberg_price_grid(rus, demand, 0.25, 100.0)
 
 
+def _count_searched(mp):
+    """Patch `mp` to record the (rows, units) shape of each batch that the
+    pricing kernel's screen leaves to `_grid_maximizers`."""
+    searched = []
+    search = storage._grid_maximizers
+
+    def record(res, *rest):
+        searched.append(res.shape)
+        return search(res, *rest)
+
+    mp.setattr(storage, "_grid_maximizers", record)
+    return searched
+
+
+def _same_price(got, want):
+    """`==`, and the same sign of zero."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _floor_edge_cases():
+    """(name, stackelberg_price arguments, screened): rows at the edge of the
+    kernel's screen, most of them on the grid [0.3, 0.35]."""
+    lo, hi = 0.3, 0.35
+    p0 = float(np.linspace(lo, hi, 2)[0])  # the grid's lowest point
+
+    def full(rid, res, alpha, short=False):
+        # exactly full at p0, or one ulp short of it
+        cap = (p0 - res) / alpha
+        return ru(rid, float(np.nextafter(cap, np.inf)) if short else cap, res, alpha)
+
+    units = [full("a", 0.1, 0.002), full("b", 0.27, 0.0013), full("c", 0.0, 0.7)]
+    under = p0 - 5e-13
+    return [
+        ("every unit full", (units, [(1e4, 0.35), (50.0, 0.3)], lo, hi), True),
+        ("one unit an ulp short", ([*units[:2], full("c", 0.0, 0.7, short=True)],
+                                   [(1e4, 0.35), (50.0, 0.3)], lo, hi), False),
+        ("units without capacity", ([*units, ru("z", 0.0, 0.1, 0.01), ru("y", 0.0, p0, 0.01)],
+                                    [(1e4, 0.35)], lo, hi), True),
+        ("no capacity at all", ([ru("z", 0.0, 0.1, 0.01), ru("y", 0.0, p0, 0.01)],
+                                [(50.0, 0.35), (50.0, 0.3)], lo, hi), True),
+        ("no capacity, asking above the floor", ([*units, ru("z", 0.0, 0.31, 0.01)],
+                                                 [(1e4, 0.35)], lo, hi), False),
+        ("bid under the floor, filled", (units, [(1.0, 0.35), (1e4, under)], lo, hi), False),
+        ("bid under the floor, alone", (units, [(10.0, under)], lo, lo + 1e-3), False),
+        ("bid under the floor, unfilled", (units, [(1e4, 0.35), (10.0, p0 - 1e-12)], lo, hi), True),
+        ("floor -0.0", ([ru("z", 0.0, 0.0, 0.01), ru("y", 0.0, 0.0, 3.0)],
+                        [(10.0, 0.01), (10.0, -0.0)], -0.0, 0.01), True),
+    ]
+
+
+class TestFloorScreen:
+    """A row whose units are all full at the grid's lowest point is priced there
+    with no search, and only when that is the full-grid search's price."""
+
+    @pytest.mark.parametrize("name, args, screened",
+                             _floor_edge_cases(), ids=[c[0] for c in _floor_edge_cases()])
+    def test_edge_corpus(self, monkeypatch, name, args, screened):
+        searched = _count_searched(monkeypatch)
+        price = stackelberg_price(*args)
+        assert _same_price(price, stackelberg_price_grid(*args)), args
+        assert (not searched) == screened
+
+    def test_bid_under_the_floor_moves_the_price(self):
+        # the lone buyer's term is negative at the floor and zero one grid point up
+        (_, args, _), = (c for c in _floor_edge_cases() if c[0] == "bid under the floor, alone")
+        assert stackelberg_price(*args) == stackelberg_price_grid(*args) > args[2]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        floor=hst.sampled_from([-0.0, 0.0, 0.25, 0.3]) | hst.floats(0.0, 0.4),
+        span=hst.sampled_from([0.0, 1e-4, 3e-4, 0.05]),
+        units=hst.lists(
+            hst.tuples(
+                hst.sampled_from(["full", "ulp short", "no capacity", "free"]),
+                # the reservation's distance under the floor
+                hst.sampled_from([0.0, 0.1]) | hst.floats(-0.05, 0.4),
+                hst.sampled_from([1e-3, 0.7]) | hst.floats(1e-4, 1.0),
+                hst.floats(0.0, 100.0),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        demand=hst.lists(
+            hst.tuples(
+                hst.sampled_from([1.0, 1e4]) | hst.floats(0.1, 500.0),
+                # the bid's distance under the floor
+                hst.sampled_from([0.0, 5e-13, 1e-12, -1e-3, -0.05]) | hst.floats(-0.1, 1e-12),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_equals_grid_oracle_at_the_edge(self, floor, span, units, demand):
+        hi = floor + span
+        p0 = float(np.linspace(floor, hi, 2)[0])
+        rus, full = [], True
+        for k, (kind, under, alpha, free) in enumerate(units):
+            res = max(p0 - under, 0.0)
+            cap = {"full": max((p0 - res) / alpha, 0.0), "no capacity": 0.0, "free": free}.get(
+                kind, float(np.nextafter(max((p0 - res) / alpha, 0.0), np.inf)))
+            rus.append(ru(f"r{k}", cap, res, alpha))
+            full &= kind in ("full", "no capacity") and res <= p0
+        demand = [(q, max(p0 - under, 0.0)) for q, under in demand]
+        with pytest.MonkeyPatch.context() as mp:
+            searched = _count_searched(mp)
+            price = stackelberg_price(rus, demand, floor, hi)
+        assert _same_price(price, stackelberg_price_grid(rus, demand, floor, hi))
+        if full and all(b >= p0 for _, b in demand):
+            assert not searched
+
+
 class TestAllocateShares:
     def test_exact_balance_no_burden(self):
         alloc, burden = allocate_shares([10, 4], [8, 6], EQUAL)
@@ -749,3 +860,46 @@ class TestIcSearchEqualsLoop:
             tracemalloc.stop()
         assert rus_in.all() and np.isfinite(price).all()
         assert peak < 4_000_000
+
+
+class TestScreenCoverage:
+    """The floor screen prices the pinned family, and the bit-identity tests
+    above still reach the search behind it."""
+
+    def _priced_and_searched(self, monkeypatch, run, units=1):
+        """Rows priced and rows searched by `run()`, counting rows of at least `units` units."""
+        priced, kernel = [], storage._stackelberg_rows
+        monkeypatch.setattr(storage, "_stackelberg_rows",
+                            lambda *args: priced.append(args[0].shape) or kernel(*args))
+        searched = _count_searched(monkeypatch)
+        run()
+        monkeypatch.undo()
+        return (sum(b for b, r in shapes if r >= units) for shapes in (priced, searched))
+
+    def test_pinned_family_is_screened(self, monkeypatch):
+        priced, searched = self._priced_and_searched(
+            monkeypatch, lambda: check_incentive_compatibility(make_ic_scenarios(100, 1)))
+        assert priced > 16_000 and searched <= 0.01 * priced
+
+    def test_pricing_corpus_is_searched(self, monkeypatch):
+        def run():
+            rng = np.random.default_rng(41)  # the corpus of TestGridFreePrice
+            for _ in range(400):
+                stackelberg_price(*_pricing_case(rng))
+
+        priced, searched = self._priced_and_searched(monkeypatch, run)
+        assert priced == 400 and searched > 0.6 * priced
+
+    @pytest.mark.parametrize("rule", [PROPORTIONAL, EQUAL])
+    def test_price_sensitive_family_is_searched(self, monkeypatch, rule):
+        priced, searched = self._priced_and_searched(
+            monkeypatch, lambda: check_incentive_compatibility(_price_sensitive(60, 3, rule)))
+        assert searched > 0.9 * priced
+
+    def test_eight_or_more_units_are_searched(self, monkeypatch):
+        # the rows of TestIcSearchEqualsLoop.test_eight_or_more_units
+        _, searched = self._priced_and_searched(
+            monkeypatch,
+            lambda: check_incentive_compatibility(_price_sensitive(3, 9, EQUAL, units=(8, 14))),
+            units=8)
+        assert searched > 500
