@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -62,8 +63,9 @@ class _Out:
     """One call's output directory and the names written into it.
 
     Every output goes through these methods, so the manifest lists exactly
-    what the call wrote. `sources` maps the files a call read besides its
-    input flags to the sha256 of the bytes it read.
+    what the call wrote. `sources` maps files the call hashed as it read
+    them (a config's series files, an orders or game file) to the sha256 of
+    those bytes; the manifest hashes any other input flag itself.
     """
 
     def __init__(self, directory: Path):
@@ -79,11 +81,24 @@ class _Out:
         self._path(name).write_text(text)
 
     def rows(self, name: str, header: list[str], rows) -> None:
-        """Write a CSV whose cells are already text."""
+        """Write a CSV whose cells are already text, byte for byte as csv.writer would.
+
+        The table is joined into one text. csv.writer renders it instead only
+        if some cell needs quoting: a comma or LF in a cell makes more commas
+        or newlines than the cell and row counts allow, a quote or CR is found
+        by `in`, and a row of one empty cell (written `""`) leaves an empty
+        line. A NUL goes to csv.writer too, which refuses it on Python 3.10.
+        """
+        table = [header, *rows]
+        text = "\n".join(map(",".join, table)) + "\n"
+        if (text.count(",") != sum(map(len, table)) - len(table)
+                or text.count("\n") != len(table) or text.startswith("\n") or "\n\n" in text
+                or '"' in text or "\r" in text or "\0" in text):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(table)
+            text = buffer.getvalue()
         with self._path(name).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
 
     def csv(self, name: str, header: list[str], rows) -> None:
         self.rows(name, header, ([_fmt(v) for v in row] for row in rows))
@@ -100,7 +115,7 @@ def _sha256(path: Path) -> str:
 
 def _manifest(out: _Out, args, argv: list[str]) -> None:
     flags = [getattr(args, f) for f in args.inputs]
-    digests = {**out.sources, **{p: _sha256(p) for p in flags}}
+    digests = {p: _sha256(p) for p in flags if p not in out.sources} | out.sources
     doc = {
         "command": args.command,
         "argv": argv,
@@ -136,12 +151,25 @@ def _order_books(cols) -> tuple[mk.Book, mk.Book] | None:
             mk.Book(ids[sell], quantity[sell], price[sell]))
 
 
-def _read_orders(path: Path) -> tuple[mk.Book, mk.Book]:
-    """The file's bids and asks; every order must name the same slot."""
+def _columns(path: Path, sources: dict, **names):
+    """`ingest.columns(path, **names)`, the sha256 of the bytes it read put
+    in `sources` under `path` when it read the whole file."""
+    digest = hashlib.sha256()
+    cols = ingest.columns(path, digest=digest, **names)
+    # a digest still at its start state means no byte was read (or the file
+    # is empty); _manifest then hashes the file itself
+    if digest.digest() != hashlib.sha256().digest():
+        sources[path] = digest.hexdigest()
+    return cols
+
+
+def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
+    """The file's bids and asks; every order must name the same slot. The
+    file's sha256 goes into `sources` as `_columns` says."""
     needed = ("agent_id", "side", "quantity", "limit_price")
     with ingest.table(path, needed) as table:
         slot = ("slot",) if "slot" in table.header else ()
-        cols = ingest.columns(path, ints=slot, floats=needed[2:], strings=needed[:2])
+        cols = _columns(path, sources, ints=slot, floats=needed[2:], strings=needed[:2])
         books = None if cols is None else _order_books(cols)
         if books is not None:
             return books
@@ -208,12 +236,13 @@ def _game_tensor(cols, index) -> np.ndarray | None:
     return u
 
 
-def _read_game(path: Path) -> games.FiniteGame:
+def _read_game(path: Path, sources: dict) -> games.FiniteGame:
+    """The game the file tabulates; its sha256 goes into `sources` as `_columns` says."""
     with ingest.table(path, ("player", "utility")) as table:
         # the strategy columns are s0, s1, ... by name; any other column is ignored
         n = next(k for k in itertools.count() if f"s{k}" not in table.header)
         index = ("player", *(f"s{k}" for k in range(n)))
-        cols = ingest.columns(path, ints=index, floats=("utility",))
+        cols = _columns(path, sources, ints=index, floats=("utility",))
         u = None if cols is None else _game_tensor(cols, index)
         if u is not None:
             return games.FiniteGame(u)
@@ -281,7 +310,7 @@ def _cmd_run(args, out: _Out) -> None:
 
 
 def _cmd_clear(args, out: _Out) -> None:
-    buys, sells = _read_orders(args.orders)
+    buys, sells = _read_orders(args.orders, out.sources)
     clearing = mk.clear_double_auction(buys, sells, pricing=args.pricing)
     buyers, sellers, quantities = zip(*clearing.matches) if clearing.matches else ((), (), ())
     out.rows(
@@ -443,7 +472,7 @@ def _cmd_ic_check(args, out: _Out) -> None:
 
 
 def _cmd_nash(args, out: _Out) -> None:
-    game = _read_game(args.game)
+    game = _read_game(args.game, out.sources)
     equilibria = games.find_pure_nash(game)
     out.csv(
         "equilibria.csv",

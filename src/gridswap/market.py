@@ -289,10 +289,13 @@ def _left(column: np.ndarray, rest: np.ndarray):
 
 
 def _residuals(ids: list[str], remaining: list[float]) -> dict[str, float]:
-    """Each agent's unmatched kWh, summed in merit order."""
-    out: dict[str, float] = {}
-    for aid, rem in zip(ids, remaining):
-        if rem > 0:
+    """Each agent's unmatched kWh, summed in merit order, from the orders
+    with kWh left (every one > 0, so `0.0 + rem` is `rem` and distinct ids
+    need no sum)."""
+    out = dict(zip(ids, remaining))
+    if len(out) < len(ids):
+        out = {}
+        for aid, rem in zip(ids, remaining):
             out[aid] = out.get(aid, 0.0) + rem
     return out
 

@@ -291,8 +291,9 @@ def load_scenario(config_path) -> Scenario:
 # (stream, finish). The stream is an iterable of (cells, amounts) pairs of
 # equal length, made as it is read, which list the horizon's outcome slot by
 # slot: each cell's terms appear in slot order. run_simulation adds the
-# pieces with np.add.at, one call per run of pieces that passes _CHUNK_BYTES
-# and one for the rest, in stream order. np.add.at adds the terms of a
+# pieces with np.add.at in stream order: one call per piece of at least a
+# quarter of _CHUNK_BYTES, and one per run of smaller pieces that passes
+# _CHUNK_BYTES or ends before such a piece. np.add.at adds the terms of a
 # repeated cell in index order, so each sum adds its terms in a fixed order
 # and the outputs are stable to the bit.
 # `finish(per_agent, system)` turns the sums into the summary.
@@ -631,17 +632,33 @@ _ENERGY_TOTALS = (
 
 
 def _batches(stream):
-    """The stream's pieces in runs, in stream order: a run ends once its
-    pieces hold _CHUNK_BYTES, so the pieces held at once stay near that size."""
+    """The stream's (cells, amounts) in stream order, for one np.add.at each.
+
+    A piece of at least _CHUNK_BYTES / 4 comes as it is, uncopied, after
+    the run pending before it. Smaller pieces are joined in runs that end
+    once they hold _CHUNK_BYTES, so the pieces held at once stay near that
+    size.
+    """
     batch, held = [], 0
     for piece in stream:
+        size = piece[0].nbytes + piece[1].nbytes
+        if size >= _CHUNK_BYTES // 4:
+            if batch:
+                yield _joined(batch)
+                batch, held = [], 0
+            yield piece
+            continue
         batch.append(piece)
-        held += piece[0].nbytes + piece[1].nbytes
+        held += size
         if held >= _CHUNK_BYTES:
-            yield batch
+            yield _joined(batch)
             batch, held = [], 0
     if batch:
-        yield batch
+        yield _joined(batch)
+
+
+def _joined(batch):
+    return np.concatenate([at for at, _ in batch]), np.concatenate([amount for _, amount in batch])
 
 
 def run_simulation(scenario: Scenario) -> MetricsReport:
@@ -656,9 +673,8 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     cells = _Cells(scenario.agents, totals)
     stream, finish = replay(scenario, cells)
     sums = np.zeros(cells.size)
-    for batch in _batches(stream):
-        np.add.at(sums, np.concatenate([at for at, _ in batch]),
-                  np.concatenate([amount for _, amount in batch]))
+    for at, amount in _batches(stream):
+        np.add.at(sums, at, amount)
 
     agent_sums, total_sums = cells.read(sums)
     per_agent = {a.id: {"role": a.role, **agent_sums[a.id]} for a in scenario.agents}

@@ -1,6 +1,9 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,16 +12,17 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import gridswap
 from gridswap import coalition, ev, ingest, scenario, storage, synth
-from gridswap.cli import _build_parser, _fmt, main
+from gridswap.cli import _Out, _build_parser, _fmt, main
 from gridswap.errors import SchemaError
 from gridswap.market import Tariff
 
@@ -631,6 +635,64 @@ class TestFileProtocol:
         assert "stale.csv" not in outputs
         assert sorted(outputs + ["manifest.json", "stale.csv"]) == sorted(os.listdir(out))
 
+    def _game(self, tmp_path, cell="1.5"):
+        game = tmp_path / "game.csv"
+        game.write_text("player,s0,utility\n" f"0,0,{cell}\n0,1,-2\n")
+        return game
+
+    @pytest.mark.parametrize("kind", ["nash", "clear"])
+    def test_parsed_input_hashed_from_the_bytes_read(self, tmp_path, orders_csv, kind):
+        # the header read, the text read and numpy's parse; the manifest reads it no more
+        path = self._game(tmp_path) if kind == "nash" else orders_csv
+        argv = [kind, "--game" if kind == "nash" else "--orders", str(path)]
+        out = tmp_path / "out"
+        with _opens() as opened:
+            assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        assert opened.count(str(path)) == 3
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("unread", [False, True])
+    def test_row_reader_input_still_hashed(self, tmp_path, monkeypatch, unread):
+        # a quoted cell is read, hashed and sent to the row reader; a file the
+        # parser could not read at all is hashed by the manifest
+        if unread:
+            def refused(path, digest):
+                raise OSError("refused")
+            monkeypatch.setattr(ingest, "_text", refused)
+        game = self._game(tmp_path, cell='"1.5"')
+        out = tmp_path / "out"
+        assert main(["nash", "--game", str(game), "--out", str(out), "--quiet"]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(game): hashlib.sha256(game.read_bytes()).hexdigest()}
+
+
+_OPEN_LOGS = []
+
+
+def _log_open(event, args):
+    # args[0] is the path as given to open, or a file descriptor
+    if event == "open" and _OPEN_LOGS and not isinstance(args[0], int):
+        _OPEN_LOGS[-1].append(os.fsdecode(args[0]))
+
+
+@functools.cache
+def _audit_opens() -> None:
+    # an audit hook cannot be removed, so it is added once and logs only inside `_opens`
+    sys.addaudithook(_log_open)
+
+
+@contextmanager
+def _opens():
+    """The paths that `open` audit events name inside the block."""
+    _audit_opens()
+    log = []
+    _OPEN_LOGS.append(log)
+    try:
+        yield log
+    finally:
+        _OPEN_LOGS.remove(log)
+
 
 def _fresh_cli(argv):
     """`gridswap <argv>` in a new interpreter."""
@@ -690,6 +752,61 @@ class TestFmt:
     )
     def test_equals_the_isinstance_chain(self, value):
         assert _fmt(value) == fmt_reference(value)
+
+
+def _csv_text(table) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(table)
+    return buffer.getvalue()
+
+
+# cells csv quotes or refuses, cells it writes as they are, and the empty cell
+_CELL = (hst.sampled_from(["", "s1", "0.25", "a b", "a,b", 'a"b', "a\nb", "a\rb", "a\0b"])
+         | hst.text(alphabet=[",", '"', "\r", "\n", "\0", " ", "\u2028", "a"], max_size=3))
+_ROW = hst.lists(_CELL, min_size=1, max_size=4) | hst.just([""])
+
+
+class TestOutRows:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(header=_ROW, rows=hst.lists(_ROW, max_size=4))
+    def test_equals_csv_writer(self, header, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = _Out(Path(tmp))
+            try:
+                want = _csv_text([header, *rows])
+            except csv.Error:  # a NUL, which Python 3.10's csv refuses
+                with pytest.raises(csv.Error):
+                    out.rows("t.csv", header, iter(rows))
+                return
+            out.rows("t.csv", header, iter(rows))
+            assert (Path(tmp) / "t.csv").read_bytes() == want.encode()
+            plain = "".join(f"{','.join(row)}\n" for row in [header, *rows])
+            event("written as joined" if want == plain else "quoted by csv")
+
+    @pytest.mark.parametrize(
+        "cell, quoted",
+        [("a b", False), ("", False), ("a,b", True), ('a"b', True), ("a\rb", True),
+         ("a\nb", True), ("a\0b", True)],
+    )
+    def test_csv_writer_only_for_a_cell_it_must_quote(self, tmp_path, monkeypatch, cell,
+                                                     quoted):
+        # csv quotes a bare CR from Python 3.13 on, so it goes to csv.writer on every version
+        calls = []
+        writer = csv.writer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return writer(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "writer", counted)
+        _Out(tmp_path).rows("t.csv", ["id", "x"], [["s1", cell]])
+        assert len(calls) == quoted
+
+    @pytest.mark.parametrize("table", [[[""]], [["id"], [""]], [["id"], ["s1"], [""]],
+                                       [["id"], []], [["id", "x"], ["", ""]]])
+    def test_empty_rows(self, tmp_path, table):
+        _Out(tmp_path).rows("t.csv", table[0], table[1:])
+        assert (tmp_path / "t.csv").read_bytes() == _csv_text(table).encode()
 
 
 class TestRunComputesOnce:

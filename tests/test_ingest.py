@@ -54,6 +54,14 @@ def _series_reader(horizon):
     return lambda path: scenario._read_series(path, horizon, "a")
 
 
+def _read_game(path):
+    return cli._read_game(path, {})
+
+
+def _read_orders(path):
+    return cli._read_orders(path, {})
+
+
 # cell spellings; each takes the intended value and may change or break it
 _INT_SPELLINGS = [
     "{}", " {} ", "+{}", "0{}", "{}.0", "{}e0", '"{}"', "{}_0", "-1", "x", "", "1e500",
@@ -165,7 +173,7 @@ class TestFastPathMatchesRows:
     @given(text=_game())
     def test_game(self, text):
         with tempfile.TemporaryDirectory() as tmp:
-            event("%s by the %s path" % _assert_paths_agree(cli._read_game, _write(tmp, text)))
+            event("%s by the %s path" % _assert_paths_agree(_read_game, _write(tmp, text)))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(drawn=_series())
@@ -179,7 +187,7 @@ class TestFastPathMatchesRows:
     @given(text=_orders())
     def test_orders(self, text):
         with tempfile.TemporaryDirectory() as tmp:
-            event("%s by the %s path" % _assert_paths_agree(cli._read_orders, _write(tmp, text)))
+            event("%s by the %s path" % _assert_paths_agree(_read_orders, _write(tmp, text)))
 
     @pytest.mark.parametrize(
         "text, fast",
@@ -199,7 +207,7 @@ class TestFastPathMatchesRows:
     )
     def test_orders_corpus(self, text, fast):
         with tempfile.TemporaryDirectory() as tmp:
-            _, path_taken = _assert_paths_agree(cli._read_orders, _write(tmp, text))
+            _, path_taken = _assert_paths_agree(_read_orders, _write(tmp, text))
             assert path_taken == ("columnar" if fast else "row")
 
     @pytest.mark.parametrize(
@@ -225,7 +233,7 @@ class TestFastPathMatchesRows:
     )
     def test_game_corpus(self, text, fast):
         with tempfile.TemporaryDirectory() as tmp:
-            _, path_taken = _assert_paths_agree(cli._read_game, _write(tmp, text))
+            _, path_taken = _assert_paths_agree(_read_game, _write(tmp, text))
             assert path_taken == ("columnar" if fast else "row")
 
     @pytest.mark.parametrize(
@@ -255,7 +263,7 @@ class TestFastPathMatchesRows:
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(tmp, "player,s0,utility\n")
             with pytest.raises(GridswapError, match="no utility rows"):
-                cli._read_game(path)
+                _read_game(path)
 
     def test_huge_index_allocates_nothing(self):
         # one row naming strategy 10**12: the row count check stops it before any tensor
@@ -264,4 +272,4 @@ class TestFastPathMatchesRows:
             parsed = ingest.columns(path, ints=("player", "s0"), floats=("utility",))
             assert cli._game_tensor(parsed, ("player", "s0")) is None
             with pytest.raises(GridswapError, match="expected 1000000000001 utility rows"):
-                cli._read_game(path)
+                _read_game(path)

@@ -287,6 +287,26 @@ def test_scalar_tail_takes_over_mid_book(monkeypatch):
                                                                  row_orders(asks, aq)))
 
 
+def test_repeated_id_leftovers_sum_in_merit_order():
+    """Book 0 leaves agent b three bids whose kWh add to another float in
+    column order than in merit order, and agent s two asks; book 1's ids are
+    distinct. Each leftover is the merit-order sum."""
+    bids = [("b", 0.10), ("b", 0.20), ("a", 0.25), ("b", 0.30)]
+    asks = [("s", 0.40), ("s", 0.35), ("t", 0.05)]
+    bid_qty = [[5e-17, 5e-17, 0.5, 1.0], [0.0, 0.7, 0.5, 0.0]]
+    ask_qty = [[0.5, 0.125, 0.25], [0.5, 0.0, 0.25]]
+    got = clear_rows(bids, asks, bid_qty, ask_qty)
+    # b's 0.75 kWh left at 0.30 comes first, and each 5e-17 alone is under half its ulp
+    assert 0.75 + 5e-17 + 5e-17 != 5e-17 + 5e-17 + 0.75
+    assert repr(got[0].residual_buys) == repr({"b": 0.75 + 5e-17 + 5e-17, "a": 0.5})
+    assert repr(got[0].residual_sells) == repr({"s": 0.125 + 0.5})
+    assert repr(got[1].residual_buys) == repr({"a": 0.25, "b": 0.7})
+    assert repr(got[1].residual_sells) == repr({"s": 0.5})
+    for clearing, bq, aq in zip(got, bid_qty, ask_qty):
+        assert_same_clearing(clearing, clear_double_auction_loop(row_orders(bids, bq),
+                                                                 row_orders(asks, aq)))
+
+
 class TestSettlement:
     def test_matched_energy_at_clearing_price(self):
         c = clear([("B1", 4, 0.15)], [("S1", 4, 0.10)])

@@ -298,6 +298,61 @@ def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
     assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
 
 
+def _piece(start, length):
+    """A stream piece of `length` cells from `start` on, each adding its cell number."""
+    at = np.arange(start, start + length, dtype=np.intp)
+    return at, at.astype(float)
+
+
+def test_batches_hand_large_pieces_over_uncopied(monkeypatch):
+    """With a budget of 1 KiB, a piece of at least 256 bytes (16 cells) is
+    yielded as it is, after the run pending before it; smaller pieces are
+    joined in runs that end once they hold the budget. Every cell keeps its
+    place in the stream."""
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1024)
+    sizes = [2, 3, 16, 40, 5, 15, 15, 15, 15, 4, 1]
+    stream = []
+    for size in sizes:
+        stream.append(_piece(sum(len(at) for at, _ in stream), size))
+    batches = list(sim._batches(iter(stream)))
+    # 2 + 3 flushed before 16; 5 + 15 * 4 passes 1 KiB; 4 + 1 end the stream
+    assert [len(at) for at, _ in batches] == [5, 16, 40, 65, 5]
+    for k in (2, 3):
+        assert any(at is stream[k][0] and amount is stream[k][1] for at, amount in batches)
+    assert np.array_equal(np.concatenate([at for at, _ in batches]), np.arange(sum(sizes)))
+    assert np.array_equal(np.concatenate([amount for _, amount in batches]),
+                          np.arange(sum(sizes), dtype=float))
+
+
+def test_double_auction_sums_large_pieces_uncopied(monkeypatch):
+    """With a budget of five slots of twelve agents, some chunk's piece
+    holds a quarter of it and is summed as it is, and the sums still equal
+    the per-slot replay."""
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 12 * sim._SLOT_ORDER_BYTES)
+    pieces, summed = [], []
+    batches = sim._batches
+
+    def recorded(stream):
+        def listed():
+            for piece in stream:
+                pieces.append(piece)
+                yield piece
+        for batch in batches(listed()):
+            summed.append(batch)
+            yield batch
+
+    monkeypatch.setattr(sim, "_batches", recorded)
+    options = {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)}
+    report = run_simulation(_double_auction_scenario(2, options))
+    large = [p for p in pieces if p[0].nbytes + p[1].nbytes >= sim._CHUNK_BYTES // 4]
+    assert large and len(large) < len(pieces)
+    assert all(any(batch[0] is at for batch in summed) for at, _ in large)
+    per_agent, system = double_auction_replay_loop(_double_auction_scenario(2, options))
+    assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
+        {aid: sorted(row.items()) for aid, row in per_agent.items()})
+    assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
+
+
 def _repeating_scenario(mechanism, horizon):
     """Six agents whose every slot repeats slot 0: a double auction whose
     books cross, or a storage auction, cleared once and added in every slot."""
