@@ -126,14 +126,15 @@ def distinct_ids(rows):
 
 
 @contextmanager
-def table(path, required):
+def table(path, required, digest=None):
     """Open the CSV at `path` as a Table whose header has every `required` column.
 
     A bad-input error raised in the block, or by the header check, becomes a
-    SchemaError naming the line being read.
+    SchemaError naming the line being read. A hashlib object passed as
+    `digest` is fed the bytes the rows are parsed from.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="") if digest is None else _hashed(path, digest, "") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -192,7 +193,13 @@ def columns(path, ints=(), floats=(), strings=(), digest=None):
 
 def _text(path: Path, digest) -> str:
     """The file's text as `open` reads it, its bytes fed to `digest` unless that is None."""
+    return _hashed(path, digest).read()
+
+
+def _hashed(path: Path, digest, newline=None) -> io.TextIOWrapper:
+    """The file opened as `open(path, newline=newline)` would open it, from
+    one read of its bytes, which are fed to `digest` unless that is None."""
     raw = path.read_bytes()
     if digest is not None:
         digest.update(raw)
-    return io.TextIOWrapper(io.BytesIO(raw)).read()
+    return io.TextIOWrapper(io.BytesIO(raw), newline=newline)

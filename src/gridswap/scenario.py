@@ -56,9 +56,9 @@ _MAX_SUPPLIERS = 200
 # 366 days of 5-minute slots
 _MAX_HORIZON = 105_408
 # about the most memory, in bytes, that one chunk of slots of a double-auction
-# replay takes: its merge, SlotClearings and stream peak at under 300 bytes
-# per agent and slot, measured with tracemalloc on 20 to 200 agents. A
-# replay's stream is also summed in runs of pieces about this size.
+# replay takes: its merge, SlotClearings, settlements and stream peak at 225
+# to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
+# agents. A replay's stream is also summed in runs of pieces about this size.
 _CHUNK_BYTES = 1 << 25
 _SLOT_ORDER_BYTES = 300
 
@@ -99,12 +99,13 @@ class MetricsReport:
 # config ingestion
 
 
-def _read_series(path: Path, horizon: int, agent_id: str, digest=None):
-    """The series' load and gen columns; a hashlib object passed as `digest`
-    is fed the file's bytes."""
+def _read_series(path: Path, horizon: int, agent_id: str, sources: dict):
+    """The series' load and gen columns; the sha256 of the bytes they were
+    parsed from goes into `sources` under `path`."""
     if not path.is_file():
         problem = "is not a regular file" if path.exists() else "not found"
         raise SchemaError(f"agent {agent_id!r}: series file {path} {problem}")
+    digest = hashlib.sha256()
     cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"),
                           digest=digest)
     if (
@@ -113,9 +114,12 @@ def _read_series(path: Path, horizon: int, agent_id: str, digest=None):
         and (cols["load_kwh"] >= 0).all()
         and (cols["gen_kwh"] >= 0).all()
     ):
+        sources[path] = digest.hexdigest()
         return cols["load_kwh"], cols["gen_kwh"]
+    # the row reader parses the file from a read of its own, so that read is hashed
+    digest = hashlib.sha256()
     loads, gens = [], []
-    with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh")) as table:
+    with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh"), digest) as table:
         for t, (slot, load, gen) in enumerate(table.rows("slot_index", "load_kwh", "gen_kwh")):
             if int(slot) != t:
                 raise InputError(f"slot_index must count 0, 1, 2, ...; expected {t}, got {slot!r}")
@@ -129,6 +133,7 @@ def _read_series(path: Path, horizon: int, agent_id: str, digest=None):
             f"agent {agent_id!r}: series length {len(loads)} does not match "
             f"horizon {horizon} ({path})"
         )
+    sources[path] = digest.hexdigest()
     return np.array(loads), np.array(gens)
 
 
@@ -254,9 +259,7 @@ def load_scenario(config_path) -> Scenario:
             load = np.zeros(horizon)
             gen = np.zeros(horizon)
         else:
-            path, digest = config_path.parent / series, hashlib.sha256()
-            load, gen = _read_series(path, horizon, aid, digest)
-            sources[path] = digest.hexdigest()
+            load, gen = _read_series(config_path.parent / series, horizon, aid, sources)
         agent = AgentProfile(aid, role, load, gen, params)
         try:
             _mechanism_agent(agent)
@@ -369,58 +372,92 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     ids = np.array([a.id for a in ordered], dtype=object)
     bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
+    index = {aid: k for k, aid in enumerate(ids.tolist())}
 
     def at(column: str) -> np.ndarray:
         """Each agent's cell of `column`, in id order."""
         cell = cells.column(column)
         return np.array([cell[a.id] for a in ordered], dtype=np.intp)
 
-    bill, revenue = cells.column("bill"), cells.column("revenue")
-    bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
+    bill_at, revenue_at = at("bill"), at("revenue")
     bought_at, sold_at = at("energy_bought_kwh"), at("energy_sold_kwh")
     fit_bill_at, fit_revenue_at = at("fit_bill"), at("fit_revenue")
     matched, buy_spend, sell_earn = (
         cells.total[name] for name in ("matched_kwh", "buy_spend", "sell_earn")
     )
     grid = [cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]]
+    # the settlement dicts in stream order: each one's agent cell and system
+    # total for its cash, and for grid trades the agent cell of the kWh
+    dict_cells = ((bill_at, buy_spend, None), (revenue_at, sell_earn, None),
+                  (bill_at, buy_spend, bought_at), (revenue_at, sell_earn, sold_at))
 
     def chunk(first: int, stop: int):
         """The stream of slots first to stop - 1, slot by slot: each slot's
         matches, its grid residuals, P2P cash paid and received in
         first-match order, grid charges and credits in merit order, then every
-        agent's feed-in term."""
+        agent's feed-in term.
+
+        Each slot's settlement dicts are only gathered in bulk; every block
+        of terms is then written where cumulative block sizes place it."""
         nets = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)
         books = mk._clear_rows(ids, np.where(nets < -1e-12, -nets, 0.0), bid_limit,
                                ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
-        match_at = np.stack((np.full(len(books.quantity), matched), bought_at[books.buyer],
-                             sold_at[books.seller]), axis=1).ravel()
-        match_amount = np.repeat(books.quantity, 3)
-        # a zero net adds +0.0 to a sum of terms >= 0, which leaves it as it is
-        fit_at = np.where(nets < 0, fit_bill_at, fit_revenue_at)
-        fit_amount = np.where(nets < 0, -nets * tariff.p_rp,
-                              np.where(nets > 0, nets * tariff.p_wp, 0.0))
-        bounds = (3 * books.bounds).tolist()
-        parts_at, parts_amount = [], []
-        for t, clearing in enumerate(books.clearings("marginal_bid")):
+        # the four dicts' keys and values, slot by slot and dict by dict, each
+        # dict's size, the residual kWh (grid_charge and grid_credit hold the
+        # residual dicts' keys in their order) and each slot's grid totals
+        payees, cash, size, left, grid_kwh = [], [], [], [], []
+        for clearing in books.clearings("marginal_bid"):
             settle = mk.settle_slot(clearing, tariff)
-            slot_at = list(grid)
-            amount = [sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values())]
-            for aid, cash in settle.p2p_paid.items():
-                slot_at += (bill[aid], buy_spend)
-                amount += (cash, cash)
-            for aid, cash in settle.p2p_received.items():
-                slot_at += (revenue[aid], sell_earn)
-                amount += (cash, cash)
-            for aid, cash in settle.grid_charge.items():
-                slot_at += (bill[aid], buy_spend, bought[aid])
-                amount += (cash, cash, clearing.residual_buys[aid])
-            for aid, cash in settle.grid_credit.items():
-                slot_at += (revenue[aid], sell_earn, sold[aid])
-                amount += (cash, cash, clearing.residual_sells[aid])
-            start, end = bounds[t], bounds[t + 1]
-            parts_at += (match_at[start:end], slot_at, fit_at[t])
-            parts_amount += (match_amount[start:end], amount, fit_amount[t])
-        return np.concatenate(parts_at), np.concatenate(parts_amount)
+            for paid in (settle.p2p_paid, settle.p2p_received, settle.grid_charge,
+                         settle.grid_credit):
+                payees += paid
+                cash += paid.values()
+                size.append(len(paid))
+            buys, sells = clearing.residual_buys.values(), clearing.residual_sells.values()
+            left += buys
+            left += sells
+            grid_kwh += (sum(buys), sum(sells))
+        slots = len(nets)
+        agent = np.fromiter(map(index.__getitem__, payees), np.intp, len(payees))
+        cash = np.array(cash, dtype=float)
+        size = np.array(size, dtype=np.intp).reshape(slots, 4)
+        kind = np.repeat(np.tile(np.arange(4), slots), size.ravel())
+        kwh = np.zeros(len(cash))  # each grid charge's or credit's residual kWh
+        kwh[kind >= 2] = left
+
+        # per slot: matches, grid totals, the four dicts, feed-in; their
+        # entries take 3, 2, 2, 2, 3, 3 and one term per agent
+        count = np.column_stack((np.diff(books.bounds), np.ones(slots, np.intp), size,
+                                 np.ones(slots, np.intp)))
+        terms = count * [3, 2, 2, 2, 3, 3, len(ordered)]
+        start = np.cumsum(terms).reshape(terms.shape) - terms
+        stream_at, stream_amount = np.empty(int(terms.sum()), np.intp), np.empty(int(terms.sum()))
+
+        def lay(block: int, entry_at, entry_amount) -> None:
+            """Write the block's entries, rows of (entries, terms) arrays in
+            slot order, one after another from the slot's start of the block."""
+            n, width = entry_at.shape
+            before = np.cumsum(count[:, block]) - count[:, block]
+            place = (np.repeat(start[:, block] - width * before, count[:, block])
+                     + width * np.arange(n))[:, None] + np.arange(width)
+            stream_at[place] = entry_at
+            stream_amount[place] = entry_amount
+
+        lay(0, np.column_stack((np.full(len(books.quantity), matched), bought_at[books.buyer],
+                                sold_at[books.seller])), books.quantity[:, None])
+        lay(1, np.tile(grid, (slots, 1)), np.reshape(grid_kwh, (slots, 2)))
+        for k, (agent_at, total, kwh_at) in enumerate(dict_cells):
+            mine = kind == k
+            who, paid = agent[mine], cash[mine]
+            columns, amounts = [agent_at[who], np.full(len(who), total)], [paid, paid]
+            if kwh_at is not None:
+                columns.append(kwh_at[who])
+                amounts.append(kwh[mine])
+            lay(2 + k, np.column_stack(columns), np.column_stack(amounts))
+        # a zero net adds +0.0 to a sum of terms >= 0, which leaves it as it is
+        lay(6, np.where(nets < 0, fit_bill_at, fit_revenue_at),
+            np.where(nets < 0, -nets * tariff.p_rp, np.where(nets > 0, nets * tariff.p_wp, 0.0)))
+        return stream_at, stream_amount
 
     # a chunk's nets, merge, clearings and stream stay within about _CHUNK_BYTES
     size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(ordered)))
@@ -809,8 +846,9 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
     """One table row per value, every value under the scenario's seed.
 
     Sweepable parameters: supplier_count (coalition population growth, at
-    most _MAX_SUPPLIERS), solar_fraction (solar vs wind generation mix),
-    sfc_requirement (storage demand), grid_price (hybrid grid sell-out price).
+    most _MAX_SUPPLIERS, from a coalition config), solar_fraction (solar vs
+    wind generation mix), sfc_requirement (storage demand), grid_price
+    (hybrid grid sell-out price).
     """
     if parameter not in SWEEPABLE:
         raise InputError(
@@ -826,6 +864,8 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
                 raise InputError(f"supplier_count must be an integer >= 1, got {v:g}")
             if v > _MAX_SUPPLIERS:
                 raise InputError(f"supplier_count must be <= {_MAX_SUPPLIERS}, got {v:g}")
+        if scenario.mechanism != "coalition":
+            raise InputError("supplier_count sweep needs a coalition scenario")
         n_users = max(
             sum(1 for a in scenario.agents if a.role == "consumer"), 3
         )

@@ -4,7 +4,9 @@ These deliberately avoid the package's own algorithms: volumes come from a
 max-flow over half-kWh units, welfare from an assignment solver, a slot's
 double-auction clearing from one row object per order and key-sorted lists,
 a double-auction scenario from that clearing replayed slot by slot into
-dicts, a coalition scenario from one Shapley division per slot replayed
+dicts, a double-auction replay's stream of terms from one settlement entry
+at a time (it shares the merge and `settle_slot` with the replay, not the
+layout), a coalition scenario from one Shapley division per slot replayed
 into dicts, optimal EV welfare from exhaustive grid search, Shapley values
 from direct enumeration, a per-player subset loop, one in exact rational
 arithmetic or the two-halves split run one instance at a time,
@@ -34,6 +36,7 @@ from scipy.optimize import linear_sum_assignment
 
 from gridswap import coalition as co
 from gridswap import ev as evx
+from gridswap import market as mk
 from gridswap import synth
 from gridswap.errors import InputError
 from gridswap.storage import (
@@ -255,6 +258,63 @@ def double_auction_replay_loop(scenario):
         - system["grid_export_kwh"] - system["loss_kwh"]
     )
     return per_agent, system
+
+
+def double_auction_stream_loop(scenario, cells, first, stop):
+    """The (cells, amounts) stream of a double-auction replay's slots first
+    to stop - 1, laid out one slot and one settlement entry at a time.
+
+    It clears the slots as one merge and settles each with `settle_slot`, as
+    the replay does, then lists each slot's terms into Python lists: the
+    matches, the two grid residual totals, P2P cash paid and received, grid
+    charges and credits with their kWh, then one feed-in term per agent in
+    id order. `cells` is the replay's `_Cells`.
+    """
+    tariff = scenario.tariff
+    blo, bhi = scenario.options.get("buyer_margin", (0.02, 0.10))
+    slo, shi = scenario.options.get("seller_margin", (0.02, 0.10))
+    rng = np.random.default_rng(scenario.seed)
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    margins = [(float(rng.uniform(blo, bhi)), float(rng.uniform(slo, shi))) for _ in ordered]
+    ids = np.array([a.id for a in ordered], dtype=object)
+    bid_limit = np.array([tariff.p_rp - b for b, _ in margins])
+    ask_limit = np.array([tariff.p_wp + s for _, s in margins])
+    bill, revenue = cells.column("bill"), cells.column("revenue")
+    bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
+    fit_bill, fit_revenue = cells.column("fit_bill"), cells.column("fit_revenue")
+    total = cells.total
+
+    nets = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)
+    books = mk._clear_rows(ids, np.where(nets < -1e-12, -nets, 0.0), bid_limit,
+                           ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
+    at, amount = [], []
+    for t, clearing in enumerate(books.clearings("marginal_bid")):
+        settle = mk.settle_slot(clearing, tariff)
+        for buyer, seller, qty in clearing.matches:
+            at += (total["matched_kwh"], bought[buyer], sold[seller])
+            amount += (qty, qty, qty)
+        at += (total["grid_import_kwh"], total["grid_export_kwh"])
+        amount += (sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values()))
+        for aid, cash in settle.p2p_paid.items():
+            at += (bill[aid], total["buy_spend"])
+            amount += (cash, cash)
+        for aid, cash in settle.p2p_received.items():
+            at += (revenue[aid], total["sell_earn"])
+            amount += (cash, cash)
+        for aid, cash in settle.grid_charge.items():
+            at += (bill[aid], total["buy_spend"], bought[aid])
+            amount += (cash, cash, clearing.residual_buys[aid])
+        for aid, cash in settle.grid_credit.items():
+            at += (revenue[aid], total["sell_earn"], sold[aid])
+            amount += (cash, cash, clearing.residual_sells[aid])
+        for agent, net in zip(ordered, nets[t].tolist()):
+            if net < 0:
+                at.append(fit_bill[agent.id])
+                amount.append(-net * tariff.p_rp)
+            else:
+                at.append(fit_revenue[agent.id])
+                amount.append(net * tariff.p_wp if net > 0 else 0.0)
+    return np.array(at, dtype=np.intp), np.array(amount, dtype=float)
 
 
 def coalition_replay_loop(scenario):

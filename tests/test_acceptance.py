@@ -390,6 +390,9 @@ def test_criterion_8_cli_determinism(tmp_path):
             """
         )
     )
+    # the supplier_count sweep reads a coalition config; this one shares the series
+    coalition_cfg = tmp_path / "coalition.cfg"
+    coalition_cfg.write_text(cfg.read_text().replace("double_auction", "coalition"))
     orders = tmp_path / "orders.csv"
     orders.write_text(
         "agent_id,side,quantity,limit_price\nB1,buy,3,0.25\nB2,buy,3,0.15\nS1,sell,4,0.10\n"
@@ -421,7 +424,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
         ["ic-check", "--trials", "3", "--seed", "2"],
         ["nash", "--game", str(game)],
-        ["sweep", "--config", str(cfg), "--param", "supplier_count", "--values", "2,4"],
+        ["sweep", "--config", str(coalition_cfg), "--param", "supplier_count",
+         "--values", "2,4"],
     ]
     for k, argv in enumerate(invocations):
         out = tmp_path / f"out{k}"

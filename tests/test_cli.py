@@ -523,6 +523,11 @@ def every_call(tmp_path, scenario_cfg, orders_csv, instance_csv):
         "player,s0,s1,utility\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,1\n"
         "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,1\n"
     )
+    # the supplier_count sweep reads a coalition config; this one shares the series
+    coalition_cfg = tmp_path / "coalition.cfg"
+    coalition_cfg.write_text(
+        scenario_cfg.read_text().replace("double_auction", "coalition")
+    )
     return [
         ["run", "--config", str(scenario_cfg)],
         ["clear", "--orders", str(orders_csv)],
@@ -532,7 +537,7 @@ def every_call(tmp_path, scenario_cfg, orders_csv, instance_csv):
         ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)],
         ["ic-check", "--trials", "2", "--seed", "1"],
         ["nash", "--game", str(game)],
-        ["sweep", "--config", str(scenario_cfg), "--param", "supplier_count",
+        ["sweep", "--config", str(coalition_cfg), "--param", "supplier_count",
          "--values", "2,3"],
     ]
 
@@ -597,8 +602,8 @@ class TestFileProtocol:
             outputs = json.loads((out / "manifest.json").read_text())["outputs"]
             assert sorted(outputs + ["manifest.json"]) == sorted(os.listdir(out)), argv
 
-    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "supplier_count",
-                                                 "--values", "2"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "solar_fraction",
+                                                 "--values", "0.5"]], ids=["run", "sweep"])
     def test_manifest_hashes_the_series_files(self, tmp_path, scenario_cfg, argv):
         def inputs(out):
             assert main([*argv, "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
@@ -665,6 +670,29 @@ class TestFileProtocol:
         assert main(["nash", "--game", str(game), "--out", str(out), "--quiet"]) == 0
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         assert inputs == {str(game): hashlib.sha256(game.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("unread", [False, True])
+    def test_series_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, scenario_cfg,
+                                                 unread):
+        # a series file whose text read fails is parsed, and hashed, by the row reader
+        row_reads = []
+        if unread:
+            def refused(path, digest):
+                raise OSError("refused")
+            monkeypatch.setattr(ingest, "_text", refused)
+            table = ingest.table
+
+            def counted(*args):
+                row_reads.append(args[0])
+                return table(*args)
+            monkeypatch.setattr(ingest, "table", counted)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(row_reads) == (2 if unread else 0)
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes())
+                          .hexdigest() for name in ("scenario.cfg", "pro.csv", "con.csv")}
+        assert hashlib.sha256().hexdigest() not in inputs.values()
 
 
 _OPEN_LOGS = []

@@ -123,6 +123,8 @@ CLI = {
                          "grid_price sweep needs an ev_auction scenario"),
     "solar_fraction sweep": (DOUBLE, ["solar_fraction", "0.5"],
                              "solar_fraction sweep needs generating agents"),
+    "supplier_count sweep": (DOUBLE, ["supplier_count", "2"],
+                             "supplier_count sweep needs a coalition scenario"),
 }
 
 

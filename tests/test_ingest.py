@@ -51,7 +51,7 @@ def _assert_paths_agree(read, path):
 
 
 def _series_reader(horizon):
-    return lambda path: scenario._read_series(path, horizon, "a")
+    return lambda path: scenario._read_series(path, horizon, "a", {})
 
 
 def _read_game(path):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gridswap import coalition, market
 from gridswap import scenario as sim
@@ -21,7 +23,12 @@ from gridswap.scenario import (
     sweep,
 )
 
-from oracles import coalition_replay_loop, double_auction_replay_loop, solar_fraction_loop
+from oracles import (
+    coalition_replay_loop,
+    double_auction_replay_loop,
+    double_auction_stream_loop,
+    solar_fraction_loop,
+)
 
 
 def write_series(path, rows):
@@ -257,6 +264,23 @@ def _double_auction_scenario(seed, options):
                     seed=seed, options=options)
 
 
+def _assert_stream_equals_the_loop(scenario):
+    """Each chunk of the double-auction replay's stream equals the per-entry
+    loop's stream of the same slots term for term, in order, to the bit."""
+    replay, extra = sim._REPLAYS["double_auction"]
+    cells = sim._Cells(scenario.agents, {**dict.fromkeys(sim._ENERGY_TOTALS, float), **extra})
+    pieces = list(replay(scenario, cells)[0])
+    size = max(1, sim._CHUNK_BYTES // (sim._SLOT_ORDER_BYTES * len(scenario.agents)))
+    firsts = range(0, scenario.horizon, size)
+    assert len(pieces) == len(firsts)
+    for (at, amount), first in zip(pieces, firsts):
+        ref_at, ref_amount = double_auction_stream_loop(scenario, cells, first, first + size)
+        assert at.dtype == np.intp and amount.dtype == np.float64
+        assert at.tolist() == ref_at.tolist()
+        assert amount.tobytes() == ref_amount.tobytes()
+    return pieces
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize(
     "options",
@@ -269,7 +293,11 @@ def _double_auction_scenario(seed, options):
 )
 def test_double_auction_equals_the_loop_replay(seed, options):
     """run_simulation adds every double-auction sum in the order the per-slot
-    dict replay does, so both report the same floats bit for bit."""
+    dict replay does, so both report the same floats bit for bit. The slots
+    include ones with no order, no buyer (slot 1), no seller (slot 2), nets
+    under 1e-12 (slot 3) and, in the last case, no match at all; the replay's
+    stream equals the per-entry loop's term for term."""
+    _assert_stream_equals_the_loop(_double_auction_scenario(seed, options))
     report = run_simulation(_double_auction_scenario(seed, options))
     per_agent, system = double_auction_replay_loop(_double_auction_scenario(seed, options))
     assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
@@ -279,7 +307,8 @@ def test_double_auction_equals_the_loop_replay(seed, options):
 
 def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
     """With a chunk budget of five slots of twelve agents, the 24 slots clear
-    in five merges and still add every sum as the per-slot replay does."""
+    in five merges, each chunk's stream equals the per-entry loop's, and
+    every sum is added as the per-slot replay adds it."""
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 12 * sim._SLOT_ORDER_BYTES)
     merges = []
     clear_rows = market._clear_rows
@@ -292,6 +321,7 @@ def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
     options = {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)}
     report = run_simulation(_double_auction_scenario(2, options))
     assert merges == [5, 5, 5, 5, 4]
+    assert len(_assert_stream_equals_the_loop(_double_auction_scenario(2, options))) == 5
     per_agent, system = double_auction_replay_loop(_double_auction_scenario(2, options))
     assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
         {aid: sorted(row.items()) for aid, row in per_agent.items()})
@@ -351,6 +381,39 @@ def test_double_auction_sums_large_pieces_uncopied(monkeypatch):
     assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
         {aid: sorted(row.items()) for aid, row in per_agent.items()})
     assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
+
+
+class TestDoubleAuctionStream:
+    def test_zero_nets(self):
+        """Every net is zero, one of them -0.0: no orders, only feed-in
+        terms of 0.0 and the two grid totals."""
+        agents = [AgentProfile(f"a{k}", "prosumer", np.full(6, 1.5 * k),
+                               np.full(6, 1.5 * k)) for k in range(3)]
+        agents.append(AgentProfile("z", "consumer", np.zeros(6), np.full(6, -0.0)))
+        scenario = Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), "double_auction", 6, seed=4)
+        [(at, amount)] = _assert_stream_equals_the_loop(scenario)
+        assert len(at) == 6 * (2 + 4) and not amount.any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_small_random_scenarios(self, data):
+        """Up to five agents over up to eight slots, loads and generation from
+        a few values (equal nets tie, tiny ones post no order), margins that
+        may tie every bid or every ask, and any chunk length."""
+        n = data.draw(hst.integers(1, 5), label="agents")
+        horizon = data.draw(hst.integers(1, 8), label="horizon")
+        kwh = hst.lists(hst.sampled_from([0.0, 5e-13, 0.5, 1.0, 2.5]),
+                        min_size=horizon, max_size=horizon)
+        agents = [AgentProfile(f"a{(3 * k) % 5}", "prosumer", np.array(data.draw(kwh)),
+                               np.array(data.draw(kwh))) for k in range(n)]
+        margin = hst.sampled_from([(0.02, 0.10), (0.05, 0.05), (0.0, 0.25)])
+        options = {"buyer_margin": data.draw(margin), "seller_margin": data.draw(margin)}
+        scenario = Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), "double_auction", horizon,
+                            seed=data.draw(hst.integers(0, 3)), options=options)
+        chunk = data.draw(hst.integers(1, horizon), label="chunk slots")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_CHUNK_BYTES", chunk * n * sim._SLOT_ORDER_BYTES)
+            _assert_stream_equals_the_loop(scenario)
 
 
 def _repeating_scenario(mechanism, horizon):
@@ -629,12 +692,12 @@ class TestSweep:
         rows = sweep(sc, "solar_fraction", [0.0, 0.5, 1.0])
         assert [r["solar_fraction"] for r in rows] == [0.0, 0.5, 1.0]
 
-    def test_supplier_count_rows(self, minimal):
-        sc = load_scenario(minimal)
+    def test_supplier_count_rows(self, coalition_config):
+        sc = load_scenario(coalition_config)
         rows = sweep(sc, "supplier_count", [2, 4])
         assert [r["supplier_count"] for r in rows] == [2, 4]
 
-    def test_supplier_count_samples_the_run_default(self, minimal, monkeypatch):
+    def test_supplier_count_samples_the_run_default(self, coalition_config, monkeypatch):
         """Above the exact limit a sweep with no mc_samples draws as many join
         orders as a coalition run does."""
         drawn = []
@@ -646,6 +709,6 @@ class TestSweep:
 
         monkeypatch.setattr(coalition, "_sampled_row", counted)
         # 30 suppliers and the 3 users the sweep adds at least
-        rows = sweep(load_scenario(minimal), "supplier_count", [30])
+        rows = sweep(load_scenario(coalition_config), "supplier_count", [30])
         assert drawn == [coalition.DEFAULT_SAMPLES] == [20_000]
         assert rows[0]["supplier_count"] == 30
