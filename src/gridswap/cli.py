@@ -152,29 +152,30 @@ def _order_books(cols) -> tuple[mk.Book, mk.Book] | None:
 
 
 def _columns(path: Path, sources: dict, **names):
-    """`ingest.columns(path, **names)`, the sha256 of the bytes it read put
-    in `sources` under `path` when it read the whole file."""
+    """`ingest.columns(path, **names)`, the sha256 of the bytes it parsed put
+    in `sources` under `path` when it returns the columns."""
     digest = hashlib.sha256()
     cols = ingest.columns(path, digest=digest, **names)
-    # a digest still at its start state means no byte was read (or the file
-    # is empty); _manifest then hashes the file itself
-    if digest.digest() != hashlib.sha256().digest():
+    if cols is not None:
         sources[path] = digest.hexdigest()
     return cols
 
 
 def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
     """The file's bids and asks; every order must name the same slot. The
-    file's sha256 goes into `sources` as `_columns` says."""
+    sha256 of the bytes they were parsed from goes into `sources`."""
     needed = ("agent_id", "side", "quantity", "limit_price")
     with ingest.table(path, needed) as table:
         slot = ("slot",) if "slot" in table.header else ()
         cols = _columns(path, sources, ints=slot, floats=needed[2:], strings=needed[:2])
         books = None if cols is None else _order_books(cols)
-        if books is not None:
-            return books
-        orders = {"buy": ([], [], []), "sell": ([], [], [])}
-        slots = set()
+    if books is not None:
+        return books
+    # the row reader parses the file from a read of its own, so that read is hashed
+    digest = hashlib.sha256()
+    orders = {"buy": ([], [], []), "sell": ([], [], [])}
+    slots = set()
+    with ingest.table(path, needed, digest) as table:
         for agent, side, quantity, price, slot in table.rows(*needed, "slot"):
             side, quantity, price = side.strip(), finite(quantity), finite(price)
             slots.add(int(slot or 0))
@@ -183,6 +184,7 @@ def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
             mk.check_order(quantity, price)
             for column, value in zip(orders[side], (agent.strip(), quantity, price)):
                 column.append(value)
+    sources[path] = digest.hexdigest()
     if len(slots) > 1:
         raise InputError(f"orders span multiple slots: {sorted(slots)}")
     return mk.Book(*orders["buy"]), mk.Book(*orders["sell"])
@@ -237,16 +239,20 @@ def _game_tensor(cols, index) -> np.ndarray | None:
 
 
 def _read_game(path: Path, sources: dict) -> games.FiniteGame:
-    """The game the file tabulates; its sha256 goes into `sources` as `_columns` says."""
+    """The game the file tabulates; the sha256 of the bytes it was parsed
+    from goes into `sources`."""
     with ingest.table(path, ("player", "utility")) as table:
         # the strategy columns are s0, s1, ... by name; any other column is ignored
         n = next(k for k in itertools.count() if f"s{k}" not in table.header)
         index = ("player", *(f"s{k}" for k in range(n)))
         cols = _columns(path, sources, ints=index, floats=("utility",))
         u = None if cols is None else _game_tensor(cols, index)
-        if u is not None:
-            return games.FiniteGame(u)
-        entries = {}
+    if u is not None:
+        return games.FiniteGame(u)
+    # the row reader parses the file from a read of its own, so that read is hashed
+    digest = hashlib.sha256()
+    entries = {}
+    with ingest.table(path, ("player", "utility"), digest) as table:
         for utility, *key in table.rows("utility", *index):
             key = tuple(map(int, key))
             if min(key) < 0:
@@ -254,6 +260,7 @@ def _read_game(path: Path, sources: dict) -> games.FiniteGame:
             if key in entries:
                 raise InputError(f"repeated row for player {key[0]}, profile {key[1:]}")
             entries[key] = finite(utility)
+    sources[path] = digest.hexdigest()
     if not entries:
         raise InputError(f"{path}: no utility rows")
     dims = tuple(max(k[i + 1] for k in entries) + 1 for i in range(n))

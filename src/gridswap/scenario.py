@@ -2,20 +2,19 @@
 
 A scenario names a tariff, a mechanism, a horizon of 15-minute slots, and a
 set of agents with load/generation series or mechanism parameters. Each
-mechanism lists the horizon's per-agent cash and energy deltas and system
-totals slot by slot, and one replay sums them. The double auction clears a
-chunk of slots in one merge and settles it before the next; the coalition
-divides all slots of one member count in one Shapley batch. EV and storage
-agents carry parameters, not series, so those auctions clear once per run
-and their deltas repeat in every slot. The report is then compared against
-feed-in-tariff, equal-distribution, and grid-hybrid baselines where those
-apply.
+mechanism lists the per-agent cash and energy deltas and system totals of
+any chunk of slots, slot by slot, and one replay sums the horizon chunk by
+chunk. The double auction clears a chunk's slots in one merge and settles
+them before the next chunk; the coalition divides a chunk's slots of one
+member count in one Shapley batch. EV and storage agents carry parameters,
+not series, so those auctions clear once per run and their deltas repeat in
+every slot. The report is then compared against feed-in-tariff,
+equal-distribution, and grid-hybrid baselines where those apply.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,10 +54,10 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 _MAX_SUPPLIERS = 200
 # 366 days of 5-minute slots
 _MAX_HORIZON = 105_408
-# about the most memory, in bytes, that one chunk of slots of a double-auction
-# replay takes: its merge, SlotClearings, settlements and stream peak at 225
+# about the most memory, in bytes, that one chunk of slots of a replay takes:
+# a double auction's merge, SlotClearings, settlements and terms peak at 225
 # to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
-# agents. A replay's stream is also summed in runs of pieces about this size.
+# agents, and the other mechanisms take less.
 _CHUNK_BYTES = 1 << 25
 _SLOT_ORDER_BYTES = 300
 
@@ -291,15 +290,13 @@ def load_scenario(config_path) -> Scenario:
 # slot replay
 #
 # Each mechanism below is called with the scenario and its _Cells and returns
-# (stream, finish). The stream is an iterable of (cells, amounts) pairs of
-# equal length, made as it is read, which list the horizon's outcome slot by
-# slot: each cell's terms appear in slot order. run_simulation adds the
-# pieces with np.add.at in stream order: one call per piece of at least a
-# quarter of _CHUNK_BYTES, and one per run of smaller pieces that passes
-# _CHUNK_BYTES or ends before such a piece. np.add.at adds the terms of a
-# repeated cell in index order, so each sum adds its terms in a fixed order
-# and the outputs are stable to the bit.
-# `finish(per_agent, system)` turns the sums into the summary.
+# (chunk, finish). `chunk(first, stop)` lists the outcome of slots first to
+# stop - 1 as (cells, amounts) arrays of equal length, in which each cell's
+# terms appear in slot order. run_simulation cuts the horizon into chunks of
+# slots, in order, and adds each with one np.add.at. np.add.at adds the
+# terms of a repeated cell in index order, so each sum adds its terms in
+# slot order however the horizon is cut, and the outputs are stable to the
+# bit. `finish(per_agent, system)` turns the sums into the summary.
 
 _AGENT_COLUMNS = (
     "bill",
@@ -322,10 +319,10 @@ class _Cells:
         self.total = {name: len(agents) * width + k for k, name in enumerate(totals)}
         self.size = len(agents) * width + len(totals)
 
-    def column(self, column: str) -> dict[str, int]:
-        """Agent id -> the cell of that agent's `column`."""
+    def at(self, column: str, agents) -> np.ndarray:
+        """The cell of each of `agents`' `column`, in their order."""
         offset = _AGENT_COLUMNS.index(column)
-        return {aid: row + offset for aid, row in self._row.items()}
+        return np.array([self._row[a.id] + offset for a in agents], dtype=np.intp)
 
     def pack(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """(agent id, column, amount) triples, agent id None naming a system
@@ -359,12 +356,6 @@ def _draw_margins(scenario: Scenario):
     return margins
 
 
-def _net_matrix(agents) -> tuple[list[AgentProfile], np.ndarray]:
-    """The agents in id order and their slots x agents net positions, generation - load."""
-    ordered = sorted(agents, key=lambda a: a.id)
-    return ordered, np.stack([a.gen - a.load for a in ordered], axis=1)
-
-
 def _double_auction(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
     margins = _draw_margins(scenario)
@@ -374,14 +365,10 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
     index = {aid: k for k, aid in enumerate(ids.tolist())}
 
-    def at(column: str) -> np.ndarray:
-        """Each agent's cell of `column`, in id order."""
-        cell = cells.column(column)
-        return np.array([cell[a.id] for a in ordered], dtype=np.intp)
-
-    bill_at, revenue_at = at("bill"), at("revenue")
-    bought_at, sold_at = at("energy_bought_kwh"), at("energy_sold_kwh")
-    fit_bill_at, fit_revenue_at = at("fit_bill"), at("fit_revenue")
+    bill_at, revenue_at = cells.at("bill", ordered), cells.at("revenue", ordered)
+    bought_at = cells.at("energy_bought_kwh", ordered)
+    sold_at = cells.at("energy_sold_kwh", ordered)
+    fit_bill_at, fit_revenue_at = cells.at("fit_bill", ordered), cells.at("fit_revenue", ordered)
     matched, buy_spend, sell_earn = (
         cells.total[name] for name in ("matched_kwh", "buy_spend", "sell_earn")
     )
@@ -392,7 +379,7 @@ def _double_auction(scenario: Scenario, cells: _Cells):
                   (bill_at, buy_spend, bought_at), (revenue_at, sell_earn, sold_at))
 
     def chunk(first: int, stop: int):
-        """The stream of slots first to stop - 1, slot by slot: each slot's
+        """The terms of slots first to stop - 1, slot by slot: each slot's
         matches, its grid residuals, P2P cash paid and received in
         first-match order, grid charges and credits in merit order, then every
         agent's feed-in term.
@@ -459,10 +446,6 @@ def _double_auction(scenario: Scenario, cells: _Cells):
             np.where(nets < 0, -nets * tariff.p_rp, np.where(nets > 0, nets * tariff.p_wp, 0.0)))
         return stream_at, stream_amount
 
-    # a chunk's nets, merge, clearings and stream stay within about _CHUNK_BYTES
-    size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(ordered)))
-    stream = (chunk(k, k + size) for k in range(0, scenario.horizon, size))
-
     def finish(per_agent: dict, s: dict) -> None:
         buy_kwh = s["matched_kwh"] + s["grid_import_kwh"]
         sell_kwh = s["matched_kwh"] + s["grid_export_kwh"]
@@ -472,7 +455,7 @@ def _double_auction(scenario: Scenario, cells: _Cells):
         s["avg_buy_price"] = buy_spend / buy_kwh if buy_kwh > 0 else None
         s["avg_sell_price"] = sell_earn / sell_kwh if sell_kwh > 0 else None
 
-    return stream, finish
+    return chunk, finish
 
 
 def _mechanism_agent(agent: AgentProfile):
@@ -556,7 +539,22 @@ def _ev_auction(scenario: Scenario, cells: _Cells):
             revenues = sum(per_agent[d.id]["revenue"] for d in dischargers)
             s["avg_sell_price"] = revenues / sent_total
 
-    return itertools.repeat(slot, scenario.horizon), finish
+    return _repeated(slot), finish
+
+
+def _repeated(slot):
+    """The chunk of a replay whose every slot lists the packed `slot`: a
+    prefix of one tile of it, made at the first chunk, which is the longest."""
+    at, amount = slot
+    tile = [at[:0], amount[:0]]
+
+    def chunk(first: int, stop: int):
+        n = (stop - first) * len(at)
+        if len(tile[0]) < n:
+            tile[:] = np.tile(at, stop - first), np.tile(amount, stop - first)
+        return tile[0][:n], tile[1][:n]
+
+    return chunk
 
 
 def _members(net: np.ndarray) -> np.ndarray:
@@ -567,53 +565,58 @@ def _members(net: np.ndarray) -> np.ndarray:
 def _coalition(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
     samples = scenario.options.get("mc_samples", co.DEFAULT_SAMPLES)
-    ordered, net = _net_matrix(scenario.agents)
-    member = _members(net)
-    size = member.sum(axis=1)
-    payoff = np.zeros(net.shape)
-    sampled = np.zeros(len(net), dtype=bool)
-    errors = []  # each sampled member count's largest standard error
-    # slots of one member count share one batch, their members in id order
-    for n in np.unique(size[size > 0]).tolist():
-        slots = np.flatnonzero(size == n)
-        group = member & (size == n)[:, None]
-        phi, error = co.shapley_payoff_rows(
-            net[group].reshape(-1, n), tariff, samples, (scenario.seed + slots).tolist()
-        )
-        payoff[group] = phi.ravel()
-        if error is not None:
-            sampled[slots] = True
-            errors.append(float(error.max()))
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    errors = []  # each sampled member count's largest standard error, chunk by chunk
 
-    # one entry per member and slot, slot by slot and in id order within a slot
-    _, agent = np.nonzero(member)
-    e, pay = net[member], payoff[member]
-    fit = co._net_value(e, tariff)
+    bill_at, revenue_at = cells.at("bill", ordered), cells.at("revenue", ordered)
+    bought_at = cells.at("energy_bought_kwh", ordered)
+    sold_at = cells.at("energy_sold_kwh", ordered)
+    fit_bill_at, fit_revenue_at = cells.at("fit_bill", ordered), cells.at("fit_revenue", ordered)
+    energy = [cells.total[name] for name in ("generation_kwh", "consumption_kwh", "matched_kwh")]
 
-    def cell(column: str) -> np.ndarray:
-        return np.array([cells.column(column)[a.id] for a in ordered])[agent]
+    def chunk(first: int, stop: int):
+        net = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)
+        member = _members(net)
+        size = member.sum(axis=1)
+        payoff = np.zeros(net.shape)
+        sampled = np.zeros(len(net), dtype=bool)
+        # slots of one member count share one batch, their members in id
+        # order; a sampled row is seeded by its slot's place in the horizon
+        for n in np.unique(size[size > 0]).tolist():
+            slots = np.flatnonzero(size == n)
+            group = member & (size == n)[:, None]
+            seeds = (scenario.seed + first + slots).tolist()
+            phi, error = co.shapley_payoff_rows(net[group].reshape(-1, n), tariff, samples, seeds)
+            payoff[group] = phi.ravel()
+            if error is not None:
+                sampled[slots] = True
+                errors.append(float(error.max()))
 
-    # a slot's totals add its members' nets in id order with Python's sum
-    slots = np.flatnonzero(size > 0)
-    supply = [sum(row) for row in np.where(member & (net > 0), net, 0.0)[slots].tolist()]
-    demand = [sum(row) for row in np.where(member & (net < 0), -net, 0.0)[slots].tolist()]
-    counted = np.where(sampled[slots], cells.total["shapley_sampled_slots"],
-                       cells.total["shapley_exact_slots"])
-    at = np.concatenate([
-        np.where(pay >= 0, cell("revenue"), cell("bill")),
-        np.where(fit >= 0, cell("fit_revenue"), cell("fit_bill")),
-        np.where(e > 0, cell("energy_sold_kwh"), cell("energy_bought_kwh")),
-        counted,
-        np.repeat([cells.total[name] for name in ("generation_kwh", "consumption_kwh",
-                                                  "matched_kwh")], len(slots)),
-    ])
-    amount = np.concatenate([
-        np.where(pay >= 0, pay, -pay),
-        np.where(fit >= 0, fit, -fit),
-        np.where(e > 0, e, -e),
-        np.ones(len(slots)),
-        supply, demand, np.minimum(supply, demand),
-    ])
+        # one entry per member and slot, slot by slot and in id order within a slot
+        _, agent = np.nonzero(member)
+        e, pay = net[member], payoff[member]
+        fit = co._net_value(e, tariff)
+        # a slot's totals add its members' nets in id order with Python's sum
+        slots = np.flatnonzero(size > 0)
+        supply = [sum(row) for row in np.where(member & (net > 0), net, 0.0)[slots].tolist()]
+        demand = [sum(row) for row in np.where(member & (net < 0), -net, 0.0)[slots].tolist()]
+        counted = np.where(sampled[slots], cells.total["shapley_sampled_slots"],
+                           cells.total["shapley_exact_slots"])
+        cells_at = np.concatenate([
+            np.where(pay >= 0, revenue_at[agent], bill_at[agent]),
+            np.where(fit >= 0, fit_revenue_at[agent], fit_bill_at[agent]),
+            np.where(e > 0, sold_at[agent], bought_at[agent]),
+            counted,
+            np.repeat(energy, len(slots)),
+        ]).astype(np.intp, copy=False)
+        amount = np.concatenate([
+            np.where(pay >= 0, pay, -pay),
+            np.where(fit >= 0, fit, -fit),
+            np.where(e > 0, e, -e),
+            np.ones(len(slots)),
+            supply, demand, np.minimum(supply, demand),
+        ])
+        return cells_at, amount
 
     def finish(per_agent: dict, s: dict) -> None:
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
@@ -621,7 +624,7 @@ def _coalition(scenario: Scenario, cells: _Cells):
         # blank when no slot was sampled, or one sample left no spread
         s["shapley_standard_error"] = max(errors) if errors and samples > 1 else None
 
-    return [(at.astype(np.intp), amount)], finish
+    return chunk, finish
 
 
 def _storage(scenario: Scenario, cells: _Cells):
@@ -647,7 +650,7 @@ def _storage(scenario: Scenario, cells: _Cells):
         slot.append((None, "matched_kwh", out.total_allocated()))
     slot = cells.pack(slot)
 
-    return itertools.repeat(slot, scenario.horizon), lambda per_agent, s: None
+    return _repeated(slot), lambda per_agent, s: None
 
 
 # mechanism -> (replay, the system totals it adds beyond the summary columns
@@ -668,36 +671,6 @@ _ENERGY_TOTALS = (
 )
 
 
-def _batches(stream):
-    """The stream's (cells, amounts) in stream order, for one np.add.at each.
-
-    A piece of at least _CHUNK_BYTES / 4 comes as it is, uncopied, after
-    the run pending before it. Smaller pieces are joined in runs that end
-    once they hold _CHUNK_BYTES, so the pieces held at once stay near that
-    size.
-    """
-    batch, held = [], 0
-    for piece in stream:
-        size = piece[0].nbytes + piece[1].nbytes
-        if size >= _CHUNK_BYTES // 4:
-            if batch:
-                yield _joined(batch)
-                batch, held = [], 0
-            yield piece
-            continue
-        batch.append(piece)
-        held += size
-        if held >= _CHUNK_BYTES:
-            yield _joined(batch)
-            batch, held = [], 0
-    if batch:
-        yield _joined(batch)
-
-
-def _joined(batch):
-    return np.concatenate([at for at, _ in batch]), np.concatenate([amount for _, amount in batch])
-
-
 def run_simulation(scenario: Scenario) -> MetricsReport:
     """Replay the scenario's mechanism over its horizon.
 
@@ -708,10 +681,12 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     replay, extra = _REPLAYS[scenario.mechanism]
     totals = {**dict.fromkeys(_ENERGY_TOTALS, float), **extra}
     cells = _Cells(scenario.agents, totals)
-    stream, finish = replay(scenario, cells)
+    chunk, finish = replay(scenario, cells)
     sums = np.zeros(cells.size)
-    for at, amount in _batches(stream):
-        np.add.at(sums, at, amount)
+    # a chunk's nets, merge, clearings and terms stay within about _CHUNK_BYTES
+    size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(scenario.agents)))
+    for first in range(0, scenario.horizon, size):
+        np.add.at(sums, *chunk(first, min(first + size, scenario.horizon)))
 
     agent_sums, total_sums = cells.read(sums)
     per_agent = {a.id: {"role": a.role, **agent_sums[a.id]} for a in scenario.agents}

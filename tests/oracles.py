@@ -279,9 +279,14 @@ def double_auction_stream_loop(scenario, cells, first, stop):
     ids = np.array([a.id for a in ordered], dtype=object)
     bid_limit = np.array([tariff.p_rp - b for b, _ in margins])
     ask_limit = np.array([tariff.p_wp + s for _, s in margins])
-    bill, revenue = cells.column("bill"), cells.column("revenue")
-    bought, sold = cells.column("energy_bought_kwh"), cells.column("energy_sold_kwh")
-    fit_bill, fit_revenue = cells.column("fit_bill"), cells.column("fit_revenue")
+
+    def column(name):
+        """Agent id -> the cell of that agent's `name` column."""
+        return dict(zip(ids.tolist(), cells.at(name, ordered).tolist()))
+
+    bill, revenue = column("bill"), column("revenue")
+    bought, sold = column("energy_bought_kwh"), column("energy_sold_kwh")
+    fit_bill, fit_revenue = column("fit_bill"), column("fit_revenue")
     total = cells.total
 
     nets = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)

@@ -671,6 +671,39 @@ class TestFileProtocol:
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         assert inputs == {str(game): hashlib.sha256(game.read_bytes()).hexdigest()}
 
+    @pytest.mark.parametrize("kind", ["nash", "clear"])
+    @pytest.mark.parametrize("unread", [False, True], ids=["quoted", "unread"])
+    def test_row_reader_hashes_the_bytes_it_parsed(self, tmp_path, monkeypatch, orders_csv,
+                                                   kind, unread):
+        # the file gains a blank line after each read of its rows, so a manifest
+        # that read it again would name bytes that were never parsed
+        if unread:
+            def refused(path, digest):
+                raise OSError("refused")
+            monkeypatch.setattr(ingest, "_text", refused)
+            path = self._game(tmp_path) if kind == "nash" else orders_csv
+        elif kind == "nash":
+            path = self._game(tmp_path, cell='"1.5"')
+        else:
+            path = orders_csv
+            path.write_text(path.read_text().replace("B1", '"B1"'))
+        table, parsed = ingest.table, []
+
+        @contextmanager
+        def changed_after(*args):
+            with table(*args) as rows:
+                parsed.append(Path(args[0]).read_bytes())
+                yield rows
+            Path(args[0]).write_bytes(parsed[-1] + b"\n")
+
+        monkeypatch.setattr(ingest, "table", changed_after)
+        argv = [kind, "--game" if kind == "nash" else "--orders", str(path)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(path): hashlib.sha256(parsed[-1]).hexdigest()}
+        assert path.read_bytes() != parsed[-1]
+
     @pytest.mark.parametrize("unread", [False, True])
     def test_series_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, scenario_cfg,
                                                  unread):

@@ -3,6 +3,7 @@
 import gc
 import textwrap
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -265,14 +266,15 @@ def _double_auction_scenario(seed, options):
 
 
 def _assert_stream_equals_the_loop(scenario):
-    """Each chunk of the double-auction replay's stream equals the per-entry
-    loop's stream of the same slots term for term, in order, to the bit."""
+    """Each chunk the double-auction replay lists, cut as run_simulation cuts
+    the horizon, equals the per-entry loop's stream of the same slots term
+    for term, in order, to the bit."""
     replay, extra = sim._REPLAYS["double_auction"]
     cells = sim._Cells(scenario.agents, {**dict.fromkeys(sim._ENERGY_TOTALS, float), **extra})
-    pieces = list(replay(scenario, cells)[0])
+    chunk = replay(scenario, cells)[0]
     size = max(1, sim._CHUNK_BYTES // (sim._SLOT_ORDER_BYTES * len(scenario.agents)))
     firsts = range(0, scenario.horizon, size)
-    assert len(pieces) == len(firsts)
+    pieces = [chunk(first, min(first + size, scenario.horizon)) for first in firsts]
     for (at, amount), first in zip(pieces, firsts):
         ref_at, ref_amount = double_auction_stream_loop(scenario, cells, first, first + size)
         assert at.dtype == np.intp and amount.dtype == np.float64
@@ -328,55 +330,45 @@ def test_double_auction_chunks_equal_the_loop_replay(monkeypatch):
     assert repr(sorted(report.system.items())) == repr(sorted(system.items()))
 
 
-def _piece(start, length):
-    """A stream piece of `length` cells from `start` on, each adding its cell number."""
-    at = np.arange(start, start + length, dtype=np.intp)
-    return at, at.astype(float)
+class _RecordingNumpy:
+    """numpy, except that `add.at` records the arrays it is handed before it adds them."""
 
+    def __init__(self):
+        self.handed = []
+        self.add = types.SimpleNamespace(at=self._at)
 
-def test_batches_hand_large_pieces_over_uncopied(monkeypatch):
-    """With a budget of 1 KiB, a piece of at least 256 bytes (16 cells) is
-    yielded as it is, after the run pending before it; smaller pieces are
-    joined in runs that end once they hold the budget. Every cell keeps its
-    place in the stream."""
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1024)
-    sizes = [2, 3, 16, 40, 5, 15, 15, 15, 15, 4, 1]
-    stream = []
-    for size in sizes:
-        stream.append(_piece(sum(len(at) for at, _ in stream), size))
-    batches = list(sim._batches(iter(stream)))
-    # 2 + 3 flushed before 16; 5 + 15 * 4 passes 1 KiB; 4 + 1 end the stream
-    assert [len(at) for at, _ in batches] == [5, 16, 40, 65, 5]
-    for k in (2, 3):
-        assert any(at is stream[k][0] and amount is stream[k][1] for at, amount in batches)
-    assert np.array_equal(np.concatenate([at for at, _ in batches]), np.arange(sum(sizes)))
-    assert np.array_equal(np.concatenate([amount for _, amount in batches]),
-                          np.arange(sum(sizes), dtype=float))
+    def _at(self, sums, at, amount):
+        self.handed.append((at, amount))
+        np.add.at(sums, at, amount)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 def test_double_auction_sums_large_pieces_uncopied(monkeypatch):
-    """With a budget of five slots of twelve agents, some chunk's piece
-    holds a quarter of it and is summed as it is, and the sums still equal
-    the per-slot replay."""
+    """With a budget of five slots of twelve agents, each of the five chunks
+    reaches np.add.at as the replay listed it, uncopied, and the sums still
+    equal the per-slot replay."""
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 12 * sim._SLOT_ORDER_BYTES)
-    pieces, summed = [], []
-    batches = sim._batches
+    replay, extra = sim._REPLAYS["double_auction"]
+    listed = []
 
-    def recorded(stream):
-        def listed():
-            for piece in stream:
-                pieces.append(piece)
-                yield piece
-        for batch in batches(listed()):
-            summed.append(batch)
-            yield batch
+    def recorded(scenario, cells):
+        chunk, finish = replay(scenario, cells)
 
-    monkeypatch.setattr(sim, "_batches", recorded)
+        def kept(first, stop):
+            listed.append(chunk(first, stop))
+            return listed[-1]
+        return kept, finish
+
+    monkeypatch.setitem(sim._REPLAYS, "double_auction", (recorded, extra))
+    numpy = _RecordingNumpy()
+    monkeypatch.setattr(sim, "np", numpy)
     options = {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)}
     report = run_simulation(_double_auction_scenario(2, options))
-    large = [p for p in pieces if p[0].nbytes + p[1].nbytes >= sim._CHUNK_BYTES // 4]
-    assert large and len(large) < len(pieces)
-    assert all(any(batch[0] is at for batch in summed) for at, _ in large)
+    assert len(listed) == len(numpy.handed) == 5
+    for (at, amount), (added_at, added) in zip(listed, numpy.handed):
+        assert added_at is at and added is amount
     per_agent, system = double_auction_replay_loop(_double_auction_scenario(2, options))
     assert repr({aid: sorted(row.items()) for aid, row in report.per_agent.items()}) == repr(
         {aid: sorted(row.items()) for aid, row in per_agent.items()})
@@ -418,8 +410,9 @@ class TestDoubleAuctionStream:
 
 def _repeating_scenario(mechanism, horizon):
     """Six agents whose every slot repeats slot 0: a double auction whose
-    books cross, or a storage auction, cleared once and added in every slot."""
-    if mechanism == "double_auction":
+    books cross, a coalition of the same agents, or a storage auction
+    cleared once and added in every slot."""
+    if mechanism in ("double_auction", "coalition"):
         agents = [AgentProfile(f"a{k}", "prosumer", np.full(horizon, 1.0 + k % 3),
                                np.full(horizon, 3.0 * (k % 2))) for k in range(6)]
     else:
@@ -432,10 +425,10 @@ def _repeating_scenario(mechanism, horizon):
     return Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), mechanism, horizon, seed=1)
 
 
-@pytest.mark.parametrize("mechanism", ["double_auction", "storage_auction"])
+@pytest.mark.parametrize("mechanism", ["double_auction", "coalition", "storage_auction"])
 def test_replay_memory_does_not_grow_with_the_horizon(monkeypatch, mechanism):
-    """With a budget of eight slots of six agents, the stream is summed in
-    runs of pieces of about that size, so four times the horizon peaks at
+    """With a budget of eight slots of six agents, the horizon is replayed
+    and summed in chunks of eight slots, so four times the horizon peaks at
     about the same memory."""
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 8 * 6 * sim._SLOT_ORDER_BYTES)
     # A first run at the longer horizon fills the caches and the tuple free
@@ -458,6 +451,24 @@ def test_replay_memory_does_not_grow_with_the_horizon(monkeypatch, mechanism):
     finally:
         gc.enable()
     assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("mechanism", ["ev_auction", "storage_auction"])
+def test_repeated_slot_chunks_equal_one_chunk(monkeypatch, mechanism):
+    """An auction cleared once and added in every slot sums to the same
+    floats in chunks of five slots, the last one shorter, as in one chunk."""
+    if mechanism == "storage_auction":
+        make = lambda: _repeating_scenario(mechanism, 12)  # noqa: E731
+    else:
+        zero = np.zeros(12)
+        agents = [AgentProfile("c1", "ev", zero, zero, {"w": 1.9, "c_min": 6, "c_max": 15}),
+                  AgentProfile("d1", "ev", zero, zero, {"l1": 0.04, "l2": 0.02, "d_max": 16}),
+                  AgentProfile("d2", "ev", zero, zero, {"l1": 0.05, "l2": 0.03, "d_max": 13})]
+        make = lambda: Scenario(agents, Tariff(p_wp=0.05, p_rp=0.30), mechanism, 12)  # noqa: E731
+    whole = run_simulation(make())
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * len(make().agents) * sim._SLOT_ORDER_BYTES)
+    _same_report(run_simulation(make()), whole.per_agent, whole.system)
+    assert whole.system["matched_kwh"] > 0
 
 
 @pytest.fixture
@@ -541,8 +552,9 @@ def _same_report(report, per_agent, system):
 
 
 class TestCoalitionReplay:
-    """run_simulation divides each member count's slots in one Shapley batch
-    and sums every term in the order the per-slot dict replay does."""
+    """run_simulation divides each member count's slots of a chunk in one
+    Shapley batch and sums every term in the order the per-slot dict replay
+    does."""
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_member_count_varies(self, seed):
@@ -559,6 +571,19 @@ class TestCoalitionReplay:
         report = run_simulation(make())
         assert report.system["shapley_sampled_slots"] > 0
         assert report.system["shapley_exact_slots"] > 0
+        _same_report(report, *coalition_replay_loop(make()))
+
+    @pytest.mark.parametrize("n_agents, options", [(16, {}), (coalition._EXACT_LIMIT + 3,
+                                                            {"mc_samples": 25})],
+                             ids=["exact", "sampled"])
+    def test_chunks_equal_the_slot_loop(self, monkeypatch, n_agents, options):
+        """With a budget of five slots, twelve slots replay in three chunks;
+        the sampled rows keep the seeds of their slots in the horizon."""
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * n_agents * sim._SLOT_ORDER_BYTES)
+        make = lambda: _coalition_scenario(6, n_agents, 12, options, quiet=0.05)  # noqa: E731
+        report = run_simulation(make())
+        if options:
+            assert report.system["shapley_sampled_slots"] > 5
         _same_report(report, *coalition_replay_loop(make()))
 
     def test_no_slot_has_members(self):
