@@ -3,9 +3,10 @@
 main checks that every input path is a regular file before it creates the
 output directory. Each subcommand then writes deterministic files there
 through one _Out, and main drops a manifest.json recording the command, the
-seed, sha256 digests of every file the call read (the series files a
-scenario config names included) and the names of the files it wrote, so a
-run can be reproduced byte for byte.
+seed, the sha256 of every file the call read (the series files a scenario
+config names included), as the reader that parsed it recorded it in
+`_Out.sources`, and the names of the files it wrote, so a run can be
+reproduced byte for byte.
 
 Exit codes: 0 success, 1 domain error (bad data, infeasible instance),
 2 usage error (unknown flags, input paths that are not regular files, an
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -63,9 +63,8 @@ class _Out:
     """One call's output directory and the names written into it.
 
     Every output goes through these methods, so the manifest lists exactly
-    what the call wrote. `sources` maps files the call hashed as it read
-    them (a config's series files, an orders or game file) to the sha256 of
-    those bytes; the manifest hashes any other input flag itself.
+    what the call wrote. `sources` maps each file the call read to the
+    sha256 of the bytes its reader parsed (see `ingest`).
     """
 
     def __init__(self, directory: Path):
@@ -107,19 +106,11 @@ class _Out:
         self.text(name, "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs.items()) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def _manifest(out: _Out, args, argv: list[str]) -> None:
-    flags = [getattr(args, f) for f in args.inputs]
-    digests = {p: _sha256(p) for p in flags if p not in out.sources} | out.sources
     doc = {
         "command": args.command,
         "argv": argv,
-        "inputs": {str(p): digests[p] for p in sorted(digests)},
+        "inputs": {str(p): out.sources[p] for p in sorted(out.sources)},
         "outputs": sorted(out.written),
         "package": "gridswap",
         "seed": getattr(args, "seed", None),
@@ -151,31 +142,17 @@ def _order_books(cols) -> tuple[mk.Book, mk.Book] | None:
             mk.Book(ids[sell], quantity[sell], price[sell]))
 
 
-def _columns(path: Path, sources: dict, **names):
-    """`ingest.columns(path, **names)`, the sha256 of the bytes it parsed put
-    in `sources` under `path` when it returns the columns."""
-    digest = hashlib.sha256()
-    cols = ingest.columns(path, digest=digest, **names)
-    if cols is not None:
-        sources[path] = digest.hexdigest()
-    return cols
-
-
 def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
-    """The file's bids and asks; every order must name the same slot. The
-    sha256 of the bytes they were parsed from goes into `sources`."""
+    """The file's bids and asks; every order must name the same slot."""
     needed = ("agent_id", "side", "quantity", "limit_price")
-    with ingest.table(path, needed) as table:
-        slot = ("slot",) if "slot" in table.header else ()
-        cols = _columns(path, sources, ints=slot, floats=needed[2:], strings=needed[:2])
-        books = None if cols is None else _order_books(cols)
+    cols = ingest.columns(path, sources, floats=needed[2:], strings=needed[:2],
+                          ints=lambda header: ("slot",) if "slot" in header else ())
+    books = None if cols is None else _order_books(cols)
     if books is not None:
         return books
-    # the row reader parses the file from a read of its own, so that read is hashed
-    digest = hashlib.sha256()
     orders = {"buy": ([], [], []), "sell": ([], [], [])}
     slots = set()
-    with ingest.table(path, needed, digest) as table:
+    with ingest.table(path, needed, sources) as table:
         for agent, side, quantity, price, slot in table.rows(*needed, "slot"):
             side, quantity, price = side.strip(), finite(quantity), finite(price)
             slots.add(int(slot or 0))
@@ -184,15 +161,14 @@ def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
             mk.check_order(quantity, price)
             for column, value in zip(orders[side], (agent.strip(), quantity, price)):
                 column.append(value)
-    sources[path] = digest.hexdigest()
     if len(slots) > 1:
         raise InputError(f"orders span multiple slots: {sorted(slots)}")
     return mk.Book(*orders["buy"]), mk.Book(*orders["sell"])
 
 
-def _read_instance(path: Path, tariff: mk.Tariff) -> co.CoalitionInstance:
+def _read_instance(path: Path, tariff: mk.Tariff, sources: dict) -> co.CoalitionInstance:
     needed = ("id", "role", "net_kwh")
-    with ingest.table(path, needed) as table:
+    with ingest.table(path, needed, sources) as table:
         customers = tuple(
             co.Customer(cid.strip(), role.strip(), finite(net))
             for cid, role, net in ingest.distinct_ids(table.rows(*needed))
@@ -200,18 +176,18 @@ def _read_instance(path: Path, tariff: mk.Tariff) -> co.CoalitionInstance:
     return co.CoalitionInstance(customers, tariff)
 
 
-def _read_rus(path: Path):
+def _read_rus(path: Path, sources: dict):
     needed = ("id", "capacity", "reservation_price", "reluctance")
-    with ingest.table(path, needed) as table:
+    with ingest.table(path, needed, sources) as table:
         return [
             st.ResidentialUnit(rid.strip(), finite(capacity), finite(reservation), finite(alpha))
             for rid, capacity, reservation, alpha in ingest.distinct_ids(table.rows(*needed))
         ]
 
 
-def _read_sfcs(path: Path):
+def _read_sfcs(path: Path, sources: dict):
     needed = ("id", "requirement", "bid_price")
-    with ingest.table(path, needed) as table:
+    with ingest.table(path, needed, sources) as table:
         return [
             st.SfcAgent(sid.strip(), finite(requirement), finite(bid))
             for sid, requirement, bid in ingest.distinct_ids(table.rows(*needed))
@@ -238,21 +214,24 @@ def _game_tensor(cols, index) -> np.ndarray | None:
     return u
 
 
+def _game_index(header) -> tuple[str, ...]:
+    """The player column and the strategy columns s0, s1, ... the header
+    names; any other column is ignored."""
+    n = next(k for k in itertools.count() if f"s{k}" not in header)
+    return ("player", *(f"s{k}" for k in range(n)))
+
+
 def _read_game(path: Path, sources: dict) -> games.FiniteGame:
-    """The game the file tabulates; the sha256 of the bytes it was parsed
-    from goes into `sources`."""
-    with ingest.table(path, ("player", "utility")) as table:
-        # the strategy columns are s0, s1, ... by name; any other column is ignored
-        n = next(k for k in itertools.count() if f"s{k}" not in table.header)
-        index = ("player", *(f"s{k}" for k in range(n)))
-        cols = _columns(path, sources, ints=index, floats=("utility",))
-        u = None if cols is None else _game_tensor(cols, index)
+    """The game the file tabulates."""
+    cols = ingest.columns(path, sources, ints=_game_index, floats=("utility",))
+    # the int columns, player and strategies, come before utility
+    u = None if cols is None else _game_tensor(cols, tuple(cols)[:-1])
     if u is not None:
         return games.FiniteGame(u)
-    # the row reader parses the file from a read of its own, so that read is hashed
-    digest = hashlib.sha256()
     entries = {}
-    with ingest.table(path, ("player", "utility"), digest) as table:
+    with ingest.table(path, ("player", "utility"), sources) as table:
+        index = _game_index(table.header)
+        n = len(index) - 1
         for utility, *key in table.rows("utility", *index):
             key = tuple(map(int, key))
             if min(key) < 0:
@@ -260,7 +239,6 @@ def _read_game(path: Path, sources: dict) -> games.FiniteGame:
             if key in entries:
                 raise InputError(f"repeated row for player {key[0]}, profile {key[1:]}")
             entries[key] = finite(utility)
-    sources[path] = digest.hexdigest()
     if not entries:
         raise InputError(f"{path}: no utility rows")
     dims = tuple(max(k[i + 1] for k in entries) + 1 for i in range(n))
@@ -291,7 +269,8 @@ _REPORT_COLUMNS = (
 
 
 def _scenario(args, out: _Out) -> sim.Scenario:
-    """The --config scenario under --seed, its series files recorded for the manifest."""
+    """The --config scenario under --seed, the config and its series files
+    recorded for the manifest."""
     scenario = sim.load_scenario(args.config)
     out.sources.update(scenario.sources)
     if args.seed is not None:
@@ -343,7 +322,7 @@ def _cmd_clear(args, out: _Out) -> None:
 
 
 def _cmd_ev_auction(args, out: _Out) -> None:
-    chargers, dischargers = evx.read_ev_population_csv(args.population)
+    chargers, dischargers = evx.read_ev_population_csv(args.population, out.sources)
     _progress(args, f"{len(chargers)} charging / {len(dischargers)} discharging vehicles")
     alloc, result = evx.run_iterative_auction(
         chargers, dischargers, eta=args.eta, eps=args.eps, max_iter=args.max_iter
@@ -379,7 +358,7 @@ def _cmd_ev_auction(args, out: _Out) -> None:
 
 def _cmd_shapley(args, out: _Out) -> None:
     tariff = mk.Tariff(p_wp=args.p_wp, p_rp=args.p_rp)
-    instance = _read_instance(args.instance, tariff)
+    instance = _read_instance(args.instance, tariff, out.sources)
     if args.exact:
         alloc = co.shapley_exact(instance)
         method = "exact"
@@ -424,8 +403,8 @@ def _cmd_shapley(args, out: _Out) -> None:
 
 
 def _cmd_storage_auction(args, out: _Out) -> None:
-    rus = _read_rus(args.rus)
-    sfcs = _read_sfcs(args.sfcs)
+    rus = _read_rus(args.rus, out.sources)
+    sfcs = _read_sfcs(args.sfcs, out.sources)
     outcome = st.run_storage_auction(rus, sfcs, rule=args.rule)
     ru_rows = [
         [

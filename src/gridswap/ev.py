@@ -665,15 +665,16 @@ def simulate_trading(
 # population file ingestion
 
 
-def read_ev_population_csv(path) -> tuple[list[ChargingEV], list[DischargingEV]]:
+def read_ev_population_csv(path, sources) -> tuple[list[ChargingEV], list[DischargingEV]]:
     """Load a population file with columns id, role, w, l1, l2, c_min, c_max, d_max.
 
-    Role is 'charging' or 'discharging'; irrelevant columns may be blank.
+    Role is 'charging' or 'discharging'; irrelevant columns may be blank. The
+    sha256 of the bytes parsed goes into `sources` under the path.
     """
     chargers: list[ChargingEV] = []
     dischargers: list[DischargingEV] = []
     columns = ("id", "role", "w", "l1", "l2", "c_min", "c_max", "d_max")
-    with ingest.table(path, ("id", "role")) as table:
+    with ingest.table(path, ("id", "role"), sources) as table:
         rows = ingest.distinct_ids(table.rows(*columns))
         for rid, role, w, l1, l2, c_min, c_max, d_max in rows:
             role = role.strip()

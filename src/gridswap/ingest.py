@@ -1,16 +1,21 @@
-"""How gridswap reads its input tables and what counts as a number in them.
+"""How gridswap reads its input files and what counts as a number in them.
 
-Every CSV the package reads (orders, coalition instances, residential units,
-SFCs, games, EV populations, agent series) is opened with `table`. It checks
-the header, skips blank lines as csv.DictReader does, hands the caller the
-cells it names, and turns a bad-input error raised while the caller builds a
-row into one SchemaError naming file:line. `columns` is the fast path for
-large numeric tables: numpy's C parser reads the named columns, and any file
-it cannot read exactly as `table` would goes back to `table`, whose rows and
-error messages stay the reference. `distinct_ids` rejects the first row of an
-agent table whose id repeats an earlier one. `finite` is the one parser for
-numeric text, in files, configs and command-line flags alike, and
-`finite_over` adds a flag's range to it; `positive` parses the counts
+Each input is hashed by the reader that parses it: the reader parses one
+read of the file's bytes and puts their sha256 into the call's `sources`
+under the file's path, so no file is read for its digest alone. Every CSV
+the package reads (orders, coalition instances, residential units, SFCs,
+games, EV populations, agent series) is opened with `table`. It checks the
+header, skips blank lines as csv.DictReader does, hands the caller the cells
+it names, and turns a bad-input error raised while the caller builds a row
+into one SchemaError naming file:line. `columns` is the fast path for large
+numeric tables: numpy's C parser reads the named columns, and any file it
+cannot read exactly as `table` would goes back to `table`, whose rows and
+error messages stay the reference. numpy opens the file a second time, the
+one input read twice, so there the digest is of the bytes `columns` read and
+checked. `read_text` reads a scenario config. `distinct_ids` rejects the
+first row of an agent table whose id repeats an earlier one. `finite` is the
+one parser for numeric text, in files, configs and command-line flags alike,
+and `finite_over` adds a flag's range to it; `positive` parses the counts
 command-line flags take, and `positive_up_to` those it caps.
 """
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import math
 import warnings
@@ -126,15 +132,17 @@ def distinct_ids(rows):
 
 
 @contextmanager
-def table(path, required, digest=None):
+def table(path, required, sources):
     """Open the CSV at `path` as a Table whose header has every `required` column.
 
-    A bad-input error raised in the block, or by the header check, becomes a
-    SchemaError naming the line being read. A hashlib object passed as
-    `digest` is fed the bytes the rows are parsed from.
+    The rows are parsed from one read of the file's bytes, whose sha256 goes
+    into `sources` under `path` once the block completes. A bad-input error
+    raised in the block, or by the header check, becomes a SchemaError naming
+    the line being read.
     """
     path = Path(path)
-    with path.open(newline="") if digest is None else _hashed(path, digest, "") as fh:
+    digest = hashlib.sha256()
+    with _hashed(path, digest, "") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -144,13 +152,15 @@ def table(path, required, digest=None):
             yield Table(header, reader)
         except _BAD_INPUT as exc:
             raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    sources[path] = digest.hexdigest()
 
 
-def columns(path, ints=(), floats=(), strings=(), digest=None):
+def columns(path, sources, ints=(), floats=(), strings=()):
     """The named columns of the CSV at `path` as int64 (`ints`), float64
-    (`floats`) and object arrays of str (`strings`) keyed by name, or None
-    when only `table` can read them. A hashlib object passed as `digest` is
-    fed the file's bytes as they are read.
+    (`floats`) and object arrays of str (`strings`) keyed by name, in that
+    order, or None when only `table` can read them. `ints` may instead be a
+    function that picks them from the header's names. When the columns are
+    returned, the sha256 of the bytes read goes into `sources` under `path`.
 
     numpy's C parser converts a float cell with the routine `float` uses,
     and an integer cell by a stricter rule than `int` (no `1_000`, no `1.0`),
@@ -163,6 +173,7 @@ def columns(path, ints=(), floats=(), strings=(), digest=None):
     reported.
     """
     path = Path(path)
+    digest = hashlib.sha256()
     try:
         text = _text(path, digest)
     except (OSError, ValueError):
@@ -171,6 +182,8 @@ def columns(path, ints=(), floats=(), strings=(), digest=None):
         return None
     header = next(csv.reader([text.partition("\n")[0]]), [])
     del text
+    if callable(ints):
+        ints = ints(header)
     column = {name: i for i, name in enumerate(header)}
     names = (*ints, *floats, *strings)
     if not all(name in column for name in names):
@@ -188,18 +201,32 @@ def columns(path, ints=(), floats=(), strings=(), digest=None):
         return None
     if not all(np.isfinite(data[name]).all() for name in floats):
         return None
+    sources[path] = digest.hexdigest()
     return {name: np.ascontiguousarray(data[name]) for name in names}
 
 
+def read_text(path, sources) -> str:
+    """The file's text as `Path.read_text` reads it, from one read of its
+    bytes, whose sha256 goes into `sources` under `path`. Bytes that do not
+    decode raise SchemaError naming the file."""
+    path = Path(path)
+    digest = hashlib.sha256()
+    try:
+        content = _hashed(path, digest).read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    sources[path] = digest.hexdigest()
+    return content
+
+
 def _text(path: Path, digest) -> str:
-    """The file's text as `open` reads it, its bytes fed to `digest` unless that is None."""
+    """The file's text as `open` reads it, for `columns`, its bytes fed to `digest`."""
     return _hashed(path, digest).read()
 
 
 def _hashed(path: Path, digest, newline=None) -> io.TextIOWrapper:
     """The file opened as `open(path, newline=newline)` would open it, from
-    one read of its bytes, which are fed to `digest` unless that is None."""
+    one read of its bytes, which are fed to `digest`."""
     raw = path.read_bytes()
-    if digest is not None:
-        digest.update(raw)
+    digest.update(raw)
     return io.TextIOWrapper(io.BytesIO(raw), newline=newline)

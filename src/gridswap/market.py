@@ -97,9 +97,6 @@ class SlotClearing:
     residual_buys: dict[str, float]
     residual_sells: dict[str, float]
     matched_volume: float = 0.0
-    # limit prices of the marginal allocated bid/ask, kept for midpoint pricing
-    marginal_bid: float | None = None
-    marginal_ask: float | None = None
 
 
 @dataclass
@@ -263,11 +260,11 @@ class _Rows:
         ]
         for r, volume in enumerate(self.volume.tolist()):
             start, end = bounds[r], bounds[r + 1]
-            marginal_bid = marginal_ask = price = None
+            price = None
             if end > start:
-                marginal_bid, marginal_ask = bid_limit[buyer[end - 1]], ask_limit[seller[end - 1]]
-                price = (marginal_bid if pricing == "marginal_bid"
-                         else (marginal_bid + marginal_ask) / 2.0)
+                # the limit prices of the last, marginal, bid and ask allocated
+                bid, ask = bid_limit[buyer[end - 1]], ask_limit[seller[end - 1]]
+                price = bid if pricing == "marginal_bid" else (bid + ask) / 2.0
             yield SlotClearing(
                 clearing_price=price,
                 # what Match._make does, called from C
@@ -276,8 +273,6 @@ class _Rows:
                 residual_buys=_residuals(*(x[bid_at[r]:bid_at[r + 1]] for x in bids_left)),
                 residual_sells=_residuals(*(x[ask_at[r]:ask_at[r + 1]] for x in asks_left)),
                 matched_volume=volume,
-                marginal_bid=marginal_bid,
-                marginal_ask=marginal_ask,
             )
 
 

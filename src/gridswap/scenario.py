@@ -14,7 +14,6 @@ equal-distribution, and grid-hybrid baselines where those apply.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,8 +79,8 @@ class Scenario:
     slot_minutes: int = 15
     seed: int = 0
     options: dict = field(default_factory=dict)
-    # each series file the config names, in declaration order, and the
-    # sha256 of the bytes read from it
+    # the config and each series file it names, in the order read, and the
+    # sha256 of the bytes parsed from each
     sources: dict[Path, str] = field(default_factory=dict)
 
 
@@ -99,26 +98,20 @@ class MetricsReport:
 
 
 def _read_series(path: Path, horizon: int, agent_id: str, sources: dict):
-    """The series' load and gen columns; the sha256 of the bytes they were
-    parsed from goes into `sources` under `path`."""
+    """The series' load and gen columns."""
     if not path.is_file():
         problem = "is not a regular file" if path.exists() else "not found"
         raise SchemaError(f"agent {agent_id!r}: series file {path} {problem}")
-    digest = hashlib.sha256()
-    cols = ingest.columns(path, ints=("slot_index",), floats=("load_kwh", "gen_kwh"),
-                          digest=digest)
+    cols = ingest.columns(path, sources, ints=("slot_index",), floats=("load_kwh", "gen_kwh"))
     if (
         cols is not None
         and np.array_equal(cols["slot_index"], np.arange(horizon))
         and (cols["load_kwh"] >= 0).all()
         and (cols["gen_kwh"] >= 0).all()
     ):
-        sources[path] = digest.hexdigest()
         return cols["load_kwh"], cols["gen_kwh"]
-    # the row reader parses the file from a read of its own, so that read is hashed
-    digest = hashlib.sha256()
     loads, gens = [], []
-    with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh"), digest) as table:
+    with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh"), sources) as table:
         for t, (slot, load, gen) in enumerate(table.rows("slot_index", "load_kwh", "gen_kwh")):
             if int(slot) != t:
                 raise InputError(f"slot_index must count 0, 1, 2, ...; expected {t}, got {slot!r}")
@@ -132,7 +125,6 @@ def _read_series(path: Path, horizon: int, agent_id: str, sources: dict):
             f"agent {agent_id!r}: series length {len(loads)} does not match "
             f"horizon {horizon} ({path})"
         )
-    sources[path] = digest.hexdigest()
     return np.array(loads), np.array(gens)
 
 
@@ -142,16 +134,15 @@ def load_scenario(config_path) -> Scenario:
     Lines look like `key = value`; `#` starts a comment. Agents are declared
     as `agent = <id> <role> <series.csv|-> [name=value ...]`; series files are
     resolved against the config's directory. A mechanism option that the
-    config's mechanism does not read (`_OPTIONS`) is refused.
+    config's mechanism does not read (`_OPTIONS`) is refused. The scenario's
+    `sources` hold the sha256 of the config's bytes and of each series file's.
     """
     config_path = Path(config_path)
-    if not config_path.exists():
-        raise FileNotFoundError(f"config file {config_path} not found")
-
+    sources: dict[Path, str] = {}
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     agent_specs: list[tuple[int, str]] = []
-    for ln, raw in enumerate(config_path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(ingest.read_text(config_path, sources).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -236,7 +227,6 @@ def load_scenario(config_path) -> Scenario:
             options[key] = (lo, hi)
 
     agents: list[AgentProfile] = []
-    sources: dict[Path, str] = {}
     for ln, decl in agent_specs:
         parts = decl.split()
         if len(parts) < 3:

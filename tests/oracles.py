@@ -113,8 +113,6 @@ class LoopClearing:
     residual_buys: dict
     residual_sells: dict
     matched_volume: float
-    marginal_bid: float | None
-    marginal_ask: float | None
 
 
 def clear_double_auction_loop(buys, sells, pricing="marginal_bid"):
@@ -169,8 +167,7 @@ def clear_double_auction_loop(buys, sells, pricing="marginal_bid"):
     for (o, _), rem in zip(asks, remaining_ask):
         if rem > 0:
             residual_sells[o.agent_id] = residual_sells.get(o.agent_id, 0.0) + rem
-    return LoopClearing(price, matches, residual_buys, residual_sells, volume,
-                        marginal_bid, marginal_ask)
+    return LoopClearing(price, matches, residual_buys, residual_sells, volume)
 
 
 def double_auction_replay_loop(scenario):

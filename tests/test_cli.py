@@ -469,7 +469,7 @@ class TestEvAuctionCmd:
         # the costly d3 sends nothing and d2 nothing to c3, so the threshold drops cells
         out = tmp_path / "out"
         assert main(["ev-auction", "--population", str(pop), "--out", str(out), "--quiet"]) == 0
-        chargers, dischargers = ev.read_ev_population_csv(pop)
+        chargers, dischargers = ev.read_ev_population_csv(pop, {})
         alloc, _ = ev.run_iterative_auction(chargers, dischargers, eta=ev.DEFAULT_ETA,
                                             eps=1e-4, max_iter=500)
         expected = ["from,to,sent_kwh,delivered_kwh"]
@@ -568,6 +568,10 @@ _INPUT_FLAGS = [
 ]
 
 
+# a run and a sweep of a double-auction config, without --config
+_CONFIG_CALLS = [["run"], ["sweep", "--param", "solar_fraction", "--values", "0.5"]]
+
+
 class TestFileProtocol:
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("argv, flag, label", _INPUT_FLAGS,
@@ -602,8 +606,7 @@ class TestFileProtocol:
             outputs = json.loads((out / "manifest.json").read_text())["outputs"]
             assert sorted(outputs + ["manifest.json"]) == sorted(os.listdir(out)), argv
 
-    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "solar_fraction",
-                                                 "--values", "0.5"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("argv", _CONFIG_CALLS, ids=["run", "sweep"])
     def test_manifest_hashes_the_series_files(self, tmp_path, scenario_cfg, argv):
         def inputs(out):
             assert main([*argv, "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
@@ -647,20 +650,20 @@ class TestFileProtocol:
 
     @pytest.mark.parametrize("kind", ["nash", "clear"])
     def test_parsed_input_hashed_from_the_bytes_read(self, tmp_path, orders_csv, kind):
-        # the header read, the text read and numpy's parse; the manifest reads it no more
+        # the text read and numpy's parse; the manifest reads it no more
         path = self._game(tmp_path) if kind == "nash" else orders_csv
         argv = [kind, "--game" if kind == "nash" else "--orders", str(path)]
         out = tmp_path / "out"
         with _opens() as opened:
             assert main([*argv, "--out", str(out), "--quiet"]) == 0
-        assert opened.count(str(path)) == 3
+        assert opened.count(str(path)) == 2
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         assert inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize("unread", [False, True])
     def test_row_reader_input_still_hashed(self, tmp_path, monkeypatch, unread):
         # a quoted cell is read, hashed and sent to the row reader; a file the
-        # parser could not read at all is hashed by the manifest
+        # fast path could not read at all is hashed by the row reader that parses it
         if unread:
             def refused(path, digest):
                 raise OSError("refused")
@@ -704,6 +707,86 @@ class TestFileProtocol:
         assert inputs == {str(path): hashlib.sha256(parsed[-1]).hexdigest()}
         assert path.read_bytes() != parsed[-1]
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "shapley", "storage-auction",
+                                         "ev-auction"])
+    def test_input_opened_once(self, tmp_path, every_call, command):
+        # each file read as a whole is opened once; a series file twice, by the
+        # fast path's text read and numpy's parse
+        argv = next(argv for argv in every_call if argv[0] == command)
+        args = _build_parser().parse_args(argv)
+        once = [getattr(args, flag) for flag in args.inputs]
+        twice = _series_named(Path(args.config)) if "config" in args.inputs else []
+        with _opens() as opened:
+            assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert [opened.count(path) for path in once] == [1] * len(once)
+        assert [opened.count(str(path)) for path in twice] == [2] * len(twice)
+
+    def test_manifest_names_every_file_read(self, tmp_path, every_call):
+        # each input flag's file and each series file a config names, with the
+        # sha256 of its bytes on disk
+        for k, argv in enumerate(every_call):
+            out = tmp_path / f"inputs{k}"
+            assert main([*argv, "--out", str(out), "--quiet"]) == 0, argv
+            args = _build_parser().parse_args(argv)
+            read = [Path(getattr(args, flag)) for flag in args.inputs]
+            if "config" in args.inputs:
+                read += _series_named(read[0])
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                              for p in read}, argv
+
+    @pytest.mark.parametrize("command", ["storage-auction", "shapley", "ev-auction"])
+    def test_table_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, every_call,
+                                                command):
+        # each file gains a blank line once its rows are read, so a manifest that
+        # read it again would name bytes that were never parsed
+        table, parsed = ingest.table, {}
+
+        @contextmanager
+        def changed_after(*args):
+            with table(*args) as rows:
+                parsed[str(args[0])] = Path(args[0]).read_bytes()
+                yield rows
+            Path(args[0]).write_bytes(parsed[str(args[0])] + b"\n")
+
+        monkeypatch.setattr(ingest, "table", changed_after)
+        argv = next(argv for argv in every_call if argv[0] == command)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {path: hashlib.sha256(data).hexdigest() for path, data in parsed.items()}
+        assert all(Path(path).read_bytes() != data for path, data in parsed.items())
+
+    @pytest.mark.parametrize("argv", _CONFIG_CALLS, ids=["run", "sweep"])
+    def test_config_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, scenario_cfg,
+                                                 argv):
+        # the config gains a comment once it is loaded, so a manifest that read
+        # it again would name bytes that were never parsed
+        load, parsed = scenario.load_scenario, []
+
+        def changed_after(path):
+            loaded = load(path)
+            parsed.append(Path(path).read_bytes())
+            Path(path).write_bytes(parsed[-1] + b"# changed\n")
+            return loaded
+
+        monkeypatch.setattr(scenario, "load_scenario", changed_after)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(scenario_cfg), "--out", str(out), "--quiet"]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs[str(scenario_cfg)] == hashlib.sha256(parsed[-1]).hexdigest()
+        assert scenario_cfg.read_bytes() != parsed[-1]
+
+    @pytest.mark.parametrize("argv", _CONFIG_CALLS, ids=["run", "sweep"])
+    def test_config_that_does_not_decode_exits_1_writes_nothing(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"horizon = 2\n# caf\xe9\nagent = p1 prosumer -\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridswap: {cfg}: ") and "can't decode byte 0xe9" in err
+        assert "Traceback" not in err and os.listdir(out) == []
+
     @pytest.mark.parametrize("unread", [False, True])
     def test_series_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, scenario_cfg,
                                                  unread):
@@ -726,6 +809,13 @@ class TestFileProtocol:
         assert inputs == {str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes())
                           .hexdigest() for name in ("scenario.cfg", "pro.csv", "con.csv")}
         assert hashlib.sha256().hexdigest() not in inputs.values()
+
+
+def _series_named(cfg: Path) -> list[Path]:
+    """The series files the config's agent lines name."""
+    decls = [line.split("=", 1)[1].split() for line in cfg.read_text().splitlines()
+             if line.split("=", 1)[0].strip() == "agent"]
+    return [cfg.parent / decl[2] for decl in decls if decl[2] != "-"]
 
 
 _OPEN_LOGS = []
@@ -1371,7 +1461,7 @@ class TestReadersNeverCrash:
             if name in _COLUMNAR and not noisy:
                 # a clean table takes the fast path; a malformed cell sends a noisy one back
                 ints, floats = _COLUMNAR[name]
-                assert ingest.columns(tmp / name, ints=ints, floats=floats) is not None
+                assert ingest.columns(tmp / name, {}, ints=ints, floats=floats) is not None
             (tmp / "rus_ok.csv").write_text(
                 "id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n")
             (tmp / "sfcs_ok.csv").write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")

@@ -563,7 +563,7 @@ class TestPopulationFile:
             "c2,charging,1.1,,,6,,\n"          # open-ended maximum demand
             "d1,discharging,,0.04,0.02,,,16\n"
         )
-        chargers, dischargers = read_ev_population_csv(path)
+        chargers, dischargers = read_ev_population_csv(path, {})
         assert [c.id for c in chargers] == ["c1", "c2"]
         assert chargers[1].c_max == math.inf
         assert dischargers[0].d_max == 16.0
@@ -574,7 +574,7 @@ class TestPopulationFile:
         path = tmp_path / "pop.csv"
         path.write_text("id,role,w,l1,l2,c_min,c_max,d_max\nx,parked,1,,,,,\n")
         with pytest.raises(InputError, match="parked"):
-            read_ev_population_csv(path)
+            read_ev_population_csv(path, {})
 
     def test_missing_field_names_line(self, tmp_path):
         from gridswap.ev import read_ev_population_csv
@@ -582,4 +582,4 @@ class TestPopulationFile:
         path = tmp_path / "pop.csv"
         path.write_text("id,role,w,l1,l2,c_min,c_max,d_max\nc1,charging,,,,5,14,\n")
         with pytest.raises(InputError, match=":2"):
-            read_ev_population_csv(path)
+            read_ev_population_csv(path, {})

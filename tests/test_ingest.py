@@ -257,7 +257,7 @@ class TestFastPathMatchesRows:
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             path = _write(tmp, "player,s0,utility\n")
-            assert ingest.columns(path, ints=("player", "s0"), floats=("utility",)) is None
+            assert ingest.columns(path, {}, ints=("player", "s0"), floats=("utility",)) is None
 
     def test_header_only_reports_no_rows(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -269,7 +269,7 @@ class TestFastPathMatchesRows:
         # one row naming strategy 10**12: the row count check stops it before any tensor
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(tmp, f"player,s0,utility\n0,{10**12},1\n")
-            parsed = ingest.columns(path, ints=("player", "s0"), floats=("utility",))
+            parsed = ingest.columns(path, {}, ints=("player", "s0"), floats=("utility",))
             assert cli._game_tensor(parsed, ("player", "s0")) is None
             with pytest.raises(GridswapError, match="expected 1000000000001 utility rows"):
                 _read_game(path)

@@ -204,8 +204,7 @@ def test_columns_equal_the_row_loop(buys, sells, pricing):
 
 def assert_same_clearing(got, want):
     assert repr([tuple(m) for m in got.matches]) == repr(want.matches)
-    for name in ("clearing_price", "matched_volume", "marginal_bid", "marginal_ask",
-                 "residual_buys", "residual_sells"):
+    for name in ("clearing_price", "matched_volume", "residual_buys", "residual_sells"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
