@@ -52,10 +52,6 @@ def _fmt(value) -> str:
         return str(value)
     if value is None:
         return ""
-    if isinstance(value, np.bool_):
-        return str(bool(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 

@@ -1,22 +1,24 @@
 """How gridswap reads its input files and what counts as a number in them.
 
-Each input is hashed by the reader that parses it: the reader parses one
-read of the file's bytes and puts their sha256 into the call's `sources`
-under the file's path, so no file is read for its digest alone. Every CSV
-the package reads (orders, coalition instances, residential units, SFCs,
-games, EV populations, agent series) is opened with `table`. It checks the
-header, skips blank lines as csv.DictReader does, hands the caller the cells
-it names, and turns a bad-input error raised while the caller builds a row
-into one SchemaError naming file:line. `columns` is the fast path for large
-numeric tables: numpy's C parser reads the named columns, and any file it
-cannot read exactly as `table` would goes back to `table`, whose rows and
-error messages stay the reference. numpy opens the file a second time, the
-one input read twice, so there the digest is of the bytes `columns` read and
-checked. `read_text` reads a scenario config. `distinct_ids` rejects the
-first row of an agent table whose id repeats an earlier one. `finite` is the
-one parser for numeric text, in files, configs and command-line flags alike,
-and `finite_over` adds a flag's range to it; `positive` parses the counts
-command-line flags take, and `positive_up_to` those it caps.
+Each input is hashed by the reader that parses it, from the one read of its
+bytes that it parses, so no file is read for its digest alone. `_read` alone
+decodes a whole file, in one step, in the encoding `open` uses by default; a
+byte that does not decode is reported at its file:line. A line ends at "\n",
+"\r" or "\r\n", as `csv` counts lines, in every file:line of a CSV or config.
+Every CSV the package reads is opened with `table`. It checks the header,
+skips blank lines as csv.DictReader does, hands the caller the cells it
+names, and turns a bad-input error raised while the caller builds a row into
+one SchemaError naming file:line. `columns` is the fast path for large
+numeric tables: it decodes the header line only, numpy's C parser reads and
+decodes the named columns, and any file it cannot read exactly as `table`
+would goes back to `table`, whose rows and error messages stay the reference.
+numpy opens the file a second time, the one input read twice, so there the
+digest is of the bytes `columns` read and checked. `read_text` reads a
+scenario config. `distinct_ids` rejects the first row of an agent table
+whose id repeats an earlier one. `finite` is the one parser for numeric
+text, in files, configs and command-line flags alike, and `finite_over` adds
+a flag's range to it; `positive` parses the counts command-line flags take,
+and `positive_up_to` those it caps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import csv
 import functools
 import hashlib
 import io
+import locale
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from operator import itemgetter
@@ -142,16 +146,15 @@ def table(path, required, sources):
     """
     path = Path(path)
     digest = hashlib.sha256()
-    with _hashed(path, digest, "") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            missing = [name for name in required if name not in header]
-            if missing:
-                raise InputError(f"header lacks column(s) {','.join(missing)}")
-            yield Table(header, reader)
-        except _BAD_INPUT as exc:
-            raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
+    reader = csv.reader(io.StringIO(_read(path, digest), newline=""))
+    try:
+        header = next(reader, [])
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise InputError(f"header lacks column(s) {','.join(missing)}")
+        yield Table(header, reader)
+    except _BAD_INPUT as exc:
+        raise SchemaError(f"{path}:{max(reader.line_num, 1)}: {exc}") from exc
     sources[path] = digest.hexdigest()
 
 
@@ -173,15 +176,14 @@ def columns(path, sources, ints=(), floats=(), strings=()):
     reported.
     """
     path = Path(path)
-    digest = hashlib.sha256()
     try:
-        text = _text(path, digest)
-    except (OSError, ValueError):
+        raw = path.read_bytes()
+        if b'"' in raw or b"\0" in raw:
+            return None
+        first = re.match(rb"[^\r\n]*", raw)[0].decode(locale.getpreferredencoding(False))
+    except (OSError, UnicodeDecodeError):
         return None
-    if '"' in text or "\0" in text:
-        return None
-    header = next(csv.reader([text.partition("\n")[0]]), [])
-    del text
+    header = next(csv.reader([first]), [])
     if callable(ints):
         ints = ints(header)
     column = {name: i for i, name in enumerate(header)}
@@ -201,32 +203,29 @@ def columns(path, sources, ints=(), floats=(), strings=()):
         return None
     if not all(np.isfinite(data[name]).all() for name in floats):
         return None
-    sources[path] = digest.hexdigest()
+    sources[path] = hashlib.sha256(raw).hexdigest()
     return {name: np.ascontiguousarray(data[name]) for name in names}
 
 
 def read_text(path, sources) -> str:
     """The file's text as `Path.read_text` reads it, from one read of its
-    bytes, whose sha256 goes into `sources` under `path`. Bytes that do not
-    decode raise SchemaError naming the file."""
+    bytes, whose sha256 goes into `sources` under `path`."""
     path = Path(path)
     digest = hashlib.sha256()
-    try:
-        content = _hashed(path, digest).read()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    text = _read(path, digest)
     sources[path] = digest.hexdigest()
-    return content
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _text(path: Path, digest) -> str:
-    """The file's text as `open` reads it, for `columns`, its bytes fed to `digest`."""
-    return _hashed(path, digest).read()
-
-
-def _hashed(path: Path, digest, newline=None) -> io.TextIOWrapper:
-    """The file opened as `open(path, newline=newline)` would open it, from
-    one read of its bytes, which are fed to `digest`."""
+def _read(path: Path, digest) -> str:
+    """The file's text, newlines untranslated, from one read of its bytes,
+    which are fed to `digest`; an undecodable byte raises SchemaError naming
+    its file:line, and the decoder's message gives its offset in the file."""
     raw = path.read_bytes()
     digest.update(raw)
-    return io.TextIOWrapper(io.BytesIO(raw), newline=newline)
+    try:
+        return raw.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise SchemaError(f"{path}:{line}: {exc}") from exc

@@ -142,7 +142,7 @@ def load_scenario(config_path) -> Scenario:
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     agent_specs: list[tuple[int, str]] = []
-    for ln, raw in enumerate(ingest.read_text(config_path, sources).splitlines(), start=1):
+    for ln, raw in enumerate(ingest.read_text(config_path, sources).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -70,6 +70,9 @@ class ResidentialUnit:
             )
         if self.capacity < 0:
             raise InputError(f"RU {self.id!r} capacity must be >= 0")
+        # shares, commitments and baselines are at most the capacity, and are squared
+        if not math.isfinite(self.capacity * self.capacity):
+            raise InputError(f"RU {self.id!r} capacity must be <= about 1.34e154 (finite squared)")
         if self.reluctance <= 0:
             raise InputError(f"RU {self.id!r} reluctance must be > 0")
         if self.reservation_price < 0:

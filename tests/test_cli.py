@@ -279,6 +279,38 @@ class TestStorageAuctionCmd:
         assert "auction_price" in (out / "summary.txt").read_text()
 
 
+class TestHugeCapacity:
+    # a capacity whose square overflows is refused at its line; one whose square
+    # is finite runs
+    @pytest.mark.parametrize("capacity, reluctance, code",
+                             [("1e200", "1e-200", 1), ("1e150", "1e-150", 0)])
+    @pytest.mark.parametrize("command", ["storage-auction", "run", "sweep"])
+    def test_refused_at_its_line(self, tmp_path, capsys, command, capacity, reluctance, code):
+        if command == "storage-auction":
+            where = tmp_path / "rus.csv"
+            where.write_text("id,capacity,reservation_price,reluctance\n"
+                             f"u1,{capacity},0.01,{reluctance}\n")
+            sfcs = tmp_path / "sfcs.csv"
+            sfcs.write_text("id,requirement,bid_price\na,5,0.35\nb,1,0.28\n")
+            argv = [command, "--rus", str(where), "--sfcs", str(sfcs)]
+        else:
+            where = tmp_path / "st.cfg"
+            where.write_text(
+                "mechanism = storage_auction\n"
+                f"agent = u1 residential_unit - capacity={capacity} reservation=0.01 "
+                f"reluctance={reluctance}\n"
+                "agent = a sfc - requirement=5 bid=0.35\nagent = b sfc - requirement=1 bid=0.28\n"
+            )
+            argv = [command, "--config", str(where)]
+            if command == "sweep":
+                argv += ["--param", "sfc_requirement", "--values", "10"]
+        assert main([*argv, "--out", str(tmp_path / "out"), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith(f"gridswap: {where}:2: RU 'u1' capacity must be <= about 1.34e154")
+
+
 class TestNash:
     def test_coordination_game(self, tmp_path):
         game = tmp_path / "game.csv"
@@ -665,9 +697,7 @@ class TestFileProtocol:
         # a quoted cell is read, hashed and sent to the row reader; a file the
         # fast path could not read at all is hashed by the row reader that parses it
         if unread:
-            def refused(path, digest):
-                raise OSError("refused")
-            monkeypatch.setattr(ingest, "_text", refused)
+            _fast_path_unread(monkeypatch)
         game = self._game(tmp_path, cell='"1.5"')
         out = tmp_path / "out"
         assert main(["nash", "--game", str(game), "--out", str(out), "--quiet"]) == 0
@@ -681,9 +711,7 @@ class TestFileProtocol:
         # the file gains a blank line after each read of its rows, so a manifest
         # that read it again would name bytes that were never parsed
         if unread:
-            def refused(path, digest):
-                raise OSError("refused")
-            monkeypatch.setattr(ingest, "_text", refused)
+            _fast_path_unread(monkeypatch)
             path = self._game(tmp_path) if kind == "nash" else orders_csv
         elif kind == "nash":
             path = self._game(tmp_path, cell='"1.5"')
@@ -784,8 +812,16 @@ class TestFileProtocol:
         out = tmp_path / "out"
         assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"gridswap: {cfg}: ") and "can't decode byte 0xe9" in err
+        assert err.startswith(f"gridswap: {cfg}:2: ") and "can't decode byte 0xe9" in err
         assert "Traceback" not in err and os.listdir(out) == []
+
+    def test_config_comment_ends_at_a_newline_only(self, tmp_path):
+        # the form feed is inside the comment, so horizon is given once
+        cfg = tmp_path / "ff.cfg"
+        cfg.write_bytes(b"horizon = 2\n# old setting\x0chorizon = 3\nagent = p1 prosumer -\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert scenario.load_scenario(cfg).horizon == 2
 
     @pytest.mark.parametrize("unread", [False, True])
     def test_series_hashed_from_the_bytes_parsed(self, tmp_path, monkeypatch, scenario_cfg,
@@ -793,9 +829,7 @@ class TestFileProtocol:
         # a series file whose text read fails is parsed, and hashed, by the row reader
         row_reads = []
         if unread:
-            def refused(path, digest):
-                raise OSError("refused")
-            monkeypatch.setattr(ingest, "_text", refused)
+            _fast_path_unread(monkeypatch)
             table = ingest.table
 
             def counted(*args):
@@ -809,6 +843,21 @@ class TestFileProtocol:
         assert inputs == {str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes())
                           .hexdigest() for name in ("scenario.cfg", "pro.csv", "con.csv")}
         assert hashlib.sha256().hexdigest() not in inputs.values()
+
+
+def _fast_path_unread(monkeypatch):
+    """Make `ingest.columns` fail to read its file, as it would an unreadable one."""
+    columns = ingest.columns
+
+    def refused(path):
+        raise OSError("refused")
+
+    def unread(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_bytes", refused)
+            return columns(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "columns", unread)
 
 
 def _series_named(cfg: Path) -> list[Path]:

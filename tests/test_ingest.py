@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from gridswap import cli, ingest, market, scenario
+from gridswap import cli, ev, ingest, market, scenario
 from gridswap.errors import GridswapError
 
 
@@ -215,6 +215,7 @@ class TestFastPathMatchesRows:
         [
             ("player,s0,utility\n0,0,1.5\n0,1,-2\n", True),
             ("player,s0,utility\r\n0,0,1.5\r\n\r\n0,1,-2\r\n", True),
+            ("player,s0,utility\r0,0,1.5\r0,1,-2\r", True),
             ("utility,s0,player,source\n 1.5 ,0,0,pv\n-2,+1,0,\n", True),
             ("player,s0,utility\n0,0,1_000\n0,1,2\n", False),
             ("player,s0,utility\n0,0,1e500\n0,1,2\n", False),
@@ -273,3 +274,55 @@ class TestFastPathMatchesRows:
             assert cli._game_tensor(parsed, ("player", "s0")) is None
             with pytest.raises(GridswapError, match="expected 1000000000001 utility rows"):
                 _read_game(path)
+
+
+# each reader, its header and a data row numbered by {} so that ids stay distinct
+_READERS = {
+    "units": (lambda p: cli._read_rus(p, {}),
+              "id,capacity,reservation_price,reluctance", "r{},60,0.10,0.002"),
+    "sfcs": (lambda p: cli._read_sfcs(p, {}), "id,requirement,bid_price", "s{},120,0.35"),
+    "instance": (lambda p: cli._read_instance(p, market.Tariff(p_wp=0.05, p_rp=0.30), {}),
+                 "id,role,net_kwh", "c{},user,-8"),
+    "population": (lambda p: ev.read_ev_population_csv(p, {}),
+                   "id,role,w,l1,l2,c_min,c_max,d_max", "v{},charging,1.9,,,6,15,"),
+    "orders": (_read_orders, "agent_id,side,quantity,limit_price", "B{},buy,1,0.2"),
+    "game": (_read_game, "player,s0,utility", "0,{},1.5"),
+    "series": (_series_reader(1), "slot_index,load_kwh,gen_kwh", "{},0.5,1.5"),
+}
+
+# (newline, data rows before the bad one): the bad byte opens line rows + 2,
+# and 1,000 rows put it past the first 8 KiB
+_LAYOUTS = [("\n", 2), ("\r\n", 3), ("\r", 5), ("\n", 1000)]
+_LAYOUT_IDS = ["lf", "crlf", "cr", "lf-past-8KiB"]
+
+
+def _bad_byte_on_last_line(lines, newline):
+    """The file's bytes, with \\xe9 opening a last line after `lines`, and that byte's offset."""
+    before = "".join(line + newline for line in lines).encode()
+    return before + b"\xe9" + lines[-1].encode() + newline.encode(), len(before)
+
+
+class TestUndecodableByte:
+    @pytest.mark.parametrize("newline, rows", _LAYOUTS, ids=_LAYOUT_IDS)
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_reader_names_its_line_and_offset(self, tmp_path, reader, newline, rows):
+        read, header, row = _READERS[reader]
+        data, offset = _bad_byte_on_last_line([header] + [row.format(k) for k in range(rows)],
+                                              newline)
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        with pytest.raises(GridswapError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:{rows + 2}: 'utf-8' codec can't decode")
+        assert f"byte 0xe9 in position {offset}:" in str(info.value)
+
+    @pytest.mark.parametrize("newline, rows", _LAYOUTS, ids=_LAYOUT_IDS)
+    def test_config_names_its_line_and_offset(self, tmp_path, newline, rows):
+        lines = ["horizon = 2"] + [f"# note {k}" for k in range(rows)]
+        data, offset = _bad_byte_on_last_line(lines, newline)
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data + b"agent = p1 prosumer -\n")
+        with pytest.raises(GridswapError) as info:
+            scenario.load_scenario(path)
+        assert str(info.value).startswith(f"{path}:{rows + 2}: 'utf-8' codec can't decode")
+        assert f"byte 0xe9 in position {offset}:" in str(info.value)

@@ -134,6 +134,23 @@ class TestLoadScenario:
             load_scenario(cfg)
 
 
+class TestConfigLines:
+    # a line ends at "\n", "\r" or "\r\n" only; a form feed, NEL or line
+    # separator in a comment is part of the comment
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+    def test_separator_leaves_comment_whole(self, tmp_path, sep):
+        cfg = tmp_path / "sep.cfg"
+        text = (f"horizon = 2\n# old setting{sep}horizon = 3\n"
+                f"# was: seed = 9{sep}seed = 4\r\nagent = p1 prosumer -\r")
+        cfg.write_bytes(text.encode())
+        sc = load_scenario(cfg)
+        assert (sc.horizon, sc.seed, [a.id for a in sc.agents]) == (2, 0, ["p1"])
+        cfg.write_bytes((text + "horizon = 5\n").encode())
+        with pytest.raises(SchemaError) as info:
+            load_scenario(cfg)
+        assert str(info.value) == f"{cfg}:5: key 'horizon' given twice (first on line 1)"
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "config, series_row, location",
