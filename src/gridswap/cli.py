@@ -294,11 +294,10 @@ def _cmd_run(args, out: _Out) -> None:
 def _cmd_clear(args, out: _Out) -> None:
     buys, sells = _read_orders(args.orders, out.sources)
     clearing = mk.clear_double_auction(buys, sells, pricing=args.pricing)
-    buyers, sellers, quantities = zip(*clearing.matches) if clearing.matches else ((), (), ())
     out.rows(
         "matches.csv",
         ["buyer_id", "seller_id", "quantity", "price"],
-        zip(buyers, sellers, map(repr, quantities),
+        zip(clearing.buyer_ids, clearing.seller_ids, map(repr, clearing.quantities),
             itertools.repeat(_fmt(clearing.clearing_price))),
     )
     residuals = [
@@ -312,7 +311,7 @@ def _cmd_clear(args, out: _Out) -> None:
         {
             "clearing_price": clearing.clearing_price,
             "matched_volume": clearing.matched_volume,
-            "matches": len(clearing.matches),
+            "matches": len(clearing.quantities),
         },
     )
 

@@ -12,13 +12,16 @@ sorts each side once by price, then agent id, then column, and steps all
 crossing books together, one match per book per step, until one book is
 left, which it finishes one order at a time. `clear_double_auction` is one
 row of it; a double-auction scenario clears its slots as the rows.
+
+A cleared slot holds its fills as columns (buyer ids, seller ids, kWh) in
+the order the merge made them; `SlotClearing.matches` builds them as
+`Match` tuples on demand, which neither settlement nor `clear` needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -90,13 +93,25 @@ class Match(NamedTuple):
 
 @dataclass
 class SlotClearing:
-    """Result of clearing one slot's order book."""
+    """Result of clearing one slot's order book.
+
+    Its fills are three parallel columns in the order the merge made them:
+    fill k moved `quantities[k]` kWh from `seller_ids[k]` to `buyer_ids[k]`.
+    `matches` builds the same fills as `Match` tuples on demand.
+    """
 
     clearing_price: float | None
-    matches: list[Match]
+    buyer_ids: list[str]
+    seller_ids: list[str]
+    quantities: list[float]
     residual_buys: dict[str, float]
     residual_sells: dict[str, float]
     matched_volume: float = 0.0
+
+    @property
+    def matches(self) -> list[Match]:
+        """The fills as `Match` tuples, built on each read."""
+        return [Match(*fill) for fill in zip(self.buyer_ids, self.seller_ids, self.quantities)]
 
 
 @dataclass
@@ -206,19 +221,26 @@ def _merge(r: int, i, j, bids, asks, volume):
     at_ask: list[int] = []
     fills: list[float] = []
     add_bid, add_ask, add_fill = at_bid.append, at_ask.append, fills.append
+    # the current bid's and ask's kWh left; each is stored back, and the next
+    # read, only once it is used up
+    bid, ask = remaining_bid[b], remaining_ask[a]
     while bid_prices[b] >= ask_prices[a]:
-        bid, ask = remaining_bid[b], remaining_ask[a]
         qty = ask if ask < bid else bid  # min(bid, ask)
         add_bid(b)
         add_ask(a)
         add_fill(qty)
         v += qty
-        remaining_bid[b] = bid = bid - qty
-        remaining_ask[a] = ask = ask - qty
+        bid -= qty
+        ask -= qty
         if bid <= 0:
+            remaining_bid[b] = bid
             b += 1
+            bid = remaining_bid[b]
         if ask <= 0:
+            remaining_ask[a] = ask
             a += 1
+            ask = remaining_ask[a]
+    remaining_bid[b], remaining_ask[a] = bid, ask
     bid_rest[r], ask_rest[r], volume[r] = remaining_bid, remaining_ask, v
     return (np.full(len(fills), r), np.array(at_bid, dtype=np.intp),
             np.array(at_ask, dtype=np.intp), np.array(fills))
@@ -247,7 +269,8 @@ class _Rows:
         self._ids, self._limits = ids, limits
 
     def clearings(self, pricing: str):
-        """Yield each book's SlotClearing, in row order."""
+        """Yield each book's SlotClearing, in row order, its fills as slices
+        of the match columns."""
         (bid_ids, ask_ids), (bid_limit, ask_limit) = self._ids, self._limits
         buyer, seller = self.buyer.tolist(), self.seller.tolist()
         buyers, sellers = bid_ids[self.buyer].tolist(), ask_ids[self.seller].tolist()
@@ -267,9 +290,9 @@ class _Rows:
                 price = bid if pricing == "marginal_bid" else (bid + ask) / 2.0
             yield SlotClearing(
                 clearing_price=price,
-                # what Match._make does, called from C
-                matches=list(map(tuple.__new__, repeat(Match),
-                                 zip(buyers[start:end], sellers[start:end], quantity[start:end]))),
+                buyer_ids=buyers[start:end],
+                seller_ids=sellers[start:end],
+                quantities=quantity[start:end],
                 residual_buys=_residuals(*(x[bid_at[r]:bid_at[r + 1]] for x in bids_left)),
                 residual_sells=_residuals(*(x[ask_at[r]:ask_at[r + 1]] for x in asks_left)),
                 matched_volume=volume,
@@ -297,13 +320,17 @@ def _residuals(ids: list[str], remaining: list[float]) -> dict[str, float]:
 
 def settle_slot(clearing: SlotClearing, tariff: Tariff) -> Settlement:
     """Settle a cleared slot: matched energy at the clearing price, residual
-    buys from the grid at p_rp, residual sells to the grid at p_wp."""
+    buys from the grid at p_rp, residual sells to the grid at p_wp.
+
+    The fills are read straight from the clearing's columns, in merge order,
+    so each agent's P2P cash is summed in that order."""
     s = Settlement()
     price = clearing.clearing_price
-    for m in clearing.matches:
-        cash = m.quantity * price
-        s.p2p_paid[m.buyer_id] = s.p2p_paid.get(m.buyer_id, 0.0) + cash
-        s.p2p_received[m.seller_id] = s.p2p_received.get(m.seller_id, 0.0) + cash
+    paid, received = s.p2p_paid, s.p2p_received
+    for buyer, seller, qty in zip(clearing.buyer_ids, clearing.seller_ids, clearing.quantities):
+        cash = qty * price
+        paid[buyer] = paid.get(buyer, 0.0) + cash
+        received[seller] = received.get(seller, 0.0) + cash
     for agent, qty in clearing.residual_buys.items():
         s.grid_charge[agent] = s.grid_charge.get(agent, 0.0) + qty * tariff.p_rp
     for agent, qty in clearing.residual_sells.items():

@@ -170,14 +170,30 @@ def clear_double_auction_loop(buys, sells, pricing="marginal_bid"):
     return LoopClearing(price, matches, residual_buys, residual_sells, volume)
 
 
+def settle_loop(clearing, tariff):
+    """A `clear_double_auction_loop` clearing settled one match and one
+    residual at a time: (P2P paid, P2P received, grid charge, grid credit),
+    each a dict of agent id -> $ in first-entry order."""
+    paid, received, charge, credit = {}, {}, {}, {}
+    for buyer, seller, qty in clearing.matches:
+        cash = qty * clearing.clearing_price
+        paid[buyer] = paid.get(buyer, 0.0) + cash
+        received[seller] = received.get(seller, 0.0) + cash
+    for aid, qty in clearing.residual_buys.items():
+        charge[aid] = charge.get(aid, 0.0) + qty * tariff.p_rp
+    for aid, qty in clearing.residual_sells.items():
+        credit[aid] = credit.get(aid, 0.0) + qty * tariff.p_wp
+    return paid, received, charge, credit
+
+
 def double_auction_replay_loop(scenario):
     """A double-auction scenario replayed one slot at a time into dicts.
 
     Each slot lists its outcome as (agent id or None, column, amount) triples
     and adds them to the per-agent rows or the system totals in list order.
     Orders come from the agents' scalar nets, clearing from
-    `clear_double_auction_loop` and settlement from a loop over its matches
-    and residuals. Returns (per_agent, system) as run_simulation reports them.
+    `clear_double_auction_loop` and settlement from `settle_loop`. Returns
+    (per_agent, system) as run_simulation reports them.
     """
     tariff = scenario.tariff
     blo, bhi = scenario.options.get("buyer_margin", (0.02, 0.10))
@@ -202,15 +218,7 @@ def double_auction_replay_loop(scenario):
             elif net < -1e-12:
                 buys.append((agent.id, -net, tariff.p_rp - bmar))
         c = clear_double_auction_loop(buys, sells)
-        paid, received, charge, credit = {}, {}, {}, {}
-        for buyer, seller, qty in c.matches:
-            cash = qty * c.clearing_price
-            paid[buyer] = paid.get(buyer, 0.0) + cash
-            received[seller] = received.get(seller, 0.0) + cash
-        for aid, qty in c.residual_buys.items():
-            charge[aid] = charge.get(aid, 0.0) + qty * tariff.p_rp
-        for aid, qty in c.residual_sells.items():
-            credit[aid] = credit.get(aid, 0.0) + qty * tariff.p_wp
+        paid, received, charge, credit = settle_loop(c, tariff)
 
         out = []
         for buyer, seller, qty in c.matches:

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridswap.errors import InputError
-from gridswap import market
-from gridswap.market import Book, Tariff, clear_double_auction, settle_slot
+from gridswap import cli, market, synth
+from gridswap.market import Book, Match, Tariff, clear_double_auction, settle_slot
+from gridswap.scenario import load_scenario, run_simulation
 
-from oracles import clear_double_auction_loop, max_crossing_volume, max_crossing_welfare
+from oracles import (clear_double_auction_loop, max_crossing_volume, max_crossing_welfare,
+                     settle_loop)
 
 
 def book(orders):
@@ -263,6 +265,26 @@ def test_rows_equal_the_row_loop(books, pricing):
         assert_same_clearing(clearing, want)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(books=_books(), pricing=st.sampled_from(["marginal_bid", "midpoint"]))
+@example(books=([("a", 0.2)], [("b", 0.1)], [[1.0]], [[2.0]]), pricing="midpoint")
+@example(books=([("b", 0.2), ("a", -0.0), ("b", 0.2)], [("a", 0.0), ("a", 0.1)],
+                [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                [[0.7, 2.0], [0.7, 2.0], [0.0, 0.0]]),
+         pricing="marginal_bid")
+def test_settlement_equals_the_match_loop(books, pricing):
+    """settle_slot on every row the kernel clears equals the per-match loop
+    on the per-order loop's clearing: same dicts, same key order, same bits."""
+    bids, asks, bid_qty, ask_qty = books
+    tariff = Tariff(0.05, 0.30)
+    for clearing, bq, aq in zip(clear_rows(bids, asks, bid_qty, ask_qty, pricing),
+                                bid_qty, ask_qty):
+        s = settle_slot(clearing, tariff)
+        want = clear_double_auction_loop(row_orders(bids, bq), row_orders(asks, aq), pricing)
+        assert repr((s.p2p_paid, s.p2p_received, s.grid_charge, s.grid_credit)) == repr(
+            settle_loop(want, tariff))
+
+
 def test_scalar_tail_takes_over_mid_book(monkeypatch):
     """Book 0 clears in one step; book 1 has made one lockstep match when it is
     left alone, and the one-order-at-a-time merge finishes it from there."""
@@ -344,3 +366,52 @@ def test_oracle_equivalence_small_books():
         sells = [(f"S{k}", rng.randint(1, 8) * 0.5, rng.randint(1, 64) / 128.0) for k in range(ns)]
         c = clear(buys, sells)
         assert c.matched_volume == pytest.approx(max_crossing_volume(buys, sells, unit=0.5))
+
+
+class TestFillColumns:
+    def test_matches_are_built_from_the_columns(self):
+        c = clear([("B1", 3, 0.25), ("B2", 3, 0.15)], [("S1", 4, 0.10), ("S2", 1, 0.12)])
+        assert (c.buyer_ids, c.seller_ids, c.quantities) == (
+            ["B1", "B2", "B2"], ["S1", "S1", "S2"], [3.0, 1.0, 1.0])
+        assert all(type(m) is Match for m in c.matches)
+        assert [tuple(m) for m in c.matches] == list(zip(c.buyer_ids, c.seller_ids,
+                                                         c.quantities))
+        assert [m.buyer_id for m in c.matches] == c.buyer_ids
+        assert [m.seller_id for m in c.matches] == c.seller_ids
+        assert [m.quantity for m in c.matches] == c.quantities
+
+    def test_no_match_built_by_run_or_clear(self, tmp_path, monkeypatch):
+        """A double-auction run settles every slot from the clearing's
+        columns and `clear` writes its fills from them: neither builds a
+        Match, however many fills split."""
+        rng = np.random.default_rng(7)
+        lines = ["mechanism = double_auction", "horizon = 96", "seed = 5"]
+        for k in range(8):
+            load = synth.load_series(rng, 96, 15)
+            gen = synth.solar_series(rng, 96, 15, scale=3.0) if k % 2 else 0.0 * load
+            (tmp_path / f"a{k}.csv").write_text("slot_index,load_kwh,gen_kwh\n" + "".join(
+                f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(zip(load.tolist(), gen.tolist()))))
+            lines.append(f"agent = a{k} {'prosumer' if k % 2 else 'consumer'} a{k}.csv")
+        (tmp_path / "market.cfg").write_text("\n".join(lines) + "\n")
+        scenario = load_scenario(tmp_path / "market.cfg")
+        # B2 is split between S1 and S2, and S1 between B1 and B2
+        orders = tmp_path / "orders.csv"
+        orders.write_text("agent_id,side,quantity,limit_price\nB1,buy,3,0.25\nB2,buy,3,0.15\n"
+                          "S1,sell,4,0.10\nS2,sell,1,0.12\n")
+
+        class NoMatch:
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Match was built")
+
+        monkeypatch.setattr(market, "Match", NoMatch)
+        report = run_simulation(scenario)
+        assert report.system["matched_kwh"] > 0
+        for pricing, price in (("marginal_bid", "0.15"), ("midpoint", repr((0.15 + 0.12) / 2))):
+            out = tmp_path / pricing
+            assert cli.main(["clear", "--orders", str(orders), "--pricing", pricing,
+                             "--out", str(out), "--quiet"]) == 0
+            assert (out / "matches.csv").read_text().splitlines()[1:] == [
+                f"B1,S1,3.0,{price}", f"B2,S1,1.0,{price}", f"B2,S2,1.0,{price}"]
+            assert "matches = 3" in (out / "clearing.txt").read_text().splitlines()
+        monkeypatch.undo()
+        assert market.Match is Match
