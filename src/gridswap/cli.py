@@ -382,7 +382,8 @@ def _cmd_shapley(args, out: _Out) -> None:
     except SizeError:
         shortfall = ids = None
     blocking = None if ids is None else ";".join(ids)
-    # the largest member's standard error; blank when exact or from one sample
+    # the largest member's standard error; blank when exact or from under two
+    # antithetic pairs
     error = None if alloc.standard_error is None else max(alloc.standard_error.values())
     out.kv(
         "summary.txt",

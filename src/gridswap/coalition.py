@@ -10,7 +10,9 @@ halves that meet in the middle (Horowitz & Sahni, JACM 1974) at every size:
 time O(N 2^(N/2)), memory O(2^(N/2)). One kernel, _shapley_rows, divides a
 whole batch of instances of one size at once, as a scenario's slots of one
 member count; shapley_exact is one row of it. Above _EXACT_LIMIT one
-sampling kernel, _sampled_row, estimates each row in cache-sized blocks.
+sampling kernel, _sampled_row, estimates each row in cache-sized blocks from
+antithetic join orders: each drawn order is taken with its reverse, whose
+pooled nets are the drawn order's total minus its prefix sums.
 """
 
 from __future__ import annotations
@@ -37,11 +39,15 @@ MAX_SAMPLES = 1_000_000
 # permutations per sampled estimate in a coalition run or a supplier_count
 # sweep whose config sets no mc_samples
 DEFAULT_SAMPLES = 20_000
-# sampled Shapley works through its join orders in blocks of at most this many
-# floats, 256 KiB per float64 buffer, so a block's buffers stay in cache: at
-# N = 10 and 50k samples one estimate took 21.7 ms against 28.0 ms in blocks
-# of 200,000 floats, and blocks of 16k to 64k floats timed within 6% of each
-# other at N = 10, 20 and 100 (medians of 9, 2-CPU container, numpy 2.4)
+# a sampled estimate's standard error is taken over its complete antithetic
+# pairs, so it needs two of them: with fewer join orders it is left out
+MIN_ERROR_SAMPLES = 4
+# sampled Shapley works through its drawn join orders (each one a pair) in
+# blocks of at most this many floats, 256 KiB per float64 buffer, so a block's
+# buffers stay in cache: at N = 10, 20 and 100 and 50k samples one estimate
+# took 7.6, 13.4 and 58.5 ms against 9.7, 16.0 and 65.7 ms in blocks of
+# 200,000 floats, and blocks of 16k to 64k floats timed within 5% of each
+# other (best medians of 9 over three rounds, 2-CPU container, numpy 2.4)
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -268,56 +274,85 @@ def shapley_exact(instance: CoalitionInstance) -> PayoffAllocation:
     return PayoffAllocation({c.id: float(p) for c, p in zip(instance.customers, phi)})
 
 
+def _worth(net: np.ndarray, tariff: Tariff, out: np.ndarray) -> None:
+    """_net_value(net) into out, in place: net becomes scratch and ends
+    overwritten; each value is _net_value's to the bit."""
+    np.maximum(0.0, net, out=out)
+    out *= tariff.p_wp
+    np.negative(net, out=net)
+    np.maximum(0.0, net, out=net)
+    net *= tariff.p_rp
+    out -= net
+
+
 def _sampled_row(energies: np.ndarray, tariff: Tariff, sample_count: int, seed: int):
     """One row's permutation-sampling Shapley estimate (Castro, Gomez & Tejada,
-    Computers & OR 2009) from the join orders of default_rng(seed), and the
-    standard error of each member's raw estimate, NaN for one sample.
+    Computers & OR 2009) from antithetic join orders (Mitchell, Cooper, Frank
+    & Holmes, JMLR 2022), and the standard error of each member's raw
+    estimate, NaN with fewer than MIN_ERROR_SAMPLES orders.
 
-    Each join order contributes the full marginal-contribution vector, which
-    telescopes to v(grand coalition), so the estimate is efficient up to float
-    accumulation; the residual is spread proportionally to |phi|. The standard
-    error, sqrt((sum m^2 - S mean^2) / ((S - 1) S)) over the S marginals m,
-    is that of the mean before this correction. The orders are drawn in blocks
-    of at most _BLOCK_ELEMENTS floats, each worked in place in three buffers;
-    the random stream and the order in which each member's sum takes its
-    terms do not depend on the block size.
+    The S orders are ceil(S / 2) orders drawn from default_rng(seed), each
+    taken with its reverse; for odd S the last drawn order is taken alone.
+    After position k of a drawn order its first k + 1 members pool P_k, and
+    in the reverse order the member at position k joins the members after it,
+    whose pool is X - P_k, X being the drawn order's full sum. As v is
+    concave in the pooled net, the two marginals of a pair are never
+    positively correlated, so the pairs cannot add variance. Each join
+    order's marginals telescope to v(grand coalition), so the estimate is
+    efficient up to float accumulation; the residual is spread
+    proportionally to |phi|. The standard error is taken over the
+    M = floor(S / 2) pair means y, as the two halves of a pair are dependent:
+    sqrt((sum y^2 - M mean^2) / ((M - 1) M)), before the correction. The
+    orders are drawn in blocks of at most _BLOCK_ELEMENTS floats, each worked
+    in place in three buffers; the random stream and the order in which each
+    member's sum takes its terms (pair sums in draw order, then a lone
+    order's marginals) do not depend on the block size.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
+    # np.take writes the nets straight into the float buffers, so they must be float
+    energies = np.asarray(energies, dtype=float)
     n = len(energies)
+    pairs, drawn = sample_count // 2, (sample_count + 1) // 2
     rng = np.random.default_rng(seed)
-    rows = min(sample_count, max(1, _BLOCK_ELEMENTS // n))
-    # the pooled nets keep np.cumsum's type, so integer nets sum exactly
-    keys, value = np.empty((rows, n)), np.empty((rows, n))
-    pooled = np.empty((rows, n), dtype=np.cumsum(energies[:0]).dtype)
+    rows = min(drawn, max(1, _BLOCK_ELEMENTS // n))
+    keys, pooled, value = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
     total, squares = np.zeros(n), np.zeros(n)
-    for start in range(0, sample_count, rows):
-        b = min(rows, sample_count - start)
+    for start in range(0, drawn, rows):
+        b = min(rows, drawn - start)
         draw, net, worth = keys[:b], pooled[:b], value[:b]
         rng.random(out=draw)
         order = draw.argsort(axis=1)
         # every index is in range; "clip" writes straight into the buffer
         np.take(energies, order, out=net, mode="clip")
         np.cumsum(net, axis=1, out=net)
-        # _net_value's operations, in place, so each value is _net_value's to the bit
-        np.maximum(0.0, net, out=worth)
-        worth *= tariff.p_wp
-        np.negative(net, out=draw)
-        np.maximum(0.0, draw, out=draw)
-        draw *= tariff.p_rp
-        worth -= draw
-        # the marginals overwrite the keys; the first member joins v(empty) = 0
+        # the reverse order's pools, X - P_k, before the forward worth takes net
+        np.subtract(net[:, -1:], net, out=draw)
+        _worth(net, tariff, worth)
+        _worth(draw, tariff, net)
+        # forward marginals into the keys; the first member joins v(empty) = 0
         draw[:, 0] = worth[:, 0]
         np.subtract(worth[:, 1:], worth[:, :-1], out=draw[:, 1:])
+        # reverse marginals v(X - P_{k-1}) - v(X - P_k), with v(X - P_-1) = v(X)
+        worth[:, 0] = worth[:, -1] - net[:, 0]
+        np.subtract(net[:, :-1], net[:, 1:], out=worth[:, 1:])
+        if start + b > pairs:
+            # the lone last order's forward marginals join after every pair
+            lone = draw[-1].copy(), order[-1]
+            draw, worth, order = draw[:-1], worth[:-1], order[:-1]
+        draw += worth
         at = order.ravel()
         np.add.at(total, at, draw.ravel())
         np.square(draw, out=draw)
         np.add.at(squares, at, draw.ravel())
-    phi = total / sample_count
     error = np.full(n, np.nan)
-    if sample_count > 1:
-        spread = np.maximum(squares - sample_count * phi * phi, 0.0)
-        error = np.sqrt(spread / ((sample_count - 1) * sample_count))
+    if sample_count >= MIN_ERROR_SAMPLES:
+        # squares holds (2y)^2 and total sum 2y over the pairs
+        spread = np.maximum(squares - total * total / pairs, 0.0)
+        error = np.sqrt(spread / ((pairs - 1) * pairs)) / 2
+    if sample_count % 2:
+        total[lone[1]] += lone[0]
+    phi = total / sample_count
 
     residual = _net_value(energies.sum(), tariff) - phi.sum()
     weight = np.abs(phi)
@@ -332,11 +367,12 @@ def shapley_monte_carlo(
     instance: CoalitionInstance, sample_count: int, seed: int
 ) -> PayoffAllocation:
     """Permutation-sampling Shapley estimate, reproducible for a given seed,
-    with each member's standard error (none for one sample): by _sampled_row."""
+    with each member's standard error (none from fewer than MIN_ERROR_SAMPLES
+    join orders): by _sampled_row."""
     energies = np.array([c.net_energy for c in instance.customers])
     phi, error = _sampled_row(energies, instance.tariff, sample_count, seed)
     ids = [c.id for c in instance.customers]
-    errors = None if sample_count == 1 else dict(zip(ids, error.tolist()))
+    errors = None if sample_count < MIN_ERROR_SAMPLES else dict(zip(ids, error.tolist()))
     return PayoffAllocation(dict(zip(ids, phi.tolist())), errors)
 
 

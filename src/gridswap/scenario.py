@@ -611,8 +611,9 @@ def _coalition(scenario: Scenario, cells: _Cells):
     def finish(per_agent: dict, s: dict) -> None:
         s["grid_import_kwh"] = s["consumption_kwh"] - s["matched_kwh"]
         s["grid_export_kwh"] = s["generation_kwh"] - s["matched_kwh"]
-        # blank when no slot was sampled, or one sample left no spread
-        s["shapley_standard_error"] = max(errors) if errors and samples > 1 else None
+        # blank when no slot was sampled, or under two antithetic pairs left no spread
+        s["shapley_standard_error"] = (
+            max(errors) if errors and samples >= co.MIN_ERROR_SAMPLES else None)
 
     return chunk, finish
 

@@ -10,7 +10,9 @@ layout), a coalition scenario from one Shapley division per slot replayed
 into dicts, optimal EV welfare from exhaustive grid search, Shapley values
 from direct enumeration, a per-player subset loop, one in exact rational
 arithmetic or the two-halves split run one instance at a time,
-a sampled Shapley estimate from whole batches of join orders,
+a sampled Shapley estimate from all its antithetic join-order pairs as
+whole arrays (independent join orders in whole batches are kept as the
+variance baseline),
 superadditivity from all 3^N disjoint pairs, the core check from all 2^N
 coalitions, the storage leader's price from a search over the whole price
 grid (it shares no code with the package), a storage auction from the
@@ -633,9 +635,10 @@ def shapley_monte_carlo_batch(instance, sample_count: int, seed: int):
     which telescopes to v(grand coalition), so the estimate is efficient up to
     float accumulation; the residual is spread proportionally to |phi|.
 
-    The package's former kernel, kept as the reference for the blocked one: it
-    draws batches of 200,000 // N join orders and builds each batch's gather,
-    prefix sums, values and marginals as whole arrays.
+    The package's kernel before antithetic pairs, kept as the variance
+    baseline for them: it draws batches of 200,000 // N independent join
+    orders and builds each batch's gather, prefix sums, values and marginals as
+    whole arrays.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
@@ -664,6 +667,57 @@ def shapley_monte_carlo_batch(instance, sample_count: int, seed: int):
     else:
         phi = phi + residual / n
     return co.PayoffAllocation({c.id: float(phi[i]) for i, c in enumerate(instance.customers)})
+
+
+def shapley_antithetic_reference(instance, sample_count: int, seed: int):
+    """Sampled Shapley estimate from antithetic join-order pairs, as whole
+    arrays with no blocks: payoffs and standard errors (None from fewer than
+    two complete pairs).
+
+    ceil(S / 2) orders come from default_rng(seed), each with its reverse, and
+    for odd S the last order alone. A reversed order's pools are the drawn
+    order's full sum minus its prefix sums. Each member sums its pair sums in
+    draw order from 0.0, then a lone order's marginal; the standard error is
+    over the pair means.
+    """
+    if sample_count < 1:
+        raise InputError("sample_count must be >= 1")
+    n, tariff = instance.n, instance.tariff
+    energies = np.array([float(c.net_energy) for c in instance.customers])
+    pairs = sample_count // 2
+    orders = np.argsort(np.random.default_rng(seed).random(((sample_count + 1) // 2, n)), axis=1)
+    prefix = np.cumsum(energies[orders], axis=1)
+    forward = co._net_value(prefix, tariff)
+    reverse = co._net_value(prefix[:, -1:] - prefix, tariff)
+    ahead = np.concatenate([np.zeros((len(orders), 1)), forward], axis=1)
+    behind = np.concatenate([forward[:, -1:], reverse], axis=1)
+    margins = ahead[:, 1:] - ahead[:, :-1], behind[:, :-1] - behind[:, 1:]
+    by_member = np.empty((len(orders), n))
+    np.put_along_axis(by_member, orders, margins[0] + margins[1], axis=1)
+    lone = np.zeros((0, n))
+    if sample_count % 2:
+        lone = np.empty((1, n))
+        np.put_along_axis(lone, orders[-1:], margins[0][-1:], axis=1)
+    # cumsum adds one term at a time, as `total += term` from 0.0 would
+    zero = np.zeros((1, n))
+    summed = by_member[:pairs]
+    total = np.cumsum(np.concatenate([zero, summed]), axis=0)[-1]
+    squares = np.cumsum(np.concatenate([zero, summed * summed]), axis=0)[-1]
+    errors = None
+    if pairs >= 2:
+        spread = np.maximum(squares - total * total / pairs, 0.0)
+        error = np.sqrt(spread / ((pairs - 1) * pairs)) / 2
+        errors = {c.id: float(error[i]) for i, c in enumerate(instance.customers)}
+    phi = np.cumsum(np.concatenate([zero, summed, lone]), axis=0)[-1] / sample_count
+
+    residual = co._net_value(energies.sum(), tariff) - phi.sum()
+    weight = np.abs(phi)
+    if weight.sum() > 0:
+        phi = phi + residual * weight / weight.sum()
+    else:
+        phi = phi + residual / n
+    return co.PayoffAllocation(
+        {c.id: float(phi[i]) for i, c in enumerate(instance.customers)}, errors)
 
 
 def shapley_split_reference(instance):

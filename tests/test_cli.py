@@ -261,6 +261,39 @@ class TestShapley:
             alloc = coalition.shapley_monte_carlo(inst, 400, 2)
             assert error == repr(max(alloc.standard_error.values()))
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4])
+    def test_standard_error_needs_two_pairs(self, tmp_path, samples):
+        """shapley's standard_error and a sampled coalition run's
+        shapley_standard_error are blank, not nan, until the join orders
+        hold two complete antithetic pairs."""
+        path = tmp_path / "inst.csv"
+        path.write_text("id,role,net_kwh\ns0,supplier,11.37\ns1,supplier,5.09\n"
+                        "u0,user,-8.83\nu1,user,-5.39\n")
+        agents = []
+        for k in range(coalition._EXACT_LIMIT + 1):
+            load, gen = (0.5, 1.5 + 0.25 * k) if k % 2 else (1.0 + 0.125 * k, 0.0)
+            (tmp_path / f"a{k}.csv").write_text(
+                "slot_index,load_kwh,gen_kwh\n" + "".join(f"{t},{load},{gen}\n" for t in range(2))
+            )
+            agents.append(f"agent = a{k} {'prosumer' if k % 2 else 'consumer'} a{k}.csv\n")
+        cfg = tmp_path / "co.cfg"
+        cfg.write_text(f"mechanism = coalition\nhorizon = 2\nmc_samples = {samples}\n"
+                       + "".join(agents))
+        for argv, key in (
+            (["shapley", "--instance", str(path), "--samples", str(samples), "--seed", "2"],
+             "standard_error"),
+            (["run", "--config", str(cfg)], "shapley_standard_error"),
+        ):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out), "--quiet"]) == 0
+            lines = (out / "summary.txt").read_text().splitlines()
+            summary = dict(line.split(" = ") for line in lines)
+            assert summary.get("shapley_sampled_slots", "2") == "2"
+            if samples < 4:
+                assert summary[key] == ""
+            else:
+                assert float(summary[key]) >= 0
+
 
 class TestStorageAuctionCmd:
     def test_outcome_files(self, tmp_path):

@@ -32,6 +32,7 @@ from instances import balanced_instance, competitive_allocation, random_instance
 from oracles import (
     in_core_enumeration,
     is_superadditive_enumeration,
+    shapley_antithetic_reference,
     shapley_enumeration,
     shapley_exact_fraction,
     shapley_exact_loop,
@@ -374,18 +375,19 @@ def _net(kind: str):
 
 
 class TestSampledKernel:
-    """shapley_monte_carlo works its join orders in cache-sized blocks and
-    returns the payoffs of the former whole-batch kernel bit for bit."""
+    """shapley_monte_carlo works its antithetic join-order pairs in cache-sized
+    blocks and returns the payoffs and standard errors of the whole-array
+    reference bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            p_wp=st.sampled_from([0.0, 0.05]), p_rp=st.sampled_from([0.1, 0.3]),
            block=st.sampled_from([None, 1, 7, 64]))
     def test_equals_the_batch_kernel(self, data, n, seed, p_wp, p_rp, block):
-        # sample counts cross one or two blocks of the real size, or many
-        # blocks of a small one
+        # sample counts, odd and even, cross one or two blocks of pairs of
+        # the real size, or many blocks of a small one
         rows = max(1, (block or coalition._BLOCK_ELEMENTS) // n)
-        samples = data.draw(st.one_of(st.just(1), st.integers(1, 2 * rows + 1)))
+        samples = data.draw(st.one_of(st.integers(1, 5), st.integers(1, 4 * rows + 1)))
         kinds = data.draw(st.lists(st.sampled_from(["float", "integer", "zero", "tiny"]),
                                    min_size=n, max_size=n))
         nets = [data.draw(_net(kind)) for kind in kinds]
@@ -396,7 +398,7 @@ class TestSampledKernel:
         )
         with mock.patch.object(coalition, "_BLOCK_ELEMENTS", block or coalition._BLOCK_ELEMENTS):
             got = shapley_monte_carlo(inst, samples, seed)
-        assert repr(got.payoffs) == repr(shapley_monte_carlo_batch(inst, samples, seed).payoffs)
+        assert repr(got) == repr(shapley_antithetic_reference(inst, samples, seed))
 
     def test_rows_above_the_limit_are_per_row_estimates(self):
         n = coalition._EXACT_LIMIT + 3
@@ -414,25 +416,52 @@ class TestSampledKernel:
         assert shapley_exact(from_nets(energies[0])).standard_error is None
 
     def test_standard_error_is_that_of_the_drawn_marginals(self):
-        nets, samples, seed = [6.0, -4.0, 2.5, -7.0, 1.0], 400, 8
+        # 401 orders: 200 pairs and a lone order the standard error leaves out
+        nets, samples, seed = [6.0, -4.0, 2.5, -7.0, 1.0], 401, 8
         inst = from_nets(nets)
-        # the same join orders, each member's marginal from coalition_value
-        orders = np.argsort(np.random.default_rng(seed).random((samples, len(nets))), axis=1)
-        marginals = np.zeros((samples, len(nets)))
-        for row, order in zip(marginals, orders):
+
+        def marginals(order):
+            row = np.zeros(len(nets))
             for k, member in enumerate(order):
                 joined = [inst.customers[j] for j in order[:k + 1]]
                 row[member] = coalition_value(joined, T) - coalition_value(joined[:-1], T)
-        expected = marginals.std(axis=0, ddof=1) / np.sqrt(samples)
+            return row
+
+        # the same drawn orders, each with its reverse; marginals from coalition_value
+        drawn = np.argsort(np.random.default_rng(seed).random((201, len(nets))), axis=1)
+        means = np.array([(marginals(order) + marginals(order[::-1])) / 2 for order in drawn[:200]])
+        expected = means.std(axis=0, ddof=1) / np.sqrt(200)
         got = shapley_monte_carlo(inst, samples, seed).standard_error
         assert list(got) == [c.id for c in inst.customers]
         np.testing.assert_allclose(list(got.values()), expected, rtol=1e-9, atol=1e-15)
 
     def test_one_sample_has_no_standard_error(self):
+        # a standard error needs two complete pairs, so four join orders
         inst = from_nets([6.0, -4.0, 2.5])
-        assert shapley_monte_carlo(inst, 1, 3).standard_error is None
-        errors = shapley_payoff_rows(np.full((1, 33), 2.0), T, 1, [3])[1]
-        assert np.isnan(errors).all()
+        for samples in (1, 2, 3):
+            assert shapley_monte_carlo(inst, samples, 3).standard_error is None
+            errors = shapley_payoff_rows(np.full((1, 33), 2.0), T, samples, [3])[1]
+            assert np.isnan(errors).all()
+        assert shapley_monte_carlo(inst, 4, 3).standard_error is not None
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_pairs_err_no_more_than_independent_orders(self, n):
+        """On 20 seeded bench-shaped instances, half suppliers (0.5-20 kWh) and
+        half users (0.5-15 kWh), 2,000 antithetic join orders miss the exact
+        payoffs by no more RMS than 2,000 independent ones."""
+        tariff = Tariff(p_wp=0.05, p_rp=0.30)
+        errors = {"pairs": [], "independent": []}
+        for k in range(20):
+            rng = np.random.default_rng((n, k))
+            nets = np.concatenate([rng.uniform(0.5, 20.0, n // 2),
+                                   -rng.uniform(0.5, 15.0, n - n // 2)])
+            inst = from_nets(nets, tariff)
+            exact = coalition._shapley_rows(nets[None], tariff)[0]
+            for name, estimate in (("pairs", shapley_monte_carlo(inst, 2000, k)),
+                                   ("independent", shapley_monte_carlo_batch(inst, 2000, k))):
+                errors[name].append(np.array(list(estimate.payoffs.values())) - exact)
+        rms = {name: np.sqrt(np.mean(np.square(e))) for name, e in errors.items()}
+        assert rms["pairs"] <= rms["independent"]
 
     def test_memory_stays_in_blocks(self):
         """One estimate at N = 100 from 40,000 join orders holds a few blocks,
