@@ -536,8 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 instance="instance file")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=positive_up_to(co.MAX_SAMPLES), default=50_000)
-    p.add_argument("--p-wp", type=finite, default=0.05)
-    p.add_argument("--p-rp", type=finite, default=0.30)
+    p.add_argument("--p-wp", type=finite, default=mk.DEFAULT_TARIFF.p_wp)
+    p.add_argument("--p-rp", type=finite, default=mk.DEFAULT_TARIFF.p_rp)
     common(p, seed_default=0)
 
     p = command("storage-auction", _cmd_storage_auction,

@@ -12,7 +12,8 @@ whole batch of instances of one size at once, as a scenario's slots of one
 member count; shapley_exact is one row of it. Above _EXACT_LIMIT one
 sampling kernel, _sampled_row, estimates each row in cache-sized blocks from
 antithetic join orders: each drawn order is taken with its reverse, whose
-pooled nets are the drawn order's total minus its prefix sums.
+pooled nets are the drawn order's total minus its prefix sums. Nets that
+could overflow a kernel's sums are refused (_MAX_SCALE).
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ DEFAULT_SAMPLES = 20_000
 # a sampled estimate's standard error is taken over its complete antithetic
 # pairs, so it needs two of them: with fewer join orders it is left out
 MIN_ERROR_SAMPLES = 4
+# the largest intermediate of either Shapley kernel is _sampled_row's total^2:
+# v has slopes p_wp < p_rp, so a marginal is at most p_rp max|e| and |total| <=
+# MAX_SAMPLES p_rp max|e|. N max|e| max(1, p_rp) <= this keeps |total| within half
+# sqrt(max float), and every pooled net (at most N max|e| kWh) and worth finite
+_MAX_SCALE = math.sqrt(np.finfo(float).max) / (2 * MAX_SAMPLES)
 # sampled Shapley works through its drawn join orders (each one a pair) in
 # blocks of at most this many floats, 256 KiB per float64 buffer, so a block's
 # buffers stay in cache: at N = 10, 20 and 100 and 50k samples one estimate
@@ -81,6 +87,7 @@ class CoalitionInstance:
         ids = [c.id for c in self.customers]
         if len(set(ids)) != len(ids):
             raise InputError("customer ids must be unique")
+        _check_nets(np.array([c.net_energy for c in self.customers]), self.tariff)
 
     @property
     def n(self) -> int:
@@ -98,6 +105,15 @@ class PayoffAllocation:
 
     def total(self) -> float:
         return math.fsum(self.payoffs.values())
+
+
+def _check_nets(energies: np.ndarray, tariff: Tariff) -> None:
+    """Raise InputError unless N max|e| max(1, p_rp) is at most _MAX_SCALE (a row per instance)."""
+    # Python floats: past the range the product reads inf, with no numpy warning
+    scale = energies.shape[-1] * float(np.abs(energies).max(initial=0.0)) * max(1.0, tariff.p_rp)
+    if not scale <= _MAX_SCALE:
+        raise InputError(f"net energies overflow the Shapley sums: N * max|net| * max(1, p_rp) "
+                         f"= {scale:g} must be <= {_MAX_SCALE:.6g}")
 
 
 def _net_value(net, tariff: Tariff):
@@ -136,16 +152,6 @@ def _popcounts(bits: int) -> np.ndarray:
     for _ in range(bits):
         sizes = np.concatenate([sizes, sizes + 1])
     return sizes
-
-
-def is_superadditive(instance: CoalitionInstance):
-    """Decide v(S u T) >= v(S) + v(T) for all disjoint pairs in closed form.
-
-    Tariff holds p_rp > p_wp, so on the pooled net x, v = min(p_wp * x, p_rp * x)
-    is concave and positively homogeneous, hence superadditive at any N.
-    Returns (True, None): superadditive, with no violating pair to name.
-    """
-    return True, None
 
 
 def _shapley_rows(energies: np.ndarray, tariff: Tariff) -> np.ndarray:
@@ -393,6 +399,7 @@ def shapley_payoff_rows(
         chunk = 1 << (16 - (n + 1) // 2)
         parts = [_shapley_rows(energies[i:i + chunk], tariff) for i in range(0, rows, chunk)]
         return np.concatenate(parts), None
+    _check_nets(energies, tariff)
     payoffs, errors = np.empty((rows, n)), np.empty((rows, n))
     for r, seed in zip(range(rows), seeds):
         payoffs[r], errors[r] = _sampled_row(energies[r], tariff, sample_count, seed)
@@ -447,23 +454,6 @@ def core_shortfall(allocation: PayoffAllocation, instance: CoalitionInstance):
     return shortfall, tuple(c.id for k, c in enumerate(instance.customers) if mask >> k & 1)
 
 
-def in_core(allocation: PayoffAllocation, instance: CoalitionInstance):
-    """Check that no coalition can block the allocation.
-
-    Returns (True, None) or (False, (ids, shortfall)) for the coalition with
-    the largest violation, by core_shortfall. The allocation must be efficient
-    within _core_tolerance, and N is limited to _EXACT_LIMIT.
-    """
-    shortfall, ids = core_shortfall(allocation, instance)
-    total = math.fsum(allocation.payoffs[c.id] for c in instance.customers)
-    grand = coalition_value(instance.customers, instance.tariff)
-    if abs(total - grand) > _core_tolerance(instance):
-        raise InputError(f"allocation is not efficient: sum={total:.12g} vs v(N)={grand:.12g}")
-    if ids is None:
-        return True, None
-    return False, (ids, shortfall)
-
-
 @dataclass
 class ImpliedPrice:
     customer_id: str
@@ -484,48 +474,11 @@ def implied_p2p_prices(
     for c in instance.customers:
         if c.net_energy == 0:
             continue
-        x = allocation.payoffs[c.id]
-        if c.net_energy > 0:
-            price = x / c.net_energy
-        else:
-            price = -x / abs(c.net_energy)
+        # for a user x / e is -x / |e|, the cost per kWh bought, to the bit
+        price = allocation.payoffs[c.id] / c.net_energy
         ok = pwp - 1e-9 <= price <= prp + 1e-9
         out.append(ImpliedPrice(c.id, price, ok))
     return out
-
-
-def fit_payoff(customer: Customer, tariff: Tariff) -> float:
-    """Feed-in-tariff payoff: sell all surplus at p_wp, buy all demand at p_rp."""
-    return float(_net_value(customer.net_energy, tariff))
-
-
-def revenue_vs_fit(instance: CoalitionInstance, allocation: PayoffAllocation | None = None):
-    """Per-customer comparison of pooled (Shapley) payoffs against FiT.
-
-    Returns a list of row dicts plus aggregate totals; the pooled total can
-    never fall below the FiT total because the value function is superadditive.
-    """
-    if allocation is None:
-        allocation = shapley_exact(instance)
-    rows = []
-    for c in instance.customers:
-        p2p = allocation.payoffs[c.id]
-        fit = fit_payoff(c, instance.tariff)
-        rows.append(
-            {
-                "id": c.id,
-                "role": c.role,
-                "net_kwh": c.net_energy,
-                "p2p_payoff": p2p,
-                "fit_payoff": fit,
-                "gain": p2p - fit,
-            }
-        )
-    totals = {
-        "p2p_total": math.fsum(r["p2p_payoff"] for r in rows),
-        "fit_total": math.fsum(r["fit_payoff"] for r in rows),
-    }
-    return rows, totals
 
 
 def supplier_count_sweep(

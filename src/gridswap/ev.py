@@ -101,11 +101,6 @@ class EvAllocation:
     sent: np.ndarray
     eta: float
 
-    @property
-    def delivered(self) -> np.ndarray:
-        """delivered[i, j] = eta * sent[j, i]."""
-        return self.eta * self.sent.T
-
     def delivered_per_charger(self) -> np.ndarray:
         return self.eta * self.sent.sum(axis=0)
 
@@ -342,22 +337,11 @@ class EvSettlement:
     buyer_payments: dict[str, float]
     seller_receipts: dict[str, float]
 
-    def collected_minus_paid(self) -> float:
-        return math.fsum(self.buyer_payments.values()) - math.fsum(
-            self.seller_receipts.values()
-        )
-
 
 @dataclass
 class EvAuctionResult:
-    allocation: EvAllocation
     trace: AuctionTrace
     settlement: EvSettlement
-    chargers: list[ChargingEV]
-    dischargers: list[DischargingEV]
-    eta: float
-    eps: float
-    max_iter: int
 
 
 def _marginal_bids(chargers, delivered) -> np.ndarray:
@@ -541,18 +525,7 @@ def run_iterative_auction(
     trace.iterations = it
 
     allocation = EvAllocation(sent=sent, eta=eta)
-    settlement = _settle(chargers, dischargers, allocation)
-    result = EvAuctionResult(
-        allocation=allocation,
-        trace=trace,
-        settlement=settlement,
-        chargers=list(chargers),
-        dischargers=list(dischargers),
-        eta=eta,
-        eps=eps,
-        max_iter=max_iter,
-    )
-    return allocation, result
+    return allocation, EvAuctionResult(trace, _settle(chargers, dischargers, allocation))
 
 
 def _settle(chargers, dischargers, allocation: EvAllocation) -> EvSettlement:

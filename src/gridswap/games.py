@@ -1,8 +1,7 @@
 """Finite strategic-form games on dense payoff tensors.
 
-Desk-scale utilities for verifying equilibrium claims made elsewhere in the
-package: pure Nash checks, exhaustive equilibrium enumeration, and cyclic
-best-response iteration.
+Desk-scale utilities behind the `nash` subcommand: pure Nash checks and
+exhaustive equilibrium enumeration.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ class FiniteGame:
     @property
     def n_profiles(self) -> int:
         return math.prod(self.strategy_counts)
-
-    @classmethod
-    def from_payoff_tables(cls, *tables) -> "FiniteGame":
-        """Build from one payoff array per player (bimatrix convenience)."""
-        return cls(np.stack([np.asarray(t, dtype=float) for t in tables]))
 
 
 def _check_profile(game: FiniteGame, profile) -> tuple[int, ...]:
@@ -100,28 +94,3 @@ def find_pure_nash(game: FiniteGame) -> list[tuple[int, ...]]:
         best = u[n].max(axis=n, keepdims=True)
         mask &= u[n] >= best
     return [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
-
-
-def best_response_iteration(game: FiniteGame, initial_profile, max_rounds: int):
-    """Cyclic best-response dynamics with lowest-index tie-break.
-
-    Each round lets every player in turn switch to its best response. Returns
-    (profile, converged); converged means a full round produced no change, in
-    which case the profile is a pure Nash equilibrium.
-    """
-    if max_rounds < 1:
-        raise InputError("max_rounds must be >= 1")
-    profile = list(_check_profile(game, initial_profile))
-    for _ in range(max_rounds):
-        changed = False
-        for n in range(game.n_players):
-            row = game.utilities[n][
-                tuple(profile[:n]) + (slice(None),) + tuple(profile[n + 1 :])
-            ]
-            best = int(np.argmax(row))  # argmax takes the lowest index on ties
-            if row[best] > row[profile[n]]:
-                profile[n] = best
-                changed = True
-        if not changed:
-            return tuple(profile), True
-    return tuple(profile), False

@@ -14,15 +14,13 @@ left, which it finishes one order at a time. `clear_double_auction` is one
 row of it; a double-auction scenario clears its slots as the rows.
 
 A cleared slot holds its fills as columns (buyer ids, seller ids, kWh) in
-the order the merge made them; `SlotClearing.matches` builds them as
-`Match` tuples on demand, which neither settlement nor `clear` needs.
+the order the merge made them, which settlement and `clear` read as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +43,10 @@ class Tariff:
             raise InputError(
                 f"retail price must exceed wholesale price, got p_rp={self.p_rp} <= p_wp={self.p_wp}"
             )
+
+
+# the prices of a config that sets no p_wp or p_rp, and of `shapley` without --p-wp or --p-rp
+DEFAULT_TARIFF = Tariff(p_wp=0.05, p_rp=0.30)
 
 
 def check_order(quantity: float, limit_price: float) -> None:
@@ -85,19 +87,12 @@ class Book:
         return len(self.quantity)
 
 
-class Match(NamedTuple):
-    buyer_id: str
-    seller_id: str
-    quantity: float
-
-
 @dataclass
 class SlotClearing:
     """Result of clearing one slot's order book.
 
     Its fills are three parallel columns in the order the merge made them:
     fill k moved `quantities[k]` kWh from `seller_ids[k]` to `buyer_ids[k]`.
-    `matches` builds the same fills as `Match` tuples on demand.
     """
 
     clearing_price: float | None
@@ -108,11 +103,6 @@ class SlotClearing:
     residual_sells: dict[str, float]
     matched_volume: float = 0.0
 
-    @property
-    def matches(self) -> list[Match]:
-        """The fills as `Match` tuples, built on each read."""
-        return [Match(*fill) for fill in zip(self.buyer_ids, self.seller_ids, self.quantities)]
-
 
 @dataclass
 class Settlement:
@@ -122,12 +112,6 @@ class Settlement:
     p2p_received: dict[str, float] = field(default_factory=dict)
     grid_charge: dict[str, float] = field(default_factory=dict)
     grid_credit: dict[str, float] = field(default_factory=dict)
-
-    def total_paid(self) -> float:
-        return sum(self.p2p_paid.values())
-
-    def total_received(self) -> float:
-        return sum(self.p2p_received.values())
 
 
 def clear_double_auction(

@@ -15,7 +15,7 @@ equal-distribution, and grid-hybrid baselines where those apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -190,10 +190,9 @@ def load_scenario(config_path) -> Scenario:
     horizon = integer("horizon", "1", 1, _MAX_HORIZON)
     slot_minutes = integer("slot_minutes", "15", 1)
     seed = integer("seed", "0", 0)
-    p_wp = number(keys.get("p_wp", "0.05"), line("p_wp"))
-    p_rp = number(keys.get("p_rp", "0.30"), line("p_rp"))
+    prices = {key: number(keys[key], line(key)) for key in ("p_wp", "p_rp") if key in keys}
     try:
-        tariff = mk.Tariff(p_wp=p_wp, p_rp=p_rp)
+        tariff = replace(mk.DEFAULT_TARIFF, **prices)
     except InputError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -217,7 +216,7 @@ def load_scenario(config_path) -> Scenario:
             )
         options["rule"] = keys["rule"]
     # a bid's limit is p_rp minus the buyer's margin, an ask's p_wp plus the seller's
-    for key, cap in (("buyer_margin", p_rp), ("seller_margin", math.inf)):
+    for key, cap in (("buyer_margin", tariff.p_rp), ("seller_margin", math.inf)):
         if key in keys:
             lo, _, hi = keys[key].partition(":")
             lo, hi = number(lo, line(key)), number(hi if hi else lo, line(key))
@@ -910,7 +909,8 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         solar_ids = {a.id for a in suppliers[:n_solar]}
         gens = {}
         for a in suppliers:
-            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * 4.0
+            # mean kWh per slot as kW
+            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * (60 / scenario.slot_minutes)
             series = synth.solar_series if a.id in solar_ids else synth.wind_series
             gens[a.id] = series(rng, scenario.horizon, scenario.slot_minutes, scale)
         net = np.stack([gens.get(a.id, a.gen) - a.load for a in ordered], axis=1)

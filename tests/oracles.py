@@ -21,8 +21,10 @@ response and the oversupply split with `run_storage_auction`, but neither
 the pricing kernel nor the batch settlement), the incentive-compatibility
 report and the requirement sweep from one such auction per report or total,
 the EV transfer-polytope projection from one capped-sum projection per
-row and per column in each Dykstra cycle, and a CSV cell's text from an
-isinstance chain alone. `compare_hybrid` is a helper, not an oracle: it runs
+row and per column in each Dykstra cycle, a CSV cell's text from an
+isinstance chain alone, and cyclic best-response dynamics on a finite game
+(the package only enumerates equilibria; criterion 9 checks that every
+profile these dynamics settle on is one of them). `compare_hybrid` is a helper, not an oracle: it runs
 the package's `simulate_trading` direct and grid-assisted on one scenario.
 """
 
@@ -302,7 +304,8 @@ def double_auction_stream_loop(scenario, cells, first, stop):
     at, amount = [], []
     for t, clearing in enumerate(books.clearings("marginal_bid")):
         settle = mk.settle_slot(clearing, tariff)
-        for buyer, seller, qty in clearing.matches:
+        for buyer, seller, qty in zip(clearing.buyer_ids, clearing.seller_ids,
+                                      clearing.quantities):
             at += (total["matched_kwh"], bought[buyer], sold[seller])
             amount += (qty, qty, qty)
         at += (total["grid_import_kwh"], total["grid_export_kwh"])
@@ -371,7 +374,8 @@ def coalition_replay_loop(scenario):
         for c in inst.customers:
             payoff = payoffs[c.id]
             out.append((c.id, "revenue", payoff) if payoff >= 0 else (c.id, "bill", -payoff))
-            fit = co.fit_payoff(c, tariff)
+            # the feed-in tariff: surplus sold at p_wp, deficiency bought at p_rp
+            fit = (tariff.p_wp if c.net_energy > 0 else tariff.p_rp) * c.net_energy
             out.append((c.id, "fit_revenue", fit) if fit >= 0 else (c.id, "fit_bill", -fit))
             if c.net_energy > 0:
                 out.append((c.id, "energy_sold_kwh", c.net_energy))
@@ -418,7 +422,8 @@ def solar_fraction_loop(scenario, fractions):
         solar_ids = {a.id for a in suppliers[:int(round(frac * len(suppliers)))]}
         gens = {}
         for a in suppliers:
-            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * 4.0
+            # mean kWh per slot as kW
+            scale = float(a.gen.sum()) / max(scenario.horizon, 1) * (60 / scenario.slot_minutes)
             draw = synth.solar_series if a.id in solar_ids else synth.wind_series
             gens[a.id] = draw(rng, scenario.horizon, scenario.slot_minutes, scale)
         total_value = 0.0
@@ -1091,3 +1096,26 @@ def fmt_reference(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
+
+
+def best_response_iteration(game, initial_profile, max_rounds: int):
+    """Cyclic best-response dynamics on a `games.FiniteGame`, lowest index on ties.
+
+    Each round lets every player in turn switch to its best response. Returns
+    (profile, converged); converged means a full round produced no change, in
+    which case the profile is a pure Nash equilibrium.
+    """
+    if max_rounds < 1:
+        raise InputError("max_rounds must be >= 1")
+    profile = [int(s) for s in initial_profile]
+    for _ in range(max_rounds):
+        changed = False
+        for n in range(game.n_players):
+            row = game.utilities[n][tuple(profile[:n]) + (slice(None),) + tuple(profile[n + 1:])]
+            best = int(np.argmax(row))  # argmax takes the lowest index on ties
+            if row[best] > row[profile[n]]:
+                profile[n] = best
+                changed = True
+        if not changed:
+            return tuple(profile), True
+    return tuple(profile), False

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -293,6 +294,36 @@ class TestShapley:
                 assert summary[key] == ""
             else:
                 assert float(summary[key]) >= 0
+
+
+    @pytest.mark.parametrize("flags", [["--exact"], ["--samples", "400"]])
+    def test_nets_that_overflow_the_sums_exit_1(self, tmp_path, capsys, flags):
+        path = tmp_path / "inst.csv"
+        path.write_text("id,role,net_kwh\na,supplier,1e200\nb,supplier,5\n"
+                        "c,user,-1e200\nd,user,-3\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["shapley", "--instance", str(path), *flags, "--out", str(out), "--quiet"])
+        assert code == 1 and caught == []
+        assert "overflow the Shapley sums" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_nets_at_the_bound_keep_a_finite_standard_error(self, tmp_path):
+        """The largest nets the bound lets four members have, at the most join
+        orders --samples takes."""
+        big = coalition._MAX_SCALE / 4
+        path = tmp_path / "inst.csv"
+        path.write_text(f"id,role,net_kwh\na,supplier,{big!r}\nb,supplier,5\n"
+                        f"c,user,{-big!r}\nd,user,-3\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["shapley", "--instance", str(path), "--samples",
+                         str(coalition.MAX_SAMPLES), "--out", str(out), "--quiet"])
+        assert code == 0 and caught == []
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert math.isfinite(float(dict(line.split(" = ") for line in lines)["standard_error"]))
 
 
 class TestStorageAuctionCmd:

@@ -1,5 +1,6 @@
 """Coalition game: value function, Shapley division, core membership."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -16,11 +17,7 @@ from gridswap.coalition import (
     PayoffAllocation,
     coalition_value,
     core_shortfall,
-    fit_payoff,
     implied_p2p_prices,
-    in_core,
-    is_superadditive,
-    revenue_vs_fit,
     shapley_exact,
     shapley_monte_carlo,
     shapley_payoff_rows,
@@ -88,7 +85,7 @@ class TestSuperadditivity:
         rng = np.random.default_rng(5)
         for k in range(40):
             inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), T)
-            ok, pair = is_superadditive(inst)
+            ok, pair = is_superadditive_enumeration(inst)
             assert ok, pair
 
     @settings(max_examples=150, deadline=None)
@@ -109,21 +106,14 @@ class TestSuperadditivity:
         assert merged >= coalition_value(left, T) + coalition_value(right, T) - 1e-9
 
     def test_single_customer_vacuous(self):
-        ok, pair = is_superadditive(CoalitionInstance((supplier("s", 3),), T))
+        ok, pair = is_superadditive_enumeration(CoalitionInstance((supplier("s", 3),), T))
         assert ok and pair is None
-
-    def test_closed_form_at_n_200(self):
-        rng = np.random.default_rng(8)
-        inst = random_instance(rng, 100, 100, T)
-        assert is_superadditive(inst) == (True, None)
-
-    def test_closed_form_at_large_nets(self):
-        # absolute 1e-12 rounding at thousands of kWh once read as a violation
-        inst = from_nets([7038.9, 3082.6, 3718.8, -7653.1, -4952.0, -7839.2], Tariff(0.05, 0.30))
-        assert is_superadditive(inst) == (True, None)
 
     @pytest.mark.parametrize("tariff", [T, Tariff(0.05, 0.30), Tariff(0.0, 0.01)])
     def test_closed_form_agrees_with_enumeration(self, tariff):
+        # the closed form: every Tariff has p_rp > p_wp, so on the pooled net x
+        # v = min(p_wp * x, p_rp * x) is concave and positively homogeneous,
+        # hence superadditive at any N, with no violating pair
         rng = np.random.default_rng(31)
         instances = [from_nets([5.0, 0.0, -2.0], tariff), from_nets([0.0, 0.0], tariff)]
         while len(instances) < 80:
@@ -131,7 +121,7 @@ class TestSuperadditivity:
             if n_s + n_u:
                 instances.append(random_instance(rng, n_s, n_u, tariff))
         for inst in instances:
-            assert is_superadditive(inst) == is_superadditive_enumeration(inst)
+            assert is_superadditive_enumeration(inst) == (True, None)
 
 
 class TestShapleyExact:
@@ -463,6 +453,23 @@ class TestSampledKernel:
         rms = {name: np.sqrt(np.mean(np.square(e))) for name, e in errors.items()}
         assert rms["pairs"] <= rms["independent"]
 
+    def test_nets_that_overflow_the_sums_refused(self):
+        """Instances and sampled rows share one bound on N max|net| max(1, p_rp):
+        at it both are accepted, one float past it both are refused."""
+        n = 64  # above the exact limit; dividing by it is exact
+        edge = coalition._MAX_SCALE / n
+        for big, ok in ((edge, True), (np.nextafter(edge, np.inf), False)):
+            energies = np.full((2, n), 2.0)
+            energies[1, :2] = big, -big
+            if ok:
+                from_nets(energies[1])
+                assert np.isfinite(shapley_payoff_rows(energies, T, 100, [1, 2])[1]).all()
+                continue
+            with pytest.raises(InputError, match="overflow the Shapley sums"):
+                from_nets(energies[1])
+            with pytest.raises(InputError, match="overflow the Shapley sums"):
+                shapley_payoff_rows(energies, T, 100, [1, 2])
+
     def test_memory_stays_in_blocks(self):
         """One estimate at N = 100 from 40,000 join orders holds a few blocks,
         not whole batches of 200,000 floats."""
@@ -479,15 +486,17 @@ class TestSampledKernel:
 class TestCore:
     def test_singleton_always_in_core(self):
         inst = CoalitionInstance((supplier("s", 5),), T)
-        ok, worst = in_core(shapley_exact(inst), inst)
-        assert ok and worst is None
+        _, blocking = core_shortfall(shapley_exact(inst), inst)
+        assert blocking is None
 
     def test_shapley_in_core_on_balanced_instances(self):
         rng = np.random.default_rng(33)
         for _ in range(50):
             inst = balanced_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), T)
-            ok, worst = in_core(shapley_exact(inst), inst)
-            assert ok, worst
+            alloc = shapley_exact(inst)
+            assert alloc.total() == pytest.approx(coalition_value(inst.customers, T), abs=1e-9)
+            shortfall, blocking = core_shortfall(alloc, inst)
+            assert blocking is None, (blocking, shortfall)
 
     def test_shapley_can_leave_core_on_unbalanced_market(self):
         # one big supplier plus both users beats their Shapley payoffs when
@@ -503,18 +512,19 @@ class TestCore:
             ),
             T,
         )
-        ok, worst = in_core(shapley_exact(inst), inst)
-        assert not ok
-        assert worst[1] > 0.1
-        ok_witness, _ = in_core(competitive_allocation(inst), inst)
-        assert ok_witness
+        shortfall, blocking = core_shortfall(shapley_exact(inst), inst)
+        assert blocking is not None
+        assert shortfall > 0.1
+        assert core_shortfall(competitive_allocation(inst), inst)[1] is None
 
     def test_competitive_witness_in_core_on_any_mix(self):
         rng = np.random.default_rng(14)
         for _ in range(80):
             inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), T)
-            ok, worst = in_core(competitive_allocation(inst), inst)
-            assert ok, worst
+            witness = competitive_allocation(inst)
+            assert witness.total() == pytest.approx(coalition_value(inst.customers, T), abs=1e-9)
+            shortfall, blocking = core_shortfall(witness, inst)
+            assert blocking is None, (blocking, shortfall)
 
     def test_blocking_singleton_detected(self):
         from gridswap.coalition import PayoffAllocation
@@ -523,8 +533,7 @@ class TestCore:
         grand = coalition_value(inst.customers, T)
         # give the supplier less than its stand-alone value
         bad = PayoffAllocation({"s": 0.2, "u": grand - 0.2})
-        ok, (ids, gap) = in_core(bad, inst)
-        assert not ok
+        gap, ids = core_shortfall(bad, inst)
         assert ids == ("s",)
         assert gap == pytest.approx(0.3)
 
@@ -532,11 +541,10 @@ class TestCore:
         rng = np.random.default_rng(16)
         half = coalition._EXACT_LIMIT // 2
         inst = random_instance(rng, half, coalition._EXACT_LIMIT - half, T)
-        ok, _ = in_core(competitive_allocation(inst), inst)
-        assert ok
+        assert core_shortfall(competitive_allocation(inst), inst)[1] is None
         bigger = random_instance(rng, half + 1, coalition._EXACT_LIMIT - half, T)
         with pytest.raises(SizeError):
-            in_core(competitive_allocation(bigger), bigger)
+            core_shortfall(competitive_allocation(bigger), bigger)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_split_equals_enumeration(self, n):
@@ -572,22 +580,15 @@ class TestCore:
         for seed in range(20):
             nets = np.random.default_rng(seed).uniform(-15.0, 20.0, 12)
             small, large = from_nets(nets), from_nets(nets * scale)
-            ok, worst = in_core(shapley_exact(large), large)
-            expected, expected_worst = in_core(shapley_exact(small), small)
-            assert ok == expected
-            assert ok or worst[0] == expected_worst[0]
-            in_core(shapley_monte_carlo(large, 200, seed), large)
+            grand = coalition_value(large.customers, T)
+            for alloc in (shapley_exact(large), shapley_monte_carlo(large, 200, seed)):
+                assert abs(alloc.total() - grand) <= coalition._core_tolerance(large)
+            _, blocking = core_shortfall(shapley_exact(large), large)
+            assert blocking == core_shortfall(shapley_exact(small), small)[1]
 
     def test_tolerance_stays_absolute_at_desk_scale(self):
         inst = random_instance(np.random.default_rng(3), 10, 10, Tariff(p_wp=0.05, p_rp=0.30))
         assert coalition._core_tolerance(inst) == 1e-9
-
-    def test_inefficient_allocation_rejected(self):
-        from gridswap.coalition import PayoffAllocation
-
-        inst = CoalitionInstance((supplier("s", 10),), T)
-        with pytest.raises(InputError):
-            in_core(PayoffAllocation({"s": 99.0}), inst)
 
 
 class TestImpliedPrices:
@@ -622,16 +623,18 @@ class TestRevenueVsFit:
         rng = np.random.default_rng(2)
         for _ in range(30):
             inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), T)
-            _, totals = revenue_vs_fit(inst)
-            assert totals["p2p_total"] >= totals["fit_total"] - 1e-9
+            fit_total = math.fsum(coalition_value((c,), T) for c in inst.customers)
+            assert shapley_exact(inst).total() >= fit_total - 1e-9
 
     def test_all_suppliers_equal_fit_exactly(self):
         inst = CoalitionInstance((supplier("a", 6), supplier("b", 3)), T)
-        rows, totals = revenue_vs_fit(inst)
-        for r in rows:
-            assert r["p2p_payoff"] == pytest.approx(r["fit_payoff"], abs=1e-12)
-        assert totals["p2p_total"] == pytest.approx(totals["fit_total"])
+        alloc = shapley_exact(inst)
+        for c in inst.customers:
+            assert alloc.payoffs[c.id] == pytest.approx(coalition_value((c,), T), abs=1e-12)
+        assert alloc.total() == pytest.approx(math.fsum(coalition_value((c,), T)
+                                                        for c in inst.customers))
 
     def test_fit_payoff_signs(self):
-        assert fit_payoff(supplier("s", 10), T) == pytest.approx(0.5)
-        assert fit_payoff(user("u", 10), T) == pytest.approx(-1.0)
+        # a lone member's worth is its feed-in-tariff payoff
+        assert coalition_value((supplier("s", 10),), T) == pytest.approx(0.5)
+        assert coalition_value((user("u", 10),), T) == pytest.approx(-1.0)

@@ -11,7 +11,6 @@ from gridswap.errors import DomainError, InfeasibleError, InputError
 from gridswap.ev import (
     ChargingEV,
     DischargingEV,
-    EvAuctionResult,
     HybridBuyer,
     HybridSeller,
     _Market,
@@ -285,7 +284,8 @@ class TestSocialWelfare:
         chargers = [charger("c1", 1.0, 4.0, 12.0)]
         dischargers = [discharger("d1", 0.05, 0.05, 10.0)]
         alloc, _ = solve_social_welfare(chargers, dischargers, eta=0.9)
-        assert np.allclose(alloc.delivered, 0.9 * alloc.sent.T)
+        assert alloc.delivered_per_charger().sum() == pytest.approx(
+            0.9 * alloc.sent_per_discharger().sum())
 
     def test_infeasible_names_constraint(self):
         chargers = [charger("c", 1.0, c_min=30.0)]
@@ -300,52 +300,45 @@ class TestSocialWelfare:
         assert ev_welfare_of(alloc.sent, chargers, dischargers, 0.9) == pytest.approx(best)
 
 
-def is_individually_rational(result: EvAuctionResult, tol: float = 1e-9) -> bool:
+def is_individually_rational(chargers, dischargers, allocation, settlement,
+                             tol: float = 1e-9) -> bool:
     """Needs-adjusted buyer surplus and seller profit both nonnegative."""
-    price = result.settlement.price
+    price = settlement.price
     if price is None:
         return True
-    d = result.allocation.sent
-    eta = result.eta
-    delivered = eta * d.sum(axis=0)
-    for i, c in enumerate(result.chargers):
+    d, eta = allocation.sent, allocation.eta
+    delivered = allocation.delivered_per_charger()
+    for i, c in enumerate(chargers):
         value = satisfaction(c, d[:, i], eta)
         discretionary = max(delivered[i] - c.c_min, 0.0)
         if value < price * discretionary - tol:
             return False
-    for j, s in enumerate(result.dischargers):
-        if result.settlement.seller_receipts[s.id] < discharge_cost(s, d[j, :]) - tol:
+    for j, s in enumerate(dischargers):
+        if settlement.seller_receipts[s.id] < discharge_cost(s, d[j, :]) - tol:
             return False
     return True
 
 
-def apply_disconnection(
-    result: EvAuctionResult, departing_id: str, penalty_rate: float = 0.02
-) -> tuple[EvAuctionResult, float]:
-    """Restart the auction without a departed vehicle.
+def apply_disconnection(chargers, dischargers, allocation, departing_id: str,
+                        penalty_rate: float = 0.02):
+    """Restart the auction (eta 0.9) without a departed vehicle.
 
     The deserter owes penalty_rate $/kWh on its previously allocated energy
-    (delivered for chargers, sent for dischargers).
+    (delivered for chargers, sent for dischargers). Returns the remaining
+    chargers and dischargers, the restarted auction's allocation and the penalty.
     """
-    charger_ids = [c.id for c in result.chargers]
-    discharger_ids = [s.id for s in result.dischargers]
+    charger_ids = [c.id for c in chargers]
+    discharger_ids = [s.id for s in dischargers]
     if departing_id in charger_ids:
-        i = charger_ids.index(departing_id)
-        prior = float(result.allocation.delivered_per_charger()[i])
-        chargers = [c for c in result.chargers if c.id != departing_id]
-        dischargers = result.dischargers
+        prior = float(allocation.delivered_per_charger()[charger_ids.index(departing_id)])
+        chargers = [c for c in chargers if c.id != departing_id]
     elif departing_id in discharger_ids:
-        j = discharger_ids.index(departing_id)
-        prior = float(result.allocation.sent_per_discharger()[j])
-        chargers = result.chargers
-        dischargers = [s for s in result.dischargers if s.id != departing_id]
+        prior = float(allocation.sent_per_discharger()[discharger_ids.index(departing_id)])
+        dischargers = [s for s in dischargers if s.id != departing_id]
     else:
         raise InputError(f"agent {departing_id!r} did not participate")
-    penalty = penalty_rate * prior
-    _, rerun = run_iterative_auction(
-        chargers, dischargers, result.eta, result.eps, result.max_iter
-    )
-    return rerun, penalty
+    rerun, _ = run_iterative_auction(chargers, dischargers, eta=0.9)
+    return chargers, dischargers, rerun, penalty_rate * prior
 
 
 class TestIterativeAuction:
@@ -357,9 +350,9 @@ class TestIterativeAuction:
     def test_symmetric_prices_for_symmetric_agents(self):
         chargers = [charger("c1", 1.5, 5.0, 14.0), charger("c2", 1.5, 5.0, 14.0)]
         dischargers = [discharger("d1", 0.04, 0.02, 15.0), discharger("d2", 0.04, 0.02, 15.0)]
-        _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
+        alloc, result = run_iterative_auction(chargers, dischargers, eta=0.9)
         assert result.trace.converged
-        final_bids = _marginal_bids(chargers, result.allocation.delivered_per_charger())
+        final_bids = _marginal_bids(chargers, alloc.delivered_per_charger())
         assert final_bids[0] == pytest.approx(final_bids[1], abs=1e-6)
 
     def test_converges_to_solver_welfare(self):
@@ -385,9 +378,10 @@ class TestIterativeAuction:
 
     def test_weak_budget_balance_and_ir(self):
         chargers, dischargers = self._instance()
-        _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
-        assert result.settlement.collected_minus_paid() >= -1e-9
-        assert is_individually_rational(result)
+        alloc, result = run_iterative_auction(chargers, dischargers, eta=0.9)
+        s = result.settlement
+        assert math.fsum(s.buyer_payments.values()) - math.fsum(s.seller_receipts.values()) >= -1e-9
+        assert is_individually_rational(chargers, dischargers, alloc, s)
 
     def test_welfare_history_recorded(self):
         chargers, dischargers = self._instance()
@@ -471,45 +465,44 @@ class TestCertifiedGap:
 
 
 class TestDisconnection:
-    def _result(self):
+    def _auction(self):
         chargers = [charger("c1", 1.9, 6.0, 15.0), charger("c2", 1.4, 5.0, 14.0)]
         dischargers = [discharger("d1", 0.03, 0.02, 16.0), discharger("d2", 0.045, 0.03, 13.0)]
-        _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
-        return result
+        return chargers, dischargers, run_iterative_auction(chargers, dischargers, eta=0.9)[0]
 
     def test_penalty_is_rate_times_allocation(self):
-        result = self._result()
-        amount = float(result.allocation.sent_per_discharger()[0])
-        _, penalty = apply_disconnection(result, "d1", penalty_rate=0.02)
+        chargers, dischargers, alloc = self._auction()
+        amount = float(alloc.sent_per_discharger()[0])
+        *_, penalty = apply_disconnection(chargers, dischargers, alloc, "d1", penalty_rate=0.02)
         assert penalty == pytest.approx(0.02 * amount)
 
     def test_zero_allocation_zero_penalty(self):
         chargers = [charger("c1", 1.5, 0.0, 6.0)]
         dischargers = [discharger("d1", 0.01, 0.01, 30.0),
                        DischargingEV("dx", 0.0, 5.0, 10.0)]  # priced out
-        _, result = run_iterative_auction(chargers, dischargers, eta=0.9)
-        assert result.allocation.sent_per_discharger()[1] == pytest.approx(0.0, abs=1e-6)
-        _, penalty = apply_disconnection(result, "dx", penalty_rate=0.02)
+        alloc, _ = run_iterative_auction(chargers, dischargers, eta=0.9)
+        assert alloc.sent_per_discharger()[1] == pytest.approx(0.0, abs=1e-6)
+        *_, penalty = apply_disconnection(chargers, dischargers, alloc, "dx", penalty_rate=0.02)
         assert penalty == pytest.approx(0.0, abs=1e-7)
 
     def test_rerun_equals_fresh_auction(self):
-        result = self._result()
-        rerun, _ = apply_disconnection(result, "d2")
-        fresh_alloc, fresh = run_iterative_auction(
-            result.chargers, [d for d in result.dischargers if d.id != "d2"],
-            eta=0.9)
-        assert np.allclose(rerun.allocation.sent, fresh_alloc.sent, atol=1e-12)
+        chargers, dischargers, alloc = self._auction()
+        _, _, rerun, _ = apply_disconnection(chargers, dischargers, alloc, "d2")
+        fresh, _ = run_iterative_auction(chargers, [d for d in dischargers if d.id != "d2"],
+                                         eta=0.9)
+        assert np.allclose(rerun.sent, fresh.sent, atol=1e-12)
 
     def test_departing_charger_pays_on_delivered_energy(self):
-        result = self._result()
-        delivered = float(result.allocation.delivered_per_charger()[0])
-        rerun, penalty = apply_disconnection(result, "c1", penalty_rate=0.05)
+        chargers, dischargers, alloc = self._auction()
+        delivered = float(alloc.delivered_per_charger()[0])
+        remaining, _, _, penalty = apply_disconnection(chargers, dischargers, alloc, "c1",
+                                                       penalty_rate=0.05)
         assert penalty == pytest.approx(0.05 * delivered)
-        assert [c.id for c in rerun.chargers] == ["c2"]
+        assert [c.id for c in remaining] == ["c2"]
 
     def test_unknown_agent_rejected(self):
         with pytest.raises(InputError):
-            apply_disconnection(self._result(), "ghost")
+            apply_disconnection(*self._auction(), "ghost")
 
 
 class TestHybridComparison:

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from gridswap.errors import InputError, SizeError
-from gridswap.games import FiniteGame, best_response_iteration, find_pure_nash, is_nash
+from gridswap.games import FiniteGame, find_pure_nash, is_nash
+from oracles import best_response_iteration
 
 # row player utilities / column player utilities
-PRISONERS = FiniteGame.from_payoff_tables(
+PRISONERS = FiniteGame([
     [[-1, -3], [0, -2]],
     [[-1, 0], [-3, -2]],
-)
+])
 # 0 = cooperate, 1 = defect; (D, D) is the unique equilibrium
 
-MATCHING_PENNIES = FiniteGame.from_payoff_tables(
+MATCHING_PENNIES = FiniteGame([
     [[1, -1], [-1, 1]],
     [[-1, 1], [1, -1]],
-)
+])
 
-COORDINATION = FiniteGame.from_payoff_tables(
+COORDINATION = FiniteGame([
     [[2, 0], [0, 1]],
     [[2, 0], [0, 1]],
-)
+])
 
 
 def random_game(rng, players=2, strategies=3):

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridswap.errors import InputError
-from gridswap import cli, market, synth
-from gridswap.market import Book, Match, Tariff, clear_double_auction, settle_slot
-from gridswap.scenario import load_scenario, run_simulation
+from gridswap import market
+from gridswap.market import Book, Tariff, clear_double_auction, settle_slot
 
 from oracles import (clear_double_auction_loop, max_crossing_volume, max_crossing_welfare,
                      settle_loop)
@@ -45,8 +44,7 @@ class TestClearing:
         # one bid above one ask: everything trades at the only allocated bid
         c = clear([("B1", 5, 0.20)], [("S1", 5, 0.10)])
         assert c.clearing_price == 0.20
-        assert len(c.matches) == 1
-        assert c.matches[0].quantity == 5
+        assert c.quantities == [5]
         assert c.residual_buys == {} and c.residual_sells == {}
 
     def test_merit_order_split(self):
@@ -55,7 +53,7 @@ class TestClearing:
             [("B1", 3, 0.25), ("B2", 3, 0.15)], [("S1", 4, 0.10)]
         )
         assert c.clearing_price == 0.15
-        got = {(m.buyer_id, m.quantity) for m in c.matches}
+        got = set(zip(c.buyer_ids, c.quantities))
         assert got == {("B1", 3), ("B2", 1)}
         assert c.residual_buys == {"B2": 2}
 
@@ -65,25 +63,25 @@ class TestClearing:
         c = clear(buys, sells)
         assert c.matched_volume == max_crossing_volume(buys, sells, unit=0.5)
         welfare = sum(
-            (dict((b[0], b[2]) for b in buys)[m.buyer_id] - 0.10) * m.quantity
-            for m in c.matches
+            (dict((b[0], b[2]) for b in buys)[buyer] - 0.10) * quantity
+            for buyer, quantity in zip(c.buyer_ids, c.quantities)
         )
         assert welfare == pytest.approx(max_crossing_welfare(buys, sells, unit=0.5))
 
     def test_no_crossing(self):
         c = clear([("B1", 5, 0.08)], [("S1", 5, 0.10)])
         assert c.clearing_price is None
-        assert c.matches == []
+        assert c.quantities == []
         assert c.residual_buys == {"B1": 5}
         assert c.residual_sells == {"S1": 5}
 
     def test_empty_book_is_valid(self):
         c = clear([], [])
-        assert c.clearing_price is None and c.matches == []
+        assert c.clearing_price is None and c.quantities == []
 
     def test_one_sided_book(self):
         c = clear([], [("S1", 2, 0.10)])
-        assert c.matches == [] and c.residual_sells == {"S1": 2}
+        assert c.quantities == [] and c.residual_sells == {"S1": 2}
 
     def test_midpoint_pricing(self):
         c = clear(
@@ -108,8 +106,8 @@ class TestClearing:
         c = clear(buys, sells)
         bid_prices = {"B1": 0.30, "B2": 0.22}
         ask_prices = {"S1": 0.05, "S2": 0.20}
-        for m in c.matches:
-            assert bid_prices[m.buyer_id] >= c.clearing_price >= ask_prices[m.seller_id]
+        for buyer, seller in zip(c.buyer_ids, c.seller_ids):
+            assert bid_prices[buyer] >= c.clearing_price >= ask_prices[seller]
 
 
 order_lists = st.lists(
@@ -146,9 +144,9 @@ def test_permutation_invariance(buys, sells, shuffle_seed):
     # match multiset agrees on per-pair totals
     def pair_totals(clearing):
         tot = {}
-        for m in clearing.matches:
-            key = (m.buyer_id, m.seller_id)
-            tot[key] = tot.get(key, 0.0) + m.quantity
+        for buyer, seller, quantity in zip(clearing.buyer_ids, clearing.seller_ids,
+                                           clearing.quantities):
+            tot[buyer, seller] = tot.get((buyer, seller), 0.0) + quantity
         return tot
 
     assert pair_totals(base) == pytest.approx(pair_totals(other))
@@ -205,7 +203,7 @@ def test_columns_equal_the_row_loop(buys, sells, pricing):
 
 
 def assert_same_clearing(got, want):
-    assert repr([tuple(m) for m in got.matches]) == repr(want.matches)
+    assert repr(list(zip(got.buyer_ids, got.seller_ids, got.quantities))) == repr(want.matches)
     for name in ("clearing_price", "matched_volume", "residual_buys", "residual_sells"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
@@ -302,7 +300,7 @@ def test_scalar_tail_takes_over_mid_book(monkeypatch):
     monkeypatch.setattr(market, "_merge", recorded)
     got = clear_rows(bids, asks, bid_qty, ask_qty)
     assert tails == [(1, 1, 0)]
-    assert len(got[0].matches) == 1 and len(got[1].matches) == 5
+    assert len(got[0].quantities) == 1 and len(got[1].quantities) == 5
     for clearing, bq, aq in zip(got, bid_qty, ask_qty):
         assert_same_clearing(clearing, clear_double_auction_loop(row_orders(bids, bq),
                                                                  row_orders(asks, aq)))
@@ -352,7 +350,7 @@ class TestSettlement:
             [("S1", 3, 0.05), ("S2", 3.5, 0.20)],
         )
         s = settle_slot(c, Tariff(0.01, 0.40))
-        assert s.total_paid() == pytest.approx(s.total_received(), abs=1e-12)
+        assert sum(s.p2p_paid.values()) == pytest.approx(sum(s.p2p_received.values()), abs=1e-12)
 
 
 def test_oracle_equivalence_small_books():
@@ -369,49 +367,7 @@ def test_oracle_equivalence_small_books():
 
 
 class TestFillColumns:
-    def test_matches_are_built_from_the_columns(self):
+    def test_fills_are_columns_in_merge_order(self):
         c = clear([("B1", 3, 0.25), ("B2", 3, 0.15)], [("S1", 4, 0.10), ("S2", 1, 0.12)])
         assert (c.buyer_ids, c.seller_ids, c.quantities) == (
             ["B1", "B2", "B2"], ["S1", "S1", "S2"], [3.0, 1.0, 1.0])
-        assert all(type(m) is Match for m in c.matches)
-        assert [tuple(m) for m in c.matches] == list(zip(c.buyer_ids, c.seller_ids,
-                                                         c.quantities))
-        assert [m.buyer_id for m in c.matches] == c.buyer_ids
-        assert [m.seller_id for m in c.matches] == c.seller_ids
-        assert [m.quantity for m in c.matches] == c.quantities
-
-    def test_no_match_built_by_run_or_clear(self, tmp_path, monkeypatch):
-        """A double-auction run settles every slot from the clearing's
-        columns and `clear` writes its fills from them: neither builds a
-        Match, however many fills split."""
-        rng = np.random.default_rng(7)
-        lines = ["mechanism = double_auction", "horizon = 96", "seed = 5"]
-        for k in range(8):
-            load = synth.load_series(rng, 96, 15)
-            gen = synth.solar_series(rng, 96, 15, scale=3.0) if k % 2 else 0.0 * load
-            (tmp_path / f"a{k}.csv").write_text("slot_index,load_kwh,gen_kwh\n" + "".join(
-                f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(zip(load.tolist(), gen.tolist()))))
-            lines.append(f"agent = a{k} {'prosumer' if k % 2 else 'consumer'} a{k}.csv")
-        (tmp_path / "market.cfg").write_text("\n".join(lines) + "\n")
-        scenario = load_scenario(tmp_path / "market.cfg")
-        # B2 is split between S1 and S2, and S1 between B1 and B2
-        orders = tmp_path / "orders.csv"
-        orders.write_text("agent_id,side,quantity,limit_price\nB1,buy,3,0.25\nB2,buy,3,0.15\n"
-                          "S1,sell,4,0.10\nS2,sell,1,0.12\n")
-
-        class NoMatch:
-            def __new__(cls, *args, **kwargs):
-                raise AssertionError("a Match was built")
-
-        monkeypatch.setattr(market, "Match", NoMatch)
-        report = run_simulation(scenario)
-        assert report.system["matched_kwh"] > 0
-        for pricing, price in (("marginal_bid", "0.15"), ("midpoint", repr((0.15 + 0.12) / 2))):
-            out = tmp_path / pricing
-            assert cli.main(["clear", "--orders", str(orders), "--pricing", pricing,
-                             "--out", str(out), "--quiet"]) == 0
-            assert (out / "matches.csv").read_text().splitlines()[1:] == [
-                f"B1,S1,3.0,{price}", f"B2,S1,1.0,{price}", f"B2,S2,1.0,{price}"]
-            assert "matches = 3" in (out / "clearing.txt").read_text().splitlines()
-        monkeypatch.undo()
-        assert market.Match is Match

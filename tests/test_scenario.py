@@ -631,6 +631,18 @@ class TestCoalitionReplay:
         assert repr(sweep(sc, "solar_fraction", fractions)) == repr(
             solar_fraction_loop(sc, fractions))
 
+    def test_wind_sweep_does_not_depend_on_the_slot_length(self):
+        """Each wind series is scaled from its supplier's mean kWh per slot, so
+        the same series read as 15- or 60-minute slots value alike."""
+        values = {}
+        for minutes in (15, 60):
+            sc = _coalition_scenario(3, 7, 48, quiet=0.2)
+            sc.slot_minutes = minutes
+            rows = sweep(sc, "solar_fraction", [0.0])
+            assert repr(rows) == repr(solar_fraction_loop(sc, [0.0]))
+            values[minutes] = rows[0]["community_value"]
+        assert values[60] == pytest.approx(values[15], rel=1e-12, abs=0.0)
+
 
 def _member_counts(scenario):
     nets = np.stack([a.gen - a.load for a in scenario.agents], axis=1)
