@@ -15,8 +15,10 @@ equal-distribution, and grid-hybrid baselines where those apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,24 +30,17 @@ from . import storage as st
 from .errors import InputError, SchemaError
 from .ingest import finite
 
-ROLES = ("consumer", "prosumer", "ev", "residential_unit", "sfc")
-# the options each mechanism reads; a config that sets another mechanism's is refused
-_OPTIONS = {
-    "double_auction": ("buyer_margin", "seller_margin"),
-    "ev_auction": ("eta", "eps", "grid_sell_out", "grid_buy_back"),
-    "coalition": ("mc_samples",),
-    "storage_auction": ("rule",),
-}
-MECHANISMS = tuple(_OPTIONS)
-# the config keys load_scenario reads, besides `agent`; any other is refused
-_KEYS = ("mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp",
-         *(key for keys in _OPTIONS.values() for key in keys))
-# the parameters each kind of agent reads; an ev agent that names w is
-# charging, one that names l1 or l2 discharging
-_PARAMS = {
-    "consumer": (), "prosumer": (), "sfc": ("requirement", "bid"),
-    "residential_unit": ("capacity", "reservation", "reluctance"),
-    "charging ev": ("w", "c_min", "c_max"), "discharging ev": ("l1", "l2", "d_max"),
+# per kind of agent: what its parameters build (None for a kind that reads a
+# series), and the parameters it reads in the order the constructor takes
+# them, with their defaults (None: required). An ev agent that names w is
+# charging, one that names l1 or l2 discharging.
+_KINDS = {
+    "consumer": (None, {}), "prosumer": (None, {}),
+    "sfc": (st.SfcAgent, dict.fromkeys(("requirement", "bid"))),
+    "residential_unit": (st.ResidentialUnit,
+                         dict.fromkeys(("capacity", "reservation", "reluctance"))),
+    "charging ev": (evx.ChargingEV, {"w": None, "c_min": 0.0, "c_max": math.inf}),
+    "discharging ev": (evx.DischargingEV, {"l1": 0.0, "l2": 0.0, "d_max": 0.0}),
 }
 SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price")
 # a supplier_count sweep draws one series per supplier and samples Shapley
@@ -67,7 +62,26 @@ class AgentProfile:
     role: str
     load: np.ndarray
     gen: np.ndarray
-    params: dict = field(default_factory=dict)
+    params: InitVar[dict | None] = None
+    # the vehicle, residential unit or SFC the parameters build, else None
+    party: object = field(init=False, repr=False, default=None)
+
+    def __post_init__(self, params: dict | None) -> None:
+        p = params or {}
+        kind = self.role
+        if kind == "ev":
+            kind = "charging ev" if "w" in p else "discharging ev" if "l1" in p or "l2" in p else ""
+            if not kind:
+                raise SchemaError(f"ev agent {self.id!r} needs either w (charging) "
+                                  "or l1/l2 (discharging)")
+        build, reads = _KINDS[kind]
+        unread = [name for name in p if name not in reads]
+        if unread:
+            raise SchemaError(f"{kind} agent {self.id!r} does not read parameter {unread[0]!r} "
+                              f"(it reads: {', '.join(reads) or 'none'})")
+        if build is not None:  # a required parameter that is missing raises KeyError
+            self.party = build(self.id, *(p[name] if default is None else p.get(name, default)
+                                          for name, default in reads.items()))
 
 
 @dataclass
@@ -78,10 +92,16 @@ class Scenario:
     horizon: int
     slot_minutes: int = 15
     seed: int = 0
+    # every option the mechanism reads; those not given take their default
     options: dict = field(default_factory=dict)
     # the config and each series file it names, in the order read, and the
     # sha256 of the bytes parsed from each
     sources: dict[Path, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        defaults = _MECHANISMS[self.mechanism].options.items()
+        self.options = {**{key: default(self.tariff) if callable(default) else default
+                           for key, default in defaults}, **self.options}
 
 
 @dataclass
@@ -133,9 +153,11 @@ def load_scenario(config_path) -> Scenario:
 
     Lines look like `key = value`; `#` starts a comment. Agents are declared
     as `agent = <id> <role> <series.csv|-> [name=value ...]`; series files are
-    resolved against the config's directory. A mechanism option that the
-    config's mechanism does not read (`_OPTIONS`) is refused. The scenario's
-    `sources` hold the sha256 of the config's bytes and of each series file's.
+    resolved against the config's directory. A mechanism option or an agent
+    role that the config's mechanism does not read (`_MECHANISMS`) is
+    refused, as is a series file on an agent that reads parameters. The
+    scenario's `sources` hold the sha256 of the config's bytes and of each
+    series file's.
     """
     config_path = Path(config_path)
     sources: dict[Path, str] = {}
@@ -182,8 +204,9 @@ def load_scenario(config_path) -> Scenario:
     mechanism = keys.get("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
         raise SchemaError(f"{line('mechanism')}: unknown mechanism {mechanism!r}")
+    roles = _MECHANISMS[mechanism].roles
     for key in keys:
-        owner = next((m for m, read in _OPTIONS.items() if key in read), mechanism)
+        owner = next((m for m, spec in _MECHANISMS.items() if key in spec.options), mechanism)
         if owner != mechanism:
             raise SchemaError(f"{line(key)}: {key} is read by the {owner} mechanism only, "
                               f"not by {mechanism}")
@@ -197,16 +220,14 @@ def load_scenario(config_path) -> Scenario:
         raise SchemaError(f"{where}: {exc}") from exc
 
     options: dict = {}
-    for key in ("eta", "eps", "grid_sell_out", "grid_buy_back"):
+    for key, within, bound in (("eta", lambda v: 0 < v <= 1, "in (0, 1]"),
+                               ("eps", lambda v: v > 0, "> 0"),
+                               ("grid_sell_out", lambda v: v >= 0, ">= 0"),
+                               ("grid_buy_back", lambda v: v >= 0, ">= 0")):
         if key in keys:
             options[key] = number(keys[key], line(key))
-    if not 0 < options.get("eta", 1.0) <= 1:
-        raise SchemaError(f"{line('eta')}: eta must be in (0, 1], got {keys['eta']}")
-    if not options.get("eps", 1.0) > 0:
-        raise SchemaError(f"{line('eps')}: eps must be > 0, got {keys['eps']}")
-    for key in ("grid_sell_out", "grid_buy_back"):
-        if options.get(key, 0.0) < 0:
-            raise SchemaError(f"{line(key)}: {key} must be >= 0, got {keys[key]}")
+            if not within(options[key]):
+                raise SchemaError(f"{line(key)}: {key} must be {bound}, got {keys[key]}")
     if "mc_samples" in keys:
         options["mc_samples"] = integer("mc_samples", "", 1, co.MAX_SAMPLES)
     if "rule" in keys:
@@ -233,7 +254,7 @@ def load_scenario(config_path) -> Scenario:
                 f"{where}:{ln}: agent needs '<id> <role> <series|-> [k=v ...]'"
             )
         aid, role, series = parts[0], parts[1], parts[2]
-        if role not in ROLES:
+        if not any(role in spec.roles for spec in _MECHANISMS.values()):
             raise SchemaError(f"{where}:{ln}: unknown role {role!r}")
         params: dict = {}
         for token in parts[3:]:
@@ -243,18 +264,21 @@ def load_scenario(config_path) -> Scenario:
             if name in params:
                 raise SchemaError(f"{where}:{ln}: agent {aid!r} parameter {name!r} given twice")
             params[name] = number(value, f"{where}:{ln}: agent {aid!r} {name}")
-        if series == "-":
-            load = np.zeros(horizon)
-            gen = np.zeros(horizon)
-        else:
-            load, gen = _read_series(config_path.parent / series, horizon, aid, sources)
-        agent = AgentProfile(aid, role, load, gen, params)
         try:
-            _mechanism_agent(agent)
+            agent = AgentProfile(aid, role, np.zeros(horizon), np.zeros(horizon), params)
         except KeyError as exc:
             raise SchemaError(f"{where}:{ln}: agent {aid!r} needs parameter {exc}") from exc
         except InputError as exc:
             raise SchemaError(f"{where}:{ln}: {exc}") from exc
+        if role not in roles:
+            raise SchemaError(f"{where}:{ln}: {role} agent {aid!r} is not read by the "
+                              f"{mechanism} mechanism (it reads: {', '.join(roles)})")
+        if series != "-":
+            if agent.party is not None:
+                raise SchemaError(f"{where}:{ln}: {role} agent {aid!r} reads parameters, "
+                                  f"not a series; give '-' for {series!r}")
+            agent.load, agent.gen = _read_series(config_path.parent / series, horizon, aid,
+                                                 sources)
         agents.append(agent)
 
     if not agents:
@@ -333,8 +357,8 @@ class _Cells:
 
 def _draw_margins(scenario: Scenario):
     """One (buy, sell) margin pair per agent, drawn once from the seeded rng."""
-    blo, bhi = scenario.options.get("buyer_margin", (0.02, 0.10))
-    slo, shi = scenario.options.get("seller_margin", (0.02, 0.10))
+    blo, bhi = scenario.options["buyer_margin"]
+    slo, shi = scenario.options["seller_margin"]
     rng = np.random.default_rng(scenario.seed)
     margins = {}
     for agent in sorted(scenario.agents, key=lambda a: a.id):
@@ -447,60 +471,27 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     return chunk, finish
 
 
-def _mechanism_agent(agent: AgentProfile):
-    """The vehicle, residential unit or SFC an agent's parameters declare, else None."""
-    p = agent.params
-    kind = agent.role
-    if kind == "ev":
-        kind = "charging ev" if "w" in p else "discharging ev" if "l1" in p or "l2" in p else ""
-        if not kind:
-            raise SchemaError(
-                f"ev agent {agent.id!r} needs either w (charging) or l1/l2 (discharging)"
-            )
-    unread = [name for name in p if name not in _PARAMS[kind]]
-    if unread:
-        raise SchemaError(f"{kind} agent {agent.id!r} does not read parameter {unread[0]!r} "
-                          f"(it reads: {', '.join(_PARAMS[kind]) or 'none'})")
-    if kind == "residential_unit":
-        return st.ResidentialUnit(
-            agent.id,
-            capacity=p["capacity"],
-            reservation_price=p["reservation"],
-            reluctance=p["reluctance"],
-        )
-    if kind == "sfc":
-        return st.SfcAgent(agent.id, requirement=p["requirement"], bid_price=p["bid"])
-    if kind == "charging ev":
-        return evx.ChargingEV(
-            agent.id, w=p["w"], c_min=p.get("c_min", 0.0), c_max=p.get("c_max", math.inf)
-        )
-    if kind == "discharging ev":
-        return evx.DischargingEV(
-            agent.id, l1=p.get("l1", 0.0), l2=p.get("l2", 0.0), d_max=p.get("d_max", 0.0)
-        )
-    return None
-
-
 def _population(scenario: Scenario, *kinds):
     """One list per kind of the scenario's mechanism agents, each sorted by id."""
-    found = [_mechanism_agent(a) for a in sorted(scenario.agents, key=lambda a: a.id)]
-    return tuple([x for x in found if isinstance(x, kind)] for kind in kinds)
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    return tuple([a.party for a in ordered if isinstance(a.party, kind)] for kind in kinds)
 
 
-def _ev_options(scenario: Scenario) -> tuple[float, float]:
-    """The EV auction's transmission efficiency and certified-gap target."""
-    return (float(scenario.options.get("eta", evx.DEFAULT_ETA)),
-            float(scenario.options.get("eps", evx.DEFAULT_EPS)))
+def _ev_clearing(scenario: Scenario):
+    """The EV auction that every slot clears: the chargers and dischargers in
+    id order, the allocation, the result, and the kWh delivered to each
+    charger and sent by each discharger."""
+    chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
+    alloc, result = evx.run_iterative_auction(chargers, dischargers, scenario.options["eta"],
+                                              scenario.options["eps"])
+    return (chargers, dischargers, alloc, result,
+            alloc.delivered_per_charger(), alloc.sent_per_discharger())
 
 
 def _ev_auction(scenario: Scenario, cells: _Cells):
     # vehicles carry parameters, not series: every slot clears the same auction
-    chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
-    eta, eps = _ev_options(scenario)
-    tariff = scenario.tariff
-    alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
-    delivered = alloc.delivered_per_charger()
-    sent = alloc.sent_per_discharger()
+    chargers, dischargers, alloc, result, delivered, sent = _ev_clearing(scenario)
+    eta, tariff = scenario.options["eta"], scenario.tariff
 
     slot = [(None, "converged_slots", result.trace.converged)]
     for i, c in enumerate(chargers):
@@ -553,7 +544,7 @@ def _members(net: np.ndarray) -> np.ndarray:
 
 def _coalition(scenario: Scenario, cells: _Cells):
     tariff = scenario.tariff
-    samples = scenario.options.get("mc_samples", co.DEFAULT_SAMPLES)
+    samples = scenario.options["mc_samples"]
     ordered = sorted(scenario.agents, key=lambda a: a.id)
     errors = []  # each sampled member count's largest standard error, chunk by chunk
 
@@ -622,7 +613,7 @@ def _storage(scenario: Scenario, cells: _Cells):
     rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
     if not rus or not sfcs:
         raise SchemaError("storage_auction needs residential_unit and sfc agents")
-    out = st.run_storage_auction(rus, sfcs, scenario.options.get("rule", st.PROPORTIONAL))
+    out = st.run_storage_auction(rus, sfcs, scenario.options["rule"])
 
     slot = []
     if not out.empty:
@@ -643,14 +634,37 @@ def _storage(scenario: Scenario, cells: _Cells):
     return _repeated(slot), lambda per_agent, s: None
 
 
-# mechanism -> (replay, the system totals it adds beyond the summary columns
-# and their types)
-_REPLAYS = {
-    "double_auction": (_double_auction, {"buy_spend": float, "sell_earn": float}),
-    "ev_auction": (_ev_auction, {"converged_slots": int}),
-    "coalition": (_coalition, {"shapley_exact_slots": int, "shapley_sampled_slots": int}),
-    "storage_auction": (_storage, {}),
+_NO_ED = "ed baseline applies to storage_auction scenarios only"
+_NO_HYBRID = "hybrid baseline applies to ev_auction scenarios only"
+
+
+class _Mechanism(NamedTuple):
+    roles: tuple  # the agent roles it reads
+    # the options it reads and their defaults; a callable one reads the tariff
+    options: dict
+    replay: Callable  # (scenario, cells) -> (chunk, finish), see "slot replay"
+    totals: dict  # the system totals it adds beyond the summary columns, and their types
+    notes: tuple  # why compare_baselines omits the columns it omits
+
+
+_MECHANISMS = {
+    "double_auction": _Mechanism(
+        ("consumer", "prosumer"), {"buyer_margin": (0.02, 0.10), "seller_margin": (0.02, 0.10)},
+        _double_auction, {"buy_spend": float, "sell_earn": float}, (_NO_ED, _NO_HYBRID)),
+    "ev_auction": _Mechanism(
+        ("ev",), {"eta": evx.DEFAULT_ETA, "eps": evx.DEFAULT_EPS,
+                  "grid_sell_out": attrgetter("p_rp"), "grid_buy_back": attrgetter("p_wp")},
+        _ev_auction, {"converged_slots": int}, (_NO_ED,)),
+    "coalition": _Mechanism(
+        ("consumer", "prosumer"), {"mc_samples": co.DEFAULT_SAMPLES}, _coalition,
+        {"shapley_exact_slots": int, "shapley_sampled_slots": int}, (_NO_ED, _NO_HYBRID)),
+    "storage_auction": _Mechanism(
+        ("residential_unit", "sfc"), {"rule": st.PROPORTIONAL}, _storage, {}, (_NO_HYBRID,)),
 }
+MECHANISMS = tuple(_MECHANISMS)
+# the config keys load_scenario reads, besides `agent`; any other is refused
+_KEYS = ("mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp",
+         *(key for spec in _MECHANISMS.values() for key in spec.options))
 _ENERGY_TOTALS = (
     "matched_kwh",
     "grid_import_kwh",
@@ -668,10 +682,10 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     the feed-in-tariff baseline and checks the energy accounting identity
     generation + imports = consumption + exports + losses to 1e-6 kWh.
     """
-    replay, extra = _REPLAYS[scenario.mechanism]
-    totals = {**dict.fromkeys(_ENERGY_TOTALS, float), **extra}
+    spec = _MECHANISMS[scenario.mechanism]
+    totals = {**dict.fromkeys(_ENERGY_TOTALS, float), **spec.totals}
     cells = _Cells(scenario.agents, totals)
-    chunk, finish = replay(scenario, cells)
+    chunk, finish = spec.replay(scenario, cells)
     sums = np.zeros(cells.size)
     # a chunk's nets, merge, clearings and terms stay within about _CHUNK_BYTES
     size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(scenario.agents)))
@@ -718,12 +732,10 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
     sense for the mechanism are omitted and listed in the returned notes.
     Returns (rows, notes).
     """
-    notes: list[str] = []
+    notes = list(_MECHANISMS[scenario.mechanism].notes)
     rows: list[dict] = []
 
     if scenario.mechanism in ("double_auction", "coalition"):
-        notes.append("ed baseline applies to storage_auction scenarios only")
-        notes.append("hybrid baseline applies to ev_auction scenarios only")
         for aid in report.agent_ids():
             r = report.per_agent[aid]
             rows.append(
@@ -739,14 +751,10 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
         return rows, notes
 
     if scenario.mechanism == "ev_auction":
-        notes.append("ed baseline applies to storage_auction scenarios only")
-        sell_out = float(scenario.options.get("grid_sell_out", scenario.tariff.p_rp))
-        buy_back = float(scenario.options.get("grid_buy_back", scenario.tariff.p_wp))
+        sell_out, buy_back = scenario.options["grid_sell_out"], scenario.options["grid_buy_back"]
         eta_h = evx.DEFAULT_ETA_HYBRID
-        for aid in report.agent_ids():
+        for aid in report.agent_ids():  # load_scenario refuses any role but ev
             r = report.per_agent[aid]
-            if r["role"] != "ev":
-                continue
             p2p_cost = r["bill"] - r["revenue"]
             if r["energy_bought_kwh"] > 0:
                 # buyer may source delivered energy from the grid instead
@@ -769,37 +777,23 @@ def compare_baselines(scenario: Scenario, report: MetricsReport):
             )
         return rows, notes
 
-    # storage_auction: equal-distribution and feed-in-tariff baselines
-    notes.append("hybrid baseline applies to ev_auction scenarios only")
+    # storage_auction: each unit's utility in a slot from an equal share of
+    # the SFCs' requirement at the Vickrey price, and from its best response
+    # to the feed-in tariff
     rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
-    v = st.vickrey_price(sfcs)
+    v, p_wp = st.vickrey_price(sfcs), scenario.tariff.p_wp
     total_q = math.fsum(s.requirement for s in sfcs)
-    per_slot_ed = {}
-    per_slot_fit = {}
+
+    def utility(r: st.ResidentialUnit, price: float, share: float) -> float:
+        return (price - r.reservation_price) * share - 0.5 * r.reluctance * share**2
+
     for r in rus:
         ed_share = min(total_q / len(rus), r.capacity)
-        per_slot_ed[r.id] = (
-            (v - r.reservation_price) * ed_share
-            - 0.5 * r.reluctance * ed_share**2
-        )
-        fit_share = st.follower_best_response(r, scenario.tariff.p_wp)
-        per_slot_fit[r.id] = (
-            (scenario.tariff.p_wp - r.reservation_price) * fit_share
-            - 0.5 * r.reluctance * fit_share**2
-        )
-    for aid in report.agent_ids():
-        r = report.per_agent[aid]
-        if r["role"] != "residential_unit":
-            continue
-        rows.append(
-            {
-                "id": aid,
-                "role": r["role"],
-                "p2p_utility": r["utility"],
-                "ed_utility": per_slot_ed[aid] * scenario.horizon,
-                "fit_utility": per_slot_fit[aid] * scenario.horizon,
-            }
-        )
+        fit_share = st.follower_best_response(r, p_wp)
+        rows.append({"id": r.id, "role": "residential_unit",
+                     "p2p_utility": report.per_agent[r.id]["utility"],
+                     "ed_utility": utility(r, v, ed_share) * scenario.horizon,
+                     "fit_utility": utility(r, p_wp, fit_share) * scenario.horizon})
     return rows, notes
 
 
@@ -839,7 +833,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             [int(v) for v in values],
             n_users=n_users,
             tariff=scenario.tariff,
-            samples=scenario.options.get("mc_samples", co.DEFAULT_SAMPLES),
+            samples=scenario.options["mc_samples"],
         )
 
     if parameter == "sfc_requirement":
@@ -848,7 +842,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             raise InputError("sfc_requirement sweep needs a storage_auction scenario")
         return st.requirement_sweep(
             rus, sfcs, [float(v) for v in values],
-            rule=scenario.options.get("rule", st.PROPORTIONAL),
+            rule=scenario.options["rule"],
         )
 
     if parameter == "grid_price":
@@ -856,13 +850,10 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         for v in values:
             if not v >= 0:
                 raise InputError(f"grid_price must be >= 0, got {v:g}")
-        chargers, dischargers = _population(scenario, evx.ChargingEV, evx.DischargingEV)
-        if not chargers or not dischargers:
+        if not all(_population(scenario, evx.ChargingEV, evx.DischargingEV)):
             raise InputError("grid_price sweep needs an ev_auction scenario")
-        eta, eps = _ev_options(scenario)
-        alloc, result = evx.run_iterative_auction(chargers, dischargers, eta, eps)
-        sent = alloc.sent_per_discharger()
-        delivered = alloc.delivered_per_charger()
+        chargers, dischargers, _, result, delivered, sent = _ev_clearing(scenario)
+        eta, buy_back = scenario.options["eta"], scenario.options["grid_buy_back"]
         buyers = tuple(
             evx.HybridBuyer(c.id, float(delivered[i]))
             for i, c in enumerate(chargers)
@@ -874,7 +865,6 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             for j, s in enumerate(dischargers)
             if sent[j] > 1e-9
         )
-        buy_back = float(scenario.options.get("grid_buy_back", scenario.tariff.p_wp))
         # the direct trade moves the auction's energy at the auction's eta
         p2p = evx.simulate_trading(buyers, sellers, eta)
         hybrid = [evx.simulate_trading(buyers, sellers, evx.DEFAULT_ETA_HYBRID,

@@ -1406,7 +1406,8 @@ _AGENTS = {
 def _option_config(line, mechanism=None):
     """`line` second in a config of `mechanism`, by default the one that reads its option."""
     key = line.split("=")[0].strip()
-    mechanism = mechanism or next(m for m, keys in scenario._OPTIONS.items() if key in keys)
+    mechanism = mechanism or next(m for m, spec in scenario._MECHANISMS.items()
+                                  if key in spec.options)
     return f"p_rp = 0.3\n{line}\nmechanism = {mechanism}\n{_AGENTS[mechanism]}"
 
 
@@ -1455,7 +1456,8 @@ class TestOptionOfAnotherMechanism:
                "seller_margin": "0.02:0.1"}
 
     @pytest.mark.parametrize("key, owner, mechanism", [
-        (key, owner, mechanism) for owner, keys in scenario._OPTIONS.items() for key in keys
+        (key, owner, mechanism) for owner, spec in scenario._MECHANISMS.items()
+        for key in spec.options
         for mechanism in scenario.MECHANISMS if mechanism != owner
     ])
     def test_refused_at_load(self, tmp_path, key, owner, mechanism):
@@ -1475,6 +1477,131 @@ class TestOptionOfAnotherMechanism:
         assert "da.cfg:1: rule is read by the storage_auction mechanism only, not by " \
                "double_auction" in err
         assert "Traceback" not in err and not (tmp_path / "o" / "report.csv").exists()
+
+
+_SERIES = "slot_index,load_kwh,gen_kwh\n" + "".join(f"{k},0.5,{k % 3}\n" for k in range(4))
+_DEMAND = "slot_index,load_kwh,gen_kwh\n" + "".join(f"{k},2,0\n" for k in range(4))
+
+
+class TestUnreadAgentRefused:
+    """An agent whose role the config's mechanism does not read, or a series
+    file on an agent that reads parameters, exits 1 at load with `file:line`,
+    before any series of that agent is read or any output written."""
+
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize("text, message", [
+        # the storage auction read the prosumer's series and dropped its generation
+        (f"mechanism = storage_auction\n{_AGENTS['storage_auction']}agent = p1 prosumer s.csv\n",
+         "bad.cfg:4: prosumer agent 'p1' is not read by the storage_auction mechanism "
+         "(it reads: residential_unit, sfc)"),
+        # the double auction ran SFCs and vehicles as agents with zero series
+        (f"{_AGENTS['double_auction']}agent = f1 sfc - requirement=100 bid=0.40\n",
+         "bad.cfg:3: sfc agent 'f1' is not read by the double_auction mechanism "
+         "(it reads: consumer, prosumer)"),
+        (f"{_AGENTS['double_auction']}agent = e1 ev - w=1.9 c_min=6\n",
+         "bad.cfg:3: ev agent 'e1' is not read by the double_auction mechanism "
+         "(it reads: consumer, prosumer)"),
+        (f"mechanism = ev_auction\n{_AGENTS['ev_auction']}agent = h1 consumer s.csv\n",
+         "bad.cfg:4: consumer agent 'h1' is not read by the ev_auction mechanism "
+         "(it reads: ev)"),
+        (f"mechanism = coalition\n{_AGENTS['coalition']}agent = u1 residential_unit - "
+         "capacity=60 reservation=0.26 reluctance=0.0005\n",
+         "bad.cfg:3: residential_unit agent 'u1' is not read by the coalition mechanism "
+         "(it reads: consumer, prosumer)"),
+        # parameter agents read no series: the file is neither read nor hashed
+        (f"mechanism = ev_auction\n{_AGENTS['ev_auction']}agent = c2 ev missing.csv w=1.4\n",
+         "bad.cfg:4: ev agent 'c2' reads parameters, not a series; give '-' for 'missing.csv'"),
+        ("mechanism = storage_auction\nagent = r1 residential_unit s.csv capacity=60 "
+         "reservation=0.26 reluctance=0.0005\nagent = f1 sfc - requirement=100 bid=0.40\n",
+         "bad.cfg:2: residential_unit agent 'r1' reads parameters, not a series; "
+         "give '-' for 's.csv'"),
+        (f"mechanism = storage_auction\n{_AGENTS['storage_auction']}"
+         "agent = f2 sfc s.csv requirement=50 bid=0.3\n",
+         "bad.cfg:4: sfc agent 'f2' reads parameters, not a series; give '-' for 's.csv'"),
+    ])
+    @pytest.mark.parametrize("argv", [[], ["sfc_requirement", "100"], ["grid_price", "0.5"],
+                                      ["solar_fraction", "0.5"]])
+    def test_exits_1(self, tmp_path, capsys, text, message, argv):
+        (tmp_path / "s.csv").write_text(_SERIES)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        command = ["sweep", "--config", str(cfg), "--param", *argv[:1], "--values", *argv[1:]]
+        code, err = self._main(tmp_path, capsys, command if argv else ["run", "--config", str(cfg)])
+        assert code == 1
+        assert err == f"gridswap: {tmp_path / message}\n"
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    def test_the_line_names_the_first_refused_agent(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mechanism = storage_auction\nagent = e1 ev - w=1\nagent = p1 prosumer -\n")
+        with pytest.raises(SchemaError, match=r"bad\.cfg:2: ev agent 'e1' is not read"):
+            scenario.load_scenario(cfg)
+
+
+class TestOptionDefaults:
+    """Scenario fills in each option the config leaves out with its default,
+    so a config that spells every option out at its default writes the same
+    bytes. The EV grid prices default to the config's tariff."""
+
+    # every option each mechanism reads, at the default the README gives
+    _DEFAULTS = {
+        "double_auction": "buyer_margin = 0.02:0.10\nseller_margin = 0.02:0.1\n",
+        "ev_auction": "eta = 0.9\neps = 1e-4\ngrid_sell_out = 0.35\ngrid_buy_back = 0.04\n",
+        "coalition": "mc_samples = 20000\n",
+        "storage_auction": "rule = proportional\n",
+    }
+    _AGENTS = {**_AGENTS,
+               "double_auction": "agent = p1 prosumer s.csv\nagent = c1 consumer c.csv\n",
+               "coalition": "agent = p1 prosumer s.csv\nagent = p2 prosumer s.csv\n"
+                            "agent = c1 consumer c.csv\n"}
+    _SWEEPS = {"double_auction": [("solar_fraction", "0,0.5,1")],
+               "ev_auction": [("grid_price", "0.2,0.5")],
+               "coalition": [("supplier_count", "2,5"), ("solar_fraction", "0,1")],
+               "storage_auction": [("sfc_requirement", "100,250")]}
+
+    def _outputs(self, cfg, command, out):
+        assert main([*command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("mechanism", scenario.MECHANISMS)
+    def test_spelt_out_defaults_write_the_same_bytes(self, tmp_path, mechanism):
+        (tmp_path / "s.csv").write_text(_SERIES)
+        (tmp_path / "c.csv").write_text(_DEMAND)
+        head = f"mechanism = {mechanism}\nhorizon = 4\nseed = 2\np_wp = 0.04\np_rp = 0.35\n"
+        bare, full = tmp_path / "bare.cfg", tmp_path / "full.cfg"
+        bare.write_text(head + self._AGENTS[mechanism])
+        full.write_text(head + self._DEFAULTS[mechanism] + self._AGENTS[mechanism])
+        commands = [["run"]] + [["sweep", "--param", param, "--values", values]
+                                for param, values in self._SWEEPS[mechanism]]
+        for k, command in enumerate(commands):
+            written = self._outputs(bare, command, tmp_path / f"bare{k}")
+            assert written == self._outputs(full, command, tmp_path / f"full{k}")
+            assert written
+        assert scenario.load_scenario(bare).options == scenario.load_scenario(full).options
+
+
+class TestEachPartyBuiltOnce:
+    """load_scenario builds each agent's vehicle, residential unit or SFC
+    once; the replay, the baselines and the grid_price sweep reuse it."""
+
+    @pytest.mark.parametrize("mechanism, argv", [
+        ("storage_auction", ["run"]),
+        ("ev_auction", ["run"]),
+        ("ev_auction", ["sweep", "--param", "grid_price", "--values", "0.2,0.5,0.9"]),
+    ])
+    def test_built_once(self, tmp_path, monkeypatch, mechanism, argv):
+        built = []
+        for cls in (storage.ResidentialUnit, storage.SfcAgent, ev.ChargingEV, ev.DischargingEV):
+            def counted(party, aid, *args, _init=cls.__init__, **kwargs):
+                built.append(aid)
+                _init(party, aid, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"mechanism = {mechanism}\nhorizon = 5\n{_AGENTS[mechanism]}")
+        ids = [line.split()[2] for line in _AGENTS[mechanism].splitlines()]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert sorted(built) == sorted(ids)
 
 
 class TestSweepValueRange:

@@ -286,9 +286,9 @@ def _assert_stream_equals_the_loop(scenario):
     """Each chunk the double-auction replay lists, cut as run_simulation cuts
     the horizon, equals the per-entry loop's stream of the same slots term
     for term, in order, to the bit."""
-    replay, extra = sim._REPLAYS["double_auction"]
-    cells = sim._Cells(scenario.agents, {**dict.fromkeys(sim._ENERGY_TOTALS, float), **extra})
-    chunk = replay(scenario, cells)[0]
+    spec = sim._MECHANISMS["double_auction"]
+    cells = sim._Cells(scenario.agents, {**dict.fromkeys(sim._ENERGY_TOTALS, float), **spec.totals})
+    chunk = spec.replay(scenario, cells)[0]
     size = max(1, sim._CHUNK_BYTES // (sim._SLOT_ORDER_BYTES * len(scenario.agents)))
     firsts = range(0, scenario.horizon, size)
     pieces = [chunk(first, min(first + size, scenario.horizon)) for first in firsts]
@@ -367,18 +367,18 @@ def test_double_auction_sums_large_pieces_uncopied(monkeypatch):
     reaches np.add.at as the replay listed it, uncopied, and the sums still
     equal the per-slot replay."""
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 12 * sim._SLOT_ORDER_BYTES)
-    replay, extra = sim._REPLAYS["double_auction"]
+    spec = sim._MECHANISMS["double_auction"]
     listed = []
 
     def recorded(scenario, cells):
-        chunk, finish = replay(scenario, cells)
+        chunk, finish = spec.replay(scenario, cells)
 
         def kept(first, stop):
             listed.append(chunk(first, stop))
             return listed[-1]
         return kept, finish
 
-    monkeypatch.setitem(sim._REPLAYS, "double_auction", (recorded, extra))
+    monkeypatch.setitem(sim._MECHANISMS, "double_auction", spec._replace(replay=recorded))
     numpy = _RecordingNumpy()
     monkeypatch.setattr(sim, "np", numpy)
     options = {"buyer_margin": (0.0, 0.25), "seller_margin": (0.0, 0.25)}
