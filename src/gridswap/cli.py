@@ -445,6 +445,8 @@ def _cmd_ic_check(args, out: _Out) -> None:
         {
             "scenarios": report.scenarios_checked,
             "deviations_checked": report.deviations_checked,
+            "auctions_priced": report.auctions_priced,
+            "auctions_searched": report.auctions_searched,
             "profitable_deviations": len(report.profitable_deviations),
             "largest_gain": report.largest_gain,
             "ir_violations": len(report.ir_violations),

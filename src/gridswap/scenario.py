@@ -509,6 +509,10 @@ def _ev_auction(scenario: Scenario, cells: _Cells):
     slot = cells.pack(slot)
 
     def finish(per_agent: dict, s: dict) -> None:
+        # the one auction's diagnostics, under ev-auction's names
+        s["iterations"] = result.trace.iterations
+        s["gap"] = result.trace.checks[-1][2]
+        s["feasibility_residual"] = result.trace.residual
         sent_total, delivered_total = s["generation_kwh"], s["consumption_kwh"]
         s["matched_kwh"] = delivered_total
         s["loss_kwh"] = sent_total - delivered_total

@@ -24,9 +24,14 @@ of that kind. `run_storage_auction` chains the one-row steps
 prices and settles a batch of whole auctions, one row per total for
 `requirement_sweep` and, for the incentive-compatibility search, the
 truthful report and every misreport of every scenario of one (units, SFCs,
-rule) group. `_auctions` prices in chunks of rows whose memory `_CHUNK_BYTES`
-bounds, and the search splits a group whose arrays would pass it. The search
-scales reports by the fixed grid `_FACTORS` and reads gains back as arrays.
+rule) group. Each stage is cut by its own footprint per row against
+`_CHUNK_BYTES`: `_auctions` screens and settles chunks of rows of at most
+8 * (24 + 12 R + 15 M) bytes each, `_stackelberg_rows` hands the rows the
+screen leaves to the search in sub-chunks of 8 * (88 + 64 R + 30 M) bytes
+each, and the incentive search splits a group whose arrays would pass the
+bound. So a screened row, as nearly every row of the incentive search is,
+does not pay for the search's temporaries. The search scales reports by the
+fixed grid `_FACTORS` and reads gains back as arrays.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ EQUAL = "equal"
 _PRICE_RESOLUTION = 1e-4
 # grid indices stay exact in float64
 _MAX_GRID_POINTS = 2**53
-# about the most memory, in bytes, that one pricing chunk of `_auctions`,
-# one chunk of `_objective` grid points or the arrays of one incentive-search
-# batch take; each sizes its rows from a footprint measured with tracemalloc
+# about the most memory, in bytes, that one screen-and-settle chunk of
+# `_auctions`, one search sub-chunk of `_stackelberg_rows`, one chunk of
+# `_objective` grid points or the arrays of one incentive-search batch take;
+# each sizes its rows from its own footprint, measured with tracemalloc
 _CHUNK_BYTES = 1 << 20
 # the incentive search's misreport factors, 0.5 to 1.5 in steps of 0.05 without
 # 1.0, and the gain or individual-rationality shortfall it counts
@@ -212,14 +218,20 @@ def stackelberg_price(
     return float(_stackelberg_rows(*units, *sfcs, *bounds, resolution)[0])
 
 
-def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOLUTION):
+def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOLUTION,
+                      searched=None):
     """`stackelberg_price` of each row of a batch of auctions that share one shape.
 
     `res`, `rel` and `cap` are (B, R) arrays of the participating units'
     reservation prices, reluctances and capacities in input order; `reqs` and
     `bids` are (B, M) arrays of the SFCs' requirements and bids; `lo` and `hi`
-    hold each row's price bounds. Nothing is validated. The temporaries grow
-    with B*(R+M), so callers bound B.
+    hold each row's price bounds. Nothing is validated. Where `searched` is
+    given, a boolean array of B, the rows that the search prices are set in it.
+
+    Memory: the screen's temporaries grow with B*(R+M), so callers bound B.
+    The search takes its rows in sub-chunks of `_CHUNK_BYTES` over its own
+    footprint, 8 * (88 + 64 R + 30 M) bytes per row, so a sub-chunk's
+    temporaries stay under about `_CHUNK_BYTES` whatever B is.
 
     The grid is never built. First a closed-form screen prices a row at its
     grid point 0, p0, when (a) every unit has (p0 - r)/alpha >= A, and (b) no
@@ -258,11 +270,15 @@ def _stackelberg_rows(res, rel, cap, reqs, bids, lo, hi, resolution=_PRICE_RESOL
     flat = ((p0 - res) / rel >= cap).all(axis=1)
     flat &= ~((bids < p0) & (_fills(p0, res, rel, cap, reqs, bids) != 0)).any(axis=1)
     live = np.flatnonzero((n > 1) & ~flat)
-    if len(live):
-        batch = (res, rel, cap, reqs, bids, lo, hi, n, step)
-        if len(live) < len(lo):
-            batch = [x[live] for x in batch]
-        prices[live] = _grid_maximizers(*batch)
+    if searched is not None:
+        searched[live] = True
+    # the search's temporaries peak at under 8 * (88 + 64 R + 30 M) bytes per
+    # row, measured on rows of 1 to 50 units and 1 to 20 SFCs
+    size = max(1, _CHUNK_BYTES // (8 * (88 + 64 * res.shape[1] + 30 * bids.shape[1])))
+    batch = (res, rel, cap, reqs, bids, lo, hi, n, step)
+    for k in range(0, len(live), size):
+        some = live[k:k + size]
+        prices[some] = _grid_maximizers(*(x[some] if len(some) < len(lo) else x for x in batch))
     return prices
 
 
@@ -541,13 +557,18 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     the SFCs' requirements, bids and ranks among equal bids, all in input
     order. Rows where some unit passes `_screen` are priced with one
     `_stackelberg_rows` call per chunk of rows of one participating (units,
-    SFCs) shape, each chunk's temporaries under about `_CHUNK_BYTES`, and
-    settled as `run_storage_auction` settles them, bit for bit.
+    SFCs) shape, and settled as `run_storage_auction` settles them, bit for
+    bit. A chunk holds `_CHUNK_BYTES` over the footprint of a row that the
+    floor screen prices and that is then settled, 8 * (24 + 12 R + 15 M)
+    bytes, so its screen and settlement stay under about `_CHUNK_BYTES`; the
+    rows the screen leaves are searched in sub-chunks under the same bound
+    (`_stackelberg_rows`).
 
-    Returns (rus_in, sfcs_in, price, committed, burden, bought): each row's
-    participation masks and price (NaN where no unit qualifies), and each
-    unit's committed space and burden and each SFC's allocation at input
-    positions, 0.0 for nonparticipants.
+    Returns (rus_in, sfcs_in, price, searched, committed, burden, bought):
+    each row's participation masks, price (NaN where no unit qualifies) and
+    whether the grid search priced it past the floor screen, and each unit's
+    committed space and burden and each SFC's allocation at input positions,
+    0.0 for nonparticipants.
     """
     _check_rule(rule)
     v, rus_in, sfcs_in = _screen(res, bids)
@@ -559,6 +580,7 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     if len(wide):
         raise InputError(f"bounds [{v[wide[0]]}, {top[wide[0]]}] span too many grid points")
     price = np.full(len(v), np.nan)
+    searched = np.zeros(len(v), dtype=bool)
     committed, burden = np.zeros((2, *res.shape))
     bought = np.zeros(bids.shape)
     M = bids.shape[1]
@@ -566,14 +588,16 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     for key in np.unique(shape[priced]).tolist():
         n_ru, n_sfc = divmod(key, M + 1)
         same = np.flatnonzero(priced & (shape == key))
-        # the kernel's temporaries peak at under 8 * (88 + 64 R + 30 M) bytes
-        # per row, measured on rows of 1 to 50 units and 1 to 20 SFCs
-        size = max(1, _CHUNK_BYTES // (8 * (88 + 64 * n_ru + 30 * n_sfc)))
+        # a screened and settled row peaks at under 8 * (24 + 12 R + 15 M)
+        # bytes, measured on rows of 1 to 50 units and 1 to 20 SFCs
+        size = max(1, _CHUNK_BYTES // (8 * (24 + 12 * n_ru + 15 * n_sfc)))
         for g in (same[k:k + size] for k in range(0, len(same), size)):
             ru_at, sfc_at = np.nonzero(rus_in[g]), np.nonzero(sfcs_in[g])
             r, a, c = (x[g][ru_at].reshape(len(g), n_ru) for x in (res, rel, cap))
             q, b, t = (x[g][sfc_at].reshape(len(g), n_sfc) for x in (reqs, bids, tie))
-            p = _stackelberg_rows(r, a, c, q, b, v[g], top[g])[:, None]
+            found = np.zeros(len(g), dtype=bool)
+            p = _stackelberg_rows(r, a, c, q, b, v[g], top[g], _PRICE_RESOLUTION, found)[:, None]
+            searched[g] = found
             shares = np.minimum(c, np.maximum(0.0, (p - r) / a))
             rows = np.arange(len(g))[:, None]
             fill = np.lexsort((t, -b), axis=1)
@@ -583,7 +607,7 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
             unit_col = ru_at[1].reshape(len(g), n_ru)
             committed[g[:, None], unit_col], burden[g[:, None], unit_col] = shares, burdens
             bought[g[:, None], sfc_at[1].reshape(len(g), n_sfc)[rows, fill]] = taken
-    return rus_in, sfcs_in, price, committed, burden, bought
+    return rus_in, sfcs_in, price, searched, committed, burden, bought
 
 
 def ru_realized_utility(
@@ -650,7 +674,7 @@ def requirement_sweep(
     tie = np.unique([s.id for s in sfcs], return_inverse=True)[1]
     res, rel, cap, bids, tie = (np.broadcast_to(x, (len(totals), len(x)))
                                 for x in (*units, [s.bid_price for s in sfcs], tie))
-    rus_in, _, price, committed, burden, _ = _auctions(
+    rus_in, _, price, _, committed, burden, _ = _auctions(
         res, rel, cap, np.reshape(reqs, bids.shape), bids, tie, rule
     )
     rows = []
@@ -682,6 +706,11 @@ class IcReport:
     ir_violations: list
     # the largest gain over all deviations, also below the tolerance; None when none was checked
     largest_gain: float | None
+    # how the report was found, so outside its equality and repr: the auctions
+    # priced (a report that screens its own unit out runs none), and how many
+    # of them the grid searched past the floor screen
+    auctions_priced: int = field(default=0, compare=False, repr=False)
+    auctions_searched: int = field(default=0, compare=False, repr=False)
 
     @property
     def clean(self) -> bool:
@@ -699,11 +728,11 @@ def _report_utilities(batch: list[StorageScenario], rule: str):
     one auction of one `_auctions` batch. Every agent's utility is taken at
     its true costs.
 
-    Returns (truthful, gains, labels): per scenario, the units' and then the
-    SFCs' truthful utilities in input order, and per misreport row the
-    deviator's utility less its truthful one; `labels` holds each row's
-    deviator, counted over the units and then the SFCs, its parameter and its
-    factor.
+    Returns (truthful, gains, labels, priced, searched): per scenario, the
+    units' and then the SFCs' truthful utilities in input order, and per
+    misreport row the deviator's utility less its truthful one; `labels` holds
+    each row's deviator, counted over the units and then the SFCs, its
+    parameter and its factor; then the counts of auctions priced and searched.
     """
     S, R, M, F = len(batch), len(batch[0].rus), len(batch[0].sfcs), len(_FACTORS)
     units = np.array([[(r.reservation_price, r.reluctance, r.capacity) for r in sc.rus]
@@ -712,9 +741,9 @@ def _report_utilities(batch: list[StorageScenario], rule: str):
                      for sc in batch]).reshape(S, M, 2)
     # a unit's reports keep the truthful bids, so its screen is at the truthful Vickrey price
     v, _, _ = _screen(units[:, :, 0], sfcs[:, :, 1])
-    # fill order of equal bids
-    tie = np.array([np.unique([s.id for s in sc.sfcs], return_inverse=True)[1]
-                    for sc in batch]).reshape(S, M)
+    # fill order of equal bids: ranks over the whole batch's ids keep each
+    # scenario's own order
+    tie = np.unique([s.id for sc in batch for s in sc.sfcs], return_inverse=True)[1].reshape(S, M)
     # per row of a scenario, what is misreported (0 nothing, 1 a reservation
     # price, 2 a capacity, 3 a bid), by which unit or SFC, and by which factor
     kind = np.concatenate([[0], np.tile([1, 2], R * F), np.full(M * F, 3)])
@@ -738,7 +767,7 @@ def _report_utilities(batch: list[StorageScenario], rule: str):
     first, dev = np.flatnonzero(d == 0), np.flatnonzero(d > 0)
     at = np.concatenate([np.repeat(first, R + M), dev])
     col = np.concatenate([np.tile(np.arange(R + M), S), agent[d[dev]]])
-    _, sfcs_in, price, committed, burden, bought = _auctions(
+    _, sfcs_in, price, searched, committed, burden, bought = _auctions(
         res, units[sc_of, :, 1], cap, sfcs[sc_of, :, 0], bids, tie[sc_of], rule
     )
     p, unit = price[at], col < R
@@ -759,7 +788,8 @@ def _report_utilities(batch: list[StorageScenario], rule: str):
     truthful[:, R:][~sfcs_in[first]] = 0.0
     misreports = np.zeros((S, len(unit_row) - 1))
     misreports[sc_of[dev], d[dev] - 1] = utility[S * (R + M):]
-    return truthful, misreports - truthful[:, agent[1:]], labels
+    priced = int(np.count_nonzero(~np.isnan(price)))
+    return truthful, misreports - truthful[:, agent[1:]], labels, priced, int(searched.sum())
 
 
 def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
@@ -787,13 +817,17 @@ def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
         groups.setdefault((len(sc.rus), len(sc.sfcs), sc.rule), []).append(idx)
     # each scenario's (truthful, gains, labels): rows of its batch's arrays
     reports = [None] * len(scenarios)
+    priced = searched = 0
     for (R, M, rule), members in groups.items():
         # a batch's own arrays take under 8 * (40 + 5 (R + M)) bytes per report
         # row, measured on scenarios of 2 to 80 units and 2 to 20 SFCs
         rows = 1 + (2 * R + M) * len(_FACTORS)
         size = max(1, _CHUNK_BYTES // (8 * rows * (40 + 5 * (R + M))))
         for batch in (members[k:k + size] for k in range(0, len(members), size)):
-            truthful, gains, labels = _report_utilities([scenarios[i] for i in batch], rule)
+            truthful, gains, labels, n_priced, n_searched = _report_utilities(
+                [scenarios[i] for i in batch], rule)
+            priced += n_priced
+            searched += n_searched
             for idx, base, gain in zip(batch, truthful, gains):
                 reports[idx] = base, gain, labels
     profitable, ir_violations = [], []
@@ -812,6 +846,8 @@ def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
         profitable_deviations=profitable,
         ir_violations=ir_violations,
         largest_gain=float(gains[gains.argmax()]) if gains.size else None,
+        auctions_priced=priced,
+        auctions_searched=searched,
     )
 
 

@@ -535,6 +535,48 @@ class TestIcCheck:
         assert "clean = True" in summary
         assert "largest_gain = 0.0" in summary
 
+    @pytest.mark.parametrize("rule", ["proportional", "equal"])
+    def test_summary_counts_what_the_screen_left(self, tmp_path, rule):
+        # the floor screen prices all but 78 of the 16,960 auctions; the grid searches the rest
+        out = tmp_path / "out"
+        assert main(["ic-check", "--trials", "100", "--seed", "1", "--rule", rule,
+                     "--out", str(out), "--quiet"]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[1:4] == ["deviations_checked = 16860", "auctions_priced = 16960",
+                              "auctions_searched = 78"]
+
+
+class TestEvRunDiagnostics:
+    """An EV `run` writes the diagnostics of the one auction every slot replays."""
+
+    def test_equal_to_ev_auction_on_the_same_vehicles(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(
+            "id,role,w,l1,l2,c_min,c_max,d_max\n"
+            "c1,charging,1.9,,,6,15,\n"
+            "c2,charging,1.4,,,5,14,\n"
+            "d1,discharging,,0.04,0.02,,,16\n"
+            "d2,discharging,,0.05,0.03,,,13\n"
+        )
+        cfg = tmp_path / "ev.cfg"
+        cfg.write_text(
+            "mechanism = ev_auction\nhorizon = 4\neta = 0.85\neps = 1e-6\n"
+            "agent = c1 ev - w=1.9 c_min=6 c_max=15\n"
+            "agent = c2 ev - w=1.4 c_min=5 c_max=14\n"
+            "agent = d1 ev - l1=0.04 l2=0.02 d_max=16\n"
+            "agent = d2 ev - l1=0.05 l2=0.03 d_max=13\n"
+        )
+        assert main(["ev-auction", "--population", str(pop), "--eta", "0.85", "--eps", "1e-6",
+                     "--out", str(tmp_path / "auction"), "--quiet"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        auction, run = (dict(line.split(" = ") for line in
+                             (tmp_path / name / "summary.txt").read_text().splitlines())
+                        for name in ("auction", "run"))
+        keys = ("iterations", "gap", "feasibility_residual")
+        assert {k: run[k] for k in keys} == {k: auction[k] for k in keys}
+        assert run["converged_slots"] == "4" and auction["converged"] == "True"
+        assert int(run["iterations"]) > 0 and float(run["gap"]) <= 1e-6
+
 
 class TestEvAuctionCmd:
     def test_numeric_cells_are_plain_floats(self, tmp_path):

@@ -555,7 +555,7 @@ class TestAuctionEqualsReference:
                               for f in ("requirement", "bid_price"))
                 tie = np.array([np.unique([s.id for s in sfcs], return_inverse=True)[1]
                                 for _, sfcs in cases])
-                rus_in, sfcs_in, price, committed, burden, bought = (
+                rus_in, sfcs_in, price, _, committed, burden, bought = (
                     x.tolist() for x in storage._auctions(res, rel, cap, reqs, bids, tie, rule)
                 )
                 for d, (rus, sfcs) in enumerate(cases):
@@ -782,6 +782,63 @@ class TestIcSearchEqualsLoop:
         screened = ResidentialUnit("r1", 40, 0.29 * 1.05, 0.002)
         assert run_storage_auction([screened, rus[1]], list(sfcs)).shares.keys() == {"r2"}
 
+    @pytest.mark.parametrize("rule", [PROPORTIONAL, EQUAL])
+    def test_equal_bids_ranked_across_the_batch(self, rule):
+        # SFC c bids 0.6, d 0.5 and e 0.4, and supply is flat. Reporting
+        # 0.5 * 0.8 = 0.4, d ties with e at the price 0.4 and gains; both want
+        # more than c leaves, so the id order decides which is filled first
+        # and how much d gains. Ranked over the whole batch, each scenario's
+        # ids get other ranks than on their own.
+        rng = np.random.default_rng(37)
+        names = ["ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew"]
+        scenarios = []
+        for _ in range(8):
+            rus = tuple(ru(f"r{k}", float(rng.uniform(20, 40)), float(rng.uniform(0.02, 0.1)),
+                           float(rng.uniform(0.0005, 0.001))) for k in range(3))
+            total = sum(r.capacity for r in rus)
+            sfcs = [sfc(i, float(rng.uniform(low, low + 0.2)) * total, b) for i, low, b in zip(
+                rng.choice(names, 3, replace=False).tolist(), (0.2, 0.4, 0.4), (0.6, 0.5, 0.4))]
+            scenarios.append(StorageScenario(rus, tuple(sfcs[k] for k in rng.permutation(3)), rule))
+        ids = [[s.id for s in sc.sfcs] for sc in scenarios]
+        own = [np.unique(row, return_inverse=True)[1].tolist() for row in ids]
+        assert own != np.unique(ids, return_inverse=True)[1].reshape(8, 3).tolist()
+        report = check_incentive_compatibility(scenarios)
+        _assert_equals_loop(report, scenarios)
+        for idx, sc in enumerate(scenarios):
+            d = next(s for s in sc.sfcs if s.bid_price == 0.5)
+            tied = [sfc(s.id, s.requirement, 0.4) if s is d else s for s in sc.sfcs]
+            out = run_storage_auction(list(sc.rus), tied, rule)
+            second = max((s for s in tied if s.bid_price == 0.4), key=lambda s: s.id)
+            assert out.auction_price == 0.4
+            assert out.sfc_allocations[second.id] < second.requirement
+            assert any(g[:4] == (idx, d.id, "bid_price", 0.8) for g in report.profitable_deviations)
+
+    def test_search_in_sub_chunks(self, monkeypatch):
+        # a bound this small cuts the rows a pricing call searches into several sub-chunks
+        monkeypatch.setattr(storage, "_CHUNK_BYTES", 1 << 16)
+        calls = []  # per pricing call: (units, SFCs, the rows of each search call)
+        kernel, search = storage._stackelberg_rows, storage._grid_maximizers
+
+        def priced(*args):
+            calls.append((args[0].shape[1], args[4].shape[1], []))
+            return kernel(*args)
+
+        def searched(*args):
+            calls[-1][2].append(len(args[0]))
+            return search(*args)
+
+        monkeypatch.setattr(storage, "_stackelberg_rows", priced)
+        monkeypatch.setattr(storage, "_grid_maximizers", searched)
+        scenarios = _price_sensitive(6, 8, PROPORTIONAL, units=(3, 4))
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        _assert_equals_loop(report, scenarios)
+        for units, sfcs, rows in calls:
+            # the search's footprint, 8 * (88 + 64 R + 30 M) bytes per row
+            assert max(rows, default=0) <= (1 << 16) // (8 * (88 + 64 * units + 30 * sfcs))
+        assert sum(len(rows) > 1 for *_, rows in calls) > 5
+        assert report.auctions_searched == sum(sum(rows) for *_, rows in calls)
+
     def test_misreport_that_moves_the_reservation_floor(self):
         # r1 holds the lowest reservation, 0.20; reporting 0.23 or more lifts
         # the floor above c's bid of 0.22, and c drops out of the auction
@@ -861,6 +918,33 @@ class TestIcSearchEqualsLoop:
         assert rus_in.all() and np.isfinite(price).all()
         assert peak < 4_000_000
 
+    def test_memory_of_a_screened_batch(self, monkeypatch):
+        # 5,000 auctions of the pinned family at 4 units and 3 SFCs, all of
+        # which the floor screen prices. A screened and settled row takes
+        # under 8 * (24 + 12 R + 15 M) bytes, so a pricing call takes 1,120
+        # rows, where the search's 8 * (88 + 64 R + 30 M) would allow 302
+        rng = np.random.default_rng(31)
+        bids = np.sort(rng.uniform(0.25, 0.40, (5000, 3)), axis=1)[:, ::-1].copy()
+        rel, cap = rng.uniform(0.0008, 0.0015, (5000, 4)), rng.uniform(30.0, 60.0, (5000, 4))
+        res = rng.uniform(0.02, np.maximum((bids[:, 1:2] - 1.6 * rel * cap) / 1.5 - 0.01, 0.021))
+        reqs = rng.uniform(1.6, 2.5, (5000, 3)) * cap.sum(axis=1, keepdims=True)
+        tie = np.broadcast_to(np.arange(3), (5000, 3))
+        calls, kernel = [], storage._stackelberg_rows
+        monkeypatch.setattr(storage, "_stackelberg_rows",
+                            lambda *args: calls.append(len(args[0])) or kernel(*args))
+        searched = _count_searched(monkeypatch)
+        tracemalloc.start()
+        try:
+            rus_in, _, price, *_ = storage._auctions(res, rel, cap, reqs, bids, tie, PROPORTIONAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = storage._CHUNK_BYTES // (8 * (24 + 12 * 4 + 15 * 3))
+        assert rows == 1120 and len(calls) == math.ceil(5000 / rows) == 5
+        assert calls == [rows] * 4 + [5000 - 4 * rows]
+        assert not searched and rus_in.all() and (price == bids[:, 1]).all()
+        assert peak < 4_000_000
+
 
 class TestScreenCoverage:
     """The floor screen prices the pinned family, and the bit-identity tests
@@ -880,6 +964,14 @@ class TestScreenCoverage:
         priced, searched = self._priced_and_searched(
             monkeypatch, lambda: check_incentive_compatibility(make_ic_scenarios(100, 1)))
         assert priced > 16_000 and searched <= 0.01 * priced
+
+    def test_report_counts_what_the_kernels_priced(self, monkeypatch):
+        scenarios = [*make_ic_scenarios(20, 1), *_price_sensitive(4, 3, EQUAL)]
+        reports = []
+        priced, searched = self._priced_and_searched(
+            monkeypatch, lambda: reports.append(check_incentive_compatibility(scenarios)))
+        assert (reports[0].auctions_priced, reports[0].auctions_searched) == (priced, searched)
+        assert 0 < searched < priced
 
     def test_pricing_corpus_is_searched(self, monkeypatch):
         def run():
