@@ -473,13 +473,16 @@ def allocate_shares(
     _check_rule(rule)
     shares = [float(s) for s in shares]
     requirements = [float(q) for q in requirements]
-    if any(s < 0 for s in shares) or any(q < 0 for q in requirements):
-        raise InputError("shares and requirements must be nonnegative")
+    # NaN fails both comparisons
+    if not all(0 <= x < math.inf for x in (*shares, *requirements)):
+        raise InputError("shares and requirements must be finite and nonnegative")
     if rule == PROPORTIONAL:
         if reservations is None:
             raise InputError("proportional allocation needs reservation prices")
         if len(reservations) != len(shares):
             raise InputError("one reservation price per share is required")
+    if reservations is not None and not all(map(math.isfinite, reservations)):
+        raise InputError("reservation prices must be finite")
     taken, burdens = _allocate(
         np.array(shares).reshape(1, -1),
         np.array(requirements).reshape(1, -1),
@@ -502,18 +505,60 @@ def _allocate(shares: np.ndarray, wanted: np.ndarray, rule: str, reservations):
     the scalar loop: np.minimum(y, x) is min(x, y), ties and signed zeros
     included.
     """
-    total = np.array([math.fsum(row) for row in shares.tolist()])
+    total = _fsum_rows(shares)
     taken = np.empty_like(wanted)
     left = total
     for k in range(wanted.shape[1]):
         taken[:, k] = np.minimum(left, wanted[:, k])
         left = left - taken[:, k]
-    unsold = np.maximum(0.0, total - np.array([math.fsum(row) for row in taken.tolist()]))
+    unsold = np.maximum(0.0, total - _fsum_rows(taken))
     burdens = np.zeros_like(shares)
     for g in np.flatnonzero(unsold > 1e-12).tolist():
         weights = None if reservations is None else reservations[g]
         burdens[g] = _waterfall(shares[g].tolist(), float(unsold[g]), rule, weights)
     return taken, burdens
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows go to fsum
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a (rows, k) float array, bit for bit.
+
+    Knuth's TwoSum runs down the columns: a running sum s, each step's exact
+    error added into lo, and the errors of those additions summed in absolute
+    value into slack. The exact sum then lies within slack of r + f, where
+    r = s + lo and f is that add's exact error (Ogita, Rump and Oishi 2005).
+    Where slack is 0, r is the IEEE rounding of the exact sum; elsewhere r
+    stands when |f| plus slack, raised past its own rounding, is under half
+    the gap from r to its neighbour towards zero. Every other row goes to
+    math.fsum: rows not so certified, rows summing to a zero (whose sign is
+    fsum's) and rows whose sum of |x| reaches 2**1021, non-finite ones
+    included, as fsum's partials, which stay under about twice that sum, can
+    overflow there.
+    """
+    rows, k = x.shape
+    s = x[:, 0] if k else np.zeros(rows)
+    lo = slack = np.zeros(rows)
+    mass = np.abs(s)
+    for j in range(1, k):
+        mass = mass + np.abs(x[:, j])
+        s, e = _two_sum(s, x[:, j])
+        lo, e = _two_sum(lo, e)
+        slack = slack + np.abs(e)
+    r, f = _two_sum(s, lo)
+    gap = np.abs(r - np.nextafter(r, 0))
+    sure = (slack == 0) | (np.abs(f) + slack * (1 + 2 * k * 2.0**-52) < gap / 2)
+    sure &= (r != 0) & (mass < 2.0**1021)
+    hard = np.flatnonzero(~sure)
+    if len(hard):
+        r[hard] = [math.fsum(row) for row in x[hard].tolist()]
+    return r
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: a + b rounded, and its exact error."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 def _waterfall(shares: list[float], unsold: float, rule: str, reservations) -> list[float]:
@@ -808,8 +853,9 @@ def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
     reports and misreports of a whole group are screened, priced and settled
     as one `_auctions` batch (`_report_utilities`), or of a run of its
     scenarios where the group's arrays would pass `_CHUNK_BYTES`. The report
-    is read back in scenario order and equals that of one full auction per
-    report, bit for bit.
+    is read back from all the scenarios' truthful utilities and gains at
+    once, in scenario order, and equals that of one full auction per report,
+    bit for bit.
     """
     groups: dict[tuple, list[int]] = {}
     for idx, sc in enumerate(scenarios):
@@ -830,16 +876,27 @@ def check_incentive_compatibility(scenarios: list[StorageScenario]) -> IcReport:
             searched += n_searched
             for idx, base, gain in zip(batch, truthful, gains):
                 reports[idx] = base, gain, labels
-    profitable, ir_violations = [], []
-    for idx, (sc, (base, gain, labels)) in enumerate(zip(scenarios, reports)):
-        ids = [a.id for a in (*sc.rus, *sc.sfcs)]
-        low = np.flatnonzero(base < -_GAIN_TOLERANCE)
-        ir_violations += [(idx, ids[a], u) for a, u in zip(low.tolist(), base[low].tolist())]
-        hit = np.flatnonzero(gain > _GAIN_TOLERANCE)
-        agent, param, factor = (x[hit].tolist() for x in labels)
-        profitable += [(idx, ids[a], p, f, g) for a, p, f, g in
-                       zip(agent, param, factor, gain[hit].tolist())]
-    gains = np.concatenate([np.empty(0), *(gain for _, gain, _ in reports)])
+    # all scenarios' truthful utilities, and all their gains, in scenario order,
+    # and where each scenario's run of them starts
+    base = np.concatenate([np.empty(0), *(b for b, _, _ in reports)])
+    gains = np.concatenate([np.empty(0), *(g for _, g, _ in reports)])
+    base_at = np.cumsum([0, *(len(b) for b, _, _ in reports)])
+    gain_at = np.cumsum([0, *(len(g) for _, g, _ in reports)])
+
+    def located(values, starts, found):
+        """(scenario, position within it, value) of each entry `found`, in order."""
+        idx = np.searchsorted(starts, found, side="right") - 1
+        return zip(idx.tolist(), (found - starts[idx]).tolist(), values[found].tolist())
+
+    def ids(idx):
+        return [a.id for a in (*scenarios[idx].rus, *scenarios[idx].sfcs)]
+
+    ir_violations = [(idx, ids(idx)[a], u) for idx, a, u in
+                     located(base, base_at, np.flatnonzero(base < -_GAIN_TOLERANCE))]
+    profitable = []
+    for idx, row, gain in located(gains, gain_at, np.flatnonzero(gains > _GAIN_TOLERANCE)):
+        agent, param, factor = (x[row].item() for x in reports[idx][2])
+        profitable.append((idx, ids(idx)[agent], param, factor, gain))
     return IcReport(
         scenarios_checked=len(scenarios),
         deviations_checked=gains.size,

@@ -78,6 +78,16 @@ LIBRARY = {
     "reservations per share": (
         lambda: st.allocate_shares([1.0], [1.0], st.PROPORTIONAL, [0.1, 0.2]),
         "one reservation price per share is required"),
+    # NaN passes a `< 0` check; these returned NaN or infinite burdens
+    "NaN share": (lambda: st.allocate_shares([math.nan, 2.0], [5.0], st.EQUAL),
+                  "shares and requirements must be finite and nonnegative"),
+    "infinite share": (lambda: st.allocate_shares([math.inf, 2.0], [5.0], st.EQUAL),
+                       "shares and requirements must be finite and nonnegative"),
+    "NaN requirement": (lambda: st.allocate_shares([1.0], [math.nan], st.EQUAL),
+                        "shares and requirements must be finite and nonnegative"),
+    "NaN reservation": (
+        lambda: st.allocate_shares([4.0, 2.0], [1.0], st.PROPORTIONAL, [math.nan, 0.2]),
+        "reservation prices must be finite"),
 }
 
 

@@ -420,6 +420,79 @@ class TestAllocateShares:
                 assert -1e-12 <= b <= s + 1e-9
 
 
+# element strategies for the row-sum kernel, one kind per array or two mixed
+_SUMMANDS = {
+    # magnitudes over the binades from 2**-60 to 2**60, either sign
+    "binades": hst.builds(math.ldexp, hst.floats(-1, 1), hst.integers(-60, 60)),
+    # integers past 2**53: two addends in one binade round to even half the time
+    "ties": hst.one_of(hst.integers(-2**55, 2**55), hst.integers(-3, 3)).map(float),
+    "subnormals": hst.builds(math.ldexp, hst.integers(-2**53, 2**53), hst.integers(-1126, -1000)),
+    "zeros": hst.sampled_from([0.0, -0.0]),
+    # non-finite values, and values whose partial sums can overflow
+    "overflow": hst.one_of(
+        hst.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                          -1.7976931348623157e308]),
+        hst.builds(math.ldexp, hst.floats(-1, 1), hst.integers(968, 1023))),
+}
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+def _assert_kernel_is_fsum(x):
+    """`_fsum_rows(x)` is math.fsum of each row, bit for bit, or raises what fsum
+    raises first in row order."""
+    want = [_fsum_or_error(row) for row in x.tolist()]
+    error = next((w for w in want if isinstance(w, Exception)), None)
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            storage._fsum_rows(x)
+        assert str(info.value) == str(error)
+    else:
+        got = storage._fsum_rows(x)
+        assert got.view(np.int64).tolist() == np.array(want).reshape(-1).view(np.int64).tolist()
+
+
+class TestFsumRows:
+    @settings(max_examples=400, deadline=None)
+    @given(hst.data())
+    def test_equals_fsum_hypothesis(self, data):
+        kinds = data.draw(hst.lists(hst.sampled_from(sorted(_SUMMANDS)), min_size=1, max_size=2))
+        k = data.draw(hst.integers(0, 7))
+        values = hst.one_of(*(_SUMMANDS[kind] for kind in kinds))
+        rows = data.draw(hst.lists(hst.lists(values, min_size=k, max_size=k), max_size=6))
+        _assert_kernel_is_fsum(np.array(rows, dtype=float).reshape(len(rows), k))
+
+    @pytest.mark.parametrize("row", [
+        # the running sum stays finite, but fsum's partials overflow on max + 2**970
+        [-(1.7976931348623157e308 - 2.0**971), 2.0**970, 1.7976931348623157e308],
+        [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [math.inf, 1.0, -math.inf],
+        [2.0**53, 1.0],  # a tie: fsum rounds to even
+        [2.0**53, 1.0, 2.0**-60],
+        # r = s + lo ties to 1.5, while the exact sum lies above the tie
+        [1.5, 2.0**-53, 2.0**-106],
+        [1e16, 1.0, -1e16, 2.0**-70],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [5e-324, -5e-324, 5e-324],
+    ])
+    def test_edge_rows(self, row):
+        _assert_kernel_is_fsum(np.array([row, [1.0] * len(row)]))
+
+    def test_settlement_rows_need_no_fallback(self, monkeypatch):
+        # every sum that `ic-check --trials 100 --seed 1` settles is certified in the arrays
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(storage.math, "fsum", lambda row: calls.append(row) or fsum(row))
+        report = check_incentive_compatibility(make_ic_scenarios(100, 1))
+        monkeypatch.undo()
+        assert report.clean and not calls
+
+
 class TestRunStorageAuction:
     def _standard(self):
         rus = [ru("r1", 60, 0.10, 0.002), ru("r2", 60, 0.12, 0.003)]
@@ -887,6 +960,21 @@ class TestIcSearchEqualsLoop:
         _assert_equals_loop(report, scenarios)
         groups = {(len(sc.rus), len(sc.sfcs)) for sc in scenarios}
         assert len(calls) == len(scenarios) > len(groups)
+
+    def test_readback_across_batches(self, monkeypatch):
+        # a bound this small prices each scenario in its own batch, so the hits
+        # read back from one concatenated array come from several batches,
+        # groups and rules, interleaved
+        monkeypatch.setattr(storage, "_CHUNK_BYTES", 1 << 16)
+        scenarios = [*make_ic_scenarios(3, 2), *make_ic_scenarios(3, 2, EQUAL),
+                     *_price_sensitive(3, 12, PROPORTIONAL, units=(2, 3)),
+                     *_price_sensitive(3, 11, EQUAL, units=(4, 5))]
+        scenarios = [scenarios[k] for k in np.random.default_rng(5).permutation(len(scenarios))]
+        report = check_incentive_compatibility(scenarios)
+        monkeypatch.undo()
+        _assert_equals_loop(report, scenarios)
+        assert len({idx for idx, *_ in report.profitable_deviations}) > 2
+        assert len({idx for idx, *_ in report.ir_violations}) > 1
 
     def test_memory_on_a_large_scenario(self):
         # 50 units and 20 SFCs: 2,400 misreports, each priced over 140 kinks and exits
