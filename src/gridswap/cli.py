@@ -130,12 +130,14 @@ def _order_books(cols) -> tuple[mk.Book, mk.Book] | None:
     side, quantity, price = cols["side"], cols["quantity"], cols["limit_price"]
     buy, sell = side == "buy", side == "sell"
     slot = cols.get("slot")
-    if not ((buy | sell).all() and (quantity > 0).all() and (price >= 0).all()
-            and (slot is None or (slot == slot[0]).all())):
+    if not ((buy | sell).all() and (slot is None or (slot == slot[0]).all())):
         return None
     ids = np.array([aid.strip() for aid in cols["agent_id"].tolist()], dtype=object)
-    return (mk.Book(ids[buy], quantity[buy], price[buy]),
-            mk.Book(ids[sell], quantity[sell], price[sell]))
+    try:
+        return (mk.Book(ids[buy], quantity[buy], price[buy]),
+                mk.Book(ids[sell], quantity[sell], price[sell]))
+    except InputError:  # a bad order: the row reader names its line
+        return None
 
 
 def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
@@ -162,32 +164,13 @@ def _read_orders(path: Path, sources: dict) -> tuple[mk.Book, mk.Book]:
     return mk.Book(*orders["buy"]), mk.Book(*orders["sell"])
 
 
-def _read_instance(path: Path, tariff: mk.Tariff, sources: dict) -> co.CoalitionInstance:
-    needed = ("id", "role", "net_kwh")
-    with ingest.table(path, needed, sources) as table:
-        customers = tuple(
-            co.Customer(cid.strip(), role.strip(), finite(net))
-            for cid, role, net in ingest.distinct_ids(table.rows(*needed))
-        )
-    return co.CoalitionInstance(customers, tariff)
-
-
-def _read_rus(path: Path, sources: dict):
-    needed = ("id", "capacity", "reservation_price", "reluctance")
-    with ingest.table(path, needed, sources) as table:
-        return [
-            st.ResidentialUnit(rid.strip(), finite(capacity), finite(reservation), finite(alpha))
-            for rid, capacity, reservation, alpha in ingest.distinct_ids(table.rows(*needed))
-        ]
-
-
-def _read_sfcs(path: Path, sources: dict):
-    needed = ("id", "requirement", "bid_price")
-    with ingest.table(path, needed, sources) as table:
-        return [
-            st.SfcAgent(sid.strip(), finite(requirement), finite(bid))
-            for sid, requirement, bid in ingest.distinct_ids(table.rows(*needed))
-        ]
+def _read_agents(path: Path, sources: dict, build, *columns: str) -> list:
+    """`build(id, *cells)` of each row's id and `columns`: the ids distinct and
+    stripped, a role stripped and every other cell a finite number."""
+    with ingest.table(path, ("id", *columns), sources) as table:
+        return [build(aid.strip(), *(cell.strip() if name == "role" else finite(cell)
+                                     for name, cell in zip(columns, cells)))
+                for aid, *cells in ingest.distinct_ids(table.rows("id", *columns))]
 
 
 def _game_tensor(cols, index) -> np.ndarray | None:
@@ -353,7 +336,8 @@ def _cmd_ev_auction(args, out: _Out) -> None:
 
 def _cmd_shapley(args, out: _Out) -> None:
     tariff = mk.Tariff(p_wp=args.p_wp, p_rp=args.p_rp)
-    instance = _read_instance(args.instance, tariff, out.sources)
+    customers = _read_agents(args.instance, out.sources, co.Customer, "role", "net_kwh")
+    instance = co.CoalitionInstance(tuple(customers), tariff)
     if args.exact:
         alloc = co.shapley_exact(instance)
         method = "exact"
@@ -399,8 +383,9 @@ def _cmd_shapley(args, out: _Out) -> None:
 
 
 def _cmd_storage_auction(args, out: _Out) -> None:
-    rus = _read_rus(args.rus, out.sources)
-    sfcs = _read_sfcs(args.sfcs, out.sources)
+    rus = _read_agents(args.rus, out.sources, st.ResidentialUnit,
+                       "capacity", "reservation_price", "reluctance")
+    sfcs = _read_agents(args.sfcs, out.sources, st.SfcAgent, "requirement", "bid_price")
     outcome = st.run_storage_auction(rus, sfcs, rule=args.rule)
     ru_rows = [
         [

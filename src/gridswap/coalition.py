@@ -12,8 +12,7 @@ whole batch of instances of one size at once, as a scenario's slots of one
 member count; shapley_exact is one row of it. Above _EXACT_LIMIT one
 sampling kernel, _sampled_row, estimates each row in cache-sized blocks from
 antithetic join orders: each drawn order is taken with its reverse, whose
-pooled nets are the drawn order's total minus its prefix sums. Nets that
-could overflow a kernel's sums are refused (_MAX_SCALE).
+pooled nets are the drawn order's total minus its prefix sums.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
+from .ingest import ENERGY, physical
 from .market import Tariff
 
 SUPPLIER = "supplier"
@@ -43,11 +43,6 @@ DEFAULT_SAMPLES = 20_000
 # a sampled estimate's standard error is taken over its complete antithetic
 # pairs, so it needs two of them: with fewer join orders it is left out
 MIN_ERROR_SAMPLES = 4
-# the largest intermediate of either Shapley kernel is _sampled_row's total^2:
-# v has slopes p_wp < p_rp, so a marginal is at most p_rp max|e| and |total| <=
-# MAX_SAMPLES p_rp max|e|. N max|e| max(1, p_rp) <= this keeps |total| within half
-# sqrt(max float), and every pooled net (at most N max|e| kWh) and worth finite
-_MAX_SCALE = math.sqrt(np.finfo(float).max) / (2 * MAX_SAMPLES)
 # sampled Shapley works through its drawn join orders (each one a pair) in
 # blocks of at most this many floats, 256 KiB per float64 buffer, so a block's
 # buffers stay in cache: at N = 10, 20 and 100 and 50k samples one estimate
@@ -66,8 +61,7 @@ class Customer:
     net_energy: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.net_energy):
-            raise InputError(f"customer {self.id!r} needs a finite net_energy")
+        physical(abs(self.net_energy), ENERGY, "customer {!r} |net_energy|", self.id)
         if self.role not in (SUPPLIER, USER):
             raise InputError(f"customer role must be 'supplier' or 'user', got {self.role!r}")
         if self.role == SUPPLIER and self.net_energy < 0:
@@ -87,7 +81,6 @@ class CoalitionInstance:
         ids = [c.id for c in self.customers]
         if len(set(ids)) != len(ids):
             raise InputError("customer ids must be unique")
-        _check_nets(np.array([c.net_energy for c in self.customers]), self.tariff)
 
     @property
     def n(self) -> int:
@@ -105,15 +98,6 @@ class PayoffAllocation:
 
     def total(self) -> float:
         return math.fsum(self.payoffs.values())
-
-
-def _check_nets(energies: np.ndarray, tariff: Tariff) -> None:
-    """Raise InputError unless N max|e| max(1, p_rp) is at most _MAX_SCALE (a row per instance)."""
-    # Python floats: past the range the product reads inf, with no numpy warning
-    scale = energies.shape[-1] * float(np.abs(energies).max(initial=0.0)) * max(1.0, tariff.p_rp)
-    if not scale <= _MAX_SCALE:
-        raise InputError(f"net energies overflow the Shapley sums: N * max|net| * max(1, p_rp) "
-                         f"= {scale:g} must be <= {_MAX_SCALE:.6g}")
 
 
 def _net_value(net, tariff: Tariff):
@@ -399,7 +383,6 @@ def shapley_payoff_rows(
         chunk = 1 << (16 - (n + 1) // 2)
         parts = [_shapley_rows(energies[i:i + chunk], tariff) for i in range(0, rows, chunk)]
         return np.concatenate(parts), None
-    _check_nets(energies, tariff)
     payoffs, errors = np.empty((rows, n)), np.empty((rows, n))
     for r, seed in zip(range(rows), seeds):
         payoffs[r], errors[r] = _sampled_row(energies[r], tariff, sample_count, seed)

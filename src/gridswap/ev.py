@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ingest
 from .errors import DomainError, InfeasibleError, InputError
-from .ingest import finite
+from .ingest import ENERGY, PRICE, QUADRATIC, WILLINGNESS, finite, physical
 
 DEFAULT_ETA = 0.9
 DEFAULT_EPS = 1e-4
@@ -39,16 +39,15 @@ class ChargingEV:
     c_max: float = math.inf
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.w) and math.isfinite(self.c_min)):
-            raise InputError(f"charging EV {self.id!r} needs finite w and c_min")
-        if self.w <= 0:
+        physical(self.w, WILLINGNESS, "charging EV {!r} w", self.id)
+        physical(self.c_min, ENERGY, "charging EV {!r} c_min", self.id)
+        if self.c_max != math.inf:  # inf: no cap
+            physical(self.c_max, ENERGY, "charging EV {!r} c_max", self.id)
+        if self.w == 0:
             raise InputError(f"charging EV {self.id!r} needs willingness w > 0")
-        # c_max may be inf (no cap); the negated test also rejects a NaN cap
-        if self.c_min < 0 or not self.c_max >= self.c_min:
-            raise InputError(
-                f"charging EV {self.id!r} needs 0 <= c_min <= c_max, "
-                f"got [{self.c_min}, {self.c_max}]"
-            )
+        if self.c_max < self.c_min:
+            raise InputError(f"charging EV {self.id!r} needs 0 <= c_min <= c_max, "
+                             f"got [{self.c_min}, {self.c_max}]")
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,12 @@ class DischargingEV:
     d_max: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.l1, self.l2, self.d_max))):
-            raise InputError(f"discharging EV {self.id!r} needs finite l1, l2 and d_max")
-        if self.l1 < 0 or self.l2 < 0:
-            raise InputError(f"discharging EV {self.id!r} cost factors must be >= 0")
+        physical(self.l1, QUADRATIC, "discharging EV {!r} l1", self.id)
+        physical(self.l2, PRICE, "discharging EV {!r} l2", self.id)
+        physical(self.d_max, ENERGY, "discharging EV {!r} d_max", self.id)
         if self.l1 == 0 and self.l2 == 0:
             raise InputError(f"discharging EV {self.id!r} needs a nonzero cost factor")
-        if self.d_max <= 0:
+        if self.d_max == 0:
             raise InputError(f"discharging EV {self.id!r} needs d_max > 0")
 
 
@@ -652,14 +650,8 @@ def read_ev_population_csv(path, sources) -> tuple[list[ChargingEV], list[Discha
         for rid, role, w, l1, l2, c_min, c_max, d_max in rows:
             role = role.strip()
             if role == "charging":
-                chargers.append(
-                    ChargingEV(
-                        rid.strip(),
-                        w=finite(w),
-                        c_min=finite(c_min),
-                        c_max=finite(c_max) if c_max.strip() else math.inf,
-                    )
-                )
+                chargers.append(ChargingEV(rid.strip(), finite(w), finite(c_min),
+                                           finite(c_max) if c_max.strip() else math.inf))
             elif role == "discharging":
                 dischargers.append(
                     DischargingEV(rid.strip(), l1=finite(l1), l2=finite(l2), d_max=finite(d_max))

@@ -18,7 +18,8 @@ scenario config. `distinct_ids` rejects the first row of an agent table
 whose id repeats an earlier one. `finite` is the one parser for numeric
 text, in files, configs and command-line flags alike, and `finite_over` adds
 a flag's range to it; `positive` parses the counts command-line flags take,
-and `positive_up_to` those it caps.
+and `positive_up_to` those it caps. `physical` holds every physical quantity
+read to its kind's range, and `physical_mask` a column of them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import warnings
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,47 @@ def finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+class Range(NamedTuple):
+    """A kind of input quantity: its unit and the values it may take besides 0."""
+    unit: str
+    smallest: float
+    largest: float
+
+
+# Each kind of physical input's range, refused outside it where it is read: far
+# past any community's values, yet narrow enough to keep every mechanism's
+# arithmetic finite and its rounding small. All are >= 0; a net by its magnitude.
+# ENERGY: capacities, requirements, nets, loads, generation, orders, c_min, c_max,
+#   d_max, sfc_requirement totals. Squared (storage utilities) at most 1e18; with
+#   N <= 32 members exact Shapley rounds by N max|e| p_rp 2**-52, $2e-6 at 0.3.
+# PRICE: bids, reservation and limit prices, p_wp, p_rp, l2, grid prices, margins.
+#   Grid price caps stay under $20/kWh; the storage price grid, of step 1e-4,
+#   then has at most 1.5e7 points, a 1.5x misreport's too.
+# QUADRATIC: reluctance and l1. From 1e-9 a best response (p - r) / alpha and
+#   a seller's slope 1 / (2 l1) stay under 1e12, where a subnormal one overflows.
+# WILLINGNESS: an EV's w. From 1e-6 the EV auction's price steps, which grow as
+#   1 / w, stay finite; to 1e6 its answer at the 1e-9 $/kWh price floor, w / p,
+#   stays under 1e15 kWh.
+ENERGY = Range("kWh", 0.0, 1e9)
+PRICE = Range("$/kWh", 0.0, 1e3)
+QUADRATIC = Range("$/kWh^2", 1e-9, 1e9)
+WILLINGNESS = Range("$", 1e-6, 1e6)
+
+
+def physical(value: float, kind: Range, name: str, owner=None) -> float:
+    """`value` if it is 0 or within `kind`'s range, else InputError naming the
+    quantity `name.format(owner)`; a chained comparison refuses NaN too."""
+    if kind[1] <= value <= kind[2] or value == 0:
+        return value
+    raise InputError(f"{name.format(owner)} must lie in [{kind[1]:g}, {kind[2]:g}] {kind[0]}, "
+                     f"got {float(value)!r}")
+
+
+def physical_mask(values: np.ndarray, kind: Range) -> np.ndarray:
+    """Which of `values` `physical` accepts."""
+    return ((kind.smallest <= values) & (values <= kind.largest)) | (values == 0)
 
 
 def nonnegative(text: str) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .ingest import ENERGY, PRICE, physical, physical_mask
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,8 @@ class Tariff:
     p_rp: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p_wp) and math.isfinite(self.p_rp)):
-            raise InputError("tariff prices must be finite")
-        if self.p_wp < 0:
-            raise InputError(f"wholesale price must be >= 0, got {self.p_wp}")
+        physical(self.p_wp, PRICE, "wholesale price p_wp")
+        physical(self.p_rp, PRICE, "retail price p_rp")
         if not self.p_rp > self.p_wp:
             raise InputError(
                 f"retail price must exceed wholesale price, got p_rp={self.p_rp} <= p_wp={self.p_wp}"
@@ -50,12 +49,12 @@ DEFAULT_TARIFF = Tariff(p_wp=0.05, p_rp=0.30)
 
 
 def check_order(quantity: float, limit_price: float) -> None:
-    """Raise InputError unless the order's quantity is finite and > 0 and its
-    limit price finite and >= 0."""
-    if not (math.isfinite(quantity) and quantity > 0):
+    """Raise InputError unless the order's quantity is in the ENERGY range
+    and > 0 and its limit price in the PRICE range."""
+    physical(quantity, ENERGY, "order quantity")
+    physical(limit_price, PRICE, "limit price")
+    if quantity == 0:
         raise InputError(f"order quantity must be > 0, got {quantity}")
-    if not (math.isfinite(limit_price) and limit_price >= 0):
-        raise InputError(f"limit price must be finite and >= 0, got {limit_price}")
 
 
 class Book:
@@ -76,9 +75,8 @@ class Book:
         self.limit_price = np.asarray(limit_price, dtype=np.float64)
         if not len(self.agent_ids) == len(self.quantity) == len(self.limit_price):
             raise InputError("order book columns differ in length")
-        # written so that NaN fails too
-        bad = ~((self.quantity > 0) & (self.quantity < math.inf)
-                & (self.limit_price >= 0) & (self.limit_price < math.inf))
+        bad = ~((self.quantity > 0) & physical_mask(self.quantity, ENERGY)
+                & physical_mask(self.limit_price, PRICE))
         if bad.any():
             k = int(bad.argmax())
             check_order(float(self.quantity[k]), float(self.limit_price[k]))

@@ -28,7 +28,7 @@ from . import ingest
 from . import market as mk
 from . import storage as st
 from .errors import InputError, SchemaError
-from .ingest import finite
+from .ingest import ENERGY, PRICE, finite, physical, physical_mask
 
 # per kind of agent: what its parameters build (None for a kind that reads a
 # series), and the parameters it reads in the order the constructor takes
@@ -48,6 +48,9 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 _MAX_SUPPLIERS = 200
 # 366 days of 5-minute slots
 _MAX_HORIZON = 105_408
+# one day: the synthetic profiles place each slot at its hour of the day, which
+# a longer slot would skip, and scale kW to kWh per slot by slot_minutes / 60
+_MAX_SLOT_MINUTES = 1_440
 # about the most memory, in bytes, that one chunk of slots of a replay takes:
 # a double auction's merge, SlotClearings, settlements and terms peak at 225
 # to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
@@ -123,23 +126,17 @@ def _read_series(path: Path, horizon: int, agent_id: str, sources: dict):
         problem = "is not a regular file" if path.exists() else "not found"
         raise SchemaError(f"agent {agent_id!r}: series file {path} {problem}")
     cols = ingest.columns(path, sources, ints=("slot_index",), floats=("load_kwh", "gen_kwh"))
-    if (
-        cols is not None
-        and np.array_equal(cols["slot_index"], np.arange(horizon))
-        and (cols["load_kwh"] >= 0).all()
-        and (cols["gen_kwh"] >= 0).all()
-    ):
-        return cols["load_kwh"], cols["gen_kwh"]
+    if cols is not None and np.array_equal(cols["slot_index"], np.arange(horizon)):
+        load, gen = cols["load_kwh"], cols["gen_kwh"]
+        if (physical_mask(load, ENERGY) & physical_mask(gen, ENERGY)).all():
+            return load, gen
     loads, gens = [], []
     with ingest.table(path, ("slot_index", "load_kwh", "gen_kwh"), sources) as table:
         for t, (slot, load, gen) in enumerate(table.rows("slot_index", "load_kwh", "gen_kwh")):
             if int(slot) != t:
                 raise InputError(f"slot_index must count 0, 1, 2, ...; expected {t}, got {slot!r}")
-            load, gen = finite(load), finite(gen)
-            if load < 0 or gen < 0:
-                raise InputError("series values must be >= 0")
-            loads.append(load)
-            gens.append(gen)
+            loads.append(physical(finite(load), ENERGY, "load_kwh"))
+            gens.append(physical(finite(gen), ENERGY, "gen_kwh"))
     if len(loads) != horizon:
         raise SchemaError(
             f"agent {agent_id!r}: series length {len(loads)} does not match "
@@ -184,10 +181,11 @@ def load_scenario(config_path) -> Scenario:
 
     where = str(config_path)
 
-    def number(text: str, at: str) -> float:
+    def number(text: str, at: str, kind: ingest.Range | None = None, name: str = "") -> float:
         try:
-            return finite(text)
-        except ValueError as exc:
+            value = finite(text)
+            return value if kind is None else physical(value, kind, name)
+        except (ValueError, InputError) as exc:
             raise SchemaError(f"{at}: {exc}") from exc
 
     def line(key: str) -> str:
@@ -211,19 +209,19 @@ def load_scenario(config_path) -> Scenario:
             raise SchemaError(f"{line(key)}: {key} is read by the {owner} mechanism only, "
                               f"not by {mechanism}")
     horizon = integer("horizon", "1", 1, _MAX_HORIZON)
-    slot_minutes = integer("slot_minutes", "15", 1)
+    slot_minutes = integer("slot_minutes", "15", 1, _MAX_SLOT_MINUTES)
     seed = integer("seed", "0", 0)
-    prices = {key: number(keys[key], line(key)) for key in ("p_wp", "p_rp") if key in keys}
+    prices = {key: number(keys[key], line(key), PRICE, key)
+              for key in ("p_wp", "p_rp") if key in keys}
     try:
         tariff = replace(mk.DEFAULT_TARIFF, **prices)
     except InputError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
-    options: dict = {}
+    options = {key: number(keys[key], line(key), PRICE, key)
+               for key in ("grid_sell_out", "grid_buy_back") if key in keys}
     for key, within, bound in (("eta", lambda v: 0 < v <= 1, "in (0, 1]"),
-                               ("eps", lambda v: v > 0, "> 0"),
-                               ("grid_sell_out", lambda v: v >= 0, ">= 0"),
-                               ("grid_buy_back", lambda v: v >= 0, ">= 0")):
+                               ("eps", lambda v: v > 0, "> 0")):
         if key in keys:
             options[key] = number(keys[key], line(key))
             if not within(options[key]):
@@ -240,7 +238,7 @@ def load_scenario(config_path) -> Scenario:
     for key, cap in (("buyer_margin", tariff.p_rp), ("seller_margin", math.inf)):
         if key in keys:
             lo, _, hi = keys[key].partition(":")
-            lo, hi = number(lo, line(key)), number(hi if hi else lo, line(key))
+            lo, hi = (number(x, line(key), PRICE, key) for x in (lo, hi or lo))
             if not 0 <= lo <= hi <= cap:
                 bound = "0 <= lo <= hi" + (f" <= p_rp = {cap}" if cap < math.inf else "")
                 raise SchemaError(f"{line(key)}: {key} lo:hi must satisfy {bound}, got {keys[key]}")
@@ -569,7 +567,8 @@ def _coalition(scenario: Scenario, cells: _Cells):
         for n in np.unique(size[size > 0]).tolist():
             slots = np.flatnonzero(size == n)
             group = member & (size == n)[:, None]
-            seeds = (scenario.seed + first + slots).tolist()
+            # Python ints: a seed may pass int64
+            seeds = [scenario.seed + first + slot for slot in slots.tolist()]
             phi, error = co.shapley_payoff_rows(net[group].reshape(-1, n), tariff, samples, seeds)
             payoff[group] = phi.ravel()
             if error is not None:
@@ -850,10 +849,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
         )
 
     if parameter == "grid_price":
-        values = [float(v) for v in values]
-        for v in values:
-            if not v >= 0:
-                raise InputError(f"grid_price must be >= 0, got {v:g}")
+        values = [physical(float(v), PRICE, "grid_price") for v in values]
         if not all(_population(scenario, evx.ChargingEV, evx.DischargingEV)):
             raise InputError("grid_price sweep needs an ev_auction scenario")
         chargers, dischargers, _, result, delivered, sent = _ev_clearing(scenario)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .ingest import ENERGY, PRICE, QUADRATIC, physical
 
 PROPORTIONAL = "proportional"
 EQUAL = "equal"
@@ -70,19 +71,11 @@ class ResidentialUnit:
     reluctance: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.capacity, self.reservation_price, self.reluctance))):
-            raise InputError(
-                f"RU {self.id!r} needs finite capacity, reservation price and reluctance"
-            )
-        if self.capacity < 0:
-            raise InputError(f"RU {self.id!r} capacity must be >= 0")
-        # shares, commitments and baselines are at most the capacity, and are squared
-        if not math.isfinite(self.capacity * self.capacity):
-            raise InputError(f"RU {self.id!r} capacity must be <= about 1.34e154 (finite squared)")
-        if self.reluctance <= 0:
+        physical(self.capacity, ENERGY, "RU {!r} capacity", self.id)
+        physical(self.reservation_price, PRICE, "RU {!r} reservation price", self.id)
+        physical(self.reluctance, QUADRATIC, "RU {!r} reluctance", self.id)
+        if self.reluctance == 0:
             raise InputError(f"RU {self.id!r} reluctance must be > 0")
-        if self.reservation_price < 0:
-            raise InputError(f"RU {self.id!r} reservation price must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,10 @@ class SfcAgent:
     bid_price: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.requirement) and math.isfinite(self.bid_price)):
-            raise InputError(f"SFC {self.id!r} needs finite requirement and bid")
-        if self.requirement <= 0:
+        physical(self.requirement, ENERGY, "SFC {!r} requirement", self.id)
+        physical(self.bid_price, PRICE, "SFC {!r} bid", self.id)
+        if self.requirement == 0:
             raise InputError(f"SFC {self.id!r} requirement must be > 0")
-        if self.bid_price < 0:
-            raise InputError(f"SFC {self.id!r} bid must be >= 0")
 
 
 @dataclass
@@ -569,6 +560,11 @@ def _waterfall(shares: list[float], unsold: float, rule: str, reservations) -> l
         weights = [float(w) for w in reservations]
         if math.fsum(weights) <= 0:
             weights = [1.0] * len(shares)
+        elif max(weights) < 0.5:
+            # scaled up by a power of two, so a tiny reservation's share cannot
+            # underflow; elsewhere each product is the same float, scaled
+            shift = -math.frexp(max(weights))[1]
+            weights = [math.ldexp(w, shift) for w in weights]
     burdens = [0.0] * len(shares)
     remaining = unsold
     open_units = [k for k in range(len(shares)) if shares[k] > 0]
@@ -617,13 +613,12 @@ def _auctions(res, rel, cap, reqs, bids, tie, rule: str):
     """
     _check_rule(rule)
     v, rus_in, sfcs_in = _screen(res, bids)
-    top = np.where(sfcs_in, bids, -np.inf).max(axis=1)  # each row's price cap
+    # each row's price cap, a bid: with one at most 1.5 ingest.PRICE (misreported),
+    # the grid [v, top] holds far fewer than _MAX_GRID_POINTS
+    top = np.where(sfcs_in, bids, -np.inf).max(axis=1)
     # the top bid covers the cheapest qualifying reservation, so an SFC
     # participates wherever a unit does
     priced = rus_in.any(axis=1)
-    wide = np.flatnonzero(priced & ((top - v) / _PRICE_RESOLUTION >= _MAX_GRID_POINTS))
-    if len(wide):
-        raise InputError(f"bounds [{v[wide[0]]}, {top[wide[0]]}] span too many grid points")
     price = np.full(len(v), np.nan)
     searched = np.zeros(len(v), dtype=bool)
     committed, burden = np.zeros((2, *res.shape))
@@ -712,7 +707,7 @@ def requirement_sweep(
 ):
     """Re-run the auction with SFC requirements scaled to each total, one `_auctions` row each."""
     base = math.fsum(s.requirement for s in sfcs)
-    totals = [float(total) for total in totals]
+    totals = [physical(float(total), ENERGY, "sfc_requirement total") for total in totals]
     reqs = [[SfcAgent(s.id, s.requirement * total / base, s.bid_price).requirement for s in sfcs]
             for total in totals]
     units = np.reshape([[r.reservation_price, r.reluctance, r.capacity] for r in rus], (-1, 3)).T

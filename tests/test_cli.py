@@ -108,10 +108,11 @@ class TestClear:
     @pytest.mark.parametrize(
         "rows, line, message",
         [
-            ("B1,buy,5,0.2\nB2,buy,-2,0.2\n", 3, "order quantity must be > 0, got -2.0"),
+            ("B1,buy,5,0.2\nB2,buy,-2,0.2\n", 3,
+             "order quantity must lie in [0, 1e+09] kWh, got -2.0"),
             ("B1,buy,nan,0.2\n", 2, "expected a finite number, got 'nan'"),
             ("S1,sell,1,0.1\nB1,bid,5,0.2\n", 3, "order side must be 'buy' or 'sell', got 'bid'"),
-            ("B1,buy,5,-0.5\n", 2, "limit price must be finite and >= 0, got -0.5"),
+            ("B1,buy,5,-0.5\n", 2, "limit price must lie in [0, 1000] $/kWh, got -0.5"),
         ],
     )
     def test_bad_order_named_at_its_line(self, tmp_path, capsys, rows, line, message):
@@ -296,23 +297,44 @@ class TestShapley:
                 assert float(summary[key]) >= 0
 
 
+    # nets past ingest.ENERGY: the first overflowed the Shapley sums; with the
+    # second, exact Shapley paid 0.2458 in all against a grand value of 0.1 and
+    # called that division stable
+    @pytest.mark.parametrize("big", [1e200, 1.6759759912428246e147, math.nextafter(1e9, math.inf)])
     @pytest.mark.parametrize("flags", [["--exact"], ["--samples", "400"]])
-    def test_nets_that_overflow_the_sums_exit_1(self, tmp_path, capsys, flags):
+    def test_nets_that_overflow_the_sums_exit_1(self, tmp_path, capsys, flags, big):
         path = tmp_path / "inst.csv"
-        path.write_text("id,role,net_kwh\na,supplier,1e200\nb,supplier,5\n"
-                        "c,user,-1e200\nd,user,-3\n")
+        path.write_text(f"id,role,net_kwh\na,supplier,{big!r}\nb,supplier,5\n"
+                        f"c,user,{-big!r}\nd,user,-3\n")
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["shapley", "--instance", str(path), *flags, "--out", str(out), "--quiet"])
         assert code == 1 and caught == []
-        assert "overflow the Shapley sums" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"gridswap: {path}:2: customer 'a' |net_energy| must lie in [0, 1e+09] kWh, "
+            f"got {big!r}\n")
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("nets", [(1e9, 5.0, -1e9, -3.0), (1e9, 5.3, -999999999.3, -3.1),
+                                      (1e9, 1e9, -1e9, -0.7)])
+    def test_exact_division_at_the_bound_is_efficient(self, tmp_path, nets):
+        """At the largest nets ingest.ENERGY takes, exact Shapley pays out the
+        grand value within N max|e| p_rp 2**-52, the rounding its comment states."""
+        path = tmp_path / "inst.csv"
+        path.write_text("id,role,net_kwh\n" + "".join(
+            f"m{k},{'supplier' if e > 0 else 'user'},{e!r}\n" for k, e in enumerate(nets)))
+        out = tmp_path / "o"
+        assert main(["shapley", "--exact", "--instance", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+        rounding = len(nets) * max(map(abs, nets)) * 0.30 * 2.0**-52
+        assert abs(float(summary["total_payoff"]) - float(summary["grand_value"])) <= rounding
+
     def test_nets_at_the_bound_keep_a_finite_standard_error(self, tmp_path):
-        """The largest nets the bound lets four members have, at the most join
+        """The largest nets the range lets four members have, at the most join
         orders --samples takes."""
-        big = coalition._MAX_SCALE / 4
+        big = ingest.ENERGY.largest
         path = tmp_path / "inst.csv"
         path.write_text(f"id,role,net_kwh\na,supplier,{big!r}\nb,supplier,5\n"
                         f"c,user,{-big!r}\nd,user,-3\n")
@@ -344,10 +366,11 @@ class TestStorageAuctionCmd:
 
 
 class TestHugeCapacity:
-    # a capacity whose square overflows is refused at its line; one whose square
-    # is finite runs
+    # a capacity past ingest.ENERGY is refused at its line, as 1e200, whose
+    # square overflows, was; one at the bound runs
     @pytest.mark.parametrize("capacity, reluctance, code",
-                             [("1e200", "1e-200", 1), ("1e150", "1e-150", 0)])
+                             [("1e200", "1e-200", 1), ("1e9", "1e-9", 0),
+                              (repr(math.nextafter(1e9, math.inf)), "1e-9", 1)])
     @pytest.mark.parametrize("command", ["storage-auction", "run", "sweep"])
     def test_refused_at_its_line(self, tmp_path, capsys, command, capacity, reluctance, code):
         if command == "storage-auction":
@@ -372,7 +395,8 @@ class TestHugeCapacity:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if code:
-            assert err.startswith(f"gridswap: {where}:2: RU 'u1' capacity must be <= about 1.34e154")
+            assert err == (f"gridswap: {where}:2: RU 'u1' capacity must lie in [0, 1e+09] kWh, "
+                           f"got {float(capacity)!r}\n")
 
 
 class TestNash:
@@ -1398,6 +1422,27 @@ class TestSeedAndSlotIntegers:
         assert "--seed: invalid nonnegative value: '-1'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_seeds_past_int64_run_a_sampled_coalition(self, tmp_path):
+        """Per-slot seeds are the seed plus the slot, as Python ints: a config
+        seed of 1e20 or a --seed of 2**64 runs, and reruns byte for byte."""
+        agents = []
+        for k in range(coalition._EXACT_LIMIT + 1):  # one more member than exact Shapley takes
+            (tmp_path / f"a{k}.csv").write_text(
+                "slot_index,load_kwh,gen_kwh\n" + "".join(
+                    f"{t},{0.5 + 0.1 * k},{1.5 * (k % 2) + 0.2 * t}\n" for t in range(2)))
+            agents.append(f"agent = a{k} prosumer a{k}.csv\n")
+        cfg = tmp_path / "co.cfg"
+        cfg.write_text("mechanism = coalition\nhorizon = 2\nmc_samples = 50\n"
+                       "seed = 100000000000000000000\n" + "".join(agents))
+        outputs = []
+        for name, flags in (("config", []), ("flag1", ["--seed", str(2**64)]),
+                            ("flag2", ["--seed", str(2**64)])):
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), *flags, "--out", str(out), "--quiet"]) == 0
+            assert "shapley_sampled_slots = 2" in (out / "summary.txt").read_text()
+            outputs.append({k: v for k, v in snapshot(out).items() if k != "manifest.json"})
+        assert outputs[1] == outputs[2] != outputs[0]
+
     @pytest.mark.parametrize(
         "key, value, bound",
         [
@@ -1405,9 +1450,11 @@ class TestSeedAndSlotIntegers:
             ("horizon", "0", "from 1 to 105408"),
             ("horizon", "105409", "from 1 to 105408"),
             ("horizon", "1000000000000", "from 1 to 105408"),
-            ("slot_minutes", "-15", ">= 1"),
-            ("slot_minutes", "7.5", ">= 1"),
-            ("slot_minutes", "0", ">= 1"),
+            ("slot_minutes", "-15", "from 1 to 1440"),
+            ("slot_minutes", "7.5", "from 1 to 1440"),
+            ("slot_minutes", "0", "from 1 to 1440"),
+            ("slot_minutes", "1441", "from 1 to 1440"),
+            ("slot_minutes", "100000000000000000000", "from 1 to 1440"),
             ("seed", "-3", ">= 0"),
             ("seed", "0.5", ">= 0"),
         ],
@@ -1426,6 +1473,7 @@ class TestSeedAndSlotIntegers:
     @pytest.mark.parametrize(
         "key, value, parsed",
         [("horizon", "96.0", 96), ("horizon", "105408", 105_408), ("slot_minutes", "1", 1),
+         ("slot_minutes", "1440", 1440), ("seed", "100000000000000000000", 10**20),
          ("seed", "0", 0), ("seed", "12", 12)],
     )
     def test_config_value_accepted_as_an_integer(self, tmp_path, key, value, parsed):
@@ -1464,13 +1512,12 @@ class TestOptionRange:
             ("eta = 1.5", "eta must be in (0, 1], got 1.5"),
             ("eta = 0", "eta must be in (0, 1], got 0"),
             ("seller_margin = 0.1:0.02", "seller_margin lo:hi must satisfy 0 <= lo <= hi, got 0.1:0.02"),
-            ("seller_margin = -0.01", "seller_margin lo:hi must satisfy 0 <= lo <= hi, got -0.01"),
+            ("seller_margin = -0.01", "seller_margin must lie in [0, 1000] $/kWh, got -0.01"),
             ("buyer_margin = 0.5:0.6",
              "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got 0.5:0.6"),
-            ("buyer_margin = -0.05:0.01",
-             "buyer_margin lo:hi must satisfy 0 <= lo <= hi <= p_rp = 0.3, got -0.05:0.01"),
-            ("grid_sell_out = -0.1", "grid_sell_out must be >= 0, got -0.1"),
-            ("grid_buy_back = -1e-3", "grid_buy_back must be >= 0, got -1e-3"),
+            ("buyer_margin = -0.05:0.01", "buyer_margin must lie in [0, 1000] $/kWh, got -0.05"),
+            ("grid_sell_out = -0.1", "grid_sell_out must lie in [0, 1000] $/kWh, got -0.1"),
+            ("grid_buy_back = -1e-3", "grid_buy_back must lie in [0, 1000] $/kWh, got -0.001"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, line, message):
@@ -1659,8 +1706,8 @@ class TestSweepValueRange:
             ("supplier_count", "1e6", "supplier_count must be <= 200, got 1e+06"),
             ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1"),
             ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2"),
-            ("grid_price", "-1", "grid_price must be >= 0, got -1"),
-            ("grid_price", "0.5,-0.01", "grid_price must be >= 0, got -0.01"),
+            ("grid_price", "-1", "grid_price must lie in [0, 1000] $/kWh, got -1.0"),
+            ("grid_price", "0.5,-0.01", "grid_price must lie in [0, 1000] $/kWh, got -0.01"),
         ],
     )
     def test_rejected_before_any_draw(self, tmp_path, capsys, scenario_cfg, param, values,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridswap import coalition
+from gridswap import coalition, ingest
 from gridswap.coalition import (
     Customer,
     CoalitionInstance,
@@ -454,21 +454,19 @@ class TestSampledKernel:
         assert rms["pairs"] <= rms["independent"]
 
     def test_nets_that_overflow_the_sums_refused(self):
-        """Instances and sampled rows share one bound on N max|net| max(1, p_rp):
-        at it both are accepted, one float past it both are refused."""
-        n = 64  # above the exact limit; dividing by it is exact
-        edge = coalition._MAX_SCALE / n
-        for big, ok in ((edge, True), (np.nextafter(edge, np.inf), False)):
-            energies = np.full((2, n), 2.0)
-            energies[1, :2] = big, -big
-            if ok:
-                from_nets(energies[1])
-                assert np.isfinite(shapley_payoff_rows(energies, T, 100, [1, 2])[1]).all()
-                continue
-            with pytest.raises(InputError, match="overflow the Shapley sums"):
-                from_nets(energies[1])
-            with pytest.raises(InputError, match="overflow the Shapley sums"):
-                shapley_payoff_rows(energies, T, 100, [1, 2])
+        """A net past ingest.ENERGY is refused where the customer is built; at
+        the bound, sampled rows above the exact limit keep finite payoffs and
+        standard errors."""
+        n = 64  # above the exact limit
+        edge = ingest.ENERGY.largest
+        energies = np.full((2, n), 2.0)
+        energies[1, :2] = edge, -edge
+        from_nets(energies[1])
+        payoffs, errors = shapley_payoff_rows(energies, T, 100, [1, 2])
+        assert np.isfinite(payoffs).all() and np.isfinite(errors).all()
+        energies[1, :2] = math.nextafter(edge, math.inf), -edge
+        with pytest.raises(InputError, match=r"'c0' \|net_energy\| must lie in \[0, 1e\+09\] kWh"):
+            from_nets(energies[1])
 
     def test_memory_stays_in_blocks(self):
         """One estimate at N = 100 from 40,000 join orders holds a few blocks,

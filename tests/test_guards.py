@@ -27,7 +27,8 @@ BOOK = mk.Book(["a"], [1.0], [0.2])
 # (call, message): each call must raise InputError with this message
 LIBRARY = {
     "customer net_energy": (lambda: co.Customer("s", co.SUPPLIER, math.nan),
-                            "customer 's' needs a finite net_energy"),
+                            "customer 's' |net_energy| must lie in [0, 1e+09] kWh, "
+                            "got nan"),
     "customer role": (lambda: co.Customer("s", "buyer", 1.0),
                       "customer role must be 'supplier' or 'user', got 'buyer'"),
     "empty instance": (lambda: co.CoalitionInstance((), TARIFF),
@@ -38,11 +39,11 @@ LIBRARY = {
                                                   0, seed=0),
                    "sample_count must be >= 1"),
     "charger w": (lambda: evx.ChargingEV("c", w=math.nan, c_min=0.0),
-                  "charging EV 'c' needs finite w and c_min"),
+                  "charging EV 'c' w must lie in [1e-06, 1e+06] $, got nan"),
     "seller l2": (lambda: evx.DischargingEV("d", l1=0.1, l2=math.inf, d_max=1.0),
-                  "discharging EV 'd' needs finite l1, l2 and d_max"),
+                  "discharging EV 'd' l2 must lie in [0, 1000] $/kWh, got inf"),
     "seller l1 sign": (lambda: evx.DischargingEV("d", l1=-0.1, l2=0.0, d_max=1.0),
-                       "discharging EV 'd' cost factors must be >= 0"),
+                       "discharging EV 'd' l1 must lie in [1e-09, 1e+09] $/kWh^2, got -0.1"),
     "seller d_max": (lambda: evx.DischargingEV("d", l1=0.1, l2=0.0, d_max=0.0),
                      "discharging EV 'd' needs d_max > 0"),
     "auction without sellers": (lambda: evx.run_iterative_auction([CHARGER], []),
@@ -55,15 +56,29 @@ LIBRARY = {
                     "eps must be > 0"),
     "empty strategy set": (lambda: games.FiniteGame(np.zeros((2, 0, 3))),
                            "every strategy set must be nonempty"),
-    "tariff": (lambda: mk.Tariff(p_wp=math.nan, p_rp=0.3), "tariff prices must be finite"),
+    "tariff": (lambda: mk.Tariff(p_wp=math.nan, p_rp=0.3),
+               "wholesale price p_wp must lie in [0, 1000] $/kWh, got nan"),
     "pricing rule": (lambda: mk.clear_double_auction(BOOK, BOOK, pricing="average"),
                      "unknown pricing rule 'average'"),
     "unit capacity": (lambda: st.ResidentialUnit("r", math.inf, 0.1, 0.01),
-                      "RU 'r' needs finite capacity, reservation price and reluctance"),
+                      "RU 'r' capacity must lie in [0, 1e+09] kWh, got inf"),
     "unit reluctance": (lambda: st.ResidentialUnit("r", 10.0, 0.1, 0.0),
                         "RU 'r' reluctance must be > 0"),
+    # subnormal and near-overflow values pass a sign check; they overflowed or
+    # crashed a mechanism's arithmetic
+    "subnormal reluctance": (lambda: st.ResidentialUnit("r", 10.0, 0.1, 5e-324),
+                             "RU 'r' reluctance must lie in [1e-09, 1e+09] $/kWh^2, got 5e-324"),
+    "subnormal seller l1": (lambda: evx.DischargingEV("d", l1=1e-320, l2=0.0, d_max=1.0),
+                            "discharging EV 'd' l1 must lie in [1e-09, 1e+09] $/kWh^2, got 1e-320"),
+    "largest bid": (lambda: st.SfcAgent("f", 5.0, 1.7976931348623157e308),
+                    "SFC 'f' bid must lie in [0, 1000] $/kWh, "
+                    "got 1.7976931348623157e+308"),
+    "huge c_min": (lambda: evx.ChargingEV("c", w=1.0, c_min=1e308),
+                   "charging EV 'c' c_min must lie in [0, 1e+09] kWh, got 1e+308"),
+    "huge order": (lambda: mk.check_order(1e10, 0.1),
+                   "order quantity must lie in [0, 1e+09] kWh, got 10000000000.0"),
     "unit reservation": (lambda: st.ResidentialUnit("r", 10.0, -0.1, 0.01),
-                         "RU 'r' reservation price must be >= 0"),
+                         "RU 'r' reservation price must lie in [0, 1000] $/kWh, got -0.1"),
     "no bids": (lambda: st.vickrey_price([]), "at least one SFC bid is required"),
     "negative posted price": (lambda: st.follower_best_response(UNIT, -0.1),
                               "price must be >= 0"),
@@ -122,11 +137,32 @@ CLI = {
     "ev without sellers": ("mechanism = ev_auction\nagent = c1 ev - w=1.9\n", [],
                            "need at least one charging and one discharging EV"),
     "seller cost sign": (EV + "agent = d2 ev - l1=-1 d_max=4\n", [],
-                         "bad.cfg:4: discharging EV 'd2' cost factors must be >= 0"),
+                         "bad.cfg:4: discharging EV 'd2' l1 must lie in [1e-09, 1e+09] $/kWh^2, "
+                         "got -1.0"),
     "seller without d_max": (EV + "agent = d2 ev - l1=0.1\n", [],
                              "bad.cfg:4: discharging EV 'd2' needs d_max > 0"),
     "unit reluctance": (STORAGE + "agent = r2 residential_unit - capacity=1 reservation=0.2 "
                         "reluctance=0\n", [], "bad.cfg:4: RU 'r2' reluctance must be > 0"),
+    "retail price range": ("p_rp = 1e4\n" + DOUBLE, [],
+                           "bad.cfg:1: p_rp must lie in [0, 1000] $/kWh, "
+                           "got 10000.0"),
+    "margin range": ("seller_margin = 0:2000\n" + DOUBLE, [],
+                     "bad.cfg:1: seller_margin must lie in [0, 1000] $/kWh, "
+                     "got 2000.0"),
+    "grid price range": (EV + "grid_sell_out = 1e300\n", [],
+                         "bad.cfg:4: grid_sell_out must lie in [0, 1000] $/kWh, got 1e+300"),
+    "subnormal reluctance": (STORAGE + "agent = r2 residential_unit - capacity=1 "
+                             "reservation=0.2 reluctance=5e-324\n", [],
+                             "bad.cfg:4: RU 'r2' reluctance must lie in [1e-09, 1e+09] $/kWh^2, "
+                             "got 5e-324"),
+    "slot longer than a day": ("slot_minutes = 1e20\n" + DOUBLE, ["solar_fraction", "0.5"],
+                               "bad.cfg:1: slot_minutes must be an integer from 1 to 1440, "
+                               "got 1e20"),
+    "grid_price range": (EV, ["grid_price", "2000"],
+                         "grid_price must lie in [0, 1000] $/kWh, got 2000.0"),
+    "sfc_requirement range": (STORAGE, ["sfc_requirement", "1e10"],
+                              "sfc_requirement total must lie in [0, 1e+09] kWh, "
+                              "got 10000000000.0"),
     "sfc_requirement sweep": (DOUBLE, ["sfc_requirement", "100"],
                               "sfc_requirement sweep needs a storage_auction scenario"),
     "grid_price sweep": (DOUBLE, ["grid_price", "0.5"],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from gridswap import cli, ev, ingest, market, scenario
+from gridswap import cli, coalition, ev, ingest, market, scenario, storage
 from gridswap.errors import GridswapError
 
 
@@ -199,6 +199,9 @@ class TestFastPathMatchesRows:
             ('agent_id,side,quantity,limit_price\n"B,1",buy,5,0.2\n', False),
             ("agent_id,side,quantity,limit_price\nB1,buy,0,0.2\n", False),
             ("agent_id,side,quantity,limit_price\nB1,buy,1,-0.2\n", False),
+            # past ingest.ENERGY and ingest.PRICE: the row reader names the line
+            ("agent_id,side,quantity,limit_price\nB1,buy,1e9,1e3\nS1,sell,1e10,0.1\n", False),
+            ("agent_id,side,quantity,limit_price\nB1,buy,1e9,1e3\nS1,sell,1,1e308\n", False),
             ("agent_id,side,quantity,limit_price,slot\nB1,buy,1,0.2,3\nS1,sell,1,0.1,4\n", False),
             ("agent_id,side,quantity,limit_price,slot\nB1,buy,1,0.2,\n", False),
             ("agent_id,side,quantity,limit_price\nB1,buy,1,0.2\n  \n", False),
@@ -246,6 +249,9 @@ class TestFastPathMatchesRows:
             ('source,note,slot_index,load_kwh,gen_kwh\n"a,b",0,0,1.5,2\n"a,b",1,1,2.5,3\n', False),
             ("slot_index,load_kwh,gen_kwh\n0,1.5,2\n2,2.5,3\n", False),
             ("slot_index,load_kwh,gen_kwh\n0,1.5,-2\n1,2.5,3\n", False),
+            ("slot_index,load_kwh,gen_kwh\n0,1e9,0\n1,0,1e9\n", True),
+            ("slot_index,load_kwh,gen_kwh\n0,1e9,0\n1,0,1.0000000000000001e9\n", False),
+            ("slot_index,load_kwh,gen_kwh\n0,1e200,0\n1,0,1\n", False),
         ],
     )
     def test_series_corpus(self, text, fast):
@@ -278,10 +284,12 @@ class TestFastPathMatchesRows:
 
 # each reader, its header and a data row numbered by {} so that ids stay distinct
 _READERS = {
-    "units": (lambda p: cli._read_rus(p, {}),
+    "units": (lambda p: cli._read_agents(p, {}, storage.ResidentialUnit, "capacity",
+                                         "reservation_price", "reluctance"),
               "id,capacity,reservation_price,reluctance", "r{},60,0.10,0.002"),
-    "sfcs": (lambda p: cli._read_sfcs(p, {}), "id,requirement,bid_price", "s{},120,0.35"),
-    "instance": (lambda p: cli._read_instance(p, market.Tariff(p_wp=0.05, p_rp=0.30), {}),
+    "sfcs": (lambda p: cli._read_agents(p, {}, storage.SfcAgent, "requirement", "bid_price"),
+             "id,requirement,bid_price", "s{},120,0.35"),
+    "instance": (lambda p: cli._read_agents(p, {}, coalition.Customer, "role", "net_kwh"),
                  "id,role,net_kwh", "c{},user,-8"),
     "population": (lambda p: ev.read_ev_population_csv(p, {}),
                    "id,role,w,l1,l2,c_min,c_max,d_max", "v{},charging,1.9,,,6,15,"),

@@ -157,11 +157,15 @@ class TestBook:
         "quantity, price, message",
         [
             (0.0, 0.1, "order quantity must be > 0, got 0.0"),
-            (-2.0, -1.0, "order quantity must be > 0, got -2.0"),
-            (math.nan, 0.1, "order quantity must be > 0, got nan"),
-            (math.inf, 0.1, "order quantity must be > 0, got inf"),
-            (1.0, -0.1, "limit price must be finite and >= 0, got -0.1"),
-            (1.0, math.nan, "limit price must be finite and >= 0, got nan"),
+            (-2.0, -1.0, "order quantity must lie in [0, 1e+09] kWh, got -2.0"),
+            (math.nan, 0.1, "order quantity must lie in [0, 1e+09] kWh, got nan"),
+            (math.inf, 0.1, "order quantity must lie in [0, 1e+09] kWh, got inf"),
+            (math.nextafter(1e9, math.inf), 0.1,
+             "order quantity must lie in [0, 1e+09] kWh, got 1000000000.0000001"),
+            (1.0, -0.1, "limit price must lie in [0, 1000] $/kWh, got -0.1"),
+            (1.0, math.nan, "limit price must lie in [0, 1000] $/kWh, got nan"),
+            (1.0, math.nextafter(1e3, math.inf),
+             "limit price must lie in [0, 1000] $/kWh, got 1000.0000000000001"),
         ],
     )
     def test_first_bad_order_reported(self, quantity, price, message):
@@ -169,6 +173,9 @@ class TestBook:
         with pytest.raises(InputError) as exc:
             book(orders)
         assert str(exc.value) == message
+
+    def test_orders_at_the_bounds_accepted(self):
+        assert len(book([("a", 1e9, 1e3), ("b", 5e-324, 5e-324), ("c", 1.0, 0.0)])) == 3
 
     def test_columns_must_match_in_length(self):
         with pytest.raises(InputError):

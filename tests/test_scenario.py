@@ -100,7 +100,7 @@ class TestLoadScenario:
             "slot_index,load_kwh,gen_kwh\n0,-1.0,0.0\n"
         )
         cfg = write_config(tmp_path / "bad.cfg", "agent = h1 consumer neg.csv\n")
-        with pytest.raises(SchemaError, match=">= 0"):
+        with pytest.raises(SchemaError, match=r"neg.csv:2: load_kwh must lie in \[0, 1e\+09\] kWh"):
             load_scenario(cfg)
 
     def test_missing_series_file(self, tmp_path):
@@ -181,7 +181,7 @@ class TestNonFiniteInputs:
              "bad.cfg:2: agent 'c1' w: expected a number, got 'abc'"),
             ("agent = c1 ev - c_min=1", "0,0", "bad.cfg:1: ev agent 'c1' needs either w"),
             ("agent = f1 sfc - requirement=-5 bid=0.3", "0,0",
-             "bad.cfg:1: SFC 'f1' requirement must be > 0"),
+             "bad.cfg:1: SFC 'f1' requirement must lie in [0, 1e+09] kWh, got -5.0"),
         ],
     )
     def test_malformed_rejected_with_location(self, tmp_path, config, series_row, message):

@@ -399,6 +399,12 @@ class TestAllocateShares:
         alloc, _ = allocate_shares([10], [6, 6], EQUAL)
         assert alloc == [6.0, 4.0]
 
+    def test_subnormal_reservation_still_carries_the_burden(self):
+        # remaining * 5e-324 underflowed to 0 and left the 1e-9 kWh unsold unplaced
+        alloc, burden = allocate_shares([0.0, 0.0, 1e-9], [5e-324], PROPORTIONAL,
+                                        reservations=[0.0, 0.0, 5e-324])
+        assert alloc == [5e-324] and burden == [0.0, 0.0, 1e-9 - 5e-324]
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(InputError):
             allocate_shares([-1], [5], EQUAL)
@@ -696,14 +702,22 @@ class TestRequirementSweep:
 
     @pytest.mark.parametrize("totals, message", [
         ([0], "SFC 'a' requirement must be > 0"),
-        ([100, -5], "SFC 'a' requirement must be > 0"),
-        ([1e308, 100], "SFC 'a' needs finite requirement and bid"),
+        ([100, -5], r"sfc_requirement total must lie in \[0, 1e\+09\] kWh, got -5.0"),
+        ([1e308, 100], r"sfc_requirement total must lie in \[0, 1e\+09\] kWh"),
+        ([100, math.nextafter(1e9, math.inf)],
+         r"sfc_requirement total must lie in \[0, 1e\+09\] kWh"),
     ])
     def test_scaled_requirements_validated(self, totals, message):
         rus = [ru("r1", 100, 0.26, 0.0005)]
         sfcs = [sfc("a", 100, 0.40), sfc("b", 100, 0.28)]
         with pytest.raises(InputError, match=message):
             requirement_sweep(rus, sfcs, totals)
+
+    def test_total_at_the_bound_accepted(self):
+        rus = [ru("r1", 100, 0.26, 0.0005)]
+        sfcs = [sfc("a", 100, 0.40), sfc("b", 100, 0.28)]
+        row, = requirement_sweep(rus, sfcs, [1e9])
+        assert row["total_requirement"] == 1e9 and row["auction_price"] is not None
 
 
 class TestIncentiveCompatibility:
@@ -755,13 +769,19 @@ class TestIncentiveCompatibility:
         with pytest.raises(InputError, match=message):
             check_incentive_compatibility([StorageScenario(units, bidders)])
 
-    @pytest.mark.parametrize("top", [1e12, 7e11])
+    @pytest.mark.parametrize("top", [1e12, 7e11, math.nextafter(1e3, math.inf), 1e3])
     def test_grid_span_checked_on_every_priced_report(self, top):
-        # 7e11 spans 7e15 grid points truthfully, under 2**53; its 1.5x misreport does not
+        # a bid past ingest.PRICE is refused where the SFC is built, so no report
+        # reaches the price grid with it; at the bound even a 1.5x misreport
+        # spans about 1.5e7 grid points, far under 2**53
         rus = (ru("r1", 40, 0.20, 0.002), ru("r2", 60, 0.10, 0.002))
+        if top > 1e3:
+            with pytest.raises(InputError, match="SFC 'a' bid must lie in \\[0, 1000\\] \\$/kWh"):
+                sfc("a", 80, top)
+            return
         sfcs = (sfc("a", 80, top), sfc("b", 50, 0.30))
-        with pytest.raises(InputError, match="span too many grid points"):
-            check_incentive_compatibility([StorageScenario(rus, sfcs)])
+        report = check_incentive_compatibility([StorageScenario(rus, sfcs)])
+        assert report.deviations_checked == (2 * 2 + 2) * 20
 
     def test_sfc_bid_inflation_weakly_hurts(self):
         scenarios = make_ic_scenarios(6, seed=21)
