@@ -36,7 +36,7 @@ from . import market as mk
 from . import scenario as sim
 from . import storage as st
 from .errors import GridswapError, InputError, SizeError
-from .ingest import finite, finite_over, nonnegative, positive_up_to
+from .ingest import finite, integer
 
 # ic-check prices about 170 misreported auctions per trial
 _MAX_TRIALS = 10_000
@@ -497,9 +497,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, inputs=inputs)
         return p
 
+    # a flag that gives a setting of a scenario config parses it as the config does
+    setting = sim.SETTINGS
+
     def common(p, seed_default=None):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=nonnegative, default=seed_default, help="random seed")
+        p.add_argument("--seed", type=setting["seed"].parse, default=seed_default,
+                       help="random seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
     p = command("run", _cmd_run, "run a full scenario simulation", config="config file")
@@ -512,17 +516,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("ev-auction", _cmd_ev_auction, "EV price auction from a population CSV",
                 population="population file")
-    p.add_argument("--eta", type=finite_over(0.0, 1.0), default=evx.DEFAULT_ETA)
-    p.add_argument("--eps", type=finite_over(0.0), default=evx.DEFAULT_EPS,
+    p.add_argument("--eta", type=setting["eta"].parse, default=setting["eta"].default)
+    p.add_argument("--eps", type=setting["eps"].parse, default=setting["eps"].default,
                    help="stop once the certified welfare gap is at most this ($)")
-    p.add_argument("--max-iter", type=positive_up_to(_MAX_ITER), default=evx.DEFAULT_MAX_ITER,
+    p.add_argument("--max-iter", type=integer(1, _MAX_ITER), default=evx.DEFAULT_MAX_ITER,
                    help="at most this many price steps; a stop here is reported unconverged")
     common(p)
 
     p = command("shapley", _cmd_shapley, "coalition payoff division from an instance CSV",
                 instance="instance file")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--samples", type=positive_up_to(co.MAX_SAMPLES), default=50_000)
+    p.add_argument("--samples", type=setting["mc_samples"].parse, default=50_000)
     p.add_argument("--p-wp", type=finite, default=mk.DEFAULT_TARIFF.p_wp)
     p.add_argument("--p-rp", type=finite, default=mk.DEFAULT_TARIFF.p_rp)
     common(p, seed_default=0)
@@ -530,12 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("storage-auction", _cmd_storage_auction,
                 "storage-sharing auction from RU/SFC CSVs",
                 rus="residential-units file", sfcs="SFC file")
-    p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
+    p.add_argument("--rule", choices=setting["rule"].parse, default=setting["rule"].default)
     common(p)
 
     p = command("ic-check", _cmd_ic_check, "search storage-auction misreports for profit")
-    p.add_argument("--trials", type=positive_up_to(_MAX_TRIALS), default=100)
-    p.add_argument("--rule", choices=[st.PROPORTIONAL, st.EQUAL], default=st.PROPORTIONAL)
+    p.add_argument("--trials", type=integer(1, _MAX_TRIALS), default=100)
+    p.add_argument("--rule", choices=setting["rule"].parse, default=setting["rule"].default)
     common(p, seed_default=0)
 
     p = command("nash", _cmd_nash, "enumerate pure equilibria of a small game CSV",

@@ -16,10 +16,10 @@ numpy opens the file a second time, the one input read twice, so there the
 digest is of the bytes `columns` read and checked. `read_text` reads a
 scenario config. `distinct_ids` rejects the first row of an agent table
 whose id repeats an earlier one. `finite` is the one parser for numeric
-text, in files, configs and command-line flags alike, and `finite_over` adds
-a flag's range to it; `positive` parses the counts command-line flags take,
-and `positive_up_to` those it caps. `physical` holds every physical quantity
-read to its kind's range, and `physical_mask` a column of them.
+text. A setting, from a config key or a flag, has one parser that both call:
+an `integer`, a `finite_over`, a `Range` or a `Choice`, whose ValueError
+says why it refuses a text. `physical` holds every physical quantity read to
+its kind's range, and `physical_mask` a column of them.
 """
 
 from __future__ import annotations
@@ -57,10 +57,21 @@ def finite(text: str) -> float:
 
 
 class Range(NamedTuple):
-    """A kind of input quantity: its unit and the values it may take besides 0."""
+    """A kind of input quantity: its unit and the values it may take besides
+    0. Called on text, it parses a setting of its kind."""
     unit: str
     smallest: float
     largest: float
+
+    def refusal(self, value: float) -> str:
+        return (f"must lie in [{self.smallest:g}, {self.largest:g}] {self.unit}, "
+                f"got {float(value)!r}")
+
+    def __call__(self, text: str) -> float:
+        value = finite(text)
+        if self.smallest <= value <= self.largest or value == 0:
+            return value
+        raise ValueError(self.refusal(value))
 
 
 # Each kind of physical input's range, refused outside it where it is read: far
@@ -88,8 +99,7 @@ def physical(value: float, kind: Range, name: str, owner=None) -> float:
     quantity `name.format(owner)`; a chained comparison refuses NaN too."""
     if kind[1] <= value <= kind[2] or value == 0:
         return value
-    raise InputError(f"{name.format(owner)} must lie in [{kind[1]:g}, {kind[2]:g}] {kind[0]}, "
-                     f"got {float(value)!r}")
+    raise InputError(f"{name.format(owner)} {kind.refusal(value)}")
 
 
 def physical_mask(values: np.ndarray, kind: Range) -> np.ndarray:
@@ -97,46 +107,47 @@ def physical_mask(values: np.ndarray, kind: Range) -> np.ndarray:
     return ((kind.smallest <= values) & (values <= kind.largest)) | (values == 0)
 
 
-def nonnegative(text: str) -> int:
-    """The integer >= 0 that `text` spells; ValueError for anything else."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {text!r}")
-    return value
+def integer(low: int, high: float = math.inf):
+    """The parser of an integer setting from `low` to `high`: integer text
+    parses exactly, and a float spelling of a whole number (`96.0`, `5e3`) as
+    that integer; a ValueError says why any other text is refused."""
+    bound = f">= {low}" if high == math.inf else f"from {low} to {high}"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = finite(text)
+        if not (value == int(value) and low <= value <= high):
+            raise ValueError(f"must be an integer {bound}, got {text}")
+        return int(value)
 
-def positive(text: str, limit: int | None = None) -> int:
-    """The integer >= 1, and <= `limit` when one is given, that `text` spells;
-    ValueError for anything else."""
-    value = int(text)
-    if value < 1 or (limit is not None and value > limit):
-        bound = "" if limit is None else f" and <= {limit}"
-        raise ValueError(f"expected an integer >= 1{bound}, got {text!r}")
-    return value
-
-
-def positive_up_to(limit: int):
-    """`positive` capped at `limit`, for a flag whose count sets the work done.
-
-    The parser keeps the name `positive`, so argparse reports an out-of-range
-    value as it reports one below 1.
-    """
-    return functools.wraps(positive)(functools.partial(positive, limit=limit))
+    parse.__name__ = "nonnegative" if low == 0 else "positive"  # argparse's name for it
+    return parse
 
 
 def finite_over(low: float, high: float = math.inf):
-    """`finite`, also requiring low < value <= high, for a flag with a range.
+    """`finite`, also requiring low < value <= high, for a setting with a range;
+    it keeps the name `finite`, so argparse reports a value out of range as it
+    reports a non-finite one."""
+    bound = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g}]"
 
-    The parser keeps the name `finite`, so argparse reports a value out of
-    range as it reports a non-finite one.
-    """
     def parse(text: str) -> float:
         value = finite(text)
         if not low < value <= high:
-            raise ValueError(f"expected a number in ({low:g}, {high:g}], got {text!r}")
+            raise ValueError(f"must be {bound}, got {text}")
         return value
 
     return functools.wraps(finite)(parse)
+
+
+class Choice(tuple):
+    """The parser of one of the tuple's words, and a flag's argparse `choices`."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"must be {' or '.join(self)}, got {text!r}")
+        return text
 
 
 class Table:

@@ -15,7 +15,7 @@ equal-distribution, and grid-hybrid baselines where those apply.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,11 +46,6 @@ SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price"
 # a supplier_count sweep draws one series per supplier and samples Shapley
 # values over all of them, so its work grows with the count
 _MAX_SUPPLIERS = 200
-# 366 days of 5-minute slots
-_MAX_HORIZON = 105_408
-# one day: the synthetic profiles place each slot at its hour of the day, which
-# a longer slot would skip, and scale kW to kWh per slot by slot_minutes / 60
-_MAX_SLOT_MINUTES = 1_440
 # about the most memory, in bytes, that one chunk of slots of a replay takes:
 # a double auction's merge, SlotClearings, settlements and terms peak at 225
 # to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
@@ -103,8 +98,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         defaults = _MECHANISMS[self.mechanism].options.items()
-        self.options = {**{key: default(self.tariff) if callable(default) else default
-                           for key, default in defaults}, **self.options}
+        self.options = {**{key: row.default(self.tariff) if callable(row.default) else row.default
+                           for key, row in defaults}, **self.options}
 
 
 @dataclass
@@ -150,11 +145,12 @@ def load_scenario(config_path) -> Scenario:
 
     Lines look like `key = value`; `#` starts a comment. Agents are declared
     as `agent = <id> <role> <series.csv|-> [name=value ...]`; series files are
-    resolved against the config's directory. A mechanism option or an agent
-    role that the config's mechanism does not read (`_MECHANISMS`) is
-    refused, as is a series file on an agent that reads parameters. The
-    scenario's `sources` hold the sha256 of the config's bytes and of each
-    series file's.
+    resolved against the config's directory. Each key's text goes through
+    its setting's parser (`SETTINGS`), and a value it refuses stops the load
+    with `file:line: <key> ...`. A mechanism option or an agent role that the
+    config's mechanism does not read (`_MECHANISMS`) is refused, as is a
+    series file on an agent that reads parameters. The scenario's `sources`
+    hold the sha256 of the config's bytes and of each series file's.
     """
     config_path = Path(config_path)
     sources: dict[Path, str] = {}
@@ -170,7 +166,7 @@ def load_scenario(config_path) -> Scenario:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "agent":
             agent_specs.append((ln, value))
-        elif key not in _KEYS:
+        elif key not in SETTINGS and key != "mechanism":
             raise SchemaError(f"{config_path}:{ln}: unknown key {key!r}")
         elif key in keys:
             raise SchemaError(f"{config_path}:{ln}: key {key!r} given twice "
@@ -180,77 +176,40 @@ def load_scenario(config_path) -> Scenario:
             key_lines[key] = ln
 
     where = str(config_path)
-
-    def number(text: str, at: str, kind: ingest.Range | None = None, name: str = "") -> float:
-        try:
-            value = finite(text)
-            return value if kind is None else physical(value, kind, name)
-        except (ValueError, InputError) as exc:
-            raise SchemaError(f"{at}: {exc}") from exc
-
-    def line(key: str) -> str:
-        return f"{where}:{key_lines[key]}" if key in key_lines else where
-
-    def integer(key: str, default: str, low: int, high: int | None = None) -> int:
-        text = keys.get(key, default)
-        value = number(text, line(key))
-        if not (value.is_integer() and low <= value and (high is None or value <= high)):
-            bound = f">= {low}" if high is None else f"from {low} to {high}"
-            raise SchemaError(f"{line(key)}: {key} must be an integer {bound}, got {text}")
-        return int(value)
-
-    mechanism = keys.get("mechanism", "double_auction")
+    at = {key: f"{where}:{ln}" for key, ln in key_lines.items()}
+    mechanism = keys.pop("mechanism", "double_auction")
     if mechanism not in MECHANISMS:
-        raise SchemaError(f"{line('mechanism')}: unknown mechanism {mechanism!r}")
+        raise SchemaError(f"{at['mechanism']}: unknown mechanism {mechanism!r}")
     roles = _MECHANISMS[mechanism].roles
-    for key in keys:
-        owner = next((m for m, spec in _MECHANISMS.items() if key in spec.options), mechanism)
-        if owner != mechanism:
-            raise SchemaError(f"{line(key)}: {key} is read by the {owner} mechanism only, "
+    readable = {**_COMMON, **_MECHANISMS[mechanism].options}
+    values = {}
+    for key, text in keys.items():
+        if key not in readable:
+            owner = next(m for m, spec in _MECHANISMS.items() if key in spec.options)
+            raise SchemaError(f"{at[key]}: {key} is read by the {owner} mechanism only, "
                               f"not by {mechanism}")
-    horizon = integer("horizon", "1", 1, _MAX_HORIZON)
-    slot_minutes = integer("slot_minutes", "15", 1, _MAX_SLOT_MINUTES)
-    seed = integer("seed", "0", 0)
-    prices = {key: number(keys[key], line(key), PRICE, key)
-              for key in ("p_wp", "p_rp") if key in keys}
+        try:
+            values[key] = readable[key].parse(text)
+        except ValueError as exc:
+            raise SchemaError(f"{at[key]}: {key} {exc}") from exc
+    common = {key: values.pop(key, row.default) for key, row in _COMMON.items()}
+    horizon = common["horizon"]
     try:
-        tariff = replace(mk.DEFAULT_TARIFF, **prices)
-    except InputError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-    options = {key: number(keys[key], line(key), PRICE, key)
-               for key in ("grid_sell_out", "grid_buy_back") if key in keys}
-    for key, within, bound in (("eta", lambda v: 0 < v <= 1, "in (0, 1]"),
-                               ("eps", lambda v: v > 0, "> 0")):
-        if key in keys:
-            options[key] = number(keys[key], line(key))
-            if not within(options[key]):
-                raise SchemaError(f"{line(key)}: {key} must be {bound}, got {keys[key]}")
-    if "mc_samples" in keys:
-        options["mc_samples"] = integer("mc_samples", "", 1, co.MAX_SAMPLES)
-    if "rule" in keys:
-        if keys["rule"] not in (st.PROPORTIONAL, st.EQUAL):
-            raise SchemaError(
-                f"{line('rule')}: rule must be proportional or equal, got {keys['rule']!r}"
-            )
-        options["rule"] = keys["rule"]
+        tariff = mk.Tariff(p_wp=common.pop("p_wp"), p_rp=common.pop("p_rp"))
+    except InputError as exc:  # prices in the wrong order, at least one of them given
+        last = max(key_lines.get(key, 0) for key in ("p_wp", "p_rp"))
+        raise SchemaError(f"{where}:{last}: {exc}") from exc
     # a bid's limit is p_rp minus the buyer's margin, an ask's p_wp plus the seller's
     for key, cap in (("buyer_margin", tariff.p_rp), ("seller_margin", math.inf)):
-        if key in keys:
-            lo, _, hi = keys[key].partition(":")
-            lo, hi = (number(x, line(key), PRICE, key) for x in (lo, hi or lo))
-            if not 0 <= lo <= hi <= cap:
-                bound = "0 <= lo <= hi" + (f" <= p_rp = {cap}" if cap < math.inf else "")
-                raise SchemaError(f"{line(key)}: {key} lo:hi must satisfy {bound}, got {keys[key]}")
-            options[key] = (lo, hi)
+        if key in values and not values[key][0] <= values[key][1] <= cap:
+            bound = "0 <= lo <= hi" + (f" <= p_rp = {cap}" if cap < math.inf else "")
+            raise SchemaError(f"{at[key]}: {key} lo:hi must satisfy {bound}, got {keys[key]}")
 
     agents: list[AgentProfile] = []
     for ln, decl in agent_specs:
         parts = decl.split()
         if len(parts) < 3:
-            raise SchemaError(
-                f"{where}:{ln}: agent needs '<id> <role> <series|-> [k=v ...]'"
-            )
+            raise SchemaError(f"{where}:{ln}: agent needs '<id> <role> <series|-> [k=v ...]'")
         aid, role, series = parts[0], parts[1], parts[2]
         if not any(role in spec.roles for spec in _MECHANISMS.values()):
             raise SchemaError(f"{where}:{ln}: unknown role {role!r}")
@@ -261,7 +220,10 @@ def load_scenario(config_path) -> Scenario:
             name, value = token.split("=", 1)
             if name in params:
                 raise SchemaError(f"{where}:{ln}: agent {aid!r} parameter {name!r} given twice")
-            params[name] = number(value, f"{where}:{ln}: agent {aid!r} {name}")
+            try:
+                params[name] = finite(value)
+            except ValueError as exc:
+                raise SchemaError(f"{where}:{ln}: agent {aid!r} {name}: {exc}") from exc
         try:
             agent = AgentProfile(aid, role, np.zeros(horizon), np.zeros(horizon), params)
         except KeyError as exc:
@@ -285,16 +247,7 @@ def load_scenario(config_path) -> Scenario:
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{where}: duplicate agent ids")
 
-    return Scenario(
-        agents=agents,
-        tariff=tariff,
-        mechanism=mechanism,
-        horizon=horizon,
-        slot_minutes=slot_minutes,
-        seed=seed,
-        options=options,
-        sources=sources,
-    )
+    return Scenario(agents, tariff, mechanism, **common, options=values, sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +594,32 @@ _NO_ED = "ed baseline applies to storage_auction scenarios only"
 _NO_HYBRID = "hybrid baseline applies to ev_auction scenarios only"
 
 
+class _Setting(NamedTuple):
+    default: object  # a callable one reads the tariff
+    parse: Callable  # a config key's or a flag's text -> value; a ValueError says why not
+
+
+def _price_span(text: str) -> tuple[float, float]:
+    """A margin's `lo:hi`, or `lo` alone for lo:lo, each a PRICE."""
+    lo, _, hi = text.partition(":")
+    return PRICE(lo), PRICE(hi or lo)
+
+
+# the settings of every scenario, besides `mechanism`
+_COMMON = {
+    "horizon": _Setting(1, ingest.integer(1, 105_408)),  # 366 days of 5-minute slots
+    # at most one day: the synthetic profiles place each slot at its hour of the day,
+    # which a longer slot would skip, and scale kW to kWh per slot by slot_minutes / 60
+    "slot_minutes": _Setting(15, ingest.integer(1, 1_440)),
+    "seed": _Setting(0, ingest.integer(0)),
+    "p_wp": _Setting(mk.DEFAULT_TARIFF.p_wp, PRICE),
+    "p_rp": _Setting(mk.DEFAULT_TARIFF.p_rp, PRICE),
+}
+
+
 class _Mechanism(NamedTuple):
     roles: tuple  # the agent roles it reads
-    # the options it reads and their defaults; a callable one reads the tariff
-    options: dict
+    options: dict  # the settings it reads besides _COMMON's
     replay: Callable  # (scenario, cells) -> (chunk, finish), see "slot replay"
     totals: dict  # the system totals it adds beyond the summary columns, and their types
     notes: tuple  # why compare_baselines omits the columns it omits
@@ -652,22 +627,29 @@ class _Mechanism(NamedTuple):
 
 _MECHANISMS = {
     "double_auction": _Mechanism(
-        ("consumer", "prosumer"), {"buyer_margin": (0.02, 0.10), "seller_margin": (0.02, 0.10)},
+        ("consumer", "prosumer"), {"buyer_margin": _Setting((0.02, 0.10), _price_span),
+                                   "seller_margin": _Setting((0.02, 0.10), _price_span)},
         _double_auction, {"buy_spend": float, "sell_earn": float}, (_NO_ED, _NO_HYBRID)),
     "ev_auction": _Mechanism(
-        ("ev",), {"eta": evx.DEFAULT_ETA, "eps": evx.DEFAULT_EPS,
-                  "grid_sell_out": attrgetter("p_rp"), "grid_buy_back": attrgetter("p_wp")},
+        ("ev",), {"eta": _Setting(evx.DEFAULT_ETA, ingest.finite_over(0.0, 1.0)),
+                  "eps": _Setting(evx.DEFAULT_EPS, ingest.finite_over(0.0)),
+                  "grid_sell_out": _Setting(attrgetter("p_rp"), PRICE),
+                  "grid_buy_back": _Setting(attrgetter("p_wp"), PRICE)},
         _ev_auction, {"converged_slots": int}, (_NO_ED,)),
     "coalition": _Mechanism(
-        ("consumer", "prosumer"), {"mc_samples": co.DEFAULT_SAMPLES}, _coalition,
-        {"shapley_exact_slots": int, "shapley_sampled_slots": int}, (_NO_ED, _NO_HYBRID)),
+        ("consumer", "prosumer"),
+        {"mc_samples": _Setting(co.DEFAULT_SAMPLES, ingest.integer(1, co.MAX_SAMPLES))},
+        _coalition, {"shapley_exact_slots": int, "shapley_sampled_slots": int},
+        (_NO_ED, _NO_HYBRID)),
     "storage_auction": _Mechanism(
-        ("residential_unit", "sfc"), {"rule": st.PROPORTIONAL}, _storage, {}, (_NO_HYBRID,)),
+        ("residential_unit", "sfc"),
+        {"rule": _Setting(st.PROPORTIONAL, ingest.Choice((st.PROPORTIONAL, st.EQUAL)))},
+        _storage, {}, (_NO_HYBRID,)),
 }
 MECHANISMS = tuple(_MECHANISMS)
-# the config keys load_scenario reads, besides `agent`; any other is refused
-_KEYS = ("mechanism", "horizon", "slot_minutes", "seed", "p_wp", "p_rp",
-         *(key for spec in _MECHANISMS.values() for key in spec.options))
+# every config key besides `mechanism` and `agent`, and its setting; load_scenario
+# refuses any other key, and the command-line flags of a setting take its parser
+SETTINGS = {**_COMMON, **{k: v for spec in _MECHANISMS.values() for k, v in spec.options.items()}}
 _ENERGY_TOTALS = (
     "matched_kwh",
     "grid_import_kwh",

@@ -1474,7 +1474,7 @@ class TestSeedAndSlotIntegers:
         "key, value, parsed",
         [("horizon", "96.0", 96), ("horizon", "105408", 105_408), ("slot_minutes", "1", 1),
          ("slot_minutes", "1440", 1440), ("seed", "100000000000000000000", 10**20),
-         ("seed", "0", 0), ("seed", "12", 12)],
+         ("seed", "18446744073709551617", 2**64 + 1), ("seed", "0", 0), ("seed", "12", 12)],
     )
     def test_config_value_accepted_as_an_integer(self, tmp_path, key, value, parsed):
         cfg = tmp_path / "da.cfg"
@@ -1536,6 +1536,67 @@ class TestOptionRange:
         cfg.write_text(_option_config(line))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
+# each setting that a flag gives too: (config key, flag, a command line that takes the flag)
+_FLAG_SETTINGS = [
+    ("seed", "--seed", "run --config c.cfg"),
+    ("seed", "--seed", "shapley --instance i.csv"),
+    ("eta", "--eta", "ev-auction --population p.csv"),
+    ("eps", "--eps", "ev-auction --population p.csv"),
+    ("mc_samples", "--samples", "shapley --instance i.csv"),
+    ("rule", "--rule", "storage-auction --rus r.csv --sfcs s.csv"),
+    ("rule", "--rule", "ic-check"),
+]
+# (text, its value, None when it is refused): accepted, boundary and refused texts
+_SETTING_TEXTS = {
+    "seed": [("0", 0), ("96.0", 96), ("5e3", 5000), ("100000000000000000000", 10**20),
+             ("18446744073709551617", 2**64 + 1), ("-1", None), ("0.5", None),
+             ("nan", None), ("x", None)],
+    "eta": [("1", 1.0), ("0.9", 0.9), ("1e-300", 1e-300), ("0", None), ("1.5", None),
+            ("-0.5", None), ("inf", None)],
+    "eps": [("1e-300", 1e-300), ("5e3", 5000.0), ("0", None), ("-1", None), ("nan", None)],
+    "mc_samples": [("1", 1), ("5e3", 5000), ("1e6", 1_000_000), ("1000000", 1_000_000),
+                   ("0", None), ("2.5", None), ("1000001", None), ("1e12", None), ("x", None)],
+    "rule": [("proportional", "proportional"), ("equal", "equal"), ("fair", None),
+             ("Equal", None)],
+}
+
+
+class TestSettingParity:
+    """A config key and the flag that gives the same setting read its text
+    with one parser: the same value from both, or a refusal by both, exit
+    code 1 from the config and 2 from the flag."""
+
+    _main = TestNonFiniteRejected._main
+
+    @pytest.mark.parametrize("key, flag, call", _FLAG_SETTINGS)
+    def test_flag_takes_the_config_parser(self, key, flag, call):
+        command = _build_parser()._subparsers._group_actions[0].choices[call.split()[0]]
+        action = command._option_string_actions[flag]
+        parse = scenario.SETTINGS[key].parse
+        assert (action.choices if key == "rule" else action.type) is parse
+
+    @pytest.mark.parametrize("key, flag, call, text, value", [
+        (key, flag, call, text, value) for key, flag, call in _FLAG_SETTINGS
+        for text, value in _SETTING_TEXTS[key]])
+    def test_config_and_flag_agree(self, tmp_path, capsys, key, flag, call, text, value):
+        mechanism = "double_auction" if key == "seed" else None
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(_option_config(f"{key} = {text}", mechanism))
+        if value is None:
+            code, err = self._main(tmp_path, capsys, ["run", "--config", str(cfg)])
+            assert code == 1 and f"opt.cfg:2: {key} " in err
+            with pytest.raises(SystemExit) as exc:
+                _build_parser().parse_args([*call.split(), flag, text])
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid " in capsys.readouterr().err
+            return
+        loaded = scenario.load_scenario(cfg)
+        from_config = loaded.seed if key == "seed" else loaded.options[key]
+        from_flag = getattr(_build_parser().parse_args([*call.split(), flag, text]), flag[2:])
+        for read in (from_config, from_flag):
+            assert read == value and type(read) is type(value)
 
 
 class TestOptionOfAnotherMechanism:

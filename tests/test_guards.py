@@ -143,6 +143,13 @@ CLI = {
                              "bad.cfg:4: discharging EV 'd2' needs d_max > 0"),
     "unit reluctance": (STORAGE + "agent = r2 residential_unit - capacity=1 reservation=0.2 "
                         "reluctance=0\n", [], "bad.cfg:4: RU 'r2' reluctance must be > 0"),
+    # the Tariff refuses the pair, named at the line of the price given last
+    "prices reversed": ("p_rp = 0.2\np_wp = 0.3\n" + DOUBLE, [],
+                        "bad.cfg:2: retail price must exceed wholesale price, "
+                        "got p_rp=0.2 <= p_wp=0.3"),
+    "wholesale price alone": ("horizon = 2\np_wp = 0.3\n" + DOUBLE, [],
+                              "bad.cfg:2: retail price must exceed wholesale price, "
+                              "got p_rp=0.3 <= p_wp=0.3"),
     "retail price range": ("p_rp = 1e4\n" + DOUBLE, [],
                            "bad.cfg:1: p_rp must lie in [0, 1000] $/kWh, "
                            "got 10000.0"),
