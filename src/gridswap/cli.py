@@ -436,6 +436,9 @@ def _cmd_ic_check(args, out: _Out) -> None:
             "largest_gain": report.largest_gain,
             "ir_violations": len(report.ir_violations),
             "clean": report.clean,
+            "factor_low": min(st._FACTORS),
+            "factor_high": max(st._FACTORS),
+            "factors": len(st._FACTORS),
         },
     )
 
@@ -460,10 +463,7 @@ def _cmd_nash(args, out: _Out) -> None:
 
 def _cmd_sweep(args, out: _Out) -> None:
     scenario = _scenario(args, out)
-    try:
-        values = [finite(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"bad sweep values {args.values!r} ({exc})") from exc
+    values = [v for v in args.values.split(",") if v.strip() != ""]
     _progress(args, f"sweeping {len(values)} points")
     rows = sim.sweep(scenario, args.param, values)
     header = list(rows[0]) if rows else ["value"]

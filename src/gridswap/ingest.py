@@ -64,8 +64,8 @@ class Range(NamedTuple):
     largest: float
 
     def refusal(self, value: float) -> str:
-        return (f"must lie in [{self.smallest:g}, {self.largest:g}] {self.unit}, "
-                f"got {float(value)!r}")
+        span = f"[{self.smallest:g}, {self.largest:g}] {self.unit}".rstrip()
+        return f"must lie in {span}, got {float(value)!r}"
 
     def __call__(self, text: str) -> float:
         value = finite(text)

@@ -27,6 +27,7 @@ from . import ev as evx
 from . import ingest
 from . import market as mk
 from . import storage as st
+from . import synth
 from .errors import InputError, SchemaError
 from .ingest import ENERGY, PRICE, finite, physical, physical_mask
 
@@ -42,10 +43,6 @@ _KINDS = {
     "charging ev": (evx.ChargingEV, {"w": None, "c_min": 0.0, "c_max": math.inf}),
     "discharging ev": (evx.DischargingEV, {"l1": 0.0, "l2": 0.0, "d_max": 0.0}),
 }
-SWEEPABLE = ("supplier_count", "solar_fraction", "sfc_requirement", "grid_price")
-# a supplier_count sweep draws one series per supplier and samples Shapley
-# values over all of them, so its work grows with the count
-_MAX_SUPPLIERS = 200
 # about the most memory, in bytes, that one chunk of slots of a replay takes:
 # a double auction's merge, SlotClearings, settlements and terms peak at 225
 # to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
@@ -149,7 +146,8 @@ def load_scenario(config_path) -> Scenario:
     its setting's parser (`SETTINGS`), and a value it refuses stops the load
     with `file:line: <key> ...`. A mechanism option or an agent role that the
     config's mechanism does not read (`_MECHANISMS`) is refused, as is a
-    series file on an agent that reads parameters. The scenario's `sources`
+    series file on an agent that reads parameters and a config without an
+    agent of each kind its mechanism needs. The scenario's `sources`
     hold the sha256 of the config's bytes and of each series file's.
     """
     config_path = Path(config_path)
@@ -246,6 +244,10 @@ def load_scenario(config_path) -> Scenario:
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{where}: duplicate agent ids")
+    built = {type(a.party) for a in agents}
+    for kind in _MECHANISMS[mechanism].needs:
+        if _KINDS[kind][0] not in built:
+            raise SchemaError(f"{where}: {mechanism} needs at least one {kind} agent")
 
     return Scenario(agents, tariff, mechanism, **common, options=values, sources=sources)
 
@@ -567,8 +569,6 @@ def _coalition(scenario: Scenario, cells: _Cells):
 def _storage(scenario: Scenario, cells: _Cells):
     # units and SFCs carry parameters, not series: every slot clears the same auction
     rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
-    if not rus or not sfcs:
-        raise SchemaError("storage_auction needs residential_unit and sfc agents")
     out = st.run_storage_auction(rus, sfcs, scenario.options["rule"])
 
     slot = []
@@ -588,6 +588,56 @@ def _storage(scenario: Scenario, cells: _Cells):
     slot = cells.pack(slot)
 
     return _repeated(slot), lambda per_agent, s: None
+
+
+# ---------------------------------------------------------------------------
+# baselines
+
+
+def _settled_baselines(scenario: Scenario, report: MetricsReport) -> list[dict]:
+    """Each agent's P2P cost beside its cost under the feed-in tariff."""
+    return [{"id": aid, "role": r["role"], "p2p_cost": r["bill"] - r["revenue"],
+             "fit_cost": r["fit_bill"] - r["fit_revenue"], "savings": r["savings"],
+             "savings_pct": r["savings_pct"]} for aid, r in sorted(report.per_agent.items())]
+
+
+def _ev_baselines(scenario: Scenario, report: MetricsReport) -> list[dict]:
+    """Each vehicle's costs beside the hybrid's, where a buyer may source its
+    delivered energy from the grid and a seller sell to it instead."""
+    sell_out, buy_back = scenario.options["grid_sell_out"], scenario.options["grid_buy_back"]
+    eta_h = evx.DEFAULT_ETA_HYBRID
+    rows = []
+    for aid in report.agent_ids():  # load_scenario refuses any role but ev
+        r = report.per_agent[aid]
+        if r["energy_bought_kwh"] > 0:
+            hybrid_cost = min(r["bill"], sell_out * r["energy_bought_kwh"] / eta_h)
+        elif r["energy_sold_kwh"] > 0:
+            hybrid_cost = -max(r["revenue"], buy_back * r["energy_sold_kwh"])
+        else:
+            hybrid_cost = 0.0
+        rows.append({"id": aid, "role": "ev", "p2p_cost": r["bill"] - r["revenue"],
+                     "fit_cost": r["fit_bill"] - r["fit_revenue"], "hybrid_cost": hybrid_cost,
+                     "savings": r["savings"]})
+    return rows
+
+
+def _storage_baselines(scenario: Scenario, report: MetricsReport) -> list[dict]:
+    """Each unit's utility in a slot from an equal share of the SFCs'
+    requirement at the Vickrey price, and from its best response to the
+    feed-in tariff, over the horizon."""
+    rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
+    v, p_wp = st.vickrey_price(sfcs), scenario.tariff.p_wp
+    total_q = math.fsum(s.requirement for s in sfcs)
+
+    def utility(r: st.ResidentialUnit, price: float, share: float) -> float:
+        return (price - r.reservation_price) * share - 0.5 * r.reluctance * share**2
+
+    return [{"id": r.id, "role": "residential_unit",
+             "p2p_utility": report.per_agent[r.id]["utility"],
+             "ed_utility": utility(r, v, min(total_q / len(rus), r.capacity)) * scenario.horizon,
+             "fit_utility": utility(r, p_wp, st.follower_best_response(r, p_wp))
+             * scenario.horizon}
+            for r in rus]
 
 
 _NO_ED = "ed baseline applies to storage_auction scenarios only"
@@ -619,32 +669,37 @@ _COMMON = {
 
 class _Mechanism(NamedTuple):
     roles: tuple  # the agent roles it reads
+    needs: tuple  # the _KINDS it needs at least one agent of
     options: dict  # the settings it reads besides _COMMON's
     replay: Callable  # (scenario, cells) -> (chunk, finish), see "slot replay"
     totals: dict  # the system totals it adds beyond the summary columns, and their types
+    baselines: Callable  # (scenario, report) -> compare_baselines' rows
     notes: tuple  # why compare_baselines omits the columns it omits
 
 
 _MECHANISMS = {
     "double_auction": _Mechanism(
-        ("consumer", "prosumer"), {"buyer_margin": _Setting((0.02, 0.10), _price_span),
-                                   "seller_margin": _Setting((0.02, 0.10), _price_span)},
-        _double_auction, {"buy_spend": float, "sell_earn": float}, (_NO_ED, _NO_HYBRID)),
+        ("consumer", "prosumer"), (),
+        {"buyer_margin": _Setting((0.02, 0.10), _price_span),
+         "seller_margin": _Setting((0.02, 0.10), _price_span)},
+        _double_auction, {"buy_spend": float, "sell_earn": float},
+        _settled_baselines, (_NO_ED, _NO_HYBRID)),
     "ev_auction": _Mechanism(
-        ("ev",), {"eta": _Setting(evx.DEFAULT_ETA, ingest.finite_over(0.0, 1.0)),
-                  "eps": _Setting(evx.DEFAULT_EPS, ingest.finite_over(0.0)),
-                  "grid_sell_out": _Setting(attrgetter("p_rp"), PRICE),
-                  "grid_buy_back": _Setting(attrgetter("p_wp"), PRICE)},
-        _ev_auction, {"converged_slots": int}, (_NO_ED,)),
+        ("ev",), ("charging ev", "discharging ev"),
+        {"eta": _Setting(evx.DEFAULT_ETA, ingest.finite_over(0.0, 1.0)),
+         "eps": _Setting(evx.DEFAULT_EPS, ingest.finite_over(0.0)),
+         "grid_sell_out": _Setting(attrgetter("p_rp"), PRICE),
+         "grid_buy_back": _Setting(attrgetter("p_wp"), PRICE)},
+        _ev_auction, {"converged_slots": int}, _ev_baselines, (_NO_ED,)),
     "coalition": _Mechanism(
-        ("consumer", "prosumer"),
+        ("consumer", "prosumer"), (),
         {"mc_samples": _Setting(co.DEFAULT_SAMPLES, ingest.integer(1, co.MAX_SAMPLES))},
         _coalition, {"shapley_exact_slots": int, "shapley_sampled_slots": int},
-        (_NO_ED, _NO_HYBRID)),
+        _settled_baselines, (_NO_ED, _NO_HYBRID)),
     "storage_auction": _Mechanism(
-        ("residential_unit", "sfc"),
+        ("residential_unit", "sfc"), ("residential_unit", "sfc"),
         {"rule": _Setting(st.PROPORTIONAL, ingest.Choice((st.PROPORTIONAL, st.EQUAL)))},
-        _storage, {}, (_NO_HYBRID,)),
+        _storage, {}, _storage_baselines, (_NO_HYBRID,)),
 }
 MECHANISMS = tuple(_MECHANISMS)
 # every config key besides `mechanism` and `agent`, and its setting; load_scenario
@@ -706,176 +761,35 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     return MetricsReport(per_agent, system)
 
 
-# ---------------------------------------------------------------------------
-# baselines
-
-
 def compare_baselines(scenario: Scenario, report: MetricsReport):
-    """Per-agent comparison of a simulated scenario against baselines.
-
-    `report` is run_simulation's result for `scenario`. Columns that make no
-    sense for the mechanism are omitted and listed in the returned notes.
-    Returns (rows, notes).
-    """
-    notes = list(_MECHANISMS[scenario.mechanism].notes)
-    rows: list[dict] = []
-
-    if scenario.mechanism in ("double_auction", "coalition"):
-        for aid in report.agent_ids():
-            r = report.per_agent[aid]
-            rows.append(
-                {
-                    "id": aid,
-                    "role": r["role"],
-                    "p2p_cost": r["bill"] - r["revenue"],
-                    "fit_cost": r["fit_bill"] - r["fit_revenue"],
-                    "savings": r["savings"],
-                    "savings_pct": r["savings_pct"],
-                }
-            )
-        return rows, notes
-
-    if scenario.mechanism == "ev_auction":
-        sell_out, buy_back = scenario.options["grid_sell_out"], scenario.options["grid_buy_back"]
-        eta_h = evx.DEFAULT_ETA_HYBRID
-        for aid in report.agent_ids():  # load_scenario refuses any role but ev
-            r = report.per_agent[aid]
-            p2p_cost = r["bill"] - r["revenue"]
-            if r["energy_bought_kwh"] > 0:
-                # buyer may source delivered energy from the grid instead
-                grid_cost = sell_out * r["energy_bought_kwh"] / eta_h
-                hybrid_cost = min(r["bill"], grid_cost)
-            elif r["energy_sold_kwh"] > 0:
-                grid_rev = buy_back * r["energy_sold_kwh"]
-                hybrid_cost = -max(r["revenue"], grid_rev)
-            else:
-                hybrid_cost = 0.0
-            rows.append(
-                {
-                    "id": aid,
-                    "role": "ev",
-                    "p2p_cost": p2p_cost,
-                    "fit_cost": r["fit_bill"] - r["fit_revenue"],
-                    "hybrid_cost": hybrid_cost,
-                    "savings": r["savings"],
-                }
-            )
-        return rows, notes
-
-    # storage_auction: each unit's utility in a slot from an equal share of
-    # the SFCs' requirement at the Vickrey price, and from its best response
-    # to the feed-in tariff
-    rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
-    v, p_wp = st.vickrey_price(sfcs), scenario.tariff.p_wp
-    total_q = math.fsum(s.requirement for s in sfcs)
-
-    def utility(r: st.ResidentialUnit, price: float, share: float) -> float:
-        return (price - r.reservation_price) * share - 0.5 * r.reluctance * share**2
-
-    for r in rus:
-        ed_share = min(total_q / len(rus), r.capacity)
-        fit_share = st.follower_best_response(r, p_wp)
-        rows.append({"id": r.id, "role": "residential_unit",
-                     "p2p_utility": report.per_agent[r.id]["utility"],
-                     "ed_utility": utility(r, v, ed_share) * scenario.horizon,
-                     "fit_utility": utility(r, p_wp, fit_share) * scenario.horizon})
-    return rows, notes
+    """(rows, notes): each agent of `scenario`, whose run_simulation result is
+    `report`, against its mechanism's baselines, and why the columns that
+    make no sense for the mechanism are omitted."""
+    spec = _MECHANISMS[scenario.mechanism]
+    return spec.baselines(scenario, report), list(spec.notes)
 
 
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
 
-def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
-    """One table row per value, every value under the scenario's seed.
+def _supplier_count(scenario: Scenario, counts: list) -> list[dict]:
+    """A coalition drawn from the seed per count of suppliers, with the
+    config's consumers (at least 3), tariff and sample count."""
+    n_users = max(sum(1 for a in scenario.agents if a.role == "consumer"), 3)
+    return co.supplier_count_sweep(scenario.seed, counts, n_users=n_users,
+                                   tariff=scenario.tariff, samples=scenario.options["mc_samples"])
 
-    Sweepable parameters: supplier_count (coalition population growth, at
-    most _MAX_SUPPLIERS, from a coalition config), solar_fraction (solar vs
-    wind generation mix), sfc_requirement (storage demand), grid_price
-    (hybrid grid sell-out price).
-    """
-    if parameter not in SWEEPABLE:
-        raise InputError(
-            f"unknown sweep parameter {parameter!r}; choose one of {', '.join(SWEEPABLE)}"
-        )
-    values = list(values)
-    if not values:
-        return []
 
-    if parameter == "supplier_count":
-        for v in values:
-            if not (float(v).is_integer() and v >= 1):
-                raise InputError(f"supplier_count must be an integer >= 1, got {v:g}")
-            if v > _MAX_SUPPLIERS:
-                raise InputError(f"supplier_count must be <= {_MAX_SUPPLIERS}, got {v:g}")
-        if scenario.mechanism != "coalition":
-            raise InputError("supplier_count sweep needs a coalition scenario")
-        n_users = max(
-            sum(1 for a in scenario.agents if a.role == "consumer"), 3
-        )
-        return co.supplier_count_sweep(
-            scenario.seed,
-            [int(v) for v in values],
-            n_users=n_users,
-            tariff=scenario.tariff,
-            samples=scenario.options["mc_samples"],
-        )
-
-    if parameter == "sfc_requirement":
-        rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
-        if not rus or not sfcs:
-            raise InputError("sfc_requirement sweep needs a storage_auction scenario")
-        return st.requirement_sweep(
-            rus, sfcs, [float(v) for v in values],
-            rule=scenario.options["rule"],
-        )
-
-    if parameter == "grid_price":
-        values = [physical(float(v), PRICE, "grid_price") for v in values]
-        if not all(_population(scenario, evx.ChargingEV, evx.DischargingEV)):
-            raise InputError("grid_price sweep needs an ev_auction scenario")
-        chargers, dischargers, _, result, delivered, sent = _ev_clearing(scenario)
-        eta, buy_back = scenario.options["eta"], scenario.options["grid_buy_back"]
-        buyers = tuple(
-            evx.HybridBuyer(c.id, float(delivered[i]))
-            for i, c in enumerate(chargers)
-            if delivered[i] > 1e-9
-        )
-        price = result.settlement.price or scenario.tariff.p_rp
-        sellers = tuple(
-            evx.HybridSeller(s.id, float(sent[j]), price * eta)
-            for j, s in enumerate(dischargers)
-            if sent[j] > 1e-9
-        )
-        # the direct trade moves the auction's energy at the auction's eta
-        p2p = evx.simulate_trading(buyers, sellers, eta)
-        hybrid = [evx.simulate_trading(buyers, sellers, evx.DEFAULT_ETA_HYBRID,
-                                       grid_sell_price=v, grid_buy_price=buy_back)
-                  for v in values]
-        return [
-            {
-                "grid_sell_out_price": v,
-                "p2p_avg_buying_price": p2p["avg_buying_price"],
-                "hybrid_avg_buying_price": h["avg_buying_price"],
-                "p2p_transmitted_kwh": p2p["transmitted_kwh"],
-                "hybrid_transmitted_kwh": h["transmitted_kwh"],
-            }
-            for v, h in zip(values, hybrid)
-        ]
-
-    # solar_fraction: vary the share of supplying agents on a solar profile
-    from . import synth
-
-    rows = []
+def _solar_fraction(scenario: Scenario, fractions: list) -> list[dict]:
+    """The community's value with that share of its generating agents on a
+    solar profile and the rest on wind."""
     suppliers = [a for a in scenario.agents if a.gen.sum() > 0]
     if not suppliers:
         raise InputError("solar_fraction sweep needs generating agents")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise InputError(f"solar_fraction must lie in [0, 1], got {v:g}")
     ordered = sorted(scenario.agents, key=lambda a: a.id)
-    for v in values:
-        frac = float(v)
+    rows = []
+    for frac in fractions:
         rng = np.random.default_rng(scenario.seed)
         n_solar = int(round(frac * len(suppliers)))
         solar_ids = {a.id for a in suppliers[:n_solar]}
@@ -893,3 +807,75 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             total_value += value
         rows.append({"solar_fraction": frac, "community_value": total_value})
     return rows
+
+
+def _sfc_requirement(scenario: Scenario, totals: list) -> list[dict]:
+    """The storage auction with the SFCs' requirements scaled to each total."""
+    rus, sfcs = _population(scenario, st.ResidentialUnit, st.SfcAgent)
+    return st.requirement_sweep(rus, sfcs, totals, rule=scenario.options["rule"])
+
+
+def _grid_price(scenario: Scenario, prices: list) -> list[dict]:
+    """The EV auction's energy traded directly, at the config's eta, beside
+    the same energy bought through the grid at each sell-out price."""
+    chargers, dischargers, _, result, delivered, sent = _ev_clearing(scenario)
+    eta, buy_back = scenario.options["eta"], scenario.options["grid_buy_back"]
+    buyers = tuple(evx.HybridBuyer(c.id, float(delivered[i]))
+                   for i, c in enumerate(chargers) if delivered[i] > 1e-9)
+    price = result.settlement.price or scenario.tariff.p_rp
+    sellers = tuple(evx.HybridSeller(s.id, float(sent[j]), price * eta)
+                    for j, s in enumerate(dischargers) if sent[j] > 1e-9)
+    # the direct trade moves the auction's energy at the auction's eta
+    p2p = evx.simulate_trading(buyers, sellers, eta)
+    hybrid = [evx.simulate_trading(buyers, sellers, evx.DEFAULT_ETA_HYBRID,
+                                   grid_sell_price=v, grid_buy_price=buy_back) for v in prices]
+    return [{"grid_sell_out_price": v,
+             "p2p_avg_buying_price": p2p["avg_buying_price"],
+             "hybrid_avg_buying_price": h["avg_buying_price"],
+             "p2p_transmitted_kwh": p2p["transmitted_kwh"],
+             "hybrid_transmitted_kwh": h["transmitted_kwh"]}
+            for v, h in zip(prices, hybrid)]
+
+
+class _Sweep(NamedTuple):
+    mechanisms: tuple  # the mechanisms whose scenarios it reads
+    parse: Callable  # a value's text -> value; a ValueError says why not
+    run: Callable  # (scenario, parsed values) -> one table row per value
+
+
+# every sweep parameter and its row, whose parser reads each `sweep --values` item
+SWEEPS = {
+    # a supplier_count sweep draws one series per supplier and samples Shapley
+    # values over all of them, so its work grows with the count
+    "supplier_count": _Sweep(("coalition",), ingest.integer(1, 200), _supplier_count),
+    "solar_fraction": _Sweep(("double_auction", "coalition"), ingest.Range("", 0.0, 1.0),
+                             _solar_fraction),
+    "sfc_requirement": _Sweep(("storage_auction",), ENERGY, _sfc_requirement),
+    "grid_price": _Sweep(("ev_auction",), PRICE, _grid_price),
+}
+
+
+def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
+    """One table row per value, every value under the scenario's seed.
+
+    Each value is parsed, as text, by the parameter's row of SWEEPS before
+    anything is drawn; a value it refuses, or a scenario of a mechanism the
+    row does not name, raises InputError.
+    """
+    row = SWEEPS.get(parameter)
+    if row is None:
+        raise InputError(f"unknown sweep parameter {parameter!r}; "
+                         f"choose one of {', '.join(SWEEPS)}")
+    parsed = []
+    for text in map(str, values):
+        try:
+            parsed.append(row.parse(text))
+        except ValueError as exc:
+            raise InputError(f"{parameter} {exc}") from exc
+    if not parsed:
+        return []
+    if scenario.mechanism not in row.mechanisms:
+        owners = " and ".join(row.mechanisms)
+        raise InputError(f"{parameter} sweep is read by the {owners} mechanism"
+                         f"{'s' * (len(row.mechanisms) > 1)} only, not by {scenario.mechanism}")
+    return row.run(scenario, parsed)

@@ -524,9 +524,12 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
     math.fsum: rows not so certified, rows summing to a zero (whose sign is
     fsum's) and rows whose sum of |x| reaches 2**1021, non-finite ones
     included, as fsum's partials, which stay under about twice that sum, can
-    overflow there.
+    overflow there. A single row, as one settlement has, goes to math.fsum
+    at once: it is faster than the k column passes.
     """
     rows, k = x.shape
+    if rows == 1:
+        return np.array([math.fsum(x[0].tolist())])
     s = x[:, 0] if k else np.zeros(rows)
     lo = slack = np.zeros(rows)
     mass = np.abs(s)

@@ -569,6 +569,12 @@ class TestIcCheck:
         assert lines[1:4] == ["deviations_checked = 16860", "auctions_priced = 16960",
                               "auctions_searched = 78"]
 
+    def test_summary_names_the_factors_searched(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ic-check", "--trials", "2", "--out", str(out), "--quiet"]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-3:] == ["factor_low = 0.5", "factor_high = 1.5", "factors = 20"]
+
 
 class TestEvRunDiagnostics:
     """An EV `run` writes the diagnostics of the one auction every slot replays."""
@@ -1760,13 +1766,13 @@ class TestSweepValueRange:
     @pytest.mark.parametrize(
         "param, values, message",
         [
-            ("supplier_count", "0,2", "supplier_count must be an integer >= 1, got 0"),
-            ("supplier_count", "2,-3", "supplier_count must be an integer >= 1, got -3"),
-            ("supplier_count", "2.5", "supplier_count must be an integer >= 1, got 2.5"),
-            ("supplier_count", "2,201", "supplier_count must be <= 200, got 201"),
-            ("supplier_count", "1e6", "supplier_count must be <= 200, got 1e+06"),
-            ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1"),
-            ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2"),
+            ("supplier_count", "0,2", "supplier_count must be an integer from 1 to 200, got 0"),
+            ("supplier_count", "2,-3", "supplier_count must be an integer from 1 to 200, got -3"),
+            ("supplier_count", "2.5", "supplier_count must be an integer from 1 to 200, got 2.5"),
+            ("supplier_count", "2,201", "supplier_count must be an integer from 1 to 200, got 201"),
+            ("supplier_count", "1e6", "supplier_count must be an integer from 1 to 200, got 1e6"),
+            ("solar_fraction", "-1", "solar_fraction must lie in [0, 1], got -1.0"),
+            ("solar_fraction", "0.5,2", "solar_fraction must lie in [0, 1], got 2.0"),
             ("grid_price", "-1", "grid_price must lie in [0, 1000] $/kWh, got -1.0"),
             ("grid_price", "0.5,-0.01", "grid_price must lie in [0, 1000] $/kWh, got -0.01"),
         ],
@@ -1967,3 +1973,99 @@ class TestRunFlags:
         assert capsys.readouterr().err == "running double_auction scenario over 4 slots\n"
         assert main([*argv, "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+
+
+# (text, its value, None when it is refused): accepted, boundary and refused sweep values
+_SWEEP_TEXTS = {
+    "supplier_count": [("1", 1), ("200", 200), ("2.0", 2), ("2e2", 200), (" 3", 3), ("0", None),
+                       ("201", None), ("2.5", None), ("-3", None), ("nan", None), ("x", None)],
+    "solar_fraction": [("0", 0.0), ("1", 1.0), ("0.25", 0.25), ("5e-324", 5e-324),
+                       ("-0.01", None), ("1.5", None), ("inf", None)],
+    "sfc_requirement": [("0", 0.0), ("1e9", 1e9), ("100", 100.0), ("1e10", None), ("-5", None),
+                        ("nan", None)],
+    "grid_price": [("0", 0.0), ("1000", 1000.0), ("0.3", 0.3), ("1000.5", None),
+                   ("-0.01", None), ("inf", None)],
+}
+# each sweep parameter's readers, as its refusal on another mechanism names them
+_SWEEP_OWNERS = {
+    "supplier_count": "the coalition mechanism",
+    "solar_fraction": "the double_auction and coalition mechanisms",
+    "sfc_requirement": "the storage_auction mechanism",
+    "grid_price": "the ev_auction mechanism",
+}
+
+
+class TestSweepParity:
+    """Each `--values` item is read, as text, by its parameter's row of
+    `scenario.SWEEPS` before anything is drawn, and a parameter is refused on
+    each mechanism its row does not name."""
+
+    _main = TestNonFiniteRejected._main
+
+    def test_every_parameter_is_covered(self):
+        assert set(_SWEEP_TEXTS) == set(_SWEEP_OWNERS) == set(scenario.SWEEPS)
+
+    @pytest.mark.parametrize("param, text, value", [
+        (param, text, value) for param, rows in _SWEEP_TEXTS.items() for text, value in rows])
+    def test_values_take_the_row_parser(self, tmp_path, capsys, monkeypatch, param, text, value):
+        row = scenario.SWEEPS[param]
+        read, swept = [], []
+
+        def parse(item):
+            read.append(item)
+            return row.parse(item)
+
+        monkeypatch.setitem(scenario.SWEEPS, param, row._replace(
+            parse=parse, run=lambda sc, values: swept.append(values) or []))
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text(f"mechanism = {row.mechanisms[0]}\n{_AGENTS[row.mechanisms[0]]}")
+        code, err = self._main(tmp_path, capsys, ["sweep", "--config", str(cfg), "--param", param,
+                                                  f"--values={text},"])
+        assert read == [text]
+        if value is None:
+            with pytest.raises(ValueError) as exc:
+                row.parse(text)
+            assert (code, err, swept) == (1, f"gridswap: {param} {exc.value}\n", [])
+        else:
+            assert (code, swept) == (0, [[value]]) and type(swept[0][0]) is type(value)
+
+    @pytest.mark.parametrize("param, mechanism", [
+        (param, mechanism) for param, row in scenario.SWEEPS.items()
+        for mechanism in scenario.MECHANISMS if mechanism not in row.mechanisms])
+    def test_refused_on_other_mechanisms(self, tmp_path, capsys, monkeypatch, param, mechanism):
+        value = next(text for text, value in _SWEEP_TEXTS[param] if value is not None)
+        # a draw or an auction before the refusal would call one of these and fail
+        for module, name in ((coalition, "supplier_count_sweep"), (synth, "solar_series"),
+                             (synth, "wind_series"), (storage, "requirement_sweep"),
+                             (ev, "run_iterative_auction")):
+            monkeypatch.setattr(module, name, None)
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text(f"mechanism = {mechanism}\n{_AGENTS[mechanism]}")
+        code, err = self._main(tmp_path, capsys, ["sweep", "--config", str(cfg), "--param", param,
+                                                  "--values", value])
+        assert (code, err) == (1, f"gridswap: {param} sweep is read by {_SWEEP_OWNERS[param]} "
+                                  f"only, not by {mechanism}\n")
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("mechanism, agent, kind", [
+        ("storage_auction", "f1 sfc - requirement=100 bid=0.40", "residential_unit"),
+        ("storage_auction", "r1 residential_unit - capacity=60 reservation=0.26 reluctance=0.0005",
+         "sfc"),
+        ("ev_auction", "d1 ev - l1=0.04 d_max=16", "charging ev"),
+        ("ev_auction", "c1 ev - w=1.9 c_min=6", "discharging ev"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_kind_refused_at_load(self, tmp_path, capsys, mechanism, agent, kind,
+                                          command):
+        cfg = tmp_path / "kind.cfg"
+        cfg.write_text(f"mechanism = {mechanism}\nagent = {agent}\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            param = next(p for p, row in scenario.SWEEPS.items() if mechanism in row.mechanisms)
+            argv += ["--param", param, "--values", "0.5"]
+        code, err = self._main(tmp_path, capsys, argv)
+        assert (code, err) == (1, f"gridswap: {cfg}: {mechanism} needs at least one {kind} "
+                                  "agent\n")
+        with pytest.raises(SchemaError) as exc:
+            scenario.load_scenario(cfg)
+        assert str(exc.value) == f"{cfg}: {mechanism} needs at least one {kind} agent"

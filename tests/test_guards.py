@@ -133,9 +133,10 @@ CLI = {
     "no agents": ("horizon = 4\n", [], "bad.cfg: no agents declared"),
     "storage without units": ("mechanism = storage_auction\n"
                               "agent = f1 sfc - requirement=100 bid=0.40\n", [],
-                              "storage_auction needs residential_unit and sfc agents"),
+                              "bad.cfg: storage_auction needs at least one residential_unit "
+                              "agent"),
     "ev without sellers": ("mechanism = ev_auction\nagent = c1 ev - w=1.9\n", [],
-                           "need at least one charging and one discharging EV"),
+                           "bad.cfg: ev_auction needs at least one discharging ev agent"),
     "seller cost sign": (EV + "agent = d2 ev - l1=-1 d_max=4\n", [],
                          "bad.cfg:4: discharging EV 'd2' l1 must lie in [1e-09, 1e+09] $/kWh^2, "
                          "got -1.0"),
@@ -168,16 +169,19 @@ CLI = {
     "grid_price range": (EV, ["grid_price", "2000"],
                          "grid_price must lie in [0, 1000] $/kWh, got 2000.0"),
     "sfc_requirement range": (STORAGE, ["sfc_requirement", "1e10"],
-                              "sfc_requirement total must lie in [0, 1e+09] kWh, "
+                              "sfc_requirement must lie in [0, 1e+09] kWh, "
                               "got 10000000000.0"),
     "sfc_requirement sweep": (DOUBLE, ["sfc_requirement", "100"],
-                              "sfc_requirement sweep needs a storage_auction scenario"),
+                              "sfc_requirement sweep is read by the storage_auction mechanism "
+                              "only, not by double_auction"),
     "grid_price sweep": (DOUBLE, ["grid_price", "0.5"],
-                         "grid_price sweep needs an ev_auction scenario"),
+                         "grid_price sweep is read by the ev_auction mechanism only, "
+                         "not by double_auction"),
     "solar_fraction sweep": (DOUBLE, ["solar_fraction", "0.5"],
                              "solar_fraction sweep needs generating agents"),
     "supplier_count sweep": (DOUBLE, ["supplier_count", "2"],
-                             "supplier_count sweep needs a coalition scenario"),
+                             "supplier_count sweep is read by the coalition mechanism only, "
+                             "not by double_auction"),
 }
 
 

@@ -442,6 +442,23 @@ _SUMMANDS = {
 }
 
 
+# rows that test the kernel's rounding, overflow and signed zeros
+_EDGE_ROWS = [
+    # the running sum stays finite, but fsum's partials overflow on max + 2**970
+    [-(1.7976931348623157e308 - 2.0**971), 2.0**970, 1.7976931348623157e308],
+    [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
+    [math.inf, 1.0, -math.inf],
+    [2.0**53, 1.0],  # a tie: fsum rounds to even
+    [2.0**53, 1.0, 2.0**-60],
+    # r = s + lo ties to 1.5, while the exact sum lies above the tie
+    [1.5, 2.0**-53, 2.0**-106],
+    [1e16, 1.0, -1e16, 2.0**-70],
+    [-0.0, -0.0],
+    [0.0, -0.0],
+    [5e-324, -5e-324, 5e-324],
+]
+
+
 def _fsum_or_error(row):
     try:
         return math.fsum(row)
@@ -473,30 +490,32 @@ class TestFsumRows:
         rows = data.draw(hst.lists(hst.lists(values, min_size=k, max_size=k), max_size=6))
         _assert_kernel_is_fsum(np.array(rows, dtype=float).reshape(len(rows), k))
 
-    @pytest.mark.parametrize("row", [
-        # the running sum stays finite, but fsum's partials overflow on max + 2**970
-        [-(1.7976931348623157e308 - 2.0**971), 2.0**970, 1.7976931348623157e308],
-        [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
-        [math.inf, 1.0, -math.inf],
-        [2.0**53, 1.0],  # a tie: fsum rounds to even
-        [2.0**53, 1.0, 2.0**-60],
-        # r = s + lo ties to 1.5, while the exact sum lies above the tie
-        [1.5, 2.0**-53, 2.0**-106],
-        [1e16, 1.0, -1e16, 2.0**-70],
-        [-0.0, -0.0],
-        [0.0, -0.0],
-        [5e-324, -5e-324, 5e-324],
-    ])
+    @pytest.mark.parametrize("row", _EDGE_ROWS)
     def test_edge_rows(self, row):
         _assert_kernel_is_fsum(np.array([row, [1.0] * len(row)]))
 
+    @pytest.mark.parametrize("row", [*_EDGE_ROWS, [], [-0.0], [math.nan, 1.0], [-math.inf],
+                                     [math.inf, math.inf], [1.0] * 50])
+    def test_one_row_is_fsum(self, row, monkeypatch):
+        # a single row, signed zeros and fsum's errors included, skips the column passes
+        monkeypatch.setattr(storage, "_two_sum", None)
+        _assert_kernel_is_fsum(np.array([row], dtype=float).reshape(1, len(row)))
+
     def test_settlement_rows_need_no_fallback(self, monkeypatch):
-        # every sum that `ic-check --trials 100 --seed 1` settles is certified in the arrays
-        calls, fsum = [], math.fsum
+        # every sum that `ic-check --trials 100 --seed 1` settles in an array of
+        # several rows is certified in the arrays; a one-row array goes to fsum
+        calls, single, fsum, kernel = [], [], math.fsum, storage._fsum_rows
+
+        def counted(x):
+            if len(x) == 1:
+                single.append(x[0].tolist())
+            return kernel(x)
+
         monkeypatch.setattr(storage.math, "fsum", lambda row: calls.append(row) or fsum(row))
+        monkeypatch.setattr(storage, "_fsum_rows", counted)
         report = check_incentive_compatibility(make_ic_scenarios(100, 1))
         monkeypatch.undo()
-        assert report.clean and not calls
+        assert report.clean and calls == single
 
 
 class TestRunStorageAuction:
