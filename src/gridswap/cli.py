@@ -301,6 +301,8 @@ def _cmd_clear(args, out: _Out) -> None:
 
 def _cmd_ev_auction(args, out: _Out) -> None:
     chargers, dischargers = evx.read_ev_population_csv(args.population, out.sources)
+    if not chargers or not dischargers:
+        raise InputError(f"{args.population}: need at least one charging and one discharging EV")
     _progress(args, f"{len(chargers)} charging / {len(dischargers)} discharging vehicles")
     alloc, result = evx.run_iterative_auction(
         chargers, dischargers, eta=args.eta, eps=args.eps, max_iter=args.max_iter
@@ -386,6 +388,9 @@ def _cmd_storage_auction(args, out: _Out) -> None:
     rus = _read_agents(args.rus, out.sources, st.ResidentialUnit,
                        "capacity", "reservation_price", "reluctance")
     sfcs = _read_agents(args.sfcs, out.sources, st.SfcAgent, "requirement", "bid_price")
+    for path, agents, kind in ((args.rus, rus, "residential unit"), (args.sfcs, sfcs, "SFC")):
+        if not agents:
+            raise InputError(f"{path}: need at least one {kind}")
     outcome = st.run_storage_auction(rus, sfcs, rule=args.rule)
     ru_rows = [
         [

@@ -14,13 +14,15 @@ left, which it finishes one order at a time. `clear_double_auction` is one
 row of it; a double-auction scenario clears its slots as the rows.
 
 A cleared slot holds its fills as columns (buyer ids, seller ids, kWh) in
-the order the merge made them, which settlement and `clear` read as they are.
+the order the merge made them, which `clear` reads as they are.
+`settle_slot` settles every book of a merge at once, as arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,14 +104,30 @@ class SlotClearing:
     matched_volume: float = 0.0
 
 
-@dataclass
-class Settlement:
-    """Per-agent cash flows for one cleared slot, all in $."""
+class Entries(NamedTuple):
+    """One kind of settlement entry over a batch of books, in row order and,
+    within a row, in the order its agents were first seen: row r has
+    `count[r]` entries, and entry k moves `cash[k]` $ for agent `agent[k]`,
+    an index into `Settlement.agents`. A grid entry also gives the agent's
+    residual kWh, `kwh[k]`; a P2P entry's `kwh` is None."""
 
-    p2p_paid: dict[str, float] = field(default_factory=dict)
-    p2p_received: dict[str, float] = field(default_factory=dict)
-    grid_charge: dict[str, float] = field(default_factory=dict)
-    grid_credit: dict[str, float] = field(default_factory=dict)
+    count: np.ndarray
+    agent: np.ndarray
+    cash: np.ndarray
+    kwh: np.ndarray | None
+
+
+class Settlement(NamedTuple):
+    """The cash flows, all in $, of a batch of cleared books: the batch's
+    agent ids in sorted order, one `Entries` per kind of flow, and each
+    row's grid kWh."""
+
+    agents: np.ndarray
+    p2p_paid: Entries
+    p2p_received: Entries
+    grid_charge: Entries
+    grid_credit: Entries
+    grid_kwh: np.ndarray  # each row's (import, export) kWh, shape (rows, 2)
 
 
 def clear_double_auction(
@@ -128,8 +146,6 @@ def clear_double_auction(
     Ties on price break by agent id, then submission index, so the result is
     invariant to shuffling the input books.
     """
-    if pricing not in ("marginal_bid", "midpoint"):
-        raise InputError(f"unknown pricing rule {pricing!r}")
     rows = _clear_rows(buys.agent_ids, buys.quantity[None], buys.limit_price,
                        sells.agent_ids, sells.quantity[None], sells.limit_price)
     return next(rows.clearings(pricing))
@@ -250,14 +266,27 @@ class _Rows:
         self._left = [_left(column, rest) for column, rest, _ in (bids, asks)]
         self._ids, self._limits = ids, limits
 
+    def prices(self, pricing: str) -> np.ndarray:
+        """Each book's uniform clearing price, NaN for a book without fills:
+        the limit price of the last, marginal, bid allocated, or with
+        `pricing="midpoint"` its mean with the last ask's."""
+        if pricing not in ("marginal_bid", "midpoint"):
+            raise InputError(f"unknown pricing rule {pricing!r}")
+        (bid_limit, ask_limit), end = self._limits, self.bounds[1:]
+        filled = end > self.bounds[:-1]
+        price = np.full(len(end), math.nan)
+        bid = bid_limit[self.buyer[end[filled] - 1]]
+        price[filled] = bid if pricing == "marginal_bid" else (
+            bid + ask_limit[self.seller[end[filled] - 1]]) / 2.0
+        return price
+
     def clearings(self, pricing: str):
         """Yield each book's SlotClearing, in row order, its fills as slices
         of the match columns."""
-        (bid_ids, ask_ids), (bid_limit, ask_limit) = self._ids, self._limits
-        buyer, seller = self.buyer.tolist(), self.seller.tolist()
+        prices = self.prices(pricing).tolist()
+        bid_ids, ask_ids = self._ids
         buyers, sellers = bid_ids[self.buyer].tolist(), ask_ids[self.seller].tolist()
-        quantity, bid_limit, ask_limit = (x.tolist() for x in (self.quantity, bid_limit, ask_limit))
-        bounds = self.bounds.tolist()
+        quantity, bounds = self.quantity.tolist(), self.bounds.tolist()
         # each side's orders with kWh left: (bounds, ids, kWh) as lists
         (bid_at, *bids_left), (ask_at, *asks_left) = [
             (at.tolist(), ids[column].tolist(), rest.tolist())
@@ -265,13 +294,8 @@ class _Rows:
         ]
         for r, volume in enumerate(self.volume.tolist()):
             start, end = bounds[r], bounds[r + 1]
-            price = None
-            if end > start:
-                # the limit prices of the last, marginal, bid and ask allocated
-                bid, ask = bid_limit[buyer[end - 1]], ask_limit[seller[end - 1]]
-                price = bid if pricing == "marginal_bid" else (bid + ask) / 2.0
             yield SlotClearing(
-                clearing_price=price,
+                clearing_price=prices[r] if end > start else None,
                 buyer_ids=buyers[start:end],
                 seller_ids=sellers[start:end],
                 quantities=quantity[start:end],
@@ -300,21 +324,55 @@ def _residuals(ids: list[str], remaining: list[float]) -> dict[str, float]:
     return out
 
 
-def settle_slot(clearing: SlotClearing, tariff: Tariff) -> Settlement:
-    """Settle a cleared slot: matched energy at the clearing price, residual
-    buys from the grid at p_rp, residual sells to the grid at p_wp.
+def settle_slot(rows: _Rows, tariff: Tariff, pricing: str = "marginal_bid") -> Settlement:
+    """Settle every row of a batch of books cleared by `_clear_rows`: matched
+    energy at the row's clearing price, residual buys from the grid at p_rp,
+    residual sells to the grid at p_wp.
 
-    The fills are read straight from the clearing's columns, in merge order,
-    so each agent's P2P cash is summed in that order."""
-    s = Settlement()
-    price = clearing.clearing_price
-    paid, received = s.p2p_paid, s.p2p_received
-    for buyer, seller, qty in zip(clearing.buyer_ids, clearing.seller_ids, clearing.quantities):
-        cash = qty * price
-        paid[buyer] = paid.get(buyer, 0.0) + cash
-        received[seller] = received.get(seller, 0.0) + cash
-    for agent, qty in clearing.residual_buys.items():
-        s.grid_charge[agent] = s.grid_charge.get(agent, 0.0) + qty * tariff.p_rp
-    for agent, qty in clearing.residual_sells.items():
-        s.grid_credit[agent] = s.grid_credit.get(agent, 0.0) + qty * tariff.p_wp
-    return s
+    An agent's P2P cash is 0.0 plus each of its fills' kWh times the price,
+    added in merge order; its grid cash is its residual kWh, 0.0 plus each of
+    its orders' kWh left in merit order, times the tariff, plus 0.0. A row's
+    import and export kWh add its grid entries' kWh in entry order."""
+    bid_ids, ask_ids = rows._ids
+    ids = np.concatenate((bid_ids, ask_ids))
+    # searchsorted, not np.unique's return_inverse: that calls np.cumsum, and
+    # ndarray.cumsum looks up np.add.accumulate by a new name string on each
+    # call, some of which Python's type attribute cache keeps alive
+    agents = np.unique(ids)
+    code = np.searchsorted(agents, ids)
+    bid_code, ask_code = code[:len(bid_ids)], code[len(bid_ids):]
+    books = len(rows.volume)
+
+    def entries(bounds, agent, amount):
+        """Row r's terms [bounds[r], bounds[r + 1]) grouped by agent: each
+        group's count per row, agent and amount, summed in term order."""
+        row = np.repeat(np.arange(books), np.diff(bounds))
+        key = row * len(agents) + agent
+        term = np.arange(len(key))
+        group = np.full(books * len(agents), len(key))
+        np.minimum.at(group, key, term)
+        # a group opens at its first term, so the groups come in row order and,
+        # within a row, in the order their agents are first seen
+        opens = group[key] == term
+        n = np.count_nonzero(opens)
+        group[key[opens]] = np.arange(n)
+        return np.bincount(row[opens], minlength=books), agent[opens], _sums(group[key], amount, n)
+
+    cash = rows.quantity * np.repeat(rows.prices(pricing), np.diff(rows.bounds))
+    paid = Entries(*entries(rows.bounds, bid_code[rows.buyer], cash), None)
+    received = Entries(*entries(rows.bounds, ask_code[rows.seller], cash), None)
+    grid, kwh = [], []
+    for (bounds, column, rest), side, tariff_price in zip(
+            rows._left, (bid_code, ask_code), (tariff.p_rp, tariff.p_wp)):
+        count, agent, left = entries(bounds, side[column], rest)
+        grid.append(Entries(count, agent, left * tariff_price + 0.0, left))
+        kwh.append(_sums(np.repeat(np.arange(books), count), left, books))
+    return Settlement(agents, paid, received, *grid, np.column_stack(kwh))
+
+
+def _sums(index: np.ndarray, amount: np.ndarray, n: int) -> np.ndarray:
+    """n sums: sum k is 0.0 plus each amount[i] with index[i] == k, added
+    one after another in i order."""
+    out = np.zeros(n)
+    np.add.at(out, index, amount)
+    return out

@@ -44,9 +44,9 @@ _KINDS = {
     "discharging ev": (evx.DischargingEV, {"l1": 0.0, "l2": 0.0, "d_max": 0.0}),
 }
 # about the most memory, in bytes, that one chunk of slots of a replay takes:
-# a double auction's merge, SlotClearings, settlements and terms peak at 225
-# to 265 bytes per agent and slot, measured with tracemalloc on 20 to 200
-# agents, and the other mechanisms take less.
+# a double auction's merge, settlement arrays and terms peak at 188 to 205
+# bytes per agent and slot, measured with tracemalloc on one full chunk of
+# 20 to 200 agents, and the other mechanisms take less.
 _CHUNK_BYTES = 1 << 25
 _SLOT_ORDER_BYTES = 300
 
@@ -329,7 +329,6 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     ids = np.array([a.id for a in ordered], dtype=object)
     bid_limit = np.array([tariff.p_rp - margins[a.id][0] for a in ordered])
     ask_limit = np.array([tariff.p_wp + margins[a.id][1] for a in ordered])
-    index = {aid: k for k, aid in enumerate(ids.tolist())}
 
     bill_at, revenue_at = cells.at("bill", ordered), cells.at("revenue", ordered)
     bought_at = cells.at("energy_bought_kwh", ordered)
@@ -338,10 +337,10 @@ def _double_auction(scenario: Scenario, cells: _Cells):
     matched, buy_spend, sell_earn = (
         cells.total[name] for name in ("matched_kwh", "buy_spend", "sell_earn")
     )
-    grid = [cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]]
-    # the settlement dicts in stream order: each one's agent cell and system
-    # total for its cash, and for grid trades the agent cell of the kWh
-    dict_cells = ((bill_at, buy_spend, None), (revenue_at, sell_earn, None),
+    grid = np.array([cells.total["grid_import_kwh"], cells.total["grid_export_kwh"]])
+    # the settlement's kinds of entry in stream order: each one's agent cell
+    # and system total for its cash, and for grid trades the agent cell of the kWh
+    kind_cells = ((bill_at, buy_spend, None), (revenue_at, sell_earn, None),
                   (bill_at, buy_spend, bought_at), (revenue_at, sell_earn, sold_at))
 
     def chunk(first: int, stop: int):
@@ -350,62 +349,45 @@ def _double_auction(scenario: Scenario, cells: _Cells):
         first-match order, grid charges and credits in merit order, then every
         agent's feed-in term.
 
-        Each slot's settlement dicts are only gathered in bulk; every block
-        of terms is then written where cumulative block sizes place it."""
+        The chunk's slots are settled in one batch; every block of terms is
+        then written where cumulative block sizes place it."""
         nets = np.stack([a.gen[first:stop] - a.load[first:stop] for a in ordered], axis=1)
         books = mk._clear_rows(ids, np.where(nets < -1e-12, -nets, 0.0), bid_limit,
                                ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
-        # the four dicts' keys and values, slot by slot and dict by dict, each
-        # dict's size, the residual kWh (grid_charge and grid_credit hold the
-        # residual dicts' keys in their order) and each slot's grid totals
-        payees, cash, size, left, grid_kwh = [], [], [], [], []
-        for clearing in books.clearings("marginal_bid"):
-            settle = mk.settle_slot(clearing, tariff)
-            for paid in (settle.p2p_paid, settle.p2p_received, settle.grid_charge,
-                         settle.grid_credit):
-                payees += paid
-                cash += paid.values()
-                size.append(len(paid))
-            buys, sells = clearing.residual_buys.values(), clearing.residual_sells.values()
-            left += buys
-            left += sells
-            grid_kwh += (sum(buys), sum(sells))
+        # the ids are sorted and distinct, so a settlement entry's agent is its place in `ordered`
+        settled = mk.settle_slot(books, tariff)
+        kinds = (settled.p2p_paid, settled.p2p_received, settled.grid_charge, settled.grid_credit)
         slots = len(nets)
-        agent = np.fromiter(map(index.__getitem__, payees), np.intp, len(payees))
-        cash = np.array(cash, dtype=float)
-        size = np.array(size, dtype=np.intp).reshape(slots, 4)
-        kind = np.repeat(np.tile(np.arange(4), slots), size.ravel())
-        kwh = np.zeros(len(cash))  # each grid charge's or credit's residual kWh
-        kwh[kind >= 2] = left
-
-        # per slot: matches, grid totals, the four dicts, feed-in; their
-        # entries take 3, 2, 2, 2, 3, 3 and one term per agent
-        count = np.column_stack((np.diff(books.bounds), np.ones(slots, np.intp), size,
-                                 np.ones(slots, np.intp)))
+        # per slot: matches, grid totals, the four kinds of entry, feed-in;
+        # their entries take 3, 2, 2, 2, 3, 3 and one term per agent
+        one = np.ones(slots, np.intp)
+        count = np.column_stack((np.diff(books.bounds), one, *(k.count for k in kinds), one))
         terms = count * [3, 2, 2, 2, 3, 3, len(ordered)]
-        start = np.cumsum(terms).reshape(terms.shape) - terms
+        # np.add.accumulate, not np.cumsum, whose name lookups leave small
+        # strings alive (see mk.settle_slot)
+        start = np.add.accumulate(terms.ravel()).reshape(terms.shape) - terms
+        # each block's entries in the chunk's earlier slots
+        before = np.add.accumulate(count) - count
         stream_at, stream_amount = np.empty(int(terms.sum()), np.intp), np.empty(int(terms.sum()))
 
         def lay(block: int, entry_at, entry_amount) -> None:
             """Write the block's entries, rows of (entries, terms) arrays in
             slot order, one after another from the slot's start of the block."""
             n, width = entry_at.shape
-            before = np.cumsum(count[:, block]) - count[:, block]
-            place = (np.repeat(start[:, block] - width * before, count[:, block])
+            place = (np.repeat(start[:, block] - width * before[:, block], count[:, block])
                      + width * np.arange(n))[:, None] + np.arange(width)
             stream_at[place] = entry_at
             stream_amount[place] = entry_amount
 
         lay(0, np.column_stack((np.full(len(books.quantity), matched), bought_at[books.buyer],
                                 sold_at[books.seller])), books.quantity[:, None])
-        lay(1, np.tile(grid, (slots, 1)), np.reshape(grid_kwh, (slots, 2)))
-        for k, (agent_at, total, kwh_at) in enumerate(dict_cells):
-            mine = kind == k
-            who, paid = agent[mine], cash[mine]
+        lay(1, np.broadcast_to(grid, (slots, 2)), settled.grid_kwh)
+        for k, ((agent_at, total, kwh_at), entries) in enumerate(zip(kind_cells, kinds)):
+            who, paid = entries.agent, entries.cash
             columns, amounts = [agent_at[who], np.full(len(who), total)], [paid, paid]
             if kwh_at is not None:
                 columns.append(kwh_at[who])
-                amounts.append(kwh[mine])
+                amounts.append(entries.kwh)
             lay(2 + k, np.column_stack(columns), np.column_stack(amounts))
         # a zero net adds +0.0 to a sum of terms >= 0, which leaves it as it is
         lay(6, np.where(nets < 0, fit_bill_at, fit_revenue_at),
@@ -727,7 +709,7 @@ def run_simulation(scenario: Scenario) -> MetricsReport:
     cells = _Cells(scenario.agents, totals)
     chunk, finish = spec.replay(scenario, cells)
     sums = np.zeros(cells.size)
-    # a chunk's nets, merge, clearings and terms stay within about _CHUNK_BYTES
+    # a chunk's nets, merge, settlement and terms stay within about _CHUNK_BYTES
     size = max(1, _CHUNK_BYTES // (_SLOT_ORDER_BYTES * len(scenario.agents)))
     for first in range(0, scenario.horizon, size):
         np.add.at(sums, *chunk(first, min(first + size, scenario.horizon)))
@@ -872,10 +854,8 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[dict]:
             parsed.append(row.parse(text))
         except ValueError as exc:
             raise InputError(f"{parameter} {exc}") from exc
-    if not parsed:
-        return []
     if scenario.mechanism not in row.mechanisms:
         owners = " and ".join(row.mechanisms)
         raise InputError(f"{parameter} sweep is read by the {owners} mechanism"
                          f"{'s' * (len(row.mechanisms) > 1)} only, not by {scenario.mechanism}")
-    return row.run(scenario, parsed)
+    return row.run(scenario, parsed) if parsed else []

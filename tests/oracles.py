@@ -5,7 +5,7 @@ max-flow over half-kWh units, welfare from an assignment solver, a slot's
 double-auction clearing from one row object per order and key-sorted lists,
 a double-auction scenario from that clearing replayed slot by slot into
 dicts, a double-auction replay's stream of terms from one settlement entry
-at a time (it shares the merge and `settle_slot` with the replay, not the
+at a time (it shares the merge with the replay, not the settlement or the
 layout), a coalition scenario from one Shapley division per slot replayed
 into dicts, optimal EV welfare from exhaustive grid search, Shapley values
 from direct enumeration, a per-player subset loop, one in exact rational
@@ -190,6 +190,15 @@ def settle_loop(clearing, tariff):
     return paid, received, charge, credit
 
 
+def sum_left_to_right(values) -> float:
+    """0.0 plus each value in turn, uncompensated (from Python 3.12 the
+    builtin `sum` of floats is compensated)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def double_auction_replay_loop(scenario):
     """A double-auction scenario replayed one slot at a time into dicts.
 
@@ -229,8 +238,8 @@ def double_auction_replay_loop(scenario):
             out.append((None, "matched_kwh", qty))
             out.append((buyer, "energy_bought_kwh", qty))
             out.append((seller, "energy_sold_kwh", qty))
-        out.append((None, "grid_import_kwh", sum(c.residual_buys.values())))
-        out.append((None, "grid_export_kwh", sum(c.residual_sells.values())))
+        out.append((None, "grid_import_kwh", sum_left_to_right(c.residual_buys.values())))
+        out.append((None, "grid_export_kwh", sum_left_to_right(c.residual_sells.values())))
         for aid, cash in paid.items():
             out += [(aid, "bill", cash), (None, "buy_spend", cash)]
         for aid, cash in received.items():
@@ -273,8 +282,8 @@ def double_auction_stream_loop(scenario, cells, first, stop):
     """The (cells, amounts) stream of a double-auction replay's slots first
     to stop - 1, laid out one slot and one settlement entry at a time.
 
-    It clears the slots as one merge and settles each with `settle_slot`, as
-    the replay does, then lists each slot's terms into Python lists: the
+    It clears the slots as one merge, as the replay does, settles each slot
+    with `settle_loop`, then lists each slot's terms into Python lists: the
     matches, the two grid residual totals, P2P cash paid and received, grid
     charges and credits with their kWh, then one feed-in term per agent in
     id order. `cells` is the replay's `_Cells`.
@@ -303,23 +312,26 @@ def double_auction_stream_loop(scenario, cells, first, stop):
                            ids, np.where(nets > 1e-12, nets, 0.0), ask_limit)
     at, amount = [], []
     for t, clearing in enumerate(books.clearings("marginal_bid")):
-        settle = mk.settle_slot(clearing, tariff)
-        for buyer, seller, qty in zip(clearing.buyer_ids, clearing.seller_ids,
-                                      clearing.quantities):
+        matches = list(zip(clearing.buyer_ids, clearing.seller_ids, clearing.quantities))
+        paid, received, charge, credit = settle_loop(
+            LoopClearing(clearing.clearing_price, matches, clearing.residual_buys,
+                         clearing.residual_sells, clearing.matched_volume), tariff)
+        for buyer, seller, qty in matches:
             at += (total["matched_kwh"], bought[buyer], sold[seller])
             amount += (qty, qty, qty)
         at += (total["grid_import_kwh"], total["grid_export_kwh"])
-        amount += (sum(clearing.residual_buys.values()), sum(clearing.residual_sells.values()))
-        for aid, cash in settle.p2p_paid.items():
+        amount += (sum_left_to_right(clearing.residual_buys.values()),
+                   sum_left_to_right(clearing.residual_sells.values()))
+        for aid, cash in paid.items():
             at += (bill[aid], total["buy_spend"])
             amount += (cash, cash)
-        for aid, cash in settle.p2p_received.items():
+        for aid, cash in received.items():
             at += (revenue[aid], total["sell_earn"])
             amount += (cash, cash)
-        for aid, cash in settle.grid_charge.items():
+        for aid, cash in charge.items():
             at += (bill[aid], total["buy_spend"], bought[aid])
             amount += (cash, cash, clearing.residual_buys[aid])
-        for aid, cash in settle.grid_credit.items():
+        for aid, cash in credit.items():
             at += (revenue[aid], total["sell_earn"], sold[aid])
             amount += (cash, cash, clearing.residual_sells[aid])
         for agent, net in zip(ordered, nets[t].tolist()):

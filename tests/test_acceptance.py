@@ -19,7 +19,7 @@ from gridswap import market as mk
 from gridswap import storage as st
 from gridswap.cli import main as cli_main
 
-from instances import balanced_instance, random_instance
+from instances import balanced_instance, random_instance, settle_book
 from oracles import (
     HybridScenario,
     compare_hybrid,
@@ -78,7 +78,7 @@ def test_criterion_1_double_auction_correctness():
         for buyer, seller in zip(clearing.buyer_ids, clearing.seller_ids):
             assert bid_of[buyer] >= clearing.clearing_price >= ask_of[seller]
 
-        settle = mk.settle_slot(clearing, TARIFF)
+        settle = settle_book(buys, sells, TARIFF)
         # exact, dyadic cash
         assert sum(settle.p2p_paid.values()) == sum(settle.p2p_received.values())
     elapsed = time.time() - started

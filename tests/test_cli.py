@@ -1280,6 +1280,30 @@ class TestNonFiniteRejected:
         assert code == 1
         assert f"{location}: " in err
 
+    @pytest.mark.parametrize(
+        "name, text, refusal",
+        [
+            ("pop.csv", "id,role,w,l1,l2,c_min,c_max,d_max\nc1,charging,1.9,,,6,15,\n",
+             "need at least one charging and one discharging EV"),
+            ("rus.csv", "id,capacity,reservation_price,reluctance\n",
+             "need at least one residential unit"),
+            ("sfcs.csv", "id,requirement,bid_price\n", "need at least one SFC"),
+        ],
+    )
+    def test_population_without_a_kind_names_the_file(self, tmp_path, capsys, name, text,
+                                                      refusal):
+        rus = tmp_path / "rus.csv"
+        rus.write_text("id,capacity,reservation_price,reluctance\nr1,60,0.10,0.002\n")
+        sfcs = tmp_path / "sfcs.csv"
+        sfcs.write_text("id,requirement,bid_price\na,120,0.35\nb,80,0.28\n")
+        path = tmp_path / name
+        path.write_text(text)
+        argv = (["ev-auction", "--population", str(path)] if name == "pop.csv"
+                else ["storage-auction", "--rus", str(rus), "--sfcs", str(sfcs)])
+        code, err = self._main(tmp_path, capsys, argv)
+        assert (code, err) == (1, f"gridswap: {path}: {refusal}\n")
+        assert not any((tmp_path / "o").iterdir())
+
     @pytest.mark.parametrize("values", ["nan,100", "inf"])
     def test_sweep_values(self, tmp_path, capsys, values):
         cfg = tmp_path / "st.cfg"
@@ -2043,6 +2067,20 @@ class TestSweepParity:
         cfg.write_text(f"mechanism = {mechanism}\n{_AGENTS[mechanism]}")
         code, err = self._main(tmp_path, capsys, ["sweep", "--config", str(cfg), "--param", param,
                                                   "--values", value])
+        assert (code, err) == (1, f"gridswap: {param} sweep is read by {_SWEEP_OWNERS[param]} "
+                                  f"only, not by {mechanism}\n")
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param, mechanism", [
+        (param, mechanism) for param, row in scenario.SWEEPS.items()
+        for mechanism in scenario.MECHANISMS if mechanism not in row.mechanisms])
+    def test_empty_values_refused_on_other_mechanisms(self, tmp_path, capsys, param, mechanism):
+        """No values make no rows, but the parameter is still refused on a
+        mechanism its row does not name, and no sweep.csv is written."""
+        cfg = tmp_path / "sw.cfg"
+        cfg.write_text(f"mechanism = {mechanism}\n{_AGENTS[mechanism]}")
+        code, err = self._main(tmp_path, capsys, ["sweep", "--config", str(cfg), "--param", param,
+                                                  "--values", ""])
         assert (code, err) == (1, f"gridswap: {param} sweep is read by {_SWEEP_OWNERS[param]} "
                                   f"only, not by {mechanism}\n")
         assert not (tmp_path / "o" / "sweep.csv").exists()

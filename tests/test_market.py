@@ -11,8 +11,9 @@ from gridswap.errors import InputError
 from gridswap import market
 from gridswap.market import Book, Tariff, clear_double_auction, settle_slot
 
+from instances import settle_book, settlement_rows
 from oracles import (clear_double_auction_loop, max_crossing_volume, max_crossing_welfare,
-                     settle_loop)
+                     settle_loop, sum_left_to_right)
 
 
 def book(orders):
@@ -215,15 +216,20 @@ def assert_same_clearing(got, want):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
-def clear_rows(bids, asks, bid_qty, ask_qty, pricing="marginal_bid"):
-    """Every row's SlotClearing from one `_clear_rows` call; `bids` and `asks`
-    are the (agent id, limit price) columns, `*_qty` one list per book."""
+def cleared_rows(bids, asks, bid_qty, ask_qty):
+    """One `_clear_rows` call; `bids` and `asks` are the (agent id, limit
+    price) columns, `*_qty` one list per book."""
     def side(columns, qty):
         ids = np.array([aid for aid, _ in columns], dtype=object)
         limit = np.array([price for _, price in columns], dtype=float)
         return ids, np.array(qty, dtype=float).reshape(len(qty), len(columns)), limit
 
-    return list(market._clear_rows(*side(bids, bid_qty), *side(asks, ask_qty)).clearings(pricing))
+    return market._clear_rows(*side(bids, bid_qty), *side(asks, ask_qty))
+
+
+def clear_rows(bids, asks, bid_qty, ask_qty, pricing="marginal_bid"):
+    """Every row's SlotClearing from one `_clear_rows` call."""
+    return list(cleared_rows(bids, asks, bid_qty, ask_qty).clearings(pricing))
 
 
 def row_orders(columns, qty):
@@ -277,17 +283,33 @@ def test_rows_equal_the_row_loop(books, pricing):
                 [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
                 [[0.7, 2.0], [0.7, 2.0], [0.0, 0.0]]),
          pricing="marginal_bid")
+# an empty row between two that trade
+@example(books=([("a", 0.2)], [("b", 0.1)], [[1.0], [0.0], [0.5]], [[2.0], [0.0], [0.5]]),
+         pricing="marginal_bid")
+# one-sided rows: bids only, then asks only
+@example(books=([("a", 0.2), ("b", 0.3)], [("c", 0.1)], [[1.0, 2.0], [0.0, 0.0]],
+                [[0.0], [3.0]]),
+         pricing="midpoint")
+# a and s each own two orders in the book; a's fills and leftovers interleave with b's
+@example(books=([("a", 0.3), ("b", 0.25), ("a", 0.2)], [("s", 0.1), ("t", 0.15), ("s", 0.22)],
+                [[1.0, 1.0, 1.0]], [[0.5, 1.0, 0.25]]),
+         pricing="marginal_bid")
 def test_settlement_equals_the_match_loop(books, pricing):
-    """settle_slot on every row the kernel clears equals the per-match loop
-    on the per-order loop's clearing: same dicts, same key order, same bits."""
+    """Each row of the batch settle_slot equals the per-match loop on the
+    per-order loop's clearing: the same entries in the same first-entry
+    order, to the same bits. Each grid entry's kWh is the agent's residual,
+    and each row's grid kWh adds those residuals one after another."""
     bids, asks, bid_qty, ask_qty = books
     tariff = Tariff(0.05, 0.30)
-    for clearing, bq, aq in zip(clear_rows(bids, asks, bid_qty, ask_qty, pricing),
-                                bid_qty, ask_qty):
-        s = settle_slot(clearing, tariff)
+    rows = settlement_rows(settle_slot(cleared_rows(bids, asks, bid_qty, ask_qty), tariff,
+                                       pricing))
+    assert len(rows) == len(bid_qty)
+    for got, bq, aq in zip(rows, bid_qty, ask_qty):
         want = clear_double_auction_loop(row_orders(bids, bq), row_orders(asks, aq), pricing)
-        assert repr((s.p2p_paid, s.p2p_received, s.grid_charge, s.grid_credit)) == repr(
-            settle_loop(want, tariff))
+        assert repr(got[:4]) == repr(settle_loop(want, tariff))
+        assert repr(got[4:6]) == repr((want.residual_buys, want.residual_sells))
+        assert repr(got.grid_kwh) == repr((sum_left_to_right(want.residual_buys.values()),
+                                           sum_left_to_right(want.residual_sells.values())))
 
 
 def test_scalar_tail_takes_over_mid_book(monkeypatch):
@@ -335,28 +357,27 @@ def test_repeated_id_leftovers_sum_in_merit_order():
 
 class TestSettlement:
     def test_matched_energy_at_clearing_price(self):
-        c = clear([("B1", 4, 0.15)], [("S1", 4, 0.10)])
+        buys, sells = [("B1", 4, 0.15)], [("S1", 4, 0.10)]
+        c = clear(buys, sells)
         assert c.clearing_price == 0.15
-        s = settle_slot(c, Tariff(0.05, 0.30))
+        s = settle_book(buys, sells, Tariff(0.05, 0.30))
         assert s.p2p_paid["B1"] == pytest.approx(0.60)
         assert s.p2p_received["S1"] == pytest.approx(0.60)
 
     def test_residual_buy_charged_at_retail(self):
-        c = clear([("B1", 2, 0.08)], [])
-        s = settle_slot(c, Tariff(0.05, 0.30))
+        s = settle_book([("B1", 2, 0.08)], [], Tariff(0.05, 0.30))
         assert s.grid_charge["B1"] == pytest.approx(0.60)
 
     def test_residual_sell_credited_at_wholesale(self):
-        c = clear([], [("S1", 3, 0.10)])
-        s = settle_slot(c, Tariff(0.05, 0.30))
+        s = settle_book([], [("S1", 3, 0.10)], Tariff(0.05, 0.30))
         assert s.grid_credit["S1"] == pytest.approx(0.15)
 
     def test_budget_balance(self):
-        c = clear(
+        s = settle_book(
             [("B1", 2.5, 0.30), ("B2", 4, 0.22), ("B3", 1, 0.02)],
             [("S1", 3, 0.05), ("S2", 3.5, 0.20)],
+            Tariff(0.01, 0.40),
         )
-        s = settle_slot(c, Tariff(0.01, 0.40))
         assert sum(s.p2p_paid.values()) == pytest.approx(sum(s.p2p_received.values()), abs=1e-12)
 
 

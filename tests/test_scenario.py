@@ -352,7 +352,7 @@ class _RecordingNumpy:
 
     def __init__(self):
         self.handed = []
-        self.add = types.SimpleNamespace(at=self._at)
+        self.add = types.SimpleNamespace(at=self._at, accumulate=np.add.accumulate)
 
     def _at(self, sums, at, amount):
         self.handed.append((at, amount))
@@ -681,8 +681,8 @@ class TestSweep:
         with pytest.raises(InputError, match="supplier_count"):
             sweep(sc, "voltage", [1, 2])
 
-    def test_empty_values_empty_table(self, minimal):
-        assert sweep(load_scenario(minimal), "supplier_count", []) == []
+    def test_empty_values_empty_table(self, coalition_config):
+        assert sweep(load_scenario(coalition_config), "supplier_count", []) == []
 
     def test_sfc_requirement_rows(self, storage_config):
         sc = load_scenario(storage_config)
